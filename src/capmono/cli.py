@@ -112,6 +112,24 @@ def _default_probes(cfg: RunConfig, surface: SampledSurface):
     return [rng.uniform(-box, box, 3) for _ in range(4)]
 
 
+def _passes(value: float, limit: float) -> bool:
+    """The one gate: a value passes only if it is finite and at most limit."""
+    return bool(np.isfinite(value)) and value <= limit
+
+
+def _worst(values) -> float:
+    """Largest of the values and 0; unlike max(), a NaN anywhere is kept."""
+    return float(np.max([0.0, *values]))
+
+
+def _worst_identity_residual(mono, surface, region, probes, pairs) -> float:
+    return _worst(
+        abs(mono.monotonicity_identity_detail(surface, region, probe, sigma, rho)["residual"])
+        for sigma, rho in pairs
+        for probe in probes
+    )
+
+
 def cmd_monotonicity(cfg: RunConfig, out: Path) -> int:
     surface = _load_surface(cfg, out)
     region = region_for(cfg, surface)
@@ -123,29 +141,27 @@ def cmd_monotonicity(cfg: RunConfig, out: Path) -> int:
         return mono.monotonicity_profile(surface, region, probe, grid)
 
     if cfg.threads > 1:
+        # build the grid (and the sphere subcell store) before the fan-out,
+        # so workers share one region instead of each building its own
+        region.grid()
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             profiles = list(pool.map(one, probes))
     else:
         profiles = [one(p) for p in probes]
 
     out.mkdir(parents=True, exist_ok=True)
-    worst_violation = 0.0
     for i, prof in enumerate(profiles):
         tables.profile_csv(prof, out / f"profile_{i:03d}.csv")
-        worst_violation = min(worst_violation, prof.min_forward_difference())
+    worst_violation = float(np.min([0.0, *(prof.min_forward_difference() for prof in profiles)]))
     # gate on raw two-radius residuals: at equality-case probes every
     # identity term vanishes and term-normalized ratios turn into 0/0 noise
     pairs = cfg.pairs or ((cfg.r_min, cfg.r_max),)
-    worst_residual = 0.0
-    for sigma, rho in pairs:
-        for probe in probes:
-            detail = mono.monotonicity_identity_detail(surface, region, probe, sigma, rho)
-            worst_residual = max(worst_residual, abs(detail["residual"]))
+    worst_residual = _worst_identity_residual(mono, surface, region, probes, pairs)
     print(
         f"{len(profiles)} profiles: worst monotonicity violation {_G % worst_violation}, "
         f"worst identity residual {_G % worst_residual}"
     )
-    if worst_residual > cfg.tolerance:
+    if not _passes(worst_residual, cfg.tolerance):
         print(f"FAIL: residual exceeds tolerance {_G % cfg.tolerance}")
         return 1
     print("PASS")
@@ -162,11 +178,7 @@ def cmd_identity_suite(cfg: RunConfig, out: Path) -> int:
     pairs = cfg.pairs or ((0.4, 1.5),)
     probes = _default_probes(cfg, surface)
     mono = halfspace if surface.ambient.kind == "halfspace" else ball
-    worst = 0.0
-    for sigma, rho in pairs:
-        for probe in probes:
-            d = mono.monotonicity_identity_detail(surface, region, probe, sigma, rho)
-            worst = max(worst, abs(d["residual"]))
+    worst = _worst_identity_residual(mono, surface, region, probes, pairs)
     checks.append(("two-radius-identity", worst, tol))
     if surface.ambient.kind == "ball":
         checks.append(
@@ -174,7 +186,7 @@ def cmd_identity_suite(cfg: RunConfig, out: Path) -> int:
         )
         checks.append(("divergence-identity", energy.divergence_identity_residual(surface), tol))
         rng = np.random.default_rng(cfg.seed)
-        worst_pt = 0.0
+        residuals = []
         for _ in range(200):
             u = rng.standard_normal(3)
             u /= np.linalg.norm(u)
@@ -182,11 +194,11 @@ def cmd_identity_suite(cfg: RunConfig, out: Path) -> int:
             v /= np.linalg.norm(v)
             if np.linalg.norm(u - v) < 1e-8:
                 continue
-            worst_pt = max(worst_pt, abs(ball.sphere_point_identity_residual(u, v)))
-        checks.append(("sphere-point-identity", worst_pt, 1e-12))
+            residuals.append(abs(ball.sphere_point_identity_residual(u, v)))
+        checks.append(("sphere-point-identity", _worst(residuals), 1e-12))
     failed = 0
     for name, value, limit in checks:
-        ok = value <= limit
+        ok = _passes(value, limit)
         failed += not ok
         print(f"{'PASS' if ok else 'FAIL'} {name}: {_G % value} (tolerance {_G % limit})")
     return 1 if failed else 0

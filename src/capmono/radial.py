@@ -158,13 +158,3 @@ class RadialPrefix:
     def count(self, r) -> int:
         return int(np.searchsorted(self.dists, float(r), side="left"))
 
-
-def ball_mask(points: np.ndarray, center, radius: float) -> np.ndarray:
-    center = np.asarray(center, dtype=float)
-    return np.linalg.norm(points - center, axis=1) < radius
-
-
-def annulus_mask(points: np.ndarray, center, r_in: float, r_out: float) -> np.ndarray:
-    center = np.asarray(center, dtype=float)
-    d = np.linalg.norm(points - center, axis=1)
-    return (d >= r_in) & (d < r_out)

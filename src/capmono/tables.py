@@ -336,11 +336,17 @@ def parse_config(text: str) -> RunConfig:
             values[key] = typ(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from None
-    cfg = RunConfig(**values, probes=tuple(probes), pairs=tuple(pairs))
+    return _validated(RunConfig(**values, probes=tuple(probes), pairs=tuple(pairs)))
+
+
+def _validated(cfg: RunConfig) -> RunConfig:
     if cfg.ambient not in ("halfspace", "ball"):
         raise ConfigError(f"unknown ambient {cfg.ambient!r}")
     if not 0.0 < cfg.theta < math.pi:
         raise ConfigError("theta must lie strictly inside (0, pi)")
+    # a NaN tolerance would let every gate comparison through
+    if not (math.isfinite(cfg.tolerance) and cfg.tolerance > 0.0):
+        raise ConfigError(f"tolerance must be finite and positive, got {cfg.tolerance!r}")
     return cfg
 
 
@@ -350,4 +356,4 @@ def load_config(path) -> RunConfig:
 
 def with_overrides(cfg: RunConfig, **kwargs) -> RunConfig:
     kwargs = {k: v for k, v in kwargs.items() if v is not None}
-    return replace(cfg, **kwargs)
+    return _validated(replace(cfg, **kwargs))

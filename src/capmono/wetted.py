@@ -12,6 +12,7 @@ first; the integer winding API is untouched by this.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -26,6 +27,8 @@ PLANE = "plane"
 SPHERE = "sphere"
 
 _CHUNK = 4096
+# subdivision depth of the sphere faces that BallRestrictedEta partially covers
+_SUB_DEPTH = 3
 
 
 @dataclass(frozen=True)
@@ -436,8 +439,44 @@ class WettedRegion:
                     wind_aa[cells] = _aa_sphere(
                         self._refined_points(), ref, self.reference_winding, cells, nodes, verts, faces
                     )
+                # per-face subcell store, filled lazily by _subcells; allocated
+                # here so threads sharing the region never race to create it
+                m = 4**_SUB_DEPTH
+                self._cache["subcells"] = (
+                    np.empty((len(faces), m, 3)),
+                    np.empty((len(faces), m)),
+                    np.zeros(len(faces), dtype=bool),
+                    threading.Lock(),
+                )
             self._cache["grid"] = (nodes, cellw, wind.astype(np.int64), wind_aa)
         return self._cache["grid"]
+
+    def _subcells(self, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Subcell centers (F, m, 3) and areas (F, m) for all F sphere faces.
+
+        ``grid()`` allocates the store and must have run; only the rows of
+        the given faces are guaranteed filled.  The geometry
+        depends on the face alone, so it is computed once per face and shared
+        by every restriction centered anywhere on the region.  Threads share
+        the store; the lock makes finding and filling missing faces one step,
+        and a face is marked done only after its rows are written.
+        """
+        from .quadrature import barycentric_subtriangles, spherical_triangle_areas
+
+        centers, areas, done, lock = self._cache["subcells"]
+        with lock:
+            need = faces[~done[faces]]
+            if len(need):
+                verts, tri, _, _ = sphere_mesh(self.sphere_level)
+                bary = barycentric_subtriangles(_SUB_DEPTH)
+                sc = np.einsum("mkb,cbx->cmkx", bary, verts[tri[need]])
+                sc /= np.linalg.norm(sc, axis=-1, keepdims=True)
+                areas[need] = spherical_triangle_areas(sc[:, :, 0, :], sc[:, :, 1, :], sc[:, :, 2, :])
+                c = sc.sum(axis=2)
+                c /= np.linalg.norm(c, axis=-1, keepdims=True)
+                centers[need] = c
+                done[need] = True
+        return centers, areas
 
     def _refined_points(self) -> list[np.ndarray]:
         """Curve sample loops refined by Hermite midpoint insertion.
@@ -488,10 +527,6 @@ class WettedRegion:
         w = wind_aa if antialias else wind.astype(float)
         return nodes, w * cellw
 
-    def total_mass(self, antialias: bool = True) -> float:
-        _, w = self.eta_nodes(antialias)
-        return float(np.sum(w))
-
     def min_winding(self) -> int:
         _, _, wind, _ = self.grid()
         return int(np.min(wind))
@@ -538,6 +573,15 @@ class BallRestrictedEta:
     cells straddling the ball boundary (a contiguous slice of the sorted
     order) get an exact or supersampled coverage fraction.  Radius windows
     for term averaging are evaluated by a short Gauss rule.
+
+    State is kept at the level it depends on:
+
+    - per region: the sphere subcell centers and areas of each face
+      (``WettedRegion._subcells``), shared by every center;
+    - per object (one center): the sorted order, prefix sums, and the
+      subcell-to-center distances of each band face, filled lazily;
+    - per radius: the band slice and the coverage correction
+      ``frac - sharp``, computed once and applied to every key.
     """
 
     _GL5_X, _GL5_W = np.polynomial.legendre.leggauss(5)
@@ -557,66 +601,61 @@ class BallRestrictedEta:
             arr = np.asarray(v, dtype=float)[order] * base
             self.values[key] = arr
             self.prefix[key] = np.concatenate([[0.0], np.cumsum(arr)])
+        self._corrections: dict = {}
         if region.wetting == PLANE:
             self._h = np.sqrt(float(cellw[0]))
             self.band = 0.71 * self._h
-            self._faces_sorted = None
         else:
-            from .quadrature import sphere_mesh
-
-            verts, faces, _, _ = sphere_mesh(region.sphere_level)
-            self._verts = verts
-            self._faces_sorted = faces[order]
+            # sphere nodes are face centroids, so node order is face order
+            self._faces = order
             self.band = 1.05 * np.sqrt(float(np.max(cellw)))
-            self._sub_depth = 3
-            m = 4**self._sub_depth
-            self._sub_centers = np.empty((len(order), m, 3))
-            self._sub_areas = np.empty((len(order), m))
-            self._sub_done = np.zeros(len(order), dtype=bool)
-
-    def _subcells(self, lo: int, hi: int):
-        """Cached subcell centers and areas for sorted faces in [lo, hi)."""
-        from .quadrature import barycentric_subtriangles, spherical_triangle_areas
-
-        need = np.flatnonzero(~self._sub_done[lo:hi]) + lo
-        if len(need):
-            bary = barycentric_subtriangles(self._sub_depth)
-            corners = self._verts[self._faces_sorted[need]]
-            sc = np.einsum("mkb,cbx->cmkx", bary, corners)
-            sc /= np.linalg.norm(sc, axis=-1, keepdims=True)
-            self._sub_areas[need] = spherical_triangle_areas(
-                sc[:, :, 0, :], sc[:, :, 1, :], sc[:, :, 2, :]
-            )
-            centers = sc.sum(axis=2)
-            centers /= np.linalg.norm(centers, axis=-1, keepdims=True)
-            self._sub_centers[need] = centers
-            self._sub_done[need] = True
-        return self._sub_centers[lo:hi], self._sub_areas[lo:hi]
+            self._sub_dist = np.empty((len(order), 4**_SUB_DEPTH))
+            self._dist_done = np.zeros(len(order), dtype=bool)
 
     def _fractions(self, lo: int, hi: int, r: float) -> np.ndarray:
         """Coverage fractions for the sorted cells in [lo, hi)."""
-        if self._faces_sorted is None:
+        if self.region.wetting == PLANE:
             rp2 = r**2 - self.center[2] ** 2
             if rp2 <= 0.0:
                 return np.zeros(hi - lo)
             x0 = self.nodes[lo:hi, 0] - self.center[0]
             y0 = self.nodes[lo:hi, 1] - self.center[1]
             return _disk_cell_overlap(x0, y0, self._h, np.sqrt(rp2)) / (self._h * self._h)
-        centers, areas = self._subcells(lo, hi)
-        inside = np.linalg.norm(centers - self.center, axis=2) < r
+        need = np.flatnonzero(~self._dist_done[lo:hi]) + lo
+        centers, areas = self.region._subcells(self._faces[need])
+        if len(need):
+            self._sub_dist[need] = np.linalg.norm(centers[self._faces[need]] - self.center, axis=2)
+            self._dist_done[need] = True
+        areas = areas[self._faces[lo:hi]]
+        inside = self._sub_dist[lo:hi] < r
         return np.sum(areas * inside, axis=1) / np.sum(areas, axis=1)
+
+    def _correction(self, r: float) -> tuple:
+        """Sharp count, band slice and coverage correction at radius r.
+
+        The correction ``frac - sharp`` depends on the radius alone, so every
+        key evaluated at r reuses it.
+        """
+        hit = self._corrections.get(r)
+        if hit is None:
+            idx = np.searchsorted(self.dist, r, side="left")
+            lo = np.searchsorted(self.dist, r - self.band, side="left")
+            hi = np.searchsorted(self.dist, r + self.band, side="left")
+            corr = None
+            if hi > lo:
+                frac = self._fractions(lo, hi, r)
+                sharp = (self.dist[lo:hi] < r).astype(float)
+                corr = frac - sharp
+            hit = self._corrections[r] = (idx, lo, hi, corr)
+        return hit
 
     def _cumulative_scalar(self, key: str, r: float) -> float:
         if not np.isfinite(r):
             return float(self.prefix[key][-1])
-        idx = np.searchsorted(self.dist, r, side="left")
+        idx, lo, hi, corr = self._correction(r)
         base = float(self.prefix[key][idx])
-        lo = np.searchsorted(self.dist, r - self.band, side="left")
-        hi = np.searchsorted(self.dist, r + self.band, side="left")
-        if hi > lo:
-            frac = self._fractions(lo, hi, r)
-            sharp = (self.dist[lo:hi] < r).astype(float)
-            base += float(np.sum(self.values[key][lo:hi] * (frac - sharp)))
+        if corr is not None:
+            base += float(np.sum(self.values[key][lo:hi] * corr))
         return base
 
     def cumulative(self, key: str, radii) -> np.ndarray:

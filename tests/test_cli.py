@@ -1,10 +1,14 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import capmono
+from capmono import halfspace, wetted
 from capmono.cli import main
 
 BASE = """[run]
@@ -113,14 +117,8 @@ def test_deterministic_outputs(cfg_path):
 
 def test_report_subcommand_ball(tmp_path):
     out = tmp_path / "ball"
-    text = (
-        BASE.replace("OUT", str(out))
-        .replace("ambient = halfspace", "ambient = ball")
-        .replace("generator = cap", "generator = flat-disk-ball")
-        .replace("theta = 2.0943951023932", "theta = 1.0471975511966")
-    )
     path = tmp_path / "ball.cfg"
-    path.write_text(text)
+    path.write_text(_ball_text(out))
     assert main(["report", "--config", str(path)]) == 0
     assert (out / "energy.json").exists()
 
@@ -134,12 +132,73 @@ def test_threads_flag_matches_serial(cfg_path):
     assert (out / "profile_000.csv").read_bytes() == serial
 
 
+def _ball_text(out):
+    return (
+        BASE.replace("OUT", str(out))
+        .replace("ambient = halfspace", "ambient = ball")
+        .replace("generator = cap", "generator = flat-disk-ball")
+        .replace("theta = 2.0943951023932", "theta = 1.0471975511966")
+    )
+
+
+@pytest.mark.parametrize("ambient", ["halfspace", "ball"])
+def test_threads_build_the_grid_once(tmp_path, monkeypatch, ambient):
+    out = tmp_path / "out"
+    path = tmp_path / "run.cfg"
+    path.write_text(BASE.replace("OUT", str(out)) if ambient == "halfspace" else _ball_text(out))
+    assert main(["generate", "--config", str(path)]) == 0
+    code = main(["monotonicity", "--config", str(path)])
+    serial = {p.name: p.read_bytes() for p in sorted(out.glob("profile_*.csv"))}
+    assert len(serial) == 2
+
+    # every grid build, plane or sphere, finds its curve band exactly once
+    builds = []
+    near_curve = wetted._near_curve
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return near_curve(*args, **kwargs)
+
+    monkeypatch.setattr(wetted, "_near_curve", counting)
+    assert main(["monotonicity", "--config", str(path), "--threads", "2"]) == code
+    assert len(builds) == 1
+    assert {p.name: p.read_bytes() for p in sorted(out.glob("profile_*.csv"))} == serial
+
+
+@pytest.mark.parametrize("command", ["monotonicity", "identity-suite"])
+def test_nan_residual_fails_the_gate(cfg_path, monkeypatch, capsys, command):
+    path, _ = cfg_path
+    assert main(["generate", "--config", str(path)]) == 0
+    real = halfspace.monotonicity_identity_detail
+
+    def nan_detail(*args, **kwargs):
+        detail = real(*args, **kwargs)
+        detail["residual"] = float("nan")
+        return detail
+
+    monkeypatch.setattr(halfspace, "monotonicity_identity_detail", nan_detail)
+    assert main([command, "--config", str(path)]) == 1
+    assert "nan" in capsys.readouterr().out
+
+
+def test_nan_tolerance_is_config_error(cfg_path, tmp_path):
+    path, _ = cfg_path
+    assert main(["generate", "--config", str(path), "--tolerance", "nan"]) == 2
+    bad = tmp_path / "nan.cfg"
+    bad.write_text(path.read_text().replace("tolerance = 0.005", "tolerance = nan"))
+    assert main(["generate", "--config", str(bad)]) == 2
+
+
 def test_console_entry_point(cfg_path):
     path, _ = cfg_path
+    # the child imports the same package as this test, installed or not
+    src = str(Path(capmono.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "capmono", "generate", "--config", str(path)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "contact residual" in proc.stdout

@@ -133,6 +133,10 @@ out_dir = somewhere
         "[run]\ntheta = 9.0\n",
         "[run]\nambient = wedge\n",
         "[probes]\npoint = 1,2\n",
+        "[output]\ntolerance = nan\n",
+        "[output]\ntolerance = inf\n",
+        "[output]\ntolerance = 0\n",
+        "[output]\ntolerance = -1e-3\n",
     ],
 )
 def test_config_rejects_malformed(text):

@@ -187,3 +187,134 @@ def test_wind_binary_for_embedded_generators(stock):
     _, ball_region = stock.disk(np.pi / 3)
     _, _, wind_b, _ = ball_region.grid()
     assert set(np.unique(wind_b)).issubset({0, 1})
+
+
+# -- restriction of eta to balls -------------------------------------------------
+
+
+def _reference_restriction(region, center, arrays, key, radii):
+    """Ball-restricted eta the direct way: fresh subcell geometry, and one
+    coverage fraction per call and key.  Mirrors BallRestrictedEta's rule
+    (sorted prefix sums, a band of partial cells, exact disk overlap on the
+    plane and depth-3 subcells on the sphere) without any of its caches."""
+    from capmono.quadrature import barycentric_subtriangles, sphere_mesh, spherical_triangle_areas
+    from capmono.wetted import _disk_cell_overlap
+
+    nodes, cellw, _, wind_aa = region.grid()
+    dist = np.linalg.norm(nodes - center, axis=1)
+    order = np.argsort(dist, kind="stable")
+    dist, nodes = dist[order], nodes[order]
+    base = (wind_aa * cellw)[order]
+    values = base if key == "mass" else np.asarray(arrays[key], dtype=float)[order] * base
+    prefix = np.concatenate([[0.0], np.cumsum(values)])
+    if region.wetting == "plane":
+        h = np.sqrt(float(cellw[0]))
+        band = 0.71 * h
+    else:
+        verts, faces, _, _ = sphere_mesh(region.sphere_level)
+        band = 1.05 * np.sqrt(float(np.max(cellw)))
+    out = []
+    for r in np.atleast_1d(np.asarray(radii, dtype=float)):
+        if not np.isfinite(r):
+            out.append(float(prefix[-1]))
+            continue
+        total = float(prefix[np.searchsorted(dist, r, side="left")])
+        lo = np.searchsorted(dist, r - band, side="left")
+        hi = np.searchsorted(dist, r + band, side="left")
+        if hi > lo:
+            if region.wetting == "plane":
+                rp2 = r**2 - center[2] ** 2
+                if rp2 <= 0.0:
+                    frac = np.zeros(hi - lo)
+                else:
+                    x0, y0 = nodes[lo:hi, 0] - center[0], nodes[lo:hi, 1] - center[1]
+                    frac = _disk_cell_overlap(x0, y0, h, np.sqrt(rp2)) / (h * h)
+            else:
+                sc = np.einsum("mkb,cbx->cmkx", barycentric_subtriangles(3), verts[faces[order[lo:hi]]])
+                sc /= np.linalg.norm(sc, axis=-1, keepdims=True)
+                areas = spherical_triangle_areas(sc[:, :, 0, :], sc[:, :, 1, :], sc[:, :, 2, :])
+                sub = sc.sum(axis=2)
+                sub /= np.linalg.norm(sub, axis=-1, keepdims=True)
+                inside = np.linalg.norm(sub - center, axis=2) < r
+                frac = np.sum(areas * inside, axis=1) / np.sum(areas, axis=1)
+            sharp = (dist[lo:hi] < r).astype(float)
+            total += float(np.sum(values[lo:hi] * (frac - sharp)))
+        out.append(total)
+    return np.array(out)
+
+
+def _reference_window(region, center, arrays, key, r, halfwidth, over_r2):
+    xs, ws = np.polynomial.legendre.leggauss(5)
+    w = np.minimum(halfwidth, 0.9 * r)
+    out = np.zeros(len(r))
+    for xk, wk in zip(xs, ws):
+        s = np.maximum(r + xk * w, 1e-12)
+        val = _reference_restriction(region, center, arrays, key, s)
+        if over_r2:
+            val = val / s**2
+        out = out + 0.5 * wk * val
+    return out
+
+
+@pytest.mark.parametrize("ambient", ["plane", "sphere"])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_ball_restriction_matches_reference(stock, ambient, reverse):
+    from capmono.wetted import BallRestrictedEta
+
+    if ambient == "plane":
+        surface, _ = stock.cap(2 * np.pi / 3)
+        region = wetted_region(surface, grid_n=256)
+        x0 = np.array([0.3, -0.2, 0.5])
+        centers = [x0, np.array([-0.4, 0.1, 0.8])]
+    else:
+        surface, _ = stock.capball(2 * np.pi / 3, np.pi / 3)
+        region = wetted_region(surface, sphere_level=4)
+        x0 = np.array([0.2, 0.1, 0.5])
+        centers = [x0, x0 / np.dot(x0, x0)]
+    # a fresh region per order, so the shared subcell store starts empty
+    if reverse:
+        centers = centers[::-1]
+    nodes, _, _, wind_aa = region.grid()
+    arrays = {"one": np.ones(len(nodes)), "dist2": np.sum((nodes - x0) ** 2, axis=1)}
+    for center in centers:
+        eta = BallRestrictedEta(region, center, arrays)
+        dist = np.linalg.norm(nodes[wind_aa != 0] - center, axis=1)
+        radii = np.quantile(dist, [0.2, 0.5, 0.8])
+        hw = 0.1 * radii[:2]
+        for key in ("mass", *arrays):
+            expect = _reference_restriction(region, center, arrays, key, [*radii, np.inf])
+            assert np.array_equal(eta.cumulative(key, [*radii, np.inf]), expect)
+            for over_r2, method in ((False, eta.windowed), (True, eta.windowed_over_r2)):
+                expect = _reference_window(region, center, arrays, key, radii[:2], hw, over_r2)
+                assert np.array_equal(method(key, radii[:2], hw), expect)
+
+
+def test_ball_restriction_shared_store_under_threads(stock):
+    # more workers than cores fill one region's subcell store at once, with
+    # frequent thread switches; a face read before its rows are written, or
+    # a lost fill, would change some restricted mass
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    from capmono.wetted import BallRestrictedEta
+
+    surface, _ = stock.capball(2 * np.pi / 3, np.pi / 3)
+    centers = [np.array([0.2 * k, 0.1, 0.5 - 0.1 * k]) for k in range(6)]
+    radii = np.linspace(0.2, 1.6, 12)
+
+    def masses(region, center):
+        return BallRestrictedEta(region, center).cumulative("mass", radii)
+
+    serial = [masses(wetted_region(surface, sphere_level=4), c) for c in centers]
+    region = wetted_region(surface, sphere_level=4)
+    region.grid()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(masses, region, c) for c in centers]
+            shared = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(serial, shared):
+        assert np.array_equal(a, b)
