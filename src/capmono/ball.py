@@ -23,15 +23,14 @@ import numpy as np
 
 from .errors import AmbientError, GeometryError
 from .fields import TestVectorField
-from .geometry import BALL, sphere_inversion
+from .geometry import BALL, companion
+from .identity import PairTerms, assemble, mu_arrays, nudge_off_samples, profile_residual, square_weights
 from .radial import RadialPrefix
 from .surfaces import SampledSurface
 from .wetted import BallRestrictedEta, WettedRegion, eta_integral
 
 ORIGIN = "origin"
 GENERAL = "general"
-
-_OFFSET = 1e-6
 
 
 @dataclass
@@ -61,157 +60,95 @@ class BallProfile:
         return float(np.max(np.abs(self.residual)))
 
 
-def _nudge_off_samples(surface: SampledSurface, x0: np.ndarray) -> np.ndarray:
-    """Shift a base point off an exactly coincident sample (1e-6 tangent step)."""
-    d = np.linalg.norm(surface.points - x0, axis=1)
-    db = np.linalg.norm(surface.boundary_points - x0, axis=1)
-    if min(d.min(initial=np.inf), db.min(initial=np.inf)) > 1e-9:
-        return x0
-    k = int(np.argmin(db))
-    return x0 + _OFFSET * surface.boundary_tangents[k]
+def _projection(nodes: np.ndarray, center) -> np.ndarray:
+    """Per-node ((x - c).x / |x - c|^2)^2, the wetted projection integrand."""
+    rel = nodes - center
+    r2 = np.maximum(np.sum(rel * rel, axis=1), 1e-300)
+    return (np.sum(rel * nodes, axis=1) / r2) ** 2
 
 
-class _BallTerms:
+class _BallTerms(PairTerms):
     """Prefix sums of every integrand of the ball identity at one base point."""
 
     def __init__(self, surface: SampledSurface, region: Optional[WettedRegion], x0):
         if surface.ambient.kind != BALL:
             raise AmbientError("ball monotonicity needs a surface in the unit ball")
-        self.surface = surface
-        self.theta = surface.theta
-        self.x0 = np.asarray(x0, dtype=float)
-        self.dist0 = float(np.linalg.norm(self.x0))
-        if self.dist0 < 1e-12:
-            raise GeometryError("use the origin-branch helpers for x0 = 0")
-        if self.dist0 < 1e-6:
+        super().__init__(surface, x0, RadialPrefix)
+        if self.divisor < 1e-6:
             warnings.warn(
-                f"base point |x0| = {self.dist0:.2e} is badly conditioned for the "
+                f"base point |x0| = {self.divisor:.2e} is badly conditioned for the "
                 "general branch; the origin branch starts at 1e-12",
                 stacklevel=3,
             )
-        self.xi = sphere_inversion(self.x0)
-        w = surface.weights
-        pts = surface.points
-        nu = surface.normals
-        h = surface.mean_curvature
-        h2w = np.sum(h * h, axis=1) * w
-        hxw = np.sum(h * pts, axis=1) * w
-        hw = h * w[:, None]
-
-        def square_term(center):
-            rel = pts - center
-            r2 = np.sum(rel * rel, axis=1)
-            perp = np.sum(rel * nu, axis=1)
-            return np.sum((0.25 * h + (perp / r2)[:, None] * nu) ** 2, axis=1) * w
-
-        self.mu = RadialPrefix(
-            pts, self.x0, {"mass": w, "h2": h2w, "hx": hxw, "h": hw, "sq": square_term(self.x0)}
-        )
-        x2 = np.sum(pts * pts, axis=1)
-        xdnu = np.sum(pts * nu, axis=1)
-        self.mu_hat = RadialPrefix(
-            pts,
-            self.xi,
-            {
-                "mass": w,
-                "h2": h2w,
-                "hx": hxw,
-                "h": hw,
-                "sq": square_term(self.xi),
-                "x2": x2 * w,
-                "x": pts * w[:, None],
-                "xnu2": xdnu**2 * w,
-                "nu_xnu": nu * (xdnu * w)[:, None],
-                "x2hx": x2 * hxw,
-                "xhx": pts * hxw[:, None],
-            },
-        )
         self.eta = None
         self.eta_hat = None
         if region is not None:
             nodes, _ = region.eta_nodes()
+            xi = self.x0_hat
+            self.eta = BallRestrictedEta(region, self.x0, {"proj": _projection(nodes, self.x0)})
+            d2 = np.sum((nodes - xi) ** 2, axis=1)
+            self.eta_hat = BallRestrictedEta(region, xi, {"proj": _projection(nodes, xi), "dist2": d2})
 
-            def proj_term(center):
-                rel = nodes - center
-                r2 = np.maximum(np.sum(rel * rel, axis=1), 1e-300)
-                return (np.sum(rel * nodes, axis=1) / r2) ** 2
-
-            self.eta = BallRestrictedEta(region, self.x0, {"proj": proj_term(self.x0)})
-            d2 = np.sum((nodes - self.xi) ** 2, axis=1)
-            self.eta_hat = BallRestrictedEta(
-                region, self.xi, {"proj": proj_term(self.xi), "dist2": d2}
-            )
-
-    # -- shared radius window --------------------------------------------------
-
-    def halfwidth(self, r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        w = np.maximum(
-            self.mu.auto_halfwidth(r),
-            self.dist0 * self.mu_hat.auto_halfwidth(r / self.dist0),
-        )
-        return np.minimum(w, 0.9 * r)
-
-    def _q(self, key, r, w):
-        return self.mu.windowed(key, r, w)
-
-    def _q2(self, key, r, w):
-        return self.mu.windowed_over_r2(key, r, w)
-
-    def _qh(self, key, r, w):
-        return self.mu_hat.windowed(key, r / self.dist0, w / self.dist0)
-
-    def _q2h(self, key, r, w):
-        # avg_s M(s/d0)/s^2 = avg_u M(u)/u^2 / d0^2 : returned WITHOUT the
-        # 1/d0^2, i.e. this is avg of M(u)/u^2 in the hat radius u = s/d0
-        return self.mu_hat.windowed_over_r2(key, r / self.dist0, w / self.dist0)
+    def hat_arrays(self, shared: dict) -> dict:
+        """Inversion weights: |x|^2, x and (x.nu)^2 terms, bare and times H.x."""
+        pts, nu, w = self.surface.points, self.surface.normals, self.surface.weights
+        hxw = shared["hx"]
+        x2 = np.sum(pts * pts, axis=1)
+        xdnu = np.sum(pts * nu, axis=1)
+        return {
+            "x2": x2 * w,
+            "x": pts * w[:, None],
+            "xnu2": xdnu**2 * w,
+            "nu_xnu": nu * (xdnu * w)[:, None],
+            "x2hx": x2 * hxw,
+            "xhx": pts * hxw[:, None],
+        }
 
     # -- members of the pair -----------------------------------------------------
     #
     # every 1/r^2-weighted restriction is averaged as the whole term
     # M(s)/s^2; with s = d0 u the hat terms d0^2 M(u)/ (pi s^2) become
-    # M(u)/(pi u^2), so the d0^2 prefactors cancel against _q2h
+    # M(u)/(pi u^2), so the d0^2 prefactors cancel against q2h
+
+    def _inversion(self, r, w):
+        """Position corrections of the inverted member.
+
+        Returns (dist2 + tangential)/pi and h_dist2_x/(2 pi), the |x - xi|^2
+        and H.x-weighted terms the inversion adds to the hat member.
+        """
+        xi = self.x0_hat
+        xi2 = np.dot(xi, xi)
+        dist2 = self.q2h("x2", r, w) - 2.0 * self.q2h("x", r, w) @ xi + xi2 * self.q2h("mass", r, w)
+        tangential = (
+            self.q2h("x2", r, w)
+            - self.q2h("x", r, w) @ xi
+            - self.q2h("xnu2", r, w)
+            + self.q2h("nu_xnu", r, w) @ xi
+        )
+        h_dist2_x = self.q2h("x2hx", r, w) - 2.0 * self.q2h("xhx", r, w) @ xi + xi2 * self.q2h("hx", r, w)
+        return (dist2 + tangential) / np.pi, h_dist2_x / (2 * np.pi)
 
     def free_pair(self, r):
         """(g, g_hat) without wetted-measure corrections (vectorized in r)."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
         w = self.halfwidth(r)
-        g = (
-            self._q2("mass", r, w) / np.pi
-            + self._q("h2", r, w) / (16 * np.pi)
-            + (self._q2("hx", r, w) - self._q2("h", r, w) @ self.x0) / (2 * np.pi)
-        )
-        m_hat = self._qh("mass", r, w)
+        g = self.q2("mass", r, w) / np.pi + self.q("h2", r, w) / (16 * np.pi) + self.coupling(r, w)
         g_at_xi = (
-            self._q2h("mass", r, w) / np.pi
-            + self._qh("h2", r, w) / (16 * np.pi)
-            + (self._q2h("hx", r, w) - self._q2h("h", r, w) @ self.xi) / (2 * np.pi)
+            self.q2h("mass", r, w) / np.pi
+            + self.qh("h2", r, w) / (16 * np.pi)
+            + self.coupling_hat(r, w)
         )
-        xi2 = np.dot(self.xi, self.xi)
-        dist2 = (
-            self._q2h("x2", r, w) - 2.0 * self._q2h("x", r, w) @ self.xi + xi2 * self._q2h("mass", r, w)
-        )
-        tangential = (
-            self._q2h("x2", r, w)
-            - self._q2h("x", r, w) @ self.xi
-            - self._q2h("xnu2", r, w)
-            + self._q2h("nu_xnu", r, w) @ self.xi
-        )
-        h_dist2_x = (
-            self._q2h("x2hx", r, w)
-            - 2.0 * self._q2h("xhx", r, w) @ self.xi
-            + xi2 * self._q2h("hx", r, w)
-        )
+        position, curvature = self._inversion(r, w)
         g_hat = (
             g_at_xi
-            - (dist2 + tangential) / np.pi
-            - h_dist2_x / (2 * np.pi)
-            + self._qh("hx", r, w) / (2 * np.pi)
-            + m_hat / np.pi
+            - position
+            - curvature
+            + self.qh("hx", r, w) / (2 * np.pi)
+            + self.qh("mass", r, w) / np.pi
         )
         return g, g_hat
 
-    def capillary_pair(self, r):
+    def pair(self, r):
         """(g_theta, g_hat_theta): the pair with wetted-measure corrections."""
         if self.eta is None:
             raise GeometryError("capillary pair needs a wetted region")
@@ -219,7 +156,7 @@ class _BallTerms:
         w = self.halfwidth(r)
         g, g_hat = self.free_pair(r)
         ct = np.cos(self.theta)
-        r_hat, w_hat = r / self.dist0, w / self.dist0
+        r_hat, w_hat = self.hat(r, w)
         g_theta = g - ct * self.eta.windowed_over_r2("mass", r, w) / np.pi
         g_hat_theta = (
             g_hat
@@ -233,41 +170,17 @@ class _BallTerms:
         """The position-coupling remainder of the capillary pair."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
         w = self.halfwidth(r)
-        r_hat, w_hat = r / self.dist0, w / self.dist0
-        xi2 = np.dot(self.xi, self.xi)
-        dist2 = (
-            self._q2h("x2", r, w) - 2.0 * self._q2h("x", r, w) @ self.xi + xi2 * self._q2h("mass", r, w)
-        )
-        tangential = (
-            self._q2h("x2", r, w)
-            - self._q2h("x", r, w) @ self.xi
-            - self._q2h("xnu2", r, w)
-            + self._q2h("nu_xnu", r, w) @ self.xi
-        )
-        h_dist2_x = (
-            self._q2h("x2hx", r, w)
-            - 2.0 * self._q2h("xhx", r, w) @ self.xi
-            + xi2 * self._q2h("hx", r, w)
-        )
-        rem = (
-            (self._q2("hx", r, w) - self._q2("h", r, w) @ self.x0) / (2 * np.pi)
-            + (self._q2h("hx", r, w) - self._q2h("h", r, w) @ self.xi) / (2 * np.pi)
-            - (dist2 + tangential) / np.pi
-            - h_dist2_x / (2 * np.pi)
-        )
+        r_hat, w_hat = self.hat(r, w)
+        position, curvature = self._inversion(r, w)
+        rem = self.coupling(r, w) + self.coupling_hat(r, w) - position - curvature
         ct = np.cos(self.theta)
         return (
             rem
             + ct * self.eta_hat.windowed_over_r2("dist2", r_hat, w_hat) / np.pi
             - ct * self.eta_hat.windowed("mass", r_hat, w_hat) / np.pi
-            + self._qh("hx", r, w) / (2 * np.pi)
-            + self._qh("mass", r, w) / np.pi
+            + self.qh("hx", r, w) / (2 * np.pi)
+            + self.qh("mass", r, w) / np.pi
         )
-
-    def squares(self, r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        w = self.halfwidth(r)
-        return self._q("sq", r, w) / np.pi, self._qh("sq", r, w) / np.pi
 
     def deficits(self, r):
         r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -275,22 +188,8 @@ class _BallTerms:
         ct = np.cos(self.theta)
         return (
             -ct / np.pi * self.eta.windowed("proj", r, w),
-            -ct / np.pi * self.eta_hat.windowed("proj", r / self.dist0, w / self.dist0),
+            -ct / np.pi * self.eta_hat.windowed("proj", *self.hat(r, w)),
         )
-
-    def identity_terms(self, sigma: float, rho: float) -> dict:
-        r = np.array([sigma, rho])
-        g_theta, g_hat_theta = self.capillary_pair(r)
-        sq, sq_hat = self.squares(r)
-        dfc, dfc_hat = self.deficits(r)
-        return {
-            "delta_g": float(np.diff(g_theta)[0]),
-            "delta_g_hat": float(np.diff(g_hat_theta)[0]),
-            "square": float(np.diff(sq)[0]),
-            "square_hat": float(np.diff(sq_hat)[0]),
-            "deficit": float(np.diff(dfc)[0]),
-            "deficit_hat": float(np.diff(dfc_hat)[0]),
-        }
 
 
 # -- public operations -------------------------------------------------------
@@ -298,7 +197,7 @@ class _BallTerms:
 
 def free_boundary_radial_pair(surface: SampledSurface, x0, r: float):
     """The inversion-weighted radial pair without wetted corrections."""
-    x0 = _nudge_off_samples(surface, np.asarray(x0, dtype=float))
+    x0 = nudge_off_samples(surface, np.asarray(x0, dtype=float))
     t = _BallTerms(surface, None, x0)
     g, g_hat = t.free_pair(float(r))
     return float(g[0]), float(g_hat[0])
@@ -306,9 +205,9 @@ def free_boundary_radial_pair(surface: SampledSurface, x0, r: float):
 
 def capillary_radial_pair(surface: SampledSurface, region: WettedRegion, x0, r: float):
     """The radial pair with the wetted-measure corrections."""
-    x0 = _nudge_off_samples(surface, np.asarray(x0, dtype=float))
+    x0 = nudge_off_samples(surface, np.asarray(x0, dtype=float))
     t = _BallTerms(surface, region, x0)
-    g, g_hat = t.capillary_pair(float(r))
+    g, g_hat = t.pair(float(r))
     return float(g[0]), float(g_hat[0])
 
 
@@ -316,18 +215,10 @@ class _OriginTerms:
     """Origin-branch integrals: plain prefix sums about zero."""
 
     def __init__(self, surface: SampledSurface):
-        w = surface.weights
-        pts = surface.points
-        nu = surface.normals
-        h = surface.mean_curvature
-        r2 = np.sum(pts * pts, axis=1)
-        perp = np.sum(pts * nu, axis=1)
-        sq = np.sum((0.25 * h + (perp / r2)[:, None] * nu) ** 2, axis=1) * w
         self.surface = surface
+        origin = np.zeros(3)
         self.prefix = RadialPrefix(
-            pts,
-            np.zeros(3),
-            {"mass": w, "h2": np.sum(h * h, axis=1) * w, "hx": np.sum(h * pts, axis=1) * w, "sq": sq},
+            surface.points, origin, {**mu_arrays(surface), "sq": square_weights(surface, origin)}
         )
 
     def window(self, r):
@@ -413,14 +304,9 @@ def monotonicity_identity_detail(
             "scale": scale,
             "branch": ORIGIN,
         }
-    x0 = _nudge_off_samples(surface, x0)
-    t = _BallTerms(surface, region, x0)
-    terms = t.identity_terms(sigma, rho)
-    lhs = terms["square"] + terms["square_hat"] + terms["deficit"] + terms["deficit_hat"]
-    rhs = terms["delta_g"] + terms["delta_g_hat"]
-    scale = max(max(abs(v) for v in terms.values()), 1e-12)
-    res = lhs - rhs
-    return {**terms, "residual": res, "normalized": res / scale, "scale": scale, "branch": GENERAL}
+    x0 = nudge_off_samples(surface, x0)
+    terms = _BallTerms(surface, region, x0).identity_terms(sigma, rho)
+    return {**assemble(terms, sign=-1), "branch": GENERAL}
 
 
 def monotonicity_profile(
@@ -434,34 +320,12 @@ def monotonicity_profile(
         g = t.g(r_grid)
         g_hat = t.g_hat(r_grid)
         big_g = g + g_hat
-        sq = t.squares(r_grid)
-        residual = np.zeros(len(r_grid))
-        steps = np.diff(big_g) - np.diff(sq)
-        floor = 1e-2 * max(float(np.max(np.abs(big_g))), float(np.max(np.abs(sq))), 1e-10)
-        scales = np.maximum.reduce(
-            [np.abs(np.diff(big_g)), np.abs(np.diff(sq)), np.full(len(r_grid) - 1, floor)]
-        )
-        residual[1:] = steps / scales
+        # the origin identity has no deficit terms
+        residual = profile_residual(big_g, t.squares(r_grid), np.zeros(len(r_grid)))
         return BallProfile(x0, r_grid, g, g_hat, big_g, t.remainder(r_grid), residual, ORIGIN)
 
-    x0 = _nudge_off_samples(surface, x0)
-    t = _BallTerms(surface, region, x0)
-    g_theta, g_hat_theta = t.capillary_pair(r_grid)
-    big_g = g_theta + g_hat_theta
-    remainder = t.remainder(r_grid)
-    sq_direct, sq_hat = t.squares(r_grid)
-    sq = sq_direct + sq_hat
-    dfc_direct, dfc_hat = t.deficits(r_grid)
-    dfc = dfc_direct + dfc_hat
-    residual = np.zeros(len(r_grid))
-    steps = np.diff(big_g) - np.diff(sq) - np.diff(dfc)
-    # normalize by the step terms, floored at a fraction of the profile
-    # scale so that empty annuli report ~0 instead of 0/0 noise
-    floor = 1e-2 * max(float(np.max(np.abs(big_g))), float(np.max(np.abs(sq))), 1e-10)
-    scales = np.maximum.reduce(
-        [np.abs(np.diff(big_g)), np.abs(np.diff(sq)), np.abs(np.diff(dfc)), np.full(len(r_grid) - 1, floor)]
-    )
-    residual[1:] = steps / scales
+    x0 = nudge_off_samples(surface, x0)
+    g_theta, g_hat_theta, big_g, remainder, _, residual = _BallTerms(surface, region, x0).profile(r_grid)
     return BallProfile(x0, r_grid, g_theta, g_hat_theta, big_g, remainder, residual, GENERAL)
 
 
@@ -534,8 +398,8 @@ def minimal_density_identity_residual(surface: SampledSurface, region: WettedReg
     x0 = np.asarray(x0, dtype=float)
     if abs(np.linalg.norm(x0) - 1.0) > 1e-6:
         raise GeometryError("the base point must lie on the unit sphere")
-    x0 = _nudge_off_samples(surface, x0)
-    xi = sphere_inversion(x0)
+    x0 = nudge_off_samples(surface, x0)
+    xi, _ = companion(x0, surface.ambient)
     pts, w, nu = surface.points, surface.weights, surface.normals
     lhs = 0.0
     for c in (x0, xi):
@@ -565,13 +429,9 @@ def limit_identity_residuals(surface: SampledSurface, region: WettedRegion, x0) 
     w_tot = 0.25 * float(
         np.sum(np.sum(surface.mean_curvature**2, axis=1) * surface.weights)
     )
-    pts, w, nu, h = surface.points, surface.weights, surface.normals, surface.mean_curvature
 
     def mu_square(center):
-        rel = pts - center
-        r2 = np.sum(rel * rel, axis=1)
-        perp = np.sum(rel * nu, axis=1)
-        return float(np.sum(np.sum((0.25 * h + (perp / r2)[:, None] * nu) ** 2, axis=1) * w))
+        return float(np.sum(square_weights(surface, center)))
 
     if np.linalg.norm(x0) < 1e-12:
         lhs = mu_square(np.zeros(3)) / np.pi
@@ -582,15 +442,13 @@ def limit_identity_residuals(surface: SampledSurface, region: WettedRegion, x0) 
         )
         return {"origin": lhs - rhs}
 
-    x0 = _nudge_off_samples(surface, x0)
-    xi = sphere_inversion(x0)
+    x0 = nudge_off_samples(surface, x0)
+    xi, _ = companion(x0, surface.ambient)
     nodes, eta_w = region.eta_nodes()
     eta_total = float(np.sum(eta_w))
 
     def eta_proj(center):
-        rel = nodes - center
-        r2 = np.maximum(np.sum(rel * rel, axis=1), 1e-300)
-        return float(np.sum((np.sum(rel * nodes, axis=1) / r2) ** 2 * eta_w))
+        return float(np.sum(_projection(nodes, center) * eta_w))
 
     lhs_mu = (mu_square(x0) + mu_square(xi)) / np.pi
     tilde = tilde_density(surface, region, x0)

@@ -1,8 +1,9 @@
 """Command-line front end: generate sampled surfaces, run energy reports,
 sweep monotonicity profiles, and run the identity suite.
 
-Exit codes: 0 on success, 1 on a numeric tolerance failure, 2 on a usage,
-configuration or geometry error.
+Exit codes: 0 when every gate passes, 1 only when a gate fails, 2 on a
+usage or configuration error and on any other capmono error (geometry,
+resolution, immersion).
 """
 
 from __future__ import annotations
@@ -228,8 +229,12 @@ def main(argv=None) -> int:
     try:
         cfg = tables.load_config(args.config)
         threads = args.threads
-        if threads is None and os.environ.get("CAPMONO_THREADS"):
-            threads = int(os.environ["CAPMONO_THREADS"])
+        env_threads = os.environ.get("CAPMONO_THREADS")
+        if threads is None and env_threads:
+            try:
+                threads = int(env_threads)
+            except ValueError:
+                raise ConfigError(f"CAPMONO_THREADS must be an integer, got {env_threads!r}") from None
         cfg = tables.with_overrides(
             cfg,
             out_dir=args.out,
@@ -254,7 +259,7 @@ def main(argv=None) -> int:
         return 2
     except CapmonoError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2
 
 
 if __name__ == "__main__":

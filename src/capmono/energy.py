@@ -16,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AmbientError, ResolutionError
-from .geometry import BALL, HALFSPACE, reflect_halfspace, sphere_inversion
+from .errors import AmbientError, NoHatBallError, ResolutionError
+from .geometry import BALL, HALFSPACE, companion
 from .radial import RadialPrefix
 from .surfaces import SampledSurface
 from .wetted import WettedRegion, eta_integral
@@ -174,28 +174,15 @@ def tilde_density(surface: SampledSurface, region: WettedRegion, x0, r_grid=None
     mu = RadialPrefix(surface.points, x0, {"mass": surface.weights})
     eta = RadialPrefix(nodes, x0, {"mass": eta_w})
     hw = np.minimum(mu.auto_halfwidth(r_grid), 0.9 * r_grid)
-
-    if surface.ambient.kind == HALFSPACE:
-        x0_hat = reflect_halfspace(x0)
-        mu_hat = RadialPrefix(surface.points, x0_hat, {"mass": surface.weights})
-        eta_hat = RadialPrefix(nodes, x0_hat, {"mass": eta_w})
-        ratio = (
-            mu.windowed_over_r2("mass", r_grid, hw)
-            - cos_t * eta.windowed_over_r2("mass", r_grid, hw)
-            + mu_hat.windowed_over_r2("mass", r_grid, hw)
-            - cos_t * eta_hat.windowed_over_r2("mass", r_grid, hw)
-        ) / np.pi
-        return _extrapolate(r_grid, ratio)
-
-    dist0 = float(np.linalg.norm(x0))
-    if dist0 < 1e-12:
+    try:
+        x0_hat, divisor = companion(x0, surface.ambient)
+    except NoHatBallError:
         return _extrapolate(r_grid, mu.windowed_over_r2("mass", r_grid, hw) / np.pi)
-    xi = sphere_inversion(x0)
-    mu_hat = RadialPrefix(surface.points, xi, {"mass": surface.weights})
-    eta_hat = RadialPrefix(nodes, xi, {"mass": eta_w})
-    r_hat = r_grid / dist0
-    hw_hat = hw / dist0
-    # the |x0|^2 weight cancels against 1/r^2 in the hat radius variable
+    mu_hat = RadialPrefix(surface.points, x0_hat, {"mass": surface.weights})
+    eta_hat = RadialPrefix(nodes, x0_hat, {"mass": eta_w})
+    r_hat = r_grid / divisor
+    hw_hat = hw / divisor
+    # in the ball the |x0|^2 weight cancels against 1/r^2 in the hat radius
     ratio = (
         mu.windowed_over_r2("mass", r_grid, hw)
         - cos_t * eta.windowed_over_r2("mass", r_grid, hw)
@@ -214,13 +201,11 @@ def _tilde_onset(surface: SampledSurface, nodes: np.ndarray, x0: np.ndarray) -> 
         return min(d_mu, d_eta)
 
     onset = dist_to(x0)
-    if surface.ambient.kind == HALFSPACE:
-        onset = min(onset, dist_to(reflect_halfspace(x0)))
-    else:
-        dist0 = float(np.linalg.norm(x0))
-        if dist0 >= 1e-12:
-            onset = min(onset, dist0 * dist_to(sphere_inversion(x0)))
-    return onset
+    try:
+        x0_hat, divisor = companion(x0, surface.ambient)
+    except NoHatBallError:
+        return onset
+    return min(onset, divisor * dist_to(x0_hat))
 
 
 def capillary_density(surface: SampledSurface, region: WettedRegion, x0, r_grid=None) -> float:

@@ -89,6 +89,25 @@ def sphere_inversion(x) -> np.ndarray:
     return x / n2
 
 
+def companion(x0, ambient: Ambient) -> tuple[np.ndarray, float]:
+    """Center and radius divisor of the companion of balls about x0.
+
+    The companion of B_r(x0) is the ball of radius r / divisor about the
+    returned center.  Half-space: the reflected center with divisor 1.
+    Unit ball: the inversion of x0 with divisor |x0|; the origin has no
+    companion and raises :class:`NoHatBallError`.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    if ambient.kind == HALFSPACE:
+        return reflect_halfspace(x0), 1.0
+    n = float(np.linalg.norm(x0))
+    if n < 1e-12:
+        raise NoHatBallError(
+            "no companion ball for the origin; use the dedicated origin formulas"
+        )
+    return sphere_inversion(x0), n
+
+
 def hat_ball(x0, r: float, ambient: Ambient) -> Ball3:
     """Companion ball of B_r(x0) under the ambient's reflection map.
 
@@ -96,17 +115,10 @@ def hat_ball(x0, r: float, ambient: Ambient) -> Ball3:
     Unit ball: the ball of radius r/|x0| about the inversion of x0; the
     origin has no companion ball and raises :class:`NoHatBallError`.
     """
-    x0 = np.asarray(x0, dtype=float)
     if not r > 0.0:
         raise GeometryError(f"ball radius must be positive, got {r}")
-    if ambient.kind == HALFSPACE:
-        return Ball3(reflect_halfspace(x0), float(r))
-    n = float(np.linalg.norm(x0))
-    if n < 1e-12:
-        raise NoHatBallError(
-            "no companion ball for the origin; use the dedicated origin formulas"
-        )
-    return Ball3(sphere_inversion(x0), float(r) / n)
+    center, divisor = companion(x0, ambient)
+    return Ball3(center, float(r) / divisor)
 
 
 def normal_split(v, unit_normal) -> tuple[np.ndarray, np.ndarray]:

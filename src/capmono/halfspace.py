@@ -17,12 +17,11 @@ import numpy as np
 
 from .errors import AmbientError
 from .fields import TANGENT, TestVectorField
-from .geometry import HALFSPACE, reflect_halfspace
+from .geometry import HALFSPACE
+from .identity import PairTerms, assemble, nudge_off_samples
 from .radial import RadialPrefix
 from .surfaces import SampledSurface
 from .wetted import BallRestrictedEta, WettedRegion
-
-_OFFSET = 1e-6
 
 
 @dataclass
@@ -54,73 +53,21 @@ class MonotonicityProfile:
         return float(np.max(np.abs(self.residual)))
 
 
-def _nudge_off_samples(surface: SampledSurface, a: np.ndarray) -> np.ndarray:
-    """Shift a base point off an exactly coincident sample.
-
-    Offsets by 1e-6 along the boundary tangent at the nearest boundary
-    sample; the integrands are bounded on smooth surfaces, the shift only
-    dodges 0/0 at exact coincidence.
-    """
-    d = np.linalg.norm(surface.points - a, axis=1)
-    db = np.linalg.norm(surface.boundary_points - a, axis=1)
-    if min(d.min(initial=np.inf), db.min(initial=np.inf)) > 1e-9:
-        return a
-    k = int(np.argmin(db))
-    return a + _OFFSET * surface.boundary_tangents[k]
-
-
-class _Terms:
+class _Terms(PairTerms):
     """Prefix sums of every integrand the identity needs, at one base point."""
 
     def __init__(self, surface: SampledSurface, region: WettedRegion, a):
         if surface.ambient.kind != HALFSPACE:
             raise AmbientError("half-space monotonicity needs a half-space surface")
-        self.surface = surface
-        self.theta = surface.theta
-        self.a = np.asarray(a, dtype=float)
-        self.a_hat = reflect_halfspace(self.a)
-        w = surface.weights
-        h = surface.mean_curvature
-        pts = surface.points
-        nu = surface.normals
-        h2w = np.sum(h * h, axis=1) * w
-        hxw = np.sum(h * pts, axis=1) * w
-        hw = h * w[:, None]
-
-        def square_term(center):
-            rel = pts - center
-            r2 = np.sum(rel * rel, axis=1)
-            perp = np.sum(rel * nu, axis=1)
-            val = np.sum((0.25 * h + (perp / r2)[:, None] * nu) ** 2, axis=1)
-            return val * w
-
-        self.mu = RadialPrefix(
-            pts,
-            self.a,
-            {"mass": w, "h2": h2w, "hx": hxw, "h": hw, "sq": square_term(self.a)},
-        )
-        self.mu_hat = RadialPrefix(
-            pts,
-            self.a_hat,
-            {"mass": w, "h2": h2w, "hx": hxw, "h": hw, "sq": square_term(self.a_hat)},
-        )
+        super().__init__(surface, a, RadialPrefix)
+        a = self.x0
         nodes, _ = region.eta_nodes()
-        rel = nodes - self.a
+        rel = nodes - a
         r4 = np.maximum(np.sum(rel * rel, axis=1) ** 2, 1e-300)
-        deficit = (self.a[2] ** 2 / r4) if self.a[2] != 0.0 else np.zeros(len(nodes))
+        deficit = (a[2] ** 2 / r4) if a[2] != 0.0 else np.zeros(len(nodes))
         # eta(B_r(a)) = eta(B_hat_r(a)): plane nodes are equidistant from a
         # and its reflection, so a single restriction serves both balls
-        self.eta = BallRestrictedEta(region, self.a, {"deficit": deficit})
-
-    def halfwidth(self, r):
-        """Radius-averaging window: one shared width per radius.
-
-        Every term of one evaluation is averaged over the same window so the
-        two-radius identity survives the averaging exactly.
-        """
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        w = np.maximum(self.mu.auto_halfwidth(r), self.mu_hat.auto_halfwidth(r))
-        return np.minimum(w, 0.9 * r)
+        self.eta = BallRestrictedEta(region, a, {"deficit": deficit})
 
     def pair(self, r):
         """The radial ratio pair (g, g_hat) at radius r (vectorized).
@@ -132,68 +79,46 @@ class _Terms:
         w = self.halfwidth(r)
         ct = np.cos(self.theta)
         eta_ratio = self.eta.windowed_over_r2("mass", r, w)
-        out = []
-        for pre, center in ((self.mu, self.a), (self.mu_hat, self.a_hat)):
-            mass_ratio = pre.windowed_over_r2("mass", r, w)
-            h2 = pre.windowed("h2", r, w)
-            hrel_ratio = pre.windowed_over_r2("hx", r, w) - pre.windowed_over_r2("h", r, w) @ center
-            out.append(
-                (mass_ratio - ct * eta_ratio) / np.pi
-                + h2 / (16 * np.pi)
-                + hrel_ratio / (2 * np.pi)
-            )
-        return out[0], out[1]
+        g = (
+            (self.q2("mass", r, w) - ct * eta_ratio) / np.pi
+            + self.q("h2", r, w) / (16 * np.pi)
+            + self.coupling(r, w)
+        )
+        g_hat = (
+            (self.q2h("mass", r, w) - ct * eta_ratio) / np.pi
+            + self.qh("h2", r, w) / (16 * np.pi)
+            + self.coupling_hat(r, w)
+        )
+        return g, g_hat
 
     def remainder(self, r):
         r = np.atleast_1d(np.asarray(r, dtype=float))
         w = self.halfwidth(r)
         val = (
-            self.mu.windowed_over_r2("hx", r, w)
-            - self.mu.windowed_over_r2("h", r, w) @ self.a
-            + self.mu_hat.windowed_over_r2("hx", r, w)
-            - self.mu_hat.windowed_over_r2("h", r, w) @ self.a_hat
+            self.q2("hx", r, w)
+            - self.q2("h", r, w) @ self.x0
+            + self.q2h("hx", r, w)
+            - self.q2h("h", r, w) @ self.x0_hat
         )
         return val / (2 * np.pi)
 
-    def squares(self, r):
-        """Cumulative square integrals for the direct and reflected balls."""
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        w = self.halfwidth(r)
-        return (
-            self.mu.windowed("sq", r, w) / np.pi,
-            self.mu_hat.windowed("sq", r, w) / np.pi,
-        )
-
-    def deficit(self, r):
-        """Cumulative wetted deficit term for one ball, averaged.
+    def deficits(self, r):
+        """Cumulative wetted deficit terms of the two balls, averaged.
 
         Assembling the first variation and dividing by 2*pi gives the
         coefficient -(cos(theta)/pi) per ball, the normalization the
-        ball-configuration identity carries as well.
+        ball-configuration identity carries as well.  Both balls share the
+        one eta restriction, so the two terms are equal.
         """
         r = np.atleast_1d(np.asarray(r, dtype=float))
         w = self.halfwidth(r)
-        return -np.cos(self.theta) / np.pi * self.eta.windowed("deficit", r, w)
-
-    def identity_terms(self, sigma: float, rho: float) -> dict:
-        g_s, gh_s = self.pair(sigma)
-        g_r, gh_r = self.pair(rho)
-        r = np.array([sigma, rho])
-        sq, sq_hat = self.squares(r)
-        dfc = self.deficit(r)
-        return {
-            "delta_g": float(np.squeeze(g_r - g_s)),
-            "delta_g_hat": float(np.squeeze(gh_r - gh_s)),
-            "square": float(np.diff(sq)[0]),
-            "square_hat": float(np.diff(sq_hat)[0]),
-            "deficit": float(np.diff(dfc)[0]),
-            "deficit_hat": float(np.diff(dfc)[0]),
-        }
+        dfc = -np.cos(self.theta) / np.pi * self.eta.windowed("deficit", r, w)
+        return dfc, dfc
 
 
 def radial_ratio_pair(surface: SampledSurface, region: WettedRegion, a, r: float):
     """The pair (g, g_hat) at one base point and radius."""
-    t = _Terms(surface, region, _nudge_off_samples(surface, np.asarray(a, dtype=float)))
+    t = _Terms(surface, region, nudge_off_samples(surface, np.asarray(a, dtype=float)))
     g, g_hat = t.pair(float(r))
     return float(np.squeeze(g)), float(np.squeeze(g_hat))
 
@@ -217,50 +142,27 @@ def monotonicity_identity_detail(
     """All six identity terms plus raw and normalized residuals."""
     if not 0.0 < sigma <= rho:
         raise ValueError("need 0 < sigma <= rho")
-    a = _nudge_off_samples(surface, np.asarray(a, dtype=float))
+    a = nudge_off_samples(surface, np.asarray(a, dtype=float))
     if sigma == rho:
         return {"residual": 0.0, "normalized": 0.0, "scale": 1.0}
-    t = _Terms(surface, region, a)
-    terms = t.identity_terms(sigma, rho)
-    lhs = terms["delta_g"] + terms["delta_g_hat"]
-    rhs = terms["square"] + terms["square_hat"] + terms["deficit"] + terms["deficit_hat"]
-    scale = max(abs(v) for v in terms.values())
-    scale = max(scale, 1e-12)
-    res = float(lhs - rhs)
-    return {**terms, "residual": res, "normalized": res / scale, "scale": scale}
+    return assemble(_Terms(surface, region, a).identity_terms(sigma, rho), sign=1)
 
 
 def monotonicity_profile(
     surface: SampledSurface, region: WettedRegion, a, r_grid
 ) -> MonotonicityProfile:
     """Profile of g, g_hat, their sum and the identity pieces over a grid."""
-    a = _nudge_off_samples(surface, np.asarray(a, dtype=float))
+    a = nudge_off_samples(surface, np.asarray(a, dtype=float))
     r_grid = np.sort(np.asarray(r_grid, dtype=float))
     t = _Terms(surface, region, a)
-    g, g_hat = t.pair(r_grid)
-    big_g = g + g_hat
-    remainder = t.remainder(r_grid)
-    sq_direct, sq_hat = t.squares(r_grid)
-    sq = sq_direct + sq_hat
-    dfc = 2.0 * t.deficit(r_grid)
-    deficit = dfc
-
-    residual = np.zeros(len(r_grid))
-    steps = np.diff(big_g) - np.diff(sq) - np.diff(dfc)
-    # normalize by the step terms, floored at a fraction of the profile
-    # scale so that empty annuli report ~0 instead of 0/0 noise
-    floor = 1e-2 * max(float(np.max(np.abs(big_g))), float(np.max(np.abs(sq))), 1e-10)
-    scales = np.maximum.reduce(
-        [np.abs(np.diff(big_g)), np.abs(np.diff(sq)), np.abs(np.diff(dfc)), np.full(len(r_grid) - 1, floor)]
-    )
-    residual[1:] = steps / scales
+    g, g_hat, big_g, remainder, deficit, residual = t.profile(r_grid)
 
     # crude mass-ratio doubling bound as a sanity ratio (<= 1 when it applies)
     ct = np.cos(t.theta)
     w_grid = t.halfwidth(r_grid)
     lhs_ratio = (
-        t.mu.windowed_over_r2("mass", r_grid, w_grid)
-        + t.mu_hat.windowed_over_r2("mass", r_grid, w_grid)
+        t.q2("mass", r_grid, w_grid)
+        + t.q2h("mass", r_grid, w_grid)
         - 2 * ct * t.eta.windowed_over_r2("mass", r_grid, w_grid)
     ) / np.pi
     w_tot = float(t.mu.cumulative("h2", np.inf))
@@ -294,7 +196,7 @@ def boundary_limit_identity_residual(surface: SampledSurface, region: WettedRegi
     a = np.asarray(a, dtype=float)
     if abs(a[2]) > 1e-9:
         raise ValueError("the boundary limit identity needs a base point on the plane")
-    a = _nudge_off_samples(surface, a)
+    a = nudge_off_samples(surface, a)
     t = _Terms(surface, region, a)
     lhs = 2.0 / np.pi * float(t.mu.cumulative("sq", np.inf))
     w_tot = float(t.mu.cumulative("h2", np.inf))

@@ -55,24 +55,6 @@ class ParametricChart:
     params: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class SurfaceSample:
-    point: np.ndarray
-    area_weight: float
-    unit_normal: np.ndarray
-    mean_curvature: np.ndarray
-
-
-@dataclass(frozen=True)
-class BoundarySample:
-    point: np.ndarray
-    unit_tangent: np.ndarray
-    conormal: np.ndarray
-    arc_weight: float
-    geodesic_curvature: float
-    wetting_geodesic_curvature: float
-
-
 class SampledSurface:
     """Immutable quadrature representation of an immersed capillary surface.
 
@@ -135,21 +117,6 @@ class SampledSurface:
     @property
     def theta(self) -> float:
         return self.ambient.theta
-
-    def sample(self, i: int) -> SurfaceSample:
-        return SurfaceSample(
-            self.points[i], float(self.weights[i]), self.normals[i], self.mean_curvature[i]
-        )
-
-    def boundary_sample(self, i: int) -> BoundarySample:
-        return BoundarySample(
-            self.boundary_points[i],
-            self.boundary_tangents[i],
-            self.boundary_conormals[i],
-            float(self.boundary_weights[i]),
-            float(self.boundary_kg[i]),
-            float(self.boundary_kg_wetting[i]),
-        )
 
     # -- consistency --------------------------------------------------------
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,14 +29,25 @@ BOUNDARY_COLUMNS = "x1 x2 x3 t1 t2 t3 c1 c2 c3 arcweight kg kg_wetting"
 CURVE_COLUMNS = "x1 x2 x3 t1 t2 t3 weight"
 
 
-def _write_rows(fh, rows: np.ndarray):
-    for row in rows:
-        fh.write(" ".join(_FULL % v for v in row) + "\n")
+def _save_table(path, header: list[str], rows: np.ndarray) -> None:
+    with Path(path).open("w", newline="\n") as fh:
+        fh.write("".join(f"# {line}\n" for line in header))
+        np.savetxt(fh, rows, fmt=_FULL)
+
+
+def _load_table(path) -> tuple[list[str], np.ndarray]:
+    """The leading comment lines (without '# ') and the rows of a table."""
+    header = []
+    with Path(path).open() as fh:
+        for line in fh:
+            if not line.startswith("#"):
+                break
+            header.append(line[1:].strip())
+    return header, np.loadtxt(path, comments="#", ndmin=2)
 
 
 def save_surface(surface: SampledSurface, path) -> None:
     """Write the interior sample table (one sample per row)."""
-    path = Path(path)
     rows = np.column_stack(
         [
             surface.points,
@@ -47,21 +58,18 @@ def save_surface(surface: SampledSurface, path) -> None:
             surface.traceless_sq,
         ]
     )
-    with path.open("w", newline="\n") as fh:
-        fh.write("# capmono surface table v1\n")
-        fh.write(
-            f"# ambient={surface.ambient.kind} theta={_FULL % surface.theta} "
-            f"chi={surface.euler_characteristic} generator={surface.metadata.get('generator', '?')}\n"
-        )
-        if surface.corner_angles:
-            fh.write("# corners=" + ",".join(_FULL % a for a in surface.corner_angles) + "\n")
-        fh.write(f"# columns: {SURFACE_COLUMNS}\n")
-        _write_rows(fh, rows)
+    header = [
+        "capmono surface table v1",
+        f"ambient={surface.ambient.kind} theta={_FULL % surface.theta} "
+        f"chi={surface.euler_characteristic} generator={surface.metadata.get('generator', '?')}",
+    ]
+    if surface.corner_angles:
+        header.append("corners=" + ",".join(_FULL % a for a in surface.corner_angles))
+    _save_table(path, header + [f"columns: {SURFACE_COLUMNS}"], rows)
 
 
 def save_boundary(surface: SampledSurface, path) -> None:
     """Write the boundary sample table (frame, weights and curvatures)."""
-    path = Path(path)
     rows = np.column_stack(
         [
             surface.boundary_points,
@@ -72,37 +80,20 @@ def save_boundary(surface: SampledSurface, path) -> None:
             surface.boundary_kg_wetting,
         ]
     )
-    with path.open("w", newline="\n") as fh:
-        fh.write("# capmono boundary table v1\n")
-        fh.write(f"# columns: {BOUNDARY_COLUMNS}\n")
-        _write_rows(fh, rows)
+    _save_table(path, ["capmono boundary table v1", f"columns: {BOUNDARY_COLUMNS}"], rows)
 
 
 def load_surface(surface_path, boundary_path) -> SampledSurface:
     """Rebuild a surface from its two sample tables."""
-    surface_path, boundary_path = Path(surface_path), Path(boundary_path)
+    header, arr = _load_table(surface_path)
     meta = {}
     corners: tuple = ()
-    data = []
-    for line in surface_path.read_text().splitlines():
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("ambient="):
-                for tok in body.split():
-                    k, _, v = tok.partition("=")
-                    meta[k] = v
-            elif body.startswith("corners="):
-                corners = tuple(float(v) for v in body.split("=", 1)[1].split(","))
-            continue
-        if line.strip():
-            data.append([float(v) for v in line.split()])
-    arr = np.asarray(data)
-    bdata = []
-    for line in boundary_path.read_text().splitlines():
-        if line.startswith("#") or not line.strip():
-            continue
-        bdata.append([float(v) for v in line.split()])
-    barr = np.asarray(bdata)
+    for body in header:
+        if body.startswith("ambient="):
+            meta.update(tok.partition("=")[::2] for tok in body.split())
+        elif body.startswith("corners="):
+            corners = tuple(float(v) for v in body.split("=", 1)[1].split(","))
+    _, barr = _load_table(boundary_path)
     ambient = Ambient(meta["ambient"], float(meta["theta"]))
     surface = SampledSurface(
         ambient=ambient,
@@ -129,27 +120,17 @@ def load_surface(surface_path, boundary_path) -> SampledSurface:
 
 
 def save_curve(curve: OrientedCurve, path) -> None:
-    path = Path(path)
     rows = np.column_stack([curve.points, curve.tangents, curve.weights])
-    with path.open("w", newline="\n") as fh:
-        fh.write("# capmono curve table v1\n")
-        fh.write(f"# closed={int(curve.closed)}\n")
-        fh.write(f"# columns: {CURVE_COLUMNS}\n")
-        _write_rows(fh, rows)
+    header = ["capmono curve table v1", f"closed={int(curve.closed)}", f"columns: {CURVE_COLUMNS}"]
+    _save_table(path, header, rows)
 
 
 def load_curve(path) -> OrientedCurve:
-    path = Path(path)
+    header, arr = _load_table(path)
     closed = True
-    data = []
-    for line in path.read_text().splitlines():
-        if line.startswith("#"):
-            if "closed=" in line:
-                closed = bool(int(line.split("=", 1)[1]))
-            continue
-        if line.strip():
-            data.append([float(v) for v in line.split()])
-    arr = np.asarray(data)
+    for body in header:
+        if "closed=" in body:
+            closed = bool(int(body.split("=", 1)[1]))
     return OrientedCurve(arr[:, 0:3], arr[:, 3:6], arr[:, 6], closed=closed)
 
 
@@ -158,44 +139,20 @@ def load_curve(path) -> OrientedCurve:
 
 def profile_csv(profile, path) -> None:
     """Write a monotonicity profile as CSV (half-space or ball layout)."""
-    path = Path(path)
-    is_ball = hasattr(profile, "branch")
-    with path.open("w", newline="\n") as fh:
-        if is_ball:
-            fh.write("r,gTheta,gHatTheta,G,R,residual,branch\n")
-            for i, r in enumerate(profile.r_grid):
-                fh.write(
-                    ",".join(
-                        _CSV % v
-                        for v in (
-                            r,
-                            profile.g_theta[i],
-                            profile.g_hat_theta[i],
-                            profile.big_g[i],
-                            profile.remainder[i],
-                            profile.residual[i],
-                        )
-                    )
-                    + f",{profile.branch}\n"
-                )
-        else:
-            fh.write("r,g,gHat,G,R,deficit,residual\n")
-            for i, r in enumerate(profile.r_grid):
-                fh.write(
-                    ",".join(
-                        _CSV % v
-                        for v in (
-                            r,
-                            profile.g[i],
-                            profile.g_hat[i],
-                            profile.big_g[i],
-                            profile.remainder[i],
-                            profile.deficit[i],
-                            profile.residual[i],
-                        )
-                    )
-                    + "\n"
-                )
+    if hasattr(profile, "branch"):
+        header = "r,gTheta,gHatTheta,G,R,residual,branch"
+        columns = (profile.g_theta, profile.g_hat_theta, profile.big_g, profile.remainder, profile.residual)
+        # the ball layout ends every row with the branch name
+        end = f",{profile.branch}\n"
+    else:
+        header = "r,g,gHat,G,R,deficit,residual"
+        columns = (
+            profile.g, profile.g_hat, profile.big_g, profile.remainder, profile.deficit, profile.residual
+        )
+        end = "\n"
+    with Path(path).open("w", newline="\n") as fh:
+        fh.write(header + "\n")
+        np.savetxt(fh, np.column_stack([profile.r_grid, *columns]), fmt=_CSV, delimiter=",", newline=end)
 
 
 def report_json(report, path) -> None:
@@ -315,38 +272,52 @@ def parse_config(text: str) -> RunConfig:
         key, sep, value = (t.strip() for t in line.partition("="))
         if not sep:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
-        if section == "probes":
-            if key != "point":
-                raise ConfigError(f"line {lineno}: only 'point' entries allowed in [probes]")
-            parts = [float(v) for v in value.split(",")]
-            if len(parts) != 3:
-                raise ConfigError(f"line {lineno}: probe points need three coordinates")
-            probes.append(tuple(parts))
-            continue
-        if section == "profile" and key == "pair":
-            parts = [float(v) for v in value.split(",")]
-            if len(parts) != 2:
-                raise ConfigError(f"line {lineno}: pairs need two radii")
-            pairs.append(tuple(parts))
-            continue
-        if key not in known[section]:
-            raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
-        typ = known[section][key]
         try:
-            values[key] = typ(value)
+            if section == "probes":
+                if key != "point":
+                    raise ConfigError(f"line {lineno}: only 'point' entries allowed in [probes]")
+                parts = [float(v) for v in value.split(",")]
+                if len(parts) != 3:
+                    raise ConfigError(f"line {lineno}: probe points need three coordinates")
+                probes.append(tuple(parts))
+            elif section == "profile" and key == "pair":
+                parts = [float(v) for v in value.split(",")]
+                if len(parts) != 2:
+                    raise ConfigError(f"line {lineno}: pairs need two radii")
+                pairs.append(tuple(parts))
+            elif key not in known[section]:
+                raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
+            else:
+                values[key] = known[section][key](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from None
     return _validated(RunConfig(**values, probes=tuple(probes), pairs=tuple(pairs)))
 
 
 def _validated(cfg: RunConfig) -> RunConfig:
-    if cfg.ambient not in ("halfspace", "ball"):
-        raise ConfigError(f"unknown ambient {cfg.ambient!r}")
-    if not 0.0 < cfg.theta < math.pi:
-        raise ConfigError("theta must lie strictly inside (0, pi)")
+    numbers = [(f.name, getattr(cfg, f.name)) for f in fields(cfg) if isinstance(getattr(cfg, f.name), float)]
+    numbers += [("probes", v) for point in cfg.probes for v in point]
+    numbers += [("pairs", v) for pair in cfg.pairs for v in pair]
     # a NaN tolerance would let every gate comparison through
-    if not (math.isfinite(cfg.tolerance) and cfg.tolerance > 0.0):
-        raise ConfigError(f"tolerance must be finite and positive, got {cfg.tolerance!r}")
+    infinite = [name for name, v in numbers if not math.isfinite(v)]
+    problems = (
+        (cfg.ambient not in ("halfspace", "ball"), f"unknown ambient {cfg.ambient!r}"),
+        (bool(infinite), f"{', '.join(infinite)} must be finite"),
+        (not 0.0 < cfg.theta < math.pi, "theta must lie strictly inside (0, pi)"),
+        (not cfg.radius > 0.0, f"radius must be positive, got {cfg.radius!r}"),
+        (min(cfg.nu, cfg.nv) < 8, "nu and nv must be at least 8"),
+        (cfg.plane_grid < 8, "plane_grid must be at least 8"),
+        (cfg.sphere_level < 0, "sphere_level must be non-negative"),
+        (not 0.0 < cfg.r_min < cfg.r_max, "need 0 < r_min < r_max"),
+        (cfg.r_count < 2, "r_count must be at least 2"),
+        (not all(0.0 < sigma < rho for sigma, rho in cfg.pairs), "every pair needs 0 < sigma < rho"),
+        (not cfg.tolerance > 0.0, f"tolerance must be positive, got {cfg.tolerance!r}"),
+        (cfg.seed < 0, "seed must be non-negative"),
+        (cfg.threads < 1, "threads must be at least 1"),
+    )
+    for bad, message in problems:
+        if bad:
+            raise ConfigError(message)
     return cfg
 
 

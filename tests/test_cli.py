@@ -1,11 +1,15 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import capmono
 from capmono import halfspace, wetted
@@ -202,3 +206,103 @@ def test_console_entry_point(cfg_path):
     )
     assert proc.returncode == 0
     assert "contact residual" in proc.stdout
+
+
+def _run_cli(args, env_extra=None):
+    src = str(Path(capmono.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("CAPMONO_THREADS", None)
+    env.update(env_extra or {})
+    return subprocess.run([sys.executable, "-m", "capmono", *args], capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize(
+    "edit, args, env",
+    [
+        (("pair = 0.4,1.5", "pair = 1.5,0.4"), (), None),
+        (("r_count = 16", "r_count = 1"), (), None),
+        (("nu = 64", "nu = 4"), (), None),
+        (("r_min = 0.3", "r_min = -1"), (), None),
+        (("radius = 1", "radius = -1"), (), None),
+        (("radius = 1", "radius = 0"), (), None),
+        (None, ("--threads", "-3"), None),
+        (None, (), {"CAPMONO_THREADS": "abc"}),
+    ],
+    ids=[
+        "pair-order", "r-count", "nu", "r-min", "radius-negative", "radius-zero", "threads-flag", "threads-env"
+    ],
+)
+def test_bad_config_exits_2_without_traceback(tmp_path, edit, args, env):
+    text = BASE.replace("OUT", str(tmp_path / "out"))
+    if edit is not None:
+        assert edit[0] in text
+        text = text.replace(*edit)
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    proc = _run_cli(["generate", "--config", str(path), *args], env)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "configuration error" in proc.stderr
+
+
+def test_other_capmono_errors_exit_2(cfg_path, monkeypatch, capsys):
+    from capmono import cli
+    from capmono.errors import GeometryError
+
+    def degenerate(*args, **kwargs):
+        raise GeometryError("degenerate chart")
+
+    monkeypatch.setattr(cli, "sample_chart", degenerate)
+    path, _ = cfg_path
+    assert main(["generate", "--config", str(path)]) == 2
+    assert "degenerate chart" in capsys.readouterr().err
+
+
+_FUZZ_FLOATS = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, math.nan, math.inf, -math.inf]))
+_FUZZ = {
+    "ambient": st.sampled_from(["halfspace", "ball", "wedge"]),
+    "theta": _FUZZ_FLOATS,
+    "generator": st.sampled_from(["cap", "flat-disk-ball", "cap-ball", "torus"]),
+    "radius": _FUZZ_FLOATS,
+    "center_x": _FUZZ_FLOATS,
+    "amplitude": _FUZZ_FLOATS,
+    "mode": st.integers(-3, 5),
+    "nu": st.integers(-2, 16),
+    "nv": st.integers(-2, 16),
+    "plane_grid": st.integers(-2, 32),
+    "sphere_level": st.integers(-2, 2),
+    "point": st.tuples(_FUZZ_FLOATS, _FUZZ_FLOATS, _FUZZ_FLOATS).map(lambda p: ",".join(map(repr, p))),
+    "r_min": _FUZZ_FLOATS,
+    "r_max": _FUZZ_FLOATS,
+    "r_count": st.integers(-2, 12),
+    "pair": st.tuples(_FUZZ_FLOATS, _FUZZ_FLOATS).map(lambda p: ",".join(map(repr, p))),
+    "tolerance": _FUZZ_FLOATS,
+    "seed": st.integers(-3, 3),
+    "threads": st.integers(-3, 2),
+}
+_TINY = (
+    BASE.replace("nu = 64", "nu = 16")
+    .replace("nv = 64", "nv = 16")
+    .replace("plane_grid = 256", "plane_grid = 32")
+    .replace("sphere_level = 4", "sphere_level = 2")
+    .replace("r_count = 16", "r_count = 8")
+)
+_EDITS = st.sampled_from(sorted(_FUZZ)).flatmap(lambda key: st.tuples(st.just(key), _FUZZ[key]))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(_EDITS, min_size=1, max_size=3))
+def test_fuzzed_config_exit_codes(edits):
+    """Every command on a fuzzed tiny config exits 0, 1 or 2; main() raising fails."""
+    with tempfile.TemporaryDirectory() as tmp:
+        lines = _TINY.replace("OUT", str(Path(tmp) / "out")).splitlines()
+        for key, value in edits:
+            k = next(i for i, line in enumerate(lines) if line.startswith(f"{key} = "))
+            lines[k] = f"{key} = {value}"
+        path = Path(tmp) / "run.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        for command in ("generate", "energy", "monotonicity", "identity-suite"):
+            code = main([command, "--config", str(path)])
+            assert code in (0, 1, 2)
+            if code == 2:
+                break

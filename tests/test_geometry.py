@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from capmono.errors import GeometryError, NoHatBallError
 from capmono.geometry import (
     Ambient,
+    companion,
     hat_ball,
     mean_curvature_expansion_residual,
     normal_split,
@@ -79,6 +80,24 @@ def test_hat_ball_unit_ball():
     assert np.allclose(ball2.center, on_sphere) and np.isclose(ball2.radius, 0.7)
     with pytest.raises(NoHatBallError):
         hat_ball([0, 0, 0], 1.0, Ambient("ball", np.pi / 2))
+
+
+@settings(max_examples=50, deadline=None)
+@given(vectors, st.floats(0.01, 5.0), st.sampled_from(["halfspace", "ball"]))
+def test_companion_is_the_hat_ball(x0, r, kind):
+    ambient = Ambient(kind, np.pi / 3)
+    x0 = np.asarray(x0)
+    if kind == "ball" and np.linalg.norm(x0) < 1e-12:
+        with pytest.raises(NoHatBallError):
+            companion(x0, ambient)
+        return
+    center, divisor = companion(x0, ambient)
+    ball = hat_ball(x0, r, ambient)
+    assert np.array_equal(center, ball.center) and ball.radius == r / divisor
+    if kind == "halfspace":
+        assert np.array_equal(center, reflect_halfspace(x0)) and divisor == 1.0
+    else:
+        assert np.array_equal(center, sphere_inversion(x0)) and divisor == np.linalg.norm(x0)
 
 
 def test_normal_split_examples():
