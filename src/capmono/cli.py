@@ -151,8 +151,9 @@ def cmd_monotonicity(cfg: RunConfig, out: Path) -> int:
         profiles = [one(p) for p in probes]
 
     out.mkdir(parents=True, exist_ok=True)
+    finite = True
     for i, prof in enumerate(profiles):
-        tables.profile_csv(prof, out / f"profile_{i:03d}.csv")
+        finite &= bool(np.all(np.isfinite(tables.profile_csv(prof, out / f"profile_{i:03d}.csv"))))
     worst_violation = float(np.min([0.0, *(prof.min_forward_difference() for prof in profiles)]))
     # gate on raw two-radius residuals: at equality-case probes every
     # identity term vanishes and term-normalized ratios turn into 0/0 noise
@@ -164,6 +165,9 @@ def cmd_monotonicity(cfg: RunConfig, out: Path) -> int:
     )
     if not _passes(worst_residual, cfg.tolerance):
         print(f"FAIL: residual exceeds tolerance {_G % cfg.tolerance}")
+        return 1
+    if not finite:
+        print("FAIL: a profile holds a non-finite value")
         return 1
     print("PASS")
     return 0

@@ -137,8 +137,11 @@ def load_curve(path) -> OrientedCurve:
 # -- profile CSV ----------------------------------------------------------------
 
 
-def profile_csv(profile, path) -> None:
-    """Write a monotonicity profile as CSV (half-space or ball layout)."""
+def profile_csv(profile, path) -> np.ndarray:
+    """Write a monotonicity profile as CSV (half-space or ball layout).
+
+    Returns the numeric table written, one row per radius.
+    """
     if hasattr(profile, "branch"):
         header = "r,gTheta,gHatTheta,G,R,residual,branch"
         columns = (profile.g_theta, profile.g_hat_theta, profile.big_g, profile.remainder, profile.residual)
@@ -150,9 +153,11 @@ def profile_csv(profile, path) -> None:
             profile.g, profile.g_hat, profile.big_g, profile.remainder, profile.deficit, profile.residual
         )
         end = "\n"
+    table = np.column_stack([profile.r_grid, *columns])
     with Path(path).open("w", newline="\n") as fh:
         fh.write(header + "\n")
-        np.savetxt(fh, np.column_stack([profile.r_grid, *columns]), fmt=_CSV, delimiter=",", newline=end)
+        np.savetxt(fh, table, fmt=_CSV, delimiter=",", newline=end)
+    return table
 
 
 def report_json(report, path) -> None:

@@ -113,33 +113,48 @@ def _winding_crossings(polys: Sequence[np.ndarray], probes: np.ndarray) -> np.nd
     return out
 
 
-def _winding_scanline(polys: Sequence[np.ndarray], xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Exact integer winding on a structured grid, one scanline per row.
+def _run_offsets(count: np.ndarray) -> np.ndarray:
+    """Position of each element of ``np.repeat(x, count)`` within its run."""
+    return np.arange(int(np.sum(count))) - np.repeat(np.cumsum(count) - count, count)
 
-    Returns an (len(xs), len(ys)) array ordered like a meshgrid with
-    ``indexing='ij'``.
+
+def _winding_scanline(
+    polys: Sequence[np.ndarray], ys: np.ndarray, row: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """Exact integer winding of closed 2d polygons at the points (x, ys[row]).
+
+    Signed horizontal-ray crossing count with half-open vertex handling, for
+    all rows at once: an edge crosses the line y = ys[r] when
+    min(ay, by) <= ys[r] < max(ay, by), so the rows it crosses form one run
+    of the sorted heights.  Each row keeps its padded crossing list, and the
+    winding at x is the signed count of crossings strictly to its right.
     """
-    wind = np.zeros((len(xs), len(ys)), dtype=np.int64)
-    for poly in polys:
-        a = poly
-        b = np.roll(poly, -1, axis=0)
-        ay, by = a[:, 1], b[:, 1]
-        for j, y in enumerate(ys):
-            up = (ay <= y) & (by > y)
-            dn = (by <= y) & (ay > y)
-            hit = up | dn
-            if not np.any(hit):
-                continue
-            t = (y - ay[hit]) / (by[hit] - ay[hit])
-            xstar = a[hit, 0] + t * (b[hit, 0] - a[hit, 0])
-            sign = np.where(up[hit], 1, -1)
-            order = np.argsort(xstar)
-            xstar = xstar[order]
-            # winding at x = number of signed crossings strictly to the right
-            suffix = np.concatenate([np.cumsum(sign[order][::-1])[::-1], [0]])
-            idx = np.searchsorted(xstar, xs, side="right")
-            wind[:, j] += suffix[idx]
-    return wind
+    a = np.concatenate(polys)
+    b = np.concatenate([np.roll(p, -1, axis=0) for p in polys])
+    ay, by = a[:, 1], b[:, 1]
+    order = np.argsort(ys, kind="stable")
+    lo = np.searchsorted(ys[order], np.minimum(ay, by), side="left")
+    hi = np.searchsorted(ys[order], np.maximum(ay, by), side="left")
+    count = hi - lo
+    edge = np.repeat(np.arange(len(a)), count)
+    r = order[lo[edge] + _run_offsets(count)]
+    t = (ys[r] - ay[edge]) / (by[edge] - ay[edge])
+    xstar = a[edge, 0] + t * (b[edge, 0] - a[edge, 0])
+    # padded (row, slot) crossing table; empty slots carry sign 0
+    per_row = np.bincount(r, minlength=len(ys))
+    srt = np.argsort(r, kind="stable")
+    slot = _run_offsets(per_row)
+    width = int(per_row.max(initial=0))
+    cross_x = np.zeros((len(ys), width))
+    cross_s = np.zeros((len(ys), width), dtype=np.int64)
+    cross_x[r[srt], slot] = xstar[srt]
+    cross_s[r[srt], slot] = np.where(by[edge] > ay[edge], 1, -1)[srt]
+    out = np.empty(len(row), dtype=np.int64)
+    for q in range(0, len(row), _CHUNK):
+        rr = row[q : q + _CHUNK]
+        right = cross_x[rr] > x[q : q + _CHUNK, None]
+        out[q : q + _CHUNK] = np.sum(cross_s[rr] * right, axis=1)
+    return out
 
 
 def _min_distance_plane(curve: OrientedCurve, probes: np.ndarray) -> np.ndarray:
@@ -417,28 +432,25 @@ class WettedRegion:
         Nodes within 1e-6 of a curve keep their antialiased value but the
         integer field is computed at the node position regardless; the
         measure-zero ambiguity never enters integrals through the
-        antialiased field.
+        antialiased field.  Only the cells of the curve band are
+        antialiased (see the antialiasing notes below), so the cost beyond
+        the integer field follows the curve, not the grid.
         """
         if "grid" not in self._cache:
             if self.wetting == PLANE:
                 nodes, cell, xs, ys = plane_grid(self._plane_bbox(), self.grid_n)
                 cellw = np.full(len(nodes), cell)
                 polys = [p[:, :2] for p in self._refined_points()]
-                wind = _winding_scanline(polys, xs, ys).ravel()
+                # nodes are raveled in meshgrid(xs, ys, indexing="ij") order
+                rows = np.tile(np.arange(len(ys)), len(xs))
+                wind = _winding_scanline(polys, ys, rows, np.repeat(xs, len(ys)))
                 wind_aa = wind.astype(float)
-                cells = _near_curve(self.curves, nodes, 0.75 * np.sqrt(cell))
+                reach = 0.5 * np.hypot(xs[1] - xs[0], ys[1] - ys[0])
+                cells = _near_curve(polys, nodes, reach, axes=(xs, ys))
                 if len(cells):
-                    wind_aa[cells] = _aa_plane(polys, wind, cells, xs, ys)
+                    wind_aa[cells] = _aa_plane(polys, cells, xs, ys)
             else:
                 verts, faces, nodes, cellw = sphere_mesh(self.sphere_level)
-                ref = self.reference_point()
-                wind = self._sphere_wind(nodes)
-                wind_aa = wind.astype(float)
-                cells = _near_curve(self.curves, nodes, 1.1 * float(np.sqrt(np.max(cellw))))
-                if len(cells):
-                    wind_aa[cells] = _aa_sphere(
-                        self._refined_points(), ref, self.reference_winding, cells, nodes, verts, faces
-                    )
                 # per-face subcell store, filled lazily by _subcells; allocated
                 # here so threads sharing the region never race to create it
                 m = 4**_SUB_DEPTH
@@ -448,16 +460,33 @@ class WettedRegion:
                     np.zeros(len(faces), dtype=bool),
                     threading.Lock(),
                 )
+                wind = self._sphere_wind(nodes)
+                wind_aa = wind.astype(float)
+                band = 1.1 * float(np.sqrt(np.max(cellw)))
+                cells = _near_curve([c.points for c in self.curves], nodes, band)
+                if len(cells):
+                    # sphere nodes are face centroids, so cells index faces
+                    centers, areas = self._subcells(cells)
+                    wind_aa[cells] = _aa_sphere(
+                        self._refined_points(),
+                        self.reference_point(),
+                        self.reference_winding,
+                        nodes[cells],
+                        verts[faces[cells]],
+                        centers[cells],
+                        areas[cells],
+                    )
             self._cache["grid"] = (nodes, cellw, wind.astype(np.int64), wind_aa)
         return self._cache["grid"]
 
     def _subcells(self, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Subcell centers (F, m, 3) and areas (F, m) for all F sphere faces.
 
-        ``grid()`` allocates the store and must have run; only the rows of
-        the given faces are guaranteed filled.  The geometry
-        depends on the face alone, so it is computed once per face and shared
-        by every restriction centered anywhere on the region.  Threads share
+        ``grid()`` allocates the store before it antialiases the band faces
+        from it; only the rows of the given faces are guaranteed filled.
+        The geometry depends on the face alone, so it is computed once per
+        face and shared by the antialiasing and by every restriction
+        centered anywhere on the region.  Threads share
         the store; the lock makes finding and filling missing faces one step,
         and a face is marked done only after its rows are written.
         """
@@ -577,7 +606,8 @@ class BallRestrictedEta:
     State is kept at the level it depends on:
 
     - per region: the sphere subcell centers and areas of each face
-      (``WettedRegion._subcells``), shared by every center;
+      (``WettedRegion._subcells``), shared by every center and by the
+      grid's antialiasing;
     - per object (one center): the sorted order, prefix sums, and the
       subcell-to-center distances of each band face, filled lazily;
     - per radius: the band slice and the coverage correction
@@ -736,14 +766,40 @@ def wetted_region(
 # subcells, every subcell center is classified by the same exact crossing
 # count that produced the node windings, and the node value is replaced by
 # the area-weighted subcell average.  Cells away from every curve are left
-# untouched (all subcells would agree with the node).
+# untouched: all their subcells agree with the node, so the average would
+# return the node's integer winding bit for bit.
+#
+# On the plane the band is every node within half a cell diagonal of a
+# refined polygon edge.  The 8x8 subcell centers lie within 7/16 of that
+# diagonal of their node, and node and subcell windings count crossings of
+# the same polygon, so they differ only where the polygon passes that
+# close; outside the band the antialiased value would equal the integer
+# one.  Each edge visits only the grid window around it, so finding the
+# band costs the curve length, not nodes times curve points.  On the
+# sphere each band face is tested against the refined edges near it, as a
+# flat list of (face, edge) pairs, in blocks of fixed size with integer
+# accumulation, so the temporaries are set by the block size and not by the
+# level or the longest edge list; only per-face arrays grow with the band.
 
 
-def _near_curve(curves: Sequence[OrientedCurve], nodes: np.ndarray, band: float) -> np.ndarray:
-    """Indices of nodes within band of any curve, via a coarse-to-fine filter."""
+def _near_curve(
+    loops: Sequence[np.ndarray],
+    nodes: np.ndarray,
+    band: float,
+    axes: Optional[tuple[np.ndarray, np.ndarray]] = None,
+) -> np.ndarray:
+    """Indices of grid nodes within band of any curve loop.
+
+    With ``axes = (xs, ys)`` the nodes form the plane grid of those axes and
+    the loops are closed polygons: each edge is walked through the window of
+    grid indices around it and the nodes within band of the edge segment
+    are kept.  Without axes (the sphere) the nodes within band of the loops'
+    sample points are kept, via a coarse-to-fine filter.
+    """
+    if axes is not None:
+        return _near_segments(loops, band, *axes)
     keep = np.zeros(len(nodes), dtype=bool)
-    for curve in curves:
-        p = curve.points
+    for p in loops:
         step = max(len(p) // 128, 1)
         coarse = p[::step]
         gap = float(np.max(np.linalg.norm(np.roll(p, -step, axis=0) - p, axis=1)))
@@ -763,9 +819,48 @@ def _near_curve(curves: Sequence[OrientedCurve], nodes: np.ndarray, band: float)
     return np.flatnonzero(keep)
 
 
+def _axis_window(lo: np.ndarray, hi: np.ndarray, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last index of the uniform axis nodes that may fall in [lo, hi]."""
+    h = axis[1] - axis[0]
+    f0, f1 = (lo - axis[0]) / h, (hi - axis[0]) / h
+    first = np.clip(np.floor(np.minimum(f0, f1)), 0, len(axis) - 1).astype(np.int64)
+    last = np.clip(np.ceil(np.maximum(f0, f1)), -1, len(axis) - 1).astype(np.int64)
+    return first, last
+
+
+def _near_segments(polys: Sequence[np.ndarray], band: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Plane grid nodes within band of a polygon edge, edge by edge."""
+    a = np.concatenate(polys)
+    b = np.concatenate([np.roll(p, -1, axis=0) for p in polys])
+    seg = b - a
+    lo, hi = np.minimum(a, b) - band, np.maximum(a, b) + band
+    ix0, ix1 = _axis_window(lo[:, 0], hi[:, 0], xs)
+    iy0, iy1 = _axis_window(lo[:, 1], hi[:, 1], ys)
+    ny = np.maximum(iy1 - iy0 + 1, 0)
+    count = np.maximum(ix1 - ix0 + 1, 0) * ny
+    seg2 = np.maximum(np.sum(seg * seg, axis=1), 1e-300)
+    keep = np.zeros(len(xs) * len(ys), dtype=bool)
+    ends = np.cumsum(count)
+    start = 0
+    while start < len(a):
+        # a block of whole edges holding about _CHUNK (edge, node) pairs
+        base = ends[start] - count[start]
+        stop = max(int(np.searchsorted(ends, base + _CHUNK, side="right")), start + 1)
+        edge = np.repeat(np.arange(start, stop), count[start:stop])
+        k = _run_offsets(count[start:stop])
+        i = ix0[edge] + k // ny[edge]
+        j = iy0[edge] + k % ny[edge]
+        rx, ry = xs[i] - a[edge, 0], ys[j] - a[edge, 1]
+        t = np.clip((rx * seg[edge, 0] + ry * seg[edge, 1]) / seg2[edge], 0.0, 1.0)
+        dx, dy = rx - t * seg[edge, 0], ry - t * seg[edge, 1]
+        near = dx * dx + dy * dy <= band * band
+        keep[i[near] * len(ys) + j[near]] = True
+        start = stop
+    return np.flatnonzero(keep)
+
+
 def _aa_plane(
     polys: Sequence[np.ndarray],
-    wind: np.ndarray,
     cells: np.ndarray,
     xs: np.ndarray,
     ys: np.ndarray,
@@ -774,33 +869,31 @@ def _aa_plane(
     """Antialiased winding replacement values for the given plane grid cells.
 
     The subcell windings reuse the scanline crossing count, so they sit on
-    exactly the same boundary as the integer field.
+    exactly the same boundary as the integer field.  Cells in one grid row
+    share that row's subrows.
     """
     n = len(ys)
     ix, iy = cells // n, cells % n
     hx = xs[1] - xs[0]
     hy = ys[1] - ys[0]
     offs = (np.arange(sub) + 0.5) / sub - 0.5
-    acc = np.zeros(len(cells))
-    for row in np.unique(iy):
-        sel = np.flatnonzero(iy == row)
-        sub_xs = (xs[ix[sel]][:, None] + offs[None, :] * hx).ravel()
-        order = np.argsort(sub_xs)
-        for oy in offs:
-            w_row = _winding_scanline(polys, sub_xs[order], np.array([ys[row] + oy * hy]))[:, 0]
-            back = np.empty_like(w_row)
-            back[order] = w_row
-            acc[sel] += np.sum(back.reshape(len(sel), sub), axis=1)
-    return acc / (sub * sub)
+    rows, inv = np.unique(iy, return_inverse=True)
+    sub_ys = (ys[rows][:, None] + offs[None, :] * hy).ravel()
+    sub_xs = xs[ix][:, None] + offs[None, :] * hx
+    # query (cell, subrow, subcolumn), raveled in that order
+    row = np.repeat(inv[:, None] * sub + np.arange(sub)[None, :], sub)
+    x = np.repeat(sub_xs[:, None, :], sub, axis=1).ravel()
+    w = _winding_scanline(polys, sub_ys, row, x)
+    return np.sum(w.reshape(len(cells), sub * sub), axis=1) / (sub * sub)
 
 
 def _local_crossing_delta(
     p0: np.ndarray, p1: np.ndarray, a: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
-    """Signed crossings of straight 2d paths p0 -> p1 with edges (a, b).
+    """Signed crossing of the straight 2d path p0 -> p1 with the edge (a, b).
 
-    All arrays share leading shape; the winding at p1 exceeds the winding at
-    p0 by the returned sum over edges (broadcast on the last edge axis).
+    Arrays broadcast together; the winding at p1 exceeds the winding at p0
+    by the sum of the returned values over all edges.
     """
 
     def orient(p, q, r):
@@ -813,65 +906,53 @@ def _local_crossing_delta(
     s3 = orient(a, b, p0)
     s4 = orient(a, b, p1)
     proper = (s1 * s2 < 0) & (s3 * s4 < 0)
-    return np.sum(np.where(proper, np.where(s4 > 0, 1, -1), 0), axis=-1)
+    return np.where(proper, np.where(s4 > 0, 1, -1), 0)
 
 
 def _aa_sphere(
     points_loops: Sequence[np.ndarray],
     ref: np.ndarray,
     ref_wind: int,
-    cells: np.ndarray,
     nodes: np.ndarray,
-    verts: np.ndarray,
-    faces: np.ndarray,
-    depth: int = 3,
+    corners: np.ndarray,
+    centers: np.ndarray,
+    areas: np.ndarray,
 ) -> np.ndarray:
     """Antialiased winding replacement values for sphere faces near a curve.
 
+    ``nodes`` (c, 3) are the face centroids, ``corners`` (c, 3, 3) the face
+    vertices, and ``centers`` (c, m, 3) and ``areas`` (c, m) the subcells.
     Exact refined-polygon winding is evaluated at the face nodes, then
     carried to subcell centers by local crossing counts, and averaged with
     exact spherical subcell areas.
     """
-    from .quadrature import barycentric_subtriangles, spherical_triangle_areas
-
     polys = [_stereographic(p, None, ref)[0] for p in points_loops]
-    qnode, _ = _stereographic(nodes[cells], None, ref)
+    qnode, _ = _stereographic(nodes, None, ref)
     w_node = _winding_crossings(polys, qnode) + ref_wind
-
-    bary = barycentric_subtriangles(depth)  # (m, 3, 3)
-    corners = verts[faces[cells]]  # (c, 3, 3)
-    subcorners = np.einsum("mkb,cbx->cmkx", bary, corners)
-    subcorners /= np.linalg.norm(subcorners, axis=-1, keepdims=True)
-    areas = spherical_triangle_areas(
-        subcorners[:, :, 0, :], subcorners[:, :, 1, :], subcorners[:, :, 2, :]
-    )
-    centers = subcorners.sum(axis=2)
-    centers /= np.linalg.norm(centers, axis=-1, keepdims=True)
     m = centers.shape[1]
     qsub, _ = _stereographic(centers.reshape(-1, 3), None, ref)
-    qsub = qsub.reshape(len(cells), m, 2)
+    qsub = qsub.reshape(len(nodes), m, 2)
 
-    # gather refined edges near each cell once; paths node -> subcenter are
-    # shorter than a face diameter, so only those edges can be crossed
+    # paths node -> subcenter are shorter than a face diameter, so only the
+    # refined edges starting within reach of the node can be crossed
     all_a = np.concatenate([np.asarray(p) for p in points_loops])
     all_b = np.concatenate([np.roll(np.asarray(p), -1, axis=0) for p in points_loops])
-    pa = np.concatenate([q for q in polys])
+    pa = np.concatenate(polys)
     pb = np.concatenate([np.roll(q, -1, axis=0) for q in polys])
-    reach = np.linalg.norm(nodes[cells][:, None, :] - all_a[None, :, :], axis=2)
     seglen = float(np.max(np.linalg.norm(all_b - all_a, axis=1)))
-    face_diam = float(np.max(np.linalg.norm(corners - nodes[cells][:, None, :], axis=2)))
-    mask = reach <= 2.0 * face_diam + 2.0 * seglen
-    kmax = max(int(np.max(np.sum(mask, axis=1))), 1)
-    idx = np.argsort(~mask, axis=1, kind="stable")[:, :kmax]
-    valid = np.take_along_axis(mask, idx, axis=1)
-    ea = pa[idx]  # (c, k, 2)
-    eb = pb[idx]
-    # mask out padded edges by collapsing them to a distant point
-    far = np.array([1e9, 1e9])
-    ea = np.where(valid[..., None], ea, far)
-    eb = np.where(valid[..., None], eb, far)
-    delta = _local_crossing_delta(
-        qnode[:, None, None, :], qsub[:, :, None, :], ea[:, None, :, :], eb[:, None, :, :]
-    )
+    face_diam = float(np.max(np.linalg.norm(corners - nodes[:, None, :], axis=2)))
+    reach = 2.0 * face_diam + 2.0 * seglen
+    delta = np.zeros((len(nodes), m), dtype=np.int64)
+    # blocks of at most _CHUNK * m face-edge distances or path-edge tests
+    step = max(_CHUNK * m // len(all_a), 1)
+    for lo in range(0, len(nodes), step):
+        d = np.linalg.norm(nodes[lo : lo + step, None, :] - all_a[None, :, :], axis=2)
+        cell, edge = np.nonzero(d <= reach)
+        cell += lo
+        for q in range(0, len(cell), _CHUNK):
+            c, e = cell[q : q + _CHUNK], edge[q : q + _CHUNK]
+            hits = _local_crossing_delta(qnode[c, None, :], qsub[c], pa[e, None, :], pb[e, None, :])
+            first = np.flatnonzero(np.r_[True, c[1:] != c[:-1]])
+            delta[c[first]] += np.add.reduceat(hits, first, axis=0)
     w_sub = w_node[:, None] + delta
     return np.sum(areas * w_sub, axis=1) / np.sum(areas, axis=1)

@@ -7,6 +7,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -183,6 +184,21 @@ def test_nan_residual_fails_the_gate(cfg_path, monkeypatch, capsys, command):
     monkeypatch.setattr(halfspace, "monotonicity_identity_detail", nan_detail)
     assert main([command, "--config", str(path)]) == 1
     assert "nan" in capsys.readouterr().out
+
+
+def test_nan_profile_fails_the_gate(tmp_path, capsys):
+    # a subnormal r_min overflows the 1/r window terms, so the first profile
+    # rows are NaN while the two-radius residual stays small
+    text = _TINY.replace("OUT", str(tmp_path / "out")).replace("r_min = 0.3", "r_min = 1e-310")
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    assert main(["generate", "--config", str(path)]) == 0
+    with np.errstate(all="ignore"):
+        code = main(["monotonicity", "--config", str(path), "--tolerance", "0.01"])
+    assert "nan" in (tmp_path / "out" / "profile_000.csv").read_text()
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "FAIL" in out and "PASS" not in out
 
 
 def test_nan_tolerance_is_config_error(cfg_path, tmp_path):

@@ -318,3 +318,203 @@ def test_ball_restriction_shared_store_under_threads(stock):
         sys.setswitchinterval(interval)
     for a, b in zip(serial, shared):
         assert np.array_equal(a, b)
+
+
+# -- the wetted grid against the direct kernels ------------------------------------
+
+
+def _blocks(rows, size=512):
+    return [rows[k : k + size] for k in range(0, len(rows), size)]
+
+
+def _reference_near_curve(curves, nodes, band):
+    """Nodes within band of any curve's sample points: coarse-to-fine over all nodes."""
+    keep = np.zeros(len(nodes), dtype=bool)
+    for curve in curves:
+        p = curve.points
+        step = max(len(p) // 128, 1)
+        coarse = p[::step]
+        gap = float(np.max(np.linalg.norm(np.roll(p, -step, axis=0) - p, axis=1)))
+        mind = np.concatenate(
+            [np.linalg.norm(q[:, None, :] - coarse[None, :, :], axis=2).min(axis=1) for q in _blocks(nodes)]
+        )
+        cand = np.flatnonzero(mind <= band + gap)
+        if len(cand) and step > 1:
+            mind2 = np.concatenate(
+                [np.linalg.norm(q[:, None, :] - p[None, :, :], axis=2).min(axis=1) for q in _blocks(nodes[cand])]
+            )
+            seglen = float(np.max(np.linalg.norm(np.roll(p, -1, axis=0) - p, axis=1)))
+            cand = cand[mind2 <= band + seglen]
+        keep[cand] = True
+    return np.flatnonzero(keep)
+
+
+def _reference_scanline(polys, xs, ys):
+    """Integer winding on the grid xs x ys, one sorted crossing list per row."""
+    wind = np.zeros((len(xs), len(ys)), dtype=np.int64)
+    for poly in polys:
+        a, b = poly, np.roll(poly, -1, axis=0)
+        ay, by = a[:, 1], b[:, 1]
+        for j, y in enumerate(ys):
+            up = (ay <= y) & (by > y)
+            dn = (by <= y) & (ay > y)
+            hit = up | dn
+            if not np.any(hit):
+                continue
+            t = (y - ay[hit]) / (by[hit] - ay[hit])
+            xstar = a[hit, 0] + t * (b[hit, 0] - a[hit, 0])
+            sign = np.where(up[hit], 1, -1)
+            order = np.argsort(xstar)
+            suffix = np.concatenate([np.cumsum(sign[order][::-1])[::-1], [0]])
+            wind[:, j] += suffix[np.searchsorted(xstar[order], xs, side="right")]
+    return wind
+
+
+def _reference_aa_plane(polys, cells, xs, ys, sub=8):
+    """Subcell averages, one scanline per band row and subrow."""
+    n = len(ys)
+    ix, iy = cells // n, cells % n
+    hx, hy = xs[1] - xs[0], ys[1] - ys[0]
+    offs = (np.arange(sub) + 0.5) / sub - 0.5
+    acc = np.zeros(len(cells))
+    for row in np.unique(iy):
+        sel = np.flatnonzero(iy == row)
+        sub_xs = (xs[ix[sel]][:, None] + offs[None, :] * hx).ravel()
+        for oy in offs:
+            w = _reference_scanline(polys, sub_xs, np.array([ys[row] + oy * hy]))[:, 0]
+            acc[sel] += np.sum(w.reshape(len(sel), sub), axis=1)
+    return acc / (sub * sub)
+
+
+def _reference_aa_sphere(region, cells, nodes, verts, faces):
+    """Subcell averages with every band face padded to the longest edge list."""
+    from capmono.quadrature import barycentric_subtriangles, spherical_triangle_areas
+    from capmono.wetted import _stereographic, _winding_crossings
+
+    def orient(p, q, r):
+        return (q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1]) - (q[..., 1] - p[..., 1]) * (
+            r[..., 0] - p[..., 0]
+        )
+
+    ref = region.reference_point()
+    loops = region._refined_points()
+    polys = [_stereographic(p, None, ref)[0] for p in loops]
+    qnode, _ = _stereographic(nodes[cells], None, ref)
+    w_node = _winding_crossings(polys, qnode) + region.reference_winding
+    corners = verts[faces[cells]]
+    sc = np.einsum("mkb,cbx->cmkx", barycentric_subtriangles(3), corners)
+    sc /= np.linalg.norm(sc, axis=-1, keepdims=True)
+    areas = spherical_triangle_areas(sc[:, :, 0, :], sc[:, :, 1, :], sc[:, :, 2, :])
+    centers = sc.sum(axis=2)
+    centers /= np.linalg.norm(centers, axis=-1, keepdims=True)
+    m = centers.shape[1]
+    qsub = _stereographic(centers.reshape(-1, 3), None, ref)[0].reshape(len(cells), m, 2)
+    all_a = np.concatenate(loops)
+    all_b = np.concatenate([np.roll(p, -1, axis=0) for p in loops])
+    pa = np.concatenate(polys)
+    pb = np.concatenate([np.roll(q, -1, axis=0) for q in polys])
+    reach = np.linalg.norm(nodes[cells][:, None, :] - all_a[None, :, :], axis=2)
+    seglen = float(np.max(np.linalg.norm(all_b - all_a, axis=1)))
+    face_diam = float(np.max(np.linalg.norm(corners - nodes[cells][:, None, :], axis=2)))
+    mask = reach <= 2.0 * face_diam + 2.0 * seglen
+    kmax = max(int(np.max(np.sum(mask, axis=1))), 1)
+    idx = np.argsort(~mask, axis=1, kind="stable")[:, :kmax]
+    valid = np.take_along_axis(mask, idx, axis=1)
+    far = np.array([1e9, 1e9])
+    ea = np.where(valid[..., None], pa[idx], far)[:, None, :, :]
+    eb = np.where(valid[..., None], pb[idx], far)[:, None, :, :]
+    delta = []
+    for c in _blocks(np.arange(len(cells)), 32):
+        p0, p1 = qnode[c, None, None, :], qsub[c, :, None, :]
+        s1, s2 = orient(p0, p1, ea[c]), orient(p0, p1, eb[c])
+        s3, s4 = orient(ea[c], eb[c], p0), orient(ea[c], eb[c], p1)
+        proper = (s1 * s2 < 0) & (s3 * s4 < 0)
+        delta.append(np.sum(np.where(proper, np.where(s4 > 0, 1, -1), 0), axis=-1))
+    w_sub = w_node[:, None] + np.concatenate(delta)
+    return np.sum(areas * w_sub, axis=1) / np.sum(areas, axis=1)
+
+
+def _reference_grid(region):
+    """WettedRegion.grid() by the direct kernels: the curve band from distances
+    of all nodes to all curve samples (reach 0.75 sqrt(cell) on the plane),
+    one scanline per row, and sphere faces padded to the longest edge list."""
+    from capmono.quadrature import plane_grid, sphere_mesh
+
+    if region.wetting == "plane":
+        nodes, cell, xs, ys = plane_grid(region._plane_bbox(), region.grid_n)
+        cellw = np.full(len(nodes), cell)
+        polys = [p[:, :2] for p in region._refined_points()]
+        wind = _reference_scanline(polys, xs, ys).ravel()
+        wind_aa = wind.astype(float)
+        cells = _reference_near_curve(region.curves, nodes, 0.75 * np.sqrt(cell))
+        if len(cells):
+            wind_aa[cells] = _reference_aa_plane(polys, cells, xs, ys)
+    else:
+        verts, faces, nodes, cellw = sphere_mesh(region.sphere_level)
+        wind = region._sphere_wind(nodes)
+        wind_aa = wind.astype(float)
+        cells = _reference_near_curve(region.curves, nodes, 1.1 * float(np.sqrt(np.max(cellw))))
+        if len(cells):
+            wind_aa[cells] = _reference_aa_sphere(region, cells, nodes, verts, faces)
+    return nodes, cellw, wind, wind_aa
+
+
+def _grid_cases(stock):
+    cap, _ = stock.cap(2 * np.pi / 3)
+    disk, _ = stock.disk(np.pi / 3)
+    capball, _ = stock.capball(2 * np.pi / 3, np.pi / 3)
+    pair = (circle(r=0.5, center=(-1.2, 0.0)), circle(r=0.7, center=(1.2, 0.0)))
+    return {
+        "cap": lambda: wetted_region(cap, grid_n=512),
+        "figure-eight": lambda: WettedRegion((figure_eight(),), "plane", grid_n=256),
+        "disjoint": lambda: WettedRegion(pair, "plane", grid_n=256),
+        # cells four times as tall as wide
+        "elongated": lambda: WettedRegion((circle(),), "plane", grid_n=200, bbox=(-1.2, 1.2, -4.8, 4.8)),
+        "disk-3": lambda: wetted_region(disk, sphere_level=3),
+        "disk-4": lambda: wetted_region(disk, sphere_level=4),
+        "capball-3": lambda: wetted_region(capball, sphere_level=3),
+        "capball-4": lambda: wetted_region(capball, sphere_level=4),
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["cap", "figure-eight", "disjoint", "elongated", "disk-3", "disk-4", "capball-3", "capball-4"],
+)
+def test_grid_matches_reference(stock, monkeypatch, case):
+    from capmono import wetted
+
+    region = _grid_cases(stock)[case]()
+    bands = []
+    near_curve = wetted._near_curve
+
+    def recording(*args, **kwargs):
+        bands.append(near_curve(*args, **kwargs))
+        return bands[-1]
+
+    monkeypatch.setattr(wetted, "_near_curve", recording)
+    got = region.grid()
+    expect = _reference_grid(region)
+    for a, b in zip(got, expect):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+    # every antialiased node lies in the band the grid searched
+    _, _, wind, wind_aa = got
+    assert len(bands) == 1
+    assert np.isin(np.flatnonzero(wind_aa != wind), bands[0]).all()
+
+
+@pytest.mark.parametrize("chunk", [3, 37])
+def test_grid_independent_of_block_size(stock, monkeypatch, chunk):
+    from capmono import wetted
+
+    disk, _ = stock.disk(np.pi / 3)
+    builds = {
+        "plane": lambda: WettedRegion((figure_eight(n=128),), "plane", grid_n=64),
+        "sphere": lambda: wetted_region(disk, sphere_level=3),
+    }
+    default = {name: build().grid() for name, build in builds.items()}
+    monkeypatch.setattr(wetted, "_CHUNK", chunk)
+    for name, build in builds.items():
+        for a, b in zip(build().grid(), default[name]):
+            assert np.array_equal(a, b)
