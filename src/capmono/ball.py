@@ -275,23 +275,38 @@ def monotonicity_identity_residual(
     return monotonicity_identity_detail(surface, region, x0, sigma, rho)["residual"]
 
 
+def probe_terms(surface: SampledSurface, region: WettedRegion, x0):
+    """The restriction state at one base point: origin or general branch.
+
+    At the origin (|x0| < 1e-12) this is the origin branch's prefix; anywhere
+    else the base point is nudged off the samples and both η restrictions
+    are built.  One object serves the profile and every two-radius pair of
+    the probe (the ``terms=`` keyword of :func:`monotonicity_profile` and
+    :func:`monotonicity_identity_detail`).
+    """
+    x0 = np.asarray(x0, dtype=float)
+    if np.linalg.norm(x0) < 1e-12:
+        return _OriginTerms(surface)
+    return _BallTerms(surface, region, nudge_off_samples(surface, x0))
+
+
 def monotonicity_identity_detail(
-    surface: SampledSurface, region: WettedRegion, x0, sigma: float, rho: float
+    surface: SampledSurface, region: WettedRegion, x0, sigma: float, rho: float, *, terms=None
 ) -> dict:
     """Identity terms, raw and normalized residuals, and the branch taken.
 
     The general branch equates two annulus square integrals minus two
     wetted projection integrals with the increment of the capillary pair;
     the origin branch has a single square integral against g_0 plus the
-    constant boundary-measure hat term.
+    constant boundary-measure hat term.  ``terms`` is the probe's
+    :func:`probe_terms` state; without it the state is built for this call.
     """
     if not 0.0 < sigma <= rho:
         raise ValueError("need 0 < sigma <= rho")
-    x0 = np.asarray(x0, dtype=float)
     if sigma == rho:
         return {"residual": 0.0, "normalized": 0.0, "scale": 1.0, "branch": GENERAL}
-    if np.linalg.norm(x0) < 1e-12:
-        t = _OriginTerms(surface)
+    t = probe_terms(surface, region, x0) if terms is None else terms
+    if isinstance(t, _OriginTerms):
         r = np.array([sigma, rho])
         lhs = float(np.diff(t.squares(r))[0])
         rhs = float(np.diff(t.g(r) + t.g_hat(r))[0])
@@ -304,29 +319,30 @@ def monotonicity_identity_detail(
             "scale": scale,
             "branch": ORIGIN,
         }
-    x0 = nudge_off_samples(surface, x0)
-    terms = _BallTerms(surface, region, x0).identity_terms(sigma, rho)
-    return {**assemble(terms, sign=-1), "branch": GENERAL}
+    return {**assemble(t.identity_terms(sigma, rho), sign=-1), "branch": GENERAL}
 
 
 def monotonicity_profile(
-    surface: SampledSurface, region: WettedRegion, x0, r_grid
+    surface: SampledSurface, region: WettedRegion, x0, r_grid, *, terms=None
 ) -> BallProfile:
-    """Profile of the capillary pair over a radius grid, both branches."""
-    x0 = np.asarray(x0, dtype=float)
+    """Profile of the capillary pair over a radius grid, both branches.
+
+    ``terms`` is the probe's :func:`probe_terms` state; without it the state
+    is built for this call.
+    """
     r_grid = np.sort(np.asarray(r_grid, dtype=float))
-    if np.linalg.norm(x0) < 1e-12:
-        t = _OriginTerms(surface)
+    t = probe_terms(surface, region, x0) if terms is None else terms
+    if isinstance(t, _OriginTerms):
         g = t.g(r_grid)
         g_hat = t.g_hat(r_grid)
         big_g = g + g_hat
         # the origin identity has no deficit terms
         residual = profile_residual(big_g, t.squares(r_grid), np.zeros(len(r_grid)))
-        return BallProfile(x0, r_grid, g, g_hat, big_g, t.remainder(r_grid), residual, ORIGIN)
+        base = np.asarray(x0, dtype=float)
+        return BallProfile(base, r_grid, g, g_hat, big_g, t.remainder(r_grid), residual, ORIGIN)
 
-    x0 = nudge_off_samples(surface, x0)
-    g_theta, g_hat_theta, big_g, remainder, _, residual = _BallTerms(surface, region, x0).profile(r_grid)
-    return BallProfile(x0, r_grid, g_theta, g_hat_theta, big_g, remainder, residual, GENERAL)
+    g_theta, g_hat_theta, big_g, remainder, _, residual = t.profile(r_grid)
+    return BallProfile(t.x0, r_grid, g_theta, g_hat_theta, big_g, remainder, residual, GENERAL)
 
 
 def first_variation_residual(

@@ -123,12 +123,22 @@ def _worst(values) -> float:
     return float(np.max([0.0, *values]))
 
 
-def _worst_identity_residual(mono, surface, region, probes, pairs) -> float:
-    return _worst(
-        abs(mono.monotonicity_identity_detail(surface, region, probe, sigma, rho)["residual"])
+def _probe_checks(mono, surface, region, probe, grid, pairs):
+    """One probe's profile (none without a grid) and raw pair residuals.
+
+    The probe's restriction state is built once and serves the profile and
+    every pair; it is dropped when the probe is done, so only the probes in
+    flight hold one.
+    """
+    terms = mono.probe_terms(surface, region, probe)
+    profile = None
+    if grid is not None:
+        profile = mono.monotonicity_profile(surface, region, probe, grid, terms=terms)
+    residuals = [
+        abs(mono.monotonicity_identity_detail(surface, region, probe, sigma, rho, terms=terms)["residual"])
         for sigma, rho in pairs
-        for probe in probes
-    )
+    ]
+    return profile, residuals
 
 
 def cmd_monotonicity(cfg: RunConfig, out: Path) -> int:
@@ -137,28 +147,29 @@ def cmd_monotonicity(cfg: RunConfig, out: Path) -> int:
     probes = _default_probes(cfg, surface)
     grid = np.linspace(cfg.r_min, cfg.r_max, cfg.r_count)
     mono = halfspace if surface.ambient.kind == "halfspace" else ball
+    # gate on raw two-radius residuals: at equality-case probes every
+    # identity term vanishes and term-normalized ratios turn into 0/0 noise
+    pairs = cfg.pairs or ((cfg.r_min, cfg.r_max),)
 
     def one(probe):
-        return mono.monotonicity_profile(surface, region, probe, grid)
+        return _probe_checks(mono, surface, region, probe, grid, pairs)
 
     if cfg.threads > 1:
         # build the grid (and the sphere subcell store) before the fan-out,
         # so workers share one region instead of each building its own
         region.grid()
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            profiles = list(pool.map(one, probes))
+            results = list(pool.map(one, probes))
     else:
-        profiles = [one(p) for p in probes]
+        results = [one(p) for p in probes]
+    profiles = [prof for prof, _ in results]
+    worst_residual = _worst(res for _, residuals in results for res in residuals)
 
     out.mkdir(parents=True, exist_ok=True)
     finite = True
     for i, prof in enumerate(profiles):
         finite &= bool(np.all(np.isfinite(tables.profile_csv(prof, out / f"profile_{i:03d}.csv"))))
     worst_violation = float(np.min([0.0, *(prof.min_forward_difference() for prof in profiles)]))
-    # gate on raw two-radius residuals: at equality-case probes every
-    # identity term vanishes and term-normalized ratios turn into 0/0 noise
-    pairs = cfg.pairs or ((cfg.r_min, cfg.r_max),)
-    worst_residual = _worst_identity_residual(mono, surface, region, probes, pairs)
     print(
         f"{len(profiles)} profiles: worst monotonicity violation {_G % worst_violation}, "
         f"worst identity residual {_G % worst_residual}"
@@ -183,7 +194,9 @@ def cmd_identity_suite(cfg: RunConfig, out: Path) -> int:
     pairs = cfg.pairs or ((0.4, 1.5),)
     probes = _default_probes(cfg, surface)
     mono = halfspace if surface.ambient.kind == "halfspace" else ball
-    worst = _worst_identity_residual(mono, surface, region, probes, pairs)
+    worst = _worst(
+        res for probe in probes for res in _probe_checks(mono, surface, region, probe, None, pairs)[1]
+    )
     checks.append(("two-radius-identity", worst, tol))
     if surface.ambient.kind == "ball":
         checks.append(

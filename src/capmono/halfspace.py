@@ -118,8 +118,7 @@ class _Terms(PairTerms):
 
 def radial_ratio_pair(surface: SampledSurface, region: WettedRegion, a, r: float):
     """The pair (g, g_hat) at one base point and radius."""
-    t = _Terms(surface, region, nudge_off_samples(surface, np.asarray(a, dtype=float)))
-    g, g_hat = t.pair(float(r))
+    g, g_hat = probe_terms(surface, region, a).pair(float(r))
     return float(np.squeeze(g)), float(np.squeeze(g_hat))
 
 
@@ -136,25 +135,43 @@ def monotonicity_identity_residual(
     return detail["residual"]
 
 
+def probe_terms(surface: SampledSurface, region: WettedRegion, a) -> _Terms:
+    """The restriction state at one base point, nudged off the samples.
+
+    One object serves the profile and every two-radius pair of the probe
+    (the ``terms=`` keyword of :func:`monotonicity_profile` and
+    :func:`monotonicity_identity_detail`); its η restriction keeps the
+    coverage corrections of every radius it has evaluated.
+    """
+    return _Terms(surface, region, nudge_off_samples(surface, np.asarray(a, dtype=float)))
+
+
 def monotonicity_identity_detail(
-    surface: SampledSurface, region: WettedRegion, a, sigma: float, rho: float
+    surface: SampledSurface, region: WettedRegion, a, sigma: float, rho: float, *, terms=None
 ) -> dict:
-    """All six identity terms plus raw and normalized residuals."""
+    """All six identity terms plus raw and normalized residuals.
+
+    ``terms`` is the probe's :func:`probe_terms` state; without it the state
+    is built for this call.
+    """
     if not 0.0 < sigma <= rho:
         raise ValueError("need 0 < sigma <= rho")
-    a = nudge_off_samples(surface, np.asarray(a, dtype=float))
     if sigma == rho:
         return {"residual": 0.0, "normalized": 0.0, "scale": 1.0}
-    return assemble(_Terms(surface, region, a).identity_terms(sigma, rho), sign=1)
+    t = probe_terms(surface, region, a) if terms is None else terms
+    return assemble(t.identity_terms(sigma, rho), sign=1)
 
 
 def monotonicity_profile(
-    surface: SampledSurface, region: WettedRegion, a, r_grid
+    surface: SampledSurface, region: WettedRegion, a, r_grid, *, terms=None
 ) -> MonotonicityProfile:
-    """Profile of g, g_hat, their sum and the identity pieces over a grid."""
-    a = nudge_off_samples(surface, np.asarray(a, dtype=float))
+    """Profile of g, g_hat, their sum and the identity pieces over a grid.
+
+    ``terms`` is the probe's :func:`probe_terms` state; without it the state
+    is built for this call.
+    """
     r_grid = np.sort(np.asarray(r_grid, dtype=float))
-    t = _Terms(surface, region, a)
+    t = probe_terms(surface, region, a) if terms is None else terms
     g, g_hat, big_g, remainder, deficit, residual = t.profile(r_grid)
 
     # crude mass-ratio doubling bound as a sanity ratio (<= 1 when it applies)
@@ -172,7 +189,7 @@ def monotonicity_profile(
     doubling = float(np.nanmax(np.tril(ratios))) if len(r_grid) > 1 else 0.0
 
     return MonotonicityProfile(
-        base_point=a,
+        base_point=t.x0,
         r_grid=r_grid,
         g=np.asarray(g),
         g_hat=np.asarray(g_hat),
@@ -196,11 +213,10 @@ def boundary_limit_identity_residual(surface: SampledSurface, region: WettedRegi
     a = np.asarray(a, dtype=float)
     if abs(a[2]) > 1e-9:
         raise ValueError("the boundary limit identity needs a base point on the plane")
-    a = nudge_off_samples(surface, a)
-    t = _Terms(surface, region, a)
+    t = probe_terms(surface, region, a)
     lhs = 2.0 / np.pi * float(t.mu.cumulative("sq", np.inf))
     w_tot = float(t.mu.cumulative("h2", np.inf))
-    rhs = w_tot / (8.0 * np.pi) - tilde_density(surface, region, a)
+    rhs = w_tot / (8.0 * np.pi) - tilde_density(surface, region, t.x0)
     return lhs - rhs
 
 

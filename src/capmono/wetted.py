@@ -96,20 +96,23 @@ def _winding_crossings(polys: Sequence[np.ndarray], probes: np.ndarray) -> np.nd
 
     Signed horizontal-ray crossing count with half-open vertex handling;
     equivalent to the rounded signed-angle sum but cheap enough for grids.
+    Probes go in blocks of about ``_CHUNK * 64`` (probe, edge) pairs, so the
+    temporaries do not grow with the number of edges.
     """
     out = np.zeros(len(probes), dtype=np.int64)
     for poly in polys:
         a = poly
         b = np.roll(poly, -1, axis=0)
-        for lo in range(0, len(probes), _CHUNK):
-            px = probes[lo : lo + _CHUNK, 0, None]
-            py = probes[lo : lo + _CHUNK, 1, None]
+        step = max(_CHUNK * 64 // len(a), 1)
+        for lo in range(0, len(probes), step):
+            px = probes[lo : lo + step, 0, None]
+            py = probes[lo : lo + step, 1, None]
             is_left = (b[None, :, 0] - a[None, :, 0]) * (py - a[None, :, 1]) - (
                 px - a[None, :, 0]
             ) * (b[None, :, 1] - a[None, :, 1])
             up = (a[None, :, 1] <= py) & (b[None, :, 1] > py) & (is_left > 0)
             dn = (b[None, :, 1] <= py) & (a[None, :, 1] > py) & (is_left < 0)
-            out[lo : lo + _CHUNK] += np.sum(up, axis=1) - np.sum(dn, axis=1)
+            out[lo : lo + step] += np.sum(up, axis=1) - np.sum(dn, axis=1)
     return out
 
 
@@ -611,7 +614,11 @@ class BallRestrictedEta:
     - per object (one center): the sorted order, prefix sums, and the
       subcell-to-center distances of each band face, filled lazily;
     - per radius: the band slice and the coverage correction
-      ``frac - sharp``, computed once and applied to every key.
+      ``frac - sharp``, computed once and applied to every key.  Each
+      ``cumulative`` call fills the corrections of all its new radii
+      together, over their concatenated band slices in bounded groups; only
+      the final weighted sum runs per radius, so every radius is summed as
+      on its own.
     """
 
     _GL5_X, _GL5_W = np.polynomial.legendre.leggauss(5)
@@ -642,55 +649,72 @@ class BallRestrictedEta:
             self._sub_dist = np.empty((len(order), 4**_SUB_DEPTH))
             self._dist_done = np.zeros(len(order), dtype=bool)
 
-    def _fractions(self, lo: int, hi: int, r: float) -> np.ndarray:
-        """Coverage fractions for the sorted cells in [lo, hi)."""
+    def _fractions(self, rows: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Coverage fractions of the sorted cells ``rows``, each in a ball of radius ``r``."""
         if self.region.wetting == PLANE:
             rp2 = r**2 - self.center[2] ** 2
-            if rp2 <= 0.0:
-                return np.zeros(hi - lo)
-            x0 = self.nodes[lo:hi, 0] - self.center[0]
-            y0 = self.nodes[lo:hi, 1] - self.center[1]
-            return _disk_cell_overlap(x0, y0, self._h, np.sqrt(rp2)) / (self._h * self._h)
-        need = np.flatnonzero(~self._dist_done[lo:hi]) + lo
+            out = np.zeros(len(rows))
+            cut = rp2 > 0.0
+            x0 = self.nodes[rows[cut], 0] - self.center[0]
+            y0 = self.nodes[rows[cut], 1] - self.center[1]
+            out[cut] = _disk_cell_overlap(x0, y0, self._h, np.sqrt(rp2[cut])) / (self._h * self._h)
+            return out
+        need = np.unique(rows[~self._dist_done[rows]])
         centers, areas = self.region._subcells(self._faces[need])
         if len(need):
             self._sub_dist[need] = np.linalg.norm(centers[self._faces[need]] - self.center, axis=2)
             self._dist_done[need] = True
-        areas = areas[self._faces[lo:hi]]
-        inside = self._sub_dist[lo:hi] < r
+        areas = areas[self._faces[rows]]
+        inside = self._sub_dist[rows] < r[:, None]
         return np.sum(areas * inside, axis=1) / np.sum(areas, axis=1)
 
-    def _correction(self, r: float) -> tuple:
-        """Sharp count, band slice and coverage correction at radius r.
+    def _fill_corrections(self, radii: np.ndarray) -> None:
+        """Sharp count, band slice and coverage correction of each new finite radius.
 
         The correction ``frac - sharp`` depends on the radius alone, so every
-        key evaluated at r reuses it.
+        key evaluated at that radius reuses it.  The band slices of the new
+        radii are concatenated and evaluated in groups of whole radii holding
+        about ``_CHUNK * 4`` values (cells, or cells times subcells), so the
+        temporaries stay bounded however many radii one call asks for.
         """
-        hit = self._corrections.get(r)
-        if hit is None:
-            idx = np.searchsorted(self.dist, r, side="left")
-            lo = np.searchsorted(self.dist, r - self.band, side="left")
-            hi = np.searchsorted(self.dist, r + self.band, side="left")
-            corr = None
-            if hi > lo:
-                frac = self._fractions(lo, hi, r)
-                sharp = (self.dist[lo:hi] < r).astype(float)
-                corr = frac - sharp
-            hit = self._corrections[r] = (idx, lo, hi, corr)
-        return hit
-
-    def _cumulative_scalar(self, key: str, r: float) -> float:
-        if not np.isfinite(r):
-            return float(self.prefix[key][-1])
-        idx, lo, hi, corr = self._correction(r)
-        base = float(self.prefix[key][idx])
-        if corr is not None:
-            base += float(np.sum(self.values[key][lo:hi] * corr))
-        return base
+        finite = radii[np.isfinite(radii)].tolist()
+        new = [r for r in dict.fromkeys(finite) if r not in self._corrections]
+        if not new:
+            return
+        r = np.array(new)
+        idx = np.searchsorted(self.dist, r, side="left")
+        lo = np.searchsorted(self.dist, r - self.band, side="left")
+        hi = np.searchsorted(self.dist, r + self.band, side="left")
+        count = hi - lo
+        ends = np.cumsum(count)
+        first = ends - count
+        rows_per_group = _CHUNK * 4 // (1 if self.region.wetting == PLANE else 4**_SUB_DEPTH)
+        start = 0
+        while start < len(new):
+            stop = max(int(np.searchsorted(ends, first[start] + rows_per_group, side="right")), start + 1)
+            rows = np.repeat(lo[start:stop], count[start:stop]) + _run_offsets(count[start:stop])
+            rad = np.repeat(r[start:stop], count[start:stop])
+            corr = self._fractions(rows, rad) - (self.dist[rows] < rad).astype(float)
+            for k in range(start, stop):
+                c = corr[first[k] - first[start] : ends[k] - first[start]] if count[k] else None
+                self._corrections[new[k]] = (int(idx[k]), int(lo[k]), int(hi[k]), c)
+            start = stop
 
     def cumulative(self, key: str, radii) -> np.ndarray:
         radii = np.atleast_1d(np.asarray(radii, dtype=float))
-        return np.array([self._cumulative_scalar(key, float(r)) for r in radii])
+        self._fill_corrections(radii)
+        prefix, values = self.prefix[key], self.values[key]
+        out = np.empty(len(radii))
+        for k, (r, finite) in enumerate(zip(radii.tolist(), np.isfinite(radii).tolist())):
+            if not finite:
+                out[k] = prefix[-1]
+                continue
+            idx, lo, hi, corr = self._corrections[r]
+            total = float(prefix[idx])
+            if corr is not None:
+                total += float(np.sum(values[lo:hi] * corr))
+            out[k] = total
+        return out
 
     def _window_average(self, key: str, r, halfwidth, over_r2: bool) -> np.ndarray:
         """Five-point Gauss average over [r - w, r + w] of M(s) or M(s)/s^2.
@@ -698,15 +722,16 @@ class BallRestrictedEta:
         The restricted masses are smooth in the radius, so the short Gauss
         rule reproduces the uniform radius average to working precision and
         matches the exact averaging applied to the sample-side restrictions.
+        All nodes of all windows go to ``cumulative`` in one call.
         """
         r = np.atleast_1d(np.asarray(r, dtype=float))
         w = np.minimum(np.atleast_1d(np.asarray(halfwidth, dtype=float)), 0.9 * r)
+        s = np.maximum(r[None, :] + self._GL5_X[:, None] * w[None, :], 1e-12)
+        vals = self.cumulative(key, s.ravel()).reshape(s.shape)
+        if over_r2:
+            vals = vals / s**2
         out = np.zeros(len(r))
-        for xk, wk in zip(self._GL5_X, self._GL5_W):
-            s = np.maximum(r + xk * w, 1e-12)
-            val = self.cumulative(key, s)
-            if over_r2:
-                val = val / s**2
+        for wk, val in zip(self._GL5_W, vals):
             out = out + 0.5 * wk * val
         return out
 

@@ -137,9 +137,9 @@ def test_threads_flag_matches_serial(cfg_path):
     assert (out / "profile_000.csv").read_bytes() == serial
 
 
-def _ball_text(out):
+def _ball_text(out, base=BASE):
     return (
-        BASE.replace("OUT", str(out))
+        base.replace("OUT", str(out))
         .replace("ambient = halfspace", "ambient = ball")
         .replace("generator = cap", "generator = flat-disk-ball")
         .replace("theta = 2.0943951023932", "theta = 1.0471975511966")
@@ -322,3 +322,31 @@ def test_fuzzed_config_exit_codes(edits):
             assert code in (0, 1, 2)
             if code == 2:
                 break
+
+
+@pytest.mark.parametrize("command", ["monotonicity", "identity-suite"])
+@pytest.mark.parametrize("ambient, per_probe", [("halfspace", 1), ("ball", 2)])
+def test_one_terms_object_per_probe(tmp_path, monkeypatch, command, ambient, per_probe):
+    # two probes and two pairs: each probe's eta restrictions (one in the
+    # half-space, direct and companion in the ball) serve its profile and
+    # both pairs
+    from capmono import ball
+
+    out = tmp_path / "out"
+    text = _TINY.replace("OUT", str(out)) if ambient == "halfspace" else _ball_text(out, _TINY)
+    text = text.replace("pair = 0.4,1.5", "pair = 0.4,1.5\npair = 0.5,2.0")
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    assert main(["generate", "--config", str(path)]) == 0
+
+    built = []
+
+    class Counting(wetted.BallRestrictedEta):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(halfspace, "BallRestrictedEta", Counting)
+    monkeypatch.setattr(ball, "BallRestrictedEta", Counting)
+    assert main([command, "--config", str(path)]) in (0, 1)
+    assert len(built) == 2 * per_probe

@@ -289,6 +289,48 @@ def test_ball_restriction_matches_reference(stock, ambient, reverse):
                 assert np.array_equal(method(key, radii[:2], hw), expect)
 
 
+@pytest.mark.parametrize("ambient", ["plane", "sphere"])
+@pytest.mark.parametrize("chunk", [None, 5])
+def test_ball_restriction_batch_matches_single_radii(stock, monkeypatch, ambient, chunk):
+    # one cumulative call fills the corrections of all its radii in one pass
+    # (in blocks set by _CHUNK); each radius must read as if asked alone
+    from capmono import wetted
+    from capmono.wetted import BallRestrictedEta
+
+    if ambient == "plane":
+        surface, _ = stock.cap(2 * np.pi / 3)
+        region = wetted_region(surface, grid_n=256)
+        x0 = np.array([0.3, -0.2, 0.5])
+    else:
+        surface, _ = stock.capball(2 * np.pi / 3, np.pi / 3)
+        region = wetted_region(surface, sphere_level=4)
+        x0 = np.array([0.2, 0.1, 0.5])
+    nodes, _, _, wind_aa = region.grid()
+    if chunk is not None:
+        monkeypatch.setattr(wetted, "_CHUNK", chunk)
+    arrays = {"dist2": np.sum((nodes - x0) ** 2, axis=1)}
+    band = BallRestrictedEta(region, x0).band
+    dist = np.linalg.norm(nodes - x0, axis=1)
+    near = float(dist.min())
+    mid = np.quantile(dist[wind_aa != 0], [0.3, 0.7])
+    empty = 0.5 * near
+    assert empty + band < near
+    # duplicates, inf, an empty band below and above every node
+    radii = [mid[0], empty, mid[1], np.inf, mid[0], near + 0.1 * band, 50.0, mid[1]]
+    if ambient == "plane":
+        # below the probe's height, yet with cells in the band: no disk cut
+        low = x0[2] - 0.2 * band
+        assert near < low + band
+        radii.append(low)
+    batch = BallRestrictedEta(region, x0, arrays)
+    for key in ("mass", "dist2"):
+        got = batch.cumulative(key, radii)
+        single = BallRestrictedEta(region, x0, arrays)
+        alone = np.array([single.cumulative(key, [r])[0] for r in radii])
+        assert np.array_equal(got, alone)
+        assert np.array_equal(got, _reference_restriction(region, x0, arrays, key, radii))
+
+
 def test_ball_restriction_shared_store_under_threads(stock):
     # more workers than cores fill one region's subcell store at once, with
     # frequent thread switches; a face read before its rows are written, or
@@ -504,7 +546,7 @@ def test_grid_matches_reference(stock, monkeypatch, case):
     assert np.isin(np.flatnonzero(wind_aa != wind), bands[0]).all()
 
 
-@pytest.mark.parametrize("chunk", [3, 37])
+@pytest.mark.parametrize("chunk", [3, 37, 100])
 def test_grid_independent_of_block_size(stock, monkeypatch, chunk):
     from capmono import wetted
 
