@@ -27,10 +27,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+from checks import digests  # noqa: E402
 from workloads import WORKLOADS, config_text  # noqa: E402
 
 COMMANDS = ("generate", "energy", "monotonicity", "identity-suite")
-OUTPUTS = ("surface.tsv", "boundary.tsv", "curve.tsv", "energy.json")
+# outputs the benchmark's own digests (surface, energy report, profiles) leave out
+EXTRA_OUTPUTS = ("boundary.tsv", "curve.tsv")
 
 
 def digest(data: bytes) -> str:
@@ -50,10 +52,6 @@ def run(command: str, config: Path, out: Path, extra=()) -> tuple[int, bytes]:
     return proc.returncode, proc.stdout.replace(str(out).encode(), b"OUT")
 
 
-def profiles(out: Path) -> list[Path]:
-    return sorted(out.glob("profile_*.csv"))
-
-
 def workload_digests(name: str, seed: int, threads: int, work: Path) -> list[str]:
     out = work / name
     config = work / f"{name}.cfg"
@@ -63,17 +61,17 @@ def workload_digests(name: str, seed: int, threads: int, work: Path) -> list[str
         code, stdout = run(command, config, out)
         lines.append(f"exit {code}  {name}/{command}")
         lines.append(f"{digest(stdout)}  {name}/{command}.stdout")
-    for path in [out / f for f in OUTPUTS] + profiles(out):
-        lines.append(f"{digest(path.read_bytes())}  {name}/{path.name}")
+    for file in EXTRA_OUTPUTS:
+        lines.append(f"{digest((out / file).read_bytes())}  {name}/{file}")
+    lines += [f"{sha}  {name}/{file}" for file, sha in digests(out).items()]
     if threads > 1:
-        for path in profiles(out):
+        for path in out.glob("profile_*.csv"):
             path.unlink()
         code, stdout = run("monotonicity", config, out, ("--threads", str(threads)))
         tag = f"{name}/threads{threads}"
         lines.append(f"exit {code}  {tag}/monotonicity")
         lines.append(f"{digest(stdout)}  {tag}/monotonicity.stdout")
-        for path in profiles(out):
-            lines.append(f"{digest(path.read_bytes())}  {tag}/{path.name}")
+        lines += [f"{sha}  {tag}/{file}" for file, sha in digests(out).items() if file.startswith("profile_")]
     return lines
 
 
@@ -81,10 +79,9 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--threads", type=int, default=1, help="also rerun monotonicity with this many threads")
-    ap.add_argument("--workload", action="append", choices=sorted(WORKLOADS), help="default: all")
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="capmono-digests-") as tmp:
-        for name in args.workload or list(WORKLOADS):
+        for name in WORKLOADS:
             for line in workload_digests(name, args.seed, args.threads, Path(tmp)):
                 print(line, flush=True)
     return 0

@@ -24,7 +24,15 @@ import numpy as np
 from .errors import AmbientError, GeometryError
 from .fields import TestVectorField
 from .geometry import BALL, companion
-from .identity import PairTerms, assemble, mu_arrays, nudge_off_samples, profile_residual, square_weights
+from .identity import (
+    PairTerms,
+    assemble,
+    mu_arrays,
+    nudge_off_samples,
+    probe_state,
+    profile_residual,
+    square_weights,
+)
 from .radial import RadialPrefix
 from .surfaces import SampledSurface
 from .wetted import BallRestrictedEta, WettedRegion, eta_integral
@@ -282,12 +290,16 @@ def probe_terms(surface: SampledSurface, region: WettedRegion, x0):
     else the base point is nudged off the samples and both η restrictions
     are built.  One object serves the profile and every two-radius pair of
     the probe (the ``terms=`` keyword of :func:`monotonicity_profile` and
-    :func:`monotonicity_identity_detail`).
+    :func:`monotonicity_identity_detail`); ``probe`` keeps the raw base
+    point, which those two functions check against theirs.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if np.linalg.norm(x0) < 1e-12:
-        return _OriginTerms(surface)
-    return _BallTerms(surface, region, nudge_off_samples(surface, x0))
+    probe = np.array(x0, dtype=float)
+    if np.linalg.norm(probe) < 1e-12:
+        terms = _OriginTerms(surface)
+    else:
+        terms = _BallTerms(surface, region, nudge_off_samples(surface, probe))
+    terms.probe = probe
+    return terms
 
 
 def monotonicity_identity_detail(
@@ -300,12 +312,13 @@ def monotonicity_identity_detail(
     the origin branch has a single square integral against g_0 plus the
     constant boundary-measure hat term.  ``terms`` is the probe's
     :func:`probe_terms` state; without it the state is built for this call.
+    Terms built for another surface or base point raise ValueError.
     """
     if not 0.0 < sigma <= rho:
         raise ValueError("need 0 < sigma <= rho")
     if sigma == rho:
         return {"residual": 0.0, "normalized": 0.0, "scale": 1.0, "branch": GENERAL}
-    t = probe_terms(surface, region, x0) if terms is None else terms
+    t = probe_state(probe_terms, surface, region, x0, terms)
     if isinstance(t, _OriginTerms):
         r = np.array([sigma, rho])
         lhs = float(np.diff(t.squares(r))[0])
@@ -328,18 +341,18 @@ def monotonicity_profile(
     """Profile of the capillary pair over a radius grid, both branches.
 
     ``terms`` is the probe's :func:`probe_terms` state; without it the state
-    is built for this call.
+    is built for this call.  Terms built for another surface or base point
+    raise ValueError.
     """
     r_grid = np.sort(np.asarray(r_grid, dtype=float))
-    t = probe_terms(surface, region, x0) if terms is None else terms
+    t = probe_state(probe_terms, surface, region, x0, terms)
     if isinstance(t, _OriginTerms):
         g = t.g(r_grid)
         g_hat = t.g_hat(r_grid)
         big_g = g + g_hat
         # the origin identity has no deficit terms
         residual = profile_residual(big_g, t.squares(r_grid), np.zeros(len(r_grid)))
-        base = np.asarray(x0, dtype=float)
-        return BallProfile(base, r_grid, g, g_hat, big_g, t.remainder(r_grid), residual, ORIGIN)
+        return BallProfile(t.probe, r_grid, g, g_hat, big_g, t.remainder(r_grid), residual, ORIGIN)
 
     g_theta, g_hat_theta, big_g, remainder, _, residual = t.profile(r_grid)
     return BallProfile(t.x0, r_grid, g_theta, g_hat_theta, big_g, remainder, residual, GENERAL)

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import AmbientError
 from .fields import TANGENT, TestVectorField
 from .geometry import HALFSPACE
-from .identity import PairTerms, assemble, nudge_off_samples
+from .identity import PairTerms, assemble, nudge_off_samples, probe_state
 from .radial import RadialPrefix
 from .surfaces import SampledSurface
 from .wetted import BallRestrictedEta, WettedRegion
@@ -141,9 +141,13 @@ def probe_terms(surface: SampledSurface, region: WettedRegion, a) -> _Terms:
     One object serves the profile and every two-radius pair of the probe
     (the ``terms=`` keyword of :func:`monotonicity_profile` and
     :func:`monotonicity_identity_detail`); its η restriction keeps the
-    coverage corrections of every radius it has evaluated.
+    coverage corrections of every radius it has evaluated.  ``probe`` keeps
+    the raw base point, which those two functions check against theirs.
     """
-    return _Terms(surface, region, nudge_off_samples(surface, np.asarray(a, dtype=float)))
+    probe = np.array(a, dtype=float)
+    terms = _Terms(surface, region, nudge_off_samples(surface, probe))
+    terms.probe = probe
+    return terms
 
 
 def monotonicity_identity_detail(
@@ -152,13 +156,14 @@ def monotonicity_identity_detail(
     """All six identity terms plus raw and normalized residuals.
 
     ``terms`` is the probe's :func:`probe_terms` state; without it the state
-    is built for this call.
+    is built for this call.  Terms built for another surface or base point
+    raise ValueError.
     """
     if not 0.0 < sigma <= rho:
         raise ValueError("need 0 < sigma <= rho")
     if sigma == rho:
         return {"residual": 0.0, "normalized": 0.0, "scale": 1.0}
-    t = probe_terms(surface, region, a) if terms is None else terms
+    t = probe_state(probe_terms, surface, region, a, terms)
     return assemble(t.identity_terms(sigma, rho), sign=1)
 
 
@@ -168,10 +173,11 @@ def monotonicity_profile(
     """Profile of g, g_hat, their sum and the identity pieces over a grid.
 
     ``terms`` is the probe's :func:`probe_terms` state; without it the state
-    is built for this call.
+    is built for this call.  Terms built for another surface or base point
+    raise ValueError.
     """
     r_grid = np.sort(np.asarray(r_grid, dtype=float))
-    t = probe_terms(surface, region, a) if terms is None else terms
+    t = probe_state(probe_terms, surface, region, a, terms)
     g, g_hat, big_g, remainder, deficit, residual = t.profile(r_grid)
 
     # crude mass-ratio doubling bound as a sanity ratio (<= 1 when it applies)

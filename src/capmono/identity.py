@@ -40,6 +40,20 @@ def nudge_off_samples(surface: SampledSurface, a: np.ndarray) -> np.ndarray:
     return a + _OFFSET * surface.boundary_tangents[k]
 
 
+def probe_state(build, surface: SampledSurface, region, a, terms):
+    """The probe's terms: ``terms`` when given, else ``build(surface, region, a)``.
+
+    Given terms must come from ``build`` (an ambient's ``probe_terms``) on
+    this surface and this raw base point, which they record as ``probe``;
+    terms of another probe would report its numbers under this one's name.
+    """
+    if terms is None:
+        return build(surface, region, a)
+    if terms.surface is not surface or not np.array_equal(terms.probe, np.asarray(a, dtype=float)):
+        raise ValueError("terms were built for another surface or base point")
+    return terms
+
+
 def square_weights(surface: SampledSurface, center) -> np.ndarray:
     """Per-sample |H/4 + ((x - c).nu / |x - c|^2) nu|^2 times the area weight."""
     h, nu = surface.mean_curvature, surface.normals

@@ -1,5 +1,6 @@
 """One restriction state per probe: shared terms give the bytes of fresh calls."""
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -58,3 +59,25 @@ def test_ball_shared_terms_match_fresh_calls(stock, where):
     assert nudged == (where == "on-sample")
     terms = _check_shared(bl, surface, region, x0)
     assert isinstance(terms, bl._OriginTerms if where == "origin" else bl._BallTerms)
+
+
+@pytest.mark.parametrize("ambient", ["halfspace", "ball-interior", "ball-origin"])
+def test_terms_of_another_probe_are_refused(stock, ambient):
+    if ambient == "halfspace":
+        mono, (surface, region) = hs, stock.cap(2 * np.pi / 3)
+        x0 = np.array([0.3, -0.2, 0.5])
+    else:
+        mono, (surface, region) = bl, stock.capball(2 * np.pi / 3, np.pi / 3)
+        x0 = np.zeros(3) if ambient == "ball-origin" else np.array([0.2, 0.1, 0.4])
+    terms = mono.probe_terms(surface, region, x0)
+    other = x0 + np.array([0.0, 0.0, 0.1])
+    with pytest.raises(ValueError, match="another surface or base point"):
+        mono.monotonicity_profile(surface, region, other, GRID, terms=terms)
+    with pytest.raises(ValueError, match="another surface or base point"):
+        mono.monotonicity_identity_detail(surface, region, other, *PAIRS[0], terms=terms)
+    twin = copy.copy(surface)
+    with pytest.raises(ValueError, match="another surface or base point"):
+        mono.monotonicity_identity_detail(twin, region, x0, *PAIRS[0], terms=terms)
+    # the profile reports the probe the terms were built for, origin included
+    profile = mono.monotonicity_profile(surface, region, list(x0), GRID, terms=terms)
+    assert np.array_equal(profile.base_point, mono.monotonicity_profile(surface, region, x0, GRID).base_point)
