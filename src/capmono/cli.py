@@ -51,10 +51,6 @@ def build_chart(cfg: RunConfig):
     return chart
 
 
-def build_surface(cfg: RunConfig) -> SampledSurface:
-    return sample_chart(build_chart(cfg), cfg.nu, cfg.nv)
-
-
 def region_for(cfg: RunConfig, surface: SampledSurface) -> WettedRegion:
     return wetted_region(surface, grid_n=cfg.plane_grid, sphere_level=cfg.sphere_level)
 

@@ -59,11 +59,6 @@ class Ball3:
         if not self.radius > 0.0:
             raise GeometryError(f"ball radius must be positive, got {self.radius}")
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        """Strict membership mask for an (n, 3) array of points."""
-        d2 = np.sum((np.atleast_2d(points) - self.center) ** 2, axis=1)
-        return d2 < self.radius**2
-
 
 def reflect_halfspace(x) -> np.ndarray:
     """Reflect across the plane {x3 = 0}: x -> x - 2 x3 e3.

@@ -12,7 +12,6 @@ first; the integer winding API is untouched by this.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -20,6 +19,7 @@ import numpy as np
 
 from .errors import GeometryError, UndefinedWindingError
 from .quadrature import plane_grid, sphere_mesh, sphere_rule
+from .radial import RadialPrefix
 from .surfaces import SampledSurface
 from .geometry import BALL
 
@@ -27,7 +27,7 @@ PLANE = "plane"
 SPHERE = "sphere"
 
 _CHUNK = 4096
-# subdivision depth of the sphere faces that BallRestrictedEta partially covers
+# subdivision depth of the sphere band faces that the antialiasing supersamples
 _SUB_DEPTH = 3
 
 
@@ -454,61 +454,22 @@ class WettedRegion:
                     wind_aa[cells] = _aa_plane(polys, cells, xs, ys)
             else:
                 verts, faces, nodes, cellw = sphere_mesh(self.sphere_level)
-                # per-face subcell store, filled lazily by _subcells; allocated
-                # here so threads sharing the region never race to create it
-                m = 4**_SUB_DEPTH
-                self._cache["subcells"] = (
-                    np.empty((len(faces), m, 3)),
-                    np.empty((len(faces), m)),
-                    np.zeros(len(faces), dtype=bool),
-                    threading.Lock(),
-                )
                 wind = self._sphere_wind(nodes)
                 wind_aa = wind.astype(float)
                 band = 1.1 * float(np.sqrt(np.max(cellw)))
                 cells = _near_curve([c.points for c in self.curves], nodes, band)
                 if len(cells):
-                    # sphere nodes are face centroids, so cells index faces
-                    centers, areas = self._subcells(cells)
+                    # sphere nodes are face centroids, so cells index faces;
+                    # only these band faces are subdivided
                     wind_aa[cells] = _aa_sphere(
                         self._refined_points(),
                         self.reference_point(),
                         self.reference_winding,
                         nodes[cells],
                         verts[faces[cells]],
-                        centers[cells],
-                        areas[cells],
                     )
             self._cache["grid"] = (nodes, cellw, wind.astype(np.int64), wind_aa)
         return self._cache["grid"]
-
-    def _subcells(self, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Subcell centers (F, m, 3) and areas (F, m) for all F sphere faces.
-
-        ``grid()`` allocates the store before it antialiases the band faces
-        from it; only the rows of the given faces are guaranteed filled.
-        The geometry depends on the face alone, so it is computed once per
-        face and shared by the antialiasing and by every restriction
-        centered anywhere on the region.  Threads share
-        the store; the lock makes finding and filling missing faces one step,
-        and a face is marked done only after its rows are written.
-        """
-        from .quadrature import barycentric_subtriangles, spherical_triangle_areas
-
-        centers, areas, done, lock = self._cache["subcells"]
-        with lock:
-            need = faces[~done[faces]]
-            if len(need):
-                verts, tri, _, _ = sphere_mesh(self.sphere_level)
-                bary = barycentric_subtriangles(_SUB_DEPTH)
-                sc = np.einsum("mkb,cbx->cmkx", bary, verts[tri[need]])
-                sc /= np.linalg.norm(sc, axis=-1, keepdims=True)
-                areas[need] = spherical_triangle_areas(sc[:, :, 0, :], sc[:, :, 1, :], sc[:, :, 2, :])
-                c = sc.sum(axis=2)
-                c /= np.linalg.norm(c, axis=-1, keepdims=True)
-                centers[need] = c
-                done[need] = True
-        return centers, areas
 
     def _refined_points(self) -> list[np.ndarray]:
         """Curve sample loops refined by Hermite midpoint insertion.
@@ -601,24 +562,24 @@ def _disk_cell_overlap(x: np.ndarray, y: np.ndarray, h: float, r: float) -> np.n
 class BallRestrictedEta:
     """Winding-measure integrals restricted to balls about a fixed center.
 
-    Nodes are sorted by distance once; sharp masses are prefix sums, and
-    cells straddling the ball boundary (a contiguous slice of the sorted
-    order) get an exact or supersampled coverage fraction.  Radius windows
-    for term averaging are evaluated by a short Gauss rule.
+    Radius windows are clipped to w <= 0.9 r on both wetting surfaces.
 
-    State is kept at the level it depends on:
+    On the sphere η is restricted as atoms: each face centroid carries the
+    weight ``wind_aa * cellw``, times each key's array, and the windows are
+    ``RadialPrefix``'s exact box averages, the rule the sample measure μ
+    uses.  Faces of zero weight are dropped before the sort, which is exact:
+    zero terms leave every prefix sum unchanged.  ``cumulative`` is the
+    sharp atomic sum.
 
-    - per region: the sphere subcell centers and areas of each face
-      (``WettedRegion._subcells``), shared by every center and by the
-      grid's antialiasing;
-    - per object (one center): the sorted order, prefix sums, and the
-      subcell-to-center distances of each band face, filled lazily;
-    - per radius: the band slice and the coverage correction
-      ``frac - sharp``, computed once and applied to every key.  Each
-      ``cumulative`` call fills the corrections of all its new radii
-      together, over their concatenated band slices in bounded groups; only
-      the final weighted sum runs per radius, so every radius is summed as
-      on its own.
+    On the plane nodes are sorted by distance once; sharp masses are prefix
+    sums, and cells straddling the ball boundary (a contiguous slice of the
+    sorted order) get their exact disk-overlap coverage fraction.  Radius
+    windows are evaluated by a short Gauss rule.  Per radius the object
+    keeps the band slice and the coverage correction ``frac - sharp``,
+    computed once and applied to every key.  Each ``cumulative`` call fills
+    the corrections of all its new radii together, over their concatenated
+    band slices in bounded groups; only the final weighted sum runs per
+    radius, so every radius is summed as on its own.
     """
 
     _GL5_X, _GL5_W = np.polynomial.legendre.leggauss(5)
@@ -627,6 +588,14 @@ class BallRestrictedEta:
         self.region = region
         self.center = np.asarray(center, dtype=float)
         nodes, cellw, _, wind_aa = region.grid()
+        self._atoms = None
+        if region.wetting == SPHERE:
+            weight = wind_aa * cellw
+            keep = weight != 0.0
+            base = weight[keep]
+            keyed = {key: np.asarray(v, dtype=float)[keep] * base for key, v in (arrays or {}).items()}
+            self._atoms = RadialPrefix(nodes[keep], self.center, {"mass": base, **keyed})
+            return
         dist = np.linalg.norm(nodes - self.center, axis=1)
         order = np.argsort(dist, kind="stable")
         self.dist = dist[order]
@@ -639,34 +608,18 @@ class BallRestrictedEta:
             self.values[key] = arr
             self.prefix[key] = np.concatenate([[0.0], np.cumsum(arr)])
         self._corrections: dict = {}
-        if region.wetting == PLANE:
-            self._h = np.sqrt(float(cellw[0]))
-            self.band = 0.71 * self._h
-        else:
-            # sphere nodes are face centroids, so node order is face order
-            self._faces = order
-            self.band = 1.05 * np.sqrt(float(np.max(cellw)))
-            self._sub_dist = np.empty((len(order), 4**_SUB_DEPTH))
-            self._dist_done = np.zeros(len(order), dtype=bool)
+        self._h = np.sqrt(float(cellw[0]))
+        self.band = 0.71 * self._h
 
     def _fractions(self, rows: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """Coverage fractions of the sorted cells ``rows``, each in a ball of radius ``r``."""
-        if self.region.wetting == PLANE:
-            rp2 = r**2 - self.center[2] ** 2
-            out = np.zeros(len(rows))
-            cut = rp2 > 0.0
-            x0 = self.nodes[rows[cut], 0] - self.center[0]
-            y0 = self.nodes[rows[cut], 1] - self.center[1]
-            out[cut] = _disk_cell_overlap(x0, y0, self._h, np.sqrt(rp2[cut])) / (self._h * self._h)
-            return out
-        need = np.unique(rows[~self._dist_done[rows]])
-        centers, areas = self.region._subcells(self._faces[need])
-        if len(need):
-            self._sub_dist[need] = np.linalg.norm(centers[self._faces[need]] - self.center, axis=2)
-            self._dist_done[need] = True
-        areas = areas[self._faces[rows]]
-        inside = self._sub_dist[rows] < r[:, None]
-        return np.sum(areas * inside, axis=1) / np.sum(areas, axis=1)
+        """Disk-overlap fractions of the sorted plane cells ``rows``, each in a ball of radius ``r``."""
+        rp2 = r**2 - self.center[2] ** 2
+        out = np.zeros(len(rows))
+        cut = rp2 > 0.0
+        x0 = self.nodes[rows[cut], 0] - self.center[0]
+        y0 = self.nodes[rows[cut], 1] - self.center[1]
+        out[cut] = _disk_cell_overlap(x0, y0, self._h, np.sqrt(rp2[cut])) / (self._h * self._h)
+        return out
 
     def _fill_corrections(self, radii: np.ndarray) -> None:
         """Sharp count, band slice and coverage correction of each new finite radius.
@@ -674,8 +627,8 @@ class BallRestrictedEta:
         The correction ``frac - sharp`` depends on the radius alone, so every
         key evaluated at that radius reuses it.  The band slices of the new
         radii are concatenated and evaluated in groups of whole radii holding
-        about ``_CHUNK * 4`` values (cells, or cells times subcells), so the
-        temporaries stay bounded however many radii one call asks for.
+        about ``_CHUNK * 4`` cells, so the temporaries stay bounded however
+        many radii one call asks for.
         """
         finite = radii[np.isfinite(radii)].tolist()
         new = [r for r in dict.fromkeys(finite) if r not in self._corrections]
@@ -688,10 +641,9 @@ class BallRestrictedEta:
         count = hi - lo
         ends = np.cumsum(count)
         first = ends - count
-        rows_per_group = _CHUNK * 4 // (1 if self.region.wetting == PLANE else 4**_SUB_DEPTH)
         start = 0
         while start < len(new):
-            stop = max(int(np.searchsorted(ends, first[start] + rows_per_group, side="right")), start + 1)
+            stop = max(int(np.searchsorted(ends, first[start] + _CHUNK * 4, side="right")), start + 1)
             rows = np.repeat(lo[start:stop], count[start:stop]) + _run_offsets(count[start:stop])
             rad = np.repeat(r[start:stop], count[start:stop])
             corr = self._fractions(rows, rad) - (self.dist[rows] < rad).astype(float)
@@ -702,6 +654,8 @@ class BallRestrictedEta:
 
     def cumulative(self, key: str, radii) -> np.ndarray:
         radii = np.atleast_1d(np.asarray(radii, dtype=float))
+        if self._atoms is not None:
+            return self._atoms.cumulative(key, radii)
         self._fill_corrections(radii)
         prefix, values = self.prefix[key], self.values[key]
         out = np.empty(len(radii))
@@ -717,15 +671,20 @@ class BallRestrictedEta:
         return out
 
     def _window_average(self, key: str, r, halfwidth, over_r2: bool) -> np.ndarray:
-        """Five-point Gauss average over [r - w, r + w] of M(s) or M(s)/s^2.
+        """Average over [r - w, r + w] of M(s) or M(s)/s^2, with w clipped to 0.9 r.
 
-        The restricted masses are smooth in the radius, so the short Gauss
-        rule reproduces the uniform radius average to working precision and
-        matches the exact averaging applied to the sample-side restrictions.
-        All nodes of all windows go to ``cumulative`` in one call.
+        On the sphere the average is exact (see the class notes).  On the
+        plane a five-point Gauss rule evaluates it: the restricted masses
+        are smooth in the radius, so the short rule reproduces the uniform
+        radius average to working precision.  All nodes of all windows go
+        to ``cumulative`` in one call.
         """
         r = np.atleast_1d(np.asarray(r, dtype=float))
         w = np.minimum(np.atleast_1d(np.asarray(halfwidth, dtype=float)), 0.9 * r)
+        if self._atoms is not None:
+            if over_r2:
+                return self._atoms.windowed_over_r2(key, r, w)
+            return self._atoms.windowed(key, r, w)
         s = np.maximum(r[None, :] + self._GL5_X[:, None] * w[None, :], 1e-12)
         vals = self.cumulative(key, s.ravel()).reshape(s.shape)
         if over_r2:
@@ -940,17 +899,23 @@ def _aa_sphere(
     ref_wind: int,
     nodes: np.ndarray,
     corners: np.ndarray,
-    centers: np.ndarray,
-    areas: np.ndarray,
 ) -> np.ndarray:
     """Antialiased winding replacement values for sphere faces near a curve.
 
-    ``nodes`` (c, 3) are the face centroids, ``corners`` (c, 3, 3) the face
-    vertices, and ``centers`` (c, m, 3) and ``areas`` (c, m) the subcells.
+    ``nodes`` (c, 3) are the face centroids and ``corners`` (c, 3, 3) the
+    face vertices; each face is split into ``4**_SUB_DEPTH`` subcells.
     Exact refined-polygon winding is evaluated at the face nodes, then
     carried to subcell centers by local crossing counts, and averaged with
     exact spherical subcell areas.
     """
+    from .quadrature import barycentric_subtriangles, spherical_triangle_areas
+
+    sc = np.einsum("mkb,cbx->cmkx", barycentric_subtriangles(_SUB_DEPTH), corners)
+    sc /= np.linalg.norm(sc, axis=-1, keepdims=True)
+    areas = spherical_triangle_areas(sc[:, :, 0, :], sc[:, :, 1, :], sc[:, :, 2, :])
+    centers = sc.sum(axis=2)
+    centers /= np.linalg.norm(centers, axis=-1, keepdims=True)
+
     polys = [_stereographic(p, None, ref)[0] for p in points_loops]
     qnode, _ = _stereographic(nodes, None, ref)
     w_node = _winding_crossings(polys, qnode) + ref_wind

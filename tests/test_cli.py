@@ -241,11 +241,14 @@ def _run_cli(args, env_extra=None):
         (("r_min = 0.3", "r_min = -1"), (), None),
         (("radius = 1", "radius = -1"), (), None),
         (("radius = 1", "radius = 0"), (), None),
+        (("plane_grid = 256", "plane_grid = 4096"), (), None),
+        (("sphere_level = 4", "sphere_level = 9"), (), None),
         (None, ("--threads", "-3"), None),
         (None, (), {"CAPMONO_THREADS": "abc"}),
     ],
     ids=[
-        "pair-order", "r-count", "nu", "r-min", "radius-negative", "radius-zero", "threads-flag", "threads-env"
+        "pair-order", "r-count", "nu", "r-min", "radius-negative", "radius-zero", "plane-grid-max",
+        "sphere-level-max", "threads-flag", "threads-env",
     ],
 )
 def test_bad_config_exits_2_without_traceback(tmp_path, edit, args, env):

@@ -137,6 +137,10 @@ out_dir = somewhere
         "[output]\ntolerance = inf\n",
         "[output]\ntolerance = 0\n",
         "[output]\ntolerance = -1e-3\n",
+        "[quadrature]\nplane_grid = 7\n",
+        "[quadrature]\nplane_grid = 2049\n",
+        "[quadrature]\nsphere_level = -1\n",
+        "[quadrature]\nsphere_level = 9\n",
     ],
 )
 def test_config_rejects_malformed(text):

@@ -193,11 +193,11 @@ def test_wind_binary_for_embedded_generators(stock):
 
 
 def _reference_restriction(region, center, arrays, key, radii):
-    """Ball-restricted eta the direct way: fresh subcell geometry, and one
-    coverage fraction per call and key.  Mirrors BallRestrictedEta's rule
-    (sorted prefix sums, a band of partial cells, exact disk overlap on the
-    plane and depth-3 subcells on the sphere) without any of its caches."""
-    from capmono.quadrature import barycentric_subtriangles, sphere_mesh, spherical_triangle_areas
+    """Ball-restricted eta the direct way, over every node.  On the sphere it
+    is the sharp atomic sum; on the plane each call and key adds one coverage
+    correction per band cell, mirroring BallRestrictedEta's plane rule
+    (sorted prefix sums, a band of partial cells, exact disk overlap)
+    without any of its caches."""
     from capmono.wetted import _disk_cell_overlap
 
     nodes, cellw, _, wind_aa = region.grid()
@@ -207,12 +207,9 @@ def _reference_restriction(region, center, arrays, key, radii):
     base = (wind_aa * cellw)[order]
     values = base if key == "mass" else np.asarray(arrays[key], dtype=float)[order] * base
     prefix = np.concatenate([[0.0], np.cumsum(values)])
-    if region.wetting == "plane":
-        h = np.sqrt(float(cellw[0]))
-        band = 0.71 * h
-    else:
-        verts, faces, _, _ = sphere_mesh(region.sphere_level)
-        band = 1.05 * np.sqrt(float(np.max(cellw)))
+    # sphere atoms have no band of partial cells
+    h = np.sqrt(float(cellw[0]))
+    band = 0.71 * h if region.wetting == "plane" else 0.0
     out = []
     for r in np.atleast_1d(np.asarray(radii, dtype=float)):
         if not np.isfinite(r):
@@ -222,21 +219,12 @@ def _reference_restriction(region, center, arrays, key, radii):
         lo = np.searchsorted(dist, r - band, side="left")
         hi = np.searchsorted(dist, r + band, side="left")
         if hi > lo:
-            if region.wetting == "plane":
-                rp2 = r**2 - center[2] ** 2
-                if rp2 <= 0.0:
-                    frac = np.zeros(hi - lo)
-                else:
-                    x0, y0 = nodes[lo:hi, 0] - center[0], nodes[lo:hi, 1] - center[1]
-                    frac = _disk_cell_overlap(x0, y0, h, np.sqrt(rp2)) / (h * h)
+            rp2 = r**2 - center[2] ** 2
+            if rp2 <= 0.0:
+                frac = np.zeros(hi - lo)
             else:
-                sc = np.einsum("mkb,cbx->cmkx", barycentric_subtriangles(3), verts[faces[order[lo:hi]]])
-                sc /= np.linalg.norm(sc, axis=-1, keepdims=True)
-                areas = spherical_triangle_areas(sc[:, :, 0, :], sc[:, :, 1, :], sc[:, :, 2, :])
-                sub = sc.sum(axis=2)
-                sub /= np.linalg.norm(sub, axis=-1, keepdims=True)
-                inside = np.linalg.norm(sub - center, axis=2) < r
-                frac = np.sum(areas * inside, axis=1) / np.sum(areas, axis=1)
+                x0, y0 = nodes[lo:hi, 0] - center[0], nodes[lo:hi, 1] - center[1]
+                frac = _disk_cell_overlap(x0, y0, h, np.sqrt(rp2)) / (h * h)
             sharp = (dist[lo:hi] < r).astype(float)
             total += float(np.sum(values[lo:hi] * (frac - sharp)))
         out.append(total)
@@ -244,8 +232,22 @@ def _reference_restriction(region, center, arrays, key, radii):
 
 
 def _reference_window(region, center, arrays, key, r, halfwidth, over_r2):
-    xs, ws = np.polynomial.legendre.leggauss(5)
     w = np.minimum(halfwidth, 0.9 * r)
+    if region.wetting == "sphere":
+        # the exact box average, atom by atom over every face: an atom at
+        # distance d counts for the share of windowed radii s > d
+        nodes, cellw, _, wind_aa = region.grid()
+        f = wind_aa * cellw
+        if key != "mass":
+            f = f * np.asarray(arrays[key], dtype=float)
+        d = np.linalg.norm(nodes - center, axis=1)[:, None]
+        lo, hi = r - w, r + w
+        if over_r2:
+            share = np.maximum(1.0 / np.maximum(d, lo) - 1.0 / hi, 0.0) / (2.0 * w)
+        else:
+            share = np.clip((hi - d) / (2.0 * w), 0.0, 1.0)
+        return np.sum(f[:, None] * share, axis=0)
+    xs, ws = np.polynomial.legendre.leggauss(5)
     out = np.zeros(len(r))
     for xk, wk in zip(xs, ws):
         s = np.maximum(r + xk * w, 1e-12)
@@ -271,7 +273,7 @@ def test_ball_restriction_matches_reference(stock, ambient, reverse):
         region = wetted_region(surface, sphere_level=4)
         x0 = np.array([0.2, 0.1, 0.5])
         centers = [x0, x0 / np.dot(x0, x0)]
-    # a fresh region per order, so the shared subcell store starts empty
+    # neither the order of the centers nor an earlier center may matter
     if reverse:
         centers = centers[::-1]
     nodes, _, _, wind_aa = region.grid()
@@ -281,15 +283,50 @@ def test_ball_restriction_matches_reference(stock, ambient, reverse):
         dist = np.linalg.norm(nodes[wind_aa != 0] - center, axis=1)
         radii = np.quantile(dist, [0.2, 0.5, 0.8])
         hw = 0.1 * radii[:2]
+        if ambient == "sphere":
+            # windows past the 0.9 r clip, and past every atom
+            radii = np.concatenate([radii, [dist.max()]])
+            hw = np.concatenate([hw, [1.5 * radii[2], 0.5 * dist.max()]])
         for key in ("mass", *arrays):
             expect = _reference_restriction(region, center, arrays, key, [*radii, np.inf])
             assert np.array_equal(eta.cumulative(key, [*radii, np.inf]), expect)
+            r = radii[: len(hw)]
             for over_r2, method in ((False, eta.windowed), (True, eta.windowed_over_r2)):
-                expect = _reference_window(region, center, arrays, key, radii[:2], hw, over_r2)
-                assert np.array_equal(method(key, radii[:2], hw), expect)
+                expect = _reference_window(region, center, arrays, key, r, hw, over_r2)
+                if ambient == "plane":
+                    assert np.array_equal(method(key, r, hw), expect)
+                else:
+                    np.testing.assert_allclose(method(key, r, hw), expect, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("ambient", ["plane", "sphere"])
+def test_sphere_restriction_drops_zero_weight_atoms(stock):
+    # most faces carry zero weight; they leave every prefix sum unchanged, so
+    # the restriction must equal the one over every atom bit for bit
+    from capmono.radial import RadialPrefix
+    from capmono.wetted import BallRestrictedEta
+
+    surface, _ = stock.capball(2 * np.pi / 3, np.pi / 3)
+    region = wetted_region(surface, sphere_level=4)
+    nodes, cellw, _, wind_aa = region.grid()
+    weight = wind_aa * cellw
+    assert np.count_nonzero(weight == 0.0) > len(weight) // 2
+    x0 = np.array([0.2, 0.1, 0.5])
+    for center in (x0, x0 / np.dot(x0, x0)):
+        arrays = {"dist2": np.sum((nodes - center) ** 2, axis=1)}
+        eta = BallRestrictedEta(region, center, arrays)
+        every = RadialPrefix(nodes, center, {"mass": weight, "dist2": arrays["dist2"] * weight})
+        dist = np.linalg.norm(nodes - center, axis=1)
+        r = np.linspace(0.05, 1.1, 23) * dist.max()
+        hw = np.linspace(0.01, 1.2, 23) * r
+        for key in ("mass", "dist2"):
+            assert np.array_equal(eta.cumulative(key, [*r, np.inf]), every.cumulative(key, [*r, np.inf]))
+            w = np.minimum(hw, 0.9 * r)
+            assert np.array_equal(eta.windowed(key, r, hw), every.windowed(key, r, w))
+            assert np.array_equal(eta.windowed_over_r2(key, r, hw), every.windowed_over_r2(key, r, w))
+
+
+# only the plane restriction keeps per-radius coverage corrections to batch
+@pytest.mark.parametrize("ambient", ["plane"])
 @pytest.mark.parametrize("chunk", [None, 5])
 def test_ball_restriction_batch_matches_single_radii(stock, monkeypatch, ambient, chunk):
     # one cumulative call fills the corrections of all its radii in one pass
@@ -297,14 +334,9 @@ def test_ball_restriction_batch_matches_single_radii(stock, monkeypatch, ambient
     from capmono import wetted
     from capmono.wetted import BallRestrictedEta
 
-    if ambient == "plane":
-        surface, _ = stock.cap(2 * np.pi / 3)
-        region = wetted_region(surface, grid_n=256)
-        x0 = np.array([0.3, -0.2, 0.5])
-    else:
-        surface, _ = stock.capball(2 * np.pi / 3, np.pi / 3)
-        region = wetted_region(surface, sphere_level=4)
-        x0 = np.array([0.2, 0.1, 0.5])
+    surface, _ = stock.cap(2 * np.pi / 3)
+    region = wetted_region(surface, grid_n=256)
+    x0 = np.array([0.3, -0.2, 0.5])
     nodes, _, _, wind_aa = region.grid()
     if chunk is not None:
         monkeypatch.setattr(wetted, "_CHUNK", chunk)
@@ -315,13 +347,11 @@ def test_ball_restriction_batch_matches_single_radii(stock, monkeypatch, ambient
     mid = np.quantile(dist[wind_aa != 0], [0.3, 0.7])
     empty = 0.5 * near
     assert empty + band < near
+    # below the probe's height, yet with cells in the band: no disk cut
+    low = x0[2] - 0.2 * band
+    assert near < low + band
     # duplicates, inf, an empty band below and above every node
-    radii = [mid[0], empty, mid[1], np.inf, mid[0], near + 0.1 * band, 50.0, mid[1]]
-    if ambient == "plane":
-        # below the probe's height, yet with cells in the band: no disk cut
-        low = x0[2] - 0.2 * band
-        assert near < low + band
-        radii.append(low)
+    radii = [mid[0], empty, mid[1], np.inf, mid[0], near + 0.1 * band, 50.0, mid[1], low]
     batch = BallRestrictedEta(region, x0, arrays)
     for key in ("mass", "dist2"):
         got = batch.cumulative(key, radii)
@@ -329,37 +359,6 @@ def test_ball_restriction_batch_matches_single_radii(stock, monkeypatch, ambient
         alone = np.array([single.cumulative(key, [r])[0] for r in radii])
         assert np.array_equal(got, alone)
         assert np.array_equal(got, _reference_restriction(region, x0, arrays, key, radii))
-
-
-def test_ball_restriction_shared_store_under_threads(stock):
-    # more workers than cores fill one region's subcell store at once, with
-    # frequent thread switches; a face read before its rows are written, or
-    # a lost fill, would change some restricted mass
-    import sys
-    from concurrent.futures import ThreadPoolExecutor
-
-    from capmono.wetted import BallRestrictedEta
-
-    surface, _ = stock.capball(2 * np.pi / 3, np.pi / 3)
-    centers = [np.array([0.2 * k, 0.1, 0.5 - 0.1 * k]) for k in range(6)]
-    radii = np.linspace(0.2, 1.6, 12)
-
-    def masses(region, center):
-        return BallRestrictedEta(region, center).cumulative("mass", radii)
-
-    serial = [masses(wetted_region(surface, sphere_level=4), c) for c in centers]
-    region = wetted_region(surface, sphere_level=4)
-    region.grid()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=6) as pool:
-            futures = [pool.submit(masses, region, c) for c in centers]
-            shared = [f.result(timeout=120) for f in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    for a, b in zip(serial, shared):
-        assert np.array_equal(a, b)
 
 
 # -- the wetted grid against the direct kernels ------------------------------------
