@@ -71,14 +71,13 @@ class RadialPrefix:
 
         The cumulative is a step function, so the average has the closed
         form (1/2w) [ P(lo) (1/lo - 1/hi) + (P_inv(hi) - P_inv(lo))
-        - (P(hi) - P(lo))/hi ] with P_inv the prefix of f/d.
+        - (P(hi) - P(lo))/hi ] with P_inv the prefix of f/d.  Entries with
+        w <= 0 get the sharp M(r)/r^2.
         """
-        r = np.asarray(r, dtype=float)
-        w = np.asarray(halfwidth, dtype=float)
-        if np.all(w <= 0):
-            c = self.cumulative(key, r)
-            rr = r**2 if c.ndim == np.ndim(r) else (r**2)[..., None]
-            return c / rr
+        r, w = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(halfwidth, dtype=float))
+        sharp = w <= 0
+        if np.all(sharp):
+            return self._sharp_over_r2(key, r)
         lo_r = np.maximum(r - w, 1e-300)
         hi_r = r + w
         lo = np.searchsorted(self.dists, lo_r, side="left")
@@ -91,9 +90,17 @@ class RadialPrefix:
         inv_lo = (1.0 / lo_r)[..., None] if vec else 1.0 / lo_r
         inv_hi = (1.0 / hi_r)[..., None] if vec else 1.0 / hi_r
         scale = (2.0 * w)[..., None] if vec else 2.0 * w
-        return (p_lo * (inv_lo - inv_hi) + (pi_hi - pi_lo) - (p_hi - p_lo) * inv_hi) / np.maximum(
+        out = (p_lo * (inv_lo - inv_hi) + (pi_hi - pi_lo) - (p_hi - p_lo) * inv_hi) / np.maximum(
             scale, 1e-300
         )
+        if np.any(sharp):
+            out[sharp] = self._sharp_over_r2(key, r[sharp])
+        return out
+
+    def _sharp_over_r2(self, key: str, r: np.ndarray) -> np.ndarray:
+        c = self.cumulative(key, r)
+        rr = r**2 if c.ndim == np.ndim(r) else (r**2)[..., None]
+        return c / rr
 
     def auto_halfwidth(self, r, k: int | None = None) -> np.ndarray:
         """Window capturing about one local sample-ring spacing at the cut."""

@@ -68,52 +68,13 @@ def curve_from_boundary(surface: SampledSurface) -> OrientedCurve:
     )
 
 
-# -- planar winding -----------------------------------------------------------
-
-
-def _segments(curve: OrientedCurve) -> tuple[np.ndarray, np.ndarray]:
-    p = curve.points
-    return p, np.roll(p, -1, axis=0)
-
-
-def _winding_sums_plane(curve: OrientedCurve, probes: np.ndarray) -> np.ndarray:
-    """Total signed angle / 2*pi at each probe (not rounded)."""
-    a0, b0 = _segments(curve)
-    out = np.empty(len(probes))
-    for lo in range(0, len(probes), _CHUNK):
-        q = probes[lo : lo + _CHUNK, :2]
-        ax = a0[None, :, 0] - q[:, None, 0]
-        ay = a0[None, :, 1] - q[:, None, 1]
-        bx = b0[None, :, 0] - q[:, None, 0]
-        by = b0[None, :, 1] - q[:, None, 1]
-        ang = np.arctan2(ax * by - ay * bx, ax * bx + ay * by)
-        out[lo : lo + _CHUNK] = np.sum(ang, axis=1)
-    return out / (2.0 * np.pi)
-
-
-def _winding_crossings(polys: Sequence[np.ndarray], probes: np.ndarray) -> np.ndarray:
-    """Exact integer winding of closed 2d polygons at scattered probes.
-
-    Signed horizontal-ray crossing count with half-open vertex handling;
-    equivalent to the rounded signed-angle sum but cheap enough for grids.
-    Probes go in blocks of about ``_CHUNK * 64`` (probe, edge) pairs, so the
-    temporaries do not grow with the number of edges.
-    """
-    out = np.zeros(len(probes), dtype=np.int64)
-    for poly in polys:
-        a = poly
-        b = np.roll(poly, -1, axis=0)
-        step = max(_CHUNK * 64 // len(a), 1)
-        for lo in range(0, len(probes), step):
-            px = probes[lo : lo + step, 0, None]
-            py = probes[lo : lo + step, 1, None]
-            is_left = (b[None, :, 0] - a[None, :, 0]) * (py - a[None, :, 1]) - (
-                px - a[None, :, 0]
-            ) * (b[None, :, 1] - a[None, :, 1])
-            up = (a[None, :, 1] <= py) & (b[None, :, 1] > py) & (is_left > 0)
-            dn = (b[None, :, 1] <= py) & (a[None, :, 1] > py) & (is_left < 0)
-            out[lo : lo + step] += np.sum(up, axis=1) - np.sum(dn, axis=1)
-    return out
+# -- winding --------------------------------------------------------------------
+#
+# Every integer winding in this module, on the plane and on the sphere, is
+# the one signed half-open horizontal-ray crossing count of
+# ``_winding_scanline``.  Plane grid nodes and subcells share its rows;
+# scattered points (sphere nodes and subcells after the stereographic
+# projection, and single queries) are one row each.
 
 
 def _run_offsets(count: np.ndarray) -> np.ndarray:
@@ -160,16 +121,32 @@ def _winding_scanline(
     return out
 
 
-def _min_distance_plane(curve: OrientedCurve, probes: np.ndarray) -> np.ndarray:
-    a, b = _segments(curve)
-    seg = (b - a)[:, :2]
+def _winding_at(polys: Sequence[np.ndarray], q: np.ndarray) -> np.ndarray:
+    """Exact integer winding of closed 2d polygons at scattered points q.
+
+    Each point is its own row of ``_winding_scanline``.  Points go in blocks
+    of ``_CHUNK * 16``, so the crossing table stays bounded however many
+    points are asked for.
+    """
+    out = np.empty(len(q), dtype=np.int64)
+    step = _CHUNK * 16
+    for lo in range(0, len(q), step):
+        block = q[lo : lo + step]
+        out[lo : lo + step] = _winding_scanline(polys, block[:, 1], np.arange(len(block)), block[:, 0])
+    return out
+
+
+def _min_distance(poly: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """Distance of each probe to the closed polygon ``poly``, in its dimension."""
+    a = poly
+    seg = np.roll(poly, -1, axis=0) - a
     seg2 = np.maximum(np.sum(seg * seg, axis=1), 1e-300)
     out = np.empty(len(probes))
     for lo in range(0, len(probes), _CHUNK):
-        q = probes[lo : lo + _CHUNK, :2]
-        rel = q[:, None, :] - a[None, :, :2]
+        q = probes[lo : lo + _CHUNK]
+        rel = q[:, None, :] - a[None, :, :]
         t = np.clip(np.sum(rel * seg[None, :, :], axis=2) / seg2[None, :], 0.0, 1.0)
-        near = a[None, :, :2] + t[:, :, None] * seg[None, :, :]
+        near = a[None, :, :] + t[:, :, None] * seg[None, :, :]
         d = np.linalg.norm(q[:, None, :] - near, axis=2)
         out[lo : lo + _CHUNK] = np.min(d, axis=1)
     return out
@@ -178,21 +155,16 @@ def _min_distance_plane(curve: OrientedCurve, probes: np.ndarray) -> np.ndarray:
 def winding_number(curve: OrientedCurve, x) -> int:
     """Winding number of a closed planar curve about a point.
 
-    Total signed angle divided by 2*pi, rounded; raises if the point sits on
-    the curve (distance below 1e-9) or if the rounding residual exceeds 0.1.
+    The signed crossing count of the sample polygon along a horizontal ray;
+    raises if the point sits on the curve (distance below 1e-9).
     """
     if not curve.closed:
         raise GeometryError("winding number needs a closed curve")
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] == 2:
-        x = np.column_stack([x, np.zeros(len(x))])
-    if float(_min_distance_plane(curve, x)[0]) <= 1e-9:
+    x = np.atleast_2d(np.asarray(x, dtype=float))[:1, :2]
+    poly = curve.points[:, :2]
+    if float(_min_distance(poly, x)[0]) <= 1e-9:
         raise UndefinedWindingError("winding number undefined on the curve")
-    w = float(_winding_sums_plane(curve, x)[0])
-    k = round(w)
-    if abs(w - k) >= 0.1:
-        raise UndefinedWindingError(f"winding sum {w:.4f} too far from an integer")
-    return int(k)
+    return int(_winding_at([poly], x)[0])
 
 
 def oriented_area(curves: OrientedCurve | Sequence[OrientedCurve]) -> float:
@@ -306,31 +278,24 @@ def spherical_winding_number(region: "WettedRegion", x) -> int:
     winding (the antipode of the curve barycenter, fixed to winding zero by
     the generator's declared wetted side); realized by a stereographic
     projection from the reference, which turns the count into a planar
-    winding number.  A reference too close to the curve is jittered; eight
-    failures raise.
+    winding number.  Raises if the point sits on the refined curve polygon
+    (distance below 1e-9).  A reference too close to the curve is jittered;
+    eight failures raise.
     """
     if region.wetting != SPHERE:
         raise GeometryError("spherical winding needs a sphere region")
     x = np.asarray(x, dtype=float)
     x = x / np.linalg.norm(x)
+    loops = region._refined_points()
+    if min(float(_min_distance(p, x[None, :])[0]) for p in loops) <= 1e-9:
+        raise UndefinedWindingError("winding number undefined on the curve")
     for attempt in range(8):
         ref = region.reference_point(attempt)
         try:
-            total = 0.0
-            for pts in region._refined_points():
-                qc, _ = _stereographic(pts, None, ref)
-                qx, _ = _stereographic(x[None, :], None, ref)
-                flat = OrientedCurve(
-                    np.column_stack([qc, np.zeros(len(qc))]),
-                    np.zeros((len(qc), 3)),
-                    np.ones(len(qc)),
-                )
-                total += _winding_sums_plane(flat, np.column_stack([qx, [0.0]]))[0]
-            k = round(float(total))
-            if abs(total - k) >= 0.1:
-                raise UndefinedWindingError(f"winding sum {total:.4f} not near an integer")
-            return int(k) + region.reference_winding
-        except (GeometryError, UndefinedWindingError):
+            polys = [_stereographic(p, None, ref)[0] for p in loops]
+            qx, _ = _stereographic(x[None, :], None, ref)
+            return int(_winding_at(polys, qx)[0]) + region.reference_winding
+        except GeometryError:
             if attempt == 7:
                 raise
     raise GeometryError("unreachable")
@@ -406,13 +371,13 @@ class WettedRegion:
             left /= np.linalg.norm(left)
             scale = c.length() / (2 * np.pi)
             ref = self.reference_point()
+            polys = [_stereographic(q, None, ref)[0] for q in self._refined_points()]
             raws = []
             for delta in (0.03 * scale, 0.08 * scale):
                 test = p + delta * left
                 test /= np.linalg.norm(test)
-                polys = [_stereographic(q, None, ref)[0] for q in self._refined_points()]
                 qt, _ = _stereographic(test[None, :], None, ref)
-                raws.append(int(_winding_crossings(polys, qt)[0]))
+                raws.append(int(_winding_at(polys, qt)[0]))
             if raws[0] != raws[1]:
                 raise GeometryError("cannot fix the wetted side of the curve")
             self._cache["ref_wind"] = 1 - raws[0]
@@ -465,7 +430,6 @@ class WettedRegion:
                         self._refined_points(),
                         self.reference_point(),
                         self.reference_winding,
-                        nodes[cells],
                         verts[faces[cells]],
                     )
             self._cache["grid"] = (nodes, cellw, wind.astype(np.int64), wind_aa)
@@ -509,7 +473,7 @@ class WettedRegion:
         polys = [_stereographic(c.points, None, ref)[0] for c in self.curves]
         total = np.zeros(len(nodes), dtype=np.int64)
         qn, _ = _stereographic(nodes[far], None, ref)
-        total[far] = _winding_crossings(polys, qn)
+        total[far] = _winding_at(polys, qn)
         return total + self.reference_winding
 
     # -- integrals ---------------------------------------------------------------
@@ -519,10 +483,6 @@ class WettedRegion:
         nodes, cellw, wind, wind_aa = self.grid()
         w = wind_aa if antialias else wind.astype(float)
         return nodes, w * cellw
-
-    def min_winding(self) -> int:
-        _, _, wind, _ = self.grid()
-        return int(np.min(wind))
 
 
 def _disk_corner_area(a: np.ndarray, b: np.ndarray, r: float) -> np.ndarray:
@@ -715,21 +675,6 @@ def eta_integral(
     return float(np.sum(vals * w))
 
 
-def eta_integral_with_error(region: WettedRegion, f=1.0) -> tuple[float, float]:
-    """Integral plus a crude error estimate from a half-resolution grid."""
-    val = eta_integral(region, f)
-    if region.wetting == PLANE:
-        coarse = WettedRegion(region.curves, PLANE, max(region.grid_n // 2, 32), bbox=region.bbox)
-    else:
-        coarse = WettedRegion(
-            region.curves,
-            SPHERE,
-            sphere_level=max(region.sphere_level - 1, 2),
-            reference_winding_override=region.reference_winding_override,
-        )
-    return val, abs(val - eta_integral(coarse, f))
-
-
 def total_boundary_measure(surface: SampledSurface) -> float:
     """Total mass of the generalized boundary measure: the boundary length."""
     return surface.boundary_length()
@@ -760,10 +705,9 @@ def wetted_region(
 # close; outside the band the antialiased value would equal the integer
 # one.  Each edge visits only the grid window around it, so finding the
 # band costs the curve length, not nodes times curve points.  On the
-# sphere each band face is tested against the refined edges near it, as a
-# flat list of (face, edge) pairs, in blocks of fixed size with integer
-# accumulation, so the temporaries are set by the block size and not by the
-# level or the longest edge list; only per-face arrays grow with the band.
+# sphere the band faces are subdivided and every subcell center is counted
+# directly, in blocks of fixed size, so the temporaries are set by the
+# block size and not by the level; only per-face arrays grow with the band.
 
 
 def _near_curve(
@@ -871,42 +815,18 @@ def _aa_plane(
     return np.sum(w.reshape(len(cells), sub * sub), axis=1) / (sub * sub)
 
 
-def _local_crossing_delta(
-    p0: np.ndarray, p1: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> np.ndarray:
-    """Signed crossing of the straight 2d path p0 -> p1 with the edge (a, b).
-
-    Arrays broadcast together; the winding at p1 exceeds the winding at p0
-    by the sum of the returned values over all edges.
-    """
-
-    def orient(p, q, r):
-        return (q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1]) - (
-            q[..., 1] - p[..., 1]
-        ) * (r[..., 0] - p[..., 0])
-
-    s1 = orient(p0, p1, a)
-    s2 = orient(p0, p1, b)
-    s3 = orient(a, b, p0)
-    s4 = orient(a, b, p1)
-    proper = (s1 * s2 < 0) & (s3 * s4 < 0)
-    return np.where(proper, np.where(s4 > 0, 1, -1), 0)
-
-
 def _aa_sphere(
     points_loops: Sequence[np.ndarray],
     ref: np.ndarray,
     ref_wind: int,
-    nodes: np.ndarray,
     corners: np.ndarray,
 ) -> np.ndarray:
     """Antialiased winding replacement values for sphere faces near a curve.
 
-    ``nodes`` (c, 3) are the face centroids and ``corners`` (c, 3, 3) the
-    face vertices; each face is split into ``4**_SUB_DEPTH`` subcells.
-    Exact refined-polygon winding is evaluated at the face nodes, then
-    carried to subcell centers by local crossing counts, and averaged with
-    exact spherical subcell areas.
+    ``corners`` (c, 3, 3) are the face vertices; each face is split into
+    ``4**_SUB_DEPTH`` subcells.  The winding at every subcell center is the
+    crossing count of the projected refined polygons, and the face value is
+    its average weighted by the exact spherical subcell areas.
     """
     from .quadrature import barycentric_subtriangles, spherical_triangle_areas
 
@@ -917,32 +837,6 @@ def _aa_sphere(
     centers /= np.linalg.norm(centers, axis=-1, keepdims=True)
 
     polys = [_stereographic(p, None, ref)[0] for p in points_loops]
-    qnode, _ = _stereographic(nodes, None, ref)
-    w_node = _winding_crossings(polys, qnode) + ref_wind
-    m = centers.shape[1]
     qsub, _ = _stereographic(centers.reshape(-1, 3), None, ref)
-    qsub = qsub.reshape(len(nodes), m, 2)
-
-    # paths node -> subcenter are shorter than a face diameter, so only the
-    # refined edges starting within reach of the node can be crossed
-    all_a = np.concatenate([np.asarray(p) for p in points_loops])
-    all_b = np.concatenate([np.roll(np.asarray(p), -1, axis=0) for p in points_loops])
-    pa = np.concatenate(polys)
-    pb = np.concatenate([np.roll(q, -1, axis=0) for q in polys])
-    seglen = float(np.max(np.linalg.norm(all_b - all_a, axis=1)))
-    face_diam = float(np.max(np.linalg.norm(corners - nodes[:, None, :], axis=2)))
-    reach = 2.0 * face_diam + 2.0 * seglen
-    delta = np.zeros((len(nodes), m), dtype=np.int64)
-    # blocks of at most _CHUNK * m face-edge distances or path-edge tests
-    step = max(_CHUNK * m // len(all_a), 1)
-    for lo in range(0, len(nodes), step):
-        d = np.linalg.norm(nodes[lo : lo + step, None, :] - all_a[None, :, :], axis=2)
-        cell, edge = np.nonzero(d <= reach)
-        cell += lo
-        for q in range(0, len(cell), _CHUNK):
-            c, e = cell[q : q + _CHUNK], edge[q : q + _CHUNK]
-            hits = _local_crossing_delta(qnode[c, None, :], qsub[c], pa[e, None, :], pb[e, None, :])
-            first = np.flatnonzero(np.r_[True, c[1:] != c[:-1]])
-            delta[c[first]] += np.add.reduceat(hits, first, axis=0)
-    w_sub = w_node[:, None] + delta
+    w_sub = _winding_at(polys, qsub).reshape(areas.shape) + ref_wind
     return np.sum(areas * w_sub, axis=1) / np.sum(areas, axis=1)

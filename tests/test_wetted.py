@@ -11,7 +11,6 @@ from capmono.wetted import (
     WettedRegion,
     curve_from_boundary,
     eta_integral,
-    eta_integral_with_error,
     oriented_area,
     rotation_index,
     spherical_winding_number,
@@ -103,6 +102,30 @@ def test_winding_matches_ray_casting(rng):
             assert w == ray_cast_winding(poly, probe)
 
 
+@pytest.mark.parametrize("chunk", [None, 3])
+def test_scattered_winding_matches_ray_casting(rng, monkeypatch, chunk):
+    # the scanline kernel with one row per probe, on random and disjoint
+    # polygons; probes sit at vertex heights and share heights, one edge is
+    # horizontal, and with _CHUNK = 3 the probes split into many blocks
+    from capmono import wetted
+
+    if chunk is not None:
+        monkeypatch.setattr(wetted, "_CHUNK", chunk)
+    polygons = [[rng.uniform(-1, 1, (int(rng.integers(3, 12)), 2))] for _ in range(20)]
+    flat = np.array([[-0.6, 0.2], [0.5, 0.2], [0.1, 0.9], [-0.3, -0.4]])
+    polygons.append([flat])
+    polygons.append([flat - 1.5, rng.uniform(0.5, 1.5, (7, 2)), 0.3 * flat + [1.5, -1.0]])
+    for polys in polygons:
+        verts = np.concatenate(polys)
+        probes = rng.uniform(-2.0, 2.0, (200, 2))
+        probes[:40, 1] = rng.choice(verts[:, 1], 40)
+        probes[40:80, 1] = probes[40, 1]
+        got = wetted._winding_at(polys, probes)
+        assert got.dtype == np.int64
+        for w, probe in zip(got, probes):
+            assert w == sum(ray_cast_winding(p, probe) for p in polys)
+
+
 def test_oriented_area_examples():
     assert oriented_area(circle()) == pytest.approx(np.pi, abs=1e-6)
     assert oriented_area(circle(ccw=False)) == pytest.approx(-np.pi, abs=1e-6)
@@ -125,15 +148,13 @@ def test_eta_integral_unit_circle():
         return 1.0 / (p[:, 0] ** 2 + p[:, 1] ** 2 + 1.0) ** 2
 
     assert eta_integral(region, f) == pytest.approx(np.pi / 2, abs=1e-3)
-    val, err = eta_integral_with_error(region, f)
-    assert abs(val - np.pi / 2) < max(10 * err, 1e-3)
 
 
 def test_eta_matches_oriented_area_on_figure_eight():
     curve = figure_eight()
     region = WettedRegion((curve,), "plane", grid_n=512)
     assert eta_integral(region) == pytest.approx(oriented_area(curve), abs=2e-4)
-    assert region.min_winding() == -1
+    assert np.min(region.grid()[2]) == -1
 
 
 def test_eta_additive_over_disjoint_curves():
@@ -154,6 +175,10 @@ def test_spherical_winding_cap(stock):
     surface, region = stock.disk(np.pi / 3)
     assert spherical_winding_number(region, [0, 0, 1]) == 1
     assert spherical_winding_number(region, [0, 0, -1]) == 0
+    coarse = wetted_region(surface, sphere_level=3)
+    for sample in (surface.boundary_points[0], surface.boundary_points[17]):
+        with pytest.raises(UndefinedWindingError):
+            spherical_winding_number(coarse, sample)
     curve = curve_from_boundary(surface)
     assert rotation_index(curve, "sphere") == 1
 
@@ -427,10 +452,27 @@ def _reference_aa_plane(polys, cells, xs, ys, sub=8):
     return acc / (sub * sub)
 
 
+def _reference_crossings(polys, probes):
+    """Integer winding at scattered probes: every probe against every edge,
+    signed by which side of the edge the probe lies on."""
+    out = np.zeros(len(probes), dtype=np.int64)
+    for poly in polys:
+        a, b = poly[None], np.roll(poly, -1, axis=0)[None]
+        for lo in range(0, len(probes), 256):
+            px, py = probes[lo : lo + 256, 0, None], probes[lo : lo + 256, 1, None]
+            is_left = (b[..., 0] - a[..., 0]) * (py - a[..., 1]) - (px - a[..., 0]) * (b[..., 1] - a[..., 1])
+            up = (a[..., 1] <= py) & (b[..., 1] > py) & (is_left > 0)
+            dn = (b[..., 1] <= py) & (a[..., 1] > py) & (is_left < 0)
+            out[lo : lo + 256] += np.sum(up, axis=1) - np.sum(dn, axis=1)
+    return out
+
+
 def _reference_aa_sphere(region, cells, nodes, verts, faces):
-    """Subcell averages with every band face padded to the longest edge list."""
+    """Subcell averages: the winding at each face centroid, carried to the
+    subcell centers by the path crossings of the refined edges near the
+    face, with every band face padded to the longest edge list."""
     from capmono.quadrature import barycentric_subtriangles, spherical_triangle_areas
-    from capmono.wetted import _stereographic, _winding_crossings
+    from capmono.wetted import _stereographic
 
     def orient(p, q, r):
         return (q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1]) - (q[..., 1] - p[..., 1]) * (
@@ -441,7 +483,7 @@ def _reference_aa_sphere(region, cells, nodes, verts, faces):
     loops = region._refined_points()
     polys = [_stereographic(p, None, ref)[0] for p in loops]
     qnode, _ = _stereographic(nodes[cells], None, ref)
-    w_node = _winding_crossings(polys, qnode) + region.reference_winding
+    w_node = _reference_crossings(polys, qnode) + region.reference_winding
     corners = verts[faces[cells]]
     sc = np.einsum("mkb,cbx->cmkx", barycentric_subtriangles(3), corners)
     sc /= np.linalg.norm(sc, axis=-1, keepdims=True)
@@ -478,8 +520,10 @@ def _reference_aa_sphere(region, cells, nodes, verts, faces):
 def _reference_grid(region):
     """WettedRegion.grid() by the direct kernels: the curve band from distances
     of all nodes to all curve samples (reach 0.75 sqrt(cell) on the plane),
-    one scanline per row, and sphere faces padded to the longest edge list."""
+    one scanline per row, and on the sphere dense crossing counts with band
+    faces padded to the longest edge list."""
     from capmono.quadrature import plane_grid, sphere_mesh
+    from capmono.wetted import _stereographic
 
     if region.wetting == "plane":
         nodes, cell, xs, ys = plane_grid(region._plane_bbox(), region.grid_n)
@@ -492,7 +536,12 @@ def _reference_grid(region):
             wind_aa[cells] = _reference_aa_plane(polys, cells, xs, ys)
     else:
         verts, faces, nodes, cellw = sphere_mesh(region.sphere_level)
-        wind = region._sphere_wind(nodes)
+        # node windings of the coarse sample polygon, every probe against every edge
+        ref = region.reference_point()
+        far = nodes @ ref <= 1.0 - 1e-9
+        polys = [_stereographic(c.points, None, ref)[0] for c in region.curves]
+        wind = np.full(len(nodes), region.reference_winding, dtype=np.int64)
+        wind[far] += _reference_crossings(polys, _stereographic(nodes[far], None, ref)[0])
         wind_aa = wind.astype(float)
         cells = _reference_near_curve(region.curves, nodes, 1.1 * float(np.sqrt(np.max(cellw))))
         if len(cells):
