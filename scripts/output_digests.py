@@ -7,9 +7,12 @@ the ``capmono`` command line of this checkout, and prints one digest per
 output file (surface.tsv, boundary.tsv, curve.tsv, energy.json,
 profile_*.csv) and per command stdout, with each command's exit code.
 With ``--threads N`` it also reruns monotonicity with N threads and digests
-those profiles and that stdout.  The output directory is replaced by
-``OUT`` in stdout before hashing, so two checkouts can be compared by
-diffing what this prints in each:
+those profiles and that stdout.  It then builds the wetted grid of the
+generated surface in this process, at the resolutions in ``GRIDS``, and
+digests each of the four ``WettedRegion.grid()`` arrays (nodes, cell
+weights, integer and antialiased winding) with its dtype and shape.  The
+output directory is replaced by ``OUT`` in stdout before hashing, so two
+checkouts can be compared by diffing what this prints in each:
 
     python3 scripts/output_digests.py --seed 1 --threads 2 > digests.txt
 """
@@ -26,13 +29,20 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "src"))
 
+import numpy as np  # noqa: E402
+from capmono import tables  # noqa: E402
+from capmono.wetted import wetted_region  # noqa: E402
 from checks import digests  # noqa: E402
 from workloads import WORKLOADS, config_text  # noqa: E402
 
 COMMANDS = ("generate", "energy", "monotonicity", "identity-suite")
 # outputs the benchmark's own digests (surface, energy report, profiles) leave out
 EXTRA_OUTPUTS = ("boundary.tsv", "curve.tsv")
+# wetted grids digested per workload: sphere levels on the ball, grid sizes on the plane
+GRIDS = {"ball-cap": ("sphere_level", (5, 6, 7)), "halfspace-cap": ("grid_n", (512,))}
+GRID_ARRAYS = ("nodes", "cellw", "wind", "wind_aa")
 
 
 def digest(data: bytes) -> str:
@@ -72,6 +82,20 @@ def workload_digests(name: str, seed: int, threads: int, work: Path) -> list[str
         lines.append(f"exit {code}  {tag}/monotonicity")
         lines.append(f"{digest(stdout)}  {tag}/monotonicity.stdout")
         lines += [f"{sha}  {tag}/{file}" for file, sha in digests(out).items() if file.startswith("profile_")]
+    return lines + grid_digests(name, out)
+
+
+def grid_digests(name: str, out: Path) -> list[str]:
+    if name not in GRIDS:
+        return []
+    surface = tables.load_surface(out / "surface.tsv", out / "boundary.tsv")
+    key, values = GRIDS[name]
+    lines = []
+    for value in values:
+        for label, arr in zip(GRID_ARRAYS, wetted_region(surface, **{key: value}).grid()):
+            arr = np.ascontiguousarray(arr)
+            tag = f"{name}/grid-{key}-{value}/{label}"
+            lines.append(f"{digest(arr.tobytes())}  {tag} {arr.dtype.str} {arr.shape}")
     return lines
 
 

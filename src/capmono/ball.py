@@ -16,7 +16,7 @@ does not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Mapping, Optional
 import warnings
 
 import numpy as np
@@ -27,7 +27,6 @@ from .geometry import BALL, companion
 from .identity import (
     PairTerms,
     assemble,
-    mu_arrays,
     nudge_off_samples,
     probe_state,
     profile_residual,
@@ -97,7 +96,7 @@ class _BallTerms(PairTerms):
             d2 = np.sum((nodes - xi) ** 2, axis=1)
             self.eta_hat = BallRestrictedEta(region, xi, {"proj": _projection(nodes, xi), "dist2": d2})
 
-    def hat_arrays(self, shared: dict) -> dict:
+    def hat_arrays(self, shared: Mapping) -> dict:
         """Inversion weights: |x|^2, x and (x.nu)^2 terms, bare and times H.x."""
         pts, nu, w = self.surface.points, self.surface.normals, self.surface.weights
         hxw = shared["hx"]
@@ -226,7 +225,7 @@ class _OriginTerms:
         self.surface = surface
         origin = np.zeros(3)
         self.prefix = RadialPrefix(
-            surface.points, origin, {**mu_arrays(surface), "sq": square_weights(surface, origin)}
+            surface.points, origin, {**surface.mu_arrays, "sq": square_weights(surface, origin)}
         )
 
     def window(self, r):

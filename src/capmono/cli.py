@@ -151,8 +151,8 @@ def cmd_monotonicity(cfg: RunConfig, out: Path) -> int:
         return _probe_checks(mono, surface, region, probe, grid, pairs)
 
     if cfg.threads > 1:
-        # build the grid (and the sphere subcell store) before the fan-out,
-        # so workers share one region instead of each building its own
+        # build the grid before the fan-out, so workers share one region
+        # instead of each building its own
         region.grid()
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             results = list(pool.map(one, probes))

@@ -15,6 +15,8 @@ deficit terms.
 
 from __future__ import annotations
 
+from typing import Mapping
+
 import numpy as np
 
 from .geometry import companion
@@ -61,21 +63,6 @@ def square_weights(surface: SampledSurface, center) -> np.ndarray:
     r2 = np.sum(rel * rel, axis=1)
     perp = np.sum(rel * nu, axis=1)
     return np.sum((0.25 * h + (perp / r2)[:, None] * nu) ** 2, axis=1) * surface.weights
-
-
-def mu_arrays(surface: SampledSurface) -> dict:
-    """Weighted sample quantities every radial pair restricts to balls.
-
-    Area, |H|^2, H.x and H, each times the area weight; the square
-    integrand, which depends on the center, is added per prefix.
-    """
-    w, h = surface.weights, surface.mean_curvature
-    return {
-        "mass": w,
-        "h2": np.sum(h * h, axis=1) * w,
-        "hx": np.sum(h * surface.points, axis=1) * w,
-        "h": h * w[:, None],
-    }
 
 
 def profile_residual(big_g: np.ndarray, sq: np.ndarray, dfc: np.ndarray) -> np.ndarray:
@@ -127,12 +114,12 @@ class PairTerms:
         self.theta = surface.theta
         self.x0 = np.asarray(x0, dtype=float)
         self.x0_hat, self.divisor = companion(self.x0, surface.ambient)
-        shared = mu_arrays(surface)
+        shared = surface.mu_arrays
         self.mu = prefix(surface.points, self.x0, {**shared, "sq": square_weights(surface, self.x0)})
         hat = {**shared, "sq": square_weights(surface, self.x0_hat), **self.hat_arrays(shared)}
         self.mu_hat = prefix(surface.points, self.x0_hat, hat)
 
-    def hat_arrays(self, shared: dict) -> dict:
+    def hat_arrays(self, shared: Mapping) -> dict:
         """Ambient-specific keys of the companion prefix (none by default)."""
         return {}
 

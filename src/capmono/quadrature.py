@@ -57,28 +57,30 @@ def _icosahedron() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _subdivide(verts: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Split every triangle into four; midpoints are shared through a cache.
-    cache: dict[tuple[int, int], int] = {}
-    verts_list = list(verts)
+    """Split every triangle into four at its normalized edge midpoints.
 
-    def midpoint(i: int, j: int) -> int:
-        key = (min(i, j), max(i, j))
-        idx = cache.get(key)
-        if idx is None:
-            m = verts_list[i] + verts_list[j]
-            m /= np.linalg.norm(m)
-            idx = len(verts_list)
-            verts_list.append(m)
-            cache[key] = idx
-        return idx
-
-    new_faces = np.empty((4 * len(faces), 3), dtype=np.int64)
-    for k, (a, b, c) in enumerate(faces):
-        ab = midpoint(a, b)
-        bc = midpoint(b, c)
-        ca = midpoint(c, a)
-        new_faces[4 * k : 4 * k + 4] = [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-    return np.array(verts_list), new_faces
+    Face k becomes faces 4k..4k+3: (a, ab, ca), (b, bc, ab), (c, ca, bc) and
+    (ab, bc, ca).  Each edge gets one shared midpoint, numbered after the
+    old vertices in the order the edges first occur when the faces are read
+    in order and each face as ab, bc, ca.
+    """
+    n = len(verts)
+    ends = np.stack([faces, np.roll(faces, -1, axis=1)], axis=-1).reshape(-1, 2)
+    keys = np.min(ends, axis=1) * n + np.max(ends, axis=1)
+    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    ab, bc, ca = (n + rank[inv.ravel()]).reshape(-1, 3).T
+    i, j = ends[first[order]].T
+    m = verts[i] + verts[j]
+    # a batched dot per row rounds as the 1-d norm of each midpoint does;
+    # np.linalg.norm(m, axis=1) sums the squares differently and can differ
+    # from it in the last bit
+    m /= np.sqrt(m[:, None, :] @ m[:, :, None])[:, 0]
+    a, b, c = faces.T
+    new_faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
+    return np.concatenate([verts, m]), new_faces
 
 
 def spherical_triangle_areas(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -96,12 +98,19 @@ def spherical_triangle_areas(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.
     return 4.0 * np.arctan(np.sqrt(np.maximum(t, 0.0)))
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=None)
 def sphere_mesh(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Subdivided icosahedron: vertices, faces, face centroids and areas."""
-    verts, faces = _icosahedron()
-    for _ in range(level):
-        verts, faces = _subdivide(verts, faces)
+    """Subdivided icosahedron: vertices, faces, face centroids and areas.
+
+    Level l is built from level l - 1, so every coarser level is cached
+    with it; the children of face k are faces 4k..4k+3 of the next level.
+    """
+    if level < 0:
+        raise ValueError(f"sphere level must be non-negative, got {level}")
+    if level == 0:
+        verts, faces = _icosahedron()
+    else:
+        verts, faces = _subdivide(*sphere_mesh(level - 1)[:2])
     a, b, c = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
     centroids = a + b + c
     centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)

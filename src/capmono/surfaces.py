@@ -16,7 +16,9 @@ ball); :func:`perturb_chart` produces controlled non-equality test cases.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from functools import cached_property
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -117,6 +119,26 @@ class SampledSurface:
     @property
     def theta(self) -> float:
         return self.ambient.theta
+
+    @cached_property
+    def mu_arrays(self) -> Mapping[str, np.ndarray]:
+        """Weighted sample quantities every radial pair restricts to balls.
+
+        Area, |H|^2, H.x and H, each times the area weight.  They do not
+        depend on the base point, so they are computed on first use and
+        shared by every probe of this surface; the mapping and its arrays
+        are read-only.
+        """
+        w, h = self.weights, self.mean_curvature
+        arrays = {
+            "mass": w.view(),
+            "h2": np.sum(h * h, axis=1) * w,
+            "hx": np.sum(h * self.points, axis=1) * w,
+            "h": h * w[:, None],
+        }
+        for arr in arrays.values():
+            arr.flags.writeable = False
+        return MappingProxyType(arrays)
 
     # -- consistency --------------------------------------------------------
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -319,7 +320,11 @@ def _validated(cfg: RunConfig) -> RunConfig:
         (min(cfg.nu, cfg.nv) < 8, "nu and nv must be at least 8"),
         (not 8 <= cfg.plane_grid <= MAX_PLANE_GRID, f"plane_grid must lie in [8, {MAX_PLANE_GRID}]"),
         (not 0 <= cfg.sphere_level <= MAX_SPHERE_LEVEL, f"sphere_level must lie in [0, {MAX_SPHERE_LEVEL}]"),
-        (not 0.0 < cfg.r_min < cfg.r_max, "need 0 < r_min < r_max"),
+        # a subnormal r_min overflows 1/r in the radius windows
+        (
+            not sys.float_info.min <= cfg.r_min < cfg.r_max,
+            f"need r_min < r_max, with r_min at least {sys.float_info.min!r}",
+        ),
         (cfg.r_count < 2, "r_count must be at least 2"),
         (not all(0.0 < sigma < rho for sigma, rho in cfg.pairs), "every pair needs 0 < sigma < rho"),
         (not cfg.tolerance > 0.0, f"tolerance must be positive, got {cfg.tolerance!r}"),

@@ -414,7 +414,7 @@ class WettedRegion:
                 wind = _winding_scanline(polys, ys, rows, np.repeat(xs, len(ys)))
                 wind_aa = wind.astype(float)
                 reach = 0.5 * np.hypot(xs[1] - xs[0], ys[1] - ys[0])
-                cells = _near_curve(polys, nodes, reach, axes=(xs, ys))
+                cells = _near_curve(polys, reach, axes=(xs, ys))
                 if len(cells):
                     wind_aa[cells] = _aa_plane(polys, cells, xs, ys)
             else:
@@ -422,7 +422,7 @@ class WettedRegion:
                 wind = self._sphere_wind(nodes)
                 wind_aa = wind.astype(float)
                 band = 1.1 * float(np.sqrt(np.max(cellw)))
-                cells = _near_curve([c.points for c in self.curves], nodes, band)
+                cells = _near_curve([c.points for c in self.curves], band, level=self.sphere_level)
                 if len(cells):
                     # sphere nodes are face centroids, so cells index faces;
                     # only these band faces are subdivided
@@ -705,46 +705,74 @@ def wetted_region(
 # close; outside the band the antialiased value would equal the integer
 # one.  Each edge visits only the grid window around it, so finding the
 # band costs the curve length, not nodes times curve points.  On the
-# sphere the band faces are subdivided and every subcell center is counted
-# directly, in blocks of fixed size, so the temporaries are set by the
-# block size and not by the level; only per-face arrays grow with the band.
+# sphere the band is found by descending the icosphere hierarchy, so it
+# costs the band, not the faces.  The band faces are subdivided and every
+# subcell center is counted directly, in blocks of fixed size, so the
+# temporaries are set by the block size and not by the level; only
+# per-face arrays grow with the band.
 
 
 def _near_curve(
     loops: Sequence[np.ndarray],
-    nodes: np.ndarray,
     band: float,
     axes: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    level: Optional[int] = None,
 ) -> np.ndarray:
     """Indices of grid nodes within band of any curve loop.
 
     With ``axes = (xs, ys)`` the nodes form the plane grid of those axes and
     the loops are closed polygons: each edge is walked through the window of
     grid indices around it and the nodes within band of the edge segment
-    are kept.  Without axes (the sphere) the nodes within band of the loops'
-    sample points are kept, via a coarse-to-fine filter.
+    are kept.  With ``level`` the nodes are the face centroids of
+    ``sphere_mesh(level)`` and the nodes within band of the loops' sample
+    points are kept: each loop descends the icosphere hierarchy to the band
+    (see ``_near_samples``).
     """
     if axes is not None:
         return _near_segments(loops, band, *axes)
-    keep = np.zeros(len(nodes), dtype=bool)
-    for p in loops:
-        step = max(len(p) // 128, 1)
-        coarse = p[::step]
-        gap = float(np.max(np.linalg.norm(np.roll(p, -step, axis=0) - p, axis=1)))
-        mind = np.full(len(nodes), np.inf)
-        for lo in range(0, len(nodes), _CHUNK):
-            d = np.linalg.norm(nodes[lo : lo + _CHUNK, None, :] - coarse[None, :, :], axis=2)
-            mind[lo : lo + _CHUNK] = d.min(axis=1)
-        cand = np.flatnonzero(mind <= band + gap)
-        if len(cand) and step > 1:
-            mind2 = np.full(len(cand), np.inf)
-            for lo in range(0, len(cand), _CHUNK):
-                d = np.linalg.norm(nodes[cand[lo : lo + _CHUNK], None, :] - p[None, :, :], axis=2)
-                mind2[lo : lo + _CHUNK] = d.min(axis=1)
-            seglen = float(np.max(np.linalg.norm(np.roll(p, -1, axis=0) - p, axis=1)))
-            cand = cand[mind2 <= band + seglen]
-        keep[cand] = True
-    return np.flatnonzero(keep)
+    return np.unique(np.concatenate([_near_samples(p, band, level) for p in loops]))
+
+
+def _nearest_sample(q: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """Distance of each point of q to the nearest of the samples."""
+    out = np.empty(len(q))
+    for lo in range(0, len(q), _CHUNK):
+        d = np.linalg.norm(q[lo : lo + _CHUNK, None, :] - samples[None, :, :], axis=2)
+        out[lo : lo + _CHUNK] = d.min(axis=1)
+    return out
+
+
+def _near_samples(p: np.ndarray, band: float, level: int) -> np.ndarray:
+    """Faces of ``sphere_mesh(level)`` whose centroid lies within band of the samples p.
+
+    The test at the level itself is coarse to fine: centroids within
+    ``band + gap`` of every ``step``-th sample (gap the longest chord
+    between those), then within ``band + seglen`` of all samples.  Only
+    the descendants of coarser faces that may hold such a centroid reach
+    it: the children of face k are faces 4k..4k+3 of the next level, every
+    descendant centroid lies in its ancestor's spherical triangle, and on
+    that small geodesically convex triangle the distance from the
+    ancestor's centroid is largest at a corner.  So a face is dropped only
+    when its centroid lies farther than ``band + gap + reach`` from every
+    coarse sample, with ``reach`` its centroid's largest distance to its
+    own corners.
+    """
+    step = max(len(p) // 128, 1)
+    coarse = p[::step]
+    gap = float(np.max(np.linalg.norm(np.roll(p, -step, axis=0) - p, axis=1)))
+    cand = np.arange(20)
+    for lvl in range(level):
+        verts, faces, centroids, _ = sphere_mesh(lvl)
+        reach = np.max(np.linalg.norm(verts[faces[cand]] - centroids[cand, None, :], axis=2), axis=1)
+        # the slack covers the rounding of the two distances compared
+        near = _nearest_sample(centroids[cand], coarse) <= band + gap + reach + 1e-12
+        cand = (4 * cand[near, None] + np.arange(4)).ravel()
+    nodes = sphere_mesh(level)[2]
+    cand = cand[_nearest_sample(nodes[cand], coarse) <= band + gap]
+    if len(cand) and step > 1:
+        seglen = float(np.max(np.linalg.norm(np.roll(p, -1, axis=0) - p, axis=1)))
+        cand = cand[_nearest_sample(nodes[cand], p) <= band + seglen]
+    return cand
 
 
 def _axis_window(lo: np.ndarray, hi: np.ndarray, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -826,17 +854,22 @@ def _aa_sphere(
     ``corners`` (c, 3, 3) are the face vertices; each face is split into
     ``4**_SUB_DEPTH`` subcells.  The winding at every subcell center is the
     crossing count of the projected refined polygons, and the face value is
-    its average weighted by the exact spherical subcell areas.
+    its average weighted by the exact spherical subcell areas.  Faces go in
+    blocks of ``_CHUNK``, so the subcell temporaries stay bounded however
+    wide the band is.
     """
     from .quadrature import barycentric_subtriangles, spherical_triangle_areas
 
-    sc = np.einsum("mkb,cbx->cmkx", barycentric_subtriangles(_SUB_DEPTH), corners)
-    sc /= np.linalg.norm(sc, axis=-1, keepdims=True)
-    areas = spherical_triangle_areas(sc[:, :, 0, :], sc[:, :, 1, :], sc[:, :, 2, :])
-    centers = sc.sum(axis=2)
-    centers /= np.linalg.norm(centers, axis=-1, keepdims=True)
-
+    bary = barycentric_subtriangles(_SUB_DEPTH)
     polys = [_stereographic(p, None, ref)[0] for p in points_loops]
-    qsub, _ = _stereographic(centers.reshape(-1, 3), None, ref)
-    w_sub = _winding_at(polys, qsub).reshape(areas.shape) + ref_wind
-    return np.sum(areas * w_sub, axis=1) / np.sum(areas, axis=1)
+    out = np.empty(len(corners))
+    for lo in range(0, len(corners), _CHUNK):
+        sc = np.einsum("mkb,cbx->cmkx", bary, corners[lo : lo + _CHUNK])
+        sc /= np.linalg.norm(sc, axis=-1, keepdims=True)
+        areas = spherical_triangle_areas(sc[:, :, 0, :], sc[:, :, 1, :], sc[:, :, 2, :])
+        centers = sc.sum(axis=2)
+        centers /= np.linalg.norm(centers, axis=-1, keepdims=True)
+        qsub, _ = _stereographic(centers.reshape(-1, 3), None, ref)
+        w_sub = _winding_at(polys, qsub).reshape(areas.shape) + ref_wind
+        out[lo : lo + _CHUNK] = np.sum(areas * w_sub, axis=1) / np.sum(areas, axis=1)
+    return out

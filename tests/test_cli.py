@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capmono
-from capmono import halfspace, wetted
+from capmono import ball, halfspace, wetted
 from capmono.cli import main
 
 BASE = """[run]
@@ -165,8 +165,20 @@ def test_threads_build_the_grid_once(tmp_path, monkeypatch, ambient):
         return near_curve(*args, **kwargs)
 
     monkeypatch.setattr(wetted, "_near_curve", counting)
+    # and the weighted sample arrays are computed once, for every probe
+    mono = halfspace if ambient == "halfspace" else ball
+    h2 = []
+
+    class Recording(mono.RadialPrefix):
+        def __init__(self, points, center, arrays):
+            if "h2" in arrays:
+                h2.append(arrays["h2"])
+            super().__init__(points, center, arrays)
+
+    monkeypatch.setattr(mono, "RadialPrefix", Recording)
     assert main(["monotonicity", "--config", str(path), "--threads", "2"]) == code
     assert len(builds) == 1
+    assert len(h2) >= 2 and all(a is h2[0] for a in h2)
     assert {p.name: p.read_bytes() for p in sorted(out.glob("profile_*.csv"))} == serial
 
 
@@ -186,15 +198,20 @@ def test_nan_residual_fails_the_gate(cfg_path, monkeypatch, capsys, command):
     assert "nan" in capsys.readouterr().out
 
 
-def test_nan_profile_fails_the_gate(tmp_path, capsys):
-    # a subnormal r_min overflows the 1/r window terms, so the first profile
-    # rows are NaN while the two-radius residual stays small
-    text = _TINY.replace("OUT", str(tmp_path / "out")).replace("r_min = 0.3", "r_min = 1e-310")
+def test_nan_profile_fails_the_gate(tmp_path, monkeypatch, capsys):
+    # a NaN in the first profile row, while the two-radius residual stays small
     path = tmp_path / "run.cfg"
-    path.write_text(text)
+    path.write_text(_TINY.replace("OUT", str(tmp_path / "out")))
     assert main(["generate", "--config", str(path)]) == 0
-    with np.errstate(all="ignore"):
-        code = main(["monotonicity", "--config", str(path), "--tolerance", "0.01"])
+    real = halfspace.monotonicity_profile
+
+    def nan_profile(*args, **kwargs):
+        profile = real(*args, **kwargs)
+        profile.g[0] = float("nan")
+        return profile
+
+    monkeypatch.setattr(halfspace, "monotonicity_profile", nan_profile)
+    code = main(["monotonicity", "--config", str(path), "--tolerance", "0.01"])
     assert "nan" in (tmp_path / "out" / "profile_000.csv").read_text()
     assert code == 1
     out = capsys.readouterr().out
@@ -239,6 +256,7 @@ def _run_cli(args, env_extra=None):
         (("r_count = 16", "r_count = 1"), (), None),
         (("nu = 64", "nu = 4"), (), None),
         (("r_min = 0.3", "r_min = -1"), (), None),
+        (("r_min = 0.3", "r_min = 1e-310"), (), None),
         (("radius = 1", "radius = -1"), (), None),
         (("radius = 1", "radius = 0"), (), None),
         (("plane_grid = 256", "plane_grid = 4096"), (), None),
@@ -247,7 +265,7 @@ def _run_cli(args, env_extra=None):
         (None, (), {"CAPMONO_THREADS": "abc"}),
     ],
     ids=[
-        "pair-order", "r-count", "nu", "r-min", "radius-negative", "radius-zero", "plane-grid-max",
+        "pair-order", "r-count", "nu", "r-min", "r-min-subnormal", "radius-negative", "radius-zero", "plane-grid-max",
         "sphere-level-max", "threads-flag", "threads-env",
     ],
 )

@@ -9,6 +9,9 @@ import pytest
 from capmono import ball as bl
 from capmono import halfspace as hs
 from capmono.identity import nudge_off_samples
+from capmono.radial import RadialPrefix
+from capmono.surfaces import sample_chart, spherical_cap_ball, spherical_cap_halfspace
+from capmono.wetted import wetted_region
 
 PAIRS = ((0.4, 1.5), (0.5, 2.0))
 GRID = np.linspace(0.3, 2.5, 12)
@@ -81,3 +84,34 @@ def test_terms_of_another_probe_are_refused(stock, ambient):
     # the profile reports the probe the terms were built for, origin included
     profile = mono.monotonicity_profile(surface, region, list(x0), GRID, terms=terms)
     assert np.array_equal(profile.base_point, mono.monotonicity_profile(surface, region, x0, GRID).base_point)
+
+
+@pytest.mark.parametrize("ambient", ["halfspace", "ball"])
+def test_mu_arrays_computed_once_per_surface(monkeypatch, ambient):
+    # every prefix of every probe reads the surface's one set of weighted
+    # sample arrays, and the profiles equal those of a freshly sampled twin
+    if ambient == "halfspace":
+        mono, chart = hs, spherical_cap_halfspace(2 * np.pi / 3)
+        probes = [np.array([0.3, -0.2, 0.5]), np.array([-0.4, 0.1, 0.8]), np.array([0.1, 0.6, 0.3])]
+    else:
+        mono, chart = bl, spherical_cap_ball(2 * np.pi / 3, np.pi / 3)
+        probes = [np.array([0.2, 0.1, 0.4]), np.zeros(3), np.array([-0.1, 0.3, -0.2])]
+    surface = sample_chart(chart, 32, 64)
+    region = wetted_region(surface, grid_n=64, sphere_level=3)
+    seen = []
+
+    class Recording(RadialPrefix):
+        def __init__(self, points, center, arrays):
+            seen.append(arrays["h2"])
+            super().__init__(points, center, arrays)
+
+    monkeypatch.setattr(mono, "RadialPrefix", Recording)
+    profiles = [mono.monotonicity_profile(surface, region, x0, GRID) for x0 in probes]
+    assert len(seen) >= len(probes)
+    assert all(h2 is seen[0] for h2 in seen)
+    for x0, profile in zip(probes, profiles):
+        _assert_same_profile(profile, mono.monotonicity_profile(sample_chart(chart, 32, 64), region, x0, GRID))
+    with pytest.raises(ValueError):
+        surface.mu_arrays["h2"][0] = 0.0
+    with pytest.raises(TypeError):
+        surface.mu_arrays["h2"] = np.zeros(len(surface.points))

@@ -1,6 +1,7 @@
 """Quadrature building blocks."""
 
 import numpy as np
+import pytest
 
 from capmono.quadrature import (
     barycentric_subtriangles,
@@ -33,6 +34,51 @@ def test_sphere_rule_total_area():
         assert np.allclose(np.linalg.norm(pts, axis=1), 1.0)
         # centroid symmetry of the node cloud
         assert np.allclose(np.sum(pts * w[:, None], axis=0), 0.0, atol=1e-12)
+
+
+def _reference_subdivide(verts, faces):
+    """Split every triangle into four, one face at a time; midpoints are
+    shared through a cache and numbered as they are first met."""
+    cache = {}
+    verts_list = list(verts)
+
+    def midpoint(i, j):
+        key = (min(i, j), max(i, j))
+        idx = cache.get(key)
+        if idx is None:
+            m = verts_list[i] + verts_list[j]
+            m /= np.linalg.norm(m)
+            idx = len(verts_list)
+            verts_list.append(m)
+            cache[key] = idx
+        return idx
+
+    new_faces = np.empty((4 * len(faces), 3), dtype=np.int64)
+    for k, (a, b, c) in enumerate(faces):
+        ab = midpoint(a, b)
+        bc = midpoint(b, c)
+        ca = midpoint(c, a)
+        new_faces[4 * k : 4 * k + 4] = [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
+    return np.array(verts_list), new_faces
+
+
+@pytest.mark.parametrize("level", range(1, 8))
+def test_sphere_mesh_matches_reference_subdivision(level):
+    coarse_verts, coarse_faces, _, _ = sphere_mesh(level - 1)
+    verts, faces, centroids, weights = sphere_mesh(level)
+    ref_verts, ref_faces = _reference_subdivide(coarse_verts, coarse_faces)
+    assert verts.dtype == ref_verts.dtype and np.array_equal(verts, ref_verts)
+    assert faces.dtype == ref_faces.dtype and np.array_equal(faces, ref_faces)
+    # the children of face k are faces 4k..4k+3, and they share its corners
+    assert np.array_equal(faces[0::4, 0], coarse_faces[:, 0])
+    assert np.array_equal(faces[1::4, 0], coarse_faces[:, 1])
+    assert np.array_equal(faces[2::4, 0], coarse_faces[:, 2])
+    assert centroids.shape == faces.shape and weights.shape == (len(faces),)
+
+
+def test_sphere_mesh_rejects_negative_level():
+    with pytest.raises(ValueError):
+        sphere_mesh(-1)
 
 
 def test_sphere_rule_smooth_integrand():

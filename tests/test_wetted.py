@@ -594,6 +594,32 @@ def test_grid_matches_reference(stock, monkeypatch, case):
     assert np.isin(np.flatnonzero(wind_aa != wind), bands[0]).all()
 
 
+@pytest.mark.parametrize("level", range(3, 8))
+@pytest.mark.parametrize("case", ["capball", "disk"])
+def test_sphere_band_matches_flat_filter(stock, monkeypatch, case, level):
+    # the band found by descending the icosphere equals the filter over every
+    # face centroid, and the descent measures fewer rows than there are faces
+    from capmono import wetted
+    from capmono.quadrature import sphere_mesh
+
+    surface, _ = stock.capball(2 * np.pi / 3, np.pi / 3) if case == "capball" else stock.disk(np.pi / 3)
+    region = wetted_region(surface, sphere_level=level)
+    _, _, nodes, cellw = sphere_mesh(level)
+    band = 1.1 * float(np.sqrt(np.max(cellw)))
+    rows = []
+    nearest = wetted._nearest_sample
+
+    def counting(q, samples):
+        rows.append(len(q))
+        return nearest(q, samples)
+
+    monkeypatch.setattr(wetted, "_nearest_sample", counting)
+    got = wetted._near_curve([c.points for c in region.curves], band, level=level)
+    expect = _reference_near_curve(region.curves, nodes, band)
+    assert got.dtype == expect.dtype and np.array_equal(got, expect)
+    assert sum(rows) < len(nodes)
+
+
 @pytest.mark.parametrize("chunk", [3, 37, 100])
 def test_grid_independent_of_block_size(stock, monkeypatch, chunk):
     from capmono import wetted
