@@ -30,8 +30,8 @@ BOUNDARY_COLUMNS = "x1 x2 x3 t1 t2 t3 c1 c2 c3 arcweight kg kg_wetting"
 CURVE_COLUMNS = "x1 x2 x3 t1 t2 t3 weight"
 
 # the largest wetted grids whose single-threaded monotonicity run on the
-# benchmark configs peaks under 1 GB (827 MB at plane_grid 2048, 659 MB at
-# sphere_level 8); the next step up is about four times larger
+# benchmark configs peaks under 1 GB (796 MB at plane_grid 2048, 336 MB at
+# sphere_level 8); the next plane step is about four times larger
 MAX_PLANE_GRID = 2048
 MAX_SPHERE_LEVEL = 8
 
