@@ -7,7 +7,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -265,8 +264,8 @@ def _run_cli(args, env_extra=None):
         (None, (), {"CAPMONO_THREADS": "abc"}),
     ],
     ids=[
-        "pair-order", "r-count", "nu", "r-min", "r-min-subnormal", "radius-negative", "radius-zero", "plane-grid-max",
-        "sphere-level-max", "threads-flag", "threads-env",
+        "pair-order", "r-count", "nu", "r-min", "r-min-subnormal", "radius-negative", "radius-zero",
+        "plane-grid-max", "sphere-level-max", "threads-flag", "threads-env",
     ],
 )
 def test_bad_config_exits_2_without_traceback(tmp_path, edit, args, env):
