@@ -32,20 +32,15 @@ from .wetted import WettedRegion, curve_from_boundary, wetted_region
 
 _G = "%.12g"
 
-GENERATORS = ("cap", "flat-disk-ball", "cap-ball")
-
 
 def build_chart(cfg: RunConfig):
+    # validation admits only the generators of tables.GENERATOR_AMBIENT
     if cfg.generator == "cap":
         chart = spherical_cap_halfspace(cfg.theta, cfg.radius, (cfg.center_x, cfg.center_y))
     elif cfg.generator == "flat-disk-ball":
         chart = geodesic_disk_ball(cfg.theta)
-    elif cfg.generator == "cap-ball":
-        chart = spherical_cap_ball(cfg.theta, cfg.colatitude)
     else:
-        raise ConfigError(
-            f"unknown generator {cfg.generator!r}; expected one of {', '.join(GENERATORS)}"
-        )
+        chart = spherical_cap_ball(cfg.theta, cfg.colatitude)
     if cfg.amplitude != 0.0:
         chart = perturb_chart(chart, cfg.amplitude, cfg.mode)
     return chart

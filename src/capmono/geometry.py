@@ -43,10 +43,6 @@ class Ambient:
         if not (0.0 < self.theta < np.pi):
             raise GeometryError(f"contact angle must lie in (0, pi), got {self.theta}")
 
-    @property
-    def is_ball(self) -> bool:
-        return self.kind == BALL
-
 
 @dataclass(frozen=True)
 class Ball3:

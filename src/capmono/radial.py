@@ -12,6 +12,9 @@ prefix lookups provide in closed form; averaging over a window of a few
 local sample spacings removes the staircase at second order and commutes
 with every identity checked downstream (the identities hold at each
 radius, hence for radius averages).
+
+The wetted measure η is restricted by the same engine:
+``wetted.BallRestrictedEta`` is a ``RadialPrefix`` over the grid nodes.
 """
 
 from __future__ import annotations
@@ -20,26 +23,32 @@ import numpy as np
 
 
 class RadialPrefix:
-    """Prefix sums of weighted sample quantities by distance from a center."""
+    """Prefix sums of weighted sample quantities by distance from a center.
+
+    ``order`` sorts the samples by distance; ``dists`` and ``values`` are in
+    that order.  A key's plain prefix is built with the object, its f.d and
+    f/d prefixes (read by the two windows) on their first read.  An object
+    belongs to one probe and is never shared across worker threads, so the
+    lazily filled dict needs no lock.
+    """
 
     def __init__(self, points: np.ndarray, center, arrays: dict[str, np.ndarray]):
-        center = np.asarray(center, dtype=float)
-        d = np.linalg.norm(points - center, axis=1)
-        order = np.argsort(d, kind="stable")
-        self.dists = d[order]
+        self.center = np.asarray(center, dtype=float)
+        d = np.linalg.norm(points - self.center, axis=1)
+        self.order = np.argsort(d, kind="stable")
+        self.dists = d[self.order]
         self.n = len(self.dists)
-        inv_d = 1.0 / np.maximum(self.dists, 1e-12)
-        self._prefix = {}
-        self._prefix_d = {}
-        self._prefix_invd = {}
-        for key, arr in arrays.items():
-            arr = np.asarray(arr, dtype=float)[order]
-            zero = np.zeros((1,) + arr.shape[1:])
-            scale_d = self.dists if arr.ndim == 1 else self.dists[:, None]
-            scale_i = inv_d if arr.ndim == 1 else inv_d[:, None]
-            self._prefix[key] = np.concatenate([zero, np.cumsum(arr, axis=0)], axis=0)
-            self._prefix_d[key] = np.concatenate([zero, np.cumsum(arr * scale_d, axis=0)], axis=0)
-            self._prefix_invd[key] = np.concatenate([zero, np.cumsum(arr * scale_i, axis=0)], axis=0)
+        self.values = {key: np.asarray(arr, dtype=float)[self.order] for key, arr in arrays.items()}
+        self._prefix = {key: _prefix(arr) for key, arr in self.values.items()}
+        self._moments: dict = {}
+
+    def _moment(self, key: str, power: int) -> np.ndarray:
+        """Prefix of the key's values times d (power 1) or 1/d (power -1)."""
+        if (key, power) not in self._moments:
+            arr = self.values[key]
+            scale = self.dists if power > 0 else 1.0 / np.maximum(self.dists, 1e-12)
+            self._moments[key, power] = _prefix(arr * (scale if arr.ndim == 1 else scale[:, None]))
+        return self._moments[key, power]
 
     def cumulative(self, key: str, r) -> np.ndarray:
         """Sharp sum of the keyed quantity over samples with distance < r."""
@@ -60,7 +69,8 @@ class RadialPrefix:
         hi = np.searchsorted(self.dists, r + w, side="left")
         full = self._prefix[key][lo]
         band_f = self._prefix[key][hi] - self._prefix[key][lo]
-        band_fd = self._prefix_d[key][hi] - self._prefix_d[key][lo]
+        prefix_d = self._moment(key, 1)
+        band_fd = prefix_d[hi] - prefix_d[lo]
         scale = np.maximum(2.0 * w, 1e-300)
         if self._prefix[key].ndim == 1:
             return full + ((r + w) * band_f - band_fd) / scale
@@ -84,8 +94,9 @@ class RadialPrefix:
         hi = np.searchsorted(self.dists, hi_r, side="left")
         p_lo = self._prefix[key][lo]
         p_hi = self._prefix[key][hi]
-        pi_lo = self._prefix_invd[key][lo]
-        pi_hi = self._prefix_invd[key][hi]
+        prefix_invd = self._moment(key, -1)
+        pi_lo = prefix_invd[lo]
+        pi_hi = prefix_invd[hi]
         vec = self._prefix[key].ndim > 1
         inv_lo = (1.0 / lo_r)[..., None] if vec else 1.0 / lo_r
         inv_hi = (1.0 / hi_r)[..., None] if vec else 1.0 / hi_r
@@ -165,3 +176,7 @@ class RadialPrefix:
     def count(self, r) -> int:
         return int(np.searchsorted(self.dists, float(r), side="left"))
 
+
+def _prefix(arr: np.ndarray) -> np.ndarray:
+    """Running sums along the first axis, led by a zero row."""
+    return np.concatenate([np.zeros((1,) + arr.shape[1:]), np.cumsum(arr, axis=0)], axis=0)

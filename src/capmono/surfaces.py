@@ -329,9 +329,7 @@ def _boundary_rectangle(chart: ParametricChart, nb: int):
 # -- sampling ----------------------------------------------------------------
 
 
-def sample_chart(
-    chart: ParametricChart, nu: int, nv: int, rule: str = "gauss-legendre"
-) -> SampledSurface:
+def sample_chart(chart: ParametricChart, nu: int, nv: int) -> SampledSurface:
     """Sample a chart into a :class:`SampledSurface` on an nu x nv tensor rule.
 
     Area weights are sqrt(det g) times tensor Gauss-Legendre weights; normals
@@ -339,8 +337,6 @@ def sample_chart(
     central differences.  Boundary samples are taken along the domain boundary
     with arclength weights.
     """
-    if rule != "gauss-legendre":
-        raise ValueError(f"unknown quadrature rule {rule!r}")
     if nu < 8 or nv < 8:
         raise ValueError("need nu, nv >= 8")
     if chart.domain == POLAR:

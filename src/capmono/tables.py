@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import Ambient
+from .geometry import BALL, HALFSPACE, Ambient
 from .surfaces import SampledSurface
 from .wetted import OrientedCurve
 
@@ -34,6 +34,9 @@ CURVE_COLUMNS = "x1 x2 x3 t1 t2 t3 weight"
 # sphere_level 8); the next plane step is about four times larger
 MAX_PLANE_GRID = 2048
 MAX_SPHERE_LEVEL = 8
+
+# the ambient of the surface each generator builds
+GENERATOR_AMBIENT = {"cap": HALFSPACE, "flat-disk-ball": BALL, "cap-ball": BALL}
 
 
 def _save_table(path, header: list[str], rows: np.ndarray) -> None:
@@ -312,8 +315,11 @@ def _validated(cfg: RunConfig) -> RunConfig:
     numbers += [("pairs", v) for pair in cfg.pairs for v in pair]
     # a NaN tolerance would let every gate comparison through
     infinite = [name for name, v in numbers if not math.isfinite(v)]
+    builds = GENERATOR_AMBIENT.get(cfg.generator)
     problems = (
-        (cfg.ambient not in ("halfspace", "ball"), f"unknown ambient {cfg.ambient!r}"),
+        (cfg.ambient not in (HALFSPACE, BALL), f"unknown ambient {cfg.ambient!r}"),
+        (builds is None, f"unknown generator {cfg.generator!r}; expected one of {', '.join(GENERATOR_AMBIENT)}"),
+        (builds not in (None, cfg.ambient), f"generator {cfg.generator!r} needs ambient = {builds}"),
         (bool(infinite), f"{', '.join(infinite)} must be finite"),
         (not 0.0 < cfg.theta < math.pi, "theta must lie strictly inside (0, pi)"),
         (not cfg.radius > 0.0, f"radius must be positive, got {cfg.radius!r}"),

@@ -29,6 +29,8 @@ SPHERE = "sphere"
 _CHUNK = 4096
 # subdivision depth of the sphere band faces that the antialiasing supersamples
 _SUB_DEPTH = 3
+# Hermite midpoint insertions applied to the curve samples before gridding
+_CURVE_REFINE = 3
 
 
 @dataclass(frozen=True)
@@ -298,7 +300,6 @@ def spherical_winding_number(region: "WettedRegion", x) -> int:
         except GeometryError:
             if attempt == 7:
                 raise
-    raise GeometryError("unreachable")
 
 
 # -- wetted region --------------------------------------------------------------
@@ -312,7 +313,7 @@ class WettedRegion:
     grid over the inflated curve bounding box (plane) or a subdivided
     icosahedron (sphere).  On the sphere the winding offset is anchored by
     the orientation convention (the wetted side lies to the left of the
-    curve); ``reference_winding_override`` can pin it explicitly instead.
+    curve).
     """
 
     curves: tuple
@@ -320,8 +321,6 @@ class WettedRegion:
     grid_n: int = 512
     sphere_level: int = 6
     bbox: Optional[tuple] = None
-    reference_winding_override: Optional[int] = None
-    curve_refine: int = 3
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -362,8 +361,6 @@ class WettedRegion:
         the left of the first curve must land at winding one; the reference
         offset follows from its raw projected winding.
         """
-        if self.reference_winding_override is not None:
-            return self.reference_winding_override
         if "ref_wind" not in self._cache:
             c = self.curves[0]
             p, tau = c.points[0], c.tangents[0]
@@ -447,7 +444,7 @@ class WettedRegion:
         on_sphere = self.wetting == SPHERE
         for c in self.curves:
             p, t = c.points, c.tangents
-            for _ in range(self.curve_refine):
+            for _ in range(_CURVE_REFINE):
                 p1, t1 = np.roll(p, -1, axis=0), np.roll(t, -1, axis=0)
                 chord = np.linalg.norm(p1 - p, axis=1, keepdims=True)
                 mid = 0.5 * (p + p1) + chord * (t - t1) / 8.0
@@ -478,11 +475,10 @@ class WettedRegion:
 
     # -- integrals ---------------------------------------------------------------
 
-    def eta_nodes(self, antialias: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    def eta_nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """Grid nodes and their winding-weighted quadrature weights."""
-        nodes, cellw, wind, wind_aa = self.grid()
-        w = wind_aa if antialias else wind.astype(float)
-        return nodes, w * cellw
+        nodes, cellw, _, wind_aa = self.grid()
+        return nodes, wind_aa * cellw
 
 
 def _disk_corner_area(a: np.ndarray, b: np.ndarray, r: float) -> np.ndarray:
@@ -519,54 +515,45 @@ def _disk_cell_overlap(x: np.ndarray, y: np.ndarray, h: float, r: float) -> np.n
     )
 
 
-class BallRestrictedEta:
+class BallRestrictedEta(RadialPrefix):
     """Winding-measure integrals restricted to balls about a fixed center.
 
-    Radius windows are clipped to w <= 0.9 r on both wetting surfaces.
+    A ``RadialPrefix`` over the grid nodes, each weighted by
+    ``wind_aa * cellw`` times each key's array; radius windows are clipped
+    to w <= 0.9 r on both wetting surfaces.
 
-    On the sphere η is restricted as atoms: each face centroid carries the
-    weight ``wind_aa * cellw``, times each key's array, and the windows are
-    ``RadialPrefix``'s exact box averages, the rule the sample measure μ
-    uses.  Faces of zero weight are dropped before the sort, which is exact:
-    zero terms leave every prefix sum unchanged.  ``cumulative`` is the
-    sharp atomic sum.
+    On the sphere η is restricted as atoms, one per face centroid, with
+    ``RadialPrefix``'s sharp sums and exact box windows, the rules the
+    sample measure μ uses.  Faces of zero weight are dropped before the
+    sort, which is exact: zero terms leave every prefix sum unchanged.
+    ``band`` is None there.
 
-    On the plane nodes are sorted by distance once; sharp masses are prefix
-    sums, and cells straddling the ball boundary (a contiguous slice of the
-    sorted order) get their exact disk-overlap coverage fraction.  Radius
-    windows are evaluated by a short Gauss rule.  Per radius the object
-    keeps the band slice and the coverage correction ``frac - sharp``,
-    computed once and applied to every key.  Each ``cumulative`` call fills
-    the corrections of all its new radii together, over their concatenated
-    band slices in bounded groups; only the final weighted sum runs per
-    radius, so every radius is summed as on its own.
+    On the plane, cells within ``band`` of the ball boundary (a contiguous
+    slice of the sorted order) get their exact disk-overlap coverage
+    fraction, and radius windows are evaluated by a short Gauss rule.  Per
+    radius the object keeps the band slice and the coverage correction
+    ``frac - sharp``, computed once and applied to every key.  Each
+    ``cumulative`` call fills the corrections of all its new radii
+    together, over their concatenated band slices in bounded groups; only
+    the final weighted sum runs per radius, so every radius is summed as on
+    its own.
     """
 
     _GL5_X, _GL5_W = np.polynomial.legendre.leggauss(5)
 
     def __init__(self, region: WettedRegion, center, arrays: Optional[dict] = None):
-        self.region = region
-        self.center = np.asarray(center, dtype=float)
         nodes, cellw, _, wind_aa = region.grid()
-        self._atoms = None
+        weight = wind_aa * cellw
+        keyed = {"mass": weight}
+        keyed.update((key, np.asarray(v, dtype=float) * weight) for key, v in (arrays or {}).items())
+        self.band = None
         if region.wetting == SPHERE:
-            weight = wind_aa * cellw
             keep = weight != 0.0
-            base = weight[keep]
-            keyed = {key: np.asarray(v, dtype=float)[keep] * base for key, v in (arrays or {}).items()}
-            self._atoms = RadialPrefix(nodes[keep], self.center, {"mass": base, **keyed})
+            super().__init__(nodes[keep], center, {key: v[keep] for key, v in keyed.items()})
             return
-        dist = np.linalg.norm(nodes - self.center, axis=1)
-        order = np.argsort(dist, kind="stable")
-        self.dist = dist[order]
-        self.nodes = nodes[order]
-        base = (wind_aa * cellw)[order]
-        self.values = {"mass": base}
-        self.prefix = {"mass": np.concatenate([[0.0], np.cumsum(base)])}
-        for key, v in (arrays or {}).items():
-            arr = np.asarray(v, dtype=float)[order] * base
-            self.values[key] = arr
-            self.prefix[key] = np.concatenate([[0.0], np.cumsum(arr)])
+        # zero-weight plane cells stay: dropping them would regroup the band sums
+        super().__init__(nodes, center, keyed)
+        self._nodes = nodes
         self._corrections: dict = {}
         self._h = np.sqrt(float(cellw[0]))
         self.band = 0.71 * self._h
@@ -576,8 +563,9 @@ class BallRestrictedEta:
         rp2 = r**2 - self.center[2] ** 2
         out = np.zeros(len(rows))
         cut = rp2 > 0.0
-        x0 = self.nodes[rows[cut], 0] - self.center[0]
-        y0 = self.nodes[rows[cut], 1] - self.center[1]
+        cells = self._nodes[self.order[rows[cut]]]
+        x0 = cells[:, 0] - self.center[0]
+        y0 = cells[:, 1] - self.center[1]
         out[cut] = _disk_cell_overlap(x0, y0, self._h, np.sqrt(rp2[cut])) / (self._h * self._h)
         return out
 
@@ -595,9 +583,9 @@ class BallRestrictedEta:
         if not new:
             return
         r = np.array(new)
-        idx = np.searchsorted(self.dist, r, side="left")
-        lo = np.searchsorted(self.dist, r - self.band, side="left")
-        hi = np.searchsorted(self.dist, r + self.band, side="left")
+        idx = np.searchsorted(self.dists, r, side="left")
+        lo = np.searchsorted(self.dists, r - self.band, side="left")
+        hi = np.searchsorted(self.dists, r + self.band, side="left")
         count = hi - lo
         ends = np.cumsum(count)
         first = ends - count
@@ -606,7 +594,7 @@ class BallRestrictedEta:
             stop = max(int(np.searchsorted(ends, first[start] + _CHUNK * 4, side="right")), start + 1)
             rows = np.repeat(lo[start:stop], count[start:stop]) + _run_offsets(count[start:stop])
             rad = np.repeat(r[start:stop], count[start:stop])
-            corr = self._fractions(rows, rad) - (self.dist[rows] < rad).astype(float)
+            corr = self._fractions(rows, rad) - (self.dists[rows] < rad).astype(float)
             for k in range(start, stop):
                 c = corr[first[k] - first[start] : ends[k] - first[start]] if count[k] else None
                 self._corrections[new[k]] = (int(idx[k]), int(lo[k]), int(hi[k]), c)
@@ -614,10 +602,10 @@ class BallRestrictedEta:
 
     def cumulative(self, key: str, radii) -> np.ndarray:
         radii = np.atleast_1d(np.asarray(radii, dtype=float))
-        if self._atoms is not None:
-            return self._atoms.cumulative(key, radii)
+        if self.band is None:
+            return super().cumulative(key, radii)
         self._fill_corrections(radii)
-        prefix, values = self.prefix[key], self.values[key]
+        prefix, values = self._prefix[key], self.values[key]
         out = np.empty(len(radii))
         for k, (r, finite) in enumerate(zip(radii.tolist(), np.isfinite(radii).tolist())):
             if not finite:
@@ -641,10 +629,9 @@ class BallRestrictedEta:
         """
         r = np.atleast_1d(np.asarray(r, dtype=float))
         w = np.minimum(np.atleast_1d(np.asarray(halfwidth, dtype=float)), 0.9 * r)
-        if self._atoms is not None:
-            if over_r2:
-                return self._atoms.windowed_over_r2(key, r, w)
-            return self._atoms.windowed(key, r, w)
+        if self.band is None:
+            window = super().windowed_over_r2 if over_r2 else super().windowed
+            return window(key, r, w)
         s = np.maximum(r[None, :] + self._GL5_X[:, None] * w[None, :], 1e-12)
         vals = self.cumulative(key, s.ravel()).reshape(s.shape)
         if over_r2:
@@ -664,10 +651,9 @@ class BallRestrictedEta:
 def eta_integral(
     region: WettedRegion,
     f: Callable[[np.ndarray], np.ndarray] | float = 1.0,
-    antialias: bool = True,
 ) -> float:
     """Quadrature of f against the winding measure on the wetting surface."""
-    nodes, w = region.eta_nodes(antialias)
+    nodes, w = region.eta_nodes()
     if callable(f):
         vals = np.asarray(f(nodes), dtype=float)
     else:

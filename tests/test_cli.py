@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import importlib.util
 import math
 import os
 import subprocess
@@ -262,10 +263,11 @@ def _run_cli(args, env_extra=None):
         (("sphere_level = 4", "sphere_level = 9"), (), None),
         (None, ("--threads", "-3"), None),
         (None, (), {"CAPMONO_THREADS": "abc"}),
+        (("generator = cap", "generator = cap-ball"), (), None),
     ],
     ids=[
         "pair-order", "r-count", "nu", "r-min", "r-min-subnormal", "radius-negative", "radius-zero",
-        "plane-grid-max", "sphere-level-max", "threads-flag", "threads-env",
+        "plane-grid-max", "sphere-level-max", "threads-flag", "threads-env", "generator-ambient",
     ],
 )
 def test_bad_config_exits_2_without_traceback(tmp_path, edit, args, env):
@@ -370,3 +372,43 @@ def test_one_terms_object_per_probe(tmp_path, monkeypatch, command, ambient, per
     monkeypatch.setattr(ball, "BallRestrictedEta", Counting)
     assert main([command, "--config", str(path)]) in (0, 1)
     assert len(built) == 2 * per_probe
+
+
+def _load_tracing():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("ambient", ["halfspace", "ball"])
+def test_benchmark_tracer_instruments_the_library(tmp_path, ambient):
+    # the benchmark's tracer patches library names (classes it subclasses,
+    # functions it wraps); a rename or a new base class must not leave a
+    # traced run blind or different, nor a patch behind
+    from capmono import cli, energy, quadrature, radial, surfaces, tables
+
+    tracing = _load_tracing()
+    out = tmp_path / "out"
+    path = tmp_path / "run.cfg"
+    path.write_text(_TINY.replace("OUT", str(out)) if ambient == "halfspace" else _ball_text(out, _TINY))
+    modules = (cli, ball, energy, halfspace, quadrature, radial, surfaces, tables, wetted, wetted.WettedRegion)
+    before = [dict(vars(m)) for m in modules]
+
+    def outputs():
+        files = [*sorted(out.iterdir()), *sorted(tmp_path.glob("*.stdout"))]
+        return {p.name: p.read_bytes() for p in files}
+
+    plain = tracing.run_pipeline(str(path), tmp_path, None)
+    plain_outputs = outputs()
+    tracer = tracing.Tracer("test")
+    with tracing.instrumented(tracer):
+        traced = tracing.run_pipeline(str(path), tmp_path, tracer)
+    assert [c["exit"] for c in traced] == [c["exit"] for c in plain]
+    assert outputs() == plain_outputs
+    for name in ("wetted.BallRestrictedEta.objects", "radial.RadialPrefix.objects", "identity.calls", "wetted.grid.builds"):
+        assert tracer.counts[name] > 0, name
+    for module, attrs in zip(modules, before):
+        assert all(vars(module)[k] is v for k, v in attrs.items())
+    assert halfspace.BallRestrictedEta is wetted.BallRestrictedEta

@@ -186,8 +186,6 @@ def test_degenerate_chart_raises():
 def test_small_resolution_rejected():
     with pytest.raises(ValueError):
         sample_chart(spherical_cap_halfspace(np.pi / 2), 4, 64)
-    with pytest.raises(ValueError):
-        sample_chart(spherical_cap_halfspace(np.pi / 2), 64, 64, rule="monte-carlo")
 
 
 def test_rectangle_chart_gauss_bonnet():

@@ -132,6 +132,9 @@ out_dir = somewhere
         "[run]\ntheta = not-a-number\n",
         "[run]\ntheta = 9.0\n",
         "[run]\nambient = wedge\n",
+        "[run]\ngenerator = torus\n",
+        "[run]\nambient = halfspace\ngenerator = cap-ball\n",
+        "[run]\nambient = ball\ngenerator = cap\n",
         "[probes]\npoint = 1,2\n",
         "[output]\ntolerance = nan\n",
         "[output]\ntolerance = inf\n",
