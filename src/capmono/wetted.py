@@ -563,9 +563,9 @@ class BallRestrictedEta(RadialPrefix):
         rp2 = r**2 - self.center[2] ** 2
         out = np.zeros(len(rows))
         cut = rp2 > 0.0
-        cells = self._nodes[self.order[rows[cut]]]
-        x0 = cells[:, 0] - self.center[0]
-        y0 = cells[:, 1] - self.center[1]
+        cells = self.order[rows[cut]]
+        x0 = self._nodes[cells, 0] - self.center[0]
+        y0 = self._nodes[cells, 1] - self.center[1]
         out[cut] = _disk_cell_overlap(x0, y0, self._h, np.sqrt(rp2[cut])) / (self._h * self._h)
         return out
 
@@ -648,10 +648,7 @@ class BallRestrictedEta(RadialPrefix):
         return self._window_average(key, r, halfwidth, over_r2=True)
 
 
-def eta_integral(
-    region: WettedRegion,
-    f: Callable[[np.ndarray], np.ndarray] | float = 1.0,
-) -> float:
+def eta_integral(region: WettedRegion, f: Callable[[np.ndarray], np.ndarray] | float = 1.0) -> float:
     """Quadrature of f against the winding measure on the wetting surface."""
     nodes, w = region.eta_nodes()
     if callable(f):
