@@ -21,6 +21,7 @@ import warnings
 
 import numpy as np
 
+from .energy import density, tilde_density, willmore_energy
 from .errors import AmbientError, GeometryError
 from .fields import TestVectorField
 from .geometry import BALL, companion
@@ -31,6 +32,7 @@ from .identity import (
     probe_state,
     profile_residual,
     square_weights,
+    surface_variation,
 )
 from .radial import RadialPrefix
 from .surfaces import SampledSurface
@@ -275,13 +277,6 @@ class _OriginTerms:
         return self.prefix.bounds_average("hx", lo, hi, over_r2=True) / (2 * np.pi)
 
 
-def monotonicity_identity_residual(
-    surface: SampledSurface, region: WettedRegion, x0, sigma: float, rho: float
-) -> float:
-    """Signed residual (left minus right) of the ball two-radius identity."""
-    return monotonicity_identity_detail(surface, region, x0, sigma, rho)["residual"]
-
-
 def probe_terms(surface: SampledSurface, region: WettedRegion, x0):
     """The restriction state at one base point: origin or general branch.
 
@@ -368,18 +363,13 @@ def first_variation_residual(
     """
     if surface.ambient.kind != BALL:
         raise AmbientError("this first variation lives in the unit ball")
-    pts = surface.points
-    jac = field.jacobian(pts)
-    nu = surface.normals
-    div_sigma = np.trace(jac, axis1=1, axis2=2) - np.einsum("ni,nij,nj->n", nu, jac, nu)
-    term1 = float(np.sum(div_sigma * surface.weights))
+    term1, term3 = surface_variation(surface, field)
     nodes, eta_w = region.eta_nodes()
     jac_s = field.jacobian(nodes)
     div_sphere = np.trace(jac_s, axis1=1, axis2=2) - np.einsum(
         "ni,nij,nj->n", nodes, jac_s, nodes
     )
     term2 = float(np.sum(div_sphere * eta_w))
-    term3 = float(np.sum(np.sum(surface.mean_curvature * field(pts), axis=1) * surface.weights))
     term4 = float(np.sum(np.sum(field(nodes) * nodes, axis=1) * eta_w))
     bp = surface.boundary_points
     term5 = float(np.sum(np.sum(field(bp) * bp, axis=1) * surface.boundary_weights))
@@ -418,8 +408,6 @@ def minimal_density_identity_residual(surface: SampledSurface, region: WettedReg
     = (2|Sigma| - cos(theta)|T|)/(2 pi) - (1 - cos(theta)) N(x0), with the
     multiplicity N read off the boundary density.
     """
-    from .energy import density
-
     max_h = surface.max_mean_curvature()
     if max_h > 1e-6:
         raise GeometryError(f"identity needs a minimal surface (max |H| = {max_h:.2g})")
@@ -449,14 +437,10 @@ def limit_identity_residuals(surface: SampledSurface, region: WettedRegion, x0) 
     The branch is chosen by the base point: origin, a point of the unit
     sphere, or a general point; the key of the returned dict names it.
     """
-    from .energy import tilde_density
-
     x0 = np.asarray(x0, dtype=float)
     theta = surface.theta
     gamma = surface.boundary_length()
-    w_tot = 0.25 * float(
-        np.sum(np.sum(surface.mean_curvature**2, axis=1) * surface.weights)
-    )
+    w_tot = willmore_energy(surface)
 
     def mu_square(center):
         return float(np.sum(square_weights(surface, center)))

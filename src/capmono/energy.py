@@ -20,9 +20,11 @@ from .errors import AmbientError, NoHatBallError, ResolutionError
 from .geometry import BALL, HALFSPACE, companion
 from .radial import RadialPrefix
 from .surfaces import SampledSurface
-from .wetted import WettedRegion, eta_integral
+from .wetted import WettedRegion, curve_from_boundary, eta_integral, oriented_area
 
 MIN_BALL_SAMPLES = 50
+# radii on a density extrapolation grid
+_DENSITY_RADII = 24
 
 
 def willmore_energy(surface: SampledSurface) -> float:
@@ -51,14 +53,9 @@ def willmore_ball(surface: SampledSurface, region: WettedRegion) -> float:
 
 
 def gauss_bonnet_residual(surface: SampledSurface) -> float:
-    """Total curvature plus boundary turning minus 2*pi*chi.
-
-    Rectangle charts contribute their corner exterior angles; smooth
-    boundaries have none.
-    """
+    """Total curvature plus boundary turning minus 2*pi*chi."""
     total = float(np.sum(surface.gauss_curvature * surface.weights))
     total += float(np.sum(surface.boundary_kg * surface.boundary_weights))
-    total += float(sum(surface.corner_angles))
     return total - 2.0 * np.pi * surface.euler_characteristic
 
 
@@ -92,7 +89,7 @@ def divergence_identity_residual(surface: SampledSurface) -> float:
 # -- densities -----------------------------------------------------------------
 
 
-def default_radius_grid(surface: SampledSurface, x0=None, n: int = 24) -> np.ndarray:
+def default_radius_grid(surface: SampledSurface, x0=None) -> np.ndarray:
     """Radius grid for density extrapolation around a probe point.
 
     The lower cut keeps at least ~60 samples inside the smallest ball; the
@@ -115,7 +112,7 @@ def default_radius_grid(surface: SampledSurface, x0=None, n: int = 24) -> np.nda
             if d_bdry < 0.5 * feature:
                 r_max = min(r_max, 0.8 * feature)
         r_max = max(r_max, 2.5 * r_min)
-    return np.linspace(r_min, r_max, n)
+    return np.linspace(r_min, r_max, _DENSITY_RADII)
 
 
 def _extrapolate(r: np.ndarray, ratio: np.ndarray) -> float:
@@ -167,7 +164,7 @@ def tilde_density(surface: SampledSurface, region: WettedRegion, x0, r_grid=None
         onset = _tilde_onset(surface, nodes, x0)
         r_min0 = 0.08 * np.sqrt(surface.area() / np.pi)
         if onset > 1.5 * r_min0:
-            r_grid = np.linspace(r_min0, max(0.9 * onset, 2.5 * r_min0), 24)
+            r_grid = np.linspace(r_min0, max(0.9 * onset, 2.5 * r_min0), _DENSITY_RADII)
         else:
             r_grid = default_radius_grid(surface, x0)
     r_grid = np.sort(np.asarray(r_grid, dtype=float))
@@ -327,19 +324,18 @@ def energy_report(
     included; otherwise only the global margin appears.
     """
     if surface.ambient.kind == HALFSPACE:
-        from .wetted import curve_from_boundary, oriented_area
-
         wetted = oriented_area(curve_from_boundary(surface))
     else:
         wetted = eta_integral(region)
     theta = surface.theta
+    w = willmore_energy(surface)
     margins = {
-        "liYauGlobal": willmore_energy(surface) - 2.0 * (1.0 - np.cos(theta)) * np.pi,
+        "liYauGlobal": w - 2.0 * (1.0 - np.cos(theta)) * np.pi,
     }
     report = EnergyReport(
         ambient=surface.ambient.kind,
         theta=theta,
-        willmore=willmore_energy(surface),
+        willmore=w,
         willmore_classical=willmore_classical(surface),
         area=surface.area(),
         boundary_length=surface.boundary_length(),

@@ -41,4 +41,4 @@ class ResolutionError(CapmonoError):
 
 
 class ConfigError(CapmonoError):
-    """A run configuration file is malformed or inconsistent."""
+    """A run configuration file or an input sample table is malformed or inconsistent."""

@@ -1,8 +1,8 @@
 """Elementary Euclidean geometry of the two ambient configurations.
 
 Reflection across the boundary plane of the upper half-space, spherical
-inversion across the unit sphere, the associated reflected/inverted balls,
-and tangential/normal splitting of vectors.  Everything here is a pure
+inversion across the unit sphere, the companion (reflected/inverted) ball
+of a ball about a point, and tangential/normal splitting of vectors.  Everything here is a pure
 function on double-precision vectors; identities are exact to about 1e-12
 for O(1) inputs.
 """
@@ -42,18 +42,6 @@ class Ambient:
             raise GeometryError(f"unknown ambient kind {self.kind!r}")
         if not (0.0 < self.theta < np.pi):
             raise GeometryError(f"contact angle must lie in (0, pi), got {self.theta}")
-
-
-@dataclass(frozen=True)
-class Ball3:
-    """Euclidean ball with positive radius."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        if not self.radius > 0.0:
-            raise GeometryError(f"ball radius must be positive, got {self.radius}")
 
 
 def reflect_halfspace(x) -> np.ndarray:
@@ -97,19 +85,6 @@ def companion(x0, ambient: Ambient) -> tuple[np.ndarray, float]:
             "no companion ball for the origin; use the dedicated origin formulas"
         )
     return sphere_inversion(x0), n
-
-
-def hat_ball(x0, r: float, ambient: Ambient) -> Ball3:
-    """Companion ball of B_r(x0) under the ambient's reflection map.
-
-    Half-space: the ball of the same radius about the reflected center.
-    Unit ball: the ball of radius r/|x0| about the inversion of x0; the
-    origin has no companion ball and raises :class:`NoHatBallError`.
-    """
-    if not r > 0.0:
-        raise GeometryError(f"ball radius must be positive, got {r}")
-    center, divisor = companion(x0, ambient)
-    return Ball3(center, float(r) / divisor)
 
 
 def normal_split(v, unit_normal) -> tuple[np.ndarray, np.ndarray]:

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .energy import tilde_density
 from .errors import AmbientError
 from .fields import TANGENT, TestVectorField
 from .geometry import HALFSPACE
-from .identity import PairTerms, assemble, nudge_off_samples, probe_state
+from .identity import PairTerms, assemble, nudge_off_samples, probe_state, surface_variation
 from .radial import RadialPrefix
 from .surfaces import SampledSurface
 from .wetted import BallRestrictedEta, WettedRegion
@@ -116,25 +117,6 @@ class _Terms(PairTerms):
         return dfc, dfc
 
 
-def radial_ratio_pair(surface: SampledSurface, region: WettedRegion, a, r: float):
-    """The pair (g, g_hat) at one base point and radius."""
-    g, g_hat = probe_terms(surface, region, a).pair(float(r))
-    return float(np.squeeze(g)), float(np.squeeze(g_hat))
-
-
-def monotonicity_identity_residual(
-    surface: SampledSurface, region: WettedRegion, a, sigma: float, rho: float
-) -> float:
-    """Signed residual of the two-radius identity on (sigma, rho).
-
-    Increment of g + g_hat minus the two annulus square integrals plus the
-    two wetted deficit terms; zero for the exact measures, so the returned
-    value is pure quadrature error.
-    """
-    detail = monotonicity_identity_detail(surface, region, a, sigma, rho)
-    return detail["residual"]
-
-
 def probe_terms(surface: SampledSurface, region: WettedRegion, a) -> _Terms:
     """The restriction state at one base point, nudged off the samples.
 
@@ -214,8 +196,6 @@ def boundary_limit_identity_residual(surface: SampledSurface, region: WettedRegi
     two-ball density of mu - cos(theta) eta at the point; the density
     extrapolation dominates the error budget.
     """
-    from .energy import tilde_density
-
     a = np.asarray(a, dtype=float)
     if abs(a[2]) > 1e-9:
         raise ValueError("the boundary limit identity needs a base point on the plane")
@@ -239,16 +219,9 @@ def first_variation_residual(
     if field.tangency != TANGENT:
         raise ValueError("the half-space first variation needs a plane-tangent field")
     field.verify_tangency(surface.ambient)
-    pts = surface.points
-    jac = field.jacobian(pts)
-    div = np.trace(jac, axis1=1, axis2=2)
-    nu = surface.normals
-    div_sigma = div - np.einsum("ni,nij,nj->n", nu, jac, nu)
-    term1 = float(np.sum(div_sigma * surface.weights))
+    term1, term3 = surface_variation(surface, field)
     nodes, eta_w = region.eta_nodes()
     jac_p = field.jacobian(nodes)
     div_plane = jac_p[:, 0, 0] + jac_p[:, 1, 1]
     term2 = float(np.sum(div_plane * eta_w))
-    hx = np.sum(surface.mean_curvature * field(pts), axis=1)
-    term3 = float(np.sum(hx * surface.weights))
     return term1 - np.cos(surface.theta) * term2 + term3

@@ -8,9 +8,9 @@ ambients (:func:`geometry.companion`): B_r(x0) is paired with the ball of
 radius r / divisor about the reflected or inverted center.
 
 This module holds what the ambients share: the base-point nudge, the
-square integrand, one radius window for every term, and the assembly of
-identity residuals.  Each ambient module keeps its own pair, remainder and
-deficit terms.
+square integrand, one radius window for every term, the assembly of
+identity residuals and the surface terms of the first variation.  Each
+ambient module keeps its own pair, remainder and deficit terms.
 """
 
 from __future__ import annotations
@@ -63,6 +63,16 @@ def square_weights(surface: SampledSurface, center) -> np.ndarray:
     r2 = np.sum(rel * rel, axis=1)
     perp = np.sum(rel * nu, axis=1)
     return np.sum((0.25 * h + (perp / r2)[:, None] * nu) ** 2, axis=1) * surface.weights
+
+
+def surface_variation(surface: SampledSurface, field) -> tuple[float, float]:
+    """The surface terms int div_Sigma X dmu and int H.X dmu of a first variation."""
+    pts = surface.points
+    jac = field.jacobian(pts)
+    nu = surface.normals
+    div_sigma = np.trace(jac, axis1=1, axis2=2) - np.einsum("ni,nij,nj->n", nu, jac, nu)
+    hx = np.sum(surface.mean_curvature * field(pts), axis=1)
+    return float(np.sum(div_sigma * surface.weights)), float(np.sum(hx * surface.weights))
 
 
 def profile_residual(big_g: np.ndarray, sq: np.ndarray, dfc: np.ndarray) -> np.ndarray:

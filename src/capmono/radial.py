@@ -113,24 +113,27 @@ class RadialPrefix:
         rr = r**2 if c.ndim == np.ndim(r) else (r**2)[..., None]
         return c / rr
 
-    def auto_halfwidth(self, r, k: int | None = None) -> np.ndarray:
-        """Window capturing about one local sample-ring spacing at the cut."""
-        if k is None:
-            k = max(64, int(2.0 * np.sqrt(self.n)))
+    def auto_halfwidth(self, r) -> np.ndarray:
+        """Window capturing about one local sample-ring spacing at the cut.
+
+        It spans max(64, 2 sqrt(n)) sorted samples on each side of r.
+        """
+        k = max(64, int(2.0 * np.sqrt(self.n)))
         r = np.asarray(r, dtype=float)
         idx = np.searchsorted(self.dists, r, side="left")
         lo = np.maximum(idx - k, 0)
         hi = np.minimum(idx + k, self.n - 1)
         return 0.6 * (self.dists[hi] - self.dists[lo])
 
-    def snapped_window(self, r, halfwidth, search: int = 600):
+    def snapped_window(self, r, halfwidth):
         """Window edges snapped to the widest nearby inter-sample gaps.
 
         Distance-aligned sample rings (a base point on a symmetry axis) make
         box windows beat against the ring period; snapping each edge to the
-        midpoint of the largest gap within ``search`` sorted samples makes
-        the window ring-commensurate, so the staircase integrates exactly.
+        midpoint of the largest gap within 600 sorted samples makes the
+        window ring-commensurate, so the staircase integrates exactly.
         """
+        search = 600
         r = np.atleast_1d(np.asarray(r, dtype=float))
         w = np.atleast_1d(np.asarray(halfwidth, dtype=float))
         gaps = np.diff(self.dists)

@@ -1,8 +1,8 @@
 """Quadrature-sampled immersed surfaces with boundary on a wetting surface.
 
-A :class:`ParametricChart` maps a polar-disk or rectangle parameter domain
-into the closed half-space or closed unit ball, with the domain boundary
-landing on the wetting surface (the plane x3 = 0 or the unit sphere).
+A :class:`ParametricChart` maps the polar unit disk into the closed
+half-space or closed unit ball, with the disk boundary landing on the
+wetting surface (the plane x3 = 0 or the unit sphere).
 :func:`sample_chart` turns a chart into a :class:`SampledSurface`: interior
 Gauss-Legendre samples carrying area weights, unit normals and mean
 curvature vectors, plus boundary samples carrying the tangent/conormal
@@ -15,7 +15,7 @@ ball); :func:`perturb_chart` produces controlled non-equality test cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
@@ -26,19 +26,15 @@ from .errors import GeometryError, ImmersionError
 from .geometry import BALL, E3, HALFSPACE, Ambient
 from .quadrature import gauss_legendre, tensor_rule
 
-POLAR = "polar"
-RECTANGLE = "rectangle"
-
 
 @dataclass(frozen=True)
 class ParametricChart:
-    """Immersion of a 2-parameter domain, optionally with analytic frames.
+    """Immersion of the polar unit disk, optionally with analytic frames.
 
     ``f`` maps parameter arrays ``(u, v)`` of a common shape to points of
     shape ``(..., 3)`` and must be evaluable slightly outside the closed
-    domain (finite-difference margin).  Polar domains use u in (0, 1],
-    v = angle in [0, 2*pi) with the boundary at u = 1; rectangle domains
-    use the unit square with the boundary at all four edges.
+    disk (finite-difference margin).  The disk has u in (0, 1] and
+    v = angle in [0, 2*pi), with the boundary at u = 1.
 
     Optional callbacks supply exact normals, mean curvature vectors, Gauss
     curvature and boundary conormals; anything missing is filled in by
@@ -46,7 +42,6 @@ class ParametricChart:
     """
 
     ambient: Ambient
-    domain: str
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
     normal: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     mean_curvature_vec: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
@@ -84,7 +79,6 @@ class SampledSurface:
         boundary_kg,
         boundary_kg_wetting,
         euler_characteristic: int = 1,
-        corner_angles: tuple = (),
         metadata: Optional[dict] = None,
     ):
         self.ambient = ambient
@@ -101,7 +95,6 @@ class SampledSurface:
         self.boundary_kg = np.asarray(boundary_kg, dtype=float)
         self.boundary_kg_wetting = np.asarray(boundary_kg_wetting, dtype=float)
         self.euler_characteristic = int(euler_characteristic)
-        self.corner_angles = tuple(corner_angles)
         self.metadata = dict(metadata or {})
         self._validate()
 
@@ -232,16 +225,11 @@ def _curvatures(chart: ParametricChart, u: np.ndarray, v: np.ndarray):
 # -- boundary machinery ------------------------------------------------------
 
 
-def _boundary_param(chart: ParametricChart, t: np.ndarray):
-    """Map a boundary parameter to (u, v) for the single polar edge."""
-    return np.ones_like(t), t
-
-
 def _boundary_frame_polar(chart: ParametricChart, t: np.ndarray):
     """Point, unit tangent, outward conormal, speed |dF/dt| at u = 1."""
-    u, v = _boundary_param(chart, t)
+    u, v = np.ones_like(t), t
     pts = chart.f(u, v)
-    fu, fv, *_rest, nu_vec = _frames(chart, u, v)
+    fu, fv, *_rest = _frames(chart, u, v)
     speed = np.linalg.norm(fv, axis=-1)
     tau = fv / speed[..., None]
     if chart.conormal is not None:
@@ -249,12 +237,12 @@ def _boundary_frame_polar(chart: ParametricChart, t: np.ndarray):
     else:
         mu = fu - np.sum(fu * tau, axis=-1, keepdims=True) * tau
         mu = mu / np.linalg.norm(mu, axis=-1, keepdims=True)
-    return pts, tau, mu, nu_vec, speed
+    return pts, tau, mu, speed
 
 
-def _wetting_normal_along(chart: ParametricChart, pts: np.ndarray, tau: np.ndarray):
+def _wetting_normal_along(ambient: Ambient, pts: np.ndarray, tau: np.ndarray):
     """In-wetting outward normal of the boundary curve (tau x e3 or tau x N)."""
-    if chart.ambient.kind == HALFSPACE:
+    if ambient.kind == HALFSPACE:
         nbar = np.cross(tau, np.broadcast_to(E3, tau.shape))
     else:
         n_out = pts / np.linalg.norm(pts, axis=-1, keepdims=True)
@@ -265,65 +253,16 @@ def _wetting_normal_along(chart: ParametricChart, pts: np.ndarray, tau: np.ndarr
 def _boundary_curvatures_polar(chart: ParametricChart, t: np.ndarray):
     """kappa_g and the wetting geodesic curvature by parameter differencing."""
     delta = 1e-3 if chart.conormal is None else 1e-4
-    pts, tau, mu, nu_vec, speed = _boundary_frame_polar(chart, t)
-    pp, tp, mp, _, _ = _boundary_frame_polar(chart, t + delta)
-    pm, tm, mm, _, _ = _boundary_frame_polar(chart, t - delta)
+    pts, tau, mu, speed = _boundary_frame_polar(chart, t)
+    pp, tp, mp, _ = _boundary_frame_polar(chart, t + delta)
+    pm, tm, mm, _ = _boundary_frame_polar(chart, t - delta)
     dmu = (mp - mm) / (2 * delta)
     kg = np.sum(dmu * tau, axis=-1) / speed
-    nbar_p = _wetting_normal_along(chart, pp, tp)
-    nbar_m = _wetting_normal_along(chart, pm, tm)
+    nbar_p = _wetting_normal_along(chart.ambient, pp, tp)
+    nbar_m = _wetting_normal_along(chart.ambient, pm, tm)
     dnbar = (nbar_p - nbar_m) / (2 * delta)
     kg_wet = np.sum(dnbar * tau, axis=-1) / speed
     return pts, tau, mu, speed, kg, kg_wet
-
-
-_RECT_EDGES = (
-    # (start, direction) in the unit square, traversed counter-clockwise
-    ((0.0, 0.0), (1.0, 0.0)),
-    ((1.0, 0.0), (0.0, 1.0)),
-    ((1.0, 1.0), (-1.0, 0.0)),
-    ((0.0, 1.0), (0.0, -1.0)),
-)
-
-
-def _rect_edge_frame(chart: ParametricChart, edge: int, t: np.ndarray):
-    (u0, v0), (du, dv) = _RECT_EDGES[edge]
-    u = u0 + du * t
-    v = v0 + dv * t
-    pts = chart.f(u, v)
-    fu, fv, *_rest, nu_vec = _frames(chart, u, v)
-    d = du * fu + dv * fv
-    speed = np.linalg.norm(d, axis=-1)
-    tau = d / speed[..., None]
-    # outward conormal: the in-surface normal of tau agreeing with nu x tau
-    mu = np.cross(tau, nu_vec)
-    return pts, tau, mu, nu_vec, speed
-
-
-def _boundary_rectangle(chart: ParametricChart, nb: int):
-    delta = 1e-4
-    rows = []
-    for edge in range(4):
-        t, w = gauss_legendre(nb, 0.0, 1.0)
-        pts, tau, mu, nu_vec, speed = _rect_edge_frame(chart, edge, t)
-        _, tp, mp, _, _ = _rect_edge_frame(chart, edge, t + delta)
-        _, tm, mm, _, _ = _rect_edge_frame(chart, edge, t - delta)
-        kg = np.sum((mp - mm) / (2 * delta) * tau, axis=-1) / speed
-        nbar_p = _wetting_normal_along(chart, pts, tp)
-        nbar_m = _wetting_normal_along(chart, pts, tm)
-        kg_wet = np.sum((nbar_p - nbar_m) / (2 * delta) * tau, axis=-1) / speed
-        rows.append((pts, tau, mu, speed * w, kg, kg_wet))
-    corner_angles = []
-    for edge in range(4):
-        t_end = np.array([1.0])
-        t_start = np.array([0.0])
-        _, tau_a, _, nu_a, _ = _rect_edge_frame(chart, edge, t_end)
-        _, tau_b, _, _, _ = _rect_edge_frame(chart, (edge + 1) % 4, t_start)
-        s = np.sum(np.cross(tau_a, tau_b) * nu_a, axis=-1)
-        c = np.sum(tau_a * tau_b, axis=-1)
-        corner_angles.append(float(np.arctan2(s, c)[0]))
-    cat = tuple(np.concatenate([r[i] for r in rows]) for i in range(6))
-    return cat, tuple(corner_angles)
 
 
 # -- sampling ----------------------------------------------------------------
@@ -334,29 +273,20 @@ def sample_chart(chart: ParametricChart, nu: int, nv: int) -> SampledSurface:
 
     Area weights are sqrt(det g) times tensor Gauss-Legendre weights; normals
     and curvatures come from the chart callbacks when present, otherwise from
-    central differences.  Boundary samples are taken along the domain boundary
+    central differences.  Boundary samples are taken along the disk boundary
     with arclength weights.
     """
     if nu < 8 or nv < 8:
         raise ValueError("need nu, nv >= 8")
-    if chart.domain == POLAR:
-        u, v, w = tensor_rule(nu, nv, (0.0, 1.0), (0.0, 2.0 * np.pi))
-    elif chart.domain == RECTANGLE:
-        u, v, w = tensor_rule(nu, nv, (0.0, 1.0), (0.0, 1.0))
-    else:
-        raise GeometryError(f"unknown chart domain {chart.domain!r}")
+    u, v, w = tensor_rule(nu, nv, (0.0, 1.0), (0.0, 2.0 * np.pi))
 
     nu_vec, h_vec, k_gauss, traceless, det = _curvatures(chart, u, v)
     pts = chart.f(u, v)
     weights = np.sqrt(det) * w
 
-    corner_angles: tuple = ()
-    if chart.domain == POLAR:
-        t, wt = gauss_legendre(nv, 0.0, 2.0 * np.pi)
-        bpts, btau, bmu, speed, kg, kg_wet = _boundary_curvatures_polar(chart, t)
-        bweights = speed * wt
-    else:
-        (bpts, btau, bmu, bweights, kg, kg_wet), corner_angles = _boundary_rectangle(chart, nv)
+    t, wt = gauss_legendre(nv, 0.0, 2.0 * np.pi)
+    bpts, btau, bmu, speed, kg, kg_wet = _boundary_curvatures_polar(chart, t)
+    bweights = speed * wt
 
     surface = SampledSurface(
         ambient=chart.ambient,
@@ -373,7 +303,6 @@ def sample_chart(chart: ParametricChart, nu: int, nv: int) -> SampledSurface:
         boundary_kg=kg,
         boundary_kg_wetting=kg_wet,
         euler_characteristic=1,
-        corner_angles=corner_angles,
         metadata={"generator": chart.name, "nu": nu, "nv": nv, **chart.params},
     )
     surface.metadata["contact_residual"] = contact_angle_residual(surface)
@@ -390,17 +319,12 @@ def contact_angle_residual(surface: SampledSurface) -> float:
     if len(surface.boundary_points) == 0:
         raise GeometryError("contact check requires a nonempty boundary")
     theta = surface.theta
-    tau = surface.boundary_tangents
+    bpts = surface.boundary_points
+    nbar = _wetting_normal_along(surface.ambient, bpts, surface.boundary_tangents)
     if surface.ambient.kind == HALFSPACE:
-        nbar = np.cross(tau, np.broadcast_to(E3, tau.shape))
-        nbar /= np.linalg.norm(nbar, axis=1, keepdims=True)
         target = np.sin(theta) * (-E3) + np.cos(theta) * nbar
     else:
-        n_out = surface.boundary_points / np.linalg.norm(
-            surface.boundary_points, axis=1, keepdims=True
-        )
-        nbar = np.cross(tau, n_out)
-        nbar /= np.linalg.norm(nbar, axis=1, keepdims=True)
+        n_out = bpts / np.linalg.norm(bpts, axis=1, keepdims=True)
         target = np.cos(theta) * nbar + np.sin(theta) * n_out
     return float(np.max(np.linalg.norm(surface.boundary_conormals - target, axis=1)))
 
@@ -448,7 +372,6 @@ def spherical_cap_halfspace(
 
     return ParametricChart(
         ambient=Ambient(HALFSPACE, theta),
-        domain=POLAR,
         f=f,
         normal=normal,
         mean_curvature_vec=mean_curvature_vec,
@@ -488,7 +411,6 @@ def geodesic_disk_ball(theta: float) -> ParametricChart:
 
     return ParametricChart(
         ambient=Ambient(BALL, theta),
-        domain=POLAR,
         f=f,
         normal=normal,
         mean_curvature_vec=zero_vec,
@@ -550,7 +472,6 @@ def spherical_cap_ball(theta: float, colatitude: float) -> ParametricChart:
 
     return ParametricChart(
         ambient=Ambient(BALL, theta),
-        domain=POLAR,
         f=f,
         normal=normal,
         mean_curvature_vec=mean_curvature_vec,
@@ -564,23 +485,15 @@ def spherical_cap_ball(theta: float, colatitude: float) -> ParametricChart:
 # -- perturbations -------------------------------------------------------------
 
 
-def _bump(domain: str, mode: int):
-    """Polynomial bump vanishing on the domain boundary, indexed by mode."""
+def _bump(mode: int):
+    """Polynomial bump vanishing on the disk boundary, indexed by mode."""
     m = int(mode)
     if m < 0:
         raise GeometryError("perturbation mode must be a nonnegative integer")
-    if domain == POLAR:
 
-        def bump(u, v):
-            u = np.asarray(u, dtype=float)
-            return (1.0 - u**2) * u**m * np.cos(m * np.asarray(v))
-
-    else:
-
-        def bump(u, v):
-            u = np.asarray(u, dtype=float)
-            v = np.asarray(v, dtype=float)
-            return 16.0 * u * (1 - u) * v * (1 - v) * np.cos(m * np.pi * u) * np.cos(m * np.pi * v)
+    def bump(u, v):
+        u = np.asarray(u, dtype=float)
+        return (1.0 - u**2) * u**m * np.cos(m * np.asarray(v))
 
     return bump
 
@@ -589,7 +502,7 @@ def perturb_chart(chart: ParametricChart, amplitude: float, mode: int) -> Parame
     """Displace a chart along the wetting-surface normal by a boundary-vanishing bump.
 
     The displacement is amplitude * bump(u, v) times e3 (half-space) or the
-    radial direction (ball); the bump vanishes on the domain boundary so the
+    radial direction (ball); the bump vanishes on the disk boundary so the
     boundary curve stays on the wetting surface, while the contact angle is
     no longer exact.  Analytic curvature callbacks are dropped: the perturbed
     chart is sampled through the finite-difference path.  Immersivity is
@@ -597,7 +510,7 @@ def perturb_chart(chart: ParametricChart, amplitude: float, mode: int) -> Parame
     """
     if amplitude == 0.0:
         return chart
-    bump = _bump(chart.domain, mode)
+    bump = _bump(mode)
     base_f = chart.f
     is_ball = chart.ambient.kind == BALL
 
@@ -612,21 +525,8 @@ def perturb_chart(chart: ParametricChart, amplitude: float, mode: int) -> Parame
 
     return ParametricChart(
         ambient=chart.ambient,
-        domain=chart.domain,
         f=f,
         fd_step=chart.fd_step,
         name=f"{chart.name}-perturbed",
         params={**chart.params, "amplitude": amplitude, "mode": int(mode)},
     )
-
-
-# -- convenience --------------------------------------------------------------
-
-
-def with_fd_step(chart: ParametricChart, h: float) -> ParametricChart:
-    return replace(chart, fd_step=h)
-
-
-def strip_callbacks(chart: ParametricChart) -> ParametricChart:
-    """Drop analytic frame callbacks, forcing the finite-difference path."""
-    return replace(chart, normal=None, mean_curvature_vec=None, gauss_curvature=None, conormal=None)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .geometry import BALL, HALFSPACE, Ambient
-from .surfaces import SampledSurface
+from .surfaces import SampledSurface, contact_angle_residual
 from .wetted import OrientedCurve
 
 _FULL = "%.17g"
@@ -45,15 +45,31 @@ def _save_table(path, header: list[str], rows: np.ndarray) -> None:
         np.savetxt(fh, rows, fmt=_FULL)
 
 
-def _load_table(path) -> tuple[list[str], np.ndarray]:
-    """The leading comment lines (without '# ') and the rows of a table."""
+def _load_table(path, columns: str) -> tuple[list[str], np.ndarray]:
+    """The leading comment lines (without '# ') and the rows of a table.
+
+    A table without rows, with an entry that is not a finite number, or
+    with another number of columns than ``columns`` names raises
+    ConfigError.
+    """
     header = []
     with Path(path).open() as fh:
         for line in fh:
             if not line.startswith("#"):
                 break
             header.append(line[1:].strip())
-    return header, np.loadtxt(path, comments="#", ndmin=2)
+        else:
+            raise ConfigError(f"{path}: the table has no rows")
+    try:
+        rows = np.loadtxt(path, comments="#", ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: unreadable rows: {exc}") from None
+    width = len(columns.split())
+    if rows.shape[1] != width:
+        raise ConfigError(f"{path}: expected rows of {width} columns, got an array of shape {rows.shape}")
+    if not np.all(np.isfinite(rows)):
+        raise ConfigError(f"{path}: a table entry is not finite")
+    return header, rows
 
 
 def save_surface(surface: SampledSurface, path) -> None:
@@ -72,10 +88,9 @@ def save_surface(surface: SampledSurface, path) -> None:
         "capmono surface table v1",
         f"ambient={surface.ambient.kind} theta={_FULL % surface.theta} "
         f"chi={surface.euler_characteristic} generator={surface.metadata.get('generator', '?')}",
+        f"columns: {SURFACE_COLUMNS}",
     ]
-    if surface.corner_angles:
-        header.append("corners=" + ",".join(_FULL % a for a in surface.corner_angles))
-    _save_table(path, header + [f"columns: {SURFACE_COLUMNS}"], rows)
+    _save_table(path, header, rows)
 
 
 def save_boundary(surface: SampledSurface, path) -> None:
@@ -94,17 +109,22 @@ def save_boundary(surface: SampledSurface, path) -> None:
 
 
 def load_surface(surface_path, boundary_path) -> SampledSurface:
-    """Rebuild a surface from its two sample tables."""
-    header, arr = _load_table(surface_path)
+    """Rebuild a surface from its two sample tables.
+
+    A header without the ambient or a numeric theta, or a malformed table,
+    raises ConfigError.
+    """
+    header, arr = _load_table(surface_path, SURFACE_COLUMNS)
     meta = {}
-    corners: tuple = ()
     for body in header:
         if body.startswith("ambient="):
             meta.update(tok.partition("=")[::2] for tok in body.split())
-        elif body.startswith("corners="):
-            corners = tuple(float(v) for v in body.split("=", 1)[1].split(","))
-    _, barr = _load_table(boundary_path)
-    ambient = Ambient(meta["ambient"], float(meta["theta"]))
+    _, barr = _load_table(boundary_path, BOUNDARY_COLUMNS)
+    try:
+        ambient = Ambient(meta["ambient"], float(meta["theta"]))
+        chi = int(meta.get("chi", 1))
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"{surface_path}: bad or missing ambient=, theta= or chi=: {exc}") from None
     surface = SampledSurface(
         ambient=ambient,
         points=arr[:, 0:3],
@@ -119,12 +139,9 @@ def load_surface(surface_path, boundary_path) -> SampledSurface:
         boundary_weights=barr[:, 9],
         boundary_kg=barr[:, 10],
         boundary_kg_wetting=barr[:, 11],
-        euler_characteristic=int(meta.get("chi", 1)),
-        corner_angles=corners,
+        euler_characteristic=chi,
         metadata={"generator": meta.get("generator", "imported")},
     )
-    from .surfaces import contact_angle_residual
-
     surface.metadata["contact_residual"] = contact_angle_residual(surface)
     return surface
 
@@ -136,7 +153,7 @@ def save_curve(curve: OrientedCurve, path) -> None:
 
 
 def load_curve(path) -> OrientedCurve:
-    header, arr = _load_table(path)
+    header, arr = _load_table(path, CURVE_COLUMNS)
     closed = True
     for body in header:
         if "closed=" in body:

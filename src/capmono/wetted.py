@@ -262,12 +262,12 @@ def _stereographic(points: np.ndarray, tangents: Optional[np.ndarray], pole: np.
     return q, t2 / norms
 
 
-def _projection_poles(curve: OrientedCurve, min_chordal: float = 0.1) -> np.ndarray:
-    """Candidate projection poles, farthest from the curve first."""
+def _projection_poles(curve: OrientedCurve) -> np.ndarray:
+    """Candidate projection poles at least 0.1 from the curve, farthest first."""
     cand, _ = sphere_rule(2)
     d = np.linalg.norm(cand[:, None, :] - curve.points[None, :, :], axis=2).min(axis=1)
     order = np.argsort(-d)
-    admissible = order[d[order] >= min_chordal]
+    admissible = order[d[order] >= 0.1]
     if len(admissible) == 0:
         raise GeometryError("no admissible stereographic pole away from the curve")
     return cand[admissible]
@@ -658,11 +658,6 @@ def eta_integral(region: WettedRegion, f: Callable[[np.ndarray], np.ndarray] | f
     return float(np.sum(vals * w))
 
 
-def total_boundary_measure(surface: SampledSurface) -> float:
-    """Total mass of the generalized boundary measure: the boundary length."""
-    return surface.boundary_length()
-
-
 def wetted_region(
     surface: SampledSurface, grid_n: int = 512, sphere_level: int = 6
 ) -> WettedRegion:
@@ -803,7 +798,6 @@ def _aa_plane(
     cells: np.ndarray,
     xs: np.ndarray,
     ys: np.ndarray,
-    sub: int = 8,
 ) -> np.ndarray:
     """Antialiased winding replacement values for the given plane grid cells.
 
@@ -811,6 +805,7 @@ def _aa_plane(
     exactly the same boundary as the integer field.  Cells in one grid row
     share that row's subrows.
     """
+    sub = 8
     n = len(ys)
     ix, iy = cells // n, cells % n
     hx = xs[1] - xs[0]

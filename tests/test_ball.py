@@ -62,7 +62,7 @@ def test_identity_interior_point(stock):
 
 def test_identity_degenerate_pair(stock):
     surface, region = stock.disk(np.pi / 3)
-    assert bl.monotonicity_identity_residual(surface, region, [0.2, 0.0, 0.1], 0.7, 0.7) == 0.0
+    assert bl.monotonicity_identity_detail(surface, region, [0.2, 0.0, 0.1], 0.7, 0.7)["residual"] == 0.0
 
 
 def test_profiles_monotone_obtuse_regime(stock):

@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -294,6 +295,32 @@ def test_other_capmono_errors_exit_2(cfg_path, monkeypatch, capsys):
     path, _ = cfg_path
     assert main(["generate", "--config", str(path)]) == 2
     assert "degenerate chart" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, edit",
+    [
+        ("surface.tsv", lambda text: re.sub(r"^# ambient=.*\n", "", text, flags=re.M)),
+        ("surface.tsv", lambda text: re.sub(r"^[^#\s]\S*", "abc", text, count=1, flags=re.M)),
+        ("surface.tsv", lambda text: re.sub(r"^([^#]\S* \S* \S*) \S*", r"\1 nan", text, count=1, flags=re.M)),
+        ("surface.tsv", lambda text: re.sub(r"^[^#].*\n", "", text, flags=re.M)),
+        ("boundary.tsv", lambda text: text + "1 2 3\n"),
+    ],
+    ids=["no-ambient", "non-numeric", "nan-weight", "header-only", "short-row"],
+)
+def test_malformed_table_exits_2(tmp_path, capsys, name, edit):
+    out = tmp_path / "out"
+    path = tmp_path / "ball.cfg"
+    path.write_text(_ball_text(out))
+    assert main(["generate", "--config", str(path)]) == 0
+    table = out / name
+    text = table.read_text()
+    assert edit(text) != text
+    table.write_text(edit(text))
+    capsys.readouterr()
+    assert main(["energy", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "configuration error" in err
 
 
 _FUZZ_FLOATS = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, math.nan, math.inf, -math.inf]))

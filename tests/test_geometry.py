@@ -11,7 +11,6 @@ from capmono.errors import GeometryError, NoHatBallError
 from capmono.geometry import (
     Ambient,
     companion,
-    hat_ball,
     mean_curvature_expansion_residual,
     normal_split,
     reflect_halfspace,
@@ -68,23 +67,25 @@ def test_sphere_chord_identity(phi, z, v):
 
 
 def test_hat_ball_halfspace():
-    ball = hat_ball([0, 0, 1], 2.0, Ambient("halfspace", np.pi / 2))
-    assert np.allclose(ball.center, [0, 0, -1]) and ball.radius == 2.0
+    # the companion of B_2((0, 0, 1)) is B_2((0, 0, -1))
+    center, divisor = companion([0, 0, 1], Ambient("halfspace", np.pi / 2))
+    assert np.allclose(center, [0, 0, -1]) and 2.0 / divisor == 2.0
 
 
 def test_hat_ball_unit_ball():
-    ball = hat_ball([0.5, 0, 0], 1.0, Ambient("ball", np.pi / 2))
-    assert np.allclose(ball.center, [2, 0, 0]) and np.isclose(ball.radius, 2.0)
+    # the companion of B_r(x0) is B_{r/|x0|}(x0/|x0|^2); the origin has none
+    center, divisor = companion([0.5, 0, 0], Ambient("ball", np.pi / 2))
+    assert np.allclose(center, [2, 0, 0]) and np.isclose(1.0 / divisor, 2.0)
     on_sphere = np.array([0, 0, 1.0])
-    ball2 = hat_ball(on_sphere, 0.7, Ambient("ball", np.pi / 3))
-    assert np.allclose(ball2.center, on_sphere) and np.isclose(ball2.radius, 0.7)
+    center2, divisor2 = companion(on_sphere, Ambient("ball", np.pi / 3))
+    assert np.allclose(center2, on_sphere) and np.isclose(0.7 / divisor2, 0.7)
     with pytest.raises(NoHatBallError):
-        hat_ball([0, 0, 0], 1.0, Ambient("ball", np.pi / 2))
+        companion([0, 0, 0], Ambient("ball", np.pi / 2))
 
 
 @settings(max_examples=50, deadline=None)
-@given(vectors, st.floats(0.01, 5.0), st.sampled_from(["halfspace", "ball"]))
-def test_companion_is_the_hat_ball(x0, r, kind):
+@given(vectors, st.sampled_from(["halfspace", "ball"]))
+def test_companion_is_the_hat_ball(x0, kind):
     ambient = Ambient(kind, np.pi / 3)
     x0 = np.asarray(x0)
     if kind == "ball" and np.linalg.norm(x0) < 1e-12:
@@ -92,8 +93,6 @@ def test_companion_is_the_hat_ball(x0, r, kind):
             companion(x0, ambient)
         return
     center, divisor = companion(x0, ambient)
-    ball = hat_ball(x0, r, ambient)
-    assert np.array_equal(center, ball.center) and ball.radius == r / divisor
     if kind == "halfspace":
         assert np.array_equal(center, reflect_halfspace(x0)) and divisor == 1.0
     else:

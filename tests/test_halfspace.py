@@ -12,21 +12,21 @@ CONTACT = np.array([np.sin(THETA), 0.0, 0.0])
 
 def test_pair_symmetric_on_plane(stock):
     surface, region = stock.cap(THETA)
-    g, g_hat = hs.radial_ratio_pair(surface, region, CONTACT, 1.3)
-    assert g == pytest.approx(g_hat, abs=1e-14)
-    g2, g_hat2 = hs.radial_ratio_pair(surface, region, [0.4, -0.2, 0.0], 0.9)
-    assert g2 == pytest.approx(g_hat2, abs=1e-14)
+    g, g_hat = hs.probe_terms(surface, region, CONTACT).pair(1.3)
+    assert g[0] == pytest.approx(g_hat[0], abs=1e-14)
+    g2, g_hat2 = hs.probe_terms(surface, region, [0.4, -0.2, 0.0]).pair(0.9)
+    assert g2[0] == pytest.approx(g_hat2[0], abs=1e-14)
 
 
 def test_pair_large_radius_limit(stock):
     surface, region = stock.cap(np.pi / 2, res=96)
-    g, g_hat = hs.radial_ratio_pair(surface, region, [1.0, 0.0, 0.0], 50.0)
-    assert g + g_hat == pytest.approx(1.0, abs=1e-2)
+    g, g_hat = hs.probe_terms(surface, region, [1.0, 0.0, 0.0]).pair(50.0)
+    assert g[0] + g_hat[0] == pytest.approx(1.0, abs=1e-2)
 
 
 def test_identity_degenerate_pair_is_zero(stock):
     surface, region = stock.cap(THETA)
-    assert hs.monotonicity_identity_residual(surface, region, [0.3, 0.1, 0.2], 0.8, 0.8) == 0.0
+    assert hs.monotonicity_identity_detail(surface, region, [0.3, 0.1, 0.2], 0.8, 0.8)["residual"] == 0.0
 
 
 def test_identity_on_contact_circle(stock):

@@ -14,7 +14,6 @@ from capmono.wetted import (
     oriented_area,
     rotation_index,
     spherical_winding_number,
-    total_boundary_measure,
     wetted_region,
     winding_number,
 )
@@ -198,11 +197,11 @@ def test_spherical_gauss_bonnet_area_agreement():
 
 def test_total_boundary_measure(stock):
     surface, _ = stock.cap(np.pi / 2)
-    assert total_boundary_measure(surface) == pytest.approx(2 * np.pi, rel=1e-6)
+    assert surface.boundary_length() == pytest.approx(2 * np.pi, rel=1e-6)
     cap, _ = stock.cap(2 * np.pi / 3)
-    assert total_boundary_measure(cap) == pytest.approx(2 * np.pi * np.sin(2 * np.pi / 3), rel=1e-6)
+    assert cap.boundary_length() == pytest.approx(2 * np.pi * np.sin(2 * np.pi / 3), rel=1e-6)
     disk, _ = stock.disk(np.pi / 3)
-    assert total_boundary_measure(disk) == pytest.approx(np.sqrt(3) * np.pi, rel=1e-6)
+    assert disk.boundary_length() == pytest.approx(np.sqrt(3) * np.pi, rel=1e-6)
 
 
 def test_wind_binary_for_embedded_generators(stock):
