@@ -67,7 +67,8 @@ def _load_table(path, columns: str) -> tuple[list[str], np.ndarray]:
     width = len(columns.split())
     if rows.shape[1] != width:
         raise ConfigError(f"{path}: expected rows of {width} columns, got an array of shape {rows.shape}")
-    if not np.all(np.isfinite(rows)):
+    # min and max carry any NaN or infinity, without a full-size temporary
+    if not np.isfinite(rows.min()) or not np.isfinite(rows.max()):
         raise ConfigError(f"{path}: a table entry is not finite")
     return header, rows
 
