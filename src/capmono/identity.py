@@ -19,6 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .fields import TestVectorField
 from .geometry import companion
 from .surfaces import SampledSurface
 
@@ -65,7 +66,7 @@ def square_weights(surface: SampledSurface, center) -> np.ndarray:
     return np.sum((0.25 * h + (perp / r2)[:, None] * nu) ** 2, axis=1) * surface.weights
 
 
-def surface_variation(surface: SampledSurface, field) -> tuple[float, float]:
+def surface_variation(surface: SampledSurface, field: TestVectorField) -> tuple[float, float]:
     """The surface terms int div_Sigma X dmu and int H.X dmu of a first variation."""
     pts = surface.points
     jac = field.jacobian(pts)

@@ -315,8 +315,9 @@ def test_malformed_table_exits_2(tmp_path, capsys, name, edit):
     assert main(["generate", "--config", str(path)]) == 0
     table = out / name
     text = table.read_text()
-    assert edit(text) != text
-    table.write_text(edit(text))
+    edited = edit(text)
+    assert edited != text
+    table.write_text(edited)
     capsys.readouterr()
     assert main(["energy", "--config", str(path)]) == 2
     err = capsys.readouterr().err
