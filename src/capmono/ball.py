@@ -24,10 +24,11 @@ import numpy as np
 from .energy import density, tilde_density, willmore_energy
 from .errors import AmbientError, GeometryError
 from .fields import TestVectorField
-from .geometry import BALL, companion
+from .geometry import BALL, companion, rowdot
 from .identity import (
     PairTerms,
     assemble,
+    center_offsets,
     nudge_off_samples,
     probe_state,
     profile_residual,
@@ -69,11 +70,12 @@ class BallProfile:
         return float(np.max(np.abs(self.residual)))
 
 
-def _projection(nodes: np.ndarray, center) -> np.ndarray:
-    """Per-node ((x - c).x / |x - c|^2)^2, the wetted projection integrand."""
-    rel = nodes - center
-    r2 = np.maximum(np.sum(rel * rel, axis=1), 1e-300)
-    return (np.sum(rel * nodes, axis=1) / r2) ** 2
+def _projection(nodes: np.ndarray, rel: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """Per-node ((x - c).x / |x - c|^2)^2, the wetted projection integrand.
+
+    ``rel`` and ``d2`` are the nodes' ``center_offsets`` from c.
+    """
+    return (rowdot(rel, nodes) / np.maximum(d2, 1e-300)) ** 2
 
 
 class _BallTerms(PairTerms):
@@ -93,25 +95,15 @@ class _BallTerms(PairTerms):
         self.eta_hat = None
         if region is not None:
             nodes, _ = region.eta_nodes()
-            xi = self.x0_hat
-            self.eta = BallRestrictedEta(region, self.x0, {"proj": _projection(nodes, self.x0)})
-            d2 = np.sum((nodes - xi) ** 2, axis=1)
-            self.eta_hat = BallRestrictedEta(region, xi, {"proj": _projection(nodes, xi), "dist2": d2})
+            rel, d2 = center_offsets(nodes, self.x0)
+            self.eta = BallRestrictedEta(region, self.x0, {"proj": _projection(nodes, rel, d2)}, d2=d2)
+            rel, d2 = center_offsets(nodes, self.x0_hat)
+            hat = {"proj": _projection(nodes, rel, d2), "dist2": d2}
+            self.eta_hat = BallRestrictedEta(region, self.x0_hat, hat, d2=d2)
 
-    def hat_arrays(self, shared: Mapping) -> dict:
-        """Inversion weights: |x|^2, x and (x.nu)^2 terms, bare and times H.x."""
-        pts, nu, w = self.surface.points, self.surface.normals, self.surface.weights
-        hxw = shared["hx"]
-        x2 = np.sum(pts * pts, axis=1)
-        xdnu = np.sum(pts * nu, axis=1)
-        return {
-            "x2": x2 * w,
-            "x": pts * w[:, None],
-            "xnu2": xdnu**2 * w,
-            "nu_xnu": nu * (xdnu * w)[:, None],
-            "x2hx": x2 * hxw,
-            "xhx": pts * hxw[:, None],
-        }
+    def hat_arrays(self) -> Mapping:
+        """The surface's inversion weights (``SampledSurface.inversion_arrays``)."""
+        return self.surface.inversion_arrays
 
     # -- members of the pair -----------------------------------------------------
     #
@@ -226,9 +218,9 @@ class _OriginTerms:
     def __init__(self, surface: SampledSurface):
         self.surface = surface
         origin = np.zeros(3)
-        self.prefix = RadialPrefix(
-            surface.points, origin, {**surface.mu_arrays, "sq": square_weights(surface, origin)}
-        )
+        rel, r2 = center_offsets(surface.points, origin)
+        arrays = {**surface.mu_arrays, "sq": square_weights(surface, rel, r2)}
+        self.prefix = RadialPrefix(surface.points, origin, arrays, d2=r2)
 
     def window(self, r):
         """Ring-commensurate averaging window shared by every origin term.
@@ -443,7 +435,7 @@ def limit_identity_residuals(surface: SampledSurface, region: WettedRegion, x0) 
     w_tot = willmore_energy(surface)
 
     def mu_square(center):
-        return float(np.sum(square_weights(surface, center)))
+        return float(np.sum(square_weights(surface, *center_offsets(surface.points, center))))
 
     if np.linalg.norm(x0) < 1e-12:
         lhs = mu_square(np.zeros(3)) / np.pi
@@ -460,7 +452,7 @@ def limit_identity_residuals(surface: SampledSurface, region: WettedRegion, x0) 
     eta_total = float(np.sum(eta_w))
 
     def eta_proj(center):
-        return float(np.sum(_projection(nodes, center) * eta_w))
+        return float(np.sum(_projection(nodes, *center_offsets(nodes, center)) * eta_w))
 
     lhs_mu = (mu_square(x0) + mu_square(xi)) / np.pi
     tilde = tilde_density(surface, region, x0)

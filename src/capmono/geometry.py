@@ -87,6 +87,27 @@ def companion(x0, ambient: Ambient) -> tuple[np.ndarray, float]:
     return sphere_inversion(x0), n
 
 
+def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot product of two (n, 3) arrays, summed per column.
+
+    Rounds as ``np.sum(a * b, axis=1)`` does, bit for bit, at a fraction of
+    its cost: that reduction adds the products in order onto +0.0, so it is
+    ``((0 + a0 b0) + a1 b1) + a2 b2``; the leading zero only turns a row of
+    three -0.0 products into +0.0.  ``a0 b0 + (a1 b1 + a2 b2)``, ``einsum``
+    and ``vecdot`` may differ in the last bit.
+    """
+    return ((0.0 + a[:, 0] * b[:, 0]) + a[:, 1] * b[:, 1]) + a[:, 2] * b[:, 2]
+
+
+def rownorm(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an (n, 3) array.
+
+    Bit-identical to ``np.linalg.norm(a, axis=1)``, the square root of
+    :func:`rowdot` of the rows with themselves.
+    """
+    return np.sqrt(rowdot(a, a))
+
+
 def normal_split(v, unit_normal) -> tuple[np.ndarray, np.ndarray]:
     """Split v into parts normal and tangent to a unit normal.
 

@@ -19,7 +19,14 @@ from .energy import tilde_density
 from .errors import AmbientError
 from .fields import TANGENT, TestVectorField
 from .geometry import HALFSPACE
-from .identity import PairTerms, assemble, nudge_off_samples, probe_state, surface_variation
+from .identity import (
+    PairTerms,
+    assemble,
+    center_offsets,
+    nudge_off_samples,
+    probe_state,
+    surface_variation,
+)
 from .radial import RadialPrefix
 from .surfaces import SampledSurface
 from .wetted import BallRestrictedEta, WettedRegion
@@ -63,12 +70,11 @@ class _Terms(PairTerms):
         super().__init__(surface, a, RadialPrefix)
         a = self.x0
         nodes, _ = region.eta_nodes()
-        rel = nodes - a
-        r4 = np.maximum(np.sum(rel * rel, axis=1) ** 2, 1e-300)
-        deficit = (a[2] ** 2 / r4) if a[2] != 0.0 else np.zeros(len(nodes))
+        _, d2 = center_offsets(nodes, a)
+        deficit = (a[2] ** 2 / np.maximum(d2**2, 1e-300)) if a[2] != 0.0 else np.zeros(len(nodes))
         # eta(B_r(a)) = eta(B_hat_r(a)): plane nodes are equidistant from a
         # and its reflection, so a single restriction serves both balls
-        self.eta = BallRestrictedEta(region, a, {"deficit": deficit})
+        self.eta = BallRestrictedEta(region, a, {"deficit": deficit}, d2=d2)
 
     def pair(self, r):
         """The radial ratio pair (g, g_hat) at radius r (vectorized).

@@ -20,7 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .fields import TestVectorField
-from .geometry import companion
+from .geometry import companion, rowdot, rownorm
 from .surfaces import SampledSurface
 
 _OFFSET = 1e-6
@@ -35,8 +35,8 @@ def nudge_off_samples(surface: SampledSurface, a: np.ndarray) -> np.ndarray:
     sample; the integrands are bounded on smooth surfaces, the shift only
     dodges 0/0 at exact coincidence.
     """
-    d = np.linalg.norm(surface.points - a, axis=1)
-    db = np.linalg.norm(surface.boundary_points - a, axis=1)
+    d = rownorm(surface.points - a)
+    db = rownorm(surface.boundary_points - a)
     if min(d.min(initial=np.inf), db.min(initial=np.inf)) > 1e-9:
         return a
     k = int(np.argmin(db))
@@ -57,13 +57,23 @@ def probe_state(build, surface: SampledSurface, region, a, terms):
     return terms
 
 
-def square_weights(surface: SampledSurface, center) -> np.ndarray:
-    """Per-sample |H/4 + ((x - c).nu / |x - c|^2) nu|^2 times the area weight."""
-    h, nu = surface.mean_curvature, surface.normals
-    rel = surface.points - center
-    r2 = np.sum(rel * rel, axis=1)
-    perp = np.sum(rel * nu, axis=1)
-    return np.sum((0.25 * h + (perp / r2)[:, None] * nu) ** 2, axis=1) * surface.weights
+def center_offsets(points: np.ndarray, center) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets x - c of the points from a center and their squared lengths.
+
+    One pass per center serves the square integrand and the distance sort
+    (the ``d2=`` of ``RadialPrefix``).
+    """
+    rel = points - center
+    return rel, rowdot(rel, rel)
+
+
+def square_weights(surface: SampledSurface, rel: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """Per-sample |H/4 + ((x - c).nu / |x - c|^2) nu|^2 times the area weight.
+
+    ``rel`` and ``r2`` are the samples' :func:`center_offsets` from c.
+    """
+    v = 0.25 * surface.mean_curvature + (rowdot(rel, surface.normals) / r2)[:, None] * surface.normals
+    return rowdot(v, v) * surface.weights
 
 
 def surface_variation(surface: SampledSurface, field: TestVectorField) -> tuple[float, float]:
@@ -125,12 +135,14 @@ class PairTerms:
         self.theta = surface.theta
         self.x0 = np.asarray(x0, dtype=float)
         self.x0_hat, self.divisor = companion(self.x0, surface.ambient)
-        shared = surface.mu_arrays
-        self.mu = prefix(surface.points, self.x0, {**shared, "sq": square_weights(surface, self.x0)})
-        hat = {**shared, "sq": square_weights(surface, self.x0_hat), **self.hat_arrays(shared)}
-        self.mu_hat = prefix(surface.points, self.x0_hat, hat)
+        pts, shared = surface.points, surface.mu_arrays
+        rel, r2 = center_offsets(pts, self.x0)
+        self.mu = prefix(pts, self.x0, {**shared, "sq": square_weights(surface, rel, r2)}, d2=r2)
+        rel, r2 = center_offsets(pts, self.x0_hat)
+        hat = {**shared, "sq": square_weights(surface, rel, r2), **self.hat_arrays()}
+        self.mu_hat = prefix(pts, self.x0_hat, hat, d2=r2)
 
-    def hat_arrays(self, shared: Mapping) -> dict:
+    def hat_arrays(self) -> Mapping:
         """Ambient-specific keys of the companion prefix (none by default)."""
         return {}
 

@@ -21,24 +21,33 @@ from __future__ import annotations
 
 import numpy as np
 
+from .geometry import rowdot
+
 
 class RadialPrefix:
     """Prefix sums of weighted sample quantities by distance from a center.
 
     ``order`` sorts the samples by distance; ``dists`` and ``values`` are in
-    that order.  A key's plain prefix is built with the object, its f.d and
-    f/d prefixes (read by the two windows) on their first read.  An object
-    belongs to one probe and is never shared across worker threads, so the
-    lazily filled dict needs no lock.
+    that order.  A caller that already holds the squared distances
+    |x - c|^2 of the points passes them as ``d2``, so each center costs one
+    distance pass.  A key's plain prefix is built with the object, its f.d
+    and f/d prefixes (read by the two windows) on their first read.  An
+    object belongs to one probe and is never shared across worker threads,
+    so the lazily filled dict needs no lock.
     """
 
-    def __init__(self, points: np.ndarray, center, arrays: dict[str, np.ndarray]):
+    def __init__(self, points: np.ndarray, center, arrays: dict[str, np.ndarray], *, d2=None):
         self.center = np.asarray(center, dtype=float)
-        d = np.linalg.norm(points - self.center, axis=1)
+        if d2 is None:
+            rel = points - self.center
+            d2 = rowdot(rel, rel)
+        d = np.sqrt(d2)
         self.order = np.argsort(d, kind="stable")
-        self.dists = d[self.order]
+        self.dists = np.take(d, self.order)
         self.n = len(self.dists)
-        self.values = {key: np.asarray(arr, dtype=float)[self.order] for key, arr in arrays.items()}
+        self.values = {
+            key: np.take(np.asarray(arr, dtype=float), self.order, axis=0) for key, arr in arrays.items()
+        }
         self._prefix = {key: _prefix(arr) for key, arr in self.values.items()}
         self._moments: dict = {}
 
@@ -182,4 +191,7 @@ class RadialPrefix:
 
 def _prefix(arr: np.ndarray) -> np.ndarray:
     """Running sums along the first axis, led by a zero row."""
-    return np.concatenate([np.zeros((1,) + arr.shape[1:]), np.cumsum(arr, axis=0)], axis=0)
+    out = np.empty((len(arr) + 1,) + arr.shape[1:])
+    out[0] = 0.0
+    np.cumsum(arr, axis=0, out=out[1:])
+    return out

@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .errors import GeometryError, ImmersionError
-from .geometry import BALL, E3, HALFSPACE, Ambient
+from .geometry import BALL, E3, HALFSPACE, Ambient, rowdot
 from .quadrature import gauss_legendre, tensor_rule
 
 
@@ -125,9 +125,34 @@ class SampledSurface:
         w, h = self.weights, self.mean_curvature
         arrays = {
             "mass": w.view(),
-            "h2": np.sum(h * h, axis=1) * w,
-            "hx": np.sum(h * self.points, axis=1) * w,
+            "h2": rowdot(h, h) * w,
+            "hx": rowdot(h, self.points) * w,
             "h": h * w[:, None],
+        }
+        for arr in arrays.values():
+            arr.flags.writeable = False
+        return MappingProxyType(arrays)
+
+    @cached_property
+    def inversion_arrays(self) -> Mapping[str, np.ndarray]:
+        """Weighted sample quantities the ball's companion prefix adds.
+
+        |x|^2, x, (x.nu)^2 and nu (x.nu), each times the area weight, and
+        |x|^2 and x times the weighted H.x.  Like ``mu_arrays`` they do not
+        depend on the base point, are computed on first use and are
+        read-only.
+        """
+        pts, nu, w = self.points, self.normals, self.weights
+        hxw = self.mu_arrays["hx"]
+        x2 = rowdot(pts, pts)
+        xdnu = rowdot(pts, nu)
+        arrays = {
+            "x2": x2 * w,
+            "x": pts * w[:, None],
+            "xnu2": xdnu**2 * w,
+            "nu_xnu": nu * (xdnu * w)[:, None],
+            "x2hx": x2 * hxw,
+            "xhx": pts * hxw[:, None],
         }
         for arr in arrays.values():
             arr.flags.writeable = False
@@ -136,6 +161,24 @@ class SampledSurface:
     # -- consistency --------------------------------------------------------
 
     def _validate(self):
+        arrays = (
+            self.points,
+            self.weights,
+            self.normals,
+            self.mean_curvature,
+            self.gauss_curvature,
+            self.traceless_sq,
+            self.boundary_points,
+            self.boundary_tangents,
+            self.boundary_conormals,
+            self.boundary_weights,
+            self.boundary_kg,
+            self.boundary_kg_wetting,
+        )
+        # every check below is a comparison, which a NaN passes; min and max
+        # carry any NaN or infinity, without a full-size temporary
+        if any(arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())) for arr in arrays):
+            raise GeometryError("sample arrays must hold finite numbers only")
         if np.any(self.weights <= 0):
             raise GeometryError("area weights must be positive")
         if np.any(np.abs(np.linalg.norm(self.normals, axis=1) - 1.0) > 1e-10):

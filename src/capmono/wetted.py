@@ -481,38 +481,47 @@ class WettedRegion:
         return nodes, wind_aa * cellw
 
 
-def _disk_corner_area(a: np.ndarray, b: np.ndarray, r: float) -> np.ndarray:
-    """Area of {x <= a, y <= b} intersected with the disk of radius r at 0."""
+def _disk_cell_overlap(x: np.ndarray, y: np.ndarray, h: float, r: np.ndarray) -> np.ndarray:
+    """Exact overlap area of axis-aligned h-cells centered at (x, y) with disks about 0.
 
-    def anti(x):
-        x = np.clip(x, -r, r)
-        return 0.5 * (x * np.sqrt(np.maximum(r * r - x * x, 0.0)) + r * r * np.arcsin(np.clip(x / r, -1.0, 1.0)))
-
-    a_eff = np.clip(a, -r, r)
-    c = np.sqrt(np.maximum(r * r - b * b, 0.0))
-    c = np.where(np.abs(b) >= r, 0.0, c)
-    # slab integral of sqrt(r^2-x^2) + clip(b, -s, s) over x in [-r, a_eff]
-    e1 = np.minimum(a_eff, -c)
-    e2 = np.minimum(a_eff, c)
-    region1 = 2.0 * (anti(e1) - anti(-r))
-    mid = np.maximum(e2 - (-c), 0.0)
-    region2 = np.where(e2 > -c, anti(e2) - anti(-c) + b * mid, 0.0)
-    region3 = np.where(a_eff > c, 2.0 * (anti(a_eff) - anti(c)), 0.0)
-    pos = region1 + region2 + region3
-    neg = region2
-    out = np.where(b >= 0.0, pos, neg)
-    return np.where(b <= -r, 0.0, out)
-
-
-def _disk_cell_overlap(x: np.ndarray, y: np.ndarray, h: float, r: float) -> np.ndarray:
-    """Exact overlap area of axis-aligned h-cells centered at (x, y) with a disk."""
+    ``r`` holds each cell's disk radius.  The overlap is the alternating
+    sum A(x+, y+) - A(x-, y+) - A(x+, y-) + A(x-, y-) of the corner areas
+    A(a, b) of {x <= a, y <= b} in the disk, each a slab integral of the
+    half-chord antiderivative F(t) = (t sqrt(r^2 - t^2) + r^2 arcsin(t/r)) / 2
+    between clipped column edges and the chord ends +-c of a row edge.
+    The four corners share their edges, so F is evaluated seven times per
+    cell: at the two clipped column edges, at +-c of the two row edges and
+    at -r; each F(min(a, +-c)) is one of those values.
+    """
     h2 = 0.5 * h
-    return (
-        _disk_corner_area(x + h2, y + h2, r)
-        - _disk_corner_area(x - h2, y + h2, r)
-        - _disk_corner_area(x + h2, y - h2, r)
-        + _disk_corner_area(x - h2, y - h2, r)
-    )
+    cols = (np.clip(x + h2, -r, r), np.clip(x - h2, -r, r))
+    rows = (y + h2, y - h2)
+    chords = []
+    for b in rows:
+        c = np.sqrt(np.maximum(r * r - b * b, 0.0))
+        chords.append(np.where(np.abs(b) >= r, 0.0, c))
+    # one contiguous array for every F argument, so every arcsin value comes
+    # from the same (vectorized) code path
+    t = np.stack([cols[0], cols[1], chords[0], -chords[0], chords[1], -chords[1], -r])
+    t = np.clip(t, -r, r)
+    rr = r * r
+    f = 0.5 * (t * np.sqrt(np.maximum(rr - t * t, 0.0)) + rr * np.arcsin(np.clip(t / r, -1.0, 1.0)))
+    f_cols, f_rows, f_low = f[:2], (f[2:4], f[4:6]), f[6]
+
+    def corner(k, j):
+        a, fa = cols[k], f_cols[k]
+        b, c = rows[j], chords[j]
+        fc, fmc = f_rows[j]
+        # slab integral of sqrt(r^2-x^2) + clip(b, -s, s) over x in [-r, a]
+        e2 = np.minimum(a, c)
+        region1 = 2.0 * (np.where(a < -c, fa, fmc) - f_low)
+        mid = np.maximum(e2 - (-c), 0.0)
+        region2 = np.where(e2 > -c, np.where(a < c, fa, fc) - fmc + b * mid, 0.0)
+        region3 = np.where(a > c, 2.0 * (fa - fc), 0.0)
+        out = np.where(b >= 0.0, region1 + region2 + region3, region2)
+        return np.where(b <= -r, 0.0, out)
+
+    return corner(0, 0) - corner(1, 0) - corner(0, 1) + corner(1, 1)
 
 
 class BallRestrictedEta(RadialPrefix):
@@ -520,7 +529,9 @@ class BallRestrictedEta(RadialPrefix):
 
     A ``RadialPrefix`` over the grid nodes, each weighted by
     ``wind_aa * cellw`` times each key's array; radius windows are clipped
-    to w <= 0.9 r on both wetting surfaces.
+    to w <= 0.9 r on both wetting surfaces.  ``d2``, the squared distances
+    of all grid nodes from the center when the caller already holds them,
+    spares the distance pass.
 
     On the sphere η is restricted as atoms, one per face centroid, with
     ``RadialPrefix``'s sharp sums and exact box windows, the rules the
@@ -541,7 +552,7 @@ class BallRestrictedEta(RadialPrefix):
 
     _GL5_X, _GL5_W = np.polynomial.legendre.leggauss(5)
 
-    def __init__(self, region: WettedRegion, center, arrays: Optional[dict] = None):
+    def __init__(self, region: WettedRegion, center, arrays: Optional[dict] = None, *, d2=None):
         nodes, cellw, _, wind_aa = region.grid()
         weight = wind_aa * cellw
         keyed = {"mass": weight}
@@ -549,20 +560,26 @@ class BallRestrictedEta(RadialPrefix):
         self.band = None
         if region.wetting == SPHERE:
             keep = weight != 0.0
-            super().__init__(nodes[keep], center, {key: v[keep] for key, v in keyed.items()})
+            kept = {key: v[keep] for key, v in keyed.items()}
+            super().__init__(nodes[keep], center, kept, d2=None if d2 is None else d2[keep])
             return
         # zero-weight plane cells stay: dropping them would regroup the band sums
-        super().__init__(nodes, center, keyed)
+        super().__init__(nodes, center, keyed, d2=d2)
         self._nodes = nodes
         self._corrections: dict = {}
         self._h = np.sqrt(float(cellw[0]))
         self.band = 0.71 * self._h
 
     def _fractions(self, rows: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """Disk-overlap fractions of the sorted plane cells ``rows``, each in a ball of radius ``r``."""
+        """Disk-overlap fractions of the sorted plane cells ``rows``, each in a ball of radius ``r``.
+
+        Cells of zero weight get 0 without an overlap: every key's value is
+        zero there, so their terms in each band sum are zeros whatever the
+        fraction, and the sum keeps its length and pairwise grouping.
+        """
         rp2 = r**2 - self.center[2] ** 2
         out = np.zeros(len(rows))
-        cut = rp2 > 0.0
+        cut = (rp2 > 0.0) & (self.values["mass"][rows] != 0.0)
         cells = self.order[rows[cut]]
         x0 = self._nodes[cells, 0] - self.center[0]
         y0 = self._nodes[cells, 1] - self.center[1]
@@ -712,12 +729,21 @@ def _near_curve(
 
 
 def _nearest_sample(q: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """Distance of each point of q to the nearest of the samples."""
+    """Distance of each point of q to the nearest of the samples.
+
+    The squared distances are summed per coordinate in the order
+    ``np.linalg.norm`` sums them, and one square root is taken of each
+    minimum: the square root is monotone and correctly rounded, so this is
+    the minimum of the norms, bit for bit.
+    """
     out = np.empty(len(q))
     for lo in range(0, len(q), _CHUNK):
-        d = np.linalg.norm(q[lo : lo + _CHUNK, None, :] - samples[None, :, :], axis=2)
-        out[lo : lo + _CHUNK] = d.min(axis=1)
-    return out
+        block = q[lo : lo + _CHUNK]
+        d2 = (block[:, 0, None] - samples[:, 0]) ** 2
+        for k in (1, 2):
+            d2 += (block[:, k, None] - samples[:, k]) ** 2
+        out[lo : lo + _CHUNK] = d2.min(axis=1)
+    return np.sqrt(out)
 
 
 def _near_samples(p: np.ndarray, band: float, level: int) -> np.ndarray:

@@ -171,10 +171,10 @@ def test_threads_build_the_grid_once(tmp_path, monkeypatch, ambient):
     h2 = []
 
     class Recording(mono.RadialPrefix):
-        def __init__(self, points, center, arrays):
+        def __init__(self, points, center, arrays, **kwargs):
             if "h2" in arrays:
                 h2.append(arrays["h2"])
-            super().__init__(points, center, arrays)
+            super().__init__(points, center, arrays, **kwargs)
 
     monkeypatch.setattr(mono, "RadialPrefix", Recording)
     assert main(["monotonicity", "--config", str(path), "--threads", "2"]) == code

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from capmono.errors import GeometryError, NoHatBallError
 from capmono.geometry import (
@@ -14,6 +15,8 @@ from capmono.geometry import (
     mean_curvature_expansion_residual,
     normal_split,
     reflect_halfspace,
+    rowdot,
+    rownorm,
     sphere_inversion,
 )
 
@@ -97,6 +100,30 @@ def test_companion_is_the_hat_ball(x0, kind):
         assert np.array_equal(center, reflect_halfspace(x0)) and divisor == 1.0
     else:
         assert np.array_equal(center, sphere_inversion(x0)) and divisor == np.linalg.norm(x0)
+
+
+# any finite double, with signed zeros, subnormals and overflowing products
+# drawn often
+entries = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e200, -1.7e308, 1.7e308]),
+)
+rows = st.integers(0, 40).flatmap(
+    lambda n: st.tuples(*(arrays(np.float64, (n, 3), elements=entries) for _ in range(2)))
+)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+@settings(max_examples=300)
+@given(rows)
+def test_rowdot_and_rownorm_round_as_axis_reductions(ab):
+    a, b = ab
+    with np.errstate(all="ignore"):
+        assert np.array_equal(_bits(rowdot(a, b)), _bits(np.sum(a * b, axis=1)))
+        assert np.array_equal(_bits(rownorm(a)), _bits(np.linalg.norm(a, axis=1)))
 
 
 def test_normal_split_examples():

@@ -9,6 +9,7 @@ from capmono.errors import GeometryError, ImmersionError
 from capmono.geometry import Ambient
 from capmono.surfaces import (
     ParametricChart,
+    SampledSurface,
     contact_angle_residual,
     geodesic_disk_ball,
     perturb_chart,
@@ -85,6 +86,35 @@ def test_cap_ball_degenerates_to_disk():
     assert chart.name == "flat-disk-ball"
     with pytest.raises(GeometryError):
         spherical_cap_ball(np.pi / 3, 1e-12)
+
+
+_TABLES = (
+    "points",
+    "weights",
+    "normals",
+    "mean_curvature",
+    "gauss_curvature",
+    "traceless_sq",
+    "boundary_points",
+    "boundary_tangents",
+    "boundary_conormals",
+    "boundary_weights",
+    "boundary_kg",
+    "boundary_kg_wetting",
+)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", _TABLES)
+def test_non_finite_sample_entry_is_refused(name, bad):
+    # each other check is a comparison, which NaN passes: an 8 x 8 cap with
+    # weights[0] = nan used to construct, and its area read nan
+    surface = sample_chart(spherical_cap_halfspace(2 * np.pi / 3), 8, 8)
+    tables = {key: getattr(surface, key).copy() for key in _TABLES}
+    SampledSurface(surface.ambient, **tables)
+    tables[name].flat[0] = bad
+    with pytest.raises(GeometryError, match="finite"):
+        SampledSurface(surface.ambient, **tables)
 
 
 def test_boundary_frame_orthonormal(stock):

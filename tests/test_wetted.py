@@ -216,14 +216,74 @@ def test_wind_binary_for_embedded_generators(stock):
 # -- restriction of eta to balls -------------------------------------------------
 
 
+def _disk_corner_area(a, b, r):
+    """Area of {x <= a, y <= b} intersected with the disk of radius r at 0,
+    with every antiderivative value computed on its own."""
+
+    def anti(x):
+        x = np.clip(x, -r, r)
+        return 0.5 * (x * np.sqrt(np.maximum(r * r - x * x, 0.0)) + r * r * np.arcsin(np.clip(x / r, -1.0, 1.0)))
+
+    a_eff = np.clip(a, -r, r)
+    c = np.sqrt(np.maximum(r * r - b * b, 0.0))
+    c = np.where(np.abs(b) >= r, 0.0, c)
+    # slab integral of sqrt(r^2-x^2) + clip(b, -s, s) over x in [-r, a_eff]
+    e1 = np.minimum(a_eff, -c)
+    e2 = np.minimum(a_eff, c)
+    region1 = 2.0 * (anti(e1) - anti(-r))
+    mid = np.maximum(e2 - (-c), 0.0)
+    region2 = np.where(e2 > -c, anti(e2) - anti(-c) + b * mid, 0.0)
+    region3 = np.where(a_eff > c, 2.0 * (anti(a_eff) - anti(c)), 0.0)
+    pos = region1 + region2 + region3
+    neg = region2
+    out = np.where(b >= 0.0, pos, neg)
+    return np.where(b <= -r, 0.0, out)
+
+
+def _reference_overlap(x, y, h, r):
+    """Disk overlap of h-cells from four independent corner areas."""
+    h2 = 0.5 * h
+    return (
+        _disk_corner_area(x + h2, y + h2, r)
+        - _disk_corner_area(x - h2, y + h2, r)
+        - _disk_corner_area(x + h2, y - h2, r)
+        + _disk_corner_area(x - h2, y - h2, r)
+    )
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+@pytest.mark.parametrize("n", [1, 5, 8, 9, 1000, 4099])
+def test_disk_overlap_matches_four_corner_reference(n):
+    # the shared corner antiderivatives give the bits of four independent
+    # corner areas: on random cells, on cells straddling x = +-r or y = +-r,
+    # on cells wholly below y = -r and on row edges with |b| >= r
+    from capmono.wetted import _disk_cell_overlap
+
+    rng = np.random.default_rng(n)
+    h = 0.01
+    r = rng.uniform(0.02, 2.0, n)
+    cases = {
+        "random": rng.uniform(-2.5, 2.5, (2, n)),
+        "straddle-x": np.stack([r * rng.choice([-1.0, 1.0], n) + rng.uniform(-h, h, n), rng.uniform(-0.5, 0.5, n) * r]),
+        "straddle-y": np.stack([rng.uniform(-0.5, 0.5, n) * r, r * rng.choice([-1.0, 1.0], n) + rng.uniform(-h, h, n)]),
+        "below": np.stack([rng.uniform(-2.5, 2.5, n), -r - rng.uniform(0.5 * h, 2 * h, n)]),
+        "past-rows": np.stack([rng.uniform(-2.5, 2.5, n), rng.choice([-1.0, 1.0], n) * (r + 0.5 * h)]),
+        "on-grid": np.round(rng.uniform(-2.0, 2.0, (2, n)) / h) * h,
+    }
+    for name, (x, y) in cases.items():
+        got = _disk_cell_overlap(x, y, h, r)
+        assert np.array_equal(_bits(got), _bits(_reference_overlap(x, y, h, r))), name
+
+
 def _reference_restriction(region, center, arrays, key, radii):
     """Ball-restricted eta the direct way, over every node.  On the sphere it
     is the sharp atomic sum; on the plane each call and key adds one coverage
     correction per band cell, mirroring BallRestrictedEta's plane rule
-    (sorted prefix sums, a band of partial cells, exact disk overlap)
-    without any of its caches."""
-    from capmono.wetted import _disk_cell_overlap
-
+    (sorted prefix sums, a band of partial cells, exact disk overlap from
+    four independent corner areas) without any of its caches."""
     nodes, cellw, _, wind_aa = region.grid()
     dist = np.linalg.norm(nodes - center, axis=1)
     order = np.argsort(dist, kind="stable")
@@ -248,7 +308,7 @@ def _reference_restriction(region, center, arrays, key, radii):
                 frac = np.zeros(hi - lo)
             else:
                 x0, y0 = nodes[lo:hi, 0] - center[0], nodes[lo:hi, 1] - center[1]
-                frac = _disk_cell_overlap(x0, y0, h, np.sqrt(rp2)) / (h * h)
+                frac = _reference_overlap(x0, y0, h, np.sqrt(rp2)) / (h * h)
             sharp = (dist[lo:hi] < r).astype(float)
             total += float(np.sum(values[lo:hi] * (frac - sharp)))
         out.append(total)
