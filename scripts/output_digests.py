@@ -7,12 +7,15 @@ the ``capmono`` command line of this checkout, and prints one digest per
 output file (surface.tsv, boundary.tsv, curve.tsv, energy.json,
 profile_*.csv) and per command stdout, with each command's exit code.
 With ``--threads N`` it also reruns monotonicity with N threads and digests
-those profiles and that stdout.  It then builds the wetted grid of the
-generated surface in this process, at the resolutions in ``GRIDS``, and
-digests each of the four ``WettedRegion.grid()`` arrays (nodes, cell
-weights, integer and antialiased winding) with its dtype and shape.  The
-output directory is replaced by ``OUT`` in stdout before hashing, so two
-checkouts can be compared by diffing what this prints in each:
+those profiles and that stdout.  On ``ball-cap`` it reruns monotonicity and
+identity-suite with one more probe, at the origin, whose identity has its
+own branch, and digests their stdout and profiles.  It then builds the
+wetted grid of the generated surface in this process, at the resolutions
+in ``GRIDS``, and digests each of the four ``WettedRegion.grid()`` arrays
+(nodes, cell weights, integer and antialiased winding) with its dtype and
+shape.  The output directory is replaced by ``OUT`` in stdout before
+hashing, so two checkouts can be compared by diffing what this prints in
+each:
 
     python3 scripts/output_digests.py --seed 1 --threads 2 > digests.txt
 """
@@ -43,6 +46,8 @@ EXTRA_OUTPUTS = ("boundary.tsv", "curve.tsv")
 # wetted grids digested per workload: sphere levels on the ball, grid sizes on the plane
 GRIDS = {"ball-cap": ("sphere_level", (5, 6, 7)), "halfspace-cap": ("grid_n", (512,))}
 GRID_ARRAYS = ("nodes", "cellw", "wind", "wind_aa")
+# workloads rerun with one more probe at the origin (the ball's origin branch)
+ORIGIN_RUNS = ("ball-cap",)
 
 
 def digest(data: bytes) -> str:
@@ -51,7 +56,6 @@ def digest(data: bytes) -> str:
 
 def run(command: str, config: Path, out: Path, extra=()) -> tuple[int, bytes]:
     env = dict(os.environ)
-    env.pop("CAPMONO_THREADS", None)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "capmono", command, "--config", str(config), *extra],
@@ -82,7 +86,23 @@ def workload_digests(name: str, seed: int, threads: int, work: Path) -> list[str
         lines.append(f"exit {code}  {tag}/monotonicity")
         lines.append(f"{digest(stdout)}  {tag}/monotonicity.stdout")
         lines += [f"{sha}  {tag}/{file}" for file, sha in digests(out).items() if file.startswith("profile_")]
-    return lines + grid_digests(name, out)
+    return lines + origin_digests(name, config, out) + grid_digests(name, out)
+
+
+def origin_digests(name: str, config: Path, out: Path) -> list[str]:
+    if name not in ORIGIN_RUNS:
+        return []
+    origin = config.with_name(f"{name}-origin.cfg")
+    origin.write_text(config.read_text().replace("[probes]\n", "[probes]\npoint = 0.0,0.0,0.0\n", 1))
+    for path in out.glob("profile_*.csv"):
+        path.unlink()
+    lines = []
+    for command in ("monotonicity", "identity-suite"):
+        code, stdout = run(command, origin, out)
+        lines.append(f"exit {code}  {name}/origin/{command}")
+        lines.append(f"{digest(stdout)}  {name}/origin/{command}.stdout")
+    lines += [f"{sha}  {name}/origin/{file}" for file, sha in digests(out).items() if file.startswith("profile_")]
+    return lines
 
 
 def grid_digests(name: str, out: Path) -> list[str]:

@@ -15,7 +15,6 @@ does not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional
 import warnings
 
@@ -24,14 +23,15 @@ import numpy as np
 from .energy import density, tilde_density, willmore_energy
 from .errors import AmbientError, GeometryError
 from .fields import TestVectorField
-from .geometry import BALL, companion, rowdot
+from .geometry import BALL, rowdot
 from .identity import (
+    TERM_KEYS,
     PairTerms,
-    assemble,
+    ProbeTerms,
+    Profile,
     center_offsets,
-    nudge_off_samples,
-    probe_state,
-    profile_residual,
+    identity_detail,
+    identity_profile,
     square_weights,
     surface_variation,
 )
@@ -41,33 +41,6 @@ from .wetted import BallRestrictedEta, WettedRegion, eta_integral
 
 ORIGIN = "origin"
 GENERAL = "general"
-
-
-@dataclass
-class BallProfile:
-    """Radial-grid evaluation of the capillary radial pair in the ball.
-
-    ``big_g`` is the monotone combination for theta in [pi/2, pi);
-    ``remainder`` collects the position-coupling terms that vanish as the
-    radius shrinks; ``residual`` holds normalized identity residuals over
-    consecutive grid pairs.  ``branch`` is "origin" exactly when the base
-    point sits at the origin.
-    """
-
-    base_point: np.ndarray
-    r_grid: np.ndarray
-    g_theta: np.ndarray
-    g_hat_theta: np.ndarray
-    big_g: np.ndarray
-    remainder: np.ndarray
-    residual: np.ndarray
-    branch: str
-
-    def min_forward_difference(self) -> float:
-        return float(np.min(np.diff(self.big_g)))
-
-    def worst_residual(self) -> float:
-        return float(np.max(np.abs(self.residual)))
 
 
 def _projection(nodes: np.ndarray, rel: np.ndarray, d2: np.ndarray) -> np.ndarray:
@@ -81,10 +54,13 @@ def _projection(nodes: np.ndarray, rel: np.ndarray, d2: np.ndarray) -> np.ndarra
 class _BallTerms(PairTerms):
     """Prefix sums of every integrand of the ball identity at one base point."""
 
-    def __init__(self, surface: SampledSurface, region: Optional[WettedRegion], x0):
+    SIGN = -1
+    BRANCH = GENERAL
+
+    def __init__(self, surface: SampledSurface, region: Optional[WettedRegion], probe):
         if surface.ambient.kind != BALL:
             raise AmbientError("ball monotonicity needs a surface in the unit ball")
-        super().__init__(surface, x0, RadialPrefix)
+        super().__init__(surface, probe, RadialPrefix)
         if self.divisor < 1e-6:
             warnings.warn(
                 f"base point |x0| = {self.divisor:.2e} is badly conditioned for the "
@@ -198,29 +174,39 @@ class _BallTerms(PairTerms):
 
 def free_boundary_radial_pair(surface: SampledSurface, x0, r: float):
     """The inversion-weighted radial pair without wetted corrections."""
-    x0 = nudge_off_samples(surface, np.asarray(x0, dtype=float))
-    t = _BallTerms(surface, None, x0)
-    g, g_hat = t.free_pair(float(r))
+    g, g_hat = _BallTerms(surface, None, x0).free_pair(float(r))
     return float(g[0]), float(g_hat[0])
 
 
 def capillary_radial_pair(surface: SampledSurface, region: WettedRegion, x0, r: float):
     """The radial pair with the wetted-measure corrections."""
-    x0 = nudge_off_samples(surface, np.asarray(x0, dtype=float))
-    t = _BallTerms(surface, region, x0)
-    g, g_hat = t.pair(float(r))
+    g, g_hat = probe_terms(surface, region, x0).pair(float(r))
     return float(g[0]), float(g_hat[0])
 
 
-class _OriginTerms:
-    """Origin-branch integrals: plain prefix sums about zero."""
+class _OriginTerms(ProbeTerms):
+    """Origin-branch integrals: plain prefix sums about zero.
 
-    def __init__(self, surface: SampledSurface):
+    The identity has one square integral against the increment of
+    g + g_hat (the constant boundary-measure hat member), and no companion
+    square or deficit terms; those members are zeros.  The profile reports
+    the raw probe as its base point.
+    """
+
+    SIGN = -1
+    BRANCH = ORIGIN
+
+    def __init__(self, surface: SampledSurface, probe):
         self.surface = surface
+        self.probe = probe
         origin = np.zeros(3)
         rel, r2 = center_offsets(surface.points, origin)
         arrays = {**surface.mu_arrays, "sq": square_weights(surface, rel, r2)}
-        self.prefix = RadialPrefix(surface.points, origin, arrays, d2=r2)
+        self.mu = RadialPrefix(surface.points, origin, arrays, d2=r2)
+
+    @property
+    def base_point(self) -> np.ndarray:
+        return self.probe
 
     def window(self, r):
         """Ring-commensurate averaging window shared by every origin term.
@@ -232,41 +218,54 @@ class _OriginTerms:
         profile stay monotone.
         """
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        w = np.minimum(self.prefix.auto_halfwidth(r), 0.9 * r)
-        lo, hi = self.prefix.snapped_window(r, w)
+        w = np.minimum(self.mu.auto_halfwidth(r), 0.9 * r)
+        lo, hi = self.mu.snapped_window(r, w)
         lo = np.maximum.accumulate(lo)
         hi = np.maximum.accumulate(hi)
         hi = np.maximum(hi, lo + 1e-12)
         return lo, hi
 
-    def g(self, r):
-        lo, hi = self.window(r)
-        return (
-            self.prefix.bounds_average("mass", lo, hi, over_r2=True) / np.pi
-            + self.prefix.bounds_average("h2", lo, hi) / (16 * np.pi)
-            + self.prefix.bounds_average("hx", lo, hi, over_r2=True) / (2 * np.pi)
-        )
-
-    def g_hat(self, r):
-        """Boundary-measure hat member, averaged in closed form on the window.
+    def pair(self, r):
+        """g_0 and the boundary-measure hat member, averaged on the window.
 
         The uniform average of min(s^-2, 1) over [a, b] is
         [(min(b,1) - min(a,1)) + 1/max(a,1) - 1/max(b,1)] / (b - a).
         """
         a, b = self.window(r)
-        gamma = self.surface.boundary_length()
-        coeff = -np.sin(self.surface.theta) * gamma / (2 * np.pi)
+        g = (
+            self.mu.bounds_average("mass", a, b, over_r2=True) / np.pi
+            + self.mu.bounds_average("h2", a, b) / (16 * np.pi)
+            + self.mu.bounds_average("hx", a, b, over_r2=True) / (2 * np.pi)
+        )
+        coeff = -np.sin(self.surface.theta) * self.surface.boundary_length() / (2 * np.pi)
         integral = (np.minimum(b, 1.0) - np.minimum(a, 1.0)) + 1.0 / np.maximum(a, 1.0) - 1.0 / np.maximum(b, 1.0)
-        avg = integral / np.maximum(b - a, 1e-300)
-        return coeff * avg
+        return g, coeff * (integral / np.maximum(b - a, 1e-300))
 
     def squares(self, r):
         lo, hi = self.window(r)
-        return self.prefix.bounds_average("sq", lo, hi) / np.pi
+        sq = self.mu.bounds_average("sq", lo, hi) / np.pi
+        return sq, np.zeros(len(sq))
+
+    def deficits(self, r):
+        zeros = np.zeros(len(np.atleast_1d(r)))
+        return zeros, zeros
 
     def remainder(self, r):
         lo, hi = self.window(r)
-        return self.prefix.bounds_average("hx", lo, hi, over_r2=True) / (2 * np.pi)
+        return self.mu.bounds_average("hx", lo, hi, over_r2=True) / (2 * np.pi)
+
+    def identity_terms(self, sigma: float, rho: float) -> dict:
+        """The increments of g + g_hat (as ``delta_g``) and of the square; the rest are 0.
+
+        The pair enters as one term, so the normalizing scale is the larger
+        of the two increments, not of g's and g_hat's apart.
+        """
+        r = np.array([sigma, rho])
+        terms = dict.fromkeys(TERM_KEYS, 0.0)
+        g, g_hat = self.pair(r)
+        terms["delta_g"] = float(np.diff(g + g_hat)[0])
+        terms["square"] = float(np.diff(self.squares(r)[0])[0])
+        return terms
 
 
 def probe_terms(surface: SampledSurface, region: WettedRegion, x0):
@@ -281,11 +280,8 @@ def probe_terms(surface: SampledSurface, region: WettedRegion, x0):
     """
     probe = np.array(x0, dtype=float)
     if np.linalg.norm(probe) < 1e-12:
-        terms = _OriginTerms(surface)
-    else:
-        terms = _BallTerms(surface, region, nudge_off_samples(surface, probe))
-    terms.probe = probe
-    return terms
+        return _OriginTerms(surface, probe)
+    return _BallTerms(surface, region, probe)
 
 
 def monotonicity_identity_detail(
@@ -296,52 +292,14 @@ def monotonicity_identity_detail(
     The general branch equates two annulus square integrals minus two
     wetted projection integrals with the increment of the capillary pair;
     the origin branch has a single square integral against g_0 plus the
-    constant boundary-measure hat term.  ``terms`` is the probe's
-    :func:`probe_terms` state; without it the state is built for this call.
-    Terms built for another surface or base point raise ValueError.
+    constant boundary-measure hat term (:func:`identity.identity_detail`).
     """
-    if not 0.0 < sigma <= rho:
-        raise ValueError("need 0 < sigma <= rho")
-    if sigma == rho:
-        return {"residual": 0.0, "normalized": 0.0, "scale": 1.0, "branch": GENERAL}
-    t = probe_state(probe_terms, surface, region, x0, terms)
-    if isinstance(t, _OriginTerms):
-        r = np.array([sigma, rho])
-        lhs = float(np.diff(t.squares(r))[0])
-        rhs = float(np.diff(t.g(r) + t.g_hat(r))[0])
-        scale = max(abs(lhs), abs(rhs), 1e-12)
-        return {
-            "square": lhs,
-            "delta_g": rhs,
-            "residual": lhs - rhs,
-            "normalized": (lhs - rhs) / scale,
-            "scale": scale,
-            "branch": ORIGIN,
-        }
-    return {**assemble(t.identity_terms(sigma, rho), sign=-1), "branch": GENERAL}
+    return identity_detail(probe_terms, surface, region, x0, sigma, rho, terms)
 
 
-def monotonicity_profile(
-    surface: SampledSurface, region: WettedRegion, x0, r_grid, *, terms=None
-) -> BallProfile:
-    """Profile of the capillary pair over a radius grid, both branches.
-
-    ``terms`` is the probe's :func:`probe_terms` state; without it the state
-    is built for this call.  Terms built for another surface or base point
-    raise ValueError.
-    """
-    r_grid = np.sort(np.asarray(r_grid, dtype=float))
-    t = probe_state(probe_terms, surface, region, x0, terms)
-    if isinstance(t, _OriginTerms):
-        g = t.g(r_grid)
-        g_hat = t.g_hat(r_grid)
-        big_g = g + g_hat
-        # the origin identity has no deficit terms
-        residual = profile_residual(big_g, t.squares(r_grid), np.zeros(len(r_grid)))
-        return BallProfile(t.probe, r_grid, g, g_hat, big_g, t.remainder(r_grid), residual, ORIGIN)
-
-    g_theta, g_hat_theta, big_g, remainder, _, residual = t.profile(r_grid)
-    return BallProfile(t.x0, r_grid, g_theta, g_hat_theta, big_g, remainder, residual, GENERAL)
+def monotonicity_profile(surface: SampledSurface, region: WettedRegion, x0, r_grid, *, terms=None) -> Profile:
+    """Profile of the capillary pair over a radius grid, both branches (:func:`identity.identity_profile`)."""
+    return identity_profile(probe_terms, surface, region, x0, r_grid, terms)
 
 
 def first_variation_residual(
@@ -406,16 +364,10 @@ def minimal_density_identity_residual(surface: SampledSurface, region: WettedReg
     x0 = np.asarray(x0, dtype=float)
     if abs(np.linalg.norm(x0) - 1.0) > 1e-6:
         raise GeometryError("the base point must lie on the unit sphere")
-    x0 = nudge_off_samples(surface, x0)
-    xi, _ = companion(x0, surface.ambient)
-    pts, w, nu = surface.points, surface.weights, surface.normals
-    lhs = 0.0
-    for c in (x0, xi):
-        rel = pts - c
-        r2 = np.sum(rel * rel, axis=1)
-        perp = np.sum(rel * nu, axis=1)
-        lhs += float(np.sum(perp**2 / r2**2 * w)) / np.pi
-    n_x0 = 2.0 * density(surface, x0)
+    # on a minimal surface the square integrand is |(x - c)perp|^2 / |x - c|^4
+    t = probe_terms(surface, region, x0)
+    lhs = float(t.mu.cumulative("sq", np.inf) + t.mu_hat.cumulative("sq", np.inf)) / np.pi
+    n_x0 = 2.0 * density(surface, t.x0)
     theta = surface.theta
     rhs = (2.0 * surface.area() - np.cos(theta) * eta_integral(region)) / (2 * np.pi) - (
         1.0 - np.cos(theta)
@@ -429,45 +381,27 @@ def limit_identity_residuals(surface: SampledSurface, region: WettedRegion, x0) 
     The branch is chosen by the base point: origin, a point of the unit
     sphere, or a general point; the key of the returned dict names it.
     """
-    x0 = np.asarray(x0, dtype=float)
     theta = surface.theta
     gamma = surface.boundary_length()
     w_tot = willmore_energy(surface)
+    t = probe_terms(surface, region, x0)
+    lhs_mu = float(t.mu.cumulative("sq", np.inf)) / np.pi
+    if t.BRANCH == ORIGIN:
+        rhs = w_tot / (4 * np.pi) + np.sin(theta) * gamma / (2 * np.pi) - tilde_density(surface, region, t.probe)
+        return {"origin": lhs_mu - rhs}
 
-    def mu_square(center):
-        return float(np.sum(square_weights(surface, *center_offsets(surface.points, center))))
-
-    if np.linalg.norm(x0) < 1e-12:
-        lhs = mu_square(np.zeros(3)) / np.pi
-        rhs = (
-            w_tot / (4 * np.pi)
-            + np.sin(theta) * gamma / (2 * np.pi)
-            - tilde_density(surface, region, x0)
-        )
-        return {"origin": lhs - rhs}
-
-    x0 = nudge_off_samples(surface, x0)
-    xi, _ = companion(x0, surface.ambient)
-    nodes, eta_w = region.eta_nodes()
-    eta_total = float(np.sum(eta_w))
-
-    def eta_proj(center):
-        return float(np.sum(_projection(nodes, *center_offsets(nodes, center)) * eta_w))
-
-    lhs_mu = (mu_square(x0) + mu_square(xi)) / np.pi
-    tilde = tilde_density(surface, region, x0)
-    if abs(np.linalg.norm(x0) - 1.0) <= 1e-6:
-        # on the sphere the two projection factors sum to 1/2 pointwise
-        rhs = (
-            w_tot / (2 * np.pi)
-            + (np.sin(theta) * gamma - np.cos(theta) * eta_total) / (2 * np.pi)
-            - tilde
-        )
-        return {"sphere_point": lhs_mu - rhs}
-    lhs = lhs_mu - np.cos(theta) / np.pi * (eta_proj(x0) + eta_proj(xi))
+    lhs_mu += float(t.mu_hat.cumulative("sq", np.inf)) / np.pi
+    eta_total = eta_integral(region)
+    # on the sphere the two projection factors sum to 1/2 pointwise, so the
+    # projection integrals give half the wetted area
+    on_sphere = abs(np.linalg.norm(t.x0) - 1.0) <= 1e-6
+    proj = 0.0
+    if not on_sphere:
+        proj = float(t.eta.cumulative("proj", np.inf)[0] + t.eta_hat.cumulative("proj", np.inf)[0])
+    lhs = lhs_mu - np.cos(theta) / np.pi * proj
     rhs = (
         w_tot / (2 * np.pi)
-        + (np.sin(theta) * gamma - 2.0 * np.cos(theta) * eta_total) / (2 * np.pi)
-        - tilde
+        + (np.sin(theta) * gamma - (1.0 if on_sphere else 2.0) * np.cos(theta) * eta_total) / (2 * np.pi)
+        - tilde_density(surface, region, t.x0)
     )
-    return {"general": lhs - rhs}
+    return {"sphere_point" if on_sphere else "general": lhs - rhs}

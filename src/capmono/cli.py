@@ -9,7 +9,6 @@ resolution, immersion).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -235,18 +234,10 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None, help="seed for random probes")
     args = parser.parse_args(argv)
     try:
-        cfg = tables.load_config(args.config)
-        threads = args.threads
-        env_threads = os.environ.get("CAPMONO_THREADS")
-        if threads is None and env_threads:
-            try:
-                threads = int(env_threads)
-            except ValueError:
-                raise ConfigError(f"CAPMONO_THREADS must be an integer, got {env_threads!r}") from None
         cfg = tables.with_overrides(
-            cfg,
+            tables.load_config(args.config),
             out_dir=args.out,
-            threads=threads,
+            threads=args.threads,
             tolerance=args.tolerance,
             seed=args.seed,
         )

@@ -29,8 +29,7 @@ _DENSITY_RADII = 24
 
 def willmore_energy(surface: SampledSurface) -> float:
     """Quarter-integral of |H|^2 over the surface."""
-    h2 = np.sum(surface.mean_curvature**2, axis=1)
-    return 0.25 * float(np.sum(h2 * surface.weights))
+    return 0.25 * float(np.sum(surface.mu_arrays["h2"]))
 
 
 def willmore_classical(surface: SampledSurface) -> float:
@@ -65,9 +64,8 @@ def gauss_equation_residual(surface: SampledSurface) -> float:
     The pointwise Gauss equation makes this vanish identically; quadrature
     and finite-difference noise are all that remains.
     """
-    h2 = np.sum(surface.mean_curvature**2, axis=1)
     val = (
-        0.25 * np.sum(h2 * surface.weights)
+        willmore_energy(surface)
         - np.sum(surface.gauss_curvature * surface.weights)
         - 0.5 * np.sum(surface.traceless_sq * surface.weights)
     )
@@ -82,7 +80,7 @@ def divergence_identity_residual(surface: SampledSurface) -> float:
     """
     if surface.ambient.kind != BALL:
         raise AmbientError("the divergence identity lives in the unit ball")
-    hx = float(np.sum(np.sum(surface.mean_curvature * surface.points, axis=1) * surface.weights))
+    hx = float(np.sum(surface.mu_arrays["hx"]))
     return abs(2.0 * surface.area() + hx - np.sin(surface.theta) * surface.boundary_length())
 
 

@@ -11,8 +11,6 @@ shared sample set so the identity can be checked to quadrature accuracy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .energy import tilde_density
@@ -21,10 +19,10 @@ from .fields import TANGENT, TestVectorField
 from .geometry import HALFSPACE
 from .identity import (
     PairTerms,
-    assemble,
+    Profile,
     center_offsets,
-    nudge_off_samples,
-    probe_state,
+    identity_detail,
+    identity_profile,
     surface_variation,
 )
 from .radial import RadialPrefix
@@ -32,42 +30,16 @@ from .surfaces import SampledSurface
 from .wetted import BallRestrictedEta, WettedRegion
 
 
-@dataclass
-class MonotonicityProfile:
-    """Radial-grid evaluation of the monotone combination at one base point.
-
-    ``big_g`` is g + g_hat (the monotone quantity for theta >= pi/2, or for
-    base points on the plane); ``remainder`` the curvature-position part that
-    vanishes at small radius; ``deficit`` the cumulative wetted deficit;
-    ``residual`` the normalized identity residual over consecutive grid
-    pairs (first entry zero).  Monotonicity is reported, never asserted:
-    outside the stated regimes the profile is still produced.
-    """
-
-    base_point: np.ndarray
-    r_grid: np.ndarray
-    g: np.ndarray
-    g_hat: np.ndarray
-    big_g: np.ndarray
-    remainder: np.ndarray
-    deficit: np.ndarray
-    residual: np.ndarray
-    doubling_ratio_max: float
-
-    def min_forward_difference(self) -> float:
-        return float(np.min(np.diff(self.big_g)))
-
-    def worst_residual(self) -> float:
-        return float(np.max(np.abs(self.residual)))
-
-
 class _Terms(PairTerms):
     """Prefix sums of every integrand the identity needs, at one base point."""
 
-    def __init__(self, surface: SampledSurface, region: WettedRegion, a):
+    SIGN = 1
+    BRANCH = None
+
+    def __init__(self, surface: SampledSurface, region: WettedRegion, probe):
         if surface.ambient.kind != HALFSPACE:
             raise AmbientError("half-space monotonicity needs a half-space surface")
-        super().__init__(surface, a, RadialPrefix)
+        super().__init__(surface, probe, RadialPrefix)
         a = self.x0
         nodes, _ = region.eta_nodes()
         _, d2 = center_offsets(nodes, a)
@@ -122,6 +94,21 @@ class _Terms(PairTerms):
         dfc = -np.cos(self.theta) / np.pi * self.eta.windowed("deficit", r, w)
         return dfc, dfc
 
+    def doubling_ratio_max(self, r_grid) -> float:
+        """Largest crude mass-ratio doubling ratio over a sorted grid (<= 1 when it applies)."""
+        ct = np.cos(self.theta)
+        w_grid = self.halfwidth(r_grid)
+        lhs_ratio = (
+            self.q2("mass", r_grid, w_grid)
+            + self.q2h("mass", r_grid, w_grid)
+            - 2 * ct * self.eta.windowed_over_r2("mass", r_grid, w_grid)
+        ) / np.pi
+        w_tot = float(self.mu.cumulative("h2", np.inf))
+        bound = 3.0 * lhs_ratio + 9.0 / (8.0 * np.pi) * w_tot
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = lhs_ratio[None, :-1] / bound[1:, None]
+        return float(np.nanmax(np.tril(ratios))) if len(r_grid) > 1 else 0.0
+
 
 def probe_terms(surface: SampledSurface, region: WettedRegion, a) -> _Terms:
     """The restriction state at one base point, nudged off the samples.
@@ -132,67 +119,19 @@ def probe_terms(surface: SampledSurface, region: WettedRegion, a) -> _Terms:
     coverage corrections of every radius it has evaluated.  ``probe`` keeps
     the raw base point, which those two functions check against theirs.
     """
-    probe = np.array(a, dtype=float)
-    terms = _Terms(surface, region, nudge_off_samples(surface, probe))
-    terms.probe = probe
-    return terms
+    return _Terms(surface, region, a)
 
 
 def monotonicity_identity_detail(
     surface: SampledSurface, region: WettedRegion, a, sigma: float, rho: float, *, terms=None
 ) -> dict:
-    """All six identity terms plus raw and normalized residuals.
-
-    ``terms`` is the probe's :func:`probe_terms` state; without it the state
-    is built for this call.  Terms built for another surface or base point
-    raise ValueError.
-    """
-    if not 0.0 < sigma <= rho:
-        raise ValueError("need 0 < sigma <= rho")
-    if sigma == rho:
-        return {"residual": 0.0, "normalized": 0.0, "scale": 1.0}
-    t = probe_state(probe_terms, surface, region, a, terms)
-    return assemble(t.identity_terms(sigma, rho), sign=1)
+    """All six identity terms, raw and normalized residuals (:func:`identity.identity_detail`)."""
+    return identity_detail(probe_terms, surface, region, a, sigma, rho, terms)
 
 
-def monotonicity_profile(
-    surface: SampledSurface, region: WettedRegion, a, r_grid, *, terms=None
-) -> MonotonicityProfile:
-    """Profile of g, g_hat, their sum and the identity pieces over a grid.
-
-    ``terms`` is the probe's :func:`probe_terms` state; without it the state
-    is built for this call.  Terms built for another surface or base point
-    raise ValueError.
-    """
-    r_grid = np.sort(np.asarray(r_grid, dtype=float))
-    t = probe_state(probe_terms, surface, region, a, terms)
-    g, g_hat, big_g, remainder, deficit, residual = t.profile(r_grid)
-
-    # crude mass-ratio doubling bound as a sanity ratio (<= 1 when it applies)
-    ct = np.cos(t.theta)
-    w_grid = t.halfwidth(r_grid)
-    lhs_ratio = (
-        t.q2("mass", r_grid, w_grid)
-        + t.q2h("mass", r_grid, w_grid)
-        - 2 * ct * t.eta.windowed_over_r2("mass", r_grid, w_grid)
-    ) / np.pi
-    w_tot = float(t.mu.cumulative("h2", np.inf))
-    bound = 3.0 * lhs_ratio + 9.0 / (8.0 * np.pi) * w_tot
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = lhs_ratio[None, :-1] / bound[1:, None]
-    doubling = float(np.nanmax(np.tril(ratios))) if len(r_grid) > 1 else 0.0
-
-    return MonotonicityProfile(
-        base_point=t.x0,
-        r_grid=r_grid,
-        g=np.asarray(g),
-        g_hat=np.asarray(g_hat),
-        big_g=np.asarray(big_g),
-        remainder=np.asarray(remainder),
-        deficit=np.asarray(deficit),
-        residual=residual,
-        doubling_ratio_max=doubling,
-    )
+def monotonicity_profile(surface: SampledSurface, region: WettedRegion, a, r_grid, *, terms=None) -> Profile:
+    """Profile of g, g_hat, their sum and the identity pieces over a grid (:func:`identity.identity_profile`)."""
+    return identity_profile(probe_terms, surface, region, a, r_grid, terms)
 
 
 def boundary_limit_identity_residual(surface: SampledSurface, region: WettedRegion, a) -> float:

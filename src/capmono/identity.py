@@ -8,14 +8,16 @@ ambients (:func:`geometry.companion`): B_r(x0) is paired with the ball of
 radius r / divisor about the reflected or inverted center.
 
 This module holds what the ambients share: the base-point nudge, the
-square integrand, one radius window for every term, the assembly of
-identity residuals and the surface terms of the first variation.  Each
-ambient module keeps its own pair, remainder and deficit terms.
+square integrand, one radius window for every term, the probe terms
+protocol, the profile record, the front end of the identity detail and
+the profile, and the surface terms of the first variation.  Each ambient
+module keeps its own pair, remainder and deficit terms.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from dataclasses import dataclass
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -43,7 +45,7 @@ def nudge_off_samples(surface: SampledSurface, a: np.ndarray) -> np.ndarray:
     return a + _OFFSET * surface.boundary_tangents[k]
 
 
-def probe_state(build, surface: SampledSurface, region, a, terms):
+def _probe_state(build, surface: SampledSurface, region, a, terms):
     """The probe's terms: ``terms`` when given, else ``build(surface, region, a)``.
 
     Given terms must come from ``build`` (an ambient's ``probe_terms``) on
@@ -118,7 +120,90 @@ def assemble(terms: dict, sign: int) -> dict:
     return {**terms, "residual": res, "normalized": res / scale, "scale": scale}
 
 
-class PairTerms:
+@dataclass
+class Profile:
+    """Radial-grid evaluation of the monotone combination at one base point.
+
+    ``big_g`` is g + g_hat (the monotone quantity for theta >= pi/2, or for
+    half-space base points on the plane); ``remainder`` the
+    curvature-position part that vanishes at small radius; ``deficit`` the
+    cumulative wetted deficit of both balls; ``residual`` the normalized
+    identity residual over consecutive grid pairs (first entry zero).
+    ``branch`` is None in the half-space and names the ball's branch,
+    "origin" or "general".  Monotonicity is reported, never asserted:
+    outside the stated regimes the profile is still produced.
+    """
+
+    base_point: np.ndarray
+    r_grid: np.ndarray
+    g: np.ndarray
+    g_hat: np.ndarray
+    big_g: np.ndarray
+    remainder: np.ndarray
+    deficit: np.ndarray
+    residual: np.ndarray
+    branch: Optional[str] = None
+
+    def min_forward_difference(self) -> float:
+        return float(np.min(np.diff(self.big_g)))
+
+    def worst_residual(self) -> float:
+        return float(np.max(np.abs(self.residual)))
+
+
+class ProbeTerms:
+    """The restriction state of one probe, the one interface of every branch.
+
+    A subclass declares ``SIGN`` (the :func:`assemble` sign) and ``BRANCH``
+    (the profile's and the detail's branch label) and supplies ``pair``,
+    ``squares`` and ``deficits`` (each a direct and a companion member),
+    ``remainder`` and ``base_point``.  ``surface`` and ``probe`` (the raw
+    base point) name the probe the state was built for.
+    """
+
+    SIGN: int
+    BRANCH: Optional[str]
+
+    def identity_terms(self, sigma: float, rho: float) -> dict:
+        """Increments over [sigma, rho] of the pair, squares and deficits."""
+        r = np.array([sigma, rho])
+        members = (*self.pair(r), *self.squares(r), *self.deficits(r))
+        return {key: float(np.diff(v)[0]) for key, v in zip(TERM_KEYS, members)}
+
+    def profile(self, r_grid) -> Profile:
+        """The pair, remainder, deficits and identity residual over a sorted grid."""
+        g, g_hat = self.pair(r_grid)
+        big_g = g + g_hat
+        remainder = self.remainder(r_grid)
+        sq_direct, sq_hat = self.squares(r_grid)
+        dfc_direct, dfc_hat = self.deficits(r_grid)
+        dfc = dfc_direct + dfc_hat
+        residual = profile_residual(big_g, sq_direct + sq_hat, dfc)
+        return Profile(self.base_point, r_grid, g, g_hat, big_g, remainder, dfc, residual, self.BRANCH)
+
+
+def identity_detail(build, surface: SampledSurface, region, a, sigma: float, rho: float, terms=None) -> dict:
+    """The identity terms over [sigma, rho], the residuals and the branch.
+
+    ``build`` is the ambient's ``probe_terms``; ``terms`` the probe's state
+    from it, built for this call when None.  Terms built for another
+    surface or base point raise ValueError.
+    """
+    if not 0.0 < sigma <= rho:
+        raise ValueError("need 0 < sigma <= rho")
+    t = _probe_state(build, surface, region, a, terms)
+    if sigma == rho:
+        return {"residual": 0.0, "normalized": 0.0, "scale": 1.0, "branch": t.BRANCH}
+    return {**assemble(t.identity_terms(sigma, rho), t.SIGN), "branch": t.BRANCH}
+
+
+def identity_profile(build, surface: SampledSurface, region, a, r_grid, terms=None) -> Profile:
+    """The probe's :class:`Profile` over the sorted grid; ``build`` and ``terms`` as above."""
+    r_grid = np.sort(np.asarray(r_grid, dtype=float))
+    return _probe_state(build, surface, region, a, terms).profile(r_grid)
+
+
+class PairTerms(ProbeTerms):
     """Prefix sums about a base point and its companion, read in one window.
 
     ``prefix`` builds the two prefixes; the ambient modules pass their own
@@ -127,13 +212,15 @@ class PairTerms:
     prefix carries the shared arrays plus the ambient's ``hat_arrays``.
     Hat reads (``qh``, ``q2h``) take the direct radius and window and
     divide both by the divisor (``hat``).  Subclasses supply ``pair``,
-    ``remainder`` and ``deficits``.
+    ``remainder`` and ``deficits``; the base point is ``x0``, the probe
+    nudged off the samples.
     """
 
-    def __init__(self, surface: SampledSurface, x0, prefix):
+    def __init__(self, surface: SampledSurface, probe, prefix):
         self.surface = surface
         self.theta = surface.theta
-        self.x0 = np.asarray(x0, dtype=float)
+        self.probe = np.array(probe, dtype=float)
+        self.x0 = nudge_off_samples(surface, self.probe)
         self.x0_hat, self.divisor = companion(self.x0, surface.ambient)
         pts, shared = surface.points, surface.mu_arrays
         rel, r2 = center_offsets(pts, self.x0)
@@ -141,6 +228,10 @@ class PairTerms:
         rel, r2 = center_offsets(pts, self.x0_hat)
         hat = {**shared, "sq": square_weights(surface, rel, r2), **self.hat_arrays()}
         self.mu_hat = prefix(pts, self.x0_hat, hat, d2=r2)
+
+    @property
+    def base_point(self) -> np.ndarray:
+        return self.x0
 
     def hat_arrays(self) -> Mapping:
         """Ambient-specific keys of the companion prefix (none by default)."""
@@ -189,19 +280,3 @@ class PairTerms:
         r = np.atleast_1d(np.asarray(r, dtype=float))
         w = self.halfwidth(r)
         return self.q("sq", r, w) / np.pi, self.qh("sq", r, w) / np.pi
-
-    def identity_terms(self, sigma: float, rho: float) -> dict:
-        """Increments over [sigma, rho] of the pair, squares and deficits."""
-        r = np.array([sigma, rho])
-        members = (*self.pair(r), *self.squares(r), *self.deficits(r))
-        return {key: float(np.diff(v)[0]) for key, v in zip(TERM_KEYS, members)}
-
-    def profile(self, r_grid):
-        """(g, g_hat, big_g, remainder, deficit, residual) over a sorted grid."""
-        g, g_hat = self.pair(r_grid)
-        big_g = g + g_hat
-        remainder = self.remainder(r_grid)
-        sq_direct, sq_hat = self.squares(r_grid)
-        dfc_direct, dfc_hat = self.deficits(r_grid)
-        dfc = dfc_direct + dfc_hat
-        return g, g_hat, big_g, remainder, dfc, profile_residual(big_g, sq_direct + sq_hat, dfc)

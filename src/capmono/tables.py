@@ -29,11 +29,14 @@ SURFACE_COLUMNS = "x1 x2 x3 weight nu1 nu2 nu3 H1 H2 H3 K Aring2"
 BOUNDARY_COLUMNS = "x1 x2 x3 t1 t2 t3 c1 c2 c3 arcweight kg kg_wetting"
 CURVE_COLUMNS = "x1 x2 x3 t1 t2 t3 weight"
 
-# the largest wetted grids whose single-threaded monotonicity run on the
-# benchmark configs peaks under 1 GB (796 MB at plane_grid 2048, 336 MB at
-# sphere_level 8); the next plane step is about four times larger
+# the largest wetted grids and chart resolutions whose single-threaded
+# monotonicity run on the benchmark configs peaks under 1 GB (796 MB at
+# plane_grid 2048, 336 MB at sphere_level 8, 958 MB on ball-cap at
+# nu = nv = 1000); the next plane step is about four times larger, and
+# nu = nv = 1024 peaks at 1003 MB
 MAX_PLANE_GRID = 2048
 MAX_SPHERE_LEVEL = 8
+MAX_NU_NV = 1000
 
 # the ambient of the surface each generator builds
 GENERATOR_AMBIENT = {"cap": HALFSPACE, "flat-disk-ball": BALL, "cap-ball": BALL}
@@ -154,11 +157,15 @@ def save_curve(curve: OrientedCurve, path) -> None:
 
 
 def load_curve(path) -> OrientedCurve:
+    """Rebuild a curve from its table; a ``closed=`` other than 0 or 1 raises ConfigError."""
     header, arr = _load_table(path, CURVE_COLUMNS)
     closed = True
     for body in header:
         if "closed=" in body:
-            closed = bool(int(body.split("=", 1)[1]))
+            flag = body.split("=", 1)[1]
+            if flag not in ("0", "1"):
+                raise ConfigError(f"{path}: closed= must be 0 or 1, got {flag!r}")
+            closed = flag == "1"
     return OrientedCurve(arr[:, 0:3], arr[:, 3:6], arr[:, 6], closed=closed)
 
 
@@ -170,18 +177,17 @@ def profile_csv(profile, path) -> np.ndarray:
 
     Returns the numeric table written, one row per radius.
     """
-    if hasattr(profile, "branch"):
-        header = "r,gTheta,gHatTheta,G,R,residual,branch"
-        columns = (profile.g_theta, profile.g_hat_theta, profile.big_g, profile.remainder, profile.residual)
-        # the ball layout ends every row with the branch name
-        end = f",{profile.branch}\n"
-    else:
+    if profile.branch is None:
         header = "r,g,gHat,G,R,deficit,residual"
-        columns = (
-            profile.g, profile.g_hat, profile.big_g, profile.remainder, profile.deficit, profile.residual
-        )
+        columns = (profile.deficit, profile.residual)
         end = "\n"
-    table = np.column_stack([profile.r_grid, *columns])
+    else:
+        header = "r,gTheta,gHatTheta,G,R,residual,branch"
+        columns = (profile.residual,)
+        # the ball layout has no deficit column and ends every row with the branch name
+        end = f",{profile.branch}\n"
+    common = (profile.r_grid, profile.g, profile.g_hat, profile.big_g, profile.remainder)
+    table = np.column_stack([*common, *columns])
     with Path(path).open("w", newline="\n") as fh:
         fh.write(header + "\n")
         np.savetxt(fh, table, fmt=_CSV, delimiter=",", newline=end)
@@ -341,7 +347,10 @@ def _validated(cfg: RunConfig) -> RunConfig:
         (bool(infinite), f"{', '.join(infinite)} must be finite"),
         (not 0.0 < cfg.theta < math.pi, "theta must lie strictly inside (0, pi)"),
         (not cfg.radius > 0.0, f"radius must be positive, got {cfg.radius!r}"),
-        (min(cfg.nu, cfg.nv) < 8, "nu and nv must be at least 8"),
+        (
+            not 8 <= min(cfg.nu, cfg.nv) <= max(cfg.nu, cfg.nv) <= MAX_NU_NV,
+            f"nu and nv must lie in [8, {MAX_NU_NV}]",
+        ),
         (not 8 <= cfg.plane_grid <= MAX_PLANE_GRID, f"plane_grid must lie in [8, {MAX_PLANE_GRID}]"),
         (not 0 <= cfg.sphere_level <= MAX_SPHERE_LEVEL, f"sphere_level must lie in [0, {MAX_SPHERE_LEVEL}]"),
         # a subnormal r_min overflows 1/r in the radius windows

@@ -320,7 +320,6 @@ class WettedRegion:
     wetting: str = PLANE
     grid_n: int = 512
     sphere_level: int = 6
-    bbox: Optional[tuple] = None
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -383,8 +382,6 @@ class WettedRegion:
     # -- grids -----------------------------------------------------------------
 
     def _plane_bbox(self) -> tuple[float, float, float, float]:
-        if self.bbox is not None:
-            return self.bbox
         pts = np.concatenate([c.points for c in self.curves])
         x0, y0 = pts[:, 0].min(), pts[:, 1].min()
         x1, y1 = pts[:, 0].max(), pts[:, 1].max()

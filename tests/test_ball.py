@@ -54,6 +54,22 @@ def test_identity_origin_branch(stock):
     assert abs(detail["square"]) < 1e-12
 
 
+def test_origin_detail_scale_is_the_larger_increment(stock):
+    # the origin identity equates one square integral with the increment of
+    # g + g_hat taken as one term; split into g and g_hat, the scale would
+    # pick up |delta g| and the normalized residual would shrink by orders
+    surface, region = stock.capball(2 * np.pi / 3, np.pi / 3)
+    terms = bl.probe_terms(surface, region, np.zeros(3))
+    r = np.array([0.2, 1.5])
+    g, g_hat = terms.pair(r)
+    d_pair = float(np.diff(g + g_hat)[0])
+    d_square = float(np.diff(terms.squares(r)[0])[0])
+    detail = bl.monotonicity_identity_detail(surface, region, np.zeros(3), *r, terms=terms)
+    assert detail["branch"] == bl.ORIGIN
+    assert detail["residual"] == d_square - d_pair
+    assert detail["normalized"] == detail["residual"] / max(abs(d_square), abs(d_pair), 1e-12)
+
+
 def test_identity_interior_point(stock):
     surface, region = stock.capball(2 * np.pi / 3, np.pi / 3)
     detail = bl.monotonicity_identity_detail(surface, region, [0.2, 0.1, 0.4], 0.3, 1.4)

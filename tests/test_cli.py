@@ -242,43 +242,42 @@ def test_console_entry_point(cfg_path):
     assert "contact residual" in proc.stdout
 
 
-def _run_cli(args, env_extra=None):
+def _run_cli(args):
     src = str(Path(capmono.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env.pop("CAPMONO_THREADS", None)
-    env.update(env_extra or {})
     return subprocess.run([sys.executable, "-m", "capmono", *args], capture_output=True, text=True, env=env)
 
 
 @pytest.mark.parametrize(
-    "edit, args, env",
+    "edit, args",
     [
-        (("pair = 0.4,1.5", "pair = 1.5,0.4"), (), None),
-        (("r_count = 16", "r_count = 1"), (), None),
-        (("nu = 64", "nu = 4"), (), None),
-        (("r_min = 0.3", "r_min = -1"), (), None),
-        (("r_min = 0.3", "r_min = 1e-310"), (), None),
-        (("radius = 1", "radius = -1"), (), None),
-        (("radius = 1", "radius = 0"), (), None),
-        (("plane_grid = 256", "plane_grid = 4096"), (), None),
-        (("sphere_level = 4", "sphere_level = 9"), (), None),
-        (None, ("--threads", "-3"), None),
-        (None, (), {"CAPMONO_THREADS": "abc"}),
-        (("generator = cap", "generator = cap-ball"), (), None),
+        (("pair = 0.4,1.5", "pair = 1.5,0.4"), ()),
+        (("r_count = 16", "r_count = 1"), ()),
+        (("nu = 64", "nu = 4"), ()),
+        (("nu = 64", "nu = 200000"), ()),
+        (("nv = 64", "nv = 1001"), ()),
+        (("r_min = 0.3", "r_min = -1"), ()),
+        (("r_min = 0.3", "r_min = 1e-310"), ()),
+        (("radius = 1", "radius = -1"), ()),
+        (("radius = 1", "radius = 0"), ()),
+        (("plane_grid = 256", "plane_grid = 4096"), ()),
+        (("sphere_level = 4", "sphere_level = 9"), ()),
+        (None, ("--threads", "-3")),
+        (("generator = cap", "generator = cap-ball"), ()),
     ],
     ids=[
-        "pair-order", "r-count", "nu", "r-min", "r-min-subnormal", "radius-negative", "radius-zero",
-        "plane-grid-max", "sphere-level-max", "threads-flag", "threads-env", "generator-ambient",
+        "pair-order", "r-count", "nu", "nu-max", "nv-max", "r-min", "r-min-subnormal", "radius-negative", "radius-zero",
+        "plane-grid-max", "sphere-level-max", "threads-flag", "generator-ambient",
     ],
 )
-def test_bad_config_exits_2_without_traceback(tmp_path, edit, args, env):
+def test_bad_config_exits_2_without_traceback(tmp_path, edit, args):
     text = BASE.replace("OUT", str(tmp_path / "out"))
     if edit is not None:
         assert edit[0] in text
         text = text.replace(*edit)
     path = tmp_path / "bad.cfg"
     path.write_text(text)
-    proc = _run_cli(["generate", "--config", str(path), *args], env)
+    proc = _run_cli(["generate", "--config", str(path), *args])
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "configuration error" in proc.stderr

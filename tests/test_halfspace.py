@@ -99,8 +99,8 @@ def test_profile_deficit_sign(stock):
 
 def test_profile_doubling_ratio(stock):
     surface, region = stock.cap(THETA)
-    prof = hs.monotonicity_profile(surface, region, [0.4, 0.1, 0.2], np.linspace(0.3, 4.0, 20))
-    assert prof.doubling_ratio_max <= 1.0 + 1e-6
+    terms = hs.probe_terms(surface, region, [0.4, 0.1, 0.2])
+    assert terms.doubling_ratio_max(np.linspace(0.3, 4.0, 20)) <= 1.0 + 1e-6
 
 
 def test_boundary_limit_identity(stock):

@@ -42,6 +42,19 @@ def test_curve_roundtrip(stock, tmp_path):
     assert back.closed
 
 
+@pytest.mark.parametrize("flag", ["yes", "7", "", "-1", "1.0"])
+def test_curve_closed_flag_must_be_0_or_1(stock, tmp_path, flag):
+    surface, _ = stock.cap(np.pi / 2)
+    path = tmp_path / "curve.tsv"
+    tables.save_curve(curve_from_boundary(surface), path)
+    text = path.read_text()
+    path.write_text(text.replace("# closed=1\n", f"# closed={flag}\n", 1))
+    with pytest.raises(ConfigError, match="curve.tsv"):
+        tables.load_curve(path)
+    path.write_text(text.replace("# closed=1\n", "# closed=0\n", 1))
+    assert not tables.load_curve(path).closed
+
+
 def test_imported_surface_supports_energies(stock, tmp_path):
     surface, region = stock.disk(np.pi / 3)
     tables.save_surface(surface, tmp_path / "s.tsv")
@@ -76,6 +89,16 @@ def test_ball_profile_csv(stock, tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "r,gTheta,gHatTheta,G,R,residual,branch"
     assert lines[1].endswith(",origin")
+    # the general branch: the same layout, six numbers and the branch name
+    contact = np.array([np.sin(np.pi / 3), 0.0, np.cos(np.pi / 3)])
+    prof = bl.monotonicity_profile(surface, region, contact, np.linspace(0.3, 1.5, 6))
+    tables.profile_csv(prof, path)
+    lines = path.read_text().strip().split("\n")
+    assert lines[0] == "r,gTheta,gHatTheta,G,R,residual,branch"
+    for line in lines[1:]:
+        *numbers, branch = line.split(",")
+        assert branch == "general"
+        assert len(numbers) == 6 and all(np.isfinite(float(v)) for v in numbers)
 
 
 def test_report_json(stock, tmp_path):
@@ -144,6 +167,9 @@ out_dir = somewhere
         "[quadrature]\nplane_grid = 2049\n",
         "[quadrature]\nsphere_level = -1\n",
         "[quadrature]\nsphere_level = 9\n",
+        "[quadrature]\nnu = 1001\n",
+        "[quadrature]\nnv = 1001\n",
+        "[quadrature]\nnu = 200000\n",
     ],
 )
 def test_config_rejects_malformed(text):

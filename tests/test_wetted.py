@@ -44,6 +44,14 @@ def square(side=2.0, n_per_side=64):
     return OrientedCurve(pts, tans, np.full(4 * n_per_side, 4 * side / (4 * n_per_side)))
 
 
+def ellipse(a=1.0, b=4.0, n=512):
+    t = np.linspace(0, 2 * np.pi, n, endpoint=False)
+    pts = np.column_stack([a * np.cos(t), b * np.sin(t), np.zeros(n)])
+    d = np.column_stack([-a * np.sin(t), b * np.cos(t), np.zeros(n)])
+    sp = np.linalg.norm(d, axis=1)
+    return OrientedCurve(pts, d / sp[:, None], sp * (2 * np.pi / n))
+
+
 def figure_eight(n=1024, squash=0.3):
     t = np.linspace(0, 2 * np.pi, n, endpoint=False)
     pts = np.column_stack([np.sin(2 * t) / 2, np.sin(t) * (1 + squash * np.cos(t)), np.zeros(n)])
@@ -617,8 +625,8 @@ def _grid_cases(stock):
         "cap": lambda: wetted_region(cap, grid_n=512),
         "figure-eight": lambda: WettedRegion((figure_eight(),), "plane", grid_n=256),
         "disjoint": lambda: WettedRegion(pair, "plane", grid_n=256),
-        # cells four times as tall as wide
-        "elongated": lambda: WettedRegion((circle(),), "plane", grid_n=200, bbox=(-1.2, 1.2, -4.8, 4.8)),
+        # a 1 : 4 ellipse: its bounding box makes cells four times as tall as wide
+        "elongated": lambda: WettedRegion((ellipse(),), "plane", grid_n=200),
         "disk-3": lambda: wetted_region(disk, sphere_level=3),
         "disk-4": lambda: wetted_region(disk, sphere_level=4),
         "capball-3": lambda: wetted_region(capball, sphere_level=3),
