@@ -7,15 +7,16 @@ the ``capmono`` command line of this checkout, and prints one digest per
 output file (surface.tsv, boundary.tsv, curve.tsv, energy.json,
 profile_*.csv) and per command stdout, with each command's exit code.
 With ``--threads N`` it also reruns monotonicity with N threads and digests
-those profiles and that stdout.  On ``ball-cap`` it reruns monotonicity and
-identity-suite with one more probe, at the origin, whose identity has its
-own branch, and digests their stdout and profiles.  It then builds the
-wetted grid of the generated surface in this process, at the resolutions
-in ``GRIDS``, and digests each of the four ``WettedRegion.grid()`` arrays
-(nodes, cell weights, integer and antialiased winding) with its dtype and
-shape.  The output directory is replaced by ``OUT`` in stdout before
-hashing, so two checkouts can be compared by diffing what this prints in
-each:
+those profiles and that stdout.  It reruns monotonicity and identity-suite
+with one more probe, and digests their stdout and profiles: on ``ball-cap``
+at the origin, whose identity has its own branch, and on ``halfspace-cap``
+on the x1 axis, where distances tie exactly, so every radial prefix there
+takes the stable sort.  It then builds the wetted grid of the generated
+surface in this process, at the resolutions in ``GRIDS``, and digests each
+of the four ``WettedRegion.grid()`` arrays (nodes, cell weights, integer
+and antialiased winding) with its dtype and shape.  The output directory
+is replaced by ``OUT`` in stdout before hashing, so two checkouts can be
+compared by diffing what this prints in each:
 
     python3 scripts/output_digests.py --seed 1 --threads 2 > digests.txt
 """
@@ -46,8 +47,11 @@ EXTRA_OUTPUTS = ("boundary.tsv", "curve.tsv")
 # wetted grids digested per workload: sphere levels on the ball, grid sizes on the plane
 GRIDS = {"ball-cap": ("sphere_level", (5, 6, 7)), "halfspace-cap": ("grid_n", (512,))}
 GRID_ARRAYS = ("nodes", "cellw", "wind", "wind_aa")
-# workloads rerun with one more probe at the origin (the ball's origin branch)
-ORIGIN_RUNS = ("ball-cap",)
+# workloads rerun with one more probe, named by its tag: the ball's origin
+# branch, and the first half-space station turned onto the x1 axis, where
+# distances from the probe tie exactly (about 6,000 samples and 117,000
+# grid nodes repeat the distance of another)
+EXTRA_PROBES = {"ball-cap": ("origin", "0.0,0.0,0.0"), "halfspace-cap": ("axis", "0.175,0.0,0.8")}
 
 
 def digest(data: bytes) -> str:
@@ -86,22 +90,23 @@ def workload_digests(name: str, seed: int, threads: int, work: Path) -> list[str
         lines.append(f"exit {code}  {tag}/monotonicity")
         lines.append(f"{digest(stdout)}  {tag}/monotonicity.stdout")
         lines += [f"{sha}  {tag}/{file}" for file, sha in digests(out).items() if file.startswith("profile_")]
-    return lines + origin_digests(name, config, out) + grid_digests(name, out)
+    return lines + extra_probe_digests(name, config, out) + grid_digests(name, out)
 
 
-def origin_digests(name: str, config: Path, out: Path) -> list[str]:
-    if name not in ORIGIN_RUNS:
+def extra_probe_digests(name: str, config: Path, out: Path) -> list[str]:
+    if name not in EXTRA_PROBES:
         return []
-    origin = config.with_name(f"{name}-origin.cfg")
-    origin.write_text(config.read_text().replace("[probes]\n", "[probes]\npoint = 0.0,0.0,0.0\n", 1))
+    tag, point = EXTRA_PROBES[name]
+    extra = config.with_name(f"{name}-{tag}.cfg")
+    extra.write_text(config.read_text().replace("[probes]\n", f"[probes]\npoint = {point}\n", 1))
     for path in out.glob("profile_*.csv"):
         path.unlink()
     lines = []
     for command in ("monotonicity", "identity-suite"):
-        code, stdout = run(command, origin, out)
-        lines.append(f"exit {code}  {name}/origin/{command}")
-        lines.append(f"{digest(stdout)}  {name}/origin/{command}.stdout")
-    lines += [f"{sha}  {name}/origin/{file}" for file, sha in digests(out).items() if file.startswith("profile_")]
+        code, stdout = run(command, extra, out)
+        lines.append(f"exit {code}  {name}/{tag}/{command}")
+        lines.append(f"{digest(stdout)}  {name}/{tag}/{command}.stdout")
+    lines += [f"{sha}  {name}/{tag}/{file}" for file, sha in digests(out).items() if file.startswith("profile_")]
     return lines
 
 

@@ -153,7 +153,7 @@ def plane_grid(bbox: tuple[float, float, float, float], n: int):
 
     Returns ``(points, cell_area, xs, ys)``; points is the (n*n, 3) array of
     cell centers at x3 = 0 raveled in ``meshgrid(xs, ys, indexing='ij')``
-    order.
+    order, Fortran-ordered (each coordinate one contiguous column).
     """
     x0, x1, y0, y1 = bbox
     hx = (x1 - x0) / n
@@ -161,5 +161,5 @@ def plane_grid(bbox: tuple[float, float, float, float], n: int):
     xs = x0 + hx * (np.arange(n) + 0.5)
     ys = y0 + hy * (np.arange(n) + 0.5)
     xx, yy = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.column_stack([xx.ravel(), yy.ravel(), np.zeros(n * n)])
+    pts = np.array([xx.ravel(), yy.ravel(), np.zeros(n * n)]).T
     return pts, hx * hy, xs, ys

@@ -30,10 +30,18 @@ class RadialPrefix:
     ``order`` sorts the samples by distance; ``dists`` and ``values`` are in
     that order.  A caller that already holds the squared distances
     |x - c|^2 of the points passes them as ``d2``, so each center costs one
-    distance pass.  A key's plain prefix is built with the object, its f.d
-    and f/d prefixes (read by the two windows) on their first read.  An
-    object belongs to one probe and is never shared across worker threads,
-    so the lazily filled dict needs no lock.
+    distance pass.
+
+    All keys are the rows of one (K, n) array: a 1-d key one row, an
+    (n, m) key m rows.  Each key is gathered straight into its rows, and
+    every plain prefix is built by one ``cumsum`` along the rows;
+    ``values[key]`` and the key's plain prefix are views of its rows (the
+    ``.T`` of them for an (n, m) key).  A row adds its entries in the order
+    of a per-key running sum, so every prefix has the bits of a per-key
+    ``np.cumsum``.  The f.d and f/d prefixes of a key (read by the two
+    windows) are built on their first read.  An object belongs to one probe
+    and is never shared across worker threads, so the lazily filled dict
+    needs no lock.
     """
 
     def __init__(self, points: np.ndarray, center, arrays: dict[str, np.ndarray], *, d2=None):
@@ -41,22 +49,36 @@ class RadialPrefix:
         if d2 is None:
             rel = points - self.center
             d2 = rowdot(rel, rel)
-        d = np.sqrt(d2)
-        self.order = np.argsort(d, kind="stable")
-        self.dists = np.take(d, self.order)
+        self.order, self.dists = _distance_order(np.sqrt(d2))
         self.n = len(self.dists)
-        self.values = {
-            key: np.take(np.asarray(arr, dtype=float), self.order, axis=0) for key, arr in arrays.items()
-        }
-        self._prefix = {key: _prefix(arr) for key, arr in self.values.items()}
+        # each key is gathered as rows: a 1-d array as one row, an (n, m)
+        # array as the m rows of its .T, contiguous when its columns are
+        sources = {}
+        for key, arr in arrays.items():
+            arr = np.asarray(arr, dtype=float)
+            sources[key] = arr[None] if arr.ndim == 1 else arr.T
+        self._values = np.empty((sum(map(len, sources.values())), self.n))
+        self._rows: dict[str, tuple[slice, int]] = {}
+        start = 0
+        for key, rows in sources.items():
+            span = slice(start, start + len(rows))
+            # order is a permutation of the columns, so "clip" never clips;
+            # it writes straight into out, which "raise" would buffer
+            np.take(rows, self.order, axis=1, out=self._values[span], mode="clip")
+            self._rows[key] = (span, np.ndim(arrays[key]))
+            start = span.stop
+        prefix = _prefix(self._values)
+        self.values = {key: _key_view(self._values, *spec) for key, spec in self._rows.items()}
+        self._prefix = {key: _key_view(prefix, *spec) for key, spec in self._rows.items()}
         self._moments: dict = {}
 
     def _moment(self, key: str, power: int) -> np.ndarray:
         """Prefix of the key's values times d (power 1) or 1/d (power -1)."""
         if (key, power) not in self._moments:
-            arr = self.values[key]
+            rows, ndim = self._rows[key]
             scale = self.dists if power > 0 else 1.0 / np.maximum(self.dists, 1e-12)
-            self._moments[key, power] = _prefix(arr * (scale if arr.ndim == 1 else scale[:, None]))
+            moment = _prefix(self._values[rows], scale)
+            self._moments[key, power] = _key_view(moment, slice(0, len(moment)), ndim)
         return self._moments[key, power]
 
     def cumulative(self, key: str, r) -> np.ndarray:
@@ -189,9 +211,39 @@ class RadialPrefix:
         return int(np.searchsorted(self.dists, float(r), side="left"))
 
 
-def _prefix(arr: np.ndarray) -> np.ndarray:
-    """Running sums along the first axis, led by a zero row."""
-    out = np.empty((len(arr) + 1,) + arr.shape[1:])
-    out[0] = 0.0
-    np.cumsum(arr, axis=0, out=out[1:])
+def _distance_order(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable ascending order of the distances, and the sorted distances.
+
+    Distinct distances have one ascending order, which the default (SIMD)
+    sort finds at a fraction of the stable sort's cost.  When two sorted
+    neighbours are not strictly increasing (equal distances, 0.0 and -0.0
+    among them, or a NaN) the stable sort decides instead, so the order is
+    always that of ``np.argsort(d, kind="stable")``.
+    """
+    order = np.argsort(d)
+    dists = np.take(d, order)
+    if not np.all(dists[1:] > dists[:-1]):
+        order = np.argsort(d, kind="stable")
+        dists = np.take(d, order)
+    return order, dists
+
+
+def _key_view(block: np.ndarray, rows: slice, ndim: int) -> np.ndarray:
+    """A key's view of its rows: the row itself, or the rows' ``.T``."""
+    return block[rows.start] if ndim == 1 else block[rows].T
+
+
+def _prefix(block: np.ndarray, scale=None) -> np.ndarray:
+    """Running sums along each row of the block (times ``scale``), led by a zero column.
+
+    The product is formed in the output and summed there in place, so a
+    scaled prefix needs no temporary of the block's size.
+    """
+    out = np.empty((len(block), block.shape[1] + 1))
+    out[:, 0] = 0.0
+    if scale is None:
+        np.cumsum(block, axis=1, out=out[:, 1:])
+    else:
+        np.multiply(block, scale, out=out[:, 1:])
+        np.cumsum(out[:, 1:], axis=1, out=out[:, 1:])
     return out

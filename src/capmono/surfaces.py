@@ -61,6 +61,12 @@ class SampledSurface:
     trace-free second fundamental form).  Boundary rows carry the frame
     {tangent, conormal}, arclength weights and the geodesic curvatures of
     the boundary in the surface and in the wetting surface.
+
+    The (n, 3) arrays are Fortran-ordered: each coordinate is one contiguous
+    column, which is what the per-probe passes (``geometry.rowdot``, the
+    offsets from a center) read.  Elementwise operations and the row
+    reductions ``np.sum(..., axis=1)``, ``np.linalg.norm(..., axis=1)`` and
+    ``np.cross`` round the same in either layout; a matrix product does not.
     """
 
     def __init__(
@@ -82,15 +88,15 @@ class SampledSurface:
         metadata: Optional[dict] = None,
     ):
         self.ambient = ambient
-        self.points = np.asarray(points, dtype=float)
+        self.points = np.asfortranarray(points, dtype=float)
         self.weights = np.asarray(weights, dtype=float)
-        self.normals = np.asarray(normals, dtype=float)
-        self.mean_curvature = np.asarray(mean_curvature, dtype=float)
+        self.normals = np.asfortranarray(normals, dtype=float)
+        self.mean_curvature = np.asfortranarray(mean_curvature, dtype=float)
         self.gauss_curvature = np.asarray(gauss_curvature, dtype=float)
         self.traceless_sq = np.asarray(traceless_sq, dtype=float)
-        self.boundary_points = np.asarray(boundary_points, dtype=float)
-        self.boundary_tangents = np.asarray(boundary_tangents, dtype=float)
-        self.boundary_conormals = np.asarray(boundary_conormals, dtype=float)
+        self.boundary_points = np.asfortranarray(boundary_points, dtype=float)
+        self.boundary_tangents = np.asfortranarray(boundary_tangents, dtype=float)
+        self.boundary_conormals = np.asfortranarray(boundary_conormals, dtype=float)
         self.boundary_weights = np.asarray(boundary_weights, dtype=float)
         self.boundary_kg = np.asarray(boundary_kg, dtype=float)
         self.boundary_kg_wetting = np.asarray(boundary_kg_wetting, dtype=float)
@@ -120,7 +126,8 @@ class SampledSurface:
         Area, |H|^2, H.x and H, each times the area weight.  They do not
         depend on the base point, so they are computed on first use and
         shared by every probe of this surface; the mapping and its arrays
-        are read-only.
+        are read-only.  The (n, 3) array H w has contiguous columns, as H
+        does.
         """
         w, h = self.weights, self.mean_curvature
         arrays = {

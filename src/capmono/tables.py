@@ -24,16 +24,20 @@ from .wetted import OrientedCurve
 
 _FULL = "%.17g"
 _CSV = "%.12g"
+# rows formatted per write of a sample table
+_SAVE_BLOCK = 4096
 
 SURFACE_COLUMNS = "x1 x2 x3 weight nu1 nu2 nu3 H1 H2 H3 K Aring2"
 BOUNDARY_COLUMNS = "x1 x2 x3 t1 t2 t3 c1 c2 c3 arcweight kg kg_wetting"
 CURVE_COLUMNS = "x1 x2 x3 t1 t2 t3 weight"
 
 # the largest wetted grids and chart resolutions whose single-threaded
-# monotonicity run on the benchmark configs peaks under 1 GB (796 MB at
-# plane_grid 2048, 336 MB at sphere_level 8, 958 MB on ball-cap at
-# nu = nv = 1000); the next plane step is about four times larger, and
-# nu = nv = 1024 peaks at 1003 MB
+# monotonicity run on the benchmark configs peaks under 1 GB (666 MB at
+# plane_grid 2048 on probe-sweep, 340 MB at sphere_level 8, 920 MB on
+# ball-cap at nu = nv = 1000, where it was 958 MB before the radial
+# prefixes summed their scaled keys in place); the next plane step is
+# about four times larger, and nu = nv = 1024 peaks at 963 MB (1003 MB
+# before)
 MAX_PLANE_GRID = 2048
 MAX_SPHERE_LEVEL = 8
 MAX_NU_NV = 1000
@@ -43,26 +47,40 @@ GENERATOR_AMBIENT = {"cap": HALFSPACE, "flat-disk-ball": BALL, "cap-ball": BALL}
 
 
 def _save_table(path, header: list[str], rows: np.ndarray) -> None:
+    """Write the header lines and the rows, as ``np.savetxt(fmt="%.17g")`` does.
+
+    Rows go out in blocks of ``_SAVE_BLOCK``, each formatted by one ``%``
+    on its flattened values, instead of one ``%`` per row; the blocks keep
+    the temporaries bounded.
+    """
+    row = " ".join([_FULL] * rows.shape[1]) + "\n"
     with Path(path).open("w", newline="\n") as fh:
         fh.write("".join(f"# {line}\n" for line in header))
-        np.savetxt(fh, rows, fmt=_FULL)
+        for start in range(0, len(rows), _SAVE_BLOCK):
+            block = rows[start : start + _SAVE_BLOCK]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _load_table(path, columns: str) -> tuple[list[str], np.ndarray]:
-    """The leading comment lines (without '# ') and the rows of a table.
+    """The leading comment lines (without '# ') and the columns of a table.
 
-    A table without rows, with an entry that is not a finite number, or
-    with another number of columns than ``columns`` names raises
-    ConfigError.
+    The table is returned transposed, one contiguous row per column, so
+    every column a caller takes is a contiguous view.  A table without
+    rows, with an entry that is not a finite number, or with another number
+    of columns than ``columns`` names raises ConfigError.
     """
     header = []
     with Path(path).open() as fh:
-        for line in fh:
-            if not line.startswith("#"):
-                break
+        line = next(fh, "")
+        while line.startswith("#"):
             header.append(line[1:].strip())
-        else:
-            raise ConfigError(f"{path}: the table has no rows")
+            line = next(fh, "")
+        # the first row is the first line with text before any '#'; np.loadtxt
+        # would only warn on a table without one
+        while line and not line.split("#", 1)[0].strip():
+            line = next(fh, "")
+    if not line:
+        raise ConfigError(f"{path}: the table has no rows")
     try:
         rows = np.loadtxt(path, comments="#", ndmin=2)
     except ValueError as exc:
@@ -73,7 +91,7 @@ def _load_table(path, columns: str) -> tuple[list[str], np.ndarray]:
     # min and max carry any NaN or infinity, without a full-size temporary
     if not np.isfinite(rows.min()) or not np.isfinite(rows.max()):
         raise ConfigError(f"{path}: a table entry is not finite")
-    return header, rows
+    return header, np.ascontiguousarray(rows.T)
 
 
 def save_surface(surface: SampledSurface, path) -> None:
@@ -118,12 +136,12 @@ def load_surface(surface_path, boundary_path) -> SampledSurface:
     A header without the ambient or a numeric theta, or a malformed table,
     raises ConfigError.
     """
-    header, arr = _load_table(surface_path, SURFACE_COLUMNS)
+    header, cols = _load_table(surface_path, SURFACE_COLUMNS)
     meta = {}
     for body in header:
         if body.startswith("ambient="):
             meta.update(tok.partition("=")[::2] for tok in body.split())
-    _, barr = _load_table(boundary_path, BOUNDARY_COLUMNS)
+    _, bcols = _load_table(boundary_path, BOUNDARY_COLUMNS)
     try:
         ambient = Ambient(meta["ambient"], float(meta["theta"]))
         chi = int(meta.get("chi", 1))
@@ -131,18 +149,18 @@ def load_surface(surface_path, boundary_path) -> SampledSurface:
         raise ConfigError(f"{surface_path}: bad or missing ambient=, theta= or chi=: {exc}") from None
     surface = SampledSurface(
         ambient=ambient,
-        points=arr[:, 0:3],
-        weights=arr[:, 3],
-        normals=arr[:, 4:7],
-        mean_curvature=arr[:, 7:10],
-        gauss_curvature=arr[:, 10],
-        traceless_sq=arr[:, 11],
-        boundary_points=barr[:, 0:3],
-        boundary_tangents=barr[:, 3:6],
-        boundary_conormals=barr[:, 6:9],
-        boundary_weights=barr[:, 9],
-        boundary_kg=barr[:, 10],
-        boundary_kg_wetting=barr[:, 11],
+        points=cols[0:3].T,
+        weights=cols[3],
+        normals=cols[4:7].T,
+        mean_curvature=cols[7:10].T,
+        gauss_curvature=cols[10],
+        traceless_sq=cols[11],
+        boundary_points=bcols[0:3].T,
+        boundary_tangents=bcols[3:6].T,
+        boundary_conormals=bcols[6:9].T,
+        boundary_weights=bcols[9],
+        boundary_kg=bcols[10],
+        boundary_kg_wetting=bcols[11],
         euler_characteristic=chi,
         metadata={"generator": meta.get("generator", "imported")},
     )
@@ -158,7 +176,7 @@ def save_curve(curve: OrientedCurve, path) -> None:
 
 def load_curve(path) -> OrientedCurve:
     """Rebuild a curve from its table; a ``closed=`` other than 0 or 1 raises ConfigError."""
-    header, arr = _load_table(path, CURVE_COLUMNS)
+    header, cols = _load_table(path, CURVE_COLUMNS)
     closed = True
     for body in header:
         if "closed=" in body:
@@ -166,7 +184,7 @@ def load_curve(path) -> OrientedCurve:
             if flag not in ("0", "1"):
                 raise ConfigError(f"{path}: closed= must be 0 or 1, got {flag!r}")
             closed = flag == "1"
-    return OrientedCurve(arr[:, 0:3], arr[:, 3:6], arr[:, 6], closed=closed)
+    return OrientedCurve(cols[0:3].T, cols[3:6].T, cols[6], closed=closed)
 
 
 # -- profile CSV ----------------------------------------------------------------

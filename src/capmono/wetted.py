@@ -40,7 +40,9 @@ class OrientedCurve:
     ``points`` (m, 3), ``tangents`` (m, 3) unit, ``weights`` (m,) arclength
     weights.  Samples are interpreted cyclically: consecutive samples (and
     the wrap-around pair) bound the polygon edges used for winding counts,
-    so no repeated closing point is stored.
+    so no repeated closing point is stored.  ``points`` and ``tangents``
+    are stored row-major: the stereographic projection multiplies them by
+    vectors, and a matrix product rounds differently on column-major arrays.
     """
 
     points: np.ndarray
@@ -49,8 +51,8 @@ class OrientedCurve:
     closed: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
-        object.__setattr__(self, "tangents", np.asarray(self.tangents, dtype=float))
+        object.__setattr__(self, "points", np.ascontiguousarray(self.points, dtype=float))
+        object.__setattr__(self, "tangents", np.ascontiguousarray(self.tangents, dtype=float))
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         if len(self.points) < 3:
             raise GeometryError("a curve needs at least three samples")

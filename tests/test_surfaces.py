@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from capmono import tables
 from capmono.errors import GeometryError, ImmersionError
 from capmono.geometry import Ambient
 from capmono.surfaces import (
@@ -17,6 +18,7 @@ from capmono.surfaces import (
     spherical_cap_ball,
     spherical_cap_halfspace,
 )
+from capmono.wetted import wetted_region
 
 THETAS = (np.pi / 6, np.pi / 2, 2 * np.pi / 3, 5 * np.pi / 6)
 
@@ -230,3 +232,36 @@ def test_small_resolution_rejected():
 def test_contact_check_requires_boundary(stock):
     surface, _ = stock.cap(np.pi / 2)
     assert contact_angle_residual(surface) < 1e-10
+
+
+_VECTOR_FIELDS = (
+    "points", "normals", "mean_curvature", "boundary_points", "boundary_tangents", "boundary_conormals"
+)
+_SCALAR_FIELDS = (
+    "weights", "gauss_curvature", "traceless_sq", "boundary_weights", "boundary_kg", "boundary_kg_wetting"
+)
+
+
+@pytest.mark.parametrize(
+    "chart", [spherical_cap_halfspace(np.pi / 3), spherical_cap_ball(2 * np.pi / 3, np.pi / 3)], ids=["plane", "ball"]
+)
+def test_fields_keep_contiguous_columns(tmp_path, chart):
+    # the per-probe passes read (n, 3) data one coordinate at a time; a
+    # strided view (a column of the loaded 12-column table, say) would give
+    # that speed back without changing a digit, so the layout is pinned
+    sampled = sample_chart(chart, 16, 32)
+    tables.save_surface(sampled, tmp_path / "s.tsv")
+    tables.save_boundary(sampled, tmp_path / "b.tsv")
+    loaded = tables.load_surface(tmp_path / "s.tsv", tmp_path / "b.tsv")
+    for surface in (sampled, loaded):
+        for name in _VECTOR_FIELDS:
+            arr = getattr(surface, name)
+            assert arr.shape[1:] == (3,) and arr.flags.f_contiguous, name
+        for name in _SCALAR_FIELDS:
+            assert getattr(surface, name).flags.c_contiguous, name
+        # the probe-independent μ arrays keep the columns and stay read-only
+        for key, arr in {**surface.mu_arrays, **surface.inversion_arrays}.items():
+            assert arr.flags.f_contiguous and not arr.flags.writeable, key
+    if chart.ambient.kind == "halfspace":
+        nodes = wetted_region(loaded, grid_n=16).grid()[0]
+        assert nodes.shape[1:] == (3,) and nodes.flags.f_contiguous

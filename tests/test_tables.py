@@ -55,6 +55,39 @@ def test_curve_closed_flag_must_be_0_or_1(stock, tmp_path, flag):
     assert not tables.load_curve(path).closed
 
 
+# signed zeros, subnormals, the largest finite magnitudes and infinities
+_EXTREMES = np.array([0.0, -0.0, 5e-324, -5e-324, 1.8e308, -1.8e308, np.inf, -np.inf])
+
+
+@pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097, 9000])
+def test_table_rows_match_savetxt(tmp_path, count):
+    # the blocked writer prints the bytes np.savetxt(fmt="%.17g") prints,
+    # on both sides of every block boundary
+    rng = np.random.default_rng(count)
+    rows = rng.standard_normal((count, 12)) * 10.0 ** rng.integers(-300, 300, (count, 12))
+    extreme = rng.random((count, 12)) < 0.5
+    rows[extreme] = rng.choice(_EXTREMES, int(extreme.sum()))
+    path = tmp_path / "t.tsv"
+    tables._save_table(path, ["head", "columns: a b"], rows)
+    with (tmp_path / "ref.tsv").open("w", newline="\n") as fh:
+        fh.write("# head\n# columns: a b\n")
+        np.savetxt(fh, rows, fmt="%.17g")
+    assert path.read_bytes() == (tmp_path / "ref.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("tail", ["", "\n", "\n\n   \n", "\n# a comment\n\t\n"])
+def test_table_without_rows_is_refused(stock, tmp_path, tail):
+    # a header followed by nothing but blank and comment lines has no rows;
+    # np.loadtxt would only warn and return an array of shape (0, 1)
+    surface, _ = stock.cap(np.pi / 2)
+    path = tmp_path / "curve.tsv"
+    tables.save_curve(curve_from_boundary(surface), path)
+    header = "".join(line for line in path.read_text().splitlines(keepends=True) if line.startswith("#"))
+    path.write_text(header + tail)
+    with pytest.raises(ConfigError, match="the table has no rows"):
+        tables.load_curve(path)
+
+
 def test_imported_surface_supports_energies(stock, tmp_path):
     surface, region = stock.disk(np.pi / 3)
     tables.save_surface(surface, tmp_path / "s.tsv")
