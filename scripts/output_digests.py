@@ -4,19 +4,24 @@
 Runs generate, energy, monotonicity and identity-suite on the config of
 each benchmark workload (``perfbench/workloads.py``) for one seed, through
 the ``capmono`` command line of this checkout, and prints one digest per
-output file (surface.tsv, boundary.tsv, curve.tsv, energy.json,
+output file (surface.tsv, boundary.tsv, curve.tsv, their binary
+companions surface.bin, boundary.bin and curve.bin, energy.json,
 profile_*.csv) and per command stdout, with each command's exit code.
 With ``--threads N`` it also reruns monotonicity with N threads and digests
 those profiles and that stdout.  It reruns monotonicity and identity-suite
 with one more probe, and digests their stdout and profiles: on ``ball-cap``
 at the origin, whose identity has its own branch, and on ``halfspace-cap``
 on the x1 axis, where distances tie exactly, so every radial prefix there
-takes the stable sort.  It then builds the wetted grid of the generated
-surface in this process, at the resolutions in ``GRIDS``, and digests each
-of the four ``WettedRegion.grid()`` arrays (nodes, cell weights, integer
-and antialiased winding) with its dtype and shape.  The output directory
-is replaced by ``OUT`` in stdout before hashing, so two checkouts can be
-compared by diffing what this prints in each:
+takes the stable sort.  It then deletes the binary companions and reruns
+energy, monotonicity and identity-suite, which read the tables from their
+text, and digests their stdout and outputs under a ``textpath`` tag: each
+of those lines must equal the line without the tag.  Last it builds the
+wetted grid of the generated surface in this process, at the resolutions
+in ``GRIDS``, and digests each of the four ``WettedRegion.grid()`` arrays
+(nodes, cell weights, integer and antialiased winding) with its dtype and
+shape.  The output directory is replaced by ``OUT`` in stdout before
+hashing, so two checkouts can be compared by diffing what this prints in
+each:
 
     python3 scripts/output_digests.py --seed 1 --threads 2 > digests.txt
 """
@@ -43,7 +48,9 @@ from workloads import WORKLOADS, config_text  # noqa: E402
 
 COMMANDS = ("generate", "energy", "monotonicity", "identity-suite")
 # outputs the benchmark's own digests (surface, energy report, profiles) leave out
-EXTRA_OUTPUTS = ("boundary.tsv", "curve.tsv")
+EXTRA_OUTPUTS = ("boundary.tsv", "curve.tsv", "surface.bin", "boundary.bin", "curve.bin")
+# the commands that load the sample tables, rerun without the companions
+TEXTPATH_COMMANDS = ("energy", "monotonicity", "identity-suite")
 # wetted grids digested per workload: sphere levels on the ball, grid sizes on the plane
 GRIDS = {"ball-cap": ("sphere_level", (5, 6, 7)), "halfspace-cap": ("grid_n", (512,))}
 GRID_ARRAYS = ("nodes", "cellw", "wind", "wind_aa")
@@ -90,7 +97,8 @@ def workload_digests(name: str, seed: int, threads: int, work: Path) -> list[str
         lines.append(f"exit {code}  {tag}/monotonicity")
         lines.append(f"{digest(stdout)}  {tag}/monotonicity.stdout")
         lines += [f"{sha}  {tag}/{file}" for file, sha in digests(out).items() if file.startswith("profile_")]
-    return lines + extra_probe_digests(name, config, out) + grid_digests(name, out)
+    lines += extra_probe_digests(name, config, out)
+    return lines + textpath_digests(name, config, out) + grid_digests(name, out)
 
 
 def extra_probe_digests(name: str, config: Path, out: Path) -> list[str]:
@@ -108,6 +116,17 @@ def extra_probe_digests(name: str, config: Path, out: Path) -> list[str]:
         lines.append(f"{digest(stdout)}  {name}/{tag}/{command}.stdout")
     lines += [f"{sha}  {name}/{tag}/{file}" for file, sha in digests(out).items() if file.startswith("profile_")]
     return lines
+
+
+def textpath_digests(name: str, config: Path, out: Path) -> list[str]:
+    for path in [*out.glob("*.bin"), *out.glob("profile_*.csv")]:
+        path.unlink()
+    lines = []
+    for command in TEXTPATH_COMMANDS:
+        code, stdout = run(command, config, out)
+        lines.append(f"exit {code}  {name}/textpath/{command}")
+        lines.append(f"{digest(stdout)}  {name}/textpath/{command}.stdout")
+    return lines + [f"{sha}  {name}/textpath/{file}" for file, sha in digests(out).items()]
 
 
 def grid_digests(name: str, out: Path) -> list[str]:

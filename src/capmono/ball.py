@@ -173,13 +173,24 @@ class _BallTerms(PairTerms):
 
 
 def free_boundary_radial_pair(surface: SampledSurface, x0, r: float):
-    """The inversion-weighted radial pair without wetted corrections."""
+    """The inversion-weighted radial pair without wetted corrections.
+
+    Only general-branch base points are accepted: the pair needs the
+    inverted companion of x0, so at the origin (|x0| < 1e-12) it raises
+    NoHatBallError.  The origin branch has no wetted-free variant.
+    """
     g, g_hat = _BallTerms(surface, None, x0).free_pair(float(r))
     return float(g[0]), float(g_hat[0])
 
 
 def capillary_radial_pair(surface: SampledSurface, region: WettedRegion, x0, r: float):
-    """The radial pair with the wetted-measure corrections."""
+    """The radial pair with the wetted-measure corrections.
+
+    Every base point is accepted: the pair is read from
+    :func:`probe_terms`, so at the origin (|x0| < 1e-12) it is the origin
+    branch's pair, unlike :func:`free_boundary_radial_pair`, which raises
+    there.
+    """
     g, g_hat = probe_terms(surface, region, x0).pair(float(r))
     return float(g[0]), float(g_hat[0])
 

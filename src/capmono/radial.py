@@ -30,7 +30,7 @@ class RadialPrefix:
     ``order`` sorts the samples by distance; ``dists`` and ``values`` are in
     that order.  A caller that already holds the squared distances
     |x - c|^2 of the points passes them as ``d2``, so each center costs one
-    distance pass.
+    distance pass; ``points`` is read only without ``d2``.
 
     All keys are the rows of one (K, n) array: a 1-d key one row, an
     (n, m) key m rows.  Each key is gathered straight into its rows, and
@@ -44,7 +44,7 @@ class RadialPrefix:
     needs no lock.
     """
 
-    def __init__(self, points: np.ndarray, center, arrays: dict[str, np.ndarray], *, d2=None):
+    def __init__(self, points: np.ndarray | None, center, arrays: dict[str, np.ndarray], *, d2=None):
         self.center = np.asarray(center, dtype=float)
         if d2 is None:
             rel = points - self.center

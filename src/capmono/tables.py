@@ -5,13 +5,26 @@ Tables are whitespace-separated with one sample per row and a commented
 header carrying metadata; floats are printed with 17 significant digits so
 round trips are lossless.  CSV files use '.' decimals, ',' separators, LF
 line endings and 12 significant digits.
+
+Each sample table ``name.tsv`` gets a binary companion ``name.bin``: a
+fixed header (magic and version, the column count K, the row count n, the
+byte length and ``zlib.crc32`` of the table's text, and the body's
+``zlib.crc32``) followed by the (K, n) float64 columns, little-endian, one
+contiguous row per column.  The companion is a checked cache of the parsed
+text, read in place of it when its header matches the table's bytes and
+its body its CRC; a table that was edited, copied in without its
+companion or written by an older capmono is read from its text.  Deleting
+a companion is always safe.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import struct
 import sys
+import zlib
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -26,6 +39,11 @@ _FULL = "%.17g"
 _CSV = "%.12g"
 # rows formatted per write of a sample table
 _SAVE_BLOCK = 4096
+# the companion's header: magic with version, K, n, the text's length and
+# crc32, and the body's crc32
+_COMPANION = struct.Struct("<8sQQQII")
+_MAGIC = b"CAPMTBL1"
+_BODY = np.dtype("<f8")
 
 SURFACE_COLUMNS = "x1 x2 x3 weight nu1 nu2 nu3 H1 H2 H3 K Aring2"
 BOUNDARY_COLUMNS = "x1 x2 x3 t1 t2 t3 c1 c2 c3 arcweight kg kg_wetting"
@@ -46,31 +64,98 @@ MAX_NU_NV = 1000
 GENERATOR_AMBIENT = {"cap": HALFSPACE, "flat-disk-ball": BALL, "cap-ball": BALL}
 
 
+def _companion_path(path) -> Path | None:
+    """The binary companion of a table; None when it would be the table itself."""
+    path = Path(path)
+    companion = path.with_suffix(".bin")
+    return None if companion == path else companion
+
+
 def _save_table(path, header: list[str], rows: np.ndarray) -> None:
-    """Write the header lines and the rows, as ``np.savetxt(fmt="%.17g")`` does.
+    """Write the header lines and the rows, as ``np.savetxt(fmt="%.17g")`` does,
+    and the table's binary companion.
 
     Rows go out in blocks of ``_SAVE_BLOCK``, each formatted by one ``%``
     on its flattened values, instead of one ``%`` per row; the blocks keep
-    the temporaries bounded.
+    the temporaries bounded.  The text's length and CRC are taken from the
+    blocks as they are written, and the companion's body one column at a
+    time, its CRC going into the header last.
     """
     row = " ".join([_FULL] * rows.shape[1]) + "\n"
-    with Path(path).open("w", newline="\n") as fh:
-        fh.write("".join(f"# {line}\n" for line in header))
+
+    def texts():
+        yield "".join(f"# {line}\n" for line in header)
         for start in range(0, len(rows), _SAVE_BLOCK):
             block = rows[start : start + _SAVE_BLOCK]
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+            yield row * len(block) % tuple(block.ravel().tolist())
+
+    length, crc = 0, 0
+    with Path(path).open("wb") as fh:
+        for text in texts():
+            data = text.encode()
+            fh.write(data)
+            length += len(data)
+            crc = zlib.crc32(data, crc)
+    companion = _companion_path(path)
+    if companion is None:
+        return
+    body_crc = 0
+    with companion.open("wb") as fh:
+        fh.seek(_COMPANION.size)
+        for column in rows.T:
+            column = np.ascontiguousarray(column, dtype=_BODY)
+            fh.write(column)
+            body_crc = zlib.crc32(column, body_crc)
+        fh.seek(0)
+        fh.write(_COMPANION.pack(_MAGIC, rows.shape[1], len(rows), length, crc, body_crc))
+
+
+def _read_companion(path, text: bytes, width: int) -> np.ndarray | None:
+    """The (width, n) columns the companion of ``path`` holds for this text, else None.
+
+    The companion is used only when its header parses, it holds ``width``
+    columns, its size is exact, the recorded length and CRC are those of
+    ``text``, and the body's CRC is the recorded one; anything else, an
+    unreadable file included, returns None and never raises.
+    """
+    companion = _companion_path(path)
+    if companion is None:
+        return None
+    try:
+        with companion.open("rb") as fh:
+            magic, k, n, length, crc, body_crc = _COMPANION.unpack(fh.read(_COMPANION.size))
+            if (
+                magic != _MAGIC
+                or k != width
+                or n < 1
+                or length != len(text)
+                or crc != zlib.crc32(text)
+                or fh.seek(0, io.SEEK_END) != _COMPANION.size + k * n * _BODY.itemsize
+            ):
+                return None
+            fh.seek(_COMPANION.size)
+            # a file cut short since the size check fails the reshape
+            body = np.fromfile(fh, dtype=_BODY, count=k * n).reshape(k, n)
+    except (OSError, ValueError, struct.error):
+        return None
+    if zlib.crc32(body) != body_crc:
+        return None
+    return body.astype(float, copy=False)
 
 
 def _load_table(path, columns: str) -> tuple[list[str], np.ndarray]:
     """The leading comment lines (without '# ') and the columns of a table.
 
     The table is returned transposed, one contiguous row per column, so
-    every column a caller takes is a contiguous view.  A table without
-    rows, with an entry that is not a finite number, or with another number
-    of columns than ``columns`` names raises ConfigError.
+    every column a caller takes is a contiguous view.  The columns come
+    from the table's companion when it matches the table's bytes, and from
+    the parsed text otherwise; the checks below run on either.  A table
+    without rows, with an entry that is not a finite number, or with
+    another number of columns than ``columns`` names raises ConfigError.
     """
+    text = Path(path).read_bytes()
     header = []
-    with Path(path).open() as fh:
+    with io.TextIOWrapper(io.BytesIO(text)) as fh:
         line = next(fh, "")
         while line.startswith("#"):
             header.append(line[1:].strip())
@@ -81,17 +166,20 @@ def _load_table(path, columns: str) -> tuple[list[str], np.ndarray]:
             line = next(fh, "")
     if not line:
         raise ConfigError(f"{path}: the table has no rows")
-    try:
-        rows = np.loadtxt(path, comments="#", ndmin=2)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: unreadable rows: {exc}") from None
     width = len(columns.split())
-    if rows.shape[1] != width:
-        raise ConfigError(f"{path}: expected rows of {width} columns, got an array of shape {rows.shape}")
+    cols = _read_companion(path, text, width)
+    if cols is None:
+        try:
+            rows = np.loadtxt(io.TextIOWrapper(io.BytesIO(text)), comments="#", ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: unreadable rows: {exc}") from None
+        cols = np.ascontiguousarray(rows.T)
+    if len(cols) != width:
+        raise ConfigError(f"{path}: expected rows of {width} columns, got an array of shape {cols.T.shape}")
     # min and max carry any NaN or infinity, without a full-size temporary
-    if not np.isfinite(rows.min()) or not np.isfinite(rows.max()):
+    if not np.isfinite(cols.min()) or not np.isfinite(cols.max()):
         raise ConfigError(f"{path}: a table entry is not finite")
-    return header, np.ascontiguousarray(rows.T)
+    return header, cols
 
 
 def save_surface(surface: SampledSurface, path) -> None:

@@ -560,7 +560,11 @@ class BallRestrictedEta(RadialPrefix):
         if region.wetting == SPHERE:
             keep = weight != 0.0
             kept = {key: v[keep] for key, v in keyed.items()}
-            super().__init__(nodes[keep], center, kept, d2=None if d2 is None else d2[keep])
+            # RadialPrefix reads the points only to compute absent distances
+            if d2 is None:
+                super().__init__(nodes[keep], center, kept)
+            else:
+                super().__init__(None, center, kept, d2=d2[keep])
             return
         # zero-weight plane cells stay: dropping them would regroup the band sums
         super().__init__(nodes, center, keyed, d2=d2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from capmono import ball as bl
-from capmono.errors import GeometryError
+from capmono.errors import GeometryError, NoHatBallError
 from capmono.fields import position_field, rotation_field, zero_field
 
 CONTACT3 = np.array([np.sin(np.pi / 3), 0.0, np.cos(np.pi / 3)])
@@ -34,6 +34,23 @@ def test_pair_on_sphere_centers_match(stock):
     x0 = CONTACT3
     g, g_hat = bl.capillary_radial_pair(surface, region, x0, 0.8)
     assert np.isfinite(g) and np.isfinite(g_hat)
+
+
+def test_pair_functions_base_points(stock):
+    # the free pair needs the inverted companion of x0, which the origin
+    # lacks; the capillary pair answers there with the origin branch's pair
+    surface, region = stock.capball(2 * np.pi / 3, np.pi / 3)
+    origin = np.zeros(3)
+    with pytest.raises(NoHatBallError):
+        bl.free_boundary_radial_pair(surface, origin, 0.8)
+    terms = bl.probe_terms(surface, region, origin)
+    assert terms.BRANCH == bl.ORIGIN
+    g, g_hat = terms.pair(0.8)
+    assert bl.capillary_radial_pair(surface, region, origin, 0.8) == (float(g[0]), float(g_hat[0]))
+    # anywhere else both take the general branch
+    free = bl.free_boundary_radial_pair(surface, CONTACT3, 0.8)
+    capillary = bl.capillary_radial_pair(surface, region, CONTACT3, 0.8)
+    assert np.all(np.isfinite(free)) and np.all(np.isfinite(capillary))
 
 
 def test_identity_flat_disk(stock):

@@ -61,7 +61,7 @@ def test_generate_writes_tables(cfg_path, capsys):
     assert main(["generate", "--config", str(path)]) == 0
     captured = capsys.readouterr().out
     assert "contact residual" in captured
-    for name in ("surface.tsv", "boundary.tsv", "curve.tsv"):
+    for name in ("surface.tsv", "boundary.tsv", "curve.tsv", "surface.bin", "boundary.bin", "curve.bin"):
         assert (out / name).exists()
 
 
@@ -281,6 +281,35 @@ def test_bad_config_exits_2_without_traceback(tmp_path, edit, args):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "configuration error" in proc.stderr
+
+
+def test_corrupt_companions_exit_0_with_the_same_outputs(tmp_path):
+    # a damaged binary companion beside a valid table is read past: every
+    # command prints and writes what a run without the companions does
+    out = tmp_path / "out"
+    path = tmp_path / "run.cfg"
+    path.write_text(BASE.replace("OUT", str(out)))
+    assert _run_cli(["generate", "--config", str(path)]).returncode == 0
+    companions = {name: (out / name).read_bytes() for name in ("surface.bin", "boundary.bin", "curve.bin")}
+
+    def run_all():
+        runs = []
+        for command in ("energy", "monotonicity", "identity-suite"):
+            proc = _run_cli([command, "--config", str(path)])
+            assert "Traceback" not in proc.stderr
+            runs.append((command, proc.returncode, proc.stdout, proc.stderr))
+        return runs, {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.suffix in (".json", ".csv")}
+
+    for name in companions:
+        (out / name).unlink()
+    reference = run_all()
+    assert [run[1] for run in reference[0]] == [0, 0, 0]
+    data = companions["surface.bin"]
+    (out / "surface.bin").write_bytes(data[: len(data) // 2])
+    data = companions["boundary.bin"]
+    (out / "boundary.bin").write_bytes(data[:-1] + bytes([data[-1] ^ 0xFF]))
+    (out / "curve.bin").write_bytes(bytes(len(companions["curve.bin"])))
+    assert run_all() == reference
 
 
 def test_other_capmono_errors_exit_2(cfg_path, monkeypatch, capsys):

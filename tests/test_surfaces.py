@@ -252,8 +252,12 @@ def test_fields_keep_contiguous_columns(tmp_path, chart):
     sampled = sample_chart(chart, 16, 32)
     tables.save_surface(sampled, tmp_path / "s.tsv")
     tables.save_boundary(sampled, tmp_path / "b.tsv")
+    # loaded from the binary companions, then from the text
     loaded = tables.load_surface(tmp_path / "s.tsv", tmp_path / "b.tsv")
-    for surface in (sampled, loaded):
+    for companion in tmp_path.glob("*.bin"):
+        companion.unlink()
+    parsed = tables.load_surface(tmp_path / "s.tsv", tmp_path / "b.tsv")
+    for surface in (sampled, loaded, parsed):
         for name in _VECTOR_FIELDS:
             arr = getattr(surface, name)
             assert arr.shape[1:] == (3,) and arr.flags.f_contiguous, name

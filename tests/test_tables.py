@@ -1,9 +1,14 @@
 """Interchange formats: sample tables, profile CSV, report JSON, config."""
 
 import json
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capmono import energy as en
 from capmono import halfspace as hs
@@ -86,6 +91,146 @@ def test_table_without_rows_is_refused(stock, tmp_path, tail):
     path.write_text(header + tail)
     with pytest.raises(ConfigError, match="the table has no rows"):
         tables.load_curve(path)
+
+
+def _load_both(path, columns):
+    """The columns read through the companion, then from the text alone."""
+    assert tables._read_companion(path, path.read_bytes(), len(columns.split())) is not None
+    _, fast = tables._load_table(path, columns)
+    path.with_suffix(".bin").unlink()
+    _, parsed = tables._load_table(path, columns)
+    return fast, parsed
+
+
+_DOUBLES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda k: st.lists(st.lists(_DOUBLES, min_size=k, max_size=k), min_size=1, max_size=30)))
+def test_companion_columns_equal_parsed_text(table):
+    # %.17g round-trips every finite double, so the companion holds the
+    # very columns the text parses to: bits, shape and layout
+    rows = np.array(table, dtype=float)
+    columns = " ".join(f"c{j}" for j in range(rows.shape[1]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.tsv"
+        tables._save_table(path, ["head", f"columns: {columns}"], rows)
+        fast, parsed = _load_both(path, columns)
+    for cols in (fast, parsed):
+        assert cols.shape == rows.T.shape and cols.dtype == np.float64
+        assert cols.flags.c_contiguous and cols.flags.writeable
+        assert cols.tobytes() == np.ascontiguousarray(rows.T).tobytes()
+
+
+def test_edited_table_is_read_from_its_text(tmp_path):
+    # one digit changed at the same length: the companion no longer
+    # matches the text, which is what gets read
+    path = tmp_path / "t.tsv"
+    tables._save_table(path, ["columns: a b"], np.array([[0.125, 1.5], [2.25, -3.0]]))
+    text = path.read_text()
+    path.write_text(text.replace("0.125", "0.625", 1))
+    assert path.stat().st_size == len(text)
+    _, cols = tables._load_table(path, "a b")
+    assert cols.tolist() == [[0.625, 2.25], [1.5, -3.0]]
+
+
+def _swap_shape(data):
+    magic, k, n, *rest = tables._COMPANION.unpack_from(data)
+    return tables._COMPANION.pack(magic, n, k, *rest) + data[tables._COMPANION.size :]
+
+
+def _flip_body(data):
+    # the last byte of the body: the header still matches the text
+    return data[:-1] + bytes([data[-1] ^ 1])
+
+
+_CORRUPTIONS = {
+    "missing": None,
+    "empty": lambda data: b"",
+    "header-only": lambda data: data[: tables._COMPANION.size],
+    "short-header": lambda data: data[:12],
+    "truncated": lambda data: data[:-8],
+    "extended": lambda data: data + bytes(8),
+    "wrong-magic": lambda data: b"CAPMTBL0" + data[8:],
+    "wrong-shape": _swap_shape,
+    "flipped-body": _flip_body,
+    "garbage": lambda data: np.random.default_rng(0).bytes(len(data)),
+    "directory": "directory",
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(_CORRUPTIONS))
+def test_bad_companion_falls_back_to_the_text(stock, tmp_path, corruption):
+    surface, _ = stock.cap(np.pi / 2)
+    spath, bpath = tmp_path / "s.tsv", tmp_path / "b.tsv"
+    tables.save_surface(surface, spath)
+    tables.save_boundary(surface, bpath)
+    companion = spath.with_suffix(".bin")
+    edit = _CORRUPTIONS[corruption]
+    data = companion.read_bytes()
+    companion.unlink()
+    if edit == "directory":
+        companion.mkdir()
+    elif edit is not None:
+        companion.write_bytes(edit(data))
+    assert tables._read_companion(spath, spath.read_bytes(), 12) is None
+    back = tables.load_surface(spath, bpath)
+    assert back.points.tobytes() == surface.points.tobytes()
+    assert back.traceless_sq.tobytes() == surface.traceless_sq.tobytes()
+
+
+def test_companion_of_a_table_without_the_tsv_suffix(tmp_path):
+    # a table named *.bin has no companion: it would overwrite the table
+    path = tmp_path / "t.bin"
+    tables._save_table(path, ["columns: a"], np.array([[1.5], [2.5]]))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.bin"]
+    assert tables._load_table(path, "a")[1].tolist() == [[1.5, 2.5]]
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_table_with_its_companion_is_refused(tmp_path, value):
+    # the finiteness check runs on the companion's columns as on the text's
+    path = tmp_path / "t.tsv"
+    tables._save_table(path, ["columns: a b"], np.array([[0.5, 1.0], [float(value), 2.0]]))
+    assert tables._read_companion(path, path.read_bytes(), 2) is not None
+    with pytest.raises(ConfigError, match="t.tsv: a table entry is not finite"):
+        tables._load_table(path, "a b")
+    path.with_suffix(".bin").unlink()
+    with pytest.raises(ConfigError, match="t.tsv: a table entry is not finite"):
+        tables._load_table(path, "a b")
+
+
+def test_companion_errors_match_the_text(stock, tmp_path):
+    # a table read against the wrong column names fails as its text would
+    surface, _ = stock.cap(np.pi / 2)
+    path = tmp_path / "curve.tsv"
+    tables.save_curve(curve_from_boundary(surface), path)
+    with pytest.raises(ConfigError) as fast:
+        tables._load_table(path, tables.SURFACE_COLUMNS)
+    path.with_suffix(".bin").unlink()
+    with pytest.raises(ConfigError) as parsed:
+        tables._load_table(path, tables.SURFACE_COLUMNS)
+    assert str(fast.value) == str(parsed.value)
+    assert "expected rows of 12 columns, got an array of shape (128, 7)" in str(parsed.value)
+
+
+def test_generate_writes_identical_companions(tmp_path, capsys):
+    from capmono.cli import main
+
+    def generate(out):
+        path = tmp_path / "run.cfg"
+        path.write_text(tables.serialize_config(tables.RunConfig(nu=16, nv=16, plane_grid=32, out_dir=str(out))))
+        assert main(["generate", "--config", str(path)]) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.glob("*.bin"))}
+
+    first = generate(tmp_path / "a")
+    assert sorted(first) == ["boundary.bin", "curve.bin", "surface.bin"]
+    # over the first run's files, and into a fresh directory
+    assert generate(tmp_path / "a") == first
+    assert generate(tmp_path / "b") == first
 
 
 def test_imported_surface_supports_energies(stock, tmp_path):
