@@ -12,14 +12,20 @@ those profiles and that stdout.  It reruns monotonicity and identity-suite
 with one more probe, and digests their stdout and profiles: on ``ball-cap``
 at the origin, whose identity has its own branch, and on ``halfspace-cap``
 on the x1 axis, where distances tie exactly, so every radial prefix there
-takes the stable sort.  It then deletes the binary companions and reruns
-energy, monotonicity and identity-suite, which read the tables from their
-text, and digests their stdout and outputs under a ``textpath`` tag: each
-of those lines must equal the line without the tag.  Last it builds the
-wetted grid of the generated surface in this process, at the resolutions
-in ``GRIDS``, and digests each of the four ``WettedRegion.grid()`` arrays
-(nodes, cell weights, integer and antialiased winding) with its dtype and
-shape.  The output directory is replaced by ``OUT`` in stdout before
+takes the stable sort.  Every workload's commands leave a wetted grid
+companion (``wetted_grid.bin``); its bytes are not digested, because its
+key stamps the source of the code that builds grids.  The script deletes
+it and reruns energy, monotonicity and identity-suite, which rebuild the
+grid, and digests their stdout and outputs under a ``gridpath`` tag.  It
+then deletes every binary companion and reruns the same commands, which
+read the tables from their text (and rebuild the grid once more), under a
+``textpath`` tag.  Each ``gridpath`` and ``textpath`` line must equal the
+line without the tag.  Last it builds the wetted grid of the generated
+surface in this process, at the resolutions in ``GRIDS``, and digests
+each of the four ``WettedRegion.grid()`` arrays (nodes, cell weights,
+integer and antialiased winding) with its dtype and shape; it digests them
+again as read back from the grid companion that build wrote, under a
+``readback`` tag.  The output directory is replaced by ``OUT`` in stdout before
 hashing, so two checkouts can be compared by diffing what this prints in
 each:
 
@@ -49,8 +55,9 @@ from workloads import WORKLOADS, config_text  # noqa: E402
 COMMANDS = ("generate", "energy", "monotonicity", "identity-suite")
 # outputs the benchmark's own digests (surface, energy report, profiles) leave out
 EXTRA_OUTPUTS = ("boundary.tsv", "curve.tsv", "surface.bin", "boundary.bin", "curve.bin")
-# the commands that load the sample tables, rerun without the companions
-TEXTPATH_COMMANDS = ("energy", "monotonicity", "identity-suite")
+# the commands that load the sample tables and may build the wetted grid,
+# rerun without the grid companion and then without every companion
+RERUN_COMMANDS = ("energy", "monotonicity", "identity-suite")
 # wetted grids digested per workload: sphere levels on the ball, grid sizes on the plane
 GRIDS = {"ball-cap": ("sphere_level", (5, 6, 7)), "halfspace-cap": ("grid_n", (512,))}
 GRID_ARRAYS = ("nodes", "cellw", "wind", "wind_aa")
@@ -86,6 +93,8 @@ def workload_digests(name: str, seed: int, threads: int, work: Path) -> list[str
         code, stdout = run(command, config, out)
         lines.append(f"exit {code}  {name}/{command}")
         lines.append(f"{digest(stdout)}  {name}/{command}.stdout")
+    # monotonicity builds the grid on every workload, energy already on the ball
+    assert (out / tables.GRID_COMPANION).is_file(), f"{name} left no grid companion"
     for file in EXTRA_OUTPUTS:
         lines.append(f"{digest((out / file).read_bytes())}  {name}/{file}")
     lines += [f"{sha}  {name}/{file}" for file, sha in digests(out).items()]
@@ -98,7 +107,10 @@ def workload_digests(name: str, seed: int, threads: int, work: Path) -> list[str
         lines.append(f"{digest(stdout)}  {tag}/monotonicity.stdout")
         lines += [f"{sha}  {tag}/{file}" for file, sha in digests(out).items() if file.startswith("profile_")]
     lines += extra_probe_digests(name, config, out)
-    return lines + textpath_digests(name, config, out) + grid_digests(name, out)
+    lines += rerun_digests(name, config, out, "gridpath", [out / tables.GRID_COMPANION])
+    # the textpath rerun also rebuilds the grid: "*.bin" holds its companion
+    lines += rerun_digests(name, config, out, "textpath", list(out.glob("*.bin")))
+    return lines + grid_digests(name, out)
 
 
 def extra_probe_digests(name: str, config: Path, out: Path) -> list[str]:
@@ -118,15 +130,16 @@ def extra_probe_digests(name: str, config: Path, out: Path) -> list[str]:
     return lines
 
 
-def textpath_digests(name: str, config: Path, out: Path) -> list[str]:
-    for path in [*out.glob("*.bin"), *out.glob("profile_*.csv")]:
+def rerun_digests(name: str, config: Path, out: Path, tag: str, deleted: list[Path]) -> list[str]:
+    """Delete ``deleted`` and the profiles, rerun ``RERUN_COMMANDS`` and digest under ``tag``."""
+    for path in [*deleted, *out.glob("profile_*.csv")]:
         path.unlink()
     lines = []
-    for command in TEXTPATH_COMMANDS:
+    for command in RERUN_COMMANDS:
         code, stdout = run(command, config, out)
-        lines.append(f"exit {code}  {name}/textpath/{command}")
-        lines.append(f"{digest(stdout)}  {name}/textpath/{command}.stdout")
-    return lines + [f"{sha}  {name}/textpath/{file}" for file, sha in digests(out).items()]
+        lines.append(f"exit {code}  {name}/{tag}/{command}")
+        lines.append(f"{digest(stdout)}  {name}/{tag}/{command}.stdout")
+    return lines + [f"{sha}  {name}/{tag}/{file}" for file, sha in digests(out).items()]
 
 
 def grid_digests(name: str, out: Path) -> list[str]:
@@ -136,10 +149,16 @@ def grid_digests(name: str, out: Path) -> list[str]:
     key, values = GRIDS[name]
     lines = []
     for value in values:
-        for label, arr in zip(GRID_ARRAYS, wetted_region(surface, **{key: value}).grid()):
-            arr = np.ascontiguousarray(arr)
-            tag = f"{name}/grid-{key}-{value}/{label}"
-            lines.append(f"{digest(arr.tobytes())}  {tag} {arr.dtype.str} {arr.shape}")
+        store = tables.GridCompanion(out / f"grid-{key}-{value}.bin")
+        built = wetted_region(surface, **{key: value}, store=store).grid()
+        # the build above wrote the companion; a second region must find it
+        read = wetted_region(surface, **{key: value}, store=store)
+        assert store.load(read) is not None, f"{store.path} was not read back"
+        for prefix, arrays in ((name, built), (f"{name}/readback", read.grid())):
+            for label, arr in zip(GRID_ARRAYS, arrays):
+                arr = np.ascontiguousarray(arr)
+                tag = f"{prefix}/grid-{key}-{value}/{label}"
+                lines.append(f"{digest(arr.tobytes())}  {tag} {arr.dtype.str} {arr.shape}")
     return lines
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -45,8 +44,10 @@ def build_chart(cfg: RunConfig):
     return chart
 
 
-def region_for(cfg: RunConfig, surface: SampledSurface) -> WettedRegion:
-    return wetted_region(surface, grid_n=cfg.plane_grid, sphere_level=cfg.sphere_level)
+def region_for(cfg: RunConfig, surface: SampledSurface, out: Path) -> WettedRegion:
+    """The wetted region of the surface, its grid kept in ``out``'s grid companion."""
+    store = tables.GridCompanion(out / tables.GRID_COMPANION)
+    return wetted_region(surface, grid_n=cfg.plane_grid, sphere_level=cfg.sphere_level, store=store)
 
 
 def _surface_paths(out: Path):
@@ -80,7 +81,7 @@ def _load_surface(cfg: RunConfig, out: Path) -> SampledSurface:
 
 def cmd_energy(cfg: RunConfig, out: Path) -> int:
     surface = _load_surface(cfg, out)
-    region = region_for(cfg, surface)
+    region = region_for(cfg, surface, out)
     boundary_point = surface.boundary_points[0] if len(surface.boundary_points) else None
     report = energy.energy_report(surface, region, boundary_point=boundary_point)
     path = out / "energy.json"
@@ -133,7 +134,7 @@ def _probe_checks(mono, surface, region, probe, grid, pairs):
 
 def cmd_monotonicity(cfg: RunConfig, out: Path) -> int:
     surface = _load_surface(cfg, out)
-    region = region_for(cfg, surface)
+    region = region_for(cfg, surface, out)
     probes = _default_probes(cfg, surface)
     grid = np.linspace(cfg.r_min, cfg.r_max, cfg.r_count)
     mono = halfspace if surface.ambient.kind == "halfspace" else ball
@@ -145,6 +146,10 @@ def cmd_monotonicity(cfg: RunConfig, out: Path) -> int:
         return _probe_checks(mono, surface, region, probe, grid, pairs)
 
     if cfg.threads > 1:
+        # imported here: it loads logging, queue and traceback, which a
+        # serial run would pay for at every start
+        from concurrent.futures import ThreadPoolExecutor
+
         # build the grid before the fan-out, so workers share one region
         # instead of each building its own
         region.grid()
@@ -176,7 +181,7 @@ def cmd_monotonicity(cfg: RunConfig, out: Path) -> int:
 
 def cmd_identity_suite(cfg: RunConfig, out: Path) -> int:
     surface = _load_surface(cfg, out)
-    region = region_for(cfg, surface)
+    region = region_for(cfg, surface, out)
     tol = cfg.tolerance
     checks = []
     checks.append(("gauss-bonnet", abs(energy.gauss_bonnet_residual(surface)), tol))

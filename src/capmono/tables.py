@@ -15,6 +15,20 @@ text, read in place of it when its header matches the table's bytes and
 its body its CRC; a table that was edited, copied in without its
 companion or written by an older capmono is read from its text.  Deleting
 a companion is always safe.
+
+An output directory also gets a wetted grid companion ``wetted_grid.bin``
+(``GridCompanion``), written by the first command that builds the wetted
+grid and read by the later ones: a fixed header (magic and version, the
+key's length, the node count, the band's cell count and the body's
+``zlib.crc32``), the key, and the body: the integer winding (int64), the
+antialiased band's cell indices (int64) and their values (float64), all
+little-endian.  The key is the wetting surface, the plane grid size, the
+sphere level, a stamp of the code that builds grids (``zlib.crc32`` of
+the sources of ``wetted``, ``quadrature`` and ``geometry``, and numpy's
+version) and the bytes of every curve's points, tangents and weights.  A
+companion whose key differs in any byte, or whose size or body CRC is
+wrong, is ignored and replaced by a fresh build; deleting it is always
+safe.
 """
 
 from __future__ import annotations
@@ -22,6 +36,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import struct
 import sys
 import zlib
@@ -30,10 +45,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import geometry, quadrature, wetted
 from .errors import ConfigError
 from .geometry import BALL, HALFSPACE, Ambient
 from .surfaces import SampledSurface, contact_angle_residual
-from .wetted import OrientedCurve
+from .wetted import OrientedCurve, WettedRegion
 
 _FULL = "%.17g"
 _CSV = "%.12g"
@@ -44,6 +60,12 @@ _SAVE_BLOCK = 4096
 _COMPANION = struct.Struct("<8sQQQII")
 _MAGIC = b"CAPMTBL1"
 _BODY = np.dtype("<f8")
+# the grid companion's header: magic with version, the key's length, the
+# node count, the band's cell count, and the body's crc32
+_GRID = struct.Struct("<8sQQQI")
+_GRID_MAGIC = b"CAPMGRD1"
+_GRID_BODY = (np.dtype("<i8"), np.dtype("<i8"), np.dtype("<f8"))
+GRID_COMPANION = "wetted_grid.bin"
 
 SURFACE_COLUMNS = "x1 x2 x3 weight nu1 nu2 nu3 H1 H2 H3 K Aring2"
 BOUNDARY_COLUMNS = "x1 x2 x3 t1 t2 t3 c1 c2 c3 arcweight kg kg_wetting"
@@ -150,20 +172,24 @@ def _load_table(path, columns: str) -> tuple[list[str], np.ndarray]:
     every column a caller takes is a contiguous view.  The columns come
     from the table's companion when it matches the table's bytes, and from
     the parsed text otherwise; the checks below run on either.  A table
-    without rows, with an entry that is not a finite number, or with
-    another number of columns than ``columns`` names raises ConfigError.
+    whose bytes do not decode, without rows, with an entry that is not a
+    finite number, or with another number of columns than ``columns``
+    names raises ConfigError.
     """
     text = Path(path).read_bytes()
     header = []
-    with io.TextIOWrapper(io.BytesIO(text)) as fh:
-        line = next(fh, "")
-        while line.startswith("#"):
-            header.append(line[1:].strip())
+    try:
+        with io.TextIOWrapper(io.BytesIO(text)) as fh:
             line = next(fh, "")
-        # the first row is the first line with text before any '#'; np.loadtxt
-        # would only warn on a table without one
-        while line and not line.split("#", 1)[0].strip():
-            line = next(fh, "")
+            while line.startswith("#"):
+                header.append(line[1:].strip())
+                line = next(fh, "")
+            # the first row is the first line with text before any '#';
+            # np.loadtxt would only warn on a table without one
+            while line and not line.split("#", 1)[0].strip():
+                line = next(fh, "")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: the table is not text: {exc}") from None
     if not line:
         raise ConfigError(f"{path}: the table has no rows")
     width = len(columns.split())
@@ -180,6 +206,85 @@ def _load_table(path, columns: str) -> tuple[list[str], np.ndarray]:
     if not np.isfinite(cols.min()) or not np.isfinite(cols.max()):
         raise ConfigError(f"{path}: a table entry is not finite")
     return header, cols
+
+
+class GridCompanion:
+    """The wetted grid companion at ``path``: the store of ``WettedRegion``.
+
+    ``load`` returns the stored windings only when the file's magic, key,
+    size and body CRC all match, and None otherwise; an unreadable file
+    returns None and never raises.  ``save`` writes a temporary file
+    beside ``path`` and renames it over ``path``, so a reader sees the old
+    file or the new one, never a part; a failed write is ignored.
+    """
+
+    def __init__(self, path):
+        self.path = Path(path)
+
+    @staticmethod
+    def _key(region: WettedRegion) -> bytes:
+        """The bytes a stored grid must have been built from."""
+        stamp = 0
+        for module in (wetted, quadrature, geometry):
+            stamp = zlib.crc32(Path(module.__file__).read_bytes(), stamp)
+        version = np.__version__.encode()
+        parts = [
+            struct.pack("<8sqqIQ", region.wetting.encode(), region.grid_n, region.sphere_level, stamp, len(version)),
+            version,
+        ]
+        for curve in region.curves:
+            for arr in (curve.points, curve.tangents, curve.weights):
+                parts.append(struct.pack(f"<Q{arr.ndim}Q", arr.ndim, *arr.shape))
+                parts.append(np.asarray(arr, dtype=_BODY).tobytes())
+        return b"".join(parts)
+
+    def load(self, region: WettedRegion) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """The integer winding, the band cells and their values, if stored for ``region``."""
+        try:
+            key = self._key(region)
+            with self.path.open("rb") as fh:
+                magic, key_len, n, m, body_crc = _GRID.unpack(fh.read(_GRID.size))
+                counts = (n, m, m)
+                body = sum(count * dtype.itemsize for count, dtype in zip(counts, _GRID_BODY))
+                if (
+                    magic != _GRID_MAGIC
+                    or key_len != len(key)
+                    or fh.read(key_len) != key
+                    or fh.seek(0, io.SEEK_END) != _GRID.size + key_len + body
+                ):
+                    return None
+                fh.seek(_GRID.size + key_len)
+                wind, cells, values = (np.fromfile(fh, dtype=d, count=c) for c, d in zip(counts, _GRID_BODY))
+        except (OSError, ValueError, struct.error):
+            return None
+        crc = 0
+        for arr in (wind, cells, values):
+            crc = zlib.crc32(arr, crc)
+        # a file cut short since the size check reads short arrays
+        if crc != body_crc or [len(wind), len(cells), len(values)] != [n, m, m]:
+            return None
+        return wind.astype(np.int64, copy=False), cells.astype(np.int64, copy=False), values.astype(float, copy=False)
+
+    def save(self, region: WettedRegion, wind: np.ndarray, cells: np.ndarray, values: np.ndarray) -> None:
+        """Write the windings of ``region``'s grid; any OSError leaves no file behind and is ignored."""
+        tmp = self.path.with_name(f"{self.path.name}.{os.getpid()}.tmp")
+        try:
+            key = self._key(region)
+            body = [np.ascontiguousarray(a, dtype=d) for a, d in zip((wind, cells, values), _GRID_BODY)]
+            crc = 0
+            for arr in body:
+                crc = zlib.crc32(arr, crc)
+            with tmp.open("wb") as fh:
+                fh.write(_GRID.pack(_GRID_MAGIC, len(key), len(wind), len(cells), crc))
+                fh.write(key)
+                for arr in body:
+                    fh.write(arr)
+            os.replace(tmp, self.path)
+        except OSError:
+            try:
+                tmp.unlink()
+            except OSError:
+                pass
 
 
 def save_surface(surface: SampledSurface, path) -> None:

@@ -316,12 +316,20 @@ class WettedRegion:
     icosahedron (sphere).  On the sphere the winding offset is anchored by
     the orientation convention (the wetted side lies to the left of the
     curve).
+
+    ``store``, when given, keeps the expensive part of the grid between
+    processes: ``store.load(region)`` returns the integer winding, the
+    antialiased band's cell indices and their values, or None;
+    ``store.save(region, wind, cells, values)`` keeps them.  The
+    first ``grid()`` call asks it, so a region whose grid is never needed
+    never touches it.
     """
 
     curves: tuple
     wetting: str = PLANE
     grid_n: int = 512
     sphere_level: int = 6
+    store: object = field(default=None, repr=False, compare=False)
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -398,38 +406,59 @@ class WettedRegion:
         measure-zero ambiguity never enters integrals through the
         antialiased field.  Only the cells of the curve band are
         antialiased (see the antialiasing notes below), so the cost beyond
-        the integer field follows the curve, not the grid.
+        the integer field follows the curve, not the grid.  The nodes and
+        cell weights are always laid out here; the windings come from the
+        store when it holds them, and are built and handed to it otherwise.
         """
         if "grid" not in self._cache:
             if self.wetting == PLANE:
                 nodes, cell, xs, ys = plane_grid(self._plane_bbox(), self.grid_n)
                 cellw = np.full(len(nodes), cell)
-                polys = [p[:, :2] for p in self._refined_points()]
-                # nodes are raveled in meshgrid(xs, ys, indexing="ij") order
-                rows = np.tile(np.arange(len(ys)), len(xs))
-                wind = _winding_scanline(polys, ys, rows, np.repeat(xs, len(ys)))
-                wind_aa = wind.astype(float)
-                reach = 0.5 * np.hypot(xs[1] - xs[0], ys[1] - ys[0])
-                cells = _near_curve(polys, reach, axes=(xs, ys))
-                if len(cells):
-                    wind_aa[cells] = _aa_plane(polys, cells, xs, ys)
             else:
                 verts, faces, nodes, cellw = sphere_mesh(self.sphere_level)
-                wind = self._sphere_wind(nodes)
-                wind_aa = wind.astype(float)
-                band = 1.1 * float(np.sqrt(np.max(cellw)))
-                cells = _near_curve([c.points for c in self.curves], band, level=self.sphere_level)
-                if len(cells):
-                    # sphere nodes are face centroids, so cells index faces;
-                    # only these band faces are subdivided
-                    wind_aa[cells] = _aa_sphere(
-                        self._refined_points(),
-                        self.reference_point(),
-                        self.reference_winding,
-                        verts[faces[cells]],
-                    )
-            self._cache["grid"] = (nodes, cellw, wind.astype(np.int64), wind_aa)
+            stored = None if self.store is None else self.store.load(self)
+            if stored is None:
+                if self.wetting == PLANE:
+                    stored = self._plane_winding(xs, ys)
+                else:
+                    stored = self._sphere_winding(verts, faces, nodes, cellw)
+                if self.store is not None:
+                    self.store.save(self, *stored)
+            wind, cells, values = stored
+            wind_aa = wind.astype(float)
+            wind_aa[cells] = values
+            self._cache["grid"] = (nodes, cellw, wind, wind_aa)
         return self._cache["grid"]
+
+    def _plane_winding(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Integer winding of the plane grid, its band cells and their antialiased values."""
+        polys = [p[:, :2] for p in self._refined_points()]
+        # nodes are raveled in meshgrid(xs, ys, indexing="ij") order
+        rows = np.tile(np.arange(len(ys)), len(xs))
+        wind = _winding_scanline(polys, ys, rows, np.repeat(xs, len(ys)))
+        reach = 0.5 * np.hypot(xs[1] - xs[0], ys[1] - ys[0])
+        cells = _near_curve(polys, reach, axes=(xs, ys))
+        values = _aa_plane(polys, cells, xs, ys) if len(cells) else np.empty(0)
+        return wind, cells, values
+
+    def _sphere_winding(
+        self, verts: np.ndarray, faces: np.ndarray, nodes: np.ndarray, cellw: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Integer winding of the sphere grid, its band faces and their antialiased values."""
+        wind = self._sphere_wind(nodes)
+        band = 1.1 * float(np.sqrt(np.max(cellw)))
+        cells = _near_curve([c.points for c in self.curves], band, level=self.sphere_level)
+        values = np.empty(0)
+        if len(cells):
+            # sphere nodes are face centroids, so cells index faces; only
+            # these band faces are subdivided
+            values = _aa_sphere(
+                self._refined_points(),
+                self.reference_point(),
+                self.reference_winding,
+                verts[faces[cells]],
+            )
+        return wind, cells, values
 
     def _refined_points(self) -> list[np.ndarray]:
         """Curve sample loops refined by Hermite midpoint insertion.
@@ -679,12 +708,15 @@ def eta_integral(region: WettedRegion, f: Callable[[np.ndarray], np.ndarray] | f
 
 
 def wetted_region(
-    surface: SampledSurface, grid_n: int = 512, sphere_level: int = 6
+    surface: SampledSurface, grid_n: int = 512, sphere_level: int = 6, store=None
 ) -> WettedRegion:
-    """Region enclosed by the boundary image of a sampled surface."""
+    """Region enclosed by the boundary image of a sampled surface.
+
+    ``store`` keeps its grid between processes (see ``WettedRegion``).
+    """
     curve = curve_from_boundary(surface)
     wetting = SPHERE if surface.ambient.kind == BALL else PLANE
-    return WettedRegion((curve,), wetting, grid_n=grid_n, sphere_level=sphere_level)
+    return WettedRegion((curve,), wetting, grid_n=grid_n, sphere_level=sphere_level, store=store)
 
 
 # -- antialiasing ----------------------------------------------------------------

@@ -156,6 +156,9 @@ def test_threads_build_the_grid_once(tmp_path, monkeypatch, ambient):
     code = main(["monotonicity", "--config", str(path)])
     serial = {p.name: p.read_bytes() for p in sorted(out.glob("profile_*.csv"))}
     assert len(serial) == 2
+    # the serial run left a grid companion; without it the threaded run
+    # builds the grid itself
+    (out / tables.GRID_COMPANION).unlink()
 
     # every grid build, plane or sphere, finds its curve band exactly once
     builds = []
@@ -336,8 +339,10 @@ def test_other_capmono_errors_exit_2(cfg_path, monkeypatch, capsys):
         ("surface.tsv", lambda text: re.sub(r"^([^#]\S* \S* \S*) \S*", r"\1 nan", text, count=1, flags=re.M)),
         ("surface.tsv", lambda text: re.sub(r"^[^#].*\n", "", text, flags=re.M)),
         ("boundary.tsv", lambda text: text + "1 2 3\n"),
+        # an edit in bytes: a Latin-1 e-acute in a header comment is not UTF-8
+        ("surface.tsv", lambda text: text.replace("# capmono", "# capmono \xe9", 1).encode("latin-1")),
     ],
-    ids=["no-ambient", "non-numeric", "nan-weight", "header-only", "short-row"],
+    ids=["no-ambient", "non-numeric", "nan-weight", "header-only", "short-row", "latin1-header"],
 )
 def test_malformed_table_exits_2(tmp_path, capsys, name, edit):
     out = tmp_path / "out"
@@ -347,8 +352,11 @@ def test_malformed_table_exits_2(tmp_path, capsys, name, edit):
     table = out / name
     text = table.read_text()
     edited = edit(text)
-    assert edited != text
-    table.write_text(edited)
+    assert edited not in (text, text.encode())
+    if isinstance(edited, bytes):
+        table.write_bytes(edited)
+    else:
+        table.write_text(edited)
     capsys.readouterr()
     assert main(["energy", "--config", str(path)]) == 2
     err = capsys.readouterr().err

@@ -3,6 +3,7 @@
 import json
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from capmono import energy as en
 from capmono import halfspace as hs
 from capmono import tables
 from capmono.errors import ConfigError
-from capmono.wetted import curve_from_boundary
+from capmono.wetted import curve_from_boundary, wetted_region
 
 
 def test_surface_roundtrip(stock, tmp_path):
@@ -352,3 +353,193 @@ out_dir = somewhere
 def test_config_rejects_malformed(text):
     with pytest.raises(ConfigError):
         tables.parse_config(text)
+
+
+# -- wetted grid companion ---------------------------------------------------------
+
+
+def _grid_surface(stock, wetting):
+    return stock.cap(2 * np.pi / 3)[0] if wetting == "plane" else stock.capball(2 * np.pi / 3, np.pi / 3)[0]
+
+
+def _counting_builds(monkeypatch):
+    """Record every grid build: each one finds its curve band exactly once."""
+    from capmono import wetted
+
+    builds = []
+    near_curve = wetted._near_curve
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return near_curve(*args, **kwargs)
+
+    monkeypatch.setattr(wetted, "_near_curve", counting)
+    return builds
+
+
+def _assert_same_grid(got, expect):
+    for a, b in zip(got, expect, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "wetting, key, value",
+    [("sphere", "sphere_level", level) for level in (3, 4, 5, 6)] + [("plane", "grid_n", n) for n in (64, 512)],
+)
+def test_grid_companion_hit_equals_a_fresh_build(stock, tmp_path, monkeypatch, wetting, key, value):
+    surface = _grid_surface(stock, wetting)
+    store = tables.GridCompanion(tmp_path / tables.GRID_COMPANION)
+    fresh = wetted_region(surface, **{key: value}).grid()
+    _assert_same_grid(wetted_region(surface, **{key: value}, store=store).grid(), fresh)
+    assert store.path.exists()
+    builds = _counting_builds(monkeypatch)
+    got = wetted_region(surface, **{key: value}, store=store).grid()
+    assert builds == []
+    _assert_same_grid(got, fresh)
+    assert got[0].flags.f_contiguous == fresh[0].flags.f_contiguous
+
+
+def _ulp_moved(region):
+    curve = region.curves[0]
+    points = curve.points.copy()
+    points[7, 0] = np.nextafter(points[7, 0], np.inf)
+    return replace(region, curves=(replace(curve, points=points),), _cache={})
+
+
+def _edited_source(region, monkeypatch, tmp_path):
+    from capmono import geometry
+
+    edited = tmp_path / "geometry.py"
+    edited.write_bytes(Path(geometry.__file__).read_bytes() + b"# edited\n")
+    monkeypatch.setattr(geometry, "__file__", str(edited))
+    return region
+
+
+def _other_numpy(region, monkeypatch, tmp_path):
+    monkeypatch.setattr(np, "__version__", "0.0.0")
+    return region
+
+
+def _flip_grid_body(path):
+    data = bytearray(path.read_bytes())
+    data[-3] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+def _into_directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+# each case edits the base region (a plane or a sphere region of the
+# wetting surface it names) or the companion its grid left
+_GRID_MISSES = {
+    "grid-n": ("plane", lambda r, mp, tmp: replace(r, grid_n=65, _cache={}), None),
+    "grid-n-on-the-sphere": ("sphere", lambda r, mp, tmp: replace(r, grid_n=65, _cache={}), None),
+    "sphere-level": ("sphere", lambda r, mp, tmp: replace(r, sphere_level=4, _cache={}), None),
+    "sphere-level-on-the-plane": ("plane", lambda r, mp, tmp: replace(r, sphere_level=4, _cache={}), None),
+    "wetting": ("sphere", lambda r, mp, tmp: replace(r, wetting="plane", _cache={}), None),
+    "boundary-ulp": ("plane", lambda r, mp, tmp: _ulp_moved(r), None),
+    "boundary-ulp-on-the-sphere": ("sphere", lambda r, mp, tmp: _ulp_moved(r), None),
+    "edited-source": ("plane", _edited_source, None),
+    "numpy-version": ("plane", _other_numpy, None),
+    "wrong-magic": ("plane", None, lambda p: p.write_bytes(b"CAPMGRD0" + p.read_bytes()[8:])),
+    "truncated": ("plane", None, lambda p: p.write_bytes(p.read_bytes()[:-8])),
+    "extended": ("plane", None, lambda p: p.write_bytes(p.read_bytes() + bytes(8))),
+    "flipped-body": ("sphere", None, _flip_grid_body),
+    "empty": ("plane", None, lambda p: p.write_bytes(b"")),
+    "directory": ("sphere", None, _into_directory),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GRID_MISSES))
+def test_grid_companion_misses_rebuild(stock, tmp_path, monkeypatch, case):
+    wetting, edit_region, edit_file = _GRID_MISSES[case]
+    surface = _grid_surface(stock, wetting)
+    store = tables.GridCompanion(tmp_path / "out" / tables.GRID_COMPANION)
+    store.path.parent.mkdir()
+    base = wetted_region(surface, grid_n=64, sphere_level=3, store=store)
+    base.grid()
+    region = replace(base, _cache={})
+    if edit_region is not None:
+        region = edit_region(region, monkeypatch, tmp_path)
+    if edit_file is not None:
+        edit_file(store.path)
+    expect = replace(region, store=None, _cache={}).grid()
+    builds = _counting_builds(monkeypatch)
+    _assert_same_grid(region.grid(), expect)
+    assert builds == [1]
+    if case == "directory":
+        # the write failed and left nothing behind
+        assert store.path.is_dir() and sorted(p.name for p in store.path.parent.iterdir()) == [store.path.name]
+    else:
+        # the rebuilt grid replaced the companion, and is served from it
+        builds.clear()
+        _assert_same_grid(replace(region, _cache={}).grid(), expect)
+        assert builds == []
+
+
+def _tiny_config(tmp_path, ambient):
+    cfg = tables.RunConfig(
+        nu=16,
+        nv=16,
+        plane_grid=32,
+        sphere_level=2,
+        probes=((0.86602540378444, 0.0, 0.0), (0.31, -0.12, 0.47)),
+        r_min=0.3,
+        r_max=3.0,
+        r_count=8,
+        pairs=((0.4, 1.5),),
+        tolerance=0.005,
+        out_dir=str(tmp_path / "out"),
+    )
+    if ambient == "ball":
+        cfg = replace(cfg, ambient="ball", generator="flat-disk-ball", theta=np.pi / 3)
+    else:
+        cfg = replace(cfg, theta=2 * np.pi / 3)
+    path = tmp_path / "run.cfg"
+    path.write_text(tables.serialize_config(cfg))
+    return str(path), tmp_path / "out"
+
+
+def test_pipeline_builds_the_ball_grid_once(tmp_path, monkeypatch, capsys):
+    # energy needs |T|, monotonicity and identity-suite the eta terms: the
+    # first builds the grid and the others read it
+    from capmono.cli import main
+
+    path, out = _tiny_config(tmp_path, "ball")
+    assert main(["generate", "--config", path]) == 0
+    builds = _counting_builds(monkeypatch)
+    for command in ("energy", "monotonicity", "identity-suite"):
+        assert main([command, "--config", path]) in (0, 1)
+    assert builds == [1]
+    assert (out / tables.GRID_COMPANION).exists()
+
+
+def test_halfspace_energy_leaves_the_grid_companion_alone(tmp_path, monkeypatch, capsys):
+    from capmono.cli import main
+
+    path, out = _tiny_config(tmp_path, "halfspace")
+    assert main(["generate", "--config", path]) == 0
+
+    def refuse(*args):
+        raise AssertionError("the grid companion was touched")
+
+    monkeypatch.setattr(tables.GridCompanion, "load", refuse)
+    monkeypatch.setattr(tables.GridCompanion, "save", refuse)
+    assert main(["energy", "--config", path]) == 0
+    assert not (out / tables.GRID_COMPANION).exists()
+
+
+def test_threaded_run_writes_the_serial_grid_companion(tmp_path, capsys):
+    from capmono.cli import main
+
+    path, out = _tiny_config(tmp_path, "halfspace")
+    assert main(["generate", "--config", path]) == 0
+    assert main(["monotonicity", "--config", path]) in (0, 1)
+    companion = out / tables.GRID_COMPANION
+    serial = companion.read_bytes()
+    companion.unlink()
+    assert main(["monotonicity", "--config", path, "--threads", "2"]) in (0, 1)
+    assert companion.read_bytes() == serial
