@@ -7,10 +7,9 @@ the ``capmono`` command line of this checkout, and prints one digest per
 output file (surface.tsv, boundary.tsv, curve.tsv, their binary
 companions surface.bin, boundary.bin and curve.bin, energy.json,
 profile_*.csv) and per command stdout, with each command's exit code.
-With ``--threads N`` it also reruns monotonicity with N threads and digests
-those profiles and that stdout.  It reruns monotonicity and identity-suite
-with one more probe, and digests their stdout and profiles: on ``ball-cap``
-at the origin, whose identity has its own branch, and on ``halfspace-cap``
+It reruns monotonicity and identity-suite with one more probe, and
+digests their stdout and profiles: on ``ball-cap`` at the origin, whose
+identity has its own branch, and on ``halfspace-cap``
 on the x1 axis, where distances tie exactly, so every radial prefix there
 takes the stable sort.  Every workload's commands leave a wetted grid
 companion (``wetted_grid.bin``); its bytes are not digested, because its
@@ -19,17 +18,21 @@ it and reruns energy, monotonicity and identity-suite, which rebuild the
 grid, and digests their stdout and outputs under a ``gridpath`` tag.  It
 then deletes every binary companion and reruns the same commands, which
 read the tables from their text (and rebuild the grid once more), under a
-``textpath`` tag.  Each ``gridpath`` and ``textpath`` line must equal the
-line without the tag.  Last it builds the wetted grid of the generated
+``textpath`` tag.  Last it builds the wetted grid of the generated
 surface in this process, at the resolutions in ``GRIDS``, and digests
 each of the four ``WettedRegion.grid()`` arrays (nodes, cell weights,
 integer and antialiased winding) with its dtype and shape; it digests them
 again as read back from the grid companion that build wrote, under a
-``readback`` tag.  The output directory is replaced by ``OUT`` in stdout before
-hashing, so two checkouts can be compared by diffing what this prints in
-each:
+``readback`` tag.
 
-    python3 scripts/output_digests.py --seed 1 --threads 2 > digests.txt
+Every ``gridpath``, ``textpath`` and ``readback`` line must equal the line
+without the tag.  The script checks that after printing every line, and
+exits 1 naming the first tagged line that differs (or whose untagged line
+is missing); otherwise it exits 0.  The output directory is replaced by
+``OUT`` in stdout before hashing, so two checkouts can be compared by
+diffing what this prints in each:
+
+    python3 scripts/output_digests.py --seed 1 > digests.txt
 """
 
 from __future__ import annotations
@@ -66,17 +69,19 @@ GRID_ARRAYS = ("nodes", "cellw", "wind", "wind_aa")
 # distances from the probe tie exactly (about 6,000 samples and 117,000
 # grid nodes repeat the distance of another)
 EXTRA_PROBES = {"ball-cap": ("origin", "0.0,0.0,0.0"), "halfspace-cap": ("axis", "0.175,0.0,0.8")}
+# the tags whose every line must equal the line without the tag
+SAME_AS_UNTAGGED = ("gridpath", "textpath", "readback")
 
 
 def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run(command: str, config: Path, out: Path, extra=()) -> tuple[int, bytes]:
+def run(command: str, config: Path, out: Path) -> tuple[int, bytes]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-m", "capmono", command, "--config", str(config), *extra],
+        [sys.executable, "-m", "capmono", command, "--config", str(config)],
         capture_output=True,
         env=env,
         cwd=ROOT,
@@ -84,7 +89,7 @@ def run(command: str, config: Path, out: Path, extra=()) -> tuple[int, bytes]:
     return proc.returncode, proc.stdout.replace(str(out).encode(), b"OUT")
 
 
-def workload_digests(name: str, seed: int, threads: int, work: Path) -> list[str]:
+def workload_digests(name: str, seed: int, work: Path) -> list[str]:
     out = work / name
     config = work / f"{name}.cfg"
     config.write_text(config_text(WORKLOADS[name], seed, str(out)))
@@ -98,14 +103,6 @@ def workload_digests(name: str, seed: int, threads: int, work: Path) -> list[str
     for file in EXTRA_OUTPUTS:
         lines.append(f"{digest((out / file).read_bytes())}  {name}/{file}")
     lines += [f"{sha}  {name}/{file}" for file, sha in digests(out).items()]
-    if threads > 1:
-        for path in out.glob("profile_*.csv"):
-            path.unlink()
-        code, stdout = run("monotonicity", config, out, ("--threads", str(threads)))
-        tag = f"{name}/threads{threads}"
-        lines.append(f"exit {code}  {tag}/monotonicity")
-        lines.append(f"{digest(stdout)}  {tag}/monotonicity.stdout")
-        lines += [f"{sha}  {tag}/{file}" for file, sha in digests(out).items() if file.startswith("profile_")]
     lines += extra_probe_digests(name, config, out)
     lines += rerun_digests(name, config, out, "gridpath", [out / tables.GRID_COMPANION])
     # the textpath rerun also rebuilds the grid: "*.bin" holds its companion
@@ -162,15 +159,31 @@ def grid_digests(name: str, out: Path) -> list[str]:
     return lines
 
 
+def first_mismatch(name: str, lines: list[str]) -> str | None:
+    """The first line of ``name`` tagged as ``SAME_AS_UNTAGGED`` whose untagged line is not in ``lines``."""
+    seen = set(lines)
+    for line in lines:
+        for tag in SAME_AS_UNTAGGED:
+            tagged = f"  {name}/{tag}/"
+            if tagged in line and line.replace(tagged, f"  {name}/", 1) not in seen:
+                return line
+    return None
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--threads", type=int, default=1, help="also rerun monotonicity with this many threads")
     args = ap.parse_args(argv)
+    mismatch = None
     with tempfile.TemporaryDirectory(prefix="capmono-digests-") as tmp:
         for name in WORKLOADS:
-            for line in workload_digests(name, args.seed, args.threads, Path(tmp)):
+            lines = workload_digests(name, args.seed, Path(tmp))
+            for line in lines:
                 print(line, flush=True)
+            mismatch = mismatch or first_mismatch(name, lines)
+    if mismatch is not None:
+        print(f"mismatch: {mismatch!r} differs from its line without the tag", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -1,6 +1,9 @@
 """Command-line front end: generate sampled surfaces, run energy reports,
 sweep monotonicity profiles, and run the identity suite.
 
+Each command runs in one process and takes its probes one after another,
+in order.
+
 Exit codes: 0 when every gate passes, 1 only when a gate fails, 2 on a
 usage or configuration error and on any other capmono error (geometry,
 resolution, immersion).
@@ -72,7 +75,7 @@ def cmd_generate(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _load_surface(cfg: RunConfig, out: Path) -> SampledSurface:
+def _load_surface(out: Path) -> SampledSurface:
     spath, bpath, _ = _surface_paths(out)
     if not spath.exists() or not bpath.exists():
         raise ConfigError(f"no surface tables under {out}; run 'generate' first")
@@ -80,7 +83,7 @@ def _load_surface(cfg: RunConfig, out: Path) -> SampledSurface:
 
 
 def cmd_energy(cfg: RunConfig, out: Path) -> int:
-    surface = _load_surface(cfg, out)
+    surface = _load_surface(out)
     region = region_for(cfg, surface, out)
     boundary_point = surface.boundary_points[0] if len(surface.boundary_points) else None
     report = energy.energy_report(surface, region, boundary_point=boundary_point)
@@ -96,7 +99,7 @@ def cmd_energy(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _default_probes(cfg: RunConfig, surface: SampledSurface):
+def _default_probes(cfg: RunConfig):
     if cfg.probes:
         return [np.asarray(p, dtype=float) for p in cfg.probes]
     rng = np.random.default_rng(cfg.seed)
@@ -118,8 +121,8 @@ def _probe_checks(mono, surface, region, probe, grid, pairs):
     """One probe's profile (none without a grid) and raw pair residuals.
 
     The probe's restriction state is built once and serves the profile and
-    every pair; it is dropped when the probe is done, so only the probes in
-    flight hold one.
+    every pair; it is dropped when the probe is done, so one probe's state
+    is held at a time.
     """
     terms = mono.probe_terms(surface, region, probe)
     profile = None
@@ -133,30 +136,15 @@ def _probe_checks(mono, surface, region, probe, grid, pairs):
 
 
 def cmd_monotonicity(cfg: RunConfig, out: Path) -> int:
-    surface = _load_surface(cfg, out)
+    surface = _load_surface(out)
     region = region_for(cfg, surface, out)
-    probes = _default_probes(cfg, surface)
+    probes = _default_probes(cfg)
     grid = np.linspace(cfg.r_min, cfg.r_max, cfg.r_count)
     mono = halfspace if surface.ambient.kind == "halfspace" else ball
     # gate on raw two-radius residuals: at equality-case probes every
     # identity term vanishes and term-normalized ratios turn into 0/0 noise
     pairs = cfg.pairs or ((cfg.r_min, cfg.r_max),)
-
-    def one(probe):
-        return _probe_checks(mono, surface, region, probe, grid, pairs)
-
-    if cfg.threads > 1:
-        # imported here: it loads logging, queue and traceback, which a
-        # serial run would pay for at every start
-        from concurrent.futures import ThreadPoolExecutor
-
-        # build the grid before the fan-out, so workers share one region
-        # instead of each building its own
-        region.grid()
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(one, probes))
-    else:
-        results = [one(p) for p in probes]
+    results = [_probe_checks(mono, surface, region, probe, grid, pairs) for probe in probes]
     profiles = [prof for prof, _ in results]
     worst_residual = _worst(res for _, residuals in results for res in residuals)
 
@@ -180,14 +168,14 @@ def cmd_monotonicity(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_identity_suite(cfg: RunConfig, out: Path) -> int:
-    surface = _load_surface(cfg, out)
+    surface = _load_surface(out)
     region = region_for(cfg, surface, out)
     tol = cfg.tolerance
     checks = []
     checks.append(("gauss-bonnet", abs(energy.gauss_bonnet_residual(surface)), tol))
     checks.append(("gauss-equation", abs(energy.gauss_equation_residual(surface)), tol))
     pairs = cfg.pairs or ((0.4, 1.5),)
-    probes = _default_probes(cfg, surface)
+    probes = _default_probes(cfg)
     mono = halfspace if surface.ambient.kind == "halfspace" else ball
     worst = _worst(
         res for probe in probes for res in _probe_checks(mono, surface, region, probe, None, pairs)[1]
@@ -217,24 +205,16 @@ def cmd_identity_suite(cfg: RunConfig, out: Path) -> int:
     return 1 if failed else 0
 
 
-def cmd_report(cfg: RunConfig, out: Path) -> int:
-    rc = cmd_generate(cfg, out)
-    if rc:
-        return rc
-    return cmd_energy(cfg, out)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="capmono",
         description="numerical checks of capillary-surface energies and monotonicity identities",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("generate", "energy", "monotonicity", "identity-suite", "report"):
+    for name in ("generate", "energy", "monotonicity", "identity-suite"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--threads", type=int, default=None, help="worker threads")
         p.add_argument("--tolerance", type=float, default=None, help="tolerance override")
         p.add_argument("--seed", type=int, default=None, help="seed for random probes")
     args = parser.parse_args(argv)
@@ -242,7 +222,6 @@ def main(argv=None) -> int:
         cfg = tables.with_overrides(
             tables.load_config(args.config),
             out_dir=args.out,
-            threads=args.threads,
             tolerance=args.tolerance,
             seed=args.seed,
         )
@@ -252,7 +231,6 @@ def main(argv=None) -> int:
             "energy": cmd_energy,
             "monotonicity": cmd_monotonicity,
             "identity-suite": cmd_identity_suite,
-            "report": cmd_report,
         }[args.command]
         return handler(cfg, out)
     except ConfigError as exc:

@@ -39,9 +39,7 @@ class RadialPrefix:
     ``.T`` of them for an (n, m) key).  A row adds its entries in the order
     of a per-key running sum, so every prefix has the bits of a per-key
     ``np.cumsum``.  The f.d and f/d prefixes of a key (read by the two
-    windows) are built on their first read.  An object belongs to one probe
-    and is never shared across worker threads, so the lazily filled dict
-    needs no lock.
+    windows) are built on their first read.
     """
 
     def __init__(self, points: np.ndarray | None, center, arrays: dict[str, np.ndarray], *, d2=None):

@@ -6,29 +6,28 @@ header carrying metadata; floats are printed with 17 significant digits so
 round trips are lossless.  CSV files use '.' decimals, ',' separators, LF
 line endings and 12 significant digits.
 
-Each sample table ``name.tsv`` gets a binary companion ``name.bin``: a
-fixed header (magic and version, the column count K, the row count n, the
-byte length and ``zlib.crc32`` of the table's text, and the body's
-``zlib.crc32``) followed by the (K, n) float64 columns, little-endian, one
-contiguous row per column.  The companion is a checked cache of the parsed
-text, read in place of it when its header matches the table's bytes and
-its body its CRC; a table that was edited, copied in without its
-companion or written by an older capmono is read from its text.  Deleting
-a companion is always safe.
-
-An output directory also gets a wetted grid companion ``wetted_grid.bin``
+Each sample table ``name.tsv`` gets a binary companion ``name.bin``, and
+an output directory gets a wetted grid companion ``wetted_grid.bin``
 (``GridCompanion``), written by the first command that builds the wetted
-grid and read by the later ones: a fixed header (magic and version, the
-key's length, the node count, the band's cell count and the body's
-``zlib.crc32``), the key, and the body: the integer winding (int64), the
-antialiased band's cell indices (int64) and their values (float64), all
-little-endian.  The key is the wetting surface, the plane grid size, the
-sphere level, a stamp of the code that builds grids (``zlib.crc32`` of
-the sources of ``wetted``, ``quadrature`` and ``geometry``, and numpy's
-version) and the bytes of every curve's points, tangents and weights.  A
-companion whose key differs in any byte, or whose size or body CRC is
-wrong, is ignored and replaced by a fresh build; deleting it is always
-safe.
+grid and read by the later ones.  Both are checked caches in one format:
+a fixed header (magic and version, the key's length, each body array's
+element count, and the body's ``zlib.crc32``), the key, and the body
+arrays, all little-endian.  A companion is read only when its magic, its
+key and its size are exact and its body matches its CRC; anything else is
+a miss, so deleting a companion is always safe, and a companion written by
+an older capmono is a miss too.
+
+A table's key is its column count K and the byte length and
+``zlib.crc32`` of its text, and its body is one array, the (K, n) float64
+columns, one contiguous row per column; a table that was edited or copied
+in without its companion is read from its text.  The grid's key is the
+wetting surface, the plane grid size, the sphere level, a stamp of the
+code that builds grids (``zlib.crc32`` of the sources of ``wetted``,
+``quadrature`` and ``geometry``, and numpy's version) and the bytes of
+every curve's points, tangents and weights; its body is the integer
+winding (int64), the antialiased band's cell indices (int64) and their
+values (float64).  A grid companion that misses is replaced by a fresh
+build.
 """
 
 from __future__ import annotations
@@ -55,16 +54,11 @@ _FULL = "%.17g"
 _CSV = "%.12g"
 # rows formatted per write of a sample table
 _SAVE_BLOCK = 4096
-# the companion's header: magic with version, K, n, the text's length and
-# crc32, and the body's crc32
-_COMPANION = struct.Struct("<8sQQQII")
-_MAGIC = b"CAPMTBL1"
+# every companion starts with this magic; the count of body arrays sets
+# the rest of the header (see _header)
+_MAGIC = b"CAPMCMP2"
 _BODY = np.dtype("<f8")
-# the grid companion's header: magic with version, the key's length, the
-# node count, the band's cell count, and the body's crc32
-_GRID = struct.Struct("<8sQQQI")
-_GRID_MAGIC = b"CAPMGRD1"
-_GRID_BODY = (np.dtype("<i8"), np.dtype("<i8"), np.dtype("<f8"))
+_GRID_BODY = (np.dtype("<i8"), np.dtype("<i8"), _BODY)
 GRID_COMPANION = "wetted_grid.bin"
 
 SURFACE_COLUMNS = "x1 x2 x3 weight nu1 nu2 nu3 H1 H2 H3 K Aring2"
@@ -86,11 +80,85 @@ MAX_NU_NV = 1000
 GENERATOR_AMBIENT = {"cap": HALFSPACE, "flat-disk-ball": BALL, "cap-ball": BALL}
 
 
+def _header(arrays: int) -> struct.Struct:
+    """A companion's header: magic, the key's length, ``arrays`` element counts, the body's crc32."""
+    return struct.Struct(f"<8sQ{arrays}QI")
+
+
+def _write_companion(path: Path, key: bytes, counts: tuple[int, ...], chunks) -> None:
+    """Write the companion at ``path``: the header, ``key``, then the body.
+
+    The body is the concatenation of ``chunks``, contiguous little-endian
+    arrays holding ``counts[i]`` elements of body array i in turn; it is
+    written chunk by chunk and its CRC goes into the header last.  The file
+    is written beside ``path`` and renamed over it, so a reader sees the
+    old file or the new one, never a part.  A companion is only a cache:
+    any OSError leaves no temporary behind and is ignored.
+    """
+    head = _header(len(counts))
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        crc = 0
+        with tmp.open("wb") as fh:
+            fh.seek(head.size)
+            fh.write(key)
+            for chunk in chunks:
+                fh.write(chunk)
+                crc = zlib.crc32(chunk, crc)
+            fh.seek(0)
+            fh.write(head.pack(_MAGIC, len(key), *counts, crc))
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            tmp.unlink()
+        except OSError:
+            pass
+
+
+def _read_companion(path: Path, key: bytes, dtypes: tuple[np.dtype, ...]) -> list[np.ndarray] | None:
+    """The body arrays of the companion at ``path``, one per dtype, if it holds them for ``key``.
+
+    The companion is used only when its header parses, its magic is this
+    format's, its stored key equals ``key`` byte for byte, its size is
+    exact for the counts it records, and the body's CRC is the recorded
+    one; anything else, an unreadable file included, returns None and never
+    raises.
+    """
+    head = _header(len(dtypes))
+    try:
+        with path.open("rb") as fh:
+            magic, key_len, *counts, crc = head.unpack(fh.read(head.size))
+            body = sum(count * dtype.itemsize for count, dtype in zip(counts, dtypes))
+            if (
+                magic != _MAGIC
+                or key_len != len(key)
+                or fh.read(key_len) != key
+                or fh.seek(0, io.SEEK_END) != head.size + key_len + body
+            ):
+                return None
+            fh.seek(head.size + key_len)
+            arrays = [np.fromfile(fh, dtype=dtype, count=count) for count, dtype in zip(counts, dtypes)]
+    except (OSError, ValueError, struct.error):
+        return None
+    body_crc = 0
+    for arr in arrays:
+        body_crc = zlib.crc32(arr, body_crc)
+    # a file cut short since the size check reads short arrays
+    if body_crc != crc or [len(arr) for arr in arrays] != counts:
+        return None
+    return arrays
+
+
 def _companion_path(path) -> Path | None:
     """The binary companion of a table; None when it would be the table itself."""
     path = Path(path)
     companion = path.with_suffix(".bin")
     return None if companion == path else companion
+
+
+def _table_key(width: int, length: int, crc: int) -> bytes:
+    """A table companion's key: the column count and the text's length and crc32."""
+    return struct.pack("<QQI", width, length, crc)
 
 
 def _save_table(path, header: list[str], rows: np.ndarray) -> None:
@@ -101,7 +169,7 @@ def _save_table(path, header: list[str], rows: np.ndarray) -> None:
     on its flattened values, instead of one ``%`` per row; the blocks keep
     the temporaries bounded.  The text's length and CRC are taken from the
     blocks as they are written, and the companion's body one column at a
-    time, its CRC going into the header last.
+    time.
     """
     row = " ".join([_FULL] * rows.shape[1]) + "\n"
 
@@ -119,50 +187,20 @@ def _save_table(path, header: list[str], rows: np.ndarray) -> None:
             length += len(data)
             crc = zlib.crc32(data, crc)
     companion = _companion_path(path)
-    if companion is None:
-        return
-    body_crc = 0
-    with companion.open("wb") as fh:
-        fh.seek(_COMPANION.size)
-        for column in rows.T:
-            column = np.ascontiguousarray(column, dtype=_BODY)
-            fh.write(column)
-            body_crc = zlib.crc32(column, body_crc)
-        fh.seek(0)
-        fh.write(_COMPANION.pack(_MAGIC, rows.shape[1], len(rows), length, crc, body_crc))
+    if companion is not None:
+        columns = (np.ascontiguousarray(column, dtype=_BODY) for column in rows.T)
+        _write_companion(companion, _table_key(rows.shape[1], length, crc), (rows.size,), columns)
 
 
-def _read_companion(path, text: bytes, width: int) -> np.ndarray | None:
-    """The (width, n) columns the companion of ``path`` holds for this text, else None.
-
-    The companion is used only when its header parses, it holds ``width``
-    columns, its size is exact, the recorded length and CRC are those of
-    ``text``, and the body's CRC is the recorded one; anything else, an
-    unreadable file included, returns None and never raises.
-    """
+def _companion_columns(path, text: bytes, width: int) -> np.ndarray | None:
+    """The (width, n) columns the companion of ``path`` holds for this text, else None."""
     companion = _companion_path(path)
     if companion is None:
         return None
-    try:
-        with companion.open("rb") as fh:
-            magic, k, n, length, crc, body_crc = _COMPANION.unpack(fh.read(_COMPANION.size))
-            if (
-                magic != _MAGIC
-                or k != width
-                or n < 1
-                or length != len(text)
-                or crc != zlib.crc32(text)
-                or fh.seek(0, io.SEEK_END) != _COMPANION.size + k * n * _BODY.itemsize
-            ):
-                return None
-            fh.seek(_COMPANION.size)
-            # a file cut short since the size check fails the reshape
-            body = np.fromfile(fh, dtype=_BODY, count=k * n).reshape(k, n)
-    except (OSError, ValueError, struct.error):
+    got = _read_companion(companion, _table_key(width, len(text), zlib.crc32(text)), (_BODY,))
+    if got is None or not got[0].size or got[0].size % width:
         return None
-    if zlib.crc32(body) != body_crc:
-        return None
-    return body.astype(float, copy=False)
+    return got[0].reshape(width, -1).astype(float, copy=False)
 
 
 def _load_table(path, columns: str) -> tuple[list[str], np.ndarray]:
@@ -193,7 +231,7 @@ def _load_table(path, columns: str) -> tuple[list[str], np.ndarray]:
     if not line:
         raise ConfigError(f"{path}: the table has no rows")
     width = len(columns.split())
-    cols = _read_companion(path, text, width)
+    cols = _companion_columns(path, text, width)
     if cols is None:
         try:
             rows = np.loadtxt(io.TextIOWrapper(io.BytesIO(text)), comments="#", ndmin=2)
@@ -211,11 +249,9 @@ def _load_table(path, columns: str) -> tuple[list[str], np.ndarray]:
 class GridCompanion:
     """The wetted grid companion at ``path``: the store of ``WettedRegion``.
 
-    ``load`` returns the stored windings only when the file's magic, key,
-    size and body CRC all match, and None otherwise; an unreadable file
-    returns None and never raises.  ``save`` writes a temporary file
-    beside ``path`` and renames it over ``path``, so a reader sees the old
-    file or the new one, never a part; a failed write is ignored.
+    ``load`` returns the stored windings only when the companion holds them
+    for the region's key, and None otherwise; ``save`` replaces the file
+    whole, and a failed write is ignored (see ``_write_companion``).
     """
 
     def __init__(self, path):
@@ -242,49 +278,22 @@ class GridCompanion:
         """The integer winding, the band cells and their values, if stored for ``region``."""
         try:
             key = self._key(region)
-            with self.path.open("rb") as fh:
-                magic, key_len, n, m, body_crc = _GRID.unpack(fh.read(_GRID.size))
-                counts = (n, m, m)
-                body = sum(count * dtype.itemsize for count, dtype in zip(counts, _GRID_BODY))
-                if (
-                    magic != _GRID_MAGIC
-                    or key_len != len(key)
-                    or fh.read(key_len) != key
-                    or fh.seek(0, io.SEEK_END) != _GRID.size + key_len + body
-                ):
-                    return None
-                fh.seek(_GRID.size + key_len)
-                wind, cells, values = (np.fromfile(fh, dtype=d, count=c) for c, d in zip(counts, _GRID_BODY))
-        except (OSError, ValueError, struct.error):
+        except OSError:
             return None
-        crc = 0
-        for arr in (wind, cells, values):
-            crc = zlib.crc32(arr, crc)
-        # a file cut short since the size check reads short arrays
-        if crc != body_crc or [len(wind), len(cells), len(values)] != [n, m, m]:
+        got = _read_companion(self.path, key, _GRID_BODY)
+        if got is None or len(got[1]) != len(got[2]):
             return None
+        wind, cells, values = got
         return wind.astype(np.int64, copy=False), cells.astype(np.int64, copy=False), values.astype(float, copy=False)
 
     def save(self, region: WettedRegion, wind: np.ndarray, cells: np.ndarray, values: np.ndarray) -> None:
-        """Write the windings of ``region``'s grid; any OSError leaves no file behind and is ignored."""
-        tmp = self.path.with_name(f"{self.path.name}.{os.getpid()}.tmp")
+        """Write the windings of ``region``'s grid."""
         try:
             key = self._key(region)
-            body = [np.ascontiguousarray(a, dtype=d) for a, d in zip((wind, cells, values), _GRID_BODY)]
-            crc = 0
-            for arr in body:
-                crc = zlib.crc32(arr, crc)
-            with tmp.open("wb") as fh:
-                fh.write(_GRID.pack(_GRID_MAGIC, len(key), len(wind), len(cells), crc))
-                fh.write(key)
-                for arr in body:
-                    fh.write(arr)
-            os.replace(tmp, self.path)
         except OSError:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
+            return
+        body = [np.ascontiguousarray(a, dtype=d) for a, d in zip((wind, cells, values), _GRID_BODY)]
+        _write_companion(self.path, key, tuple(len(a) for a in body), body)
 
 
 def save_surface(surface: SampledSurface, path) -> None:
@@ -441,7 +450,6 @@ class RunConfig:
     out_dir: str = "out"
     tolerance: float = 1e-3
     seed: int = 0
-    threads: int = 1
 
 
 _SCHEMA = {
@@ -471,7 +479,6 @@ _SCHEMA = {
         ("out_dir", str),
         ("tolerance", float),
         ("seed", int),
-        ("threads", int),
     ],
 }
 
@@ -501,7 +508,11 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse the flat key-value format; unknown keys are configuration errors."""
+    """Parse the flat key-value format; unknown keys are configuration errors.
+
+    The removed ``threads`` key is accepted in ``[output]`` with the value 1
+    only, and ignored.
+    """
     values: dict = {}
     probes = []
     pairs = []
@@ -535,6 +546,11 @@ def parse_config(text: str) -> RunConfig:
                 if len(parts) != 2:
                     raise ConfigError(f"line {lineno}: pairs need two radii")
                 pairs.append(tuple(parts))
+            elif section == "output" and key == "threads":
+                # every run is serial; older configs, the benchmark's
+                # among them, still name the one thread
+                if int(value) != 1:
+                    raise ConfigError(f"line {lineno}: threads were removed; only 'threads = 1' is accepted")
             elif key not in known[section]:
                 raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
             else:
@@ -573,7 +589,6 @@ def _validated(cfg: RunConfig) -> RunConfig:
         (not all(0.0 < sigma < rho for sigma, rho in cfg.pairs), "every pair needs 0 < sigma < rho"),
         (not cfg.tolerance > 0.0, f"tolerance must be positive, got {cfg.tolerance!r}"),
         (cfg.seed < 0, "seed must be non-negative"),
-        (cfg.threads < 1, "threads must be at least 1"),
     )
     for bad, message in problems:
         if bad:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import capmono
 from capmono import ball, halfspace, tables, wetted
 from capmono.cli import main
+from capmono.errors import ConfigError
 
 BASE = """[run]
 ambient = halfspace
@@ -44,7 +45,6 @@ pair = 0.4,1.5
 out_dir = OUT
 tolerance = 0.005
 seed = 0
-threads = 1
 """
 
 
@@ -121,23 +121,6 @@ def test_deterministic_outputs(cfg_path):
         assert (out / name).read_bytes() == blob
 
 
-def test_report_subcommand_ball(tmp_path):
-    out = tmp_path / "ball"
-    path = tmp_path / "ball.cfg"
-    path.write_text(_ball_text(out))
-    assert main(["report", "--config", str(path)]) == 0
-    assert (out / "energy.json").exists()
-
-
-def test_threads_flag_matches_serial(cfg_path):
-    path, out = cfg_path
-    assert main(["generate", "--config", str(path)]) == 0
-    assert main(["monotonicity", "--config", str(path)]) == 0
-    serial = (out / "profile_000.csv").read_bytes()
-    assert main(["monotonicity", "--config", str(path), "--threads", "2"]) == 0
-    assert (out / "profile_000.csv").read_bytes() == serial
-
-
 def _ball_text(out, base=BASE):
     return (
         base.replace("OUT", str(out))
@@ -148,15 +131,15 @@ def _ball_text(out, base=BASE):
 
 
 @pytest.mark.parametrize("ambient", ["halfspace", "ball"])
-def test_threads_build_the_grid_once(tmp_path, monkeypatch, ambient):
+def test_monotonicity_builds_the_grid_once(tmp_path, monkeypatch, ambient):
     out = tmp_path / "out"
     path = tmp_path / "run.cfg"
     path.write_text(BASE.replace("OUT", str(out)) if ambient == "halfspace" else _ball_text(out))
     assert main(["generate", "--config", str(path)]) == 0
     code = main(["monotonicity", "--config", str(path)])
-    serial = {p.name: p.read_bytes() for p in sorted(out.glob("profile_*.csv"))}
-    assert len(serial) == 2
-    # the serial run left a grid companion; without it the threaded run
+    first = {p.name: p.read_bytes() for p in sorted(out.glob("profile_*.csv"))}
+    assert len(first) == 2
+    # the first run left a grid companion; without it the second run
     # builds the grid itself
     (out / tables.GRID_COMPANION).unlink()
 
@@ -180,10 +163,10 @@ def test_threads_build_the_grid_once(tmp_path, monkeypatch, ambient):
             super().__init__(points, center, arrays, **kwargs)
 
     monkeypatch.setattr(mono, "RadialPrefix", Recording)
-    assert main(["monotonicity", "--config", str(path), "--threads", "2"]) == code
+    assert main(["monotonicity", "--config", str(path)]) == code
     assert len(builds) == 1
     assert len(h2) >= 2 and all(a is h2[0] for a in h2)
-    assert {p.name: p.read_bytes() for p in sorted(out.glob("profile_*.csv"))} == serial
+    assert {p.name: p.read_bytes() for p in sorted(out.glob("profile_*.csv"))} == first
 
 
 @pytest.mark.parametrize("command", ["monotonicity", "identity-suite"])
@@ -252,38 +235,50 @@ def _run_cli(args):
 
 
 @pytest.mark.parametrize(
-    "edit, args",
+    "edit",
     [
-        (("pair = 0.4,1.5", "pair = 1.5,0.4"), ()),
-        (("r_count = 16", "r_count = 1"), ()),
-        (("nu = 64", "nu = 4"), ()),
-        (("nu = 64", "nu = 200000"), ()),
-        (("nv = 64", "nv = 1001"), ()),
-        (("r_min = 0.3", "r_min = -1"), ()),
-        (("r_min = 0.3", "r_min = 1e-310"), ()),
-        (("radius = 1", "radius = -1"), ()),
-        (("radius = 1", "radius = 0"), ()),
-        (("plane_grid = 256", "plane_grid = 4096"), ()),
-        (("sphere_level = 4", "sphere_level = 9"), ()),
-        (None, ("--threads", "-3")),
-        (("generator = cap", "generator = cap-ball"), ()),
+        ("pair = 0.4,1.5", "pair = 1.5,0.4"),
+        ("r_count = 16", "r_count = 1"),
+        ("nu = 64", "nu = 4"),
+        ("nu = 64", "nu = 200000"),
+        ("nv = 64", "nv = 1001"),
+        ("r_min = 0.3", "r_min = -1"),
+        ("r_min = 0.3", "r_min = 1e-310"),
+        ("radius = 1", "radius = -1"),
+        ("radius = 1", "radius = 0"),
+        ("plane_grid = 256", "plane_grid = 4096"),
+        ("sphere_level = 4", "sphere_level = 9"),
+        ("seed = 0", "seed = 0\nthreads = 2"),
+        ("generator = cap", "generator = cap-ball"),
     ],
     ids=[
         "pair-order", "r-count", "nu", "nu-max", "nv-max", "r-min", "r-min-subnormal", "radius-negative", "radius-zero",
-        "plane-grid-max", "sphere-level-max", "threads-flag", "generator-ambient",
+        "plane-grid-max", "sphere-level-max", "threads-2", "generator-ambient",
     ],
 )
-def test_bad_config_exits_2_without_traceback(tmp_path, edit, args):
+def test_bad_config_exits_2_without_traceback(tmp_path, edit):
     text = BASE.replace("OUT", str(tmp_path / "out"))
-    if edit is not None:
-        assert edit[0] in text
-        text = text.replace(*edit)
+    assert edit[0] in text
+    text = text.replace(*edit)
     path = tmp_path / "bad.cfg"
     path.write_text(text)
-    proc = _run_cli(["generate", "--config", str(path), *args])
+    proc = _run_cli(["generate", "--config", str(path)])
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "configuration error" in proc.stderr
+
+
+def test_config_with_threads_1_still_runs(cfg_path, capsys):
+    # configs written for the threaded runs, the benchmark's among them,
+    # name threads = 1: it is ignored, and any other value is refused
+    path, _ = cfg_path
+    text = path.read_text()
+    path.write_text(text.replace("seed = 0", "seed = 0\nthreads = 1"))
+    assert tables.parse_config(path.read_text()) == tables.parse_config(text)
+    with pytest.raises(ConfigError, match="threads were removed"):
+        tables.parse_config(text.replace("seed = 0", "seed = 0\nthreads = 2"))
+    assert main(["generate", "--config", str(path)]) == 0
+    assert main(["monotonicity", "--config", str(path)]) == 0
 
 
 def test_corrupt_companions_exit_0_with_the_same_outputs(tmp_path):
@@ -310,8 +305,10 @@ def test_corrupt_companions_exit_0_with_the_same_outputs(tmp_path):
     # a middle sample's area weight moves by a few percent behind an intact
     # header; the other two lose their body or their header
     data = bytearray(companions["surface.bin"])
-    _, _, n, *_ = tables._COMPANION.unpack_from(data)
-    data[tables._COMPANION.size + 8 * (3 * n + n // 2) + 5] ^= 0x10
+    head = tables._header(1)
+    _, key_len, count, _ = head.unpack_from(data)
+    n = count // 12
+    data[head.size + key_len + 8 * (3 * n + n // 2) + 5] ^= 0x10
     (out / "surface.bin").write_bytes(data)
     (out / "boundary.bin").write_bytes(companions["boundary.bin"][: len(companions["boundary.bin"]) // 2])
     (out / "curve.bin").write_bytes(bytes(len(companions["curve.bin"])))
@@ -402,8 +399,12 @@ def test_fuzzed_config_exit_codes(edits):
     with tempfile.TemporaryDirectory() as tmp:
         lines = _TINY.replace("OUT", str(Path(tmp) / "out")).splitlines()
         for key, value in edits:
-            k = next(i for i, line in enumerate(lines) if line.startswith(f"{key} = "))
-            lines[k] = f"{key} = {value}"
+            k = next((i for i, line in enumerate(lines) if line.startswith(f"{key} = ")), None)
+            if k is None:
+                # a key the canonical form leaves out goes at the end, in [output]
+                lines.append(f"{key} = {value}")
+            else:
+                lines[k] = f"{key} = {value}"
         path = Path(tmp) / "run.cfg"
         path.write_text("\n".join(lines) + "\n")
         for command in ("generate", "energy", "monotonicity", "identity-suite"):

@@ -1,6 +1,7 @@
 """Interchange formats: sample tables, profile CSV, report JSON, config."""
 
 import json
+import struct
 import sys
 import tempfile
 from dataclasses import replace
@@ -115,7 +116,7 @@ def test_companion_columns_equal_parsed_text(table):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.tsv"
         tables._save_table(path, ["head", f"columns: {columns}"], rows)
-        assert tables._read_companion(path, path.read_bytes(), rows.shape[1]) is not None
+        assert tables._companion_columns(path, path.read_bytes(), rows.shape[1]) is not None
         _, fast = tables._load_table(path, columns)
         path.with_suffix(".bin").unlink()
         _, parsed = tables._load_table(path, columns)
@@ -137,9 +138,17 @@ def test_edited_table_is_read_from_its_text(tmp_path):
     assert cols.tolist() == [[0.625, 2.25], [1.5, -3.0]]
 
 
+_TABLE_HEAD = tables._header(1)
+# a table companion's key: K, the text's length and its crc32
+_TABLE_KEY = "<QQI"
+
+
 def _swap_shape(data):
-    magic, k, n, *rest = tables._COMPANION.unpack_from(data)
-    return tables._COMPANION.pack(magic, n, k, *rest) + data[tables._COMPANION.size :]
+    # the key claims the transposed table, n columns of K rows
+    k, length, crc = struct.unpack_from(_TABLE_KEY, data, _TABLE_HEAD.size)
+    n = _TABLE_HEAD.unpack_from(data)[2] // k
+    rest = data[_TABLE_HEAD.size + struct.calcsize(_TABLE_KEY) :]
+    return data[: _TABLE_HEAD.size] + struct.pack(_TABLE_KEY, n, length, crc) + rest
 
 
 def _flip_body(data):
@@ -147,14 +156,23 @@ def _flip_body(data):
     return data[:-1] + bytes([data[-1] ^ 1])
 
 
+def _parent_table_layout(data):
+    """The companion the previous format wrote for the same table: magic
+    CAPMTBL1, K, n, the text's length and crc32, the body's crc32, the body."""
+    _, key_len, count, body_crc = _TABLE_HEAD.unpack_from(data)
+    k, length, crc = struct.unpack_from(_TABLE_KEY, data, _TABLE_HEAD.size)
+    old = struct.pack("<8sQQQII", b"CAPMTBL1", k, count // k, length, crc, body_crc)
+    return old + data[_TABLE_HEAD.size + key_len :]
+
+
 _CORRUPTIONS = {
     "missing": None,
     "empty": lambda data: b"",
-    "header-only": lambda data: data[: tables._COMPANION.size],
+    "header-only": lambda data: data[: _TABLE_HEAD.size],
     "short-header": lambda data: data[:12],
     "truncated": lambda data: data[:-8],
     "extended": lambda data: data + bytes(8),
-    "wrong-magic": lambda data: b"CAPMTBL0" + data[8:],
+    "wrong-magic": lambda data: b"CAPMCMP0" + data[8:],
     "wrong-shape": _swap_shape,
     "flipped-body": _flip_body,
     "garbage": lambda data: np.random.default_rng(0).bytes(len(data)),
@@ -176,7 +194,7 @@ def test_bad_companion_falls_back_to_the_text(stock, tmp_path, corruption):
         companion.mkdir()
     elif edit is not None:
         companion.write_bytes(edit(data))
-    assert tables._read_companion(spath, spath.read_bytes(), 12) is None
+    assert tables._companion_columns(spath, spath.read_bytes(), 12) is None
     back = tables.load_surface(spath, bpath)
     assert back.points.tobytes() == surface.points.tobytes()
     assert back.traceless_sq.tobytes() == surface.traceless_sq.tobytes()
@@ -195,7 +213,7 @@ def test_non_finite_table_with_its_companion_is_refused(tmp_path, value):
     # the finiteness check runs on the companion's columns as on the text's
     path = tmp_path / "t.tsv"
     tables._save_table(path, ["columns: a b"], np.array([[0.5, 1.0], [float(value), 2.0]]))
-    assert tables._read_companion(path, path.read_bytes(), 2) is not None
+    assert tables._companion_columns(path, path.read_bytes(), 2) is not None
     with pytest.raises(ConfigError, match="t.tsv: a table entry is not finite"):
         tables._load_table(path, "a b")
     path.with_suffix(".bin").unlink()
@@ -303,6 +321,9 @@ def test_config_canonical_roundtrip():
     parsed = tables.parse_config(text)
     assert parsed == cfg
     assert tables.serialize_config(parsed) == text
+    # the removed threads key is not written, and threads = 1 parses to the same config
+    assert "threads" not in text
+    assert tables.parse_config(text + "threads = 1\n") == cfg
     # canonical form is LF-terminated key = value lines
     assert text.endswith("\n") and "\r" not in text
 
@@ -348,6 +369,9 @@ out_dir = somewhere
         "[quadrature]\nnu = 1001\n",
         "[quadrature]\nnv = 1001\n",
         "[quadrature]\nnu = 200000\n",
+        "[output]\nthreads = 2\n",
+        "[output]\nthreads = 0\n",
+        "[run]\nthreads = 1\n",
     ],
 )
 def test_config_rejects_malformed(text):
@@ -432,6 +456,24 @@ def _into_directory(path):
     path.mkdir()
 
 
+_GRID_HEAD = tables._header(3)
+
+
+def _flip_grid_key(path):
+    # the last byte of the stored key, behind an intact header
+    data = bytearray(path.read_bytes())
+    data[_GRID_HEAD.size + _GRID_HEAD.unpack_from(data)[1] - 1] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+def _parent_grid_layout(path):
+    """Rewrite the grid companion as the previous format wrote it: magic
+    CAPMGRD1, the key's length, n, m and the body's crc32, then the key and the body."""
+    data = path.read_bytes()
+    _, key_len, n, m, _, crc = _GRID_HEAD.unpack_from(data)
+    path.write_bytes(struct.pack("<8sQQQI", b"CAPMGRD1", key_len, n, m, crc) + data[_GRID_HEAD.size :])
+
+
 # each case edits the base region (a plane or a sphere region of the
 # wetting surface it names) or the companion its grid left
 _GRID_MISSES = {
@@ -444,7 +486,8 @@ _GRID_MISSES = {
     "boundary-ulp-on-the-sphere": ("sphere", lambda r, mp, tmp: _ulp_moved(r), None),
     "edited-source": ("plane", _edited_source, None),
     "numpy-version": ("plane", _other_numpy, None),
-    "wrong-magic": ("plane", None, lambda p: p.write_bytes(b"CAPMGRD0" + p.read_bytes()[8:])),
+    "wrong-magic": ("plane", None, lambda p: p.write_bytes(b"CAPMCMP0" + p.read_bytes()[8:])),
+    "flipped-key": ("sphere", None, _flip_grid_key),
     "truncated": ("plane", None, lambda p: p.write_bytes(p.read_bytes()[:-8])),
     "extended": ("plane", None, lambda p: p.write_bytes(p.read_bytes() + bytes(8))),
     "flipped-body": ("sphere", None, _flip_grid_body),
@@ -511,8 +554,9 @@ def test_pipeline_builds_the_ball_grid_once(tmp_path, monkeypatch, capsys):
     path, out = _tiny_config(tmp_path, "ball")
     assert main(["generate", "--config", path]) == 0
     builds = _counting_builds(monkeypatch)
-    for command in ("energy", "monotonicity", "identity-suite"):
-        assert main([command, "--config", path]) in (0, 1)
+    codes = {command: main([command, "--config", path]) for command in ("energy", "monotonicity", "identity-suite")}
+    assert codes["energy"] == 0 and set(codes.values()) <= {0, 1}
+    assert (out / "energy.json").exists()
     assert builds == [1]
     assert (out / tables.GRID_COMPANION).exists()
 
@@ -532,14 +576,49 @@ def test_halfspace_energy_leaves_the_grid_companion_alone(tmp_path, monkeypatch,
     assert not (out / tables.GRID_COMPANION).exists()
 
 
-def test_threaded_run_writes_the_serial_grid_companion(tmp_path, capsys):
+def test_deleted_grid_companion_is_rewritten_with_the_same_bytes(tmp_path, capsys):
     from capmono.cli import main
 
     path, out = _tiny_config(tmp_path, "halfspace")
     assert main(["generate", "--config", path]) == 0
     assert main(["monotonicity", "--config", path]) in (0, 1)
     companion = out / tables.GRID_COMPANION
-    serial = companion.read_bytes()
+    first = companion.read_bytes()
     companion.unlink()
-    assert main(["monotonicity", "--config", path, "--threads", "2"]) in (0, 1)
-    assert companion.read_bytes() == serial
+    assert main(["monotonicity", "--config", path]) in (0, 1)
+    assert companion.read_bytes() == first
+
+
+@pytest.mark.parametrize("ambient", ["halfspace", "ball"])
+def test_parent_layout_companions_are_misses_with_the_same_outputs(tmp_path, monkeypatch, capsys, ambient):
+    # companions in the previous layout (CAPMTBL1, CAPMGRD1) are read past:
+    # the tables come from their text, the grid is built again and its
+    # companion rewritten in the current layout
+    from capmono.cli import main
+
+    path, out = _tiny_config(tmp_path, ambient)
+    assert main(["generate", "--config", path]) == 0
+    widths = {"surface": 12, "boundary": 12, "curve": 7}
+    bins = [f"{stem}.bin" for stem in widths]
+    current = {name: (out / name).read_bytes() for name in bins}
+
+    def run_all():
+        commands = ("energy", "monotonicity", "identity-suite")
+        runs = [(command, main([command, "--config", path]), capsys.readouterr()) for command in commands]
+        return runs, {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.suffix in (".json", ".csv")}
+
+    for name in bins:
+        (out / name).unlink()
+    capsys.readouterr()
+    reference = run_all()
+    grid = (out / tables.GRID_COMPANION).read_bytes()
+    for name in bins:
+        (out / name).write_bytes(_parent_table_layout(current[name]))
+    _parent_grid_layout(out / tables.GRID_COMPANION)
+    for stem, width in widths.items():
+        tsv = out / f"{stem}.tsv"
+        assert tables._companion_columns(tsv, tsv.read_bytes(), width) is None
+    builds = _counting_builds(monkeypatch)
+    assert run_all() == reference
+    assert builds == [1]
+    assert (out / tables.GRID_COMPANION).read_bytes() == grid
