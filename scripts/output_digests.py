@@ -9,28 +9,33 @@ companions surface.bin, boundary.bin and curve.bin, energy.json,
 profile_*.csv) and per command stdout, with each command's exit code.
 It reruns monotonicity and identity-suite with one more probe, and
 digests their stdout and profiles: on ``ball-cap`` at the origin, whose
-identity has its own branch, and on ``halfspace-cap``
-on the x1 axis, where distances tie exactly, so every radial prefix there
-takes the stable sort.  Every workload's commands leave a wetted grid
-companion (``wetted_grid.bin``); its bytes are not digested, because its
-key stamps the source of the code that builds grids.  The script deletes
-it and reruns energy, monotonicity and identity-suite, which rebuild the
-grid, and digests their stdout and outputs under a ``gridpath`` tag.  It
-then deletes every binary companion and reruns the same commands, which
-read the tables from their text (and rebuild the grid once more), under a
-``textpath`` tag.  Last it builds the wetted grid of the generated
-surface in this process, at the resolutions in ``GRIDS``, and digests
-each of the four ``WettedRegion.grid()`` arrays (nodes, cell weights,
-integer and antialiased winding) with its dtype and shape; it digests them
-again as read back from the grid companion that build wrote, under a
-``readback`` tag.
+identity has its own branch, and on ``halfspace-cap`` on the x1 axis,
+where distances tie exactly, so every radial prefix there takes the
+stable sort.  Every workload's commands leave a wetted grid companion
+(``wetted_grid.bin``) and a pair residuals companion
+(``pair_residuals.bin``, written by monotonicity and read by
+identity-suite); the bytes of neither are digested, because each key
+stamps the capmono sources.  Before the extra probe, the script deletes
+only the pair residuals and reruns identity-suite, which then computes
+its residuals itself, and digests its stdout under a ``termspath`` tag.
+It deletes the grid companion and reruns energy, monotonicity and
+identity-suite, which rebuild the grid, and digests their stdout and
+outputs under a ``gridpath`` tag.  It then deletes every binary
+companion and reruns the same commands, which read the tables from their
+text (and rebuild the grid once more), under a ``textpath`` tag.  Last it
+builds the wetted grid of the generated surface in this process, at the
+resolutions in ``GRIDS``, and digests each of the four
+``WettedRegion.grid()`` arrays (nodes, cell weights, integer and
+antialiased winding) with its dtype and shape; it digests them again as
+read back from the grid companion that build wrote, under a ``readback``
+tag.
 
-Every ``gridpath``, ``textpath`` and ``readback`` line must equal the line
-without the tag.  The script checks that after printing every line, and
-exits 1 naming the first tagged line that differs (or whose untagged line
-is missing); otherwise it exits 0.  The output directory is replaced by
-``OUT`` in stdout before hashing, so two checkouts can be compared by
-diffing what this prints in each:
+Every ``termspath``, ``gridpath``, ``textpath`` and ``readback`` line
+must equal the line without the tag.  The script checks that after
+printing every line, and exits 1 naming the first tagged line that
+differs (or whose untagged line is missing); otherwise it exits 0.  The
+output directory is replaced by ``OUT`` in stdout before hashing, so two
+checkouts can be compared by diffing what this prints in each:
 
     python3 scripts/output_digests.py --seed 1 > digests.txt
 """
@@ -70,7 +75,7 @@ GRID_ARRAYS = ("nodes", "cellw", "wind", "wind_aa")
 # grid nodes repeat the distance of another)
 EXTRA_PROBES = {"ball-cap": ("origin", "0.0,0.0,0.0"), "halfspace-cap": ("axis", "0.175,0.0,0.8")}
 # the tags whose every line must equal the line without the tag
-SAME_AS_UNTAGGED = ("gridpath", "textpath", "readback")
+SAME_AS_UNTAGGED = ("termspath", "gridpath", "textpath", "readback")
 
 
 def digest(data: bytes) -> str:
@@ -98,11 +103,14 @@ def workload_digests(name: str, seed: int, work: Path) -> list[str]:
         code, stdout = run(command, config, out)
         lines.append(f"exit {code}  {name}/{command}")
         lines.append(f"{digest(stdout)}  {name}/{command}.stdout")
-    # monotonicity builds the grid on every workload, energy already on the ball
-    assert (out / tables.GRID_COMPANION).is_file(), f"{name} left no grid companion"
+    # monotonicity builds the grid on every workload, energy already on the
+    # ball, and monotonicity leaves the residuals identity-suite just read
+    for companion in (tables.GRID_COMPANION, tables.PAIR_RESIDUALS):
+        assert (out / companion).is_file(), f"{name} left no {companion}"
     for file in EXTRA_OUTPUTS:
         lines.append(f"{digest((out / file).read_bytes())}  {name}/{file}")
     lines += [f"{sha}  {name}/{file}" for file, sha in digests(out).items()]
+    lines += termspath_digests(name, config, out)
     lines += extra_probe_digests(name, config, out)
     lines += rerun_digests(name, config, out, "gridpath", [out / tables.GRID_COMPANION])
     # the textpath rerun also rebuilds the grid: "*.bin" holds its companion
@@ -125,6 +133,13 @@ def extra_probe_digests(name: str, config: Path, out: Path) -> list[str]:
         lines.append(f"{digest(stdout)}  {name}/{tag}/{command}.stdout")
     lines += [f"{sha}  {name}/{tag}/{file}" for file, sha in digests(out).items() if file.startswith("profile_")]
     return lines
+
+
+def termspath_digests(name: str, config: Path, out: Path) -> list[str]:
+    """Delete only the pair residuals and rerun identity-suite, which then computes them."""
+    (out / tables.PAIR_RESIDUALS).unlink()
+    code, stdout = run("identity-suite", config, out)
+    return [f"exit {code}  {name}/termspath/identity-suite", f"{digest(stdout)}  {name}/termspath/identity-suite.stdout"]
 
 
 def rerun_digests(name: str, config: Path, out: Path, tag: str, deleted: list[Path]) -> list[str]:

@@ -2,7 +2,15 @@
 sweep monotonicity profiles, and run the identity suite.
 
 Each command runs in one process and takes its probes one after another,
-in order.
+in order.  ``monotonicity`` leaves the signed raw residual of every
+(probe, pair) in the output directory's ``pair_residuals.bin``
+(``tables.ResidualCompanion``).  ``identity-suite`` gates its two-radius
+check on them, building no probe terms, when the file was written for its
+own probes and pairs, the same ``plane_grid``, ``sphere_level`` and
+sample tables, and the same capmono sources and numpy; otherwise it
+computes them.  Without ``pair`` lines the two commands check different
+pairs, (r_min, r_max) and (0.4, 1.5), so the suite computes its own
+unless the two are equal.
 
 Exit codes: 0 when every gate passes, 1 only when a gate fails, 2 on a
 usage or configuration error and on any other capmono error (geometry,
@@ -118,7 +126,7 @@ def _worst(values) -> float:
 
 
 def _probe_checks(mono, surface, region, probe, grid, pairs):
-    """One probe's profile (none without a grid) and raw pair residuals.
+    """One probe's profile (none without a grid) and signed raw pair residuals.
 
     The probe's restriction state is built once and serves the profile and
     every pair; it is dropped when the probe is done, so one probe's state
@@ -129,7 +137,7 @@ def _probe_checks(mono, surface, region, probe, grid, pairs):
     if grid is not None:
         profile = mono.monotonicity_profile(surface, region, probe, grid, terms=terms)
     residuals = [
-        abs(mono.monotonicity_identity_detail(surface, region, probe, sigma, rho, terms=terms)["residual"])
+        mono.monotonicity_identity_detail(surface, region, probe, sigma, rho, terms=terms)["residual"]
         for sigma, rho in pairs
     ]
     return profile, residuals
@@ -146,9 +154,11 @@ def cmd_monotonicity(cfg: RunConfig, out: Path) -> int:
     pairs = cfg.pairs or ((cfg.r_min, cfg.r_max),)
     results = [_probe_checks(mono, surface, region, probe, grid, pairs) for probe in probes]
     profiles = [prof for prof, _ in results]
-    worst_residual = _worst(res for _, residuals in results for res in residuals)
+    residuals = [res for _, probe_residuals in results for res in probe_residuals]
+    worst_residual = _worst(np.abs(residuals))
 
     out.mkdir(parents=True, exist_ok=True)
+    tables.ResidualCompanion(out / tables.PAIR_RESIDUALS, cfg, surface, probes, pairs).save(residuals)
     finite = True
     for i, prof in enumerate(profiles):
         finite &= bool(np.all(np.isfinite(tables.profile_csv(prof, out / f"profile_{i:03d}.csv"))))
@@ -176,11 +186,11 @@ def cmd_identity_suite(cfg: RunConfig, out: Path) -> int:
     checks.append(("gauss-equation", abs(energy.gauss_equation_residual(surface)), tol))
     pairs = cfg.pairs or ((0.4, 1.5),)
     probes = _default_probes(cfg)
-    mono = halfspace if surface.ambient.kind == "halfspace" else ball
-    worst = _worst(
-        res for probe in probes for res in _probe_checks(mono, surface, region, probe, None, pairs)[1]
-    )
-    checks.append(("two-radius-identity", worst, tol))
+    residuals = tables.ResidualCompanion(out / tables.PAIR_RESIDUALS, cfg, surface, probes, pairs).load()
+    if residuals is None:
+        mono = halfspace if surface.ambient.kind == "halfspace" else ball
+        residuals = [res for probe in probes for res in _probe_checks(mono, surface, region, probe, None, pairs)[1]]
+    checks.append(("two-radius-identity", _worst(np.abs(residuals)), tol))
     if surface.ambient.kind == "ball":
         checks.append(
             ("balance-law", abs(ball.first_variation_residual(surface, region, position_field())), tol)

@@ -9,25 +9,32 @@ line endings and 12 significant digits.
 Each sample table ``name.tsv`` gets a binary companion ``name.bin``, and
 an output directory gets a wetted grid companion ``wetted_grid.bin``
 (``GridCompanion``), written by the first command that builds the wetted
-grid and read by the later ones.  Both are checked caches in one format:
-a fixed header (magic and version, the key's length, each body array's
-element count, and the body's ``zlib.crc32``), the key, and the body
-arrays, all little-endian.  A companion is read only when its magic, its
-key and its size are exact and its body matches its CRC; anything else is
-a miss, so deleting a companion is always safe, and a companion written by
-an older capmono is a miss too.
+grid and read by the later ones, and a pair residuals companion
+``pair_residuals.bin`` (``ResidualCompanion``), written by
+``monotonicity`` and read by ``identity-suite``.  All are checked caches in
+one format: a fixed header (magic and version, the key's length, each body
+array's element count, and the body's ``zlib.crc32``), the key, and the
+body arrays, all little-endian.  A companion is read only when its magic,
+its key and its size are exact and its body matches its CRC; anything
+else is a miss, so deleting a companion is always safe, and a companion
+written by an older capmono is a miss too.
 
 A table's key is its column count K and the byte length and
 ``zlib.crc32`` of its text, and its body is one array, the (K, n) float64
 columns, one contiguous row per column; a table that was edited or copied
 in without its companion is read from its text.  The grid's key is the
-wetting surface, the plane grid size, the sphere level, a stamp of the
-code that builds grids (``zlib.crc32`` of the sources of ``wetted``,
-``quadrature`` and ``geometry``, and numpy's version) and the bytes of
-every curve's points, tangents and weights; its body is the integer
-winding (int64), the antialiased band's cell indices (int64) and their
-values (float64).  A grid companion that misses is replaced by a fresh
-build.
+wetting surface, the plane grid size, the sphere level, the
+``source_stamp`` and the bytes of every curve's points, tangents and
+weights; its body is the integer winding (int64), the antialiased band's
+cell indices (int64) and their values (float64).  A grid companion that
+misses is replaced by a fresh build.  The pair residuals' key is the
+float64 bytes of the probes and the pairs, the plane grid size, the
+sphere level, the byte length and ``zlib.crc32`` of the ``surface.tsv``
+and ``boundary.tsv`` texts the surface was read from, and the
+``source_stamp``; its body is the signed raw two-radius residual of every
+(probe, pair), probe by probe, as float64.  The ``source_stamp`` is the
+``zlib.crc32`` of every capmono source and numpy's version, so an edit of
+any module or another numpy misses both the grid and the residuals.
 """
 
 from __future__ import annotations
@@ -44,7 +51,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import geometry, quadrature, wetted
 from .errors import ConfigError
 from .geometry import BALL, HALFSPACE, Ambient
 from .surfaces import SampledSurface, contact_angle_residual
@@ -60,6 +66,9 @@ _MAGIC = b"CAPMCMP2"
 _BODY = np.dtype("<f8")
 _GRID_BODY = (np.dtype("<i8"), np.dtype("<i8"), _BODY)
 GRID_COMPANION = "wetted_grid.bin"
+PAIR_RESIDUALS = "pair_residuals.bin"
+# the directory whose *.py files the source stamp covers
+_SOURCES = Path(__file__).parent
 
 SURFACE_COLUMNS = "x1 x2 x3 weight nu1 nu2 nu3 H1 H2 H3 K Aring2"
 BOUNDARY_COLUMNS = "x1 x2 x3 t1 t2 t3 c1 c2 c3 arcweight kg kg_wetting"
@@ -149,11 +158,29 @@ def _read_companion(path: Path, key: bytes, dtypes: tuple[np.dtype, ...]) -> lis
     return arrays
 
 
+def source_stamp() -> bytes:
+    """The code a checked cache was computed by: the ``zlib.crc32`` of every
+    capmono source file, in name order, and numpy's version.
+
+    Raises OSError when a source cannot be read.
+    """
+    crc = 0
+    for path in sorted(_SOURCES.glob("*.py")):
+        crc = zlib.crc32(path.read_bytes(), crc)
+    version = np.__version__.encode()
+    return struct.pack("<IQ", crc, len(version)) + version
+
+
 def _companion_path(path) -> Path | None:
     """The binary companion of a table; None when it would be the table itself."""
     path = Path(path)
     companion = path.with_suffix(".bin")
     return None if companion == path else companion
+
+
+def _text_sum(text: bytes) -> tuple[int, int]:
+    """A table text's byte length and ``zlib.crc32``."""
+    return len(text), zlib.crc32(text)
 
 
 def _table_key(width: int, length: int, crc: int) -> bytes:
@@ -192,19 +219,20 @@ def _save_table(path, header: list[str], rows: np.ndarray) -> None:
         _write_companion(companion, _table_key(rows.shape[1], length, crc), (rows.size,), columns)
 
 
-def _companion_columns(path, text: bytes, width: int) -> np.ndarray | None:
-    """The (width, n) columns the companion of ``path`` holds for this text, else None."""
+def _companion_columns(path, text_sum: tuple[int, int], width: int) -> np.ndarray | None:
+    """The (width, n) columns the companion of ``path`` holds for the text of ``text_sum``, else None."""
     companion = _companion_path(path)
     if companion is None:
         return None
-    got = _read_companion(companion, _table_key(width, len(text), zlib.crc32(text)), (_BODY,))
+    got = _read_companion(companion, _table_key(width, *text_sum), (_BODY,))
     if got is None or not got[0].size or got[0].size % width:
         return None
     return got[0].reshape(width, -1).astype(float, copy=False)
 
 
-def _load_table(path, columns: str) -> tuple[list[str], np.ndarray]:
-    """The leading comment lines (without '# ') and the columns of a table.
+def _load_table(path, columns: str) -> tuple[list[str], np.ndarray, tuple[int, int]]:
+    """The leading comment lines (without '# '), the columns and the
+    ``_text_sum`` of a table.
 
     The table is returned transposed, one contiguous row per column, so
     every column a caller takes is a contiguous view.  The columns come
@@ -215,6 +243,7 @@ def _load_table(path, columns: str) -> tuple[list[str], np.ndarray]:
     names raises ConfigError.
     """
     text = Path(path).read_bytes()
+    text_sum = _text_sum(text)
     header = []
     try:
         with io.TextIOWrapper(io.BytesIO(text)) as fh:
@@ -231,7 +260,7 @@ def _load_table(path, columns: str) -> tuple[list[str], np.ndarray]:
     if not line:
         raise ConfigError(f"{path}: the table has no rows")
     width = len(columns.split())
-    cols = _companion_columns(path, text, width)
+    cols = _companion_columns(path, text_sum, width)
     if cols is None:
         try:
             rows = np.loadtxt(io.TextIOWrapper(io.BytesIO(text)), comments="#", ndmin=2)
@@ -243,7 +272,7 @@ def _load_table(path, columns: str) -> tuple[list[str], np.ndarray]:
     # min and max carry any NaN or infinity, without a full-size temporary
     if not np.isfinite(cols.min()) or not np.isfinite(cols.max()):
         raise ConfigError(f"{path}: a table entry is not finite")
-    return header, cols
+    return header, cols, text_sum
 
 
 class GridCompanion:
@@ -260,14 +289,7 @@ class GridCompanion:
     @staticmethod
     def _key(region: WettedRegion) -> bytes:
         """The bytes a stored grid must have been built from."""
-        stamp = 0
-        for module in (wetted, quadrature, geometry):
-            stamp = zlib.crc32(Path(module.__file__).read_bytes(), stamp)
-        version = np.__version__.encode()
-        parts = [
-            struct.pack("<8sqqIQ", region.wetting.encode(), region.grid_n, region.sphere_level, stamp, len(version)),
-            version,
-        ]
+        parts = [struct.pack("<8sqq", region.wetting.encode(), region.grid_n, region.sphere_level), source_stamp()]
         for curve in region.curves:
             for arr in (curve.points, curve.tangents, curve.weights):
                 parts.append(struct.pack(f"<Q{arr.ndim}Q", arr.ndim, *arr.shape))
@@ -294,6 +316,56 @@ class GridCompanion:
             return
         body = [np.ascontiguousarray(a, dtype=d) for a, d in zip((wind, cells, values), _GRID_BODY)]
         _write_companion(self.path, key, tuple(len(a) for a in body), body)
+
+
+class ResidualCompanion:
+    """The pair residuals companion at ``path`` for one set of probes and pairs.
+
+    ``monotonicity`` saves the signed raw residual of every (probe, pair),
+    probe by probe, and ``identity-suite`` loads them instead of rebuilding
+    the probes' terms.  Both key the file on the probes and the pairs, the
+    config's ``plane_grid`` and ``sphere_level``, the texts ``surface`` was
+    read from (``load_surface`` records their ``_text_sum`` in
+    ``surface.metadata["tables"]``) and the ``source_stamp``; a surface
+    read from no tables, or sources that cannot be read, give no key, and
+    nothing is loaded or saved.  ``load`` returns the residuals only when
+    the file holds them for this key, one per (probe, pair), and None
+    otherwise; ``save`` replaces the file whole, and a failed write is
+    ignored (see ``_write_companion``).
+    """
+
+    def __init__(self, path, cfg: RunConfig, surface: SampledSurface, probes, pairs):
+        self.path = Path(path)
+        self.count = len(probes) * len(pairs)
+        self.key = self._key(cfg, surface, probes, pairs)
+
+    @staticmethod
+    def _key(cfg: RunConfig, surface: SampledSurface, probes, pairs) -> bytes | None:
+        """The bytes stored residuals must have been computed from."""
+        sums = surface.metadata.get("tables")
+        if sums is None:
+            return None
+        try:
+            stamp = source_stamp()
+        except OSError:
+            return None
+        probes = np.asarray(probes, dtype=_BODY).reshape(-1, 3)
+        pairs = np.asarray(pairs, dtype=_BODY).reshape(-1, 2)
+        head = struct.pack("<qqQQ4Q", cfg.plane_grid, cfg.sphere_level, len(probes), len(pairs), *sums[0], *sums[1])
+        return b"".join((head, probes.tobytes(), pairs.tobytes(), stamp))
+
+    def load(self) -> np.ndarray | None:
+        """The stored residuals, if the file holds all of them for this key."""
+        got = None if self.key is None else _read_companion(self.path, self.key, (_BODY,))
+        if got is None or len(got[0]) != self.count:
+            return None
+        return got[0].astype(float, copy=False)
+
+    def save(self, residuals) -> None:
+        """Write the residuals, one per (probe, pair), probe by probe."""
+        if self.key is not None:
+            body = np.ascontiguousarray(residuals, dtype=_BODY)
+            _write_companion(self.path, self.key, (len(body),), [body])
 
 
 def save_surface(surface: SampledSurface, path) -> None:
@@ -338,12 +410,12 @@ def load_surface(surface_path, boundary_path) -> SampledSurface:
     A header without the ambient or a numeric theta, or a malformed table,
     raises ConfigError.
     """
-    header, cols = _load_table(surface_path, SURFACE_COLUMNS)
+    header, cols, surface_sum = _load_table(surface_path, SURFACE_COLUMNS)
     meta = {}
     for body in header:
         if body.startswith("ambient="):
             meta.update(tok.partition("=")[::2] for tok in body.split())
-    _, bcols = _load_table(boundary_path, BOUNDARY_COLUMNS)
+    _, bcols, boundary_sum = _load_table(boundary_path, BOUNDARY_COLUMNS)
     try:
         ambient = Ambient(meta["ambient"], float(meta["theta"]))
         chi = int(meta.get("chi", 1))
@@ -364,7 +436,8 @@ def load_surface(surface_path, boundary_path) -> SampledSurface:
         boundary_kg=bcols[10],
         boundary_kg_wetting=bcols[11],
         euler_characteristic=chi,
-        metadata={"generator": meta.get("generator", "imported")},
+        # the texts read, which key the pair residuals companion
+        metadata={"generator": meta.get("generator", "imported"), "tables": (surface_sum, boundary_sum)},
     )
     surface.metadata["contact_residual"] = contact_angle_residual(surface)
     return surface
@@ -378,7 +451,7 @@ def save_curve(curve: OrientedCurve, path) -> None:
 
 def load_curve(path) -> OrientedCurve:
     """Rebuild a curve from its table; a ``closed=`` other than 0 or 1 raises ConfigError."""
-    header, cols = _load_table(path, CURVE_COLUMNS)
+    header, cols, _ = _load_table(path, CURVE_COLUMNS)
     closed = True
     for body in header:
         if "closed=" in body:

@@ -9,6 +9,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -480,3 +481,161 @@ def test_benchmark_tracer_instruments_the_library(tmp_path, ambient):
     for module, attrs in zip(modules, before):
         assert all(vars(module)[k] is v for k, v in attrs.items())
     assert halfspace.BallRestrictedEta is wetted.BallRestrictedEta
+
+
+def _counting_terms(monkeypatch):
+    """Count the probe terms built by either ambient from here on."""
+    built = []
+    for mono in (halfspace, ball):
+
+        def counting(*args, _real=mono.probe_terms, **kwargs):
+            built.append(1)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(mono, "probe_terms", counting)
+    return built
+
+
+def _suite(capsys, path, *args):
+    capsys.readouterr()
+    code = main(["identity-suite", "--config", str(path), *args])
+    return code, capsys.readouterr().out
+
+
+def _tiny_run(tmp_path, ambient="halfspace", text=None):
+    out = tmp_path / "out"
+    text = text or _TINY
+    path = tmp_path / "run.cfg"
+    path.write_text(text.replace("OUT", str(out)) if ambient == "halfspace" else _ball_text(out, text))
+    assert main(["generate", "--config", str(path)]) == 0
+    return path, out
+
+
+@pytest.mark.parametrize("ambient", ["halfspace", "ball"])
+def test_suite_reads_the_pair_residuals_of_monotonicity(tmp_path, monkeypatch, capsys, ambient):
+    # without a monotonicity run the suite computes its residuals and leaves
+    # no companion; after one it builds no probe terms (and, in the
+    # half-space, touches no wetted grid) and prints the same
+    path, out = _tiny_run(tmp_path, ambient)
+    built = _counting_terms(monkeypatch)
+    computed = _suite(capsys, path)
+    assert built and not (out / tables.PAIR_RESIDUALS).exists()
+    assert main(["monotonicity", "--config", str(path)]) in (0, 1)
+    assert (out / tables.PAIR_RESIDUALS).is_file()
+    built.clear()
+    if ambient == "halfspace":
+
+        def refuse(self):
+            raise AssertionError("the wetted grid was touched")
+
+        monkeypatch.setattr(wetted.WettedRegion, "grid", refuse)
+    assert _suite(capsys, path) == computed
+    assert built == []
+
+
+def _rewrite_residuals(path, values=None, extra=0):
+    """Rewrite the companion behind its own key with a valid CRC: ``values``
+    in place of the stored residuals, or ``extra`` more entries."""
+    data = path.read_bytes()
+    head = tables._header(1)
+    _, key_len, count, _ = head.unpack_from(data)
+    key = data[head.size : head.size + key_len]
+    stored = np.frombuffer(data[head.size + key_len :], dtype="<f8")
+    body = np.asarray(values if values is not None else np.concatenate([stored, np.zeros(extra)]), dtype="<f8")
+    tables._write_companion(path, key, (len(body),), [body])
+
+
+def _edit_config(old, new):
+    def edit(path, out, monkeypatch, tmp_path):
+        path.write_text(path.read_text().replace(old, new, 1))
+        return ()
+
+    return edit
+
+
+def _edit_file(change):
+    def edit(path, out, monkeypatch, tmp_path):
+        change(out / tables.PAIR_RESIDUALS)
+        return ()
+
+    return edit
+
+
+def _edited_surface(path, out, monkeypatch, tmp_path):
+    # one sample's area weight moves in its last printed digits
+    table = out / "surface.tsv"
+    lines = table.read_text().splitlines(keepends=True)
+    row = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    cols = lines[row].split()
+    cols[3] = repr(float(cols[3]) * (1 + 1e-9))
+    lines[row] = " ".join(cols) + "\n"
+    table.write_text("".join(lines))
+    return ()
+
+
+def _edited_source(path, out, monkeypatch, tmp_path):
+    # identity.py, which the grid's stamp of three modules used to leave out
+    edited = tmp_path / "sources"
+    edited.mkdir()
+    for source in tables._SOURCES.glob("*.py"):
+        data = source.read_bytes()
+        (edited / source.name).write_bytes(data + b"# edited\n" if source.stem == "identity" else data)
+    monkeypatch.setattr(tables, "_SOURCES", edited)
+    return ()
+
+
+def _other_numpy(path, out, monkeypatch, tmp_path):
+    monkeypatch.setattr(np, "__version__", "0.0.0")
+    return ()
+
+
+def _flip_body(target):
+    data = bytearray(target.read_bytes())
+    data[-2] ^= 0x01
+    target.write_bytes(bytes(data))
+
+
+_RESIDUAL_MISSES = {
+    "probe": _edit_config("point = 0.31,-0.12,0.47", "point = 0.31,-0.12,0.48"),
+    "pair": _edit_config("pair = 0.4,1.5", "pair = 0.4,1.6"),
+    "plane-grid": _edit_config("plane_grid = 32", "plane_grid = 40"),
+    "sphere-level": _edit_config("sphere_level = 2", "sphere_level = 3"),
+    "seed": lambda path, out, mp, tmp: ("--seed", "1"),
+    "surface-tsv": _edited_surface,
+    "flipped-body": _edit_file(_flip_body),
+    "truncated": _edit_file(lambda p: p.write_bytes(p.read_bytes()[:-8])),
+    "count": _edit_file(lambda p: _rewrite_residuals(p, extra=1)),
+    "edited-source": _edited_source,
+    "numpy-version": _other_numpy,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RESIDUAL_MISSES))
+def test_pair_residuals_misses_recompute(tmp_path, monkeypatch, capsys, case):
+    # the companion was written for other inputs, or is damaged: the suite
+    # builds its probe terms and prints what a run without it prints
+    text = _TINY
+    if case == "seed":
+        # random probes, drawn from the seed
+        text = re.sub(r"point = .*\n", "", text)
+    path, out = _tiny_run(tmp_path, text=text)
+    assert main(["monotonicity", "--config", str(path)]) in (0, 1)
+    args = _RESIDUAL_MISSES[case](path, out, monkeypatch, tmp_path)
+    built = _counting_terms(monkeypatch)
+    got = _suite(capsys, path, *args)
+    assert built
+    (out / tables.PAIR_RESIDUALS).unlink()
+    assert _suite(capsys, path, *args) == got
+
+
+def test_stored_nan_residual_fails_the_suite(tmp_path, monkeypatch, capsys):
+    # a NaN behind a valid key and CRC is read, and it fails the gate
+    path, out = _tiny_run(tmp_path)
+    assert main(["monotonicity", "--config", str(path)]) in (0, 1)
+    _rewrite_residuals(out / tables.PAIR_RESIDUALS, values=[float("nan"), 0.0])
+    built = _counting_terms(monkeypatch)
+    code, stdout = _suite(capsys, path)
+    assert built == []
+    assert code == 1
+    assert "FAIL two-radius-identity: nan" in stdout
+    assert [line.split()[1] for line in stdout.splitlines() if line.startswith("FAIL")] == ["two-radius-identity:"]

@@ -2,6 +2,9 @@
 
 import copy
 import dataclasses
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,3 +130,46 @@ def test_mu_arrays_computed_once_per_surface(monkeypatch, ambient):
         surface.inversion_arrays["x2"][0] = 0.0
     with pytest.raises(TypeError):
         surface.inversion_arrays["x2"] = np.zeros(len(surface.points))
+
+
+def _bench_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up by name
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# the probes scripts/output_digests.py adds: the ball's origin branch and a
+# half-space probe on the x1 axis, where distances tie
+_EXTRA_PROBES = {"ball-cap": [(0.0, 0.0, 0.0)], "halfspace-cap": [(0.175, 0.0, 0.8)], "probe-sweep": []}
+
+
+@pytest.mark.parametrize("name", sorted(_EXTRA_PROBES))
+def test_pair_residuals_do_not_depend_on_a_profile_first(stock, name):
+    # monotonicity evaluates each probe's pairs after its profile, on the
+    # same terms, and identity-suite on terms that served no profile; the
+    # pair residuals companion lets the suite read the former for the
+    # latter, so the two must agree bit for bit
+    workloads = _bench_workloads()
+    w = workloads.WORKLOADS[name]
+    quad = w.quadrature
+    if w.run["ambient"] == "ball":
+        mono = bl
+        surface, region = stock.capball(w.run["theta"], w.run["colatitude"], quad["nu"], quad["nv"], quad["sphere_level"])
+    else:
+        assert quad["nu"] == quad["nv"]
+        mono = hs
+        surface, region = stock.cap(w.run["theta"], res=quad["nu"], grid=quad["plane_grid"])
+    grid = np.linspace(w.r_min, w.r_max, w.r_count)
+    for probe in [*workloads.probes(w, 1), *_EXTRA_PROBES[name]]:
+        probe = np.array(probe)
+        after = mono.probe_terms(surface, region, probe)
+        mono.monotonicity_profile(surface, region, probe, grid, terms=after)
+        alone = mono.probe_terms(surface, region, probe)
+        for sigma, rho in w.pairs:
+            got = mono.monotonicity_identity_detail(surface, region, probe, sigma, rho, terms=after)["residual"]
+            expect = mono.monotonicity_identity_detail(surface, region, probe, sigma, rho, terms=alone)["residual"]
+            assert np.float64(got).tobytes() == np.float64(expect).tobytes(), (probe, sigma, rho)

@@ -116,10 +116,10 @@ def test_companion_columns_equal_parsed_text(table):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.tsv"
         tables._save_table(path, ["head", f"columns: {columns}"], rows)
-        assert tables._companion_columns(path, path.read_bytes(), rows.shape[1]) is not None
-        _, fast = tables._load_table(path, columns)
+        assert tables._companion_columns(path, tables._text_sum(path.read_bytes()), rows.shape[1]) is not None
+        _, fast, _ = tables._load_table(path, columns)
         path.with_suffix(".bin").unlink()
-        _, parsed = tables._load_table(path, columns)
+        _, parsed, _ = tables._load_table(path, columns)
     for cols in (fast, parsed):
         assert cols.shape == rows.T.shape and cols.dtype == np.float64
         assert cols.flags.c_contiguous and cols.flags.writeable
@@ -134,7 +134,7 @@ def test_edited_table_is_read_from_its_text(tmp_path):
     text = path.read_text()
     path.write_text(text.replace("0.125", "0.625", 1))
     assert path.stat().st_size == len(text)
-    _, cols = tables._load_table(path, "a b")
+    _, cols, _ = tables._load_table(path, "a b")
     assert cols.tolist() == [[0.625, 2.25], [1.5, -3.0]]
 
 
@@ -194,7 +194,7 @@ def test_bad_companion_falls_back_to_the_text(stock, tmp_path, corruption):
         companion.mkdir()
     elif edit is not None:
         companion.write_bytes(edit(data))
-    assert tables._companion_columns(spath, spath.read_bytes(), 12) is None
+    assert tables._companion_columns(spath, tables._text_sum(spath.read_bytes()), 12) is None
     back = tables.load_surface(spath, bpath)
     assert back.points.tobytes() == surface.points.tobytes()
     assert back.traceless_sq.tobytes() == surface.traceless_sq.tobytes()
@@ -213,7 +213,7 @@ def test_non_finite_table_with_its_companion_is_refused(tmp_path, value):
     # the finiteness check runs on the companion's columns as on the text's
     path = tmp_path / "t.tsv"
     tables._save_table(path, ["columns: a b"], np.array([[0.5, 1.0], [float(value), 2.0]]))
-    assert tables._companion_columns(path, path.read_bytes(), 2) is not None
+    assert tables._companion_columns(path, tables._text_sum(path.read_bytes()), 2) is not None
     with pytest.raises(ConfigError, match="t.tsv: a table entry is not finite"):
         tables._load_table(path, "a b")
     path.with_suffix(".bin").unlink()
@@ -431,12 +431,18 @@ def _ulp_moved(region):
     return replace(region, curves=(replace(curve, points=points),), _cache={})
 
 
-def _edited_source(region, monkeypatch, tmp_path):
-    from capmono import geometry
+def _edited_sources(monkeypatch, tmp_path, module="geometry"):
+    """Stamp a copy of the package's sources with one module edited."""
+    edited = tmp_path / "sources"
+    edited.mkdir()
+    for path in tables._SOURCES.glob("*.py"):
+        data = path.read_bytes()
+        (edited / path.name).write_bytes(data + b"# edited\n" if path.stem == module else data)
+    monkeypatch.setattr(tables, "_SOURCES", edited)
 
-    edited = tmp_path / "geometry.py"
-    edited.write_bytes(Path(geometry.__file__).read_bytes() + b"# edited\n")
-    monkeypatch.setattr(geometry, "__file__", str(edited))
+
+def _edited_source(region, monkeypatch, tmp_path):
+    _edited_sources(monkeypatch, tmp_path)
     return region
 
 
@@ -617,7 +623,7 @@ def test_parent_layout_companions_are_misses_with_the_same_outputs(tmp_path, mon
     _parent_grid_layout(out / tables.GRID_COMPANION)
     for stem, width in widths.items():
         tsv = out / f"{stem}.tsv"
-        assert tables._companion_columns(tsv, tsv.read_bytes(), width) is None
+        assert tables._companion_columns(tsv, tables._text_sum(tsv.read_bytes()), width) is None
     builds = _counting_builds(monkeypatch)
     assert run_all() == reference
     assert builds == [1]
