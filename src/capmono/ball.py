@@ -70,7 +70,7 @@ class _BallTerms(PairTerms):
         self.eta = None
         self.eta_hat = None
         if region is not None:
-            nodes, _ = region.eta_nodes()
+            nodes, _ = region.wetted_nodes()
             rel, d2 = center_offsets(nodes, self.x0)
             self.eta = BallRestrictedEta(region, self.x0, {"proj": _projection(nodes, rel, d2)}, d2=d2)
             rel, d2 = center_offsets(nodes, self.x0_hat)

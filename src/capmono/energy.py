@@ -155,11 +155,11 @@ def tilde_density(surface: SampledSurface, region: WettedRegion, x0, r_grid=None
     x0 = np.asarray(x0, dtype=float)
     theta = surface.theta
     cos_t = np.cos(theta)
-    nodes, eta_w = region.eta_nodes()
     if r_grid is None:
         # off-support probes: keep every ball below the mass onset so the
-        # ratios vanish identically and the limit extrapolates to zero
-        onset = _tilde_onset(surface, nodes, x0)
+        # ratios vanish identically and the limit extrapolates to zero; the
+        # onset is the nearest grid node's, weighted or not
+        onset = _tilde_onset(surface, region.grid()[0], x0)
         r_min0 = 0.08 * np.sqrt(surface.area() / np.pi)
         if onset > 1.5 * r_min0:
             r_grid = np.linspace(r_min0, max(0.9 * onset, 2.5 * r_min0), _DENSITY_RADII)
@@ -167,6 +167,7 @@ def tilde_density(surface: SampledSurface, region: WettedRegion, x0, r_grid=None
             r_grid = default_radius_grid(surface, x0)
     r_grid = np.sort(np.asarray(r_grid, dtype=float))
     mu = RadialPrefix(surface.points, x0, {"mass": surface.weights})
+    nodes, eta_w = region.wetted_nodes()
     eta = RadialPrefix(nodes, x0, {"mass": eta_w})
     hw = np.minimum(mu.auto_halfwidth(r_grid), 0.9 * r_grid)
     try:

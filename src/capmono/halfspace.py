@@ -41,7 +41,7 @@ class _Terms(PairTerms):
             raise AmbientError("half-space monotonicity needs a half-space surface")
         super().__init__(surface, probe, RadialPrefix)
         a = self.x0
-        nodes, _ = region.eta_nodes()
+        nodes, _ = region.wetted_nodes()
         _, d2 = center_offsets(nodes, a)
         deficit = (a[2] ** 2 / np.maximum(d2**2, 1e-300)) if a[2] != 0.0 else np.zeros(len(nodes))
         # eta(B_r(a)) = eta(B_hat_r(a)): plane nodes are equidistant from a

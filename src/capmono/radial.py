@@ -14,7 +14,8 @@ with every identity checked downstream (the identities hold at each
 radius, hence for radius averages).
 
 The wetted measure η is restricted by the same engine:
-``wetted.BallRestrictedEta`` is a ``RadialPrefix`` over the grid nodes.
+``wetted.BallRestrictedEta`` is a ``RadialPrefix`` over the wetted grid
+nodes, those of nonzero weight.
 """
 
 from __future__ import annotations

@@ -25,13 +25,14 @@ columns, one contiguous row per column; a table that was edited or copied
 in without its companion is read from its text.  The grid's key is the
 wetting surface, the plane grid size, the sphere level, the
 ``source_stamp`` and the bytes of every curve's points, tangents and
-weights; its body is the integer winding (int64), the antialiased band's
+weights; its body is the integer winding (int8), the antialiased band's
 cell indices (int64) and their values (float64).  A grid companion that
-misses is replaced by a fresh build.  The pair residuals' key is the
-float64 bytes of the probes and the pairs, the plane grid size, the
-sphere level, the byte length and ``zlib.crc32`` of the ``surface.tsv``
-and ``boundary.tsv`` texts the surface was read from, and the
-``source_stamp``; its body is the signed raw two-radius residual of every
+misses is replaced by a fresh build, and a grid whose winding leaves int8
+is never stored, so every command builds it afresh.  The pair residuals'
+key is the float64 bytes of the probes and the pairs, the plane grid
+size, the sphere level, the byte length and ``zlib.crc32`` of the
+``surface.tsv`` and ``boundary.tsv`` texts the surface was read from, and
+the ``source_stamp``; its body is the signed raw two-radius residual of every
 (probe, pair), probe by probe, as float64.  The ``source_stamp`` is the
 ``zlib.crc32`` of every capmono source and numpy's version, so an edit of
 any module or another numpy misses both the grid and the residuals.
@@ -64,7 +65,8 @@ _SAVE_BLOCK = 4096
 # the rest of the header (see _header)
 _MAGIC = b"CAPMCMP2"
 _BODY = np.dtype("<f8")
-_GRID_BODY = (np.dtype("<i8"), np.dtype("<i8"), _BODY)
+# the winding is stored as int8 (a grid winding past its range is not stored)
+_GRID_BODY = (np.dtype("i1"), np.dtype("<i8"), _BODY)
 GRID_COMPANION = "wetted_grid.bin"
 PAIR_RESIDUALS = "pair_residuals.bin"
 # the directory whose *.py files the source stamp covers
@@ -279,8 +281,11 @@ class GridCompanion:
     """The wetted grid companion at ``path``: the store of ``WettedRegion``.
 
     ``load`` returns the stored windings only when the companion holds them
-    for the region's key, and None otherwise; ``save`` replaces the file
-    whole, and a failed write is ignored (see ``_write_companion``).
+    for the region's key, and None otherwise, the winding as int64; ``save``
+    replaces the file whole, and a failed write is ignored (see
+    ``_write_companion``).  The winding is stored as int8, so a grid with a
+    winding outside [-128, 127] is not stored at all, and every command
+    builds it afresh.
     """
 
     def __init__(self, path):
@@ -309,7 +314,10 @@ class GridCompanion:
         return wind.astype(np.int64, copy=False), cells.astype(np.int64, copy=False), values.astype(float, copy=False)
 
     def save(self, region: WettedRegion, wind: np.ndarray, cells: np.ndarray, values: np.ndarray) -> None:
-        """Write the windings of ``region``'s grid."""
+        """Write the windings of ``region``'s grid, unless a winding overflows int8."""
+        bounds = np.iinfo(_GRID_BODY[0])
+        if len(wind) and (wind.min() < bounds.min or wind.max() > bounds.max):
+            return
         try:
             key = self._key(region)
         except OSError:

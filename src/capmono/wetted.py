@@ -13,6 +13,7 @@ first; the integer winding API is untouched by this.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -508,6 +509,22 @@ class WettedRegion:
         nodes, cellw, _, wind_aa = self.grid()
         return nodes, wind_aa * cellw
 
+    def wetted_nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The grid nodes of nonzero weight and their weights, in grid order.
+
+        The weights are ``eta_nodes()``'s; a node of zero weight adds nothing
+        to any ball restriction of η, so every restriction reads only these.
+        Built once from ``grid()`` and kept beside it.  The nodes are
+        Fortran-ordered, each coordinate one contiguous column, so the
+        per-column distance sums of every center read them in one stride.
+        """
+        if "wetted" not in self._cache:
+            nodes, cellw, _, wind_aa = self.grid()
+            weight = wind_aa * cellw
+            keep = weight != 0.0
+            self._cache["wetted"] = (nodes.T.compress(keep, axis=1).T, weight[keep])
+        return self._cache["wetted"]
+
 
 def _disk_cell_overlap(x: np.ndarray, y: np.ndarray, h: float, r: np.ndarray) -> np.ndarray:
     """Exact overlap area of axis-aligned h-cells centered at (x, y) with disks about 0.
@@ -555,17 +572,18 @@ def _disk_cell_overlap(x: np.ndarray, y: np.ndarray, h: float, r: np.ndarray) ->
 class BallRestrictedEta(RadialPrefix):
     """Winding-measure integrals restricted to balls about a fixed center.
 
-    A ``RadialPrefix`` over the grid nodes, each weighted by
-    ``wind_aa * cellw`` times each key's array; radius windows are clipped
-    to w <= 0.9 r on both wetting surfaces.  ``d2``, the squared distances
-    of all grid nodes from the center when the caller already holds them,
-    spares the distance pass.
+    A ``RadialPrefix`` over the region's ``wetted_nodes()``, each weighted
+    by its ``wind_aa * cellw`` times each key's array; radius windows are
+    clipped to w <= 0.9 r on both wetting surfaces.  ``arrays`` and ``d2``,
+    the squared distances of the nodes from the center when the caller
+    already holds them (sparing the distance pass), are over
+    ``wetted_nodes()`` on both surfaces.  Leaving out the nodes of zero
+    weight keeps every sharp prefix sum bit for bit: zero terms leave a
+    running sum unchanged.
 
     On the sphere η is restricted as atoms, one per face centroid, with
     ``RadialPrefix``'s sharp sums and exact box windows, the rules the
-    sample measure μ uses.  Faces of zero weight are dropped before the
-    sort, which is exact: zero terms leave every prefix sum unchanged.
-    ``band`` is None there.
+    sample measure μ uses.  ``band`` is None there.
 
     On the plane, cells within ``band`` of the ball boundary (a contiguous
     slice of the sorted order) get their exact disk-overlap coverage
@@ -575,43 +593,31 @@ class BallRestrictedEta(RadialPrefix):
     ``cumulative`` call fills the corrections of all its new radii
     together, over their concatenated band slices in bounded groups; only
     the final weighted sum runs per radius, so every radius is summed as on
-    its own.
+    its own.  A band slice holds no zero-weight cell, so its pairwise sum
+    groups its terms differently from a sum over every grid cell of the
+    band, and may differ from that in the last bits.
     """
 
-    _GL5_X, _GL5_W = np.polynomial.legendre.leggauss(5)
-
     def __init__(self, region: WettedRegion, center, arrays: Optional[dict] = None, *, d2=None):
-        nodes, cellw, _, wind_aa = region.grid()
-        weight = wind_aa * cellw
+        nodes, weight = region.wetted_nodes()
         keyed = {"mass": weight}
         keyed.update((key, np.asarray(v, dtype=float) * weight) for key, v in (arrays or {}).items())
-        self.band = None
-        if region.wetting == SPHERE:
-            keep = weight != 0.0
-            kept = {key: v[keep] for key, v in keyed.items()}
-            # RadialPrefix reads the points only to compute absent distances
-            if d2 is None:
-                super().__init__(nodes[keep], center, kept)
-            else:
-                super().__init__(None, center, kept, d2=d2[keep])
-            return
-        # zero-weight plane cells stay: dropping them would regroup the band sums
         super().__init__(nodes, center, keyed, d2=d2)
-        self._nodes = nodes
-        self._corrections: dict = {}
-        self._h = np.sqrt(float(cellw[0]))
-        self.band = 0.71 * self._h
+        self.band = None
+        if region.wetting == PLANE:
+            self._nodes = nodes
+            self._corrections: dict = {}
+            self._h = np.sqrt(float(region.grid()[1][0]))
+            self.band = 0.71 * self._h
 
     def _fractions(self, rows: np.ndarray, r: np.ndarray) -> np.ndarray:
         """Disk-overlap fractions of the sorted plane cells ``rows``, each in a ball of radius ``r``.
 
-        Cells of zero weight get 0 without an overlap: every key's value is
-        zero there, so their terms in each band sum are zeros whatever the
-        fraction, and the sum keeps its length and pairwise grouping.
+        A ball whose radius does not reach the plane covers no cell.
         """
         rp2 = r**2 - self.center[2] ** 2
         out = np.zeros(len(rows))
-        cut = (rp2 > 0.0) & (self.values["mass"][rows] != 0.0)
+        cut = rp2 > 0.0
         cells = self.order[rows[cut]]
         x0 = self._nodes[cells, 0] - self.center[0]
         y0 = self._nodes[cells, 1] - self.center[1]
@@ -681,12 +687,13 @@ class BallRestrictedEta(RadialPrefix):
         if self.band is None:
             window = super().windowed_over_r2 if over_r2 else super().windowed
             return window(key, r, w)
-        s = np.maximum(r[None, :] + self._GL5_X[:, None] * w[None, :], 1e-12)
+        nodes, weights = _gauss5()
+        s = np.maximum(r[None, :] + nodes[:, None] * w[None, :], 1e-12)
         vals = self.cumulative(key, s.ravel()).reshape(s.shape)
         if over_r2:
             vals = vals / s**2
         out = np.zeros(len(r))
-        for wk, val in zip(self._GL5_W, vals):
+        for wk, val in zip(weights, vals):
             out = out + 0.5 * wk * val
         return out
 
@@ -695,6 +702,20 @@ class BallRestrictedEta(RadialPrefix):
 
     def windowed_over_r2(self, key: str, r, halfwidth) -> np.ndarray:
         return self._window_average(key, r, halfwidth, over_r2=True)
+
+
+@lru_cache(maxsize=None)
+def _gauss5() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the five-point Gauss-Legendre rule on [-1, 1].
+
+    Built on first use: numpy loads ``numpy.polynomial`` only when it is
+    first read, and a run that windows no plane η never needs it.  Every
+    caller shares the two arrays, so they are read-only.
+    """
+    rule = np.polynomial.legendre.leggauss(5)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
 
 
 def eta_integral(region: WettedRegion, f: Callable[[np.ndarray], np.ndarray] | float = 1.0) -> float:

@@ -235,6 +235,17 @@ def _run_cli(args):
     return subprocess.run([sys.executable, "-m", "capmono", *args], capture_output=True, text=True, env=env)
 
 
+def test_importing_the_cli_leaves_numpy_polynomial_unloaded():
+    # numpy loads numpy.polynomial on its first read; the plane η's Gauss
+    # rule is built on first use, so importing the command line never reads it
+    src = str(Path(capmono.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, numpy, capmono.cli; print('numpy.polynomial' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 @pytest.mark.parametrize(
     "edit",
     [

@@ -14,7 +14,7 @@ from capmono import halfspace as hs
 from capmono.identity import nudge_off_samples
 from capmono.radial import RadialPrefix
 from capmono.surfaces import sample_chart, spherical_cap_ball, spherical_cap_halfspace
-from capmono.wetted import wetted_region
+from capmono.wetted import WettedRegion, wetted_region
 
 PAIRS = ((0.4, 1.5), (0.5, 2.0))
 GRID = np.linspace(0.3, 2.5, 12)
@@ -130,6 +130,31 @@ def test_mu_arrays_computed_once_per_surface(monkeypatch, ambient):
         surface.inversion_arrays["x2"][0] = 0.0
     with pytest.raises(TypeError):
         surface.inversion_arrays["x2"] = np.zeros(len(surface.points))
+
+
+@pytest.mark.parametrize("ambient", ["halfspace", "ball"])
+def test_another_probe_never_asks_for_the_full_grid_weights(monkeypatch, ambient):
+    # the first probe builds the region's wetted nodes; every later probe
+    # restricts η over those and never builds the full grid's weights
+    if ambient == "halfspace":
+        mono, chart = hs, spherical_cap_halfspace(2 * np.pi / 3)
+        probes = [np.array([0.3, -0.2, 0.5]), np.array([-0.4, 0.1, 0.8]), np.array([0.1, 0.6, 0.0])]
+    else:
+        mono, chart = bl, spherical_cap_ball(2 * np.pi / 3, np.pi / 3)
+        probes = [np.array([0.2, 0.1, 0.4]), np.array([-0.1, 0.3, -0.2]), np.array([0.0, 0.6, 0.8])]
+    surface = sample_chart(chart, 32, 64)
+    region = wetted_region(surface, grid_n=64, sphere_level=3)
+    mono.probe_terms(surface, region, probes[0])
+    calls = []
+    eta_nodes = WettedRegion.eta_nodes
+    monkeypatch.setattr(WettedRegion, "eta_nodes", lambda self: calls.append(self) or eta_nodes(self))
+    wetted = len(region.wetted_nodes()[0])
+    assert wetted < len(region.grid()[0])
+    for x0 in probes[1:]:
+        terms = mono.probe_terms(surface, region, x0)
+        etas = [terms.eta] if ambient == "halfspace" else [terms.eta, terms.eta_hat]
+        assert [eta.n for eta in etas] == [wetted] * len(etas)
+    assert calls == []
 
 
 def _bench_workloads():

@@ -16,7 +16,7 @@ from capmono import energy as en
 from capmono import halfspace as hs
 from capmono import tables
 from capmono.errors import ConfigError
-from capmono.wetted import curve_from_boundary, wetted_region
+from capmono.wetted import OrientedCurve, WettedRegion, curve_from_boundary, wetted_region
 
 
 def test_surface_roundtrip(stock, tmp_path):
@@ -528,6 +528,44 @@ def test_grid_companion_misses_rebuild(stock, tmp_path, monkeypatch, case):
         _assert_same_grid(replace(region, _cache={}).grid(), expect)
         assert builds == []
 
+
+
+def test_grid_companion_stores_the_winding_as_int8(stock, tmp_path):
+    store = tables.GridCompanion(tmp_path / tables.GRID_COMPANION)
+    wind = wetted_region(_grid_surface(stock, "plane"), grid_n=64, store=store).grid()[2]
+    data = store.path.read_bytes()
+    _, key_len, n, m, m_values, _ = _GRID_HEAD.unpack_from(data)
+    assert n == len(wind) and m == m_values > 0
+    assert len(data) == _GRID_HEAD.size + key_len + n + 16 * m
+
+
+def _stacked_circles(copies, ccw=True):
+    """A region whose grid winds ``copies`` times (or ``-copies``) inside the unit circle."""
+    t = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
+    s = 1.0 if ccw else -1.0
+    zero = np.zeros(len(t))
+    curve = OrientedCurve(
+        np.column_stack([np.cos(s * t), np.sin(s * t), zero]),
+        np.column_stack([-s * np.sin(s * t), s * np.cos(s * t), zero]),
+        np.full(len(t), 2 * np.pi / len(t)),
+    )
+    return WettedRegion((curve,) * copies, grid_n=32)
+
+
+@pytest.mark.parametrize("copies, ccw", [(127, True), (128, False), (128, True), (129, False)])
+def test_grid_winding_past_int8_is_rebuilt_not_stored(tmp_path, monkeypatch, copies, ccw):
+    store = tables.GridCompanion(tmp_path / tables.GRID_COMPANION)
+    region = replace(_stacked_circles(copies, ccw), store=store)
+    expect = replace(region, store=None, _cache={}).grid()
+    got = region.grid()
+    _assert_same_grid(got, expect)
+    assert np.max(np.abs(got[2])) == copies
+    stored = -128 <= copies * (1 if ccw else -1) <= 127
+    assert store.path.exists() == stored
+    builds = _counting_builds(monkeypatch)
+    _assert_same_grid(replace(region, _cache={}).grid(), expect)
+    assert builds == ([] if stored else [1])
+    assert store.path.exists() == stored
 
 def _tiny_config(tmp_path, ambient):
     cfg = tables.RunConfig(

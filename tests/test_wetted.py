@@ -286,21 +286,31 @@ def test_disk_overlap_matches_four_corner_reference(n):
         assert np.array_equal(_bits(got), _bits(_reference_overlap(x, y, h, r))), name
 
 
-def _reference_restriction(region, center, arrays, key, radii):
-    """Ball-restricted eta the direct way, over every node.  On the sphere it
-    is the sharp atomic sum; on the plane each call and key adds one coverage
+def _restricted_nodes(region, every):
+    """The nodes and weights a reference restricts η over: the region's
+    wetted nodes, the set BallRestrictedEta reads, or every grid node."""
+    if every:
+        nodes, cellw, _, wind_aa = region.grid()
+        return nodes, wind_aa * cellw
+    return region.wetted_nodes()
+
+
+def _reference_restriction(region, center, arrays, key, radii, every=False):
+    """Ball-restricted eta the direct way, over the wetted nodes (or every
+    grid node), with ``arrays`` over that node set.  On the sphere it is the
+    sharp atomic sum; on the plane each call and key adds one coverage
     correction per band cell, mirroring BallRestrictedEta's plane rule
     (sorted prefix sums, a band of partial cells, exact disk overlap from
     four independent corner areas) without any of its caches."""
-    nodes, cellw, _, wind_aa = region.grid()
+    nodes, base = _restricted_nodes(region, every)
     dist = np.linalg.norm(nodes - center, axis=1)
     order = np.argsort(dist, kind="stable")
     dist, nodes = dist[order], nodes[order]
-    base = (wind_aa * cellw)[order]
+    base = base[order]
     values = base if key == "mass" else np.asarray(arrays[key], dtype=float)[order] * base
     prefix = np.concatenate([[0.0], np.cumsum(values)])
     # sphere atoms have no band of partial cells
-    h = np.sqrt(float(cellw[0]))
+    h = np.sqrt(float(region.grid()[1][0]))
     band = 0.71 * h if region.wetting == "plane" else 0.0
     out = []
     for r in np.atleast_1d(np.asarray(radii, dtype=float)):
@@ -323,13 +333,12 @@ def _reference_restriction(region, center, arrays, key, radii):
     return np.array(out)
 
 
-def _reference_window(region, center, arrays, key, r, halfwidth, over_r2):
+def _reference_window(region, center, arrays, key, r, halfwidth, over_r2, every=False):
     w = np.minimum(halfwidth, 0.9 * r)
     if region.wetting == "sphere":
-        # the exact box average, atom by atom over every face: an atom at
-        # distance d counts for the share of windowed radii s > d
-        nodes, cellw, _, wind_aa = region.grid()
-        f = wind_aa * cellw
+        # the exact box average, atom by atom: an atom at distance d counts
+        # for the share of windowed radii s > d
+        nodes, f = _restricted_nodes(region, every)
         if key != "mass":
             f = f * np.asarray(arrays[key], dtype=float)
         d = np.linalg.norm(nodes - center, axis=1)[:, None]
@@ -343,11 +352,25 @@ def _reference_window(region, center, arrays, key, r, halfwidth, over_r2):
     out = np.zeros(len(r))
     for xk, wk in zip(xs, ws):
         s = np.maximum(r + xk * w, 1e-12)
-        val = _reference_restriction(region, center, arrays, key, s)
+        val = _reference_restriction(region, center, arrays, key, s, every)
         if over_r2:
             val = val / s**2
         out = out + 0.5 * wk * val
     return out
+
+
+def _restriction_case(stock, ambient):
+    """A region, a probe and its two centers (the plane's second center is
+    another probe, the sphere's the inverted companion)."""
+    if ambient == "plane":
+        surface, _ = stock.cap(2 * np.pi / 3)
+        region = wetted_region(surface, grid_n=256)
+        x0 = np.array([0.3, -0.2, 0.5])
+        return region, x0, [x0, np.array([-0.4, 0.1, 0.8])]
+    surface, _ = stock.capball(2 * np.pi / 3, np.pi / 3)
+    region = wetted_region(surface, sphere_level=4)
+    x0 = np.array([0.2, 0.1, 0.5])
+    return region, x0, [x0, x0 / np.dot(x0, x0)]
 
 
 @pytest.mark.parametrize("ambient", ["plane", "sphere"])
@@ -355,24 +378,15 @@ def _reference_window(region, center, arrays, key, r, halfwidth, over_r2):
 def test_ball_restriction_matches_reference(stock, ambient, reverse):
     from capmono.wetted import BallRestrictedEta
 
-    if ambient == "plane":
-        surface, _ = stock.cap(2 * np.pi / 3)
-        region = wetted_region(surface, grid_n=256)
-        x0 = np.array([0.3, -0.2, 0.5])
-        centers = [x0, np.array([-0.4, 0.1, 0.8])]
-    else:
-        surface, _ = stock.capball(2 * np.pi / 3, np.pi / 3)
-        region = wetted_region(surface, sphere_level=4)
-        x0 = np.array([0.2, 0.1, 0.5])
-        centers = [x0, x0 / np.dot(x0, x0)]
+    region, x0, centers = _restriction_case(stock, ambient)
     # neither the order of the centers nor an earlier center may matter
     if reverse:
         centers = centers[::-1]
-    nodes, _, _, wind_aa = region.grid()
+    nodes, _ = region.wetted_nodes()
     arrays = {"one": np.ones(len(nodes)), "dist2": np.sum((nodes - x0) ** 2, axis=1)}
     for center in centers:
         eta = BallRestrictedEta(region, center, arrays)
-        dist = np.linalg.norm(nodes[wind_aa != 0] - center, axis=1)
+        dist = np.linalg.norm(nodes - center, axis=1)
         radii = np.quantile(dist, [0.2, 0.5, 0.8])
         hw = 0.1 * radii[:2]
         if ambient == "sphere":
@@ -393,7 +407,8 @@ def test_ball_restriction_matches_reference(stock, ambient, reverse):
 
 def test_sphere_restriction_drops_zero_weight_atoms(stock):
     # most faces carry zero weight; they leave every prefix sum unchanged, so
-    # the restriction must equal the one over every atom bit for bit
+    # the restriction over the wetted nodes must equal the one over every
+    # atom bit for bit
     from capmono.radial import RadialPrefix
     from capmono.wetted import BallRestrictedEta
 
@@ -401,13 +416,15 @@ def test_sphere_restriction_drops_zero_weight_atoms(stock):
     region = wetted_region(surface, sphere_level=4)
     nodes, cellw, _, wind_aa = region.grid()
     weight = wind_aa * cellw
-    assert np.count_nonzero(weight == 0.0) > len(weight) // 2
+    keep = weight != 0.0
+    assert np.count_nonzero(~keep) > len(weight) // 2
     x0 = np.array([0.2, 0.1, 0.5])
     for center in (x0, x0 / np.dot(x0, x0)):
-        arrays = {"dist2": np.sum((nodes - center) ** 2, axis=1)}
-        eta = BallRestrictedEta(region, center, arrays)
-        every = RadialPrefix(nodes, center, {"mass": weight, "dist2": arrays["dist2"] * weight})
-        dist = np.linalg.norm(nodes - center, axis=1)
+        dist2 = np.sum((nodes - center) ** 2, axis=1)
+        eta = BallRestrictedEta(region, center, {"dist2": dist2[keep]})
+        assert eta.n == np.count_nonzero(keep)
+        every = RadialPrefix(nodes, center, {"mass": weight, "dist2": dist2 * weight})
+        dist = np.sqrt(dist2)
         r = np.linspace(0.05, 1.1, 23) * dist.max()
         hw = np.linspace(0.01, 1.2, 23) * r
         for key in ("mass", "dist2"):
@@ -415,6 +432,55 @@ def test_sphere_restriction_drops_zero_weight_atoms(stock):
             w = np.minimum(hw, 0.9 * r)
             assert np.array_equal(eta.windowed(key, r, hw), every.windowed(key, r, w))
             assert np.array_equal(eta.windowed_over_r2(key, r, hw), every.windowed_over_r2(key, r, w))
+
+
+def test_wetted_nodes_are_the_nonzero_weight_nodes_in_grid_order(stock):
+    for ambient in ("plane", "sphere"):
+        region, _, _ = _restriction_case(stock, ambient)
+        nodes, weight = region.eta_nodes()
+        keep = weight != 0.0
+        wet, wet_weight = region.wetted_nodes()
+        assert 0 < len(wet) < len(nodes)
+        assert np.array_equal(wet, nodes[keep]) and np.array_equal(wet_weight, weight[keep])
+        assert wet.flags.f_contiguous
+        # built once and kept beside the grid
+        assert region.wetted_nodes()[0] is wet
+
+
+@pytest.mark.parametrize("ambient", ["plane", "sphere"])
+def test_compact_restriction_matches_the_full_grid(stock, ambient):
+    # zero-weight nodes leave sharp prefix sums unchanged, so the sharp
+    # cumulatives and the sphere's exact windows keep every bit of a
+    # restriction over every grid node; the plane's band sums lose their
+    # zero terms and regroup, which may move the last bits
+    from capmono.radial import RadialPrefix
+    from capmono.wetted import BallRestrictedEta
+
+    region, x0, centers = _restriction_case(stock, ambient)
+    nodes, weight = _restricted_nodes(region, every=True)
+    keep = weight != 0.0
+    for center in centers:
+        dist2 = np.sum((nodes - center) ** 2, axis=1)
+        full = {"dist2": dist2}
+        eta = BallRestrictedEta(region, center, {"dist2": dist2[keep]})
+        every = RadialPrefix(nodes, center, {"mass": weight, "dist2": dist2 * weight})
+        dist = np.sqrt(dist2[keep])
+        r = np.linspace(0.05, 1.1, 23) * dist.max()
+        hw = np.linspace(0.01, 1.2, 23) * r
+        w = np.minimum(hw, 0.9 * r)
+        for key in ("mass", "dist2"):
+            radii = [*r, np.inf]
+            assert np.array_equal(RadialPrefix.cumulative(eta, key, radii), every.cumulative(key, radii))
+            if ambient == "sphere":
+                assert np.array_equal(eta.cumulative(key, radii), every.cumulative(key, radii))
+                assert np.array_equal(eta.windowed(key, r, hw), every.windowed(key, r, w))
+                assert np.array_equal(eta.windowed_over_r2(key, r, hw), every.windowed_over_r2(key, r, w))
+                continue
+            expect = _reference_restriction(region, center, full, key, radii, every=True)
+            np.testing.assert_allclose(eta.cumulative(key, radii), expect, rtol=1e-12, atol=0.0)
+            for over_r2, method in ((False, eta.windowed), (True, eta.windowed_over_r2)):
+                expect = _reference_window(region, center, full, key, r[::4], hw[::4], over_r2, every=True)
+                np.testing.assert_allclose(method(key, r[::4], hw[::4]), expect, rtol=1e-12, atol=0.0)
 
 
 # only the plane restriction keeps per-radius coverage corrections to batch
@@ -429,14 +495,14 @@ def test_ball_restriction_batch_matches_single_radii(stock, monkeypatch, ambient
     surface, _ = stock.cap(2 * np.pi / 3)
     region = wetted_region(surface, grid_n=256)
     x0 = np.array([0.3, -0.2, 0.5])
-    nodes, _, _, wind_aa = region.grid()
+    nodes, _ = region.wetted_nodes()
     if chunk is not None:
         monkeypatch.setattr(wetted, "_CHUNK", chunk)
     arrays = {"dist2": np.sum((nodes - x0) ** 2, axis=1)}
     band = BallRestrictedEta(region, x0).band
     dist = np.linalg.norm(nodes - x0, axis=1)
     near = float(dist.min())
-    mid = np.quantile(dist[wind_aa != 0], [0.3, 0.7])
+    mid = np.quantile(dist, [0.3, 0.7])
     empty = 0.5 * near
     assert empty + band < near
     # below the probe's height, yet with cells in the band: no disk cut
@@ -451,6 +517,15 @@ def test_ball_restriction_batch_matches_single_radii(stock, monkeypatch, ambient
         alone = np.array([single.cumulative(key, [r])[0] for r in radii])
         assert np.array_equal(got, alone)
         assert np.array_equal(got, _reference_restriction(region, x0, arrays, key, radii))
+
+
+def test_gauss_rule_is_leggauss_on_first_use():
+    from capmono.wetted import _gauss5
+
+    nodes, weights = _gauss5()
+    expect = np.polynomial.legendre.leggauss(5)
+    assert np.array_equal(nodes, expect[0]) and np.array_equal(weights, expect[1])
+    assert _gauss5()[0] is nodes
 
 
 # -- the wetted grid against the direct kernels ------------------------------------
