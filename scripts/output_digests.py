@@ -4,8 +4,8 @@
 Runs generate, energy, monotonicity and identity-suite on the config of
 each benchmark workload (``perfbench/workloads.py``) for one seed, through
 the ``capmono`` command line of this checkout, and prints one digest per
-output file (surface.tsv, boundary.tsv, curve.tsv, their binary
-companions surface.bin, boundary.bin and curve.bin, energy.json,
+output file (surface.tsv, boundary.tsv, curve.tsv, the binary
+companions surface.bin and boundary.bin, energy.json,
 profile_*.csv) and per command stdout, with each command's exit code.
 It reruns monotonicity and identity-suite with one more probe, and
 digests their stdout and profiles: on ``ball-cap`` at the origin, whose
@@ -62,7 +62,7 @@ from workloads import WORKLOADS, config_text  # noqa: E402
 
 COMMANDS = ("generate", "energy", "monotonicity", "identity-suite")
 # outputs the benchmark's own digests (surface, energy report, profiles) leave out
-EXTRA_OUTPUTS = ("boundary.tsv", "curve.tsv", "surface.bin", "boundary.bin", "curve.bin")
+EXTRA_OUTPUTS = ("boundary.tsv", "curve.tsv", "surface.bin", "boundary.bin")
 # the commands that load the sample tables and may build the wetted grid,
 # rerun without the grid companion and then without every companion
 RERUN_COMMANDS = ("energy", "monotonicity", "identity-suite")

@@ -13,8 +13,9 @@ pairs, (r_min, r_max) and (0.4, 1.5), so the suite computes its own
 unless the two are equal.
 
 Exit codes: 0 when every gate passes, 1 only when a gate fails, 2 on a
-usage or configuration error and on any other capmono error (geometry,
-resolution, immersion).
+usage or configuration error (a config that is missing, a directory or
+not UTF-8, an output directory that is a file or lies under one) and on
+any other capmono error (geometry, resolution, immersion).
 """
 
 from __future__ import annotations
@@ -69,7 +70,10 @@ def cmd_generate(cfg: RunConfig, out: Path) -> int:
     chart = build_chart(cfg)
     surface = sample_chart(chart, cfg.nu, cfg.nv)
     coarse = sample_chart(chart, max(cfg.nu // 2, 8), max(cfg.nv // 2, 8))
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError(f"{out}: the output directory is a file or lies under one") from None
     spath, bpath, cpath = _surface_paths(out)
     tables.save_surface(surface, spath)
     tables.save_boundary(surface, bpath)
@@ -93,11 +97,10 @@ def _load_surface(out: Path) -> SampledSurface:
 def cmd_energy(cfg: RunConfig, out: Path) -> int:
     surface = _load_surface(out)
     region = region_for(cfg, surface, out)
-    boundary_point = surface.boundary_points[0] if len(surface.boundary_points) else None
-    report = energy.energy_report(surface, region, boundary_point=boundary_point)
+    report = energy.energy_report(surface, region)
     path = out / "energy.json"
     tables.report_json(report, path)
-    for key, value in sorted(report.to_dict().items()):
+    for key, value in sorted(report.items()):
         if isinstance(value, float):
             print(f"{key}: {_G % value}")
         elif isinstance(value, dict):

@@ -6,13 +6,18 @@ mean curvature; the classical variant adds the boundary geodesic-curvature
 term, and the ball form trades that term for boundary length and oriented
 wetted area.  Densities are radial mass ratios extrapolated to radius zero
 by a linear fit on the smallest decade of the radius grid.
+
+``energy_report`` gathers the energies, residuals and margins of one
+surface into the ``capmono-energy-report/1`` dict that ``energy`` writes
+as ``energy.json``; the bound 2 pi (1 - cos theta) that the global Li-Yau
+margin and the area estimate subtract is stated once, in
+``_willmore_bound``.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,7 +92,7 @@ def divergence_identity_residual(surface: SampledSurface) -> float:
 # -- densities -----------------------------------------------------------------
 
 
-def default_radius_grid(surface: SampledSurface, x0=None) -> np.ndarray:
+def default_radius_grid(surface: SampledSurface, x0) -> np.ndarray:
     """Radius grid for density extrapolation around a probe point.
 
     The lower cut keeps at least ~60 samples inside the smallest ball; the
@@ -98,18 +103,17 @@ def default_radius_grid(surface: SampledSurface, x0=None) -> np.ndarray:
     scale = np.sqrt(surface.area() / np.pi)
     r_max = 0.45 * scale
     r_min = 0.08 * scale
-    if x0 is not None:
-        x0 = np.asarray(x0, dtype=float)
-        d = np.sort(np.linalg.norm(surface.points - x0, axis=1))
-        k = min(60, len(d) - 1)
-        if float(d[0]) < 0.5 * scale:
-            r_min = max(r_min, 1.05 * float(d[k]), 1e-6)
-        if len(surface.boundary_points):
-            d_bdry = float(np.min(np.linalg.norm(surface.boundary_points - x0, axis=1)))
-            feature = surface.boundary_length() / (2.0 * np.pi)
-            if d_bdry < 0.5 * feature:
-                r_max = min(r_max, 0.8 * feature)
-        r_max = max(r_max, 2.5 * r_min)
+    x0 = np.asarray(x0, dtype=float)
+    d = np.sort(np.linalg.norm(surface.points - x0, axis=1))
+    k = min(60, len(d) - 1)
+    if float(d[0]) < 0.5 * scale:
+        r_min = max(r_min, 1.05 * float(d[k]), 1e-6)
+    if len(surface.boundary_points):
+        d_bdry = float(np.min(np.linalg.norm(surface.boundary_points - x0, axis=1)))
+        feature = surface.boundary_length() / (2.0 * np.pi)
+        if d_bdry < 0.5 * feature:
+            r_max = min(r_max, 0.8 * feature)
+    r_max = max(r_max, 2.5 * r_min)
     return np.linspace(r_min, r_max, _DENSITY_RADII)
 
 
@@ -145,7 +149,7 @@ def density(surface: SampledSurface, x0, r_grid=None) -> float:
     return _extrapolate(r_grid, ratio)
 
 
-def tilde_density(surface: SampledSurface, region: WettedRegion, x0, r_grid=None) -> float:
+def tilde_density(surface: SampledSurface, region: WettedRegion, x0) -> float:
     """Reflected/inverted two-ball density of mu - cos(theta) eta at a point.
 
     Half-space: both balls share the radius r, the companion sitting at the
@@ -155,17 +159,15 @@ def tilde_density(surface: SampledSurface, region: WettedRegion, x0, r_grid=None
     x0 = np.asarray(x0, dtype=float)
     theta = surface.theta
     cos_t = np.cos(theta)
-    if r_grid is None:
-        # off-support probes: keep every ball below the mass onset so the
-        # ratios vanish identically and the limit extrapolates to zero; the
-        # onset is the nearest grid node's, weighted or not
-        onset = _tilde_onset(surface, region.grid()[0], x0)
-        r_min0 = 0.08 * np.sqrt(surface.area() / np.pi)
-        if onset > 1.5 * r_min0:
-            r_grid = np.linspace(r_min0, max(0.9 * onset, 2.5 * r_min0), _DENSITY_RADII)
-        else:
-            r_grid = default_radius_grid(surface, x0)
-    r_grid = np.sort(np.asarray(r_grid, dtype=float))
+    # off-support probes: keep every ball below the mass onset so the
+    # ratios vanish identically and the limit extrapolates to zero; the
+    # onset is the nearest grid node's, weighted or not
+    onset = _tilde_onset(surface, region.grid()[0], x0)
+    r_min0 = 0.08 * np.sqrt(surface.area() / np.pi)
+    if onset > 1.5 * r_min0:
+        r_grid = np.linspace(r_min0, max(0.9 * onset, 2.5 * r_min0), _DENSITY_RADII)
+    else:
+        r_grid = default_radius_grid(surface, x0)
     mu = RadialPrefix(surface.points, x0, {"mass": surface.weights})
     nodes, eta_w = region.wetted_nodes()
     eta = RadialPrefix(nodes, x0, {"mass": eta_w})
@@ -204,12 +206,17 @@ def _tilde_onset(surface: SampledSurface, nodes: np.ndarray, x0: np.ndarray) -> 
     return min(onset, divisor * dist_to(x0_hat))
 
 
-def capillary_density(surface: SampledSurface, region: WettedRegion, x0, r_grid=None) -> float:
+def capillary_density(surface: SampledSurface, region: WettedRegion, x0) -> float:
     """Tilde density normalized by (1 - cos(theta)); 1 at embedded boundary points."""
-    return tilde_density(surface, region, x0, r_grid) / (1.0 - np.cos(surface.theta))
+    return tilde_density(surface, region, x0) / (1.0 - np.cos(surface.theta))
 
 
 # -- inequality margins ----------------------------------------------------------
+
+
+def _willmore_bound(theta: float) -> float:
+    """The sharp lower bound 2 pi (1 - cos theta) of the capillary Willmore energy."""
+    return 2.0 * (1.0 - np.cos(theta)) * np.pi
 
 
 @dataclass(frozen=True)
@@ -222,20 +229,20 @@ class LiYauMargins:
     global_margin: float
 
 
-def li_yau_margin(surface: SampledSurface, region: WettedRegion, x0, r_grid=None) -> LiYauMargins:
+def li_yau_margin(surface: SampledSurface, region: WettedRegion, x0) -> LiYauMargins:
     """Gap of W >= 4 (1 - cos theta) pi Theta(x0), plus the global gap.
 
     ``x0`` should lie on the boundary image; its density extrapolates to
     N/2 for an N-fold boundary point.
     """
     w = willmore_energy(surface)
-    theta2 = density(surface, x0, r_grid)
-    factor = (1.0 - np.cos(surface.theta)) * np.pi
+    theta2 = density(surface, x0)
+    bound = _willmore_bound(surface.theta)
     return LiYauMargins(
         energy=w,
         boundary_density=theta2,
-        density_margin=w - 4.0 * factor * theta2,
-        global_margin=w - 2.0 * factor,
+        density_margin=w - 2.0 * bound * theta2,
+        global_margin=w - bound,
     )
 
 
@@ -253,11 +260,7 @@ def area_estimate_margin(surface: SampledSurface, region: WettedRegion) -> float
             stacklevel=2,
         )
     theta = surface.theta
-    return (
-        2.0 * surface.area()
-        - np.cos(theta) * eta_integral(region)
-        - 2.0 * (1.0 - np.cos(theta)) * np.pi
-    )
+    return 2.0 * surface.area() - np.cos(theta) * eta_integral(region) - _willmore_bound(theta)
 
 
 def disk_area_margin(surface: SampledSurface) -> float:
@@ -270,88 +273,41 @@ def disk_area_margin(surface: SampledSurface) -> float:
 # -- report ----------------------------------------------------------------------
 
 
-@dataclass
-class EnergyReport:
-    """Flat record of the energies, measures and margins of one surface."""
+def energy_report(surface: SampledSurface, region: WettedRegion) -> dict:
+    """The ``capmono-energy-report/1`` dict of one surface and its wetted region.
 
-    ambient: str
-    theta: float
-    willmore: float
-    willmore_classical: float
-    area: float
-    boundary_length: float
-    oriented_wetted_area: float
-    gauss_bonnet_residual: float
-    gauss_equation_residual: float
-    contact_residual: float
-    max_mean_curvature: float
-    margins: dict = field(default_factory=dict)
-    willmore_ball: Optional[float] = None
-    divergence_residual: Optional[float] = None
-
-    SCHEMA = "capmono-energy-report/1"
-
-    def to_dict(self) -> dict:
-        out = {
-            "schema": self.SCHEMA,
-            "ambient": self.ambient,
-            "theta": self.theta,
-            "willmore": self.willmore,
-            "willmoreClassical": self.willmore_classical,
-            "area": self.area,
-            "boundaryLength": self.boundary_length,
-            "orientedWettedArea": self.oriented_wetted_area,
-            "gaussBonnetResidual": self.gauss_bonnet_residual,
-            "gaussEquationResidual": self.gauss_equation_residual,
-            "contactResidual": self.contact_residual,
-            "maxMeanCurvature": self.max_mean_curvature,
-            "margins": dict(self.margins),
-        }
-        if self.willmore_ball is not None:
-            out["willmoreBall"] = self.willmore_ball
-        if self.divergence_residual is not None:
-            out["divergenceResidual"] = self.divergence_residual
-        return out
-
-
-def energy_report(
-    surface: SampledSurface, region: WettedRegion, boundary_point=None, r_grid=None
-) -> EnergyReport:
-    """Assemble the full energy report for one surface and its wetted region.
-
-    When ``boundary_point`` is given, the boundary-density margin is
-    included; otherwise only the global margin appears.
+    The Li-Yau density margin is taken at the first boundary sample.  Ball
+    surfaces add the ball energy form, the divergence residual, and the
+    area estimate and disk area margins.
     """
     if surface.ambient.kind == HALFSPACE:
         wetted = oriented_area(curve_from_boundary(surface))
     else:
         wetted = eta_integral(region)
-    theta = surface.theta
-    w = willmore_energy(surface)
+    ly = li_yau_margin(surface, region, surface.boundary_points[0])
     margins = {
-        "liYauGlobal": w - 2.0 * (1.0 - np.cos(theta)) * np.pi,
+        "liYauGlobal": ly.global_margin,
+        "liYauDensity": ly.density_margin,
+        "boundaryDensity": ly.boundary_density,
     }
-    report = EnergyReport(
-        ambient=surface.ambient.kind,
-        theta=theta,
-        willmore=w,
-        willmore_classical=willmore_classical(surface),
-        area=surface.area(),
-        boundary_length=surface.boundary_length(),
-        oriented_wetted_area=wetted,
-        gauss_bonnet_residual=gauss_bonnet_residual(surface),
-        gauss_equation_residual=gauss_equation_residual(surface),
-        contact_residual=float(surface.metadata.get("contact_residual", np.nan)),
-        max_mean_curvature=surface.max_mean_curvature(),
-        margins=margins,
-    )
-    if boundary_point is not None:
-        ly = li_yau_margin(surface, region, boundary_point, r_grid)
-        margins["liYauDensity"] = ly.density_margin
-        report.margins["boundaryDensity"] = ly.boundary_density
+    report = {
+        "schema": "capmono-energy-report/1",
+        "ambient": surface.ambient.kind,
+        "theta": surface.theta,
+        "willmore": ly.energy,
+        "willmoreClassical": willmore_classical(surface),
+        "area": surface.area(),
+        "boundaryLength": surface.boundary_length(),
+        "orientedWettedArea": wetted,
+        "gaussBonnetResidual": gauss_bonnet_residual(surface),
+        "gaussEquationResidual": gauss_equation_residual(surface),
+        "contactResidual": float(surface.metadata.get("contact_residual", np.nan)),
+        "maxMeanCurvature": surface.max_mean_curvature(),
+        "margins": margins,
+    }
     if surface.ambient.kind == BALL:
-        report.willmore_ball = willmore_ball(surface, region)
-        report.divergence_residual = divergence_identity_residual(surface)
+        report["willmoreBall"] = willmore_ball(surface, region)
+        report["divergenceResidual"] = divergence_identity_residual(surface)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             margins["areaEstimate"] = area_estimate_margin(surface, region)

@@ -19,6 +19,8 @@ from .quadrature import sphere_rule
 
 TANGENT = "tangent_to_wetting"
 FREE = "free"
+# the blends of the radial cutoff's two kinks span this multiple of sigma
+_CUTOFF_WIDTH = 0.05
 
 
 @dataclass(frozen=True)
@@ -98,14 +100,14 @@ def rotation_field(axis) -> TestVectorField:
     return TestVectorField("rotation", func, grad, tang, {"axis": tuple(e)})
 
 
-def _smoothed_cutoff(sigma: float, rho: float, width: float):
+def _smoothed_cutoff(sigma: float, rho: float):
     """C^1 version of s -> (1/max(s,sigma)^2 - 1/rho^2)_+ .
 
     The two kinks (at sigma and rho) are replaced by cubic Hermite blends
-    over intervals of total width ``width * sigma``; returns callables
-    (l, dl) vectorized over arrays.
+    over intervals of total width ``_CUTOFF_WIDTH * sigma``; returns
+    callables (l, dl) vectorized over arrays.
     """
-    d = 0.5 * width * sigma
+    d = 0.5 * _CUTOFF_WIDTH * sigma
     cap = 1.0 / sigma**2 - 1.0 / rho**2
 
     def hermite(s, s0, s1, f0, f1, df0, df1):
@@ -154,17 +156,17 @@ def _smoothed_cutoff(sigma: float, rho: float, width: float):
     return l
 
 
-def radial_cutoff_field(a, sigma: float, rho: float, width: float = 0.05) -> TestVectorField:
+def radial_cutoff_field(a, sigma: float, rho: float) -> TestVectorField:
     """X(x) = l(|x - a|) (x - a) with the C^1-smoothed truncation profile l.
 
     The sharp Lipschitz profile used in the derivations is quadrature-hostile
-    under differencing, so the kinks are eased over ``width * sigma``  The
-    field is tangent to the plane exactly when a3 = 0.
+    under differencing, so the kinks are eased over ``_CUTOFF_WIDTH *
+    sigma``.  The field is tangent to the plane exactly when a3 = 0.
     """
     a = np.asarray(a, dtype=float)
     if not 0.0 < sigma < rho:
         raise ValueError("need 0 < sigma < rho")
-    l = _smoothed_cutoff(sigma, rho, width)
+    l = _smoothed_cutoff(sigma, rho)
 
     def func(p):
         y = p - a

@@ -1,23 +1,25 @@
-"""Structured-text interchange: surface and curve sample tables, profile
-CSV exports, energy-report JSON, and the run-configuration format.
+"""Structured-text interchange: surface, boundary and curve sample tables,
+profile CSV exports, energy-report JSON, and the run-configuration reader.
 
 Tables are whitespace-separated with one sample per row and a commented
 header carrying metadata; floats are printed with 17 significant digits so
 round trips are lossless.  CSV files use '.' decimals, ',' separators, LF
-line endings and 12 significant digits.
+line endings and 12 significant digits.  The curve table ``curve.tsv`` is
+written for other tools: no command reads it, and it has no companion.
 
-Each sample table ``name.tsv`` gets a binary companion ``name.bin``, and
-an output directory gets a wetted grid companion ``wetted_grid.bin``
-(``GridCompanion``), written by the first command that builds the wetted
-grid and read by the later ones, and a pair residuals companion
-``pair_residuals.bin`` (``ResidualCompanion``), written by
-``monotonicity`` and read by ``identity-suite``.  All are checked caches in
-one format: a fixed header (magic and version, the key's length, each body
-array's element count, and the body's ``zlib.crc32``), the key, and the
-body arrays, all little-endian.  A companion is read only when its magic,
-its key and its size are exact and its body matches its CRC; anything
-else is a miss, so deleting a companion is always safe, and a companion
-written by an older capmono is a miss too.
+The surface and boundary tables ``name.tsv`` each get a binary companion
+``name.bin``, and an output directory gets a wetted grid companion
+``wetted_grid.bin`` (``GridCompanion``), written by the first command
+that builds the wetted grid and read by the later ones, and a pair
+residuals companion ``pair_residuals.bin`` (``ResidualCompanion``),
+written by ``monotonicity`` and read by ``identity-suite``.  All are
+checked caches in one format: a fixed header (magic and version, the
+key's length, each body array's element count, and the body's
+``zlib.crc32``), the key, and the body arrays, all little-endian.  A
+companion is read only when its magic, its key and its size are exact
+and its body matches its CRC; anything else is a miss, so deleting a
+companion is always safe, and a companion written by an older capmono
+is a miss too.
 
 A table's key is its column count K and the byte length and
 ``zlib.crc32`` of its text, and its body is one array, the (K, n) float64
@@ -190,15 +192,14 @@ def _table_key(width: int, length: int, crc: int) -> bytes:
     return struct.pack("<QQI", width, length, crc)
 
 
-def _save_table(path, header: list[str], rows: np.ndarray) -> None:
-    """Write the header lines and the rows, as ``np.savetxt(fmt="%.17g")`` does,
-    and the table's binary companion.
+def _write_rows(path, header: list[str], rows: np.ndarray) -> tuple[int, int]:
+    """Write the header lines and the rows, as ``np.savetxt(fmt="%.17g")`` does;
+    return the text's ``_text_sum``.
 
     Rows go out in blocks of ``_SAVE_BLOCK``, each formatted by one ``%``
     on its flattened values, instead of one ``%`` per row; the blocks keep
     the temporaries bounded.  The text's length and CRC are taken from the
-    blocks as they are written, and the companion's body one column at a
-    time.
+    blocks as they are written.
     """
     row = " ".join([_FULL] * rows.shape[1]) + "\n"
 
@@ -215,6 +216,13 @@ def _save_table(path, header: list[str], rows: np.ndarray) -> None:
             fh.write(data)
             length += len(data)
             crc = zlib.crc32(data, crc)
+    return length, crc
+
+
+def _save_table(path, header: list[str], rows: np.ndarray) -> None:
+    """Write the table (see ``_write_rows``) and its binary companion, the
+    companion's body one column at a time."""
+    length, crc = _write_rows(path, header, rows)
     companion = _companion_path(path)
     if companion is not None:
         columns = (np.ascontiguousarray(column, dtype=_BODY) for column in rows.T)
@@ -452,22 +460,11 @@ def load_surface(surface_path, boundary_path) -> SampledSurface:
 
 
 def save_curve(curve: OrientedCurve, path) -> None:
+    """Write the boundary curve table; it has no reader, so it gets no companion."""
     rows = np.column_stack([curve.points, curve.tangents, curve.weights])
-    header = ["capmono curve table v1", f"closed={int(curve.closed)}", f"columns: {CURVE_COLUMNS}"]
-    _save_table(path, header, rows)
-
-
-def load_curve(path) -> OrientedCurve:
-    """Rebuild a curve from its table; a ``closed=`` other than 0 or 1 raises ConfigError."""
-    header, cols, _ = _load_table(path, CURVE_COLUMNS)
-    closed = True
-    for body in header:
-        if "closed=" in body:
-            flag = body.split("=", 1)[1]
-            if flag not in ("0", "1"):
-                raise ConfigError(f"{path}: closed= must be 0 or 1, got {flag!r}")
-            closed = flag == "1"
-    return OrientedCurve(cols[0:3].T, cols[3:6].T, cols[6], closed=closed)
+    # every curve the program builds is closed, as the header states
+    header = ["capmono curve table v1", "closed=1", f"columns: {CURVE_COLUMNS}"]
+    _write_rows(path, header, rows)
 
 
 # -- profile CSV ----------------------------------------------------------------
@@ -495,8 +492,8 @@ def profile_csv(profile, path) -> np.ndarray:
     return table
 
 
-def report_json(report, path) -> None:
-    Path(path).write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+def report_json(report: dict, path) -> None:
+    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 # -- run configuration -------------------------------------------------------------
@@ -504,11 +501,7 @@ def report_json(report, path) -> None:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One experiment: a generator, quadrature resolutions, probes and grids.
-
-    The canonical text form round-trips byte-identically through
-    :func:`parse_config` / :func:`serialize_config`.
-    """
+    """One experiment: a generator, quadrature resolutions, probes and grids."""
 
     ambient: str = "halfspace"
     theta: float = math.pi / 2
@@ -562,30 +555,6 @@ _SCHEMA = {
         ("seed", int),
     ],
 }
-
-
-def _fmt(value) -> str:
-    # configs carry full precision; the 12-digit style is for printed output
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    """Canonical text form: fixed section and key order, LF endings."""
-    lines = []
-    for section, keys in _SCHEMA.items():
-        lines.append(f"[{section}]")
-        for key, _type in keys:
-            lines.append(f"{key} = {_fmt(getattr(cfg, key))}")
-        if section == "run":
-            lines.append("[probes]")
-            for p in cfg.probes:
-                lines.append("point = " + ",".join(repr(float(v)) for v in p))
-        if section == "profile":
-            for pair in cfg.pairs:
-                lines.append("pair = " + ",".join(repr(float(v)) for v in pair))
-    return "\n".join(lines) + "\n"
 
 
 def parse_config(text: str) -> RunConfig:
@@ -678,7 +647,14 @@ def _validated(cfg: RunConfig) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    return parse_config(Path(path).read_text())
+    """Read and parse a config file; a directory or a file that is not UTF-8 raises ConfigError."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except IsADirectoryError:
+        raise ConfigError(f"{path}: the config is a directory") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: the config is not UTF-8 text: {exc}") from None
+    return parse_config(text)
 
 
 def with_overrides(cfg: RunConfig, **kwargs) -> RunConfig:

@@ -49,7 +49,6 @@ class OrientedCurve:
     points: np.ndarray
     tangents: np.ndarray
     weights: np.ndarray
-    closed: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "points", np.ascontiguousarray(self.points, dtype=float))
@@ -57,11 +56,10 @@ class OrientedCurve:
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         if len(self.points) < 3:
             raise GeometryError("a curve needs at least three samples")
-        if self.closed:
-            gap = float(np.linalg.norm(self.points[0] - self.points[-1]))
-            lim = max(4.0 * float(np.max(np.linalg.norm(np.diff(self.points, axis=0), axis=1))), 1e-8)
-            if gap > lim:
-                raise GeometryError("closed curve does not return to its start")
+        gap = float(np.linalg.norm(self.points[0] - self.points[-1]))
+        lim = max(4.0 * float(np.max(np.linalg.norm(np.diff(self.points, axis=0), axis=1))), 1e-8)
+        if gap > lim:
+            raise GeometryError("closed curve does not return to its start")
 
     def length(self) -> float:
         return float(np.sum(self.weights))
@@ -163,8 +161,6 @@ def winding_number(curve: OrientedCurve, x) -> int:
     The signed crossing count of the sample polygon along a horizontal ray;
     raises if the point sits on the curve (distance below 1e-9).
     """
-    if not curve.closed:
-        raise GeometryError("winding number needs a closed curve")
     x = np.atleast_2d(np.asarray(x, dtype=float))[:1, :2]
     poly = curve.points[:, :2]
     if float(_min_distance(poly, x)[0]) <= 1e-9:
@@ -182,8 +178,6 @@ def oriented_area(curves: OrientedCurve | Sequence[OrientedCurve]) -> float:
         curves = [curves]
     total = 0.0
     for c in curves:
-        if not c.closed:
-            raise GeometryError("oriented area needs closed curves")
         x, y = c.points[:, 0], c.points[:, 1]
         tx, ty = c.tangents[:, 0], c.tangents[:, 1]
         total += 0.5 * float(np.sum((x * ty - y * tx) * c.weights))
@@ -197,8 +191,6 @@ def rotation_index(curve: OrientedCurve, wetting: str = PLANE) -> int:
     projection from the admissible candidate point farthest from the curve;
     tangents are pushed forward through the projection differential.
     """
-    if not curve.closed:
-        raise GeometryError("rotation index needs a closed curve")
     if wetting == PLANE:
         t2 = curve.tangents[:, :2]
     elif wetting == SPHERE:
@@ -331,7 +323,8 @@ class WettedRegion:
     grid_n: int = 512
     sphere_level: int = 6
     store: object = field(default=None, repr=False, compare=False)
-    _cache: dict = field(default_factory=dict, repr=False)
+    # built arrays, never copied by dataclasses.replace nor compared by ==
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.curves = tuple(self.curves)

@@ -62,8 +62,10 @@ def test_generate_writes_tables(cfg_path, capsys):
     assert main(["generate", "--config", str(path)]) == 0
     captured = capsys.readouterr().out
     assert "contact residual" in captured
-    for name in ("surface.tsv", "boundary.tsv", "curve.tsv", "surface.bin", "boundary.bin", "curve.bin"):
+    for name in ("surface.tsv", "boundary.tsv", "curve.tsv", "surface.bin", "boundary.bin"):
         assert (out / name).exists()
+    # nothing reads the curve table, so it has no companion
+    assert not (out / "curve.bin").exists()
 
 
 def test_energy_requires_generated_surface(cfg_path, capsys):
@@ -262,10 +264,13 @@ def test_importing_the_cli_leaves_numpy_polynomial_unloaded():
         ("sphere_level = 4", "sphere_level = 9"),
         ("seed = 0", "seed = 0\nthreads = 2"),
         ("generator = cap", "generator = cap-ball"),
+        # the output directory is the config file itself, or lies under it
+        ("/out\ntolerance", "/bad.cfg\ntolerance"),
+        ("/out\ntolerance", "/bad.cfg/out\ntolerance"),
     ],
     ids=[
         "pair-order", "r-count", "nu", "nu-max", "nv-max", "r-min", "r-min-subnormal", "radius-negative", "radius-zero",
-        "plane-grid-max", "sphere-level-max", "threads-2", "generator-ambient",
+        "plane-grid-max", "sphere-level-max", "threads-2", "generator-ambient", "out-dir-file", "out-dir-under-file",
     ],
 )
 def test_bad_config_exits_2_without_traceback(tmp_path, edit):
@@ -278,6 +283,22 @@ def test_bad_config_exits_2_without_traceback(tmp_path, edit):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "configuration error" in proc.stderr
+
+
+@pytest.mark.parametrize("kind", ["directory", "latin-1"])
+def test_unreadable_config_exits_2_with_one_line(tmp_path, kind):
+    # a config path naming a directory, or a config that is not UTF-8
+    path = tmp_path / "run.cfg"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        # a Latin-1 e-acute in a comment is not UTF-8
+        text = BASE.replace("OUT", str(tmp_path / "out")).replace("[run]", "[run] # \xe9", 1)
+        path.write_bytes(text.encode("latin-1"))
+    proc = _run_cli(["generate", "--config", str(path)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("configuration error: ") and proc.stderr.count("\n") == 1
+    assert str(path) in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_config_with_threads_1_still_runs(cfg_path, capsys):
@@ -300,7 +321,7 @@ def test_corrupt_companions_exit_0_with_the_same_outputs(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(BASE.replace("OUT", str(out)))
     assert _run_cli(["generate", "--config", str(path)]).returncode == 0
-    companions = {name: (out / name).read_bytes() for name in ("surface.bin", "boundary.bin", "curve.bin")}
+    companions = {name: (out / name).read_bytes() for name in ("surface.bin", "boundary.bin")}
 
     def run_all():
         runs = []
@@ -315,7 +336,7 @@ def test_corrupt_companions_exit_0_with_the_same_outputs(tmp_path):
     reference = run_all()
     assert [run[1] for run in reference[0]] == [0, 0, 0]
     # a middle sample's area weight moves by a few percent behind an intact
-    # header; the other two lose their body or their header
+    # header; the other loses half its body
     data = bytearray(companions["surface.bin"])
     head = tables._header(1)
     _, key_len, count, _ = head.unpack_from(data)
@@ -323,7 +344,6 @@ def test_corrupt_companions_exit_0_with_the_same_outputs(tmp_path):
     data[head.size + key_len + 8 * (3 * n + n // 2) + 5] ^= 0x10
     (out / "surface.bin").write_bytes(data)
     (out / "boundary.bin").write_bytes(companions["boundary.bin"][: len(companions["boundary.bin"]) // 2])
-    (out / "curve.bin").write_bytes(bytes(len(companions["curve.bin"])))
     assert run_all() == reference
 
 

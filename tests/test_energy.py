@@ -1,5 +1,7 @@
 """Energies, densities and inequality margins."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -123,29 +125,53 @@ def test_divergence_identity(stock):
         en.divergence_identity_residual(cap)
 
 
-def test_energy_report_roundtrip(stock):
-    disk, region = stock.disk(np.pi / 3)
-    contact = np.array([np.sin(np.pi / 3), 0.0, np.cos(np.pi / 3)])
-    report = en.energy_report(disk, region, boundary_point=contact)
-    data = report.to_dict()
-    assert data["schema"] == "capmono-energy-report/1"
-    for key in (
-        "willmore",
-        "willmoreClassical",
-        "willmoreBall",
-        "area",
-        "boundaryLength",
-        "orientedWettedArea",
-        "gaussBonnetResidual",
-        "divergenceResidual",
-        "margins",
-    ):
-        assert key in data
-    assert data["margins"]["areaEstimate"] == pytest.approx(0.0, abs=1e-3)
-    assert data["margins"]["diskArea"] == pytest.approx(0.0, abs=1e-6)
-    assert data["margins"]["liYauGlobal"] == pytest.approx(
-        en.willmore_energy(disk) - lower_bound(np.pi / 3), abs=1e-12
-    )
+# every key of the report; a ball surface adds the ball-only ones
+_REPORT_KEYS = {
+    "schema",
+    "ambient",
+    "theta",
+    "willmore",
+    "willmoreClassical",
+    "area",
+    "boundaryLength",
+    "orientedWettedArea",
+    "gaussBonnetResidual",
+    "gaussEquationResidual",
+    "contactResidual",
+    "maxMeanCurvature",
+    "margins",
+}
+_MARGIN_KEYS = {"liYauGlobal", "liYauDensity", "boundaryDensity"}
+_BALL_REPORT_KEYS = {"willmoreBall", "divergenceResidual"}
+_BALL_MARGIN_KEYS = {"areaEstimate", "diskArea"}
+
+
+def test_energy_report_roundtrip(stock, tmp_path):
+    # both ambients in one test: the exact key sets of each report, so no
+    # key can be dropped or renamed unnoticed, and its JSON round trip
+    from capmono import tables
+
+    for surface, region in (stock.cap(2 * np.pi / 3), stock.disk(np.pi / 3)):
+        ball = surface.ambient.kind == "ball"
+        data = en.energy_report(surface, region)
+        assert set(data) == _REPORT_KEYS | (_BALL_REPORT_KEYS if ball else set())
+        assert set(data["margins"]) == _MARGIN_KEYS | (_BALL_MARGIN_KEYS if ball else set())
+        assert data["schema"] == "capmono-energy-report/1"
+        assert data["ambient"] == surface.ambient.kind
+        path = tmp_path / "energy.json"
+        tables.report_json(data, path)
+        assert json.loads(path.read_text()) == data
+        # the Li-Yau point is the first boundary sample
+        ly = en.li_yau_margin(surface, region, surface.boundary_points[0])
+        assert data["margins"]["boundaryDensity"] == ly.boundary_density
+        assert data["margins"]["liYauDensity"] == ly.density_margin
+        assert data["margins"]["liYauGlobal"] == ly.global_margin
+        assert data["margins"]["liYauGlobal"] == pytest.approx(
+            en.willmore_energy(surface) - lower_bound(surface.theta), abs=1e-12
+        )
+        if ball:
+            assert data["margins"]["areaEstimate"] == pytest.approx(0.0, abs=1e-3)
+            assert data["margins"]["diskArea"] == pytest.approx(0.0, abs=1e-6)
 
 
 def test_complementary_caps(stock):

@@ -1,0 +1,52 @@
+"""Smoke runs of the sweep scripts at tiny resolution."""
+
+import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import capmono
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _run_script(name, *args, cwd):
+    src = str(Path(capmono.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args], capture_output=True, text=True, env=env, cwd=cwd
+    )
+
+
+def _read_csv(path):
+    with path.open(newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_cap_energy_sweep_writes_its_csv(tmp_path):
+    out = tmp_path / "cap_sweep.csv"
+    proc = _run_script("cap_energy_sweep.py", "--count", "2", "--res", "16", "--out", str(out), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    rows = _read_csv(out)
+    assert rows[0] == ["theta", "bound", "willmore_cap", "gap_cap", "willmore_ball_disk", "gap_disk"]
+    assert len(rows) == 3 and all(len(row) == 6 for row in rows[1:])
+    for row in rows[1:]:
+        theta, bound, w_cap, gap_cap, w_disk, gap_disk = map(float, row)
+        assert gap_cap == pytest.approx(w_cap - bound, abs=1e-9)
+        assert gap_disk == pytest.approx(w_disk - bound, abs=1e-9)
+
+
+def test_monotonicity_sweep_writes_one_profile_per_point(tmp_path):
+    out = tmp_path / "profiles"
+    args = ("--points", "2", "--res", "16", "--r-count", "5", "--out-dir", str(out))
+    proc = _run_script("monotonicity_sweep.py", *args, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in out.iterdir()) == ["profile_000.csv", "profile_001.csv"]
+    for path in sorted(out.iterdir()):
+        rows = _read_csv(path)
+        assert rows[0] == ["r", "g", "gHat", "G", "R", "deficit", "residual"]
+        assert len(rows) == 6 and all(len(row) == 7 for row in rows[1:])
+    assert "worst forward difference" in proc.stdout

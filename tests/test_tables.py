@@ -4,7 +4,7 @@ import json
 import struct
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,28 +38,17 @@ def test_surface_roundtrip(stock, tmp_path):
 
 
 def test_curve_roundtrip(stock, tmp_path):
+    # the curve table is text only: its rows parse back to the curve's
+    # arrays bit for bit, and it has no binary companion
     surface, _ = stock.cap(np.pi / 2)
     curve = curve_from_boundary(surface)
     path = tmp_path / "curve.tsv"
     tables.save_curve(curve, path)
-    back = tables.load_curve(path)
-    assert np.array_equal(back.points, curve.points)
-    assert np.array_equal(back.tangents, curve.tangents)
-    assert np.array_equal(back.weights, curve.weights)
-    assert back.closed
-
-
-@pytest.mark.parametrize("flag", ["yes", "7", "", "-1", "1.0"])
-def test_curve_closed_flag_must_be_0_or_1(stock, tmp_path, flag):
-    surface, _ = stock.cap(np.pi / 2)
-    path = tmp_path / "curve.tsv"
-    tables.save_curve(curve_from_boundary(surface), path)
-    text = path.read_text()
-    path.write_text(text.replace("# closed=1\n", f"# closed={flag}\n", 1))
-    with pytest.raises(ConfigError, match="curve.tsv"):
-        tables.load_curve(path)
-    path.write_text(text.replace("# closed=1\n", "# closed=0\n", 1))
-    assert not tables.load_curve(path).closed
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.tsv"]
+    head = path.read_text().splitlines()[:3]
+    assert head == ["# capmono curve table v1", "# closed=1", f"# columns: {tables.CURVE_COLUMNS}"]
+    rows = np.loadtxt(path, comments="#", ndmin=2)
+    assert rows.tobytes() == np.column_stack([curve.points, curve.tangents, curve.weights]).tobytes()
 
 
 # signed zeros, subnormals, the largest finite magnitudes and infinities
@@ -87,12 +76,12 @@ def test_table_without_rows_is_refused(stock, tmp_path, tail):
     # a header followed by nothing but blank and comment lines has no rows;
     # np.loadtxt would only warn and return an array of shape (0, 1)
     surface, _ = stock.cap(np.pi / 2)
-    path = tmp_path / "curve.tsv"
-    tables.save_curve(curve_from_boundary(surface), path)
+    path = tmp_path / "surface.tsv"
+    tables.save_surface(surface, path)
     header = "".join(line for line in path.read_text().splitlines(keepends=True) if line.startswith("#"))
     path.write_text(header + tail)
     with pytest.raises(ConfigError, match="the table has no rows"):
-        tables.load_curve(path)
+        tables._load_table(path, tables.SURFACE_COLUMNS)
 
 
 _DOUBLES = st.one_of(
@@ -221,11 +210,10 @@ def test_non_finite_table_with_its_companion_is_refused(tmp_path, value):
         tables._load_table(path, "a b")
 
 
-def test_companion_errors_match_the_text(stock, tmp_path):
+def test_companion_errors_match_the_text(tmp_path):
     # a table read against the wrong column names fails as its text would
-    surface, _ = stock.cap(np.pi / 2)
-    path = tmp_path / "curve.tsv"
-    tables.save_curve(curve_from_boundary(surface), path)
+    path = tmp_path / "t.tsv"
+    tables._save_table(path, ["columns: a b c d e f g"], np.arange(128.0 * 7).reshape(128, 7))
     with pytest.raises(ConfigError) as fast:
         tables._load_table(path, tables.SURFACE_COLUMNS)
     path.with_suffix(".bin").unlink()
@@ -240,12 +228,13 @@ def test_generate_writes_identical_companions(tmp_path, capsys):
 
     def generate(out):
         path = tmp_path / "run.cfg"
-        path.write_text(tables.serialize_config(tables.RunConfig(nu=16, nv=16, plane_grid=32, out_dir=str(out))))
+        path.write_text(f"[quadrature]\nnu = 16\nnv = 16\nplane_grid = 32\n[output]\nout_dir = {out}\n")
         assert main(["generate", "--config", str(path)]) == 0
         return {p.name: p.read_bytes() for p in sorted(out.glob("*.bin"))}
 
     first = generate(tmp_path / "a")
-    assert sorted(first) == ["boundary.bin", "curve.bin", "surface.bin"]
+    # the curve table has no reader, so it gets no companion
+    assert sorted(first) == ["boundary.bin", "surface.bin"]
     # over the first run's files, and into a fresh directory
     assert generate(tmp_path / "a") == first
     assert generate(tmp_path / "b") == first
@@ -307,6 +296,37 @@ def test_report_json(stock, tmp_path):
     assert data["ambient"] == "ball"
 
 
+# a config in the canonical form: every key, in section order, LF endings
+_CANONICAL = """[run]
+ambient = ball
+theta = 1.0471975511965976
+generator = flat-disk-ball
+radius = 1.0
+center_x = 0.0
+center_y = 0.0
+colatitude = 1.5707963267948966
+amplitude = 0.0
+mode = 0
+[probes]
+point = 0.5,0.1,0.2
+point = 0.0,0.0,0.0
+[quadrature]
+nu = 96
+nv = 256
+plane_grid = 512
+sphere_level = 6
+[profile]
+r_min = 0.25
+r_max = 4.0
+r_count = 40
+pair = 0.3,1.2
+[output]
+out_dir = out
+tolerance = 0.001
+seed = 0
+"""
+
+
 def test_config_canonical_roundtrip():
     cfg = tables.RunConfig(
         ambient="ball",
@@ -317,15 +337,12 @@ def test_config_canonical_roundtrip():
         nu=96,
         nv=256,
     )
-    text = tables.serialize_config(cfg)
-    parsed = tables.parse_config(text)
-    assert parsed == cfg
-    assert tables.serialize_config(parsed) == text
-    # the removed threads key is not written, and threads = 1 parses to the same config
-    assert "threads" not in text
-    assert tables.parse_config(text + "threads = 1\n") == cfg
-    # canonical form is LF-terminated key = value lines
-    assert text.endswith("\n") and "\r" not in text
+    assert tables.parse_config(_CANONICAL) == cfg
+    # the canonical form names every setting the config carries
+    keys = {line.split(" = ")[0] for line in _CANONICAL.splitlines() if " = " in line}
+    assert keys == {f.name for f in fields(tables.RunConfig)} - {"probes", "pairs"} | {"point", "pair"}
+    # the removed threads key parses to the same config when it is 1
+    assert tables.parse_config(_CANONICAL + "threads = 1\n") == cfg
 
 
 def test_config_accepts_comments_and_spacing():
@@ -428,7 +445,7 @@ def _ulp_moved(region):
     curve = region.curves[0]
     points = curve.points.copy()
     points[7, 0] = np.nextafter(points[7, 0], np.inf)
-    return replace(region, curves=(replace(curve, points=points),), _cache={})
+    return replace(region, curves=(replace(curve, points=points),))
 
 
 def _edited_sources(monkeypatch, tmp_path, module="geometry"):
@@ -483,11 +500,11 @@ def _parent_grid_layout(path):
 # each case edits the base region (a plane or a sphere region of the
 # wetting surface it names) or the companion its grid left
 _GRID_MISSES = {
-    "grid-n": ("plane", lambda r, mp, tmp: replace(r, grid_n=65, _cache={}), None),
-    "grid-n-on-the-sphere": ("sphere", lambda r, mp, tmp: replace(r, grid_n=65, _cache={}), None),
-    "sphere-level": ("sphere", lambda r, mp, tmp: replace(r, sphere_level=4, _cache={}), None),
-    "sphere-level-on-the-plane": ("plane", lambda r, mp, tmp: replace(r, sphere_level=4, _cache={}), None),
-    "wetting": ("sphere", lambda r, mp, tmp: replace(r, wetting="plane", _cache={}), None),
+    "grid-n": ("plane", lambda r, mp, tmp: replace(r, grid_n=65), None),
+    "grid-n-on-the-sphere": ("sphere", lambda r, mp, tmp: replace(r, grid_n=65), None),
+    "sphere-level": ("sphere", lambda r, mp, tmp: replace(r, sphere_level=4), None),
+    "sphere-level-on-the-plane": ("plane", lambda r, mp, tmp: replace(r, sphere_level=4), None),
+    "wetting": ("sphere", lambda r, mp, tmp: replace(r, wetting="plane"), None),
     "boundary-ulp": ("plane", lambda r, mp, tmp: _ulp_moved(r), None),
     "boundary-ulp-on-the-sphere": ("sphere", lambda r, mp, tmp: _ulp_moved(r), None),
     "edited-source": ("plane", _edited_source, None),
@@ -510,12 +527,12 @@ def test_grid_companion_misses_rebuild(stock, tmp_path, monkeypatch, case):
     store.path.parent.mkdir()
     base = wetted_region(surface, grid_n=64, sphere_level=3, store=store)
     base.grid()
-    region = replace(base, _cache={})
+    region = replace(base)
     if edit_region is not None:
         region = edit_region(region, monkeypatch, tmp_path)
     if edit_file is not None:
         edit_file(store.path)
-    expect = replace(region, store=None, _cache={}).grid()
+    expect = replace(region, store=None).grid()
     builds = _counting_builds(monkeypatch)
     _assert_same_grid(region.grid(), expect)
     assert builds == [1]
@@ -525,7 +542,7 @@ def test_grid_companion_misses_rebuild(stock, tmp_path, monkeypatch, case):
     else:
         # the rebuilt grid replaced the companion, and is served from it
         builds.clear()
-        _assert_same_grid(replace(region, _cache={}).grid(), expect)
+        _assert_same_grid(replace(region).grid(), expect)
         assert builds == []
 
 
@@ -556,37 +573,45 @@ def _stacked_circles(copies, ccw=True):
 def test_grid_winding_past_int8_is_rebuilt_not_stored(tmp_path, monkeypatch, copies, ccw):
     store = tables.GridCompanion(tmp_path / tables.GRID_COMPANION)
     region = replace(_stacked_circles(copies, ccw), store=store)
-    expect = replace(region, store=None, _cache={}).grid()
+    expect = replace(region, store=None).grid()
     got = region.grid()
     _assert_same_grid(got, expect)
     assert np.max(np.abs(got[2])) == copies
     stored = -128 <= copies * (1 if ccw else -1) <= 127
     assert store.path.exists() == stored
     builds = _counting_builds(monkeypatch)
-    _assert_same_grid(replace(region, _cache={}).grid(), expect)
+    _assert_same_grid(replace(region).grid(), expect)
     assert builds == ([] if stored else [1])
     assert store.path.exists() == stored
 
+_TINY = """[run]
+theta = 2.0943951023931953
+[probes]
+point = 0.86602540378444,0.0,0.0
+point = 0.31,-0.12,0.47
+[quadrature]
+nu = 16
+nv = 16
+plane_grid = 32
+sphere_level = 2
+[profile]
+r_min = 0.3
+r_max = 3.0
+r_count = 8
+pair = 0.4,1.5
+[output]
+out_dir = OUT
+tolerance = 0.005
+"""
+_BALL = "ambient = ball\ngenerator = flat-disk-ball\ntheta = 1.0471975511965976"
+
+
 def _tiny_config(tmp_path, ambient):
-    cfg = tables.RunConfig(
-        nu=16,
-        nv=16,
-        plane_grid=32,
-        sphere_level=2,
-        probes=((0.86602540378444, 0.0, 0.0), (0.31, -0.12, 0.47)),
-        r_min=0.3,
-        r_max=3.0,
-        r_count=8,
-        pairs=((0.4, 1.5),),
-        tolerance=0.005,
-        out_dir=str(tmp_path / "out"),
-    )
+    text = _TINY.replace("OUT", str(tmp_path / "out"))
     if ambient == "ball":
-        cfg = replace(cfg, ambient="ball", generator="flat-disk-ball", theta=np.pi / 3)
-    else:
-        cfg = replace(cfg, theta=2 * np.pi / 3)
+        text = text.replace("theta = 2.0943951023931953", _BALL)
     path = tmp_path / "run.cfg"
-    path.write_text(tables.serialize_config(cfg))
+    path.write_text(text)
     return str(path), tmp_path / "out"
 
 
@@ -642,7 +667,7 @@ def test_parent_layout_companions_are_misses_with_the_same_outputs(tmp_path, mon
 
     path, out = _tiny_config(tmp_path, ambient)
     assert main(["generate", "--config", path]) == 0
-    widths = {"surface": 12, "boundary": 12, "curve": 7}
+    widths = {"surface": 12, "boundary": 12}
     bins = [f"{stem}.bin" for stem in widths]
     current = {name: (out / name).read_bytes() for name in bins}
 

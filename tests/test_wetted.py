@@ -1,11 +1,13 @@
 """Winding numbers, oriented areas, rotation indices and eta integrals."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capmono.errors import GeometryError, UndefinedWindingError
+from capmono.errors import UndefinedWindingError
 from capmono.wetted import (
     OrientedCurve,
     WettedRegion,
@@ -137,8 +139,22 @@ def test_oriented_area_examples():
     assert oriented_area(circle()) == pytest.approx(np.pi, abs=1e-6)
     assert oriented_area(circle(ccw=False)) == pytest.approx(-np.pi, abs=1e-6)
     assert oriented_area(square()) == pytest.approx(4.0, abs=1e-9)
-    with pytest.raises(GeometryError):
-        oriented_area(OrientedCurve(circle().points, circle().tangents, circle().weights, closed=False))
+
+
+def test_region_cache_is_neither_copied_nor_compared():
+    # a replaced region builds its own grid, and regions with built grids
+    # compare by their fields (one curve object, since curves hold arrays)
+    curve = circle()
+    region = WettedRegion((curve,), grid_n=32)
+    assert len(region.grid()[0]) == 32 * 32
+    finer = replace(region, grid_n=64)
+    assert len(finer.grid()[0]) == 64 * 64
+    twin = WettedRegion((curve,), grid_n=32)
+    twin.grid()
+    assert region == twin
+    assert region != finer
+    with pytest.raises(ValueError):
+        replace(region, _cache={})
 
 
 def test_rotation_index_examples():
