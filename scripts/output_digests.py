@@ -28,12 +28,14 @@ resolutions in ``GRIDS``, and digests each of the four
 ``WettedRegion.grid()`` arrays (nodes, cell weights, integer and
 antialiased winding) with its dtype and shape; it digests them again as
 read back from the grid companion that build wrote, under a ``readback``
-tag.
+tag, and as laid out by a fresh region after its ``wetted_nodes()``,
+under an ``afterwetted`` tag.
 
-Every ``termspath``, ``gridpath``, ``textpath`` and ``readback`` line
-must equal the line without the tag.  The script checks that after
-printing every line, and exits 1 naming the first tagged line that
-differs (or whose untagged line is missing); otherwise it exits 0.  The
+Every ``termspath``, ``gridpath``, ``textpath``, ``readback`` and
+``afterwetted`` line must equal the line without the tag.  The script
+checks that after printing every line, and exits 1 naming the first
+tagged line that differs (or whose untagged line is missing); otherwise
+it exits 0.  The
 output directory is replaced by ``OUT`` in stdout before hashing, so two
 checkouts can be compared by diffing what this prints in each:
 
@@ -75,7 +77,7 @@ GRID_ARRAYS = ("nodes", "cellw", "wind", "wind_aa")
 # grid nodes repeat the distance of another)
 EXTRA_PROBES = {"ball-cap": ("origin", "0.0,0.0,0.0"), "halfspace-cap": ("axis", "0.175,0.0,0.8")}
 # the tags whose every line must equal the line without the tag
-SAME_AS_UNTAGGED = ("termspath", "gridpath", "textpath", "readback")
+SAME_AS_UNTAGGED = ("termspath", "gridpath", "textpath", "readback", "afterwetted")
 
 
 def digest(data: bytes) -> str:
@@ -166,7 +168,11 @@ def grid_digests(name: str, out: Path) -> list[str]:
         # the build above wrote the companion; a second region must find it
         read = wetted_region(surface, **{key: value}, store=store)
         assert store.load(read) is not None, f"{store.path} was not read back"
-        for prefix, arrays in ((name, built), (f"{name}/readback", read.grid())):
+        # the grid a region lays out must not depend on what it was asked first
+        after = wetted_region(surface, **{key: value})
+        after.wetted_nodes()
+        laid_out = ((name, built), (f"{name}/readback", read.grid()), (f"{name}/afterwetted", after.grid()))
+        for prefix, arrays in laid_out:
             for label, arr in zip(GRID_ARRAYS, arrays):
                 arr = np.ascontiguousarray(arr)
                 tag = f"{prefix}/grid-{key}-{value}/{label}"

@@ -20,7 +20,6 @@ from .geometry import HALFSPACE
 from .identity import (
     PairTerms,
     Profile,
-    center_offsets,
     identity_detail,
     identity_profile,
     surface_variation,
@@ -28,6 +27,33 @@ from .identity import (
 from .radial import RadialPrefix
 from .surfaces import SampledSurface
 from .wetted import BallRestrictedEta, WettedRegion
+
+
+def _plane_distances2(nodes: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Squared distances |x - a|^2 of plane nodes (x3 = 0) from a.
+
+    Summed per coordinate from the nodes' two columns in the order of
+    ``geometry.rowdot``, ((0 + dx^2) + dy^2) + (0 - a3)^2, so they are the
+    bits of ``identity.center_offsets(nodes, a)[1]`` without its (n, 3)
+    offsets: dx^2 is never -0.0, so adding the leading zero changes nothing.
+    """
+    d2 = np.subtract(nodes[:, 0], a[0])
+    np.square(d2, out=d2)
+    dy = np.subtract(nodes[:, 1], a[1])
+    np.square(dy, out=dy)
+    d2 += dy
+    dz = 0.0 - a[2]
+    d2 += dz * dz
+    return d2
+
+
+def _wetted_deficit(d2: np.ndarray, a3) -> np.ndarray:
+    """The wetted deficit density a3^2 / |x - a|^4 at the squared distances d2, built in place."""
+    if a3 == 0.0:
+        return np.zeros(len(d2))
+    out = np.square(d2)
+    np.maximum(out, 1e-300, out=out)
+    return np.divide(a3**2, out, out=out)
 
 
 class _Terms(PairTerms):
@@ -42,8 +68,8 @@ class _Terms(PairTerms):
         super().__init__(surface, probe, RadialPrefix)
         a = self.x0
         nodes, _ = region.wetted_nodes()
-        _, d2 = center_offsets(nodes, a)
-        deficit = (a[2] ** 2 / np.maximum(d2**2, 1e-300)) if a[2] != 0.0 else np.zeros(len(nodes))
+        d2 = _plane_distances2(nodes, a)
+        deficit = _wetted_deficit(d2, a[2])
         # eta(B_r(a)) = eta(B_hat_r(a)): plane nodes are equidistant from a
         # and its reflection, so a single restriction serves both balls
         self.eta = BallRestrictedEta(region, a, {"deficit": deficit}, d2=d2)

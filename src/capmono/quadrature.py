@@ -148,18 +148,36 @@ def barycentric_subtriangles(depth: int) -> np.ndarray:
     return np.array(tris)
 
 
-def plane_grid(bbox: tuple[float, float, float, float], n: int):
-    """Uniform midpoint grid on a rectangle of the plane {x3 = 0}.
-
-    Returns ``(points, cell_area, xs, ys)``; points is the (n*n, 3) array of
-    cell centers at x3 = 0 raveled in ``meshgrid(xs, ys, indexing='ij')``
-    order, Fortran-ordered (each coordinate one contiguous column).
-    """
+def plane_axes(bbox: tuple[float, float, float, float], n: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Cell-center axes ``(xs, ys)`` and cell area of the uniform n x n grid on a rectangle."""
     x0, x1, y0, y1 = bbox
     hx = (x1 - x0) / n
     hy = (y1 - y0) / n
     xs = x0 + hx * (np.arange(n) + 0.5)
     ys = y0 + hy * (np.arange(n) + 0.5)
-    xx, yy = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.array([xx.ravel(), yy.ravel(), np.zeros(n * n)]).T
-    return pts, hx * hy, xs, ys
+    return xs, ys, hx * hy
+
+
+def plane_nodes(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Cell centers of the axes' grid at x3 = 0, raveled in ``meshgrid(xs, ys, indexing='ij')`` order.
+
+    The (len(xs) * len(ys), 3) array is Fortran-ordered, each coordinate
+    one contiguous column: the x column repeats each of ``xs`` len(ys)
+    times, the y column tiles ``ys``.  Every coordinate is written straight
+    into its column, so no temporary of the grid's size is made.
+    """
+    pts = np.empty((3, len(xs), len(ys)))
+    pts[0] = xs[:, None]
+    pts[1] = ys[None, :]
+    pts[2] = 0.0
+    return pts.reshape(3, -1).T
+
+
+def plane_grid(bbox: tuple[float, float, float, float], n: int):
+    """Uniform midpoint grid on a rectangle of the plane {x3 = 0}.
+
+    Returns ``(points, cell_area, xs, ys)``: the :func:`plane_axes` of the
+    rectangle and their :func:`plane_nodes`.
+    """
+    xs, ys, cell = plane_axes(bbox, n)
+    return plane_nodes(xs, ys), cell, xs, ys

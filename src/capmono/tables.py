@@ -79,12 +79,11 @@ BOUNDARY_COLUMNS = "x1 x2 x3 t1 t2 t3 c1 c2 c3 arcweight kg kg_wetting"
 CURVE_COLUMNS = "x1 x2 x3 t1 t2 t3 weight"
 
 # the largest wetted grids and chart resolutions whose single-threaded
-# monotonicity run on the benchmark configs peaks under 1 GB (666 MB at
-# plane_grid 2048 on probe-sweep, 340 MB at sphere_level 8, 920 MB on
-# ball-cap at nu = nv = 1000, where it was 958 MB before the radial
-# prefixes summed their scaled keys in place); the next plane step is
-# about four times larger, and nu = nv = 1024 peaks at 963 MB (1003 MB
-# before)
+# monotonicity run on the benchmark configs peaks under 1 GB (os.wait4,
+# one run each: 302 MB at plane_grid 2048 on probe-sweep, 326 MB at
+# sphere_level 8 and 918 MB at nu = nv = 1000 on ball-cap); the next
+# plane step is about four times the grid's share, and nu = nv = 1024
+# peaked at 963 MB when last measured
 MAX_PLANE_GRID = 2048
 MAX_SPHERE_LEVEL = 8
 MAX_NU_NV = 1000
@@ -289,11 +288,11 @@ class GridCompanion:
     """The wetted grid companion at ``path``: the store of ``WettedRegion``.
 
     ``load`` returns the stored windings only when the companion holds them
-    for the region's key, and None otherwise, the winding as int64; ``save``
-    replaces the file whole, and a failed write is ignored (see
-    ``_write_companion``).  The winding is stored as int8, so a grid with a
-    winding outside [-128, 127] is not stored at all, and every command
-    builds it afresh.
+    for the region's key, and None otherwise, the winding as the int8 it is
+    stored as; ``save`` replaces the file whole, and a failed write is
+    ignored (see ``_write_companion``).  The winding is stored as int8, so
+    a grid with a winding outside [-128, 127] is not stored at all, and
+    every command builds it afresh.
     """
 
     def __init__(self, path):
@@ -319,7 +318,7 @@ class GridCompanion:
         if got is None or len(got[1]) != len(got[2]):
             return None
         wind, cells, values = got
-        return wind.astype(np.int64, copy=False), cells.astype(np.int64, copy=False), values.astype(float, copy=False)
+        return wind, cells.astype(np.int64, copy=False), values.astype(float, copy=False)
 
     def save(self, region: WettedRegion, wind: np.ndarray, cells: np.ndarray, values: np.ndarray) -> None:
         """Write the windings of ``region``'s grid, unless a winding overflows int8."""

@@ -13,13 +13,13 @@ first; the integer winding API is untouched by this.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import GeometryError, UndefinedWindingError
-from .quadrature import plane_grid, sphere_mesh, sphere_rule
+# plane_grid is not called here; perfbench/tracing.py wraps it under this name
+from .quadrature import plane_axes, plane_grid, plane_nodes, sphere_mesh, sphere_rule  # noqa: F401
 from .radial import RadialPrefix
 from .surfaces import SampledSurface
 from .geometry import BALL
@@ -316,6 +316,12 @@ class WettedRegion:
     ``store.save(region, wind, cells, values)`` keeps them.  The
     first ``grid()`` call asks it, so a region whose grid is never needed
     never touches it.
+
+    The region caches the grid in that compact form (the winding as int8
+    when it fits), with the plane axes and cell area, and the wetted
+    nodes with their weights.  The full grid (nodes, cell weights and
+    both windings, 48 bytes per node) is laid out anew by each ``grid()``
+    call and never kept, so a region's memory follows its wetted nodes.
     """
 
     curves: tuple
@@ -400,29 +406,57 @@ class WettedRegion:
         measure-zero ambiguity never enters integrals through the
         antialiased field.  Only the cells of the curve band are
         antialiased (see the antialiasing notes below), so the cost beyond
-        the integer field follows the curve, not the grid.  The nodes and
-        cell weights are always laid out here; the windings come from the
-        store when it holds them, and are built and handed to it otherwise.
+        the integer field follows the curve, not the grid.
+
+        Only the compact state of :meth:`_stored_grid` is kept; each call
+        lays the four arrays out afresh from it (the sphere's nodes and cell
+        weights are those of the cached ``sphere_mesh``), so a caller that
+        drops them frees them.
+        """
+        wind, cells, values, axes = self._stored_grid()
+        if self.wetting == PLANE:
+            xs, ys, cell = axes
+            nodes = plane_nodes(xs, ys)
+            cellw = np.full(len(nodes), cell)
+        else:
+            _, _, nodes, cellw = sphere_mesh(self.sphere_level)
+        wind = wind.astype(np.int64)
+        wind_aa = wind.astype(float)
+        wind_aa[cells] = values
+        return nodes, cellw, wind, wind_aa
+
+    def _stored_grid(self) -> tuple:
+        """The grid as cached: winding, band cells, band values, plane axes.
+
+        The integer winding is kept as int8 when every value fits (as the
+        grid companion stores it), and the band's cell indices and
+        antialiased values beside it; on the plane the fourth entry is
+        ``(xs, ys, cell_area)`` of ``plane_axes``, on the sphere None.  The
+        windings come from the store when it holds them, and are built and
+        handed to it otherwise.  Built on the first call, under the cache
+        key ``"grid"``.
         """
         if "grid" not in self._cache:
+            axes = mesh = None
             if self.wetting == PLANE:
-                nodes, cell, xs, ys = plane_grid(self._plane_bbox(), self.grid_n)
-                cellw = np.full(len(nodes), cell)
+                axes = plane_axes(self._plane_bbox(), self.grid_n)
             else:
-                verts, faces, nodes, cellw = sphere_mesh(self.sphere_level)
+                mesh = sphere_mesh(self.sphere_level)
             stored = None if self.store is None else self.store.load(self)
             if stored is None:
                 if self.wetting == PLANE:
-                    stored = self._plane_winding(xs, ys)
+                    stored = self._plane_winding(*axes[:2])
                 else:
-                    stored = self._sphere_winding(verts, faces, nodes, cellw)
+                    stored = self._sphere_winding(*mesh)
                 if self.store is not None:
                     self.store.save(self, *stored)
             wind, cells, values = stored
-            wind_aa = wind.astype(float)
-            wind_aa[cells] = values
-            self._cache["grid"] = (nodes, cellw, wind, wind_aa)
+            self._cache["grid"] = (_compact_winding(wind), cells, values, axes)
         return self._cache["grid"]
+
+    def plane_cell_area(self) -> float:
+        """Area of one plane grid cell, each node's cell weight."""
+        return self._stored_grid()[3][2]
 
     def _plane_winding(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Integer winding of the plane grid, its band cells and their antialiased values."""
@@ -498,7 +532,7 @@ class WettedRegion:
     # -- integrals ---------------------------------------------------------------
 
     def eta_nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Grid nodes and their winding-weighted quadrature weights."""
+        """Grid nodes and their winding-weighted quadrature weights, laid out per call."""
         nodes, cellw, _, wind_aa = self.grid()
         return nodes, wind_aa * cellw
 
@@ -507,16 +541,24 @@ class WettedRegion:
 
         The weights are ``eta_nodes()``'s; a node of zero weight adds nothing
         to any ball restriction of η, so every restriction reads only these.
-        Built once from ``grid()`` and kept beside it.  The nodes are
+        They are extracted once from one transient ``eta_nodes()`` layout
+        and cached; the full grid is not kept.  The nodes are
         Fortran-ordered, each coordinate one contiguous column, so the
         per-column distance sums of every center read them in one stride.
         """
         if "wetted" not in self._cache:
-            nodes, cellw, _, wind_aa = self.grid()
-            weight = wind_aa * cellw
+            nodes, weight = self.eta_nodes()
             keep = weight != 0.0
             self._cache["wetted"] = (nodes.T.compress(keep, axis=1).T, weight[keep])
         return self._cache["wetted"]
+
+
+def _compact_winding(wind: np.ndarray) -> np.ndarray:
+    """The integer winding as int8 when every value fits, else as given."""
+    small = np.iinfo(np.int8)
+    if len(wind) and (wind.min() < small.min or wind.max() > small.max):
+        return wind
+    return wind.astype(np.int8, copy=False)
 
 
 def _disk_cell_overlap(x: np.ndarray, y: np.ndarray, h: float, r: np.ndarray) -> np.ndarray:
@@ -600,7 +642,7 @@ class BallRestrictedEta(RadialPrefix):
         if region.wetting == PLANE:
             self._nodes = nodes
             self._corrections: dict = {}
-            self._h = np.sqrt(float(region.grid()[1][0]))
+            self._h = np.sqrt(region.plane_cell_area())
             self.band = 0.71 * self._h
 
     def _fractions(self, rows: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -697,18 +739,27 @@ class BallRestrictedEta(RadialPrefix):
         return self._window_average(key, r, halfwidth, over_r2=True)
 
 
-@lru_cache(maxsize=None)
+def _exact_floats(hexes) -> np.ndarray:
+    """A read-only float64 array of values written with ``float.hex``."""
+    arr = np.array([float.fromhex(v) for v in hexes])
+    arr.flags.writeable = False
+    return arr
+
+
+# the five-point Gauss-Legendre rule on [-1, 1]: the float64 nodes and
+# weights of numpy.polynomial.legendre.leggauss(5), written exactly
+_GAUSS5 = (
+    _exact_floats(("-0x1.cff6ce0533a69p-1", "-0x1.13b23fd99b705p-1", "0x0.0p+0", "0x1.13b23fd99b705p-1", "0x1.cff6ce0533a69p-1")),
+    _exact_floats(("0x1.e539ec36e0393p-3", "0x1.ea1da25ae4158p-2", "0x1.23456789abcddp-1", "0x1.ea1da25ae4158p-2", "0x1.e539ec36e0393p-3")),
+)
+
+
 def _gauss5() -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the five-point Gauss-Legendre rule on [-1, 1].
 
-    Built on first use: numpy loads ``numpy.polynomial`` only when it is
-    first read, and a run that windows no plane η never needs it.  Every
-    caller shares the two arrays, so they are read-only.
+    Every caller shares the two read-only arrays.
     """
-    rule = np.polynomial.legendre.leggauss(5)
-    for arr in rule:
-        arr.flags.writeable = False
-    return rule
+    return _GAUSS5
 
 
 def eta_integral(region: WettedRegion, f: Callable[[np.ndarray], np.ndarray] | float = 1.0) -> float:
@@ -774,7 +825,21 @@ def _near_curve(
     """
     if axes is not None:
         return _near_segments(loops, band, *axes)
-    return np.unique(np.concatenate([_near_samples(p, band, level) for p in loops]))
+    return _sorted_unique(np.concatenate([_near_samples(p, band, level) for p in loops]))
+
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-d integer array, ascending: ``np.unique(a)``.
+
+    Sorted and deduplicated by hand, because ``np.unique(a)`` asks
+    ``numpy.ma`` whether ``a`` is masked, and so imports it (about 19 ms)
+    in a process that has not.
+    """
+    a = np.sort(a)
+    first = np.empty(len(a), dtype=bool)
+    first[:1] = True
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return a[first]
 
 
 def _nearest_sample(q: np.ndarray, samples: np.ndarray) -> np.ndarray:

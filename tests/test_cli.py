@@ -248,6 +248,28 @@ def test_importing_the_cli_leaves_numpy_polynomial_unloaded():
     assert proc.stdout.split() == ["False"]
 
 
+@pytest.mark.parametrize("ambient", ["halfspace", "ball"])
+def test_verification_commands_load_neither_numpy_ma_nor_polynomial(tmp_path, ambient):
+    # a plain np.unique(ar) imports numpy.ma, and leggauss numpy.polynomial;
+    # the ball's energy builds the sphere grid (whose band is deduplicated),
+    # the half-space monotonicity windows the plane η by its Gauss rule, and
+    # neither needs either module
+    path, out = _tiny_run(tmp_path, ambient)
+    src = str(Path(capmono.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys\n"
+        "from capmono.cli import main\n"
+        "codes = [main([c, '--config', sys.argv[1]]) for c in ('energy', 'monotonicity', 'identity-suite')]\n"
+        "print(codes, 'numpy.ma' in sys.modules, 'numpy.polynomial' in sys.modules)\n"
+    )
+    assert not (out / tables.GRID_COMPANION).exists()
+    proc = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / tables.GRID_COMPANION).is_file()
+    assert proc.stdout.splitlines()[-1].endswith("] False False")
+
+
 @pytest.mark.parametrize(
     "edit",
     [

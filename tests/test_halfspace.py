@@ -137,3 +137,38 @@ def test_first_variation_rejects_non_tangent(stock):
     surface, region = stock.cap(THETA)
     with pytest.raises(ValueError):
         hs.first_variation_residual(surface, region, constant_field([0.0, 0.0, 1.0]))
+
+
+def _same_bits(got, expect):
+    return got.dtype == expect.dtype and got.shape == expect.shape and got.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("where", ["above-plane", "on-plane", "on-node", "above-node"])
+def test_plane_eta_distances_and_deficit_are_the_offset_path_bits(stock, where):
+    # the probe's squared distances and wetted deficit, summed from the two
+    # node columns, keep every bit of the (n, 3) center_offsets path; on a
+    # node (and above it) distances tie across the grid's symmetric nodes
+    from capmono.identity import center_offsets
+    from capmono.wetted import BallRestrictedEta
+
+    surface, region = stock.cap(THETA, res=64, grid=128)
+    nodes, _ = region.wetted_nodes()
+    node = nodes[len(nodes) // 3]
+    probe = {
+        "above-plane": [0.175, -0.31, 0.8],
+        "on-plane": [0.3, 0.2, 0.0],
+        "on-node": node,
+        "above-node": node + [0.0, 0.0, 0.5],
+    }[where]
+    terms = hs.probe_terms(surface, region, probe)
+    a = terms.x0
+    _, d2 = center_offsets(nodes, a)
+    deficit = (a[2] ** 2 / np.maximum(d2**2, 1e-300)) if a[2] != 0.0 else np.zeros(len(nodes))
+    assert _same_bits(hs._plane_distances2(nodes, a), d2)
+    assert _same_bits(hs._wetted_deficit(d2.copy(), a[2]), deficit)
+    if where.endswith("node"):
+        assert d2.min() == a[2] ** 2 and len(np.unique(d2)) < len(d2)
+    expect = BallRestrictedEta(region, a, {"deficit": deficit}, d2=d2)
+    assert np.array_equal(terms.eta.order, expect.order) and _same_bits(terms.eta.dists, expect.dists)
+    for key in ("mass", "deficit"):
+        assert _same_bits(terms.eta.values[key], expect.values[key])

@@ -113,3 +113,14 @@ def test_plane_grid_layout():
     assert np.isclose(cell * len(pts), 2.0 * 2.0)
     assert pts[:, 2].max() == 0.0
     assert np.isclose(pts[0, 0], xs[0]) and np.isclose(pts[0, 1], ys[0])
+
+
+@pytest.mark.parametrize("bbox, n", [((-1, 1, -2, 0), 16), ((-1.37, 1.21, -0.93, 1.55), 512), ((0.0, 3.0, 0.0, 1.0), 7)])
+def test_plane_nodes_are_the_meshgrid_stack(bbox, n):
+    # written column by column, the nodes keep every bit and the Fortran
+    # order of the meshgrid stack they replaced
+    pts, _, xs, ys = plane_grid(bbox, n)
+    xx, yy = np.meshgrid(xs, ys, indexing="ij")
+    expect = np.array([xx.ravel(), yy.ravel(), np.zeros(n * n)]).T
+    assert pts.flags.f_contiguous and pts.shape == expect.shape
+    assert pts.T.tobytes() == expect.T.tobytes()

@@ -441,6 +441,27 @@ def test_grid_companion_hit_equals_a_fresh_build(stock, tmp_path, monkeypatch, w
     assert got[0].flags.f_contiguous == fresh[0].flags.f_contiguous
 
 
+@pytest.mark.parametrize("stored", [False, True], ids=["no-store", "store"])
+@pytest.mark.parametrize("wetting", ["plane", "sphere"])
+def test_grid_is_the_same_before_and_after_wetted_nodes(stock, tmp_path, wetting, stored):
+    # the region keeps only the compact winding and lays the grid out on
+    # each call, so what it was asked first must not change the arrays: a
+    # build, a companion read and the extraction of the wetted nodes all
+    # leave the same four arrays
+    surface = _grid_surface(stock, wetting)
+    store = tables.GridCompanion(tmp_path / tables.GRID_COMPANION) if stored else None
+    first = wetted_region(surface, grid_n=64, sphere_level=3, store=store)
+    before = first.grid()
+    first.wetted_nodes()
+    _assert_same_grid(first.grid(), before)
+    later = wetted_region(surface, grid_n=64, sphere_level=3, store=store)
+    later.wetted_nodes()
+    after = later.grid()
+    _assert_same_grid(after, before)
+    assert after[0].flags.f_contiguous == before[0].flags.f_contiguous
+    assert store is None or store.path.is_file()
+
+
 def _ulp_moved(region):
     curve = region.curves[0]
     points = curve.points.copy()
