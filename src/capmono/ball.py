@@ -77,9 +77,22 @@ class _BallTerms(PairTerms):
             hat = {"proj": _projection(nodes, rel, d2), "dist2": d2}
             self.eta_hat = BallRestrictedEta(region, self.x0_hat, hat, d2=d2)
 
-    def hat_arrays(self) -> Mapping:
-        """The surface's inversion weights (``SampledSurface.inversion_arrays``)."""
-        return self.surface.inversion_arrays
+    def hat_arrays(self, rel: np.ndarray, r2: np.ndarray) -> Mapping:
+        """The inverted member's two position integrands about xi = ``x0_hat``.
+
+        ``pos`` is (|x - xi|^2 + x.(x - xi) - (x.nu)(nu.(x - xi))) w and
+        ``hpos`` is |x - xi|^2 (H.x) w.  xi is fixed per probe, so each
+        sample's contraction with it is made once, here, and the companion
+        prefix restricts two rows instead of twelve rows of
+        probe-independent position weights (|x|^2, x, (x.nu)^2, nu (x.nu),
+        and |x|^2 and x times H.x) contracted with xi after every
+        restriction.
+        ``rel`` and ``r2`` are the samples' offsets x - xi and |x - xi|^2.
+        """
+        surface = self.surface
+        pts, nu = surface.points, surface.normals
+        tangential = rowdot(pts, rel) - rowdot(pts, nu) * rowdot(nu, rel)
+        return {"pos": (r2 + tangential) * surface.weights, "hpos": r2 * surface.mu_arrays["hx"]}
 
     # -- members of the pair -----------------------------------------------------
     #
@@ -90,20 +103,11 @@ class _BallTerms(PairTerms):
     def _inversion(self, r, w):
         """Position corrections of the inverted member.
 
-        Returns (dist2 + tangential)/pi and h_dist2_x/(2 pi), the |x - xi|^2
-        and H.x-weighted terms the inversion adds to the hat member.
+        Returns the ``pos`` term over pi and the ``hpos`` term over 2 pi
+        (:meth:`hat_arrays`), the |x - xi|^2 and H.x-weighted terms the
+        inversion adds to the hat member.
         """
-        xi = self.x0_hat
-        xi2 = np.dot(xi, xi)
-        dist2 = self.q2h("x2", r, w) - 2.0 * self.q2h("x", r, w) @ xi + xi2 * self.q2h("mass", r, w)
-        tangential = (
-            self.q2h("x2", r, w)
-            - self.q2h("x", r, w) @ xi
-            - self.q2h("xnu2", r, w)
-            + self.q2h("nu_xnu", r, w) @ xi
-        )
-        h_dist2_x = self.q2h("x2hx", r, w) - 2.0 * self.q2h("xhx", r, w) @ xi + xi2 * self.q2h("hx", r, w)
-        return (dist2 + tangential) / np.pi, h_dist2_x / (2 * np.pi)
+        return self.q2h("pos", r, w) / np.pi, self.q2h("hpos", r, w) / (2 * np.pi)
 
     def free_pair(self, r):
         """(g, g_hat) without wetted-measure corrections (vectorized in r)."""

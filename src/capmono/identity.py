@@ -209,7 +209,8 @@ class PairTerms(ProbeTerms):
     ``prefix`` builds the two prefixes; the ambient modules pass their own
     ``RadialPrefix`` name, so instrumentation that replaces that name (as
     ``perfbench/tracing.py`` does) sees every construction.  The companion
-    prefix carries the shared arrays plus the ambient's ``hat_arrays``.
+    prefix carries the shared arrays plus the ambient's ``hat_arrays``,
+    built from the samples' offsets from the companion center.
     Hat reads (``qh``, ``q2h``) take the direct radius and window and
     divide both by the divisor (``hat``).  Subclasses supply ``pair``,
     ``remainder`` and ``deficits``; the base point is ``x0``, the probe
@@ -226,15 +227,19 @@ class PairTerms(ProbeTerms):
         rel, r2 = center_offsets(pts, self.x0)
         self.mu = prefix(pts, self.x0, {**shared, "sq": square_weights(surface, rel, r2)}, d2=r2)
         rel, r2 = center_offsets(pts, self.x0_hat)
-        hat = {**shared, "sq": square_weights(surface, rel, r2), **self.hat_arrays()}
+        hat = {**shared, "sq": square_weights(surface, rel, r2), **self.hat_arrays(rel, r2)}
         self.mu_hat = prefix(pts, self.x0_hat, hat, d2=r2)
 
     @property
     def base_point(self) -> np.ndarray:
         return self.x0
 
-    def hat_arrays(self) -> Mapping:
-        """Ambient-specific keys of the companion prefix (none by default)."""
+    def hat_arrays(self, rel: np.ndarray, r2: np.ndarray) -> Mapping:
+        """Ambient-specific keys of the companion prefix (none by default).
+
+        ``rel`` and ``r2`` are the samples' :func:`center_offsets` from the
+        companion center.
+        """
         return {}
 
     def halfwidth(self, r):

@@ -140,31 +140,6 @@ class SampledSurface:
             arr.flags.writeable = False
         return MappingProxyType(arrays)
 
-    @cached_property
-    def inversion_arrays(self) -> Mapping[str, np.ndarray]:
-        """Weighted sample quantities the ball's companion prefix adds.
-
-        |x|^2, x, (x.nu)^2 and nu (x.nu), each times the area weight, and
-        |x|^2 and x times the weighted H.x.  Like ``mu_arrays`` they do not
-        depend on the base point, are computed on first use and are
-        read-only.
-        """
-        pts, nu, w = self.points, self.normals, self.weights
-        hxw = self.mu_arrays["hx"]
-        x2 = rowdot(pts, pts)
-        xdnu = rowdot(pts, nu)
-        arrays = {
-            "x2": x2 * w,
-            "x": pts * w[:, None],
-            "xnu2": xdnu**2 * w,
-            "nu_xnu": nu * (xdnu * w)[:, None],
-            "x2hx": x2 * hxw,
-            "xhx": pts * hxw[:, None],
-        }
-        for arr in arrays.values():
-            arr.flags.writeable = False
-        return MappingProxyType(arrays)
-
     # -- consistency --------------------------------------------------------
 
     def _validate(self):

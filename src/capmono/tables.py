@@ -80,10 +80,10 @@ CURVE_COLUMNS = "x1 x2 x3 t1 t2 t3 weight"
 
 # the largest wetted grids and chart resolutions whose single-threaded
 # monotonicity run on the benchmark configs peaks under 1 GB (os.wait4,
-# one run each: 302 MB at plane_grid 2048 on probe-sweep, 326 MB at
-# sphere_level 8 and 918 MB at nu = nv = 1000 on ball-cap); the next
-# plane step is about four times the grid's share, and nu = nv = 1024
-# peaked at 963 MB when last measured
+# one run each, scripts/memory_bounds.py: 300 MB at plane_grid 2048 on
+# probe-sweep, 321 MB at sphere_level 8 and 596 MB at nu = nv = 1000 on
+# ball-cap, 535 MB at nu = nv = 1000 on halfspace-cap); the next plane
+# step is about four times the grid's share
 MAX_PLANE_GRID = 2048
 MAX_SPHERE_LEVEL = 8
 MAX_NU_NV = 1000

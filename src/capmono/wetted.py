@@ -848,15 +848,18 @@ def _nearest_sample(q: np.ndarray, samples: np.ndarray) -> np.ndarray:
     The squared distances are summed per coordinate in the order
     ``np.linalg.norm`` sums them, and one square root is taken of each
     minimum: the square root is monotone and correctly rounded, so this is
-    the minimum of the norms, bit for bit.
+    the minimum of the norms, bit for bit.  Points go in blocks of about
+    ``_CHUNK * 16`` (point, sample) pairs, so the temporaries stay bounded
+    however many samples the curve has.
     """
     out = np.empty(len(q))
-    for lo in range(0, len(q), _CHUNK):
-        block = q[lo : lo + _CHUNK]
+    step = max(_CHUNK * 16 // max(len(samples), 1), 1)
+    for lo in range(0, len(q), step):
+        block = q[lo : lo + step]
         d2 = (block[:, 0, None] - samples[:, 0]) ** 2
         for k in (1, 2):
             d2 += (block[:, k, None] - samples[:, k]) ** 2
-        out[lo : lo + _CHUNK] = d2.min(axis=1)
+        out[lo : lo + step] = d2.min(axis=1)
     return np.sqrt(out)
 
 
@@ -973,21 +976,22 @@ def _aa_sphere(
     ``4**_SUB_DEPTH`` subcells.  The winding at every subcell center is the
     crossing count of the projected refined polygons, and the face value is
     its average weighted by the exact spherical subcell areas.  Faces go in
-    blocks of ``_CHUNK``, so the subcell temporaries stay bounded however
-    wide the band is.
+    blocks of about ``_CHUNK * 4`` subcells, so the subcell temporaries
+    stay bounded however wide the band is.
     """
     from .quadrature import barycentric_subtriangles, spherical_triangle_areas
 
     bary = barycentric_subtriangles(_SUB_DEPTH)
     polys = [_stereographic(p, None, ref)[0] for p in points_loops]
     out = np.empty(len(corners))
-    for lo in range(0, len(corners), _CHUNK):
-        sc = np.einsum("mkb,cbx->cmkx", bary, corners[lo : lo + _CHUNK])
+    step = max(_CHUNK * 4 // len(bary), 1)
+    for lo in range(0, len(corners), step):
+        sc = np.einsum("mkb,cbx->cmkx", bary, corners[lo : lo + step])
         sc /= np.linalg.norm(sc, axis=-1, keepdims=True)
         areas = spherical_triangle_areas(sc[:, :, 0, :], sc[:, :, 1, :], sc[:, :, 2, :])
         centers = sc.sum(axis=2)
         centers /= np.linalg.norm(centers, axis=-1, keepdims=True)
         qsub, _ = _stereographic(centers.reshape(-1, 3), None, ref)
         w_sub = _winding_at(polys, qsub).reshape(areas.shape) + ref_wind
-        out[lo : lo + _CHUNK] = np.sum(areas * w_sub, axis=1) / np.sum(areas, axis=1)
+        out[lo : lo + step] = np.sum(areas * w_sub, axis=1) / np.sum(areas, axis=1)
     return out

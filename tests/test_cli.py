@@ -133,6 +133,36 @@ def _ball_text(out, base=BASE):
     )
 
 
+def test_ball_suite_balance_law_reads_eta(tmp_path, monkeypatch, capsys):
+    # the ball suite's balance law uses X = e3, whose eta terms do not
+    # cancel on the sphere as X = x's do: eta scaled by 1.01 fails it (and
+    # only it: the two-radius residuals come from monotonicity's companion,
+    # written before the mutation), and the unmutated suite passes
+    out = tmp_path / "out"
+    path = tmp_path / "run.cfg"
+    path.write_text(
+        _ball_text(out)
+        .replace("generator = flat-disk-ball", "generator = cap-ball")
+        .replace("theta = 1.0471975511966", "theta = 2.0943951023932")
+        .replace("colatitude = 1.5707963267949", "colatitude = 1.0471975511966")
+    )
+    assert main(["generate", "--config", str(path)]) == 0
+    assert main(["monotonicity", "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["identity-suite", "--config", str(path)]) == 0
+    assert "PASS balance-law" in capsys.readouterr().out
+    eta_nodes = wetted.WettedRegion.eta_nodes
+
+    def scaled(region):
+        nodes, weights = eta_nodes(region)
+        return nodes, 1.01 * weights
+
+    monkeypatch.setattr(wetted.WettedRegion, "eta_nodes", scaled)
+    assert main(["identity-suite", "--config", str(path)]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 1 and failed[0].startswith("FAIL balance-law")
+
+
 @pytest.mark.parametrize("ambient", ["halfspace", "ball"])
 def test_monotonicity_builds_the_grid_once(tmp_path, monkeypatch, ambient):
     out = tmp_path / "out"

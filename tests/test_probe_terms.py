@@ -92,9 +92,10 @@ def test_terms_of_another_probe_are_refused(stock, ambient):
 @pytest.mark.parametrize("ambient", ["halfspace", "ball"])
 def test_mu_arrays_computed_once_per_surface(monkeypatch, ambient):
     # every prefix of every probe reads the surface's one set of weighted
-    # sample arrays (and, in the ball, every companion prefix its one set
-    # of inversion weights), and the profiles equal those of a freshly
-    # sampled twin
+    # sample arrays, by identity; in the ball every companion prefix adds
+    # only its own two position integrands, built for its center, and the
+    # surface holds no inversion weights.  The profiles equal those of a
+    # freshly sampled twin
     if ambient == "halfspace":
         mono, chart = hs, spherical_cap_halfspace(2 * np.pi / 3)
         probes = [np.array([0.3, -0.2, 0.5]), np.array([-0.4, 0.1, 0.8]), np.array([0.1, 0.6, 0.3])]
@@ -107,29 +108,34 @@ def test_mu_arrays_computed_once_per_surface(monkeypatch, ambient):
 
     class Recording(RadialPrefix):
         def __init__(self, points, center, arrays, **kwargs):
-            seen.append(arrays["h2"])
-            if "x2" in arrays:
-                seen_hat.append({key: arrays[key] for key in surface.inversion_arrays})
+            seen.append(arrays)
+            if "pos" in arrays:
+                seen_hat.append((center, arrays))
             super().__init__(points, center, arrays, **kwargs)
 
     monkeypatch.setattr(mono, "RadialPrefix", Recording)
     profiles = [mono.monotonicity_profile(surface, region, x0, GRID) for x0 in probes]
     assert len(seen) >= len(probes)
-    assert all(h2 is seen[0] for h2 in seen)
-    # the two probes off the origin each build one companion prefix
+    for arrays in seen:
+        assert all(arrays[key] is arr for key, arr in surface.mu_arrays.items())
+    # the two probes off the origin each build one companion prefix, whose
+    # keys are the shared ones, the square and the two integrands
     assert len(seen_hat) == (2 if ambient == "ball" else 0)
-    for hat in seen_hat:
-        assert all(hat[key] is arr for key, arr in surface.inversion_arrays.items())
+    assert not hasattr(surface, "inversion_arrays")
+    pts, nu, w = surface.points, surface.normals, surface.weights
+    for center, arrays in seen_hat:
+        assert set(arrays) == {*surface.mu_arrays, "sq", "pos", "hpos"}
+        rel = pts - center
+        d2 = np.sum(rel * rel, axis=1)
+        tangential = np.sum(pts * rel, axis=1) - np.sum(pts * nu, axis=1) * np.sum(nu * rel, axis=1)
+        np.testing.assert_allclose(arrays["pos"], (d2 + tangential) * w, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(arrays["hpos"], d2 * surface.mu_arrays["hx"], rtol=1e-12, atol=1e-15)
     for x0, profile in zip(probes, profiles):
         _assert_same_profile(profile, mono.monotonicity_profile(sample_chart(chart, 32, 64), region, x0, GRID))
     with pytest.raises(ValueError):
         surface.mu_arrays["h2"][0] = 0.0
     with pytest.raises(TypeError):
         surface.mu_arrays["h2"] = np.zeros(len(surface.points))
-    with pytest.raises(ValueError):
-        surface.inversion_arrays["x2"][0] = 0.0
-    with pytest.raises(TypeError):
-        surface.inversion_arrays["x2"] = np.zeros(len(surface.points))
 
 
 @pytest.mark.parametrize("ambient", ["halfspace", "ball"])

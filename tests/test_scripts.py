@@ -1,7 +1,8 @@
-"""Smoke runs of the sweep scripts at tiny resolution."""
+"""Smoke runs of the scripts at tiny resolution."""
 
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -50,3 +51,18 @@ def test_monotonicity_sweep_writes_one_profile_per_point(tmp_path):
         assert rows[0] == ["r", "g", "gHat", "G", "R", "deficit", "residual"]
         assert len(rows) == 6 and all(len(row) == 7 for row in rows[1:])
     assert "worst forward difference" in proc.stdout
+
+
+def test_memory_bounds_reports_every_measured_command(tmp_path):
+    args = ("--plane-grid", "16", "--sphere-level", "1", "--nu-nv", "8")
+    proc = _run_script("memory_bounds.py", *args, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    settings = ["probe-sweep plane_grid=16", "ball-cap sphere_level=1", "ball-cap nu=8 nv=8", "halfspace-cap nu=8 nv=8"]
+    expect = [f"{setting} {command}:" for setting in settings for command in ("energy", "monotonicity")]
+    assert [line.split(": ")[0] + ":" for line in lines] == expect
+    for line in lines:
+        peak, seconds = re.fullmatch(r".*: exit [01], peak RSS ([0-9.]+) MB, ([0-9.]+) s", line).groups()
+        assert float(peak) > 0 and float(seconds) > 0
+    # the script leaves nothing in the directory it runs from
+    assert not any(tmp_path.iterdir())

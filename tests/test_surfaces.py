@@ -263,9 +263,12 @@ def test_fields_keep_contiguous_columns(tmp_path, chart):
             assert arr.shape[1:] == (3,) and arr.flags.f_contiguous, name
         for name in _SCALAR_FIELDS:
             assert getattr(surface, name).flags.c_contiguous, name
-        # the probe-independent μ arrays keep the columns and stay read-only
-        for key, arr in {**surface.mu_arrays, **surface.inversion_arrays}.items():
+        # the probe-independent μ arrays keep the columns and stay read-only;
+        # they are the only ones a surface caches (the ball's companion builds
+        # its position integrands per probe)
+        for key, arr in surface.mu_arrays.items():
             assert arr.flags.f_contiguous and not arr.flags.writeable, key
+        assert not hasattr(surface, "inversion_arrays")
     if chart.ambient.kind == "halfspace":
         nodes = wetted_region(loaded, grid_n=16).grid()[0]
         assert nodes.shape[1:] == (3,) and nodes.flags.f_contiguous

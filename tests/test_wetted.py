@@ -525,6 +525,44 @@ def test_wetted_nodes_and_probe_terms_memory_follows_the_wetted_nodes(stock, gri
     assert _traced_peak(build) < 90 * grid_n**2
 
 
+def test_ball_probe_terms_and_profile_memory_per_sample(stock):
+    # the traced peak of one ball probe's terms and profile, per sample of
+    # the 96 x 256 cap (24,576 samples), with the surface's shared arrays
+    # and the wetted nodes built beforehand.  Measured with numpy 2.4:
+    # 467 B per sample.  When the companion prefix carried the six
+    # probe-independent inversion keys (12 rows, their prefixes and
+    # moments) instead of its two per-probe integrands it read 804 B.  The
+    # bound is 560 B, 20 % above the measured figure.
+    from capmono import ball
+
+    surface, region = stock.capball(2 * np.pi / 3, np.pi / 3)
+    surface.mu_arrays
+    region.wetted_nodes()
+    x0 = [0.2, 0.1, 0.4]
+
+    def build():
+        terms = ball.probe_terms(surface, region, x0)
+        ball.monotonicity_profile(surface, region, x0, np.linspace(0.25, 4.0, 40), terms=terms)
+
+    assert _traced_peak(build) < 560 * len(surface.points)
+
+
+def test_sphere_grid_build_memory_is_bounded(stock):
+    # the traced peak of the level-5 sphere grid build on the cap-ball
+    # surface, with the icosphere mesh cached beforehand.  Measured with
+    # numpy 2.4: 5.6 MB, most of it one antialiasing block's subcell
+    # winding.  With band faces in blocks of _CHUNK (4,096 faces of 64
+    # subcells) and the band search's nearest-sample distances in blocks
+    # of _CHUNK points it read 20.7 MB, and 7.1 MB with only the first
+    # bounded.  The bound is 6 MB.
+    from capmono import quadrature
+
+    surface, _ = stock.capball(2 * np.pi / 3, np.pi / 3)
+    quadrature.sphere_mesh(5)
+    region = wetted_region(surface, sphere_level=5)
+    assert _traced_peak(region.grid) < 6e6
+
+
 def test_sorted_unique_is_np_unique():
     from capmono.wetted import _sorted_unique
 
@@ -858,15 +896,34 @@ def test_sphere_band_matches_flat_filter(stock, monkeypatch, case, level):
 
 @pytest.mark.parametrize("chunk", [3, 37, 100])
 def test_grid_independent_of_block_size(stock, monkeypatch, chunk):
-    from capmono import wetted
+    from capmono import quadrature, wetted
 
     disk, _ = stock.disk(np.pi / 3)
+    cap, _ = stock.capball(2 * np.pi / 3, np.pi / 3)
     builds = {
         "plane": lambda: WettedRegion((figure_eight(n=128),), "plane", grid_n=64),
         "sphere": lambda: wetted_region(disk, sphere_level=3),
+        # a band wide enough that even the default block size splits it
+        "sphere-blocks": lambda: wetted_region(cap, sphere_level=5),
     }
-    default = {name: build().grid() for name, build in builds.items()}
+    blocks = []
+    areas = quadrature.spherical_triangle_areas
+
+    def counting(a, b, c):
+        # _aa_sphere measures the (faces, subcells) corners of one block
+        if a.ndim == 3:
+            blocks.append(len(a))
+        return areas(a, b, c)
+
+    monkeypatch.setattr(quadrature, "spherical_triangle_areas", counting)
+    default = {name: build().grid() for name, build in builds.items() if name != "sphere-blocks"}
+    blocks.clear()
+    default["sphere-blocks"] = builds["sphere-blocks"]().grid()
+    step = wetted._CHUNK * 4 // 64
+    assert len(blocks) >= 3 and blocks[:-1] == [step] * (len(blocks) - 1) and 0 < blocks[-1] <= step
     monkeypatch.setattr(wetted, "_CHUNK", chunk)
     for name, build in builds.items():
-        for a, b in zip(build().grid(), default[name]):
-            assert np.array_equal(a, b)
+        got = build().grid()
+        assert len(got) == len(default[name]) == 4
+        for a, b in zip(got, default[name]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
