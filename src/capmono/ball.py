@@ -29,10 +29,10 @@ from .identity import (
     PairTerms,
     ProbeTerms,
     Profile,
+    center_arrays,
     center_offsets,
     identity_detail,
     identity_profile,
-    square_weights,
     surface_variation,
 )
 from .radial import RadialPrefix
@@ -78,7 +78,7 @@ class _BallTerms(PairTerms):
             self.eta_hat = BallRestrictedEta(region, self.x0_hat, hat, d2=d2)
 
     def hat_arrays(self, rel: np.ndarray, r2: np.ndarray) -> Mapping:
-        """The inverted member's two position integrands about xi = ``x0_hat``.
+        """The inverted member's keys of the companion prefix about xi = ``x0_hat``.
 
         ``pos`` is (|x - xi|^2 + x.(x - xi) - (x.nu)(nu.(x - xi))) w and
         ``hpos`` is |x - xi|^2 (H.x) w.  xi is fixed per probe, so each
@@ -86,13 +86,15 @@ class _BallTerms(PairTerms):
         prefix restricts two rows instead of twelve rows of
         probe-independent position weights (|x|^2, x, (x.nu)^2, nu (x.nu),
         and |x|^2 and x times H.x) contracted with xi after every
-        restriction.
-        ``rel`` and ``r2`` are the samples' offsets x - xi and |x - xi|^2.
+        restriction.  The shared ``hx`` = (H.x) w is the one key the
+        direct prefix does not hold: only the inverted member reads it,
+        windowed.  ``rel`` and ``r2`` are the samples' offsets x - xi and
+        |x - xi|^2.
         """
         surface = self.surface
-        pts, nu = surface.points, surface.normals
+        pts, nu, hx = surface.points, surface.normals, surface.mu_arrays["hx"]
         tangential = rowdot(pts, rel) - rowdot(pts, nu) * rowdot(nu, rel)
-        return {"pos": (r2 + tangential) * surface.weights, "hpos": r2 * surface.mu_arrays["hx"]}
+        return {"hx": hx, "pos": (r2 + tangential) * surface.weights, "hpos": r2 * hx}
 
     # -- members of the pair -----------------------------------------------------
     #
@@ -200,7 +202,8 @@ def capillary_radial_pair(surface: SampledSurface, region: WettedRegion, x0, r: 
 
 
 class _OriginTerms(ProbeTerms):
-    """Origin-branch integrals: plain prefix sums about zero.
+    """Origin-branch integrals: plain prefix sums of the ``center_arrays``
+    about zero, where the coupling ``hxc`` is H.x w.
 
     The identity has one square integral against the increment of
     g + g_hat (the constant boundary-measure hat member), and no companion
@@ -216,8 +219,7 @@ class _OriginTerms(ProbeTerms):
         self.probe = probe
         origin = np.zeros(3)
         rel, r2 = center_offsets(surface.points, origin)
-        arrays = {**surface.mu_arrays, "sq": square_weights(surface, rel, r2)}
-        self.mu = RadialPrefix(surface.points, origin, arrays, d2=r2)
+        self.mu = RadialPrefix(surface.points, origin, center_arrays(surface, rel, r2), d2=r2)
 
     @property
     def base_point(self) -> np.ndarray:
@@ -250,7 +252,7 @@ class _OriginTerms(ProbeTerms):
         g = (
             self.mu.bounds_average("mass", a, b, over_r2=True) / np.pi
             + self.mu.bounds_average("h2", a, b) / (16 * np.pi)
-            + self.mu.bounds_average("hx", a, b, over_r2=True) / (2 * np.pi)
+            + self.mu.bounds_average("hxc", a, b, over_r2=True) / (2 * np.pi)
         )
         coeff = -np.sin(self.surface.theta) * self.surface.boundary_length() / (2 * np.pi)
         integral = (np.minimum(b, 1.0) - np.minimum(a, 1.0)) + 1.0 / np.maximum(a, 1.0) - 1.0 / np.maximum(b, 1.0)
@@ -267,7 +269,7 @@ class _OriginTerms(ProbeTerms):
 
     def remainder(self, r):
         lo, hi = self.window(r)
-        return self.mu.bounds_average("hx", lo, hi, over_r2=True) / (2 * np.pi)
+        return self.mu.bounds_average("hxc", lo, hi, over_r2=True) / (2 * np.pi)
 
     def identity_terms(self, sigma: float, rho: float) -> dict:
         """The increments of g + g_hat (as ``delta_g``) and of the square; the rest are 0.

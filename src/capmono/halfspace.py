@@ -99,13 +99,7 @@ class _Terms(PairTerms):
     def remainder(self, r):
         r = np.atleast_1d(np.asarray(r, dtype=float))
         w = self.halfwidth(r)
-        val = (
-            self.q2("hx", r, w)
-            - self.q2("h", r, w) @ self.x0
-            + self.q2h("hx", r, w)
-            - self.q2h("h", r, w) @ self.x0_hat
-        )
-        return val / (2 * np.pi)
+        return (self.q2("hxc", r, w) + self.q2h("hxc", r, w)) / (2 * np.pi)
 
     def deficits(self, r):
         """Cumulative wetted deficit terms of the two balls, averaged.

@@ -8,10 +8,11 @@ ambients (:func:`geometry.companion`): B_r(x0) is paired with the ball of
 radius r / divisor about the reflected or inverted center.
 
 This module holds what the ambients share: the base-point nudge, the
-square integrand, one radius window for every term, the probe terms
-protocol, the profile record, the front end of the identity detail and
-the profile, and the surface terms of the first variation.  Each ambient
-module keeps its own pair, remainder and deficit terms.
+integrands restricted about each center, one radius window for every
+term, the probe terms protocol, the profile record, the front end of the
+identity detail and the profile, and the surface terms of the first
+variation.  Each ambient module keeps its own pair, remainder and
+deficit terms.
 """
 
 from __future__ import annotations
@@ -62,20 +63,25 @@ def _probe_state(build, surface: SampledSurface, region, a, terms):
 def center_offsets(points: np.ndarray, center) -> tuple[np.ndarray, np.ndarray]:
     """Offsets x - c of the points from a center and their squared lengths.
 
-    One pass per center serves the square integrand and the distance sort
-    (the ``d2=`` of ``RadialPrefix``).
+    One pass per center serves the integrands of :func:`center_arrays` and
+    the distance sort (the ``d2=`` of ``RadialPrefix``).
     """
     rel = points - center
     return rel, rowdot(rel, rel)
 
 
-def square_weights(surface: SampledSurface, rel: np.ndarray, r2: np.ndarray) -> np.ndarray:
-    """Per-sample |H/4 + ((x - c).nu / |x - c|^2) nu|^2 times the area weight.
+def center_arrays(surface: SampledSurface, rel: np.ndarray, r2: np.ndarray) -> dict:
+    """The keys every μ prefix restricts about its center c.
 
-    ``rel`` and ``r2`` are the samples' :func:`center_offsets` from c.
+    The surface's shared ``mass`` and ``h2``, and two integrands built from
+    the samples' :func:`center_offsets` ``rel`` and ``r2`` from c: the
+    coupling ``hxc`` = H.(x - c) w and the square ``sq`` =
+    |H/4 + ((x - c).nu / |x - c|^2) nu|^2 w, w the area weight.
     """
-    v = 0.25 * surface.mean_curvature + (rowdot(rel, surface.normals) / r2)[:, None] * surface.normals
-    return rowdot(v, v) * surface.weights
+    h, nu, w = surface.mean_curvature, surface.normals, surface.weights
+    hxc = rowdot(h, rel) * w
+    v = 0.25 * h + (rowdot(rel, nu) / r2)[:, None] * nu
+    return {"mass": surface.mu_arrays["mass"], "h2": surface.mu_arrays["h2"], "sq": rowdot(v, v) * w, "hxc": hxc}
 
 
 def surface_variation(surface: SampledSurface, field: TestVectorField) -> tuple[float, float]:
@@ -208,9 +214,10 @@ class PairTerms(ProbeTerms):
 
     ``prefix`` builds the two prefixes; the ambient modules pass their own
     ``RadialPrefix`` name, so instrumentation that replaces that name (as
-    ``perfbench/tracing.py`` does) sees every construction.  The companion
-    prefix carries the shared arrays plus the ambient's ``hat_arrays``,
-    built from the samples' offsets from the companion center.
+    ``perfbench/tracing.py`` does) sees every construction.  Each prefix
+    restricts the :func:`center_arrays` about its own center, one row per
+    key, and the companion prefix adds the ambient's ``hat_arrays``, built
+    from the same offsets.
     Hat reads (``qh``, ``q2h``) take the direct radius and window and
     divide both by the divisor (``hat``).  Subclasses supply ``pair``,
     ``remainder`` and ``deficits``; the base point is ``x0``, the probe
@@ -223,11 +230,11 @@ class PairTerms(ProbeTerms):
         self.probe = np.array(probe, dtype=float)
         self.x0 = nudge_off_samples(surface, self.probe)
         self.x0_hat, self.divisor = companion(self.x0, surface.ambient)
-        pts, shared = surface.points, surface.mu_arrays
+        pts = surface.points
         rel, r2 = center_offsets(pts, self.x0)
-        self.mu = prefix(pts, self.x0, {**shared, "sq": square_weights(surface, rel, r2)}, d2=r2)
+        self.mu = prefix(pts, self.x0, center_arrays(surface, rel, r2), d2=r2)
         rel, r2 = center_offsets(pts, self.x0_hat)
-        hat = {**shared, "sq": square_weights(surface, rel, r2), **self.hat_arrays(rel, r2)}
+        hat = {**center_arrays(surface, rel, r2), **self.hat_arrays(rel, r2)}
         self.mu_hat = prefix(pts, self.x0_hat, hat, d2=r2)
 
     @property
@@ -274,11 +281,11 @@ class PairTerms(ProbeTerms):
 
     def coupling(self, r, w):
         """Curvature-position coupling int H.(x - x0) / (2 pi s^2), averaged."""
-        return (self.q2("hx", r, w) - self.q2("h", r, w) @ self.x0) / (2 * np.pi)
+        return self.q2("hxc", r, w) / (2 * np.pi)
 
     def coupling_hat(self, r, w):
         """The coupling about the companion center, in the hat radius."""
-        return (self.q2h("hx", r, w) - self.q2h("h", r, w) @ self.x0_hat) / (2 * np.pi)
+        return self.q2h("hxc", r, w) / (2 * np.pi)
 
     def squares(self, r):
         """Cumulative square integrals for the direct and companion balls."""

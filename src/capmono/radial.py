@@ -33,12 +33,12 @@ class RadialPrefix:
     |x - c|^2 of the points passes them as ``d2``, so each center costs one
     distance pass; ``points`` is read only without ``d2``.
 
-    All keys are the rows of one (K, n) array: a 1-d key one row, an
-    (n, m) key m rows.  Each key is gathered straight into its rows, and
-    every plain prefix is built by one ``cumsum`` along the rows;
-    ``values[key]`` and the key's plain prefix are views of its rows (the
-    ``.T`` of them for an (n, m) key).  A row adds its entries in the order
-    of a per-key running sum, so every prefix has the bits of a per-key
+    All keys are the rows of one (K, n) array, one row per key: a key is
+    one value per point, and any other shape raises ValueError.  Each key
+    is gathered straight into its row, and every plain prefix is built by
+    one ``cumsum`` along the rows; ``values[key]`` and the key's plain
+    prefix are views of its row.  A row adds its entries in the order of a
+    per-key running sum, so every prefix has the bits of a per-key
     ``np.cumsum``.  The f.d and f/d prefixes of a key (read by the two
     windows) are built on their first read.
     """
@@ -50,34 +50,23 @@ class RadialPrefix:
             d2 = rowdot(rel, rel)
         self.order, self.dists = _distance_order(np.sqrt(d2))
         self.n = len(self.dists)
-        # each key is gathered as rows: a 1-d array as one row, an (n, m)
-        # array as the m rows of its .T, contiguous when its columns are
-        sources = {}
-        for key, arr in arrays.items():
+        block = np.empty((len(arrays), self.n))
+        for row, (key, arr) in zip(block, arrays.items()):
             arr = np.asarray(arr, dtype=float)
-            sources[key] = arr[None] if arr.ndim == 1 else arr.T
-        self._values = np.empty((sum(map(len, sources.values())), self.n))
-        self._rows: dict[str, tuple[slice, int]] = {}
-        start = 0
-        for key, rows in sources.items():
-            span = slice(start, start + len(rows))
-            # order is a permutation of the columns, so "clip" never clips;
+            if arr.shape != (self.n,):
+                raise ValueError(f"key {key!r} has shape {arr.shape}, not one value per point ({self.n},)")
+            # order is a permutation of the entries, so "clip" never clips;
             # it writes straight into out, which "raise" would buffer
-            np.take(rows, self.order, axis=1, out=self._values[span], mode="clip")
-            self._rows[key] = (span, np.ndim(arrays[key]))
-            start = span.stop
-        prefix = _prefix(self._values)
-        self.values = {key: _key_view(self._values, *spec) for key, spec in self._rows.items()}
-        self._prefix = {key: _key_view(prefix, *spec) for key, spec in self._rows.items()}
+            np.take(arr, self.order, out=row, mode="clip")
+        self.values = dict(zip(arrays, block))
+        self._prefix = dict(zip(arrays, _prefix(block)))
         self._moments: dict = {}
 
     def _moment(self, key: str, power: int) -> np.ndarray:
         """Prefix of the key's values times d (power 1) or 1/d (power -1)."""
         if (key, power) not in self._moments:
-            rows, ndim = self._rows[key]
             scale = self.dists if power > 0 else 1.0 / np.maximum(self.dists, 1e-12)
-            moment = _prefix(self._values[rows], scale)
-            self._moments[key, power] = _key_view(moment, slice(0, len(moment)), ndim)
+            self._moments[key, power] = _prefix(self.values[key], scale)
         return self._moments[key, power]
 
     def cumulative(self, key: str, r) -> np.ndarray:
@@ -101,10 +90,7 @@ class RadialPrefix:
         band_f = self._prefix[key][hi] - self._prefix[key][lo]
         prefix_d = self._moment(key, 1)
         band_fd = prefix_d[hi] - prefix_d[lo]
-        scale = np.maximum(2.0 * w, 1e-300)
-        if self._prefix[key].ndim == 1:
-            return full + ((r + w) * band_f - band_fd) / scale
-        return full + ((r + w)[..., None] * band_f - band_fd) / scale[..., None]
+        return full + ((r + w) * band_f - band_fd) / np.maximum(2.0 * w, 1e-300)
 
     def windowed_over_r2(self, key: str, r, halfwidth) -> np.ndarray:
         """Average of (sharp cumulative) / s^2 over radii s in [r - w, r + w].
@@ -117,7 +103,7 @@ class RadialPrefix:
         r, w = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(halfwidth, dtype=float))
         sharp = w <= 0
         if np.all(sharp):
-            return self._sharp_over_r2(key, r)
+            return self.cumulative(key, r) / r**2
         lo_r = np.maximum(r - w, 1e-300)
         hi_r = r + w
         lo = np.searchsorted(self.dists, lo_r, side="left")
@@ -127,21 +113,13 @@ class RadialPrefix:
         prefix_invd = self._moment(key, -1)
         pi_lo = prefix_invd[lo]
         pi_hi = prefix_invd[hi]
-        vec = self._prefix[key].ndim > 1
-        inv_lo = (1.0 / lo_r)[..., None] if vec else 1.0 / lo_r
-        inv_hi = (1.0 / hi_r)[..., None] if vec else 1.0 / hi_r
-        scale = (2.0 * w)[..., None] if vec else 2.0 * w
-        out = (p_lo * (inv_lo - inv_hi) + (pi_hi - pi_lo) - (p_hi - p_lo) * inv_hi) / np.maximum(
-            scale, 1e-300
+        inv_hi = 1.0 / hi_r
+        out = (p_lo * (1.0 / lo_r - inv_hi) + (pi_hi - pi_lo) - (p_hi - p_lo) * inv_hi) / np.maximum(
+            2.0 * w, 1e-300
         )
         if np.any(sharp):
-            out[sharp] = self._sharp_over_r2(key, r[sharp])
+            out[sharp] = self.cumulative(key, r[sharp]) / r[sharp] ** 2
         return out
-
-    def _sharp_over_r2(self, key: str, r: np.ndarray) -> np.ndarray:
-        c = self.cumulative(key, r)
-        rr = r**2 if c.ndim == np.ndim(r) else (r**2)[..., None]
-        return c / rr
 
     def auto_halfwidth(self, r) -> np.ndarray:
         """Window capturing about one local sample-ring spacing at the cut.
@@ -227,22 +205,18 @@ def _distance_order(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, dists
 
 
-def _key_view(block: np.ndarray, rows: slice, ndim: int) -> np.ndarray:
-    """A key's view of its rows: the row itself, or the rows' ``.T``."""
-    return block[rows.start] if ndim == 1 else block[rows].T
-
-
 def _prefix(block: np.ndarray, scale=None) -> np.ndarray:
-    """Running sums along each row of the block (times ``scale``), led by a zero column.
+    """Running sums along the rows of the block or along one row (times
+    ``scale``), each led by a zero.
 
     The product is formed in the output and summed there in place, so a
     scaled prefix needs no temporary of the block's size.
     """
-    out = np.empty((len(block), block.shape[1] + 1))
-    out[:, 0] = 0.0
+    out = np.empty(block.shape[:-1] + (block.shape[-1] + 1,))
+    out[..., 0] = 0.0
     if scale is None:
-        np.cumsum(block, axis=1, out=out[:, 1:])
+        np.cumsum(block, axis=-1, out=out[..., 1:])
     else:
-        np.multiply(block, scale, out=out[:, 1:])
-        np.cumsum(out[:, 1:], axis=1, out=out[:, 1:])
+        np.multiply(block, scale, out=out[..., 1:])
+        np.cumsum(out[..., 1:], axis=-1, out=out[..., 1:])
     return out

@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .errors import GeometryError, ImmersionError
-from .geometry import BALL, E3, HALFSPACE, Ambient, rowdot
+from .geometry import BALL, E3, HALFSPACE, Ambient, rowdot, rownorm
 from .quadrature import gauss_legendre, tensor_rule
 
 
@@ -121,20 +121,20 @@ class SampledSurface:
 
     @cached_property
     def mu_arrays(self) -> Mapping[str, np.ndarray]:
-        """Weighted sample quantities every radial pair restricts to balls.
+        """Weighted sample quantities the radial pairs restrict to balls.
 
-        Area, |H|^2, H.x and H, each times the area weight.  They do not
-        depend on the base point, so they are computed on first use and
-        shared by every probe of this surface; the mapping and its arrays
-        are read-only.  The (n, 3) array H w has contiguous columns, as H
-        does.
+        Area, |H|^2 and H.x, each times the area weight, one value per
+        sample.  They do not depend on the base point, so they are computed
+        on first use and shared by every probe of this surface; the mapping
+        and its arrays are read-only.  Integrands that depend on the center
+        c of a restriction, the coupling H.(x - c) w among them, are built
+        per center.
         """
         w, h = self.weights, self.mean_curvature
         arrays = {
             "mass": w.view(),
             "h2": rowdot(h, h) * w,
             "hx": rowdot(h, self.points) * w,
-            "h": h * w[:, None],
         }
         for arr in arrays.values():
             arr.flags.writeable = False
@@ -163,11 +163,13 @@ class SampledSurface:
             raise GeometryError("sample arrays must hold finite numbers only")
         if np.any(self.weights <= 0):
             raise GeometryError("area weights must be positive")
-        if np.any(np.abs(np.linalg.norm(self.normals, axis=1) - 1.0) > 1e-10):
+        # rownorm rounds as np.linalg.norm(..., axis=1), without its (n, 3)
+        # temporary; |H x nu| takes the components of np.cross one at a time
+        if np.any(np.abs(rownorm(self.normals) - 1.0) > 1e-10):
             raise GeometryError("interior normals must be unit to 1e-10")
-        cross = np.cross(self.mean_curvature, self.normals)
-        scale = np.maximum(np.linalg.norm(self.mean_curvature, axis=1), 1.0)
-        if np.any(np.linalg.norm(cross, axis=1) > 1e-8 * scale):
+        h, nu = self.mean_curvature, self.normals
+        cross = sum(np.square(h[:, i] * nu[:, j] - h[:, j] * nu[:, i]) for i, j in ((1, 2), (2, 0), (0, 1)))
+        if np.any(np.sqrt(cross) > 1e-8 * np.maximum(rownorm(h), 1.0)):
             raise GeometryError("mean curvature vector must be parallel to the normal")
         if self.ambient.kind == HALFSPACE:
             if np.any(self.points[:, 2] < -1e-8):
@@ -175,7 +177,7 @@ class SampledSurface:
             if len(self.boundary_points) and np.any(np.abs(self.boundary_points[:, 2]) > 1e-8):
                 raise GeometryError("boundary samples must lie on the plane x3 = 0")
         else:
-            if np.any(np.linalg.norm(self.points, axis=1) > 1.0 + 1e-8):
+            if np.any(rownorm(self.points) > 1.0 + 1e-8):
                 raise GeometryError("interior samples must lie in the closed unit ball")
             if len(self.boundary_points):
                 r = np.linalg.norm(self.boundary_points, axis=1)

@@ -63,6 +63,8 @@ _FULL = "%.17g"
 _CSV = "%.12g"
 # rows formatted per write of a sample table
 _SAVE_BLOCK = 4096
+# bytes of a table text read per block while its checksum is taken
+_READ_BLOCK = 1 << 16
 # every companion starts with this magic; the count of body arrays sets
 # the rest of the header (see _header)
 _MAGIC = b"CAPMCMP2"
@@ -80,9 +82,9 @@ CURVE_COLUMNS = "x1 x2 x3 t1 t2 t3 weight"
 
 # the largest wetted grids and chart resolutions whose single-threaded
 # monotonicity run on the benchmark configs peaks under 1 GB (os.wait4,
-# one run each, scripts/memory_bounds.py: 300 MB at plane_grid 2048 on
-# probe-sweep, 321 MB at sphere_level 8 and 596 MB at nu = nv = 1000 on
-# ball-cap, 535 MB at nu = nv = 1000 on halfspace-cap); the next plane
+# one run each, scripts/memory_bounds.py: 295 MB at plane_grid 2048 on
+# probe-sweep, 306 MB at sphere_level 8 and 451 MB at nu = nv = 1000 on
+# ball-cap, 382 MB at nu = nv = 1000 on halfspace-cap); the next plane
 # step is about four times the grid's share
 MAX_PLANE_GRID = 2048
 MAX_SPHERE_LEVEL = 8
@@ -181,9 +183,14 @@ def _companion_path(path) -> Path | None:
     return None if companion == path else companion
 
 
-def _text_sum(text: bytes) -> tuple[int, int]:
-    """A table text's byte length and ``zlib.crc32``."""
-    return len(text), zlib.crc32(text)
+def _text_sum(path) -> tuple[int, int]:
+    """The byte length and ``zlib.crc32`` of the table text at ``path``, read block by block."""
+    length, crc = 0, 0
+    with Path(path).open("rb") as fh:
+        while block := fh.read(_READ_BLOCK):
+            length += len(block)
+            crc = zlib.crc32(block, crc)
+    return length, crc
 
 
 def _table_key(width: int, length: int, crc: int) -> bytes:
@@ -246,16 +253,17 @@ def _load_table(path, columns: str) -> tuple[list[str], np.ndarray, tuple[int, i
     The table is returned transposed, one contiguous row per column, so
     every column a caller takes is a contiguous view.  The columns come
     from the table's companion when it matches the table's bytes, and from
-    the parsed text otherwise; the checks below run on either.  A table
-    whose bytes do not decode, without rows, with an entry that is not a
-    finite number, or with another number of columns than ``columns``
-    names raises ConfigError.
+    the parsed text otherwise; the checks below run on either.  The text
+    is never held whole: its checksum is taken block by block, the header
+    is read up to the first row, and only a companion miss parses the
+    rest.  A table whose bytes do not decode, without rows, with an entry
+    that is not a finite number, or with another number of columns than
+    ``columns`` names raises ConfigError.
     """
-    text = Path(path).read_bytes()
-    text_sum = _text_sum(text)
+    text_sum = _text_sum(path)
     header = []
     try:
-        with io.TextIOWrapper(io.BytesIO(text)) as fh:
+        with Path(path).open() as fh:
             line = next(fh, "")
             while line.startswith("#"):
                 header.append(line[1:].strip())
@@ -272,7 +280,8 @@ def _load_table(path, columns: str) -> tuple[list[str], np.ndarray, tuple[int, i
     cols = _companion_columns(path, text_sum, width)
     if cols is None:
         try:
-            rows = np.loadtxt(io.TextIOWrapper(io.BytesIO(text)), comments="#", ndmin=2)
+            with Path(path).open() as fh:
+                rows = np.loadtxt(fh, comments="#", ndmin=2)
         except ValueError as exc:
             raise ConfigError(f"{path}: unreadable rows: {exc}") from None
         cols = np.ascontiguousarray(rows.T)

@@ -91,11 +91,12 @@ def test_terms_of_another_probe_are_refused(stock, ambient):
 
 @pytest.mark.parametrize("ambient", ["halfspace", "ball"])
 def test_mu_arrays_computed_once_per_surface(monkeypatch, ambient):
-    # every prefix of every probe reads the surface's one set of weighted
-    # sample arrays, by identity; in the ball every companion prefix adds
-    # only its own two position integrands, built for its center, and the
-    # surface holds no inversion weights.  The profiles equal those of a
-    # freshly sampled twin
+    # every prefix of every probe reads the keys it shares with the
+    # surface's one set of weighted sample arrays by identity, and holds
+    # its own coupling hxc = H.(x - c) w about its center c (the origin
+    # prefix too); in the ball every companion prefix adds only the shared
+    # hx and its own two position integrands.  Every key is one value per
+    # sample.  The profiles equal those of a freshly sampled twin
     if ambient == "halfspace":
         mono, chart = hs, spherical_cap_halfspace(2 * np.pi / 3)
         probes = [np.array([0.3, -0.2, 0.5]), np.array([-0.4, 0.1, 0.8]), np.array([0.1, 0.6, 0.3])]
@@ -104,32 +105,40 @@ def test_mu_arrays_computed_once_per_surface(monkeypatch, ambient):
         probes = [np.array([0.2, 0.1, 0.4]), np.zeros(3), np.array([-0.1, 0.3, -0.2])]
     surface = sample_chart(chart, 32, 64)
     region = wetted_region(surface, grid_n=64, sphere_level=3)
-    seen, seen_hat = [], []
+    seen = []
 
     class Recording(RadialPrefix):
         def __init__(self, points, center, arrays, **kwargs):
-            seen.append(arrays)
-            if "pos" in arrays:
-                seen_hat.append((center, arrays))
+            seen.append((np.array(center, dtype=float), arrays))
             super().__init__(points, center, arrays, **kwargs)
 
     monkeypatch.setattr(mono, "RadialPrefix", Recording)
     profiles = [mono.monotonicity_profile(surface, region, x0, GRID) for x0 in probes]
-    assert len(seen) >= len(probes)
-    for arrays in seen:
-        assert all(arrays[key] is arr for key, arr in surface.mu_arrays.items())
-    # the two probes off the origin each build one companion prefix, whose
-    # keys are the shared ones, the square and the two integrands
-    assert len(seen_hat) == (2 if ambient == "ball" else 0)
+    shared = surface.mu_arrays
+    assert set(shared) == {"mass", "h2", "hx"}
+    assert all(arr.shape == (len(surface.points),) for arr in shared.values())
     assert not hasattr(surface, "inversion_arrays")
-    pts, nu, w = surface.points, surface.normals, surface.weights
-    for center, arrays in seen_hat:
-        assert set(arrays) == {*surface.mu_arrays, "sq", "pos", "hpos"}
+    # a direct and a companion prefix per probe, one prefix at the origin
+    assert len(seen) == (6 if ambient == "halfspace" else 5)
+    pts, nu, w, h = surface.points, surface.normals, surface.weights, surface.mean_curvature
+    couplings = []
+    for center, arrays in seen:
+        assert all(np.ndim(arr) == 1 for arr in arrays.values())
+        assert all(arrays[key] is shared[key] for key in set(arrays) & set(shared))
         rel = pts - center
         d2 = np.sum(rel * rel, axis=1)
-        tangential = np.sum(pts * rel, axis=1) - np.sum(pts * nu, axis=1) * np.sum(nu * rel, axis=1)
-        np.testing.assert_allclose(arrays["pos"], (d2 + tangential) * w, rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(arrays["hpos"], d2 * surface.mu_arrays["hx"], rtol=1e-12, atol=1e-15)
+        if "pos" in arrays:
+            assert set(arrays) == {"mass", "h2", "sq", "hxc", "hx", "pos", "hpos"}
+            tangential = np.sum(pts * rel, axis=1) - np.sum(pts * nu, axis=1) * np.sum(nu * rel, axis=1)
+            np.testing.assert_allclose(arrays["pos"], (d2 + tangential) * w, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(arrays["hpos"], d2 * shared["hx"], rtol=1e-12, atol=1e-15)
+        else:
+            assert set(arrays) == {"mass", "h2", "sq", "hxc"}
+        np.testing.assert_allclose(arrays["hxc"], np.sum(h * rel, axis=1) * w, rtol=1e-12, atol=1e-15)
+        couplings.append(arrays["hxc"])
+    assert len({id(arr) for arr in couplings}) == len(couplings) == len(seen)
+    # the ball's two companion prefixes
+    assert sum("pos" in arrays for _, arrays in seen) == (0 if ambient == "halfspace" else 2)
     for x0, profile in zip(probes, profiles):
         _assert_same_profile(profile, mono.monotonicity_profile(sample_chart(chart, 32, 64), region, x0, GRID))
     with pytest.raises(ValueError):
@@ -204,3 +213,29 @@ def test_pair_residuals_do_not_depend_on_a_profile_first(stock, name):
             got = mono.monotonicity_identity_detail(surface, region, probe, sigma, rho, terms=after)["residual"]
             expect = mono.monotonicity_identity_detail(surface, region, probe, sigma, rho, terms=alone)["residual"]
             assert np.float64(got).tobytes() == np.float64(expect).tobytes(), (probe, sigma, rho)
+
+
+@pytest.mark.parametrize("ambient", ["halfspace", "ball"])
+def test_coupling_integrand_matches_the_contracted_form(ambient):
+    # hxc = H.(x - c) w restricted about c equals, to rounding, the
+    # reference form: H.x w and the three columns of H w restricted about c
+    # and contracted with c after every window, on both members of both
+    # ambients
+    if ambient == "halfspace":
+        mono, chart, x0 = hs, spherical_cap_halfspace(2 * np.pi / 3), np.array([0.3, -0.2, 0.5])
+    else:
+        mono, chart, x0 = bl, spherical_cap_ball(2 * np.pi / 3, np.pi / 3), np.array([0.2, 0.1, 0.4])
+    surface = sample_chart(chart, 32, 64)
+    terms = mono.probe_terms(surface, wetted_region(surface, grid_n=64, sphere_level=3), x0)
+    r = np.linspace(0.2, 2.5, 24)
+    w = terms.halfwidth(r)
+    hw = surface.mean_curvature * surface.weights[:, None]
+    keys = {"hx": surface.mu_arrays["hx"], **{f"h{k}": hw[:, k] for k in range(3)}}
+    members = ((terms.x0, (r, w), terms.q2), (terms.x0_hat, terms.hat(r, w), terms.q2h))
+    for center, (rc, wc), read in members:
+        old = RadialPrefix(surface.points, center, keys)
+        contracted = old.windowed_over_r2("hx", rc, wc) - sum(
+            old.windowed_over_r2(f"h{k}", rc, wc) * center[k] for k in range(3)
+        )
+        got = read("hxc", r, w)
+        assert np.max(np.abs(got - contracted)) <= 1e-12 * np.max(np.abs(contracted))

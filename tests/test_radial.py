@@ -18,7 +18,7 @@ def test_mixed_halfwidths_match_single_entries(rng, method):
     # an entry of halfwidth 0 reads the sharp value even when another entry
     # of the same call has a window
     points = rng.standard_normal((1000, 3))
-    prefix = RadialPrefix(points, np.zeros(3), {"mass": np.ones(1000), "pair": rng.uniform(0, 1, (1000, 2))})
+    prefix = RadialPrefix(points, np.zeros(3), {"mass": np.ones(1000), "pair": rng.uniform(0, 1, 1000)})
     r = np.array([1.0, 1.0, 0.4, 2.1, 1.7])
     w = np.array([0.0, 0.1, 0.0, 0.3, 0.0])
     for key in ("mass", "pair"):
@@ -31,6 +31,15 @@ def test_mixed_halfwidths_match_single_entries(rng, method):
     got = getattr(prefix, method)("mass", r, w)
     assert np.array_equal(got[w == 0], sharp[w == 0])
     assert np.all(got[w == 0] > 0)
+
+
+@pytest.mark.parametrize("shape", [(1000, 3), (1000, 1), (999,), ()], ids=["n-by-3", "n-by-1", "short", "scalar"])
+def test_keys_are_one_value_per_point(rng, shape):
+    # every key is one row of the block: a key of another shape, an (n, m)
+    # key among them, raises instead of being gathered
+    points = rng.standard_normal((1000, 3))
+    with pytest.raises(ValueError, match="one value per point"):
+        RadialPrefix(points, np.zeros(3), {"mass": np.ones(1000), "bad": np.ones(shape)})
 
 
 def _direct_windows(points, center, f, r, w):
@@ -46,11 +55,11 @@ def _direct_windows(points, center, f, r, w):
 
 
 def test_windows_match_direct_sums(rng):
-    # scalar and (n, 3) keys; their d- and 1/d-weighted prefixes are built
-    # on the first window that reads them
+    # two keys; their d- and 1/d-weighted prefixes are built on the first
+    # window that reads them
     points = rng.standard_normal((1000, 3))
     center = np.array([0.1, -0.2, 0.3])
-    arrays = {"mass": rng.uniform(0.5, 1.5, 1000), "vec": rng.uniform(0.5, 1.5, (1000, 3))}
+    arrays = {"mass": rng.uniform(0.5, 1.5, 1000), "other": rng.uniform(0.5, 1.5, 1000)}
     prefix = RadialPrefix(points, center, arrays)
     r = np.array([0.5, 1.0, 1.7, 2.5])
     w = np.array([0.05, 0.2, 0.3, 0.4])
@@ -62,7 +71,7 @@ def test_windows_match_direct_sums(rng):
 
 def test_window_reads_do_not_depend_on_order(rng):
     points = rng.standard_normal((1000, 3))
-    arrays = {"mass": rng.uniform(0.5, 1.5, 1000), "vec": rng.uniform(0.5, 1.5, (1000, 3))}
+    arrays = {"mass": rng.uniform(0.5, 1.5, 1000), "other": rng.uniform(0.5, 1.5, 1000)}
     r = np.array([0.5, 1.0, 1.7])
     w = np.array([0.05, 0.0, 0.3])
     first = RadialPrefix(points, np.zeros(3), arrays)
@@ -90,9 +99,9 @@ def _zero_led_cumsum(arr):
 
 @pytest.mark.parametrize("tied", [False, True])
 def test_block_prefixes_match_per_key_sums(rng, tied):
-    # 1-d keys and (n, m) keys with contiguous rows or contiguous columns:
-    # the order is the stable one, and every value, prefix and moment has
-    # the bits of a per-key gather and running sum
+    # contiguous keys and keys strided through a C- or Fortran-ordered
+    # (n, 3) array: the order is the stable one, and every value, prefix
+    # and moment has the bits of a per-key gather and running sum
     n = 3000
     if tied:
         points = rng.integers(-5, 6, (n, 3)).astype(float)
@@ -101,10 +110,10 @@ def test_block_prefixes_match_per_key_sums(rng, tied):
     center = np.array([0.5, 0.25, 0.0])
     arrays = {
         "mass": rng.uniform(0.5, 1.5, n),
-        "rows": rng.standard_normal((n, 3)),
-        "cols": np.asfortranarray(rng.standard_normal((n, 3))),
+        "rows": rng.standard_normal((n, 3))[:, 1],
+        "cols": np.asfortranarray(rng.standard_normal((n, 3)))[:, 2],
         "sq": rng.standard_normal(n),
-        "pair": rng.standard_normal((n, 2)),
+        "pair": rng.standard_normal((n, 2))[:, 0],
     }
     arrays["sq"][:5] = -0.0
     prefix = RadialPrefix(points, center, arrays)
@@ -119,7 +128,7 @@ def test_block_prefixes_match_per_key_sums(rng, tied):
         assert _same_bits(prefix.values[key], expect), key
         assert _same_bits(prefix._prefix[key], _zero_led_cumsum(expect)), key
         for power, scale in ((1, d[order]), (-1, 1.0 / np.maximum(d[order], 1e-12))):
-            scaled = expect * (scale if arr.ndim == 1 else scale[:, None])
+            scaled = expect * scale
             assert _same_bits(prefix._moment(key, power), _zero_led_cumsum(scaled)), (key, power)
 
 

@@ -66,3 +66,44 @@ def test_memory_bounds_reports_every_measured_command(tmp_path):
         assert float(peak) > 0 and float(seconds) > 0
     # the script leaves nothing in the directory it runs from
     assert not any(tmp_path.iterdir())
+
+
+def _write_profiles(directory, profiles):
+    directory.mkdir()
+    for name, rows in profiles.items():
+        (directory / name).write_text("".join(",".join(row) + "\n" for row in rows))
+
+
+def test_profile_diff_reports_each_column_and_refuses_other_layouts(tmp_path):
+    half = [["r", "g", "residual"], ["0.5", "2", "0"], ["1", "-4", "1e-12"]]
+    ball = [["r", "gTheta", "branch"], ["0.5", "1", "general"], ["1", "3", "general"]]
+    _write_profiles(tmp_path / "a", {"profile_000.csv": half, "profile_001.csv": ball})
+    moved = [["r", "g", "residual"], ["0.5", "2.5", "0"], ["1", "-4", "3e-12"]]
+    _write_profiles(tmp_path / "b", {"profile_000.csv": moved, "profile_001.csv": ball})
+    proc = _run_script("profile_diff.py", "a", "b", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "profile_000.csv r: abs 0.000e+00 rel 0.000e+00",
+        "profile_000.csv g: abs 5.000e-01 rel 2.000e-01",
+        "profile_000.csv residual: abs 2.000e-12 rel 6.667e-01",
+        "profile_001.csv r: abs 0.000e+00 rel 0.000e+00",
+        "profile_001.csv gTheta: abs 0.000e+00 rel 0.000e+00",
+        "profile_001.csv branch: text differs in 0 rows",
+        "all r: abs 0.000e+00 rel 0.000e+00",
+        "all g: abs 5.000e-01 rel 2.000e-01",
+        "all residual: abs 2.000e-12 rel 6.667e-01",
+        "all gTheta: abs 0.000e+00 rel 0.000e+00",
+    ]
+    # another file set, header, row count or text entry exits 1 and names the file
+    edits = {
+        "files": {"profile_000.csv": half, "profile_001.csv": ball, "profile_002.csv": half},
+        "header": {"profile_000.csv": [["r", "G", "residual"]] + half[1:], "profile_001.csv": ball},
+        "rows": {"profile_000.csv": half[:2], "profile_001.csv": ball},
+        "text": {"profile_000.csv": half, "profile_001.csv": ball[:2] + [["1", "3", "origin"]]},
+    }
+    for edit, profiles in edits.items():
+        _write_profiles(tmp_path / edit, profiles)
+        proc = _run_script("profile_diff.py", "a", edit, cwd=tmp_path)
+        assert proc.returncode == 1, edit
+        assert "profile_00" in proc.stderr, edit
+    assert _run_script("profile_diff.py", "a", "missing", cwd=tmp_path).returncode == 2

@@ -529,10 +529,11 @@ def test_ball_probe_terms_and_profile_memory_per_sample(stock):
     # the traced peak of one ball probe's terms and profile, per sample of
     # the 96 x 256 cap (24,576 samples), with the surface's shared arrays
     # and the wetted nodes built beforehand.  Measured with numpy 2.4:
-    # 467 B per sample.  When the companion prefix carried the six
-    # probe-independent inversion keys (12 rows, their prefixes and
-    # moments) instead of its two per-probe integrands it read 804 B.  The
-    # bound is 560 B, 20 % above the measured figure.
+    # 339 B per sample.  When each prefix restricted H.x w and the three
+    # columns of H w, contracted with the center after every window,
+    # instead of one coupling row per center it read 467 B, and 804 B when
+    # the companion prefix also carried the six probe-independent
+    # inversion keys.  The bound is 410 B, 21 % above the measured figure.
     from capmono import ball
 
     surface, region = stock.capball(2 * np.pi / 3, np.pi / 3)
@@ -544,7 +545,28 @@ def test_ball_probe_terms_and_profile_memory_per_sample(stock):
         terms = ball.probe_terms(surface, region, x0)
         ball.monotonicity_profile(surface, region, x0, np.linspace(0.25, 4.0, 40), terms=terms)
 
-    assert _traced_peak(build) < 560 * len(surface.points)
+    assert _traced_peak(build) < 410 * len(surface.points)
+
+
+def test_halfspace_probe_terms_and_profile_memory_per_sample(stock):
+    # the half-space twin of the ball figure: one probe's terms and
+    # profile per sample of the 128 x 128 cap on a 64^2 plane grid, with
+    # the shared arrays and the wetted nodes built beforehand.  Measured
+    # with numpy 2.4: 290 B per sample; with H.x w and the three columns
+    # of H w in both prefixes instead of one coupling row per center it
+    # read 386 B.  The bound is 350 B, 21 % above the measured figure.
+    from capmono import halfspace
+
+    surface, region = stock.cap(2 * np.pi / 3, res=128, grid=64)
+    surface.mu_arrays
+    region.wetted_nodes()
+    x0 = [0.3, -0.2, 0.5]
+
+    def build():
+        terms = halfspace.probe_terms(surface, region, x0)
+        halfspace.monotonicity_profile(surface, region, x0, np.linspace(0.25, 4.0, 40), terms=terms)
+
+    assert _traced_peak(build) < 350 * len(surface.points)
 
 
 def test_sphere_grid_build_memory_is_bounded(stock):
