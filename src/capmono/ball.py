@@ -29,6 +29,7 @@ from .identity import (
     PairTerms,
     ProbeTerms,
     Profile,
+    Term,
     center_arrays,
     center_offsets,
     identity_detail,
@@ -51,11 +52,44 @@ def _projection(nodes: np.ndarray, rel: np.ndarray, d2: np.ndarray) -> np.ndarra
     return (rowdot(rel, nodes) / np.maximum(d2, 1e-300)) ** 2
 
 
+# The ball identity, one row per term (see identity.Term).  The hat
+# member is g about the inverted center xi plus the inversion's position
+# corrections (the ``pos`` and ``hpos`` keys of _BallTerms.hat_arrays), the
+# H.x and mass terms, and the wetted corrections on the sphere.  Every
+# 1/r^2-weighted restriction is averaged as the whole term M(s)/s^2; with
+# s = d0 u the hat terms d0^2 M(u)/(pi s^2) become M(u)/(pi u^2), so the
+# d0^2 prefactors cancel.  The free-boundary pair is the mu and mu_hat
+# rows of g and g_hat.
+_TABLE = (
+    #    member         source     key      over_r2  coeff               remainder
+    Term("g",           "mu",      "mass",  True,    1 / np.pi),
+    Term("g",           "mu",      "h2",    False,   1 / (16 * np.pi)),
+    Term("g",           "mu",      "hxc",   True,    1 / (2 * np.pi),    True),
+    Term("g",           "eta",     "mass",  True,    -1 / np.pi),
+    Term("g_hat",       "mu_hat",  "mass",  True,    1 / np.pi),
+    Term("g_hat",       "mu_hat",  "h2",    False,   1 / (16 * np.pi)),
+    Term("g_hat",       "mu_hat",  "hxc",   True,    1 / (2 * np.pi),    True),
+    Term("g_hat",       "mu_hat",  "pos",   True,    -1 / np.pi,         True),
+    Term("g_hat",       "mu_hat",  "hpos",  True,    -1 / (2 * np.pi),   True),
+    Term("g_hat",       "mu_hat",  "hx",    False,   1 / (2 * np.pi),    True),
+    Term("g_hat",       "mu_hat",  "mass",  False,   1 / np.pi,          True),
+    Term("g_hat",       "eta_hat", "mass",  True,    -1 / np.pi),
+    Term("g_hat",       "eta_hat", "dist2", True,    1 / np.pi,          True),
+    Term("g_hat",       "eta_hat", "mass",  False,   -1 / np.pi,         True),
+    Term("square",      "mu",      "sq",    False,   1 / np.pi),
+    Term("square_hat",  "mu_hat",  "sq",    False,   1 / np.pi),
+    Term("deficit",     "eta",     "proj",  False,   -1 / np.pi),
+    Term("deficit_hat", "eta_hat", "proj",  False,   -1 / np.pi),
+)
+_FREE_ROWS = tuple(row for row in _TABLE if row.member in ("g", "g_hat") and row.source in ("mu", "mu_hat"))
+
+
 class _BallTerms(PairTerms):
     """Prefix sums of every integrand of the ball identity at one base point."""
 
     SIGN = -1
     BRANCH = GENERAL
+    TABLE = _TABLE
 
     def __init__(self, surface: SampledSurface, region: Optional[WettedRegion], probe):
         if surface.ambient.kind != BALL:
@@ -96,84 +130,6 @@ class _BallTerms(PairTerms):
         tangential = rowdot(pts, rel) - rowdot(pts, nu) * rowdot(nu, rel)
         return {"hx": hx, "pos": (r2 + tangential) * surface.weights, "hpos": r2 * hx}
 
-    # -- members of the pair -----------------------------------------------------
-    #
-    # every 1/r^2-weighted restriction is averaged as the whole term
-    # M(s)/s^2; with s = d0 u the hat terms d0^2 M(u)/ (pi s^2) become
-    # M(u)/(pi u^2), so the d0^2 prefactors cancel against q2h
-
-    def _inversion(self, r, w):
-        """Position corrections of the inverted member.
-
-        Returns the ``pos`` term over pi and the ``hpos`` term over 2 pi
-        (:meth:`hat_arrays`), the |x - xi|^2 and H.x-weighted terms the
-        inversion adds to the hat member.
-        """
-        return self.q2h("pos", r, w) / np.pi, self.q2h("hpos", r, w) / (2 * np.pi)
-
-    def free_pair(self, r):
-        """(g, g_hat) without wetted-measure corrections (vectorized in r)."""
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        w = self.halfwidth(r)
-        g = self.q2("mass", r, w) / np.pi + self.q("h2", r, w) / (16 * np.pi) + self.coupling(r, w)
-        g_at_xi = (
-            self.q2h("mass", r, w) / np.pi
-            + self.qh("h2", r, w) / (16 * np.pi)
-            + self.coupling_hat(r, w)
-        )
-        position, curvature = self._inversion(r, w)
-        g_hat = (
-            g_at_xi
-            - position
-            - curvature
-            + self.qh("hx", r, w) / (2 * np.pi)
-            + self.qh("mass", r, w) / np.pi
-        )
-        return g, g_hat
-
-    def pair(self, r):
-        """(g_theta, g_hat_theta): the pair with wetted-measure corrections."""
-        if self.eta is None:
-            raise GeometryError("capillary pair needs a wetted region")
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        w = self.halfwidth(r)
-        g, g_hat = self.free_pair(r)
-        ct = np.cos(self.theta)
-        r_hat, w_hat = self.hat(r, w)
-        g_theta = g - ct * self.eta.windowed_over_r2("mass", r, w) / np.pi
-        g_hat_theta = (
-            g_hat
-            - ct * self.eta_hat.windowed_over_r2("mass", r_hat, w_hat) / np.pi
-            + ct * self.eta_hat.windowed_over_r2("dist2", r_hat, w_hat) / np.pi
-            - ct * self.eta_hat.windowed("mass", r_hat, w_hat) / np.pi
-        )
-        return g_theta, g_hat_theta
-
-    def remainder(self, r):
-        """The position-coupling remainder of the capillary pair."""
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        w = self.halfwidth(r)
-        r_hat, w_hat = self.hat(r, w)
-        position, curvature = self._inversion(r, w)
-        rem = self.coupling(r, w) + self.coupling_hat(r, w) - position - curvature
-        ct = np.cos(self.theta)
-        return (
-            rem
-            + ct * self.eta_hat.windowed_over_r2("dist2", r_hat, w_hat) / np.pi
-            - ct * self.eta_hat.windowed("mass", r_hat, w_hat) / np.pi
-            + self.qh("hx", r, w) / (2 * np.pi)
-            + self.qh("mass", r, w) / np.pi
-        )
-
-    def deficits(self, r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        w = self.halfwidth(r)
-        ct = np.cos(self.theta)
-        return (
-            -ct / np.pi * self.eta.windowed("proj", r, w),
-            -ct / np.pi * self.eta_hat.windowed("proj", *self.hat(r, w)),
-        )
-
 
 # -- public operations -------------------------------------------------------
 
@@ -185,8 +141,8 @@ def free_boundary_radial_pair(surface: SampledSurface, x0, r: float):
     inverted companion of x0, so at the origin (|x0| < 1e-12) it raises
     NoHatBallError.  The origin branch has no wetted-free variant.
     """
-    g, g_hat = _BallTerms(surface, None, x0).free_pair(float(r))
-    return float(g[0]), float(g_hat[0])
+    members = _BallTerms(surface, None, x0).members(float(r), _FREE_ROWS)
+    return float(members["g"][0]), float(members["g_hat"][0])
 
 
 def capillary_radial_pair(surface: SampledSurface, region: WettedRegion, x0, r: float):
@@ -242,34 +198,32 @@ class _OriginTerms(ProbeTerms):
         hi = np.maximum(hi, lo + 1e-12)
         return lo, hi
 
-    def pair(self, r):
-        """g_0 and the boundary-measure hat member, averaged on the window.
+    def members(self, r) -> dict:
+        """g_0, the boundary-measure hat member, the square and R on the window.
 
         The uniform average of min(s^-2, 1) over [a, b] is
-        [(min(b,1) - min(a,1)) + 1/max(a,1) - 1/max(b,1)] / (b - a).
+        [(min(b,1) - min(a,1)) + 1/max(a,1) - 1/max(b,1)] / (b - a).  The
+        companion square and both deficits are zeros.
         """
         a, b = self.window(r)
+        coupling = self.mu.bounds_average("hxc", a, b, over_r2=True) / (2 * np.pi)
         g = (
             self.mu.bounds_average("mass", a, b, over_r2=True) / np.pi
             + self.mu.bounds_average("h2", a, b) / (16 * np.pi)
-            + self.mu.bounds_average("hxc", a, b, over_r2=True) / (2 * np.pi)
+            + coupling
         )
         coeff = -np.sin(self.surface.theta) * self.surface.boundary_length() / (2 * np.pi)
         integral = (np.minimum(b, 1.0) - np.minimum(a, 1.0)) + 1.0 / np.maximum(a, 1.0) - 1.0 / np.maximum(b, 1.0)
-        return g, coeff * (integral / np.maximum(b - a, 1e-300))
-
-    def squares(self, r):
-        lo, hi = self.window(r)
-        sq = self.mu.bounds_average("sq", lo, hi) / np.pi
-        return sq, np.zeros(len(sq))
-
-    def deficits(self, r):
-        zeros = np.zeros(len(np.atleast_1d(r)))
-        return zeros, zeros
-
-    def remainder(self, r):
-        lo, hi = self.window(r)
-        return self.mu.bounds_average("hxc", lo, hi, over_r2=True) / (2 * np.pi)
+        zeros = np.zeros(len(a))
+        return {
+            "g": g,
+            "g_hat": coeff * (integral / np.maximum(b - a, 1e-300)),
+            "square": self.mu.bounds_average("sq", a, b) / np.pi,
+            "square_hat": zeros,
+            "deficit": zeros,
+            "deficit_hat": zeros,
+            "remainder": coupling,
+        }
 
     def identity_terms(self, sigma: float, rho: float) -> dict:
         """The increments of g + g_hat (as ``delta_g``) and of the square; the rest are 0.
@@ -277,11 +231,10 @@ class _OriginTerms(ProbeTerms):
         The pair enters as one term, so the normalizing scale is the larger
         of the two increments, not of g's and g_hat's apart.
         """
-        r = np.array([sigma, rho])
+        members = self.members(np.array([sigma, rho]))
         terms = dict.fromkeys(TERM_KEYS, 0.0)
-        g, g_hat = self.pair(r)
-        terms["delta_g"] = float(np.diff(g + g_hat)[0])
-        terms["square"] = float(np.diff(self.squares(r)[0])[0])
+        terms["delta_g"] = float(np.diff(members["g"] + members["g_hat"])[0])
+        terms["square"] = float(np.diff(members["square"])[0])
         return terms
 
 

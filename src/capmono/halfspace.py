@@ -20,6 +20,7 @@ from .geometry import HALFSPACE
 from .identity import (
     PairTerms,
     Profile,
+    Term,
     identity_detail,
     identity_profile,
     surface_variation,
@@ -56,11 +57,37 @@ def _wetted_deficit(d2: np.ndarray, a3) -> np.ndarray:
     return np.divide(a3**2, out, out=out)
 
 
+# The half-space identity, one row per term (see identity.Term).  Plane
+# nodes are equidistant from a and its reflection, so eta(B_r(a)) equals
+# eta of the reflected ball: one restriction, read at the direct radius,
+# serves both members' eta rows.  Every 1/r^2-weighted restriction is
+# averaged as the whole term M(s)/s^2 so the radius averaging commutes
+# with the identity.  Assembling the first variation and dividing by
+# 2 pi gives the deficit coefficient -cos(theta)/pi per ball, the
+# normalization the ball identity carries as well.
+_TABLE = (
+    #    member         source    key        over_r2  coeff               remainder
+    Term("g",           "mu",     "mass",    True,    1 / np.pi),
+    Term("g",           "eta",    "mass",    True,    -1 / np.pi),
+    Term("g",           "mu",     "h2",      False,   1 / (16 * np.pi)),
+    Term("g",           "mu",     "hxc",     True,    1 / (2 * np.pi),    True),
+    Term("g_hat",       "mu_hat", "mass",    True,    1 / np.pi),
+    Term("g_hat",       "eta",    "mass",    True,    -1 / np.pi),
+    Term("g_hat",       "mu_hat", "h2",      False,   1 / (16 * np.pi)),
+    Term("g_hat",       "mu_hat", "hxc",     True,    1 / (2 * np.pi),    True),
+    Term("square",      "mu",     "sq",      False,   1 / np.pi),
+    Term("square_hat",  "mu_hat", "sq",      False,   1 / np.pi),
+    Term("deficit",     "eta",    "deficit", False,   -1 / np.pi),
+    Term("deficit_hat", "eta",    "deficit", False,   -1 / np.pi),
+)
+
+
 class _Terms(PairTerms):
     """Prefix sums of every integrand the identity needs, at one base point."""
 
     SIGN = 1
     BRANCH = None
+    TABLE = _TABLE
 
     def __init__(self, surface: SampledSurface, region: WettedRegion, probe):
         if surface.ambient.kind != HALFSPACE:
@@ -70,59 +97,12 @@ class _Terms(PairTerms):
         nodes, _ = region.wetted_nodes()
         d2 = _plane_distances2(nodes, a)
         deficit = _wetted_deficit(d2, a[2])
-        # eta(B_r(a)) = eta(B_hat_r(a)): plane nodes are equidistant from a
-        # and its reflection, so a single restriction serves both balls
         self.eta = BallRestrictedEta(region, a, {"deficit": deficit}, d2=d2)
-
-    def pair(self, r):
-        """The radial ratio pair (g, g_hat) at radius r (vectorized).
-
-        Every 1/r^2-weighted restriction is averaged as the whole term
-        M(s)/s^2 so the radius averaging commutes with the identity.
-        """
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        w = self.halfwidth(r)
-        ct = np.cos(self.theta)
-        eta_ratio = self.eta.windowed_over_r2("mass", r, w)
-        g = (
-            (self.q2("mass", r, w) - ct * eta_ratio) / np.pi
-            + self.q("h2", r, w) / (16 * np.pi)
-            + self.coupling(r, w)
-        )
-        g_hat = (
-            (self.q2h("mass", r, w) - ct * eta_ratio) / np.pi
-            + self.qh("h2", r, w) / (16 * np.pi)
-            + self.coupling_hat(r, w)
-        )
-        return g, g_hat
-
-    def remainder(self, r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        w = self.halfwidth(r)
-        return (self.q2("hxc", r, w) + self.q2h("hxc", r, w)) / (2 * np.pi)
-
-    def deficits(self, r):
-        """Cumulative wetted deficit terms of the two balls, averaged.
-
-        Assembling the first variation and dividing by 2*pi gives the
-        coefficient -(cos(theta)/pi) per ball, the normalization the
-        ball-configuration identity carries as well.  Both balls share the
-        one eta restriction, so the two terms are equal.
-        """
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        w = self.halfwidth(r)
-        dfc = -np.cos(self.theta) / np.pi * self.eta.windowed("deficit", r, w)
-        return dfc, dfc
 
     def doubling_ratio_max(self, r_grid) -> float:
         """Largest crude mass-ratio doubling ratio over a sorted grid (<= 1 when it applies)."""
-        ct = np.cos(self.theta)
-        w_grid = self.halfwidth(r_grid)
-        lhs_ratio = (
-            self.q2("mass", r_grid, w_grid)
-            + self.q2h("mass", r_grid, w_grid)
-            - 2 * ct * self.eta.windowed_over_r2("mass", r_grid, w_grid)
-        ) / np.pi
+        masses = self.members(r_grid, [row for row in self.TABLE if row.key == "mass"])
+        lhs_ratio = masses["g"] + masses["g_hat"]
         w_tot = float(self.mu.cumulative("h2", np.inf))
         bound = 3.0 * lhs_ratio + 9.0 / (8.0 * np.pi) * w_tot
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -9,26 +9,48 @@ radius r / divisor about the reflected or inverted center.
 
 This module holds what the ambients share: the base-point nudge, the
 integrands restricted about each center, one radius window for every
-term, the probe terms protocol, the profile record, the front end of the
-identity detail and the profile, and the surface terms of the first
-variation.  Each ambient module keeps its own pair, remainder and
-deficit terms.
+term, the :class:`Term` rows and their one evaluator, the probe terms
+protocol, the profile record, the front end of the identity detail and
+the profile, and the surface terms of the first variation.  Each ambient
+module states its identity once, as a table of :class:`Term` rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
+from .errors import GeometryError
 from .fields import TestVectorField
 from .geometry import companion, rowdot, rownorm
 from .surfaces import SampledSurface
 
 _OFFSET = 1e-6
 
+MEMBERS = ("g", "g_hat", "square", "square_hat", "deficit", "deficit_hat")
 TERM_KEYS = ("delta_g", "delta_g_hat", "square", "square_hat", "deficit", "deficit_hat")
+
+
+class Term(NamedTuple):
+    """One row of an ambient's identity table.
+
+    The row adds ``coeff`` times the radius average of ``key``'s cumulative
+    on ``source`` (of the cumulative over s^2 when ``over_r2``) to
+    ``member``, one of :data:`MEMBERS`.  The sources are the sample
+    prefixes ``mu`` and ``mu_hat`` and the wetted restrictions ``eta`` and
+    ``eta_hat``; a hat source is read at the companion's radius and window,
+    and an η row's coefficient is multiplied by cos(theta).  The rows
+    marked ``remainder`` sum to the profile's R.
+    """
+
+    member: str
+    source: str
+    key: str
+    over_r2: bool
+    coeff: float
+    remainder: bool = False
 
 
 def nudge_off_samples(surface: SampledSurface, a: np.ndarray) -> np.ndarray:
@@ -161,31 +183,32 @@ class ProbeTerms:
     """The restriction state of one probe, the one interface of every branch.
 
     A subclass declares ``SIGN`` (the :func:`assemble` sign) and ``BRANCH``
-    (the profile's and the detail's branch label) and supplies ``pair``,
-    ``squares`` and ``deficits`` (each a direct and a companion member),
-    ``remainder`` and ``base_point``.  ``surface`` and ``probe`` (the raw
-    base point) name the probe the state was built for.
+    (the profile's and the detail's branch label) and supplies
+    ``members``, which maps each of :data:`MEMBERS` and ``"remainder"`` to
+    its values over the radii, and ``base_point``.  ``surface`` and
+    ``probe`` (the raw base point) name the probe the state was built for.
     """
 
     SIGN: int
     BRANCH: Optional[str]
 
+    def pair(self, r):
+        """The radial pair (g, g_hat) over the radii."""
+        members = self.members(r)
+        return members["g"], members["g_hat"]
+
     def identity_terms(self, sigma: float, rho: float) -> dict:
         """Increments over [sigma, rho] of the pair, squares and deficits."""
-        r = np.array([sigma, rho])
-        members = (*self.pair(r), *self.squares(r), *self.deficits(r))
-        return {key: float(np.diff(v)[0]) for key, v in zip(TERM_KEYS, members)}
+        members = self.members(np.array([sigma, rho]))
+        return {key: float(np.diff(members[m])[0]) for key, m in zip(TERM_KEYS, MEMBERS)}
 
     def profile(self, r_grid) -> Profile:
         """The pair, remainder, deficits and identity residual over a sorted grid."""
-        g, g_hat = self.pair(r_grid)
-        big_g = g + g_hat
-        remainder = self.remainder(r_grid)
-        sq_direct, sq_hat = self.squares(r_grid)
-        dfc_direct, dfc_hat = self.deficits(r_grid)
-        dfc = dfc_direct + dfc_hat
-        residual = profile_residual(big_g, sq_direct + sq_hat, dfc)
-        return Profile(self.base_point, r_grid, g, g_hat, big_g, remainder, dfc, residual, self.BRANCH)
+        m = self.members(r_grid)
+        big_g = m["g"] + m["g_hat"]
+        dfc = m["deficit"] + m["deficit_hat"]
+        residual = profile_residual(big_g, m["square"] + m["square_hat"], dfc)
+        return Profile(self.base_point, r_grid, m["g"], m["g_hat"], big_g, m["remainder"], dfc, residual, self.BRANCH)
 
 
 def identity_detail(build, surface: SampledSurface, region, a, sigma: float, rho: float, terms=None) -> dict:
@@ -217,12 +240,13 @@ class PairTerms(ProbeTerms):
     ``perfbench/tracing.py`` does) sees every construction.  Each prefix
     restricts the :func:`center_arrays` about its own center, one row per
     key, and the companion prefix adds the ambient's ``hat_arrays``, built
-    from the same offsets.
-    Hat reads (``qh``, ``q2h``) take the direct radius and window and
-    divide both by the divisor (``hat``).  Subclasses supply ``pair``,
-    ``remainder`` and ``deficits``; the base point is ``x0``, the probe
-    nudged off the samples.
+    from the same offsets.  Subclasses declare the identity as ``TABLE``,
+    a tuple of :class:`Term` rows, and build the η restrictions the rows
+    read (``eta``, and ``eta_hat`` where the companion needs its own); the
+    base point is ``x0``, the probe nudged off the samples.
     """
+
+    TABLE: tuple
 
     def __init__(self, surface: SampledSurface, probe, prefix):
         self.surface = surface
@@ -261,34 +285,31 @@ class PairTerms(ProbeTerms):
         w = np.maximum(self.mu.auto_halfwidth(r), s * self.mu_hat.auto_halfwidth(r / s))
         return np.minimum(w, 0.9 * r)
 
-    def q(self, key, r, w):
-        return self.mu.windowed(key, r, w)
+    def members(self, r, rows=None) -> dict:
+        """Each member of the identity and the remainder over the radii.
 
-    def q2(self, key, r, w):
-        return self.mu.windowed_over_r2(key, r, w)
-
-    def hat(self, r, w):
-        """The companion's radius and window for the direct r and w."""
-        return r / self.divisor, w / self.divisor
-
-    def qh(self, key, r, w):
-        return self.mu_hat.windowed(key, *self.hat(r, w))
-
-    def q2h(self, key, r, w):
-        # avg_s M(s/d)/s^2 = avg_u M(u)/u^2 / d^2 : returned WITHOUT the
-        # 1/d^2, i.e. this is avg of M(u)/u^2 in the hat radius u = s/d
-        return self.mu_hat.windowed_over_r2(key, *self.hat(r, w))
-
-    def coupling(self, r, w):
-        """Curvature-position coupling int H.(x - x0) / (2 pi s^2), averaged."""
-        return self.q2("hxc", r, w) / (2 * np.pi)
-
-    def coupling_hat(self, r, w):
-        """The coupling about the companion center, in the hat radius."""
-        return self.q2h("hxc", r, w) / (2 * np.pi)
-
-    def squares(self, r):
-        """Cumulative square integrals for the direct and companion balls."""
+        Sums ``rows`` (the whole ``TABLE`` by default) into the members of
+        :data:`MEMBERS` and the rows marked ``remainder`` into
+        ``"remainder"``; a member no row feeds is zero.  The window is
+        computed once, and each (source, key, over_r2) is read once: a hat
+        source at the companion radius r / divisor and window w / divisor.
+        """
         r = np.atleast_1d(np.asarray(r, dtype=float))
         w = self.halfwidth(r)
-        return self.q("sq", r, w) / np.pi, self.qh("sq", r, w) / np.pi
+        hat = (r / self.divisor, w / self.divisor)
+        ct = np.cos(self.theta)
+        out = {name: np.zeros(len(r)) for name in (*MEMBERS, "remainder")}
+        reads: dict = {}
+        for row in self.TABLE if rows is None else rows:
+            at = (row.source, row.key, row.over_r2)
+            if at not in reads:
+                prefix = getattr(self, row.source)
+                if prefix is None:
+                    raise GeometryError("capillary pair needs a wetted region")
+                read = prefix.windowed_over_r2 if row.over_r2 else prefix.windowed
+                reads[at] = read(row.key, *(hat if row.source.endswith("_hat") else (r, w)))
+            term = (row.coeff * ct if row.source.startswith("eta") else row.coeff) * reads[at]
+            out[row.member] += term
+            if row.remainder:
+                out["remainder"] += term
+        return out

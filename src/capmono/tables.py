@@ -69,7 +69,7 @@ _READ_BLOCK = 1 << 16
 # the rest of the header (see _header)
 _MAGIC = b"CAPMCMP2"
 _BODY = np.dtype("<f8")
-# the winding is stored as int8 (a grid winding past its range is not stored)
+# the winding is stored as int8 (a region never hands over a winding past its range)
 _GRID_BODY = (np.dtype("i1"), np.dtype("<i8"), _BODY)
 GRID_COMPANION = "wetted_grid.bin"
 PAIR_RESIDUALS = "pair_residuals.bin"
@@ -299,8 +299,9 @@ class GridCompanion:
     ``load`` returns the stored windings only when the companion holds them
     for the region's key, and None otherwise, the winding as the int8 it is
     stored as; ``save`` replaces the file whole, and a failed write is
-    ignored (see ``_write_companion``).  The winding is stored as int8, so
-    a grid with a winding outside [-128, 127] is not stored at all, and
+    ignored (see ``_write_companion``).  The winding is stored as int8:
+    the region hands over only a winding it could compact to int8, so a
+    grid with a winding outside [-128, 127] is not stored at all, and
     every command builds it afresh.
     """
 
@@ -330,10 +331,13 @@ class GridCompanion:
         return wind, cells.astype(np.int64, copy=False), values.astype(float, copy=False)
 
     def save(self, region: WettedRegion, wind: np.ndarray, cells: np.ndarray, values: np.ndarray) -> None:
-        """Write the windings of ``region``'s grid, unless a winding overflows int8."""
-        bounds = np.iinfo(_GRID_BODY[0])
-        if len(wind) and (wind.min() < bounds.min or wind.max() > bounds.max):
-            return
+        """Write the windings of ``region``'s grid; the winding must be int8.
+
+        The region compacts its winding to int8 when every value fits and
+        hands over only such grids, so no range is checked here.
+        """
+        if wind.dtype != _GRID_BODY[0]:
+            raise TypeError(f"the grid companion stores an int8 winding, not {wind.dtype}")
         try:
             key = self._key(region)
         except OSError:

@@ -311,9 +311,10 @@ class WettedRegion:
     curve).
 
     ``store``, when given, keeps the expensive part of the grid between
-    processes: ``store.load(region)`` returns the integer winding, the
-    antialiased band's cell indices and their values, or None;
-    ``store.save(region, wind, cells, values)`` keeps them.  The
+    processes: ``store.load(region)`` returns the integer winding (int8),
+    the antialiased band's cell indices and their values, or None;
+    ``store.save(region, wind, cells, values)`` keeps them, and is handed
+    only a grid whose winding fits int8.  The
     first ``grid()`` call asks it, so a region whose grid is never needed
     never touches it.
 
@@ -432,9 +433,10 @@ class WettedRegion:
         grid companion stores it), and the band's cell indices and
         antialiased values beside it; on the plane the fourth entry is
         ``(xs, ys, cell_area)`` of ``plane_axes``, on the sphere None.  The
-        windings come from the store when it holds them, and are built and
-        handed to it otherwise.  Built on the first call, under the cache
-        key ``"grid"``.
+        windings come from the store when it holds them, and are built
+        otherwise; a built grid is handed to the store only when its
+        winding is int8, so the store never sees another.  Built on the
+        first call, under the cache key ``"grid"``.
         """
         if "grid" not in self._cache:
             axes = mesh = None
@@ -445,13 +447,13 @@ class WettedRegion:
             stored = None if self.store is None else self.store.load(self)
             if stored is None:
                 if self.wetting == PLANE:
-                    stored = self._plane_winding(*axes[:2])
+                    wind, cells, values = self._plane_winding(*axes[:2])
                 else:
-                    stored = self._sphere_winding(*mesh)
-                if self.store is not None:
+                    wind, cells, values = self._sphere_winding(*mesh)
+                stored = (_compact_winding(wind), cells, values)
+                if self.store is not None and stored[0].dtype == np.int8:
                     self.store.save(self, *stored)
-            wind, cells, values = stored
-            self._cache["grid"] = (_compact_winding(wind), cells, values, axes)
+            self._cache["grid"] = (*stored, axes)
         return self._cache["grid"]
 
     def plane_cell_area(self) -> float:

@@ -78,9 +78,9 @@ def test_origin_detail_scale_is_the_larger_increment(stock):
     surface, region = stock.capball(2 * np.pi / 3, np.pi / 3)
     terms = bl.probe_terms(surface, region, np.zeros(3))
     r = np.array([0.2, 1.5])
-    g, g_hat = terms.pair(r)
-    d_pair = float(np.diff(g + g_hat)[0])
-    d_square = float(np.diff(terms.squares(r)[0])[0])
+    members = terms.members(r)
+    d_pair = float(np.diff(members["g"] + members["g_hat"])[0])
+    d_square = float(np.diff(members["square"])[0])
     detail = bl.monotonicity_identity_detail(surface, region, np.zeros(3), *r, terms=terms)
     assert detail["branch"] == bl.ORIGIN
     assert detail["residual"] == d_square - d_pair

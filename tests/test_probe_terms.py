@@ -229,13 +229,22 @@ def test_coupling_integrand_matches_the_contracted_form(ambient):
     terms = mono.probe_terms(surface, wetted_region(surface, grid_n=64, sphere_level=3), x0)
     r = np.linspace(0.2, 2.5, 24)
     w = terms.halfwidth(r)
+    d = terms.divisor
     hw = surface.mean_curvature * surface.weights[:, None]
     keys = {"hx": surface.mu_arrays["hx"], **{f"h{k}": hw[:, k] for k in range(3)}}
-    members = ((terms.x0, (r, w), terms.q2), (terms.x0_hat, terms.hat(r, w), terms.q2h))
-    for center, (rc, wc), read in members:
+    members = ((terms.x0, (r, w), terms.mu), (terms.x0_hat, (r / d, w / d), terms.mu_hat))
+    couplings = []
+    for center, (rc, wc), prefix in members:
         old = RadialPrefix(surface.points, center, keys)
         contracted = old.windowed_over_r2("hx", rc, wc) - sum(
             old.windowed_over_r2(f"h{k}", rc, wc) * center[k] for k in range(3)
         )
-        got = read("hxc", r, w)
+        got = prefix.windowed_over_r2("hxc", rc, wc)
         assert np.max(np.abs(got - contracted)) <= 1e-12 * np.max(np.abs(contracted))
+        couplings.append(contracted / (2 * np.pi))
+    # the evaluator's coupling rows are those two reads over 2 pi
+    rows = [row for row in terms.TABLE if row.key == "hxc"]
+    assert [row.member for row in rows] == ["g", "g_hat"]
+    got = terms.members(r, rows)
+    for member, expect in zip(("g", "g_hat"), couplings):
+        assert np.max(np.abs(got[member] - expect)) <= 1e-12 * np.max(np.abs(expect))

@@ -626,10 +626,21 @@ def test_grid_winding_past_int8_is_rebuilt_not_stored(tmp_path, monkeypatch, cop
     store = tables.GridCompanion(tmp_path / tables.GRID_COMPANION)
     region = replace(_stacked_circles(copies, ccw), store=store)
     expect = replace(region, store=None).grid()
+    # the region compacts the winding and hands the store only an int8 one
+    handed = []
+    save = tables.GridCompanion.save
+    monkeypatch.setattr(
+        tables.GridCompanion, "save", lambda self, r, wind, *band: handed.append(wind.dtype) or save(self, r, wind, *band)
+    )
     got = region.grid()
     _assert_same_grid(got, expect)
     assert np.max(np.abs(got[2])) == copies
     stored = -128 <= copies * (1 if ccw else -1) <= 127
+    assert handed == ([np.dtype(np.int8)] if stored else [])
+    assert store.path.exists() == stored
+    # and the store writes nothing but an int8 winding
+    with pytest.raises(TypeError, match="int8"):
+        save(store, region, got[2], np.zeros(0, dtype=np.int64), np.zeros(0))
     assert store.path.exists() == stored
     builds = _counting_builds(monkeypatch)
     _assert_same_grid(replace(region).grid(), expect)
