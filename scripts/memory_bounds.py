@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Peak memory and wall time of the largest runs a configuration may ask for.
 
-``tables.MAX_PLANE_GRID``, ``MAX_SPHERE_LEVEL`` and ``MAX_NU_NV`` bound
-the wetted grids and chart resolutions so that a single run's peak memory
-stays under about 1 GB.  For each bound this script takes the benchmark
+``tables.MAX_SPHERE_LEVEL`` and ``MAX_NU_NV`` bound the sphere's wetted
+grid and the chart resolutions so that a single run's peak memory stays
+under about 1 GB.  For each bound this script takes the benchmark
 config of a workload (``perfbench/workloads.py``, imported, not edited),
 raises that one quadrature setting to the bound, runs ``generate`` and
 then ``energy`` and ``monotonicity`` through the ``capmono`` command line
@@ -12,10 +12,10 @@ command's exit code, peak RSS (``os.wait4``) and wall time:
 
     python3 scripts/memory_bounds.py --seed 1
 
-The cases are ``probe-sweep`` at the largest plane grid, ``ball-cap`` at
-the largest sphere level, and ``ball-cap`` and ``halfspace-cap`` at the
-largest ``nu = nv``.  ``--plane-grid``, ``--sphere-level`` and ``--nu-nv``
-override the resolutions (a tiny override makes a smoke run).  The
+The cases are ``probe-sweep``, ``ball-cap`` and ``halfspace-cap`` at the
+largest ``nu = nv``, and ``ball-cap`` at the largest sphere level.
+``--sphere-level`` and ``--nu-nv`` override the resolutions (a tiny
+override makes a smoke run).  The
 script exits 1 when a command crashes or rejects its config (an exit code
 other than 0 or 1: a verdict of 1 is still a finished run), else 0.
 """
@@ -41,10 +41,10 @@ from workloads import WORKLOADS, config_text  # noqa: E402
 MEASURED = ("energy", "monotonicity")
 
 
-def cases(plane_grid: int, sphere_level: int, nu_nv: int) -> list[tuple[str, dict]]:
+def cases(sphere_level: int, nu_nv: int) -> list[tuple[str, dict]]:
     """(workload, quadrature override) of every bound."""
     return [
-        ("probe-sweep", {"plane_grid": plane_grid}),
+        ("probe-sweep", {"nu": nu_nv, "nv": nu_nv}),
         ("ball-cap", {"sphere_level": sphere_level}),
         ("ball-cap", {"nu": nu_nv, "nv": nu_nv}),
         ("halfspace-cap", {"nu": nu_nv, "nv": nu_nv}),
@@ -72,14 +72,13 @@ def run(command: str, config: Path) -> tuple[int, float, float]:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--plane-grid", type=int, default=tables.MAX_PLANE_GRID)
     ap.add_argument("--sphere-level", type=int, default=tables.MAX_SPHERE_LEVEL)
     ap.add_argument("--nu-nv", type=int, default=tables.MAX_NU_NV)
     args = ap.parse_args(argv)
 
     failed = False
     with tempfile.TemporaryDirectory(prefix="capmono-memory-") as tmp:
-        for i, (name, override) in enumerate(cases(args.plane_grid, args.sphere_level, args.nu_nv)):
+        for i, (name, override) in enumerate(cases(args.sphere_level, args.nu_nv)):
             workload = WORKLOADS[name]
             workload = dataclasses.replace(workload, quadrature={**workload.quadrature, **override})
             config = Path(tmp) / f"case{i}.cfg"

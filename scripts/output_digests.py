@@ -11,21 +11,23 @@ It reruns monotonicity and identity-suite with one more probe, and
 digests their stdout and profiles: on ``ball-cap`` at the origin, whose
 identity has its own branch, and on ``halfspace-cap`` on the x1 axis,
 where distances tie exactly, so every radial prefix there takes the
-stable sort.  Every workload's commands leave a wetted grid companion
-(``wetted_grid.bin``) and a pair residuals companion
+stable sort.  Every workload's commands leave a pair residuals companion
 (``pair_residuals.bin``, written by monotonicity and read by
-identity-suite); the bytes of neither are digested, because each key
-stamps the capmono sources.  Before the extra probe, the script deletes
-only the pair residuals and reruns identity-suite, which then computes
-its residuals itself, and digests its stdout under a ``termspath`` tag.
-It deletes the grid companion and reruns energy, monotonicity and
+identity-suite), and the ball's a wetted grid companion
+(``wetted_grid.bin``; only the sphere has a wetted grid, the plane reads
+its wetted measure from the boundary curve); the bytes of neither are
+digested, because each key stamps the capmono sources.  Before the extra
+probe, the script deletes only the pair residuals and reruns
+identity-suite, which then computes its residuals itself, and digests its
+stdout under a ``termspath`` tag.  On the workloads in ``GRIDS`` it
+deletes the grid companion and reruns energy, monotonicity and
 identity-suite, which rebuild the grid, and digests their stdout and
 outputs under a ``gridpath`` tag.  It then deletes every binary
 companion and reruns the same commands, which read the tables from their
-text (and rebuild the grid once more), under a ``textpath`` tag.  Last it
-builds the wetted grid of the generated surface in this process, at the
-resolutions in ``GRIDS``, and digests each of the four
-``WettedRegion.grid()`` arrays (nodes, cell weights, integer and
+text (and rebuild any grid once more), under a ``textpath`` tag.  Last,
+on the workloads in ``GRIDS``, it builds the sphere grid of the generated
+surface in this process, at the levels listed there, and digests each of
+the four ``WettedRegion.grid()`` arrays (nodes, cell weights, integer and
 antialiased winding) with its dtype and shape; it digests them again as
 read back from the grid companion that build wrote, under a ``readback``
 tag, and as laid out by a fresh region after its ``wetted_nodes()``,
@@ -68,8 +70,8 @@ EXTRA_OUTPUTS = ("boundary.tsv", "curve.tsv", "surface.bin", "boundary.bin")
 # the commands that load the sample tables and may build the wetted grid,
 # rerun without the grid companion and then without every companion
 RERUN_COMMANDS = ("energy", "monotonicity", "identity-suite")
-# wetted grids digested per workload: sphere levels on the ball, grid sizes on the plane
-GRIDS = {"ball-cap": ("sphere_level", (5, 6, 7)), "halfspace-cap": ("grid_n", (512,))}
+# the workloads with a wetted grid (the sphere's) and the levels digested
+GRIDS = {"ball-cap": ("sphere_level", (5, 6, 7))}
 GRID_ARRAYS = ("nodes", "cellw", "wind", "wind_aa")
 # workloads rerun with one more probe, named by its tag: the ball's origin
 # branch, and the first half-space station turned onto the x1 axis, where
@@ -105,16 +107,17 @@ def workload_digests(name: str, seed: int, work: Path) -> list[str]:
         code, stdout = run(command, config, out)
         lines.append(f"exit {code}  {name}/{command}")
         lines.append(f"{digest(stdout)}  {name}/{command}.stdout")
-    # monotonicity builds the grid on every workload, energy already on the
-    # ball, and monotonicity leaves the residuals identity-suite just read
-    for companion in (tables.GRID_COMPANION, tables.PAIR_RESIDUALS):
-        assert (out / companion).is_file(), f"{name} left no {companion}"
+    # energy builds the ball's grid, and monotonicity leaves the residuals
+    # identity-suite just read
+    assert (out / tables.PAIR_RESIDUALS).is_file(), f"{name} left no {tables.PAIR_RESIDUALS}"
+    assert (out / tables.GRID_COMPANION).is_file() == (name in GRIDS), f"{name}: {tables.GRID_COMPANION}"
     for file in EXTRA_OUTPUTS:
         lines.append(f"{digest((out / file).read_bytes())}  {name}/{file}")
     lines += [f"{sha}  {name}/{file}" for file, sha in digests(out).items()]
     lines += termspath_digests(name, config, out)
     lines += extra_probe_digests(name, config, out)
-    lines += rerun_digests(name, config, out, "gridpath", [out / tables.GRID_COMPANION])
+    if name in GRIDS:
+        lines += rerun_digests(name, config, out, "gridpath", [out / tables.GRID_COMPANION])
     # the textpath rerun also rebuilds the grid: "*.bin" holds its companion
     lines += rerun_digests(name, config, out, "textpath", list(out.glob("*.bin")))
     return lines + grid_digests(name, out)

@@ -20,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .energy import density, tilde_density, willmore_energy
+from .energy import density, density_radii, extrapolate, willmore_energy
 from .errors import AmbientError, GeometryError
 from .fields import TestVectorField
 from .geometry import BALL, rowdot
@@ -225,6 +225,12 @@ class _OriginTerms(ProbeTerms):
             "remainder": coupling,
         }
 
+    def density(self) -> float:
+        """The density of mu at the origin, which has no companion ball, read on ``energy.density_radii``."""
+        r, exact = density_radii(self.surface, self.probe, self.mu.onset())
+        w = 0.0 if exact else np.minimum(self.mu.auto_halfwidth(r), 0.9 * r)
+        return extrapolate(r, self.mu.windowed_over_r2("mass", r, w) / np.pi)
+
     def identity_terms(self, sigma: float, rho: float) -> dict:
         """The increments of g + g_hat (as ``delta_g``) and of the square; the rest are 0.
 
@@ -357,7 +363,7 @@ def limit_identity_residuals(surface: SampledSurface, region: WettedRegion, x0) 
     t = probe_terms(surface, region, x0)
     lhs_mu = float(t.mu.cumulative("sq", np.inf)) / np.pi
     if t.BRANCH == ORIGIN:
-        rhs = w_tot / (4 * np.pi) + np.sin(theta) * gamma / (2 * np.pi) - tilde_density(surface, region, t.probe)
+        rhs = w_tot / (4 * np.pi) + np.sin(theta) * gamma / (2 * np.pi) - t.density()
         return {"origin": lhs_mu - rhs}
 
     lhs_mu += float(t.mu_hat.cumulative("sq", np.inf)) / np.pi
@@ -372,6 +378,6 @@ def limit_identity_residuals(surface: SampledSurface, region: WettedRegion, x0) 
     rhs = (
         w_tot / (2 * np.pi)
         + (np.sin(theta) * gamma - (1.0 if on_sphere else 2.0) * np.cos(theta) * eta_total) / (2 * np.pi)
-        - tilde_density(surface, region, t.x0)
+        - t.density()
     )
     return {"sphere_point" if on_sphere else "general": lhs - rhs}

@@ -6,9 +6,8 @@ in order.  ``monotonicity`` leaves the signed raw residual of every
 (probe, pair) in the output directory's ``pair_residuals.bin``
 (``tables.ResidualCompanion``).  ``identity-suite`` gates its two-radius
 check on them, building no probe terms, when the file was written for its
-own probes and pairs, the same ``plane_grid``, ``sphere_level`` and
-sample tables, and the same capmono sources and numpy; otherwise it
-computes them.  Without ``pair`` lines the two commands check different
+own probes and pairs, the same ``sphere_level`` and sample tables, and the
+same capmono sources and numpy; otherwise it computes them.  Without ``pair`` lines the two commands check different
 pairs, (r_min, r_max) and (0.4, 1.5), so the suite computes its own
 unless the two are equal.
 
@@ -57,9 +56,9 @@ def build_chart(cfg: RunConfig):
 
 
 def region_for(cfg: RunConfig, surface: SampledSurface, out: Path) -> WettedRegion:
-    """The wetted region of the surface, its grid kept in ``out``'s grid companion."""
+    """The wetted region of the surface, a sphere region's grid kept in ``out``'s grid companion."""
     store = tables.GridCompanion(out / tables.GRID_COMPANION)
-    return wetted_region(surface, grid_n=cfg.plane_grid, sphere_level=cfg.sphere_level, store=store)
+    return wetted_region(surface, sphere_level=cfg.sphere_level, store=store)
 
 
 def _surface_paths(out: Path):

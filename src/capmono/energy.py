@@ -5,7 +5,9 @@ The capillary Willmore energy is the bare quarter-integral of the squared
 mean curvature; the classical variant adds the boundary geodesic-curvature
 term, and the ball form trades that term for boundary length and oriented
 wetted area.  Densities are radial mass ratios extrapolated to radius zero
-by a linear fit on the smallest decade of the radius grid.
+by a linear fit on the smallest decade of the radius grid; ``density`` is
+the area density of mu, and the probe terms read the two-ball density of
+mu - cos(theta) eta on the same grids.
 
 ``energy_report`` gathers the energies, residuals and margins of one
 surface into the ``capmono-energy-report/1`` dict that ``energy`` writes
@@ -21,15 +23,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbientError, NoHatBallError, ResolutionError
-from .geometry import BALL, HALFSPACE, companion
+from .errors import AmbientError, ResolutionError
+from .geometry import BALL, HALFSPACE
 from .radial import RadialPrefix
 from .surfaces import SampledSurface
 from .wetted import WettedRegion, curve_from_boundary, eta_integral, oriented_area
 
 MIN_BALL_SAMPLES = 50
-# radii on a density extrapolation grid
+# radii on a density extrapolation grid, and its lower cut as a fraction of
+# the surface's size sqrt(area / pi)
 _DENSITY_RADII = 24
+_SMALLEST_RADIUS = 0.08
 
 
 def willmore_energy(surface: SampledSurface) -> float:
@@ -102,7 +106,7 @@ def default_radius_grid(surface: SampledSurface, x0) -> np.ndarray:
     """
     scale = np.sqrt(surface.area() / np.pi)
     r_max = 0.45 * scale
-    r_min = 0.08 * scale
+    r_min = _SMALLEST_RADIUS * scale
     x0 = np.asarray(x0, dtype=float)
     d = np.sort(np.linalg.norm(surface.points - x0, axis=1))
     k = min(60, len(d) - 1)
@@ -117,7 +121,22 @@ def default_radius_grid(surface: SampledSurface, x0) -> np.ndarray:
     return np.linspace(r_min, r_max, _DENSITY_RADII)
 
 
-def _extrapolate(r: np.ndarray, ratio: np.ndarray) -> float:
+def density_radii(surface: SampledSurface, x0, onset: float) -> tuple[np.ndarray, bool]:
+    """Radii of a density read at x0, and whether the read is exact on them.
+
+    ``onset`` is the radius below which every mass ratio the read sums
+    already reads its r -> 0 value.  When it clears the lower cut by half
+    again, the radii stay below it (up to 0.9 onset), and the read is
+    exact: its rows may be read sharp.  Otherwise they are the
+    ``default_radius_grid``.
+    """
+    r_min = _SMALLEST_RADIUS * np.sqrt(surface.area() / np.pi)
+    if onset > 1.5 * r_min:
+        return np.linspace(r_min, 0.9 * onset, _DENSITY_RADII), True
+    return default_radius_grid(surface, x0), False
+
+
+def extrapolate(r: np.ndarray, ratio: np.ndarray) -> float:
     """Least-squares linear fit on the smallest decade, evaluated at r = 0."""
     r = np.asarray(r, dtype=float)
     mask = r <= 10.0 * np.min(r) + 1e-30
@@ -146,69 +165,7 @@ def density(surface: SampledSurface, x0, r_grid=None) -> float:
         )
     hw = np.minimum(prefix.auto_halfwidth(r_grid), 0.9 * r_grid)
     ratio = prefix.windowed_over_r2("mass", r_grid, hw) / np.pi
-    return _extrapolate(r_grid, ratio)
-
-
-def tilde_density(surface: SampledSurface, region: WettedRegion, x0) -> float:
-    """Reflected/inverted two-ball density of mu - cos(theta) eta at a point.
-
-    Half-space: both balls share the radius r, the companion sitting at the
-    reflected center.  Ball: the companion ball at the inversion point
-    enters with weight |x0|^2, and the origin uses the plain density of mu.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    theta = surface.theta
-    cos_t = np.cos(theta)
-    # off-support probes: keep every ball below the mass onset so the
-    # ratios vanish identically and the limit extrapolates to zero; the
-    # onset is the nearest grid node's, weighted or not
-    onset = _tilde_onset(surface, region.grid()[0], x0)
-    r_min0 = 0.08 * np.sqrt(surface.area() / np.pi)
-    if onset > 1.5 * r_min0:
-        r_grid = np.linspace(r_min0, max(0.9 * onset, 2.5 * r_min0), _DENSITY_RADII)
-    else:
-        r_grid = default_radius_grid(surface, x0)
-    mu = RadialPrefix(surface.points, x0, {"mass": surface.weights})
-    nodes, eta_w = region.wetted_nodes()
-    eta = RadialPrefix(nodes, x0, {"mass": eta_w})
-    hw = np.minimum(mu.auto_halfwidth(r_grid), 0.9 * r_grid)
-    try:
-        x0_hat, divisor = companion(x0, surface.ambient)
-    except NoHatBallError:
-        return _extrapolate(r_grid, mu.windowed_over_r2("mass", r_grid, hw) / np.pi)
-    mu_hat = RadialPrefix(surface.points, x0_hat, {"mass": surface.weights})
-    eta_hat = RadialPrefix(nodes, x0_hat, {"mass": eta_w})
-    r_hat = r_grid / divisor
-    hw_hat = hw / divisor
-    # in the ball the |x0|^2 weight cancels against 1/r^2 in the hat radius
-    ratio = (
-        mu.windowed_over_r2("mass", r_grid, hw)
-        - cos_t * eta.windowed_over_r2("mass", r_grid, hw)
-        + mu_hat.windowed_over_r2("mass", r_hat, hw_hat)
-        - cos_t * eta_hat.windowed_over_r2("mass", r_hat, hw_hat)
-    ) / np.pi
-    return _extrapolate(r_grid, ratio)
-
-
-def _tilde_onset(surface: SampledSurface, nodes: np.ndarray, x0: np.ndarray) -> float:
-    """Smallest direct-ball radius at which any two-ball mass appears."""
-
-    def dist_to(center):
-        d_mu = float(np.min(np.linalg.norm(surface.points - center, axis=1)))
-        d_eta = float(np.min(np.linalg.norm(nodes - center, axis=1)))
-        return min(d_mu, d_eta)
-
-    onset = dist_to(x0)
-    try:
-        x0_hat, divisor = companion(x0, surface.ambient)
-    except NoHatBallError:
-        return onset
-    return min(onset, divisor * dist_to(x0_hat))
-
-
-def capillary_density(surface: SampledSurface, region: WettedRegion, x0) -> float:
-    """Tilde density normalized by (1 - cos(theta)); 1 at embedded boundary points."""
-    return tilde_density(surface, region, x0) / (1.0 - np.cos(surface.theta))
+    return extrapolate(r_grid, ratio)
 
 
 # -- inequality margins ----------------------------------------------------------

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .energy import tilde_density
 from .errors import AmbientError
 from .fields import TANGENT, TestVectorField
 from .geometry import HALFSPACE
@@ -27,38 +26,22 @@ from .identity import (
 )
 from .radial import RadialPrefix
 from .surfaces import SampledSurface
-from .wetted import BallRestrictedEta, WettedRegion
+from .wetted import BallRestrictedEta, WettedRegion, eta_divergence
 
 
-def _plane_distances2(nodes: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Squared distances |x - a|^2 of plane nodes (x3 = 0) from a.
+def _deficit_antiderivative(a3: float):
+    """F(rho) = rho^2 / (2 (rho^2 + a3^2)), as a function of rho^2: the antiderivative
+    int_0^rho f(s) s ds of the wetted deficit density f = a3^2 / |x - a|^4.
 
-    Summed per coordinate from the nodes' two columns in the order of
-    ``geometry.rowdot``, ((0 + dx^2) + dy^2) + (0 - a3)^2, so they are the
-    bits of ``identity.center_offsets(nodes, a)[1]`` without its (n, 3)
-    offsets: dx^2 is never -0.0, so adding the leading zero changes nothing.
+    A base point on the plane has no deficit: its F is zero.
     """
-    d2 = np.subtract(nodes[:, 0], a[0])
-    np.square(d2, out=d2)
-    dy = np.subtract(nodes[:, 1], a[1])
-    np.square(dy, out=dy)
-    d2 += dy
-    dz = 0.0 - a[2]
-    d2 += dz * dz
-    return d2
-
-
-def _wetted_deficit(d2: np.ndarray, a3) -> np.ndarray:
-    """The wetted deficit density a3^2 / |x - a|^4 at the squared distances d2, built in place."""
     if a3 == 0.0:
-        return np.zeros(len(d2))
-    out = np.square(d2)
-    np.maximum(out, 1e-300, out=out)
-    return np.divide(a3**2, out, out=out)
+        return np.zeros_like
+    return lambda rho2: rho2 / (2.0 * (rho2 + a3 * a3))
 
 
 # The half-space identity, one row per term (see identity.Term).  Plane
-# nodes are equidistant from a and its reflection, so eta(B_r(a)) equals
+# points are equidistant from a and its reflection, so eta(B_r(a)) equals
 # eta of the reflected ball: one restriction, read at the direct radius,
 # serves both members' eta rows.  Every 1/r^2-weighted restriction is
 # averaged as the whole term M(s)/s^2 so the radius averaging commutes
@@ -93,11 +76,7 @@ class _Terms(PairTerms):
         if surface.ambient.kind != HALFSPACE:
             raise AmbientError("half-space monotonicity needs a half-space surface")
         super().__init__(surface, probe, RadialPrefix)
-        a = self.x0
-        nodes, _ = region.wetted_nodes()
-        d2 = _plane_distances2(nodes, a)
-        deficit = _wetted_deficit(d2, a[2])
-        self.eta = BallRestrictedEta(region, a, {"deficit": deficit}, d2=d2)
+        self.eta = BallRestrictedEta(region, self.x0, {"deficit": _deficit_antiderivative(self.x0[2])})
 
     def doubling_ratio_max(self, r_grid) -> float:
         """Largest crude mass-ratio doubling ratio over a sorted grid (<= 1 when it applies)."""
@@ -115,9 +94,8 @@ def probe_terms(surface: SampledSurface, region: WettedRegion, a) -> _Terms:
 
     One object serves the profile and every two-radius pair of the probe
     (the ``terms=`` keyword of :func:`monotonicity_profile` and
-    :func:`monotonicity_identity_detail`); its η restriction keeps the
-    coverage corrections of every radius it has evaluated.  ``probe`` keeps
-    the raw base point, which those two functions check against theirs.
+    :func:`monotonicity_identity_detail`).  ``probe`` keeps the raw base
+    point, which those two functions check against theirs.
     """
     return _Terms(surface, region, a)
 
@@ -138,8 +116,8 @@ def boundary_limit_identity_residual(surface: SampledSurface, region: WettedRegi
     """Residual of the full-space limit identity at a plane base point.
 
     (2/pi) int |H/4 + perp/(r^2)|^2 dmu = (1/(8 pi)) int |H|^2 dmu minus the
-    two-ball density of mu - cos(theta) eta at the point; the density
-    extrapolation dominates the error budget.
+    two-ball density of mu - cos(theta) eta at the point (the probe terms'
+    ``density``); the density extrapolation dominates the error budget.
     """
     a = np.asarray(a, dtype=float)
     if abs(a[2]) > 1e-9:
@@ -147,7 +125,7 @@ def boundary_limit_identity_residual(surface: SampledSurface, region: WettedRegi
     t = probe_terms(surface, region, a)
     lhs = 2.0 / np.pi * float(t.mu.cumulative("sq", np.inf))
     w_tot = float(t.mu.cumulative("h2", np.inf))
-    rhs = w_tot / (8.0 * np.pi) - tilde_density(surface, region, t.x0)
+    rhs = w_tot / (8.0 * np.pi) - t.density()
     return lhs - rhs
 
 
@@ -157,7 +135,8 @@ def first_variation_residual(
     """Residual of the contact-angle first variation for a tangent field.
 
     int div_Sigma X dmu - cos(theta) int div_plane X deta + int H.X dmu,
-    which vanishes for capillary pairs.
+    which vanishes for capillary pairs.  The η term is the flux of X out
+    through the boundary curve (:func:`wetted.eta_divergence`).
     """
     if surface.ambient.kind != HALFSPACE:
         raise AmbientError("this first variation lives over the half-space")
@@ -165,8 +144,4 @@ def first_variation_residual(
         raise ValueError("the half-space first variation needs a plane-tangent field")
     field.verify_tangency(surface.ambient)
     term1, term3 = surface_variation(surface, field)
-    nodes, eta_w = region.eta_nodes()
-    jac_p = field.jacobian(nodes)
-    div_plane = jac_p[:, 0, 0] + jac_p[:, 1, 1]
-    term2 = float(np.sum(div_plane * eta_w))
-    return term1 - np.cos(surface.theta) * term2 + term3
+    return term1 - np.cos(surface.theta) * eta_divergence(region, field) + term3

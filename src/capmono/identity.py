@@ -11,8 +11,9 @@ This module holds what the ambients share: the base-point nudge, the
 integrands restricted about each center, one radius window for every
 term, the :class:`Term` rows and their one evaluator, the probe terms
 protocol, the profile record, the front end of the identity detail and
-the profile, and the surface terms of the first variation.  Each ambient
-module states its identity once, as a table of :class:`Term` rows.
+the profile, the two-ball density, and the surface terms of the first
+variation.  Each ambient module states its identity once, as a table of
+:class:`Term` rows.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Mapping, NamedTuple, Optional
 import numpy as np
 
 from .errors import GeometryError
+from .energy import density_radii, extrapolate
 from .fields import TestVectorField
 from .geometry import companion, rowdot, rownorm
 from .surfaces import SampledSurface
@@ -185,7 +187,9 @@ class ProbeTerms:
     A subclass declares ``SIGN`` (the :func:`assemble` sign) and ``BRANCH``
     (the profile's and the detail's branch label) and supplies
     ``members``, which maps each of :data:`MEMBERS` and ``"remainder"`` to
-    its values over the radii, and ``base_point``.  ``surface`` and
+    its values over the radii, ``base_point`` and ``density``, the
+    two-ball density of mu - cos(theta) eta that the limit identities
+    read.  ``surface`` and
     ``probe`` (the raw base point) name the probe the state was built for.
     """
 
@@ -285,17 +289,18 @@ class PairTerms(ProbeTerms):
         w = np.maximum(self.mu.auto_halfwidth(r), s * self.mu_hat.auto_halfwidth(r / s))
         return np.minimum(w, 0.9 * r)
 
-    def members(self, r, rows=None) -> dict:
+    def members(self, r, rows=None, halfwidth=None) -> dict:
         """Each member of the identity and the remainder over the radii.
 
         Sums ``rows`` (the whole ``TABLE`` by default) into the members of
         :data:`MEMBERS` and the rows marked ``remainder`` into
         ``"remainder"``; a member no row feeds is zero.  The window is
-        computed once, and each (source, key, over_r2) is read once: a hat
-        source at the companion radius r / divisor and window w / divisor.
+        ``halfwidth`` when given, else :meth:`halfwidth`, computed once, and
+        each (source, key, over_r2) is read once: a hat source at the
+        companion radius r / divisor and window w / divisor.
         """
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        w = self.halfwidth(r)
+        w = self.halfwidth(r) if halfwidth is None else np.broadcast_to(halfwidth, r.shape)
         hat = (r / self.divisor, w / self.divisor)
         ct = np.cos(self.theta)
         out = {name: np.zeros(len(r)) for name in (*MEMBERS, "remainder")}
@@ -313,3 +318,21 @@ class PairTerms(ProbeTerms):
             if row.remainder:
                 out["remainder"] += term
         return out
+
+    def density(self) -> float:
+        """The two-ball density of mu - cos(theta) eta at the base point.
+
+        The table's mass-ratio rows (the ``mass`` rows over r^2 of g and
+        g_hat), read on :func:`energy.density_radii` and fitted to r -> 0
+        (:func:`energy.extrapolate`).  The read's onset is the smallest of
+        its sources' ``onset``, a hat source's times the divisor: below it
+        every row reads its r -> 0 value, so radii below it are read
+        sharp, and off the support of mu and eta the density is exact.
+        """
+        rows = [row for row in self.TABLE if row.key == "mass" and row.over_r2]
+        onset = min(
+            getattr(self, row.source).onset() * (self.divisor if row.source.endswith("_hat") else 1.0) for row in rows
+        )
+        r, exact = density_radii(self.surface, self.x0, onset)
+        m = self.members(r, rows, 0.0 if exact else None)
+        return extrapolate(r, m["g"] + m["g_hat"])

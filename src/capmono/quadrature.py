@@ -1,5 +1,5 @@
 """Quadrature rules: Gauss-Legendre tensor grids, a subdivided-icosahedron
-rule on the unit sphere, and uniform cell grids on the plane.
+rule on the unit sphere, and a uniform cell grid on the plane.
 
 The sphere rule uses face centroids of a refined icosahedron with exact
 spherical-triangle areas as weights; the weights are nearly equal and sum
@@ -148,36 +148,21 @@ def barycentric_subtriangles(depth: int) -> np.ndarray:
     return np.array(tris)
 
 
-def plane_axes(bbox: tuple[float, float, float, float], n: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Cell-center axes ``(xs, ys)`` and cell area of the uniform n x n grid on a rectangle."""
+def plane_grid(bbox: tuple[float, float, float, float], n: int):
+    """Uniform midpoint grid on a rectangle of the plane {x3 = 0}.
+
+    Returns ``(points, cell_area, xs, ys)``: the cell-center axes of the
+    uniform n x n grid and its (n * n, 3) cell centers at x3 = 0, raveled in
+    ``meshgrid(xs, ys, indexing='ij')`` order.  The points are
+    Fortran-ordered, each coordinate one contiguous column.
+    """
     x0, x1, y0, y1 = bbox
     hx = (x1 - x0) / n
     hy = (y1 - y0) / n
     xs = x0 + hx * (np.arange(n) + 0.5)
     ys = y0 + hy * (np.arange(n) + 0.5)
-    return xs, ys, hx * hy
-
-
-def plane_nodes(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Cell centers of the axes' grid at x3 = 0, raveled in ``meshgrid(xs, ys, indexing='ij')`` order.
-
-    The (len(xs) * len(ys), 3) array is Fortran-ordered, each coordinate
-    one contiguous column: the x column repeats each of ``xs`` len(ys)
-    times, the y column tiles ``ys``.  Every coordinate is written straight
-    into its column, so no temporary of the grid's size is made.
-    """
-    pts = np.empty((3, len(xs), len(ys)))
+    pts = np.empty((3, n, n))
     pts[0] = xs[:, None]
     pts[1] = ys[None, :]
     pts[2] = 0.0
-    return pts.reshape(3, -1).T
-
-
-def plane_grid(bbox: tuple[float, float, float, float], n: int):
-    """Uniform midpoint grid on a rectangle of the plane {x3 = 0}.
-
-    Returns ``(points, cell_area, xs, ys)``: the :func:`plane_axes` of the
-    rectangle and their :func:`plane_nodes`.
-    """
-    xs, ys, cell = plane_axes(bbox, n)
-    return plane_nodes(xs, ys), cell, xs, ys
+    return pts.reshape(3, -1).T, hx * hy, xs, ys

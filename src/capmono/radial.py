@@ -14,8 +14,9 @@ with every identity checked downstream (the identities hold at each
 radius, hence for radius averages).
 
 The wetted measure η is restricted by the same engine:
-``wetted.BallRestrictedEta`` is a ``RadialPrefix`` over the wetted grid
-nodes, those of nonzero weight.
+``wetted.BallRestrictedEta`` is a ``RadialPrefix`` over the sphere grid's
+faces of nonzero weight, and on the plane over the boundary curve's atoms,
+whose rows are the Green's theorem terms of each key.
 """
 
 from __future__ import annotations
@@ -183,6 +184,10 @@ class RadialPrefix:
         if over_r2:
             return self.windowed_over_r2(key, r, w)
         return self.windowed(key, r, w)
+
+    def onset(self) -> float:
+        """Distance of the nearest point: every ball below it is empty, and its mass ratio 0."""
+        return float(self.dists[0]) if self.n else np.inf
 
     def count(self, r) -> int:
         return int(np.searchsorted(self.dists, float(r), side="left"))

@@ -24,15 +24,16 @@ is a miss too.
 A table's key is its column count K and the byte length and
 ``zlib.crc32`` of its text, and its body is one array, the (K, n) float64
 columns, one contiguous row per column; a table that was edited or copied
-in without its companion is read from its text.  The grid's key is the
-wetting surface, the plane grid size, the sphere level, the
-``source_stamp`` and the bytes of every curve's points, tangents and
-weights; its body is the integer winding (int8), the antialiased band's
-cell indices (int64) and their values (float64).  A grid companion that
-misses is replaced by a fresh build, and a grid whose winding leaves int8
-is never stored, so every command builds it afresh.  The pair residuals'
-key is the float64 bytes of the probes and the pairs, the plane grid
-size, the sphere level, the byte length and ``zlib.crc32`` of the
+in without its companion is read from its text.  Only the sphere has a
+wetted grid (the plane's wetted measure is read from its boundary curve),
+so only a ball run writes a grid companion.  The grid's key is the sphere
+level, the ``source_stamp`` and the bytes of every curve's points,
+tangents and weights; its body is the integer winding (int8), the
+antialiased band's cell indices (int64) and their values (float64).  A
+grid companion that misses is replaced by a fresh build, and a grid whose
+winding leaves int8 is never stored, so every command builds it afresh.
+The pair residuals' key is the float64 bytes of the probes and the pairs,
+the sphere level, the byte length and ``zlib.crc32`` of the
 ``surface.tsv`` and ``boundary.tsv`` texts the surface was read from, and
 the ``source_stamp``; its body is the signed raw two-radius residual of every
 (probe, pair), probe by probe, as float64.  The ``source_stamp`` is the
@@ -43,6 +44,7 @@ any module or another numpy misses both the grid and the residuals.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 import os
@@ -65,6 +67,8 @@ _CSV = "%.12g"
 _SAVE_BLOCK = 4096
 # bytes of a table text read per block while its checksum is taken
 _READ_BLOCK = 1 << 16
+# rows of a table text parsed per block when its companion misses
+_PARSE_BLOCK = 1024
 # every companion starts with this magic; the count of body arrays sets
 # the rest of the header (see _header)
 _MAGIC = b"CAPMCMP2"
@@ -80,13 +84,11 @@ SURFACE_COLUMNS = "x1 x2 x3 weight nu1 nu2 nu3 H1 H2 H3 K Aring2"
 BOUNDARY_COLUMNS = "x1 x2 x3 t1 t2 t3 c1 c2 c3 arcweight kg kg_wetting"
 CURVE_COLUMNS = "x1 x2 x3 t1 t2 t3 weight"
 
-# the largest wetted grids and chart resolutions whose single-threaded
+# the largest sphere grid and chart resolutions whose single-threaded
 # monotonicity run on the benchmark configs peaks under 1 GB (os.wait4,
-# one run each, scripts/memory_bounds.py: 295 MB at plane_grid 2048 on
-# probe-sweep, 306 MB at sphere_level 8 and 451 MB at nu = nv = 1000 on
-# ball-cap, 382 MB at nu = nv = 1000 on halfspace-cap); the next plane
-# step is about four times the grid's share
-MAX_PLANE_GRID = 2048
+# one run each, scripts/memory_bounds.py: 308 MB at sphere_level 8 and
+# 452 MB at nu = nv = 1000 on ball-cap, 382 MB and 381 MB at
+# nu = nv = 1000 on halfspace-cap and probe-sweep)
 MAX_SPHERE_LEVEL = 8
 MAX_NU_NV = 1000
 
@@ -246,6 +248,35 @@ def _companion_columns(path, text_sum: tuple[int, int], width: int) -> np.ndarra
     return got[0].reshape(width, -1).astype(float, copy=False)
 
 
+def _is_row(line: str) -> bool:
+    """Whether a line of a table text holds a row: text before any '#'."""
+    return bool(line.split("#", 1)[0].strip())
+
+
+def _parse_columns(path, width: int) -> np.ndarray:
+    """The rows of the table text at ``path``, parsed into its (width, n) columns.
+
+    One pass counts the rows, and the next parses them ``_PARSE_BLOCK`` at
+    a time into the preallocated columns, so beside them only one block of
+    lines and values is held.  Rows that do not parse, and rows of another
+    width than ``width``, raise ConfigError.
+    """
+    try:
+        with Path(path).open() as fh:
+            cols = np.empty((width, sum(map(_is_row, fh))))
+        with Path(path).open() as fh:
+            rows = filter(_is_row, fh)
+            for start in range(0, cols.shape[1], _PARSE_BLOCK):
+                values = np.loadtxt(list(itertools.islice(rows, _PARSE_BLOCK)), comments="#", ndmin=2)
+                if values.shape[1] != width:
+                    shape = (cols.shape[1], values.shape[1])
+                    raise ConfigError(f"{path}: expected rows of {width} columns, got an array of shape {shape}")
+                cols[:, start : start + _PARSE_BLOCK] = values.T
+    except ValueError as exc:
+        raise ConfigError(f"{path}: unreadable rows: {exc}") from None
+    return cols
+
+
 def _load_table(path, columns: str) -> tuple[list[str], np.ndarray, tuple[int, int]]:
     """The leading comment lines (without '# '), the columns and the
     ``_text_sum`` of a table.
@@ -256,7 +287,8 @@ def _load_table(path, columns: str) -> tuple[list[str], np.ndarray, tuple[int, i
     the parsed text otherwise; the checks below run on either.  The text
     is never held whole: its checksum is taken block by block, the header
     is read up to the first row, and only a companion miss parses the
-    rest.  A table whose bytes do not decode, without rows, with an entry
+    rest, straight into the columns (``_parse_columns``).  A table whose
+    bytes do not decode, without rows, with an entry
     that is not a finite number, or with another number of columns than
     ``columns`` names raises ConfigError.
     """
@@ -270,7 +302,7 @@ def _load_table(path, columns: str) -> tuple[list[str], np.ndarray, tuple[int, i
                 line = next(fh, "")
             # the first row is the first line with text before any '#';
             # np.loadtxt would only warn on a table without one
-            while line and not line.split("#", 1)[0].strip():
+            while line and not _is_row(line):
                 line = next(fh, "")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: the table is not text: {exc}") from None
@@ -279,12 +311,7 @@ def _load_table(path, columns: str) -> tuple[list[str], np.ndarray, tuple[int, i
     width = len(columns.split())
     cols = _companion_columns(path, text_sum, width)
     if cols is None:
-        try:
-            with Path(path).open() as fh:
-                rows = np.loadtxt(fh, comments="#", ndmin=2)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: unreadable rows: {exc}") from None
-        cols = np.ascontiguousarray(rows.T)
+        cols = _parse_columns(path, width)
     if len(cols) != width:
         raise ConfigError(f"{path}: expected rows of {width} columns, got an array of shape {cols.T.shape}")
     # min and max carry any NaN or infinity, without a full-size temporary
@@ -294,7 +321,7 @@ def _load_table(path, columns: str) -> tuple[list[str], np.ndarray, tuple[int, i
 
 
 class GridCompanion:
-    """The wetted grid companion at ``path``: the store of ``WettedRegion``.
+    """The wetted grid companion at ``path``: the store of a sphere ``WettedRegion``.
 
     ``load`` returns the stored windings only when the companion holds them
     for the region's key, and None otherwise, the winding as the int8 it is
@@ -311,7 +338,7 @@ class GridCompanion:
     @staticmethod
     def _key(region: WettedRegion) -> bytes:
         """The bytes a stored grid must have been built from."""
-        parts = [struct.pack("<8sqq", region.wetting.encode(), region.grid_n, region.sphere_level), source_stamp()]
+        parts = [struct.pack("<q", region.sphere_level), source_stamp()]
         for curve in region.curves:
             for arr in (curve.points, curve.tangents, curve.weights):
                 parts.append(struct.pack(f"<Q{arr.ndim}Q", arr.ndim, *arr.shape))
@@ -352,8 +379,8 @@ class ResidualCompanion:
     ``monotonicity`` saves the signed raw residual of every (probe, pair),
     probe by probe, and ``identity-suite`` loads them instead of rebuilding
     the probes' terms.  Both key the file on the probes and the pairs, the
-    config's ``plane_grid`` and ``sphere_level``, the texts ``surface`` was
-    read from (``load_surface`` records their ``_text_sum`` in
+    config's ``sphere_level``, the texts ``surface`` was read from
+    (``load_surface`` records their ``_text_sum`` in
     ``surface.metadata["tables"]``) and the ``source_stamp``; a surface
     read from no tables, or sources that cannot be read, give no key, and
     nothing is loaded or saved.  ``load`` returns the residuals only when
@@ -379,7 +406,7 @@ class ResidualCompanion:
             return None
         probes = np.asarray(probes, dtype=_BODY).reshape(-1, 3)
         pairs = np.asarray(pairs, dtype=_BODY).reshape(-1, 2)
-        head = struct.pack("<qqQQ4Q", cfg.plane_grid, cfg.sphere_level, len(probes), len(pairs), *sums[0], *sums[1])
+        head = struct.pack("<qQQ4Q", cfg.sphere_level, len(probes), len(pairs), *sums[0], *sums[1])
         return b"".join((head, probes.tobytes(), pairs.tobytes(), stamp))
 
     def load(self) -> np.ndarray | None:
@@ -526,7 +553,6 @@ class RunConfig:
     mode: int = 0
     nu: int = 128
     nv: int = 128
-    plane_grid: int = 512
     sphere_level: int = 6
     probes: tuple = ()
     r_min: float = 0.25
@@ -553,7 +579,6 @@ _SCHEMA = {
     "quadrature": [
         ("nu", int),
         ("nv", int),
-        ("plane_grid", int),
         ("sphere_level", int),
     ],
     "profile": [
@@ -573,7 +598,8 @@ def parse_config(text: str) -> RunConfig:
     """Parse the flat key-value format; unknown keys are configuration errors.
 
     The removed ``threads`` key is accepted in ``[output]`` with the value 1
-    only, and ignored.
+    only, and ignored; the removed ``plane_grid`` key is accepted in
+    ``[quadrature]`` with any integer value, and ignored.
     """
     values: dict = {}
     probes = []
@@ -613,6 +639,10 @@ def parse_config(text: str) -> RunConfig:
                 # among them, still name the one thread
                 if int(value) != 1:
                     raise ConfigError(f"line {lineno}: threads were removed; only 'threads = 1' is accepted")
+            elif section == "quadrature" and key == "plane_grid":
+                # the plane's wetted measure is read from its boundary curve;
+                # older configs, the benchmark's among them, still size a grid
+                int(value)
             elif key not in known[section]:
                 raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
             else:
@@ -640,7 +670,6 @@ def _validated(cfg: RunConfig) -> RunConfig:
             not 8 <= min(cfg.nu, cfg.nv) <= max(cfg.nu, cfg.nv) <= MAX_NU_NV,
             f"nu and nv must lie in [8, {MAX_NU_NV}]",
         ),
-        (not 8 <= cfg.plane_grid <= MAX_PLANE_GRID, f"plane_grid must lie in [8, {MAX_PLANE_GRID}]"),
         (not 0 <= cfg.sphere_level <= MAX_SPHERE_LEVEL, f"sphere_level must lie in [0, {MAX_SPHERE_LEVEL}]"),
         # a subnormal r_min overflows 1/r in the radius windows
         (

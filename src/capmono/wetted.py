@@ -1,13 +1,22 @@
 """The wetted-region measure on the wetting surface.
 
 The boundary image of a capillary immersion encloses a region of the
-wetting surface; this module carries the winding-number weight field over
-plane or sphere grids, oriented areas, rotation indices, and quadrature of
-integrands against the winding measure.
+wetting surface; this module carries the winding measure η of that
+region, oriented areas, rotation indices, and quadrature of integrands
+against η.
 
-Grid values near a curve are antialiased by a signed-distance subcell
-correction so that region masses converge at second order instead of
-first; the integer winding API is untouched by this.
+On the plane η is read from the boundary curve alone.  η is the
+winding-weighted area the curve encloses, so by Green's theorem every
+integral of it is a line integral over the curve: the curve atoms of
+:meth:`WettedRegion.curve_atoms` carry each ball restriction
+(:class:`BallRestrictedEta`), every quadrature (:func:`eta_integral`) and
+the divergence integrals of first variations (:func:`eta_divergence`).
+
+On the sphere η lives on a grid, the winding-number weight field over the
+faces of a subdivided icosahedron.  Face values near a curve are
+antialiased by a subcell correction so that region masses converge at
+second order instead of first; the integer winding API is untouched by
+this.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ import numpy as np
 
 from .errors import GeometryError, UndefinedWindingError
 # plane_grid is not called here; perfbench/tracing.py wraps it under this name
-from .quadrature import plane_axes, plane_grid, plane_nodes, sphere_mesh, sphere_rule  # noqa: F401
+from .quadrature import plane_grid, sphere_mesh, sphere_rule  # noqa: F401
 from .radial import RadialPrefix
 from .surfaces import SampledSurface
 from .geometry import BALL
@@ -32,6 +41,9 @@ _CHUNK = 4096
 _SUB_DEPTH = 3
 # Hermite midpoint insertions applied to the curve samples before gridding
 _CURVE_REFINE = 3
+# Gauss points per boundary segment of the plane's curve atoms, and per ray
+# of the plane's fan quadrature
+_ATOM_POINTS = 8
 
 
 @dataclass(frozen=True)
@@ -74,10 +86,9 @@ def curve_from_boundary(surface: SampledSurface) -> OrientedCurve:
 # -- winding --------------------------------------------------------------------
 #
 # Every integer winding in this module, on the plane and on the sphere, is
-# the one signed half-open horizontal-ray crossing count of
-# ``_winding_scanline``.  Plane grid nodes and subcells share its rows;
-# scattered points (sphere nodes and subcells after the stereographic
-# projection, and single queries) are one row each.
+# the one signed half-open horizontal-ray crossing count of ``_winding_at``
+# (sphere nodes and subcells after the stereographic projection, and single
+# queries).
 
 
 def _run_offsets(count: np.ndarray) -> np.ndarray:
@@ -85,57 +96,44 @@ def _run_offsets(count: np.ndarray) -> np.ndarray:
     return np.arange(int(np.sum(count))) - np.repeat(np.cumsum(count) - count, count)
 
 
-def _winding_scanline(
-    polys: Sequence[np.ndarray], ys: np.ndarray, row: np.ndarray, x: np.ndarray
-) -> np.ndarray:
-    """Exact integer winding of closed 2d polygons at the points (x, ys[row]).
+def _winding_at(polys: Sequence[np.ndarray], q: np.ndarray) -> np.ndarray:
+    """Exact integer winding of closed 2d polygons at the points q.
 
-    Signed horizontal-ray crossing count with half-open vertex handling, for
-    all rows at once: an edge crosses the line y = ys[r] when
-    min(ay, by) <= ys[r] < max(ay, by), so the rows it crosses form one run
-    of the sorted heights.  Each row keeps its padded crossing list, and the
-    winding at x is the signed count of crossings strictly to its right.
+    Signed horizontal-ray crossing count with half-open vertex handling: an
+    edge crosses the line y = q_y when min(ay, by) <= q_y < max(ay, by), so
+    the points it crosses form one run of the sorted heights.  Each point
+    keeps its padded crossing list, and its winding is the signed count of
+    crossings strictly to its right.  Points go in blocks of
+    ``_CHUNK * 16``, and their crossing lists are compared in blocks of
+    ``_CHUNK``, so the temporaries stay bounded however many points are
+    asked for.
     """
     a = np.concatenate(polys)
     b = np.concatenate([np.roll(p, -1, axis=0) for p in polys])
     ay, by = a[:, 1], b[:, 1]
-    order = np.argsort(ys, kind="stable")
-    lo = np.searchsorted(ys[order], np.minimum(ay, by), side="left")
-    hi = np.searchsorted(ys[order], np.maximum(ay, by), side="left")
-    count = hi - lo
-    edge = np.repeat(np.arange(len(a)), count)
-    r = order[lo[edge] + _run_offsets(count)]
-    t = (ys[r] - ay[edge]) / (by[edge] - ay[edge])
-    xstar = a[edge, 0] + t * (b[edge, 0] - a[edge, 0])
-    # padded (row, slot) crossing table; empty slots carry sign 0
-    per_row = np.bincount(r, minlength=len(ys))
-    srt = np.argsort(r, kind="stable")
-    slot = _run_offsets(per_row)
-    width = int(per_row.max(initial=0))
-    cross_x = np.zeros((len(ys), width))
-    cross_s = np.zeros((len(ys), width), dtype=np.int64)
-    cross_x[r[srt], slot] = xstar[srt]
-    cross_s[r[srt], slot] = np.where(by[edge] > ay[edge], 1, -1)[srt]
-    out = np.empty(len(row), dtype=np.int64)
-    for q in range(0, len(row), _CHUNK):
-        rr = row[q : q + _CHUNK]
-        right = cross_x[rr] > x[q : q + _CHUNK, None]
-        out[q : q + _CHUNK] = np.sum(cross_s[rr] * right, axis=1)
-    return out
-
-
-def _winding_at(polys: Sequence[np.ndarray], q: np.ndarray) -> np.ndarray:
-    """Exact integer winding of closed 2d polygons at scattered points q.
-
-    Each point is its own row of ``_winding_scanline``.  Points go in blocks
-    of ``_CHUNK * 16``, so the crossing table stays bounded however many
-    points are asked for.
-    """
     out = np.empty(len(q), dtype=np.int64)
-    step = _CHUNK * 16
-    for lo in range(0, len(q), step):
-        block = q[lo : lo + step]
-        out[lo : lo + step] = _winding_scanline(polys, block[:, 1], np.arange(len(block)), block[:, 0])
+    for start in range(0, len(q), _CHUNK * 16):
+        x, ys = q[start : start + _CHUNK * 16, 0], q[start : start + _CHUNK * 16, 1]
+        order = np.argsort(ys, kind="stable")
+        lo = np.searchsorted(ys[order], np.minimum(ay, by), side="left")
+        hi = np.searchsorted(ys[order], np.maximum(ay, by), side="left")
+        count = hi - lo
+        edge = np.repeat(np.arange(len(a)), count)
+        r = order[lo[edge] + _run_offsets(count)]
+        t = (ys[r] - ay[edge]) / (by[edge] - ay[edge])
+        xstar = a[edge, 0] + t * (b[edge, 0] - a[edge, 0])
+        # padded (point, slot) crossing table; empty slots carry sign 0
+        per_row = np.bincount(r, minlength=len(ys))
+        srt = np.argsort(r, kind="stable")
+        slot = _run_offsets(per_row)
+        width = int(per_row.max(initial=0))
+        cross_x = np.zeros((len(ys), width))
+        cross_s = np.zeros((len(ys), width), dtype=np.int64)
+        cross_x[r[srt], slot] = xstar[srt]
+        cross_s[r[srt], slot] = np.where(by[edge] > ay[edge], 1, -1)[srt]
+        for k in range(0, len(ys), _CHUNK):
+            right = cross_x[k : k + _CHUNK] > x[k : k + _CHUNK, None]
+            out[start + k : start + k + _CHUNK] = np.sum(cross_s[k : k + _CHUNK] * right, axis=1)
     return out
 
 
@@ -304,30 +302,28 @@ def spherical_winding_number(region: "WettedRegion", x) -> int:
 class WettedRegion:
     """Winding-weighted region of the wetting surface.
 
-    ``wetting`` is ``"plane"`` or ``"sphere"``; the grid is a uniform cell
-    grid over the inflated curve bounding box (plane) or a subdivided
-    icosahedron (sphere).  On the sphere the winding offset is anchored by
-    the orientation convention (the wetted side lies to the left of the
-    curve).
+    ``wetting`` is ``"plane"`` or ``"sphere"``.  The plane region is read
+    from its curves alone (:meth:`curve_atoms`) and has no grid.  The
+    sphere region's grid is a subdivided icosahedron of ``sphere_level``;
+    its winding offset is anchored by the orientation convention (the
+    wetted side lies to the left of the curve).
 
-    ``store``, when given, keeps the expensive part of the grid between
-    processes: ``store.load(region)`` returns the integer winding (int8),
-    the antialiased band's cell indices and their values, or None;
+    ``store``, when given, keeps the expensive part of the sphere grid
+    between processes: ``store.load(region)`` returns the integer winding
+    (int8), the antialiased band's cell indices and their values, or None;
     ``store.save(region, wind, cells, values)`` keeps them, and is handed
-    only a grid whose winding fits int8.  The
-    first ``grid()`` call asks it, so a region whose grid is never needed
-    never touches it.
+    only a grid whose winding fits int8.  The first ``grid()`` call asks
+    it, so a region whose grid is never needed never touches it.
 
     The region caches the grid in that compact form (the winding as int8
-    when it fits), with the plane axes and cell area, and the wetted
-    nodes with their weights.  The full grid (nodes, cell weights and
-    both windings, 48 bytes per node) is laid out anew by each ``grid()``
-    call and never kept, so a region's memory follows its wetted nodes.
+    when it fits), the wetted nodes with their weights, and the plane's
+    curve atoms.  The full grid (nodes, cell weights and both windings, 48
+    bytes per node) is laid out anew by each ``grid()`` call and never
+    kept, so a region's memory follows its wetted nodes.
     """
 
     curves: tuple
     wetting: str = PLANE
-    grid_n: int = 512
     sphere_level: int = 6
     store: object = field(default=None, repr=False, compare=False)
     # built arrays, never copied by dataclasses.replace nor compared by ==
@@ -390,86 +386,92 @@ class WettedRegion:
             self._cache["ref_wind"] = 1 - raws[0]
         return self._cache["ref_wind"]
 
-    # -- grids -----------------------------------------------------------------
+    # -- the plane's curve atoms ------------------------------------------------
 
-    def _plane_bbox(self) -> tuple[float, float, float, float]:
-        pts = np.concatenate([c.points for c in self.curves])
-        x0, y0 = pts[:, 0].min(), pts[:, 1].min()
-        x1, y1 = pts[:, 0].max(), pts[:, 1].max()
-        dx, dy = 0.1 * max(x1 - x0, 1e-6), 0.1 * max(y1 - y0, 1e-6)
-        return (x0 - dx, x1 + dx, y0 - dy, y1 + dy)
+    def curve_atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        """The plane's curve atoms: points and arc steps, built once and cached.
+
+        Each curve segment, between consecutive samples and the wrap-around
+        pair, carries ``_ATOM_POINTS`` Gauss points on the cubic Hermite
+        curve through its two samples and their unit tangents (scaled by
+        the chord, as in :meth:`_refined_points`).  ``points`` (m, 3) are
+        those Gauss points at x3 = 0, ``steps`` (m, 3) the curve's
+        derivative there times the Gauss weight, both Fortran-ordered, so
+        that the sum of g(x_j) ((x_j - c) x steps_j)_3 over the atoms is
+        the line integral of g times (x - c) x dx.  By Green's theorem,
+        with F(rho) = int_0^rho f(s) s ds about the foot of c, the integral
+        of f(|x - c|) against η is the sum of
+        F(rho_j) ((x_j - c) x steps_j)_3 / rho_j^2: :class:`BallRestrictedEta`
+        restricts it to balls, and :func:`eta_integral` integrates any f
+        along the rays of a fan.
+        """
+        if self.wetting != PLANE:
+            raise GeometryError("curve atoms carry the plane's wetted measure only")
+        if "atoms" not in self._cache:
+            s, w = _ATOM_RULE
+            # cubic Hermite basis on [0, 1] and its derivative times the weight
+            basis = np.array([2 * s**3 - 3 * s**2 + 1, s**3 - 2 * s**2 + s, 3 * s**2 - 2 * s**3, s**3 - s**2])
+            slope = np.array([6 * s**2 - 6 * s, 3 * s**2 - 4 * s + 1, 6 * s - 6 * s**2, 3 * s**2 - 2 * s]) * w
+            points, steps = [], []
+            for c in self.curves:
+                p, t = c.points, c.tangents
+                chord = np.linalg.norm(np.roll(p, -1, axis=0) - p, axis=1)[:, None]
+                ends = np.stack([p, chord * t, np.roll(p, -1, axis=0), chord * np.roll(t, -1, axis=0)])
+                points.append(np.einsum("bk,bmx->mkx", basis, ends).reshape(-1, 3))
+                steps.append(np.einsum("bk,bmx->mkx", slope, ends).reshape(-1, 3))
+            atoms = tuple(np.asfortranarray(np.concatenate(parts)) for parts in (points, steps))
+            for arr in atoms:
+                arr[:, 2] = 0.0
+            self._cache["atoms"] = atoms
+        return self._cache["atoms"]
+
+    # -- the sphere grid ---------------------------------------------------------
 
     def grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Grid nodes, cell weights, integer winding and antialiased winding.
+        """Sphere grid nodes, cell weights, integer winding and antialiased winding.
 
         Nodes within 1e-6 of a curve keep their antialiased value but the
         integer field is computed at the node position regardless; the
         measure-zero ambiguity never enters integrals through the
-        antialiased field.  Only the cells of the curve band are
+        antialiased field.  Only the faces of the curve band are
         antialiased (see the antialiasing notes below), so the cost beyond
         the integer field follows the curve, not the grid.
 
         Only the compact state of :meth:`_stored_grid` is kept; each call
-        lays the four arrays out afresh from it (the sphere's nodes and cell
-        weights are those of the cached ``sphere_mesh``), so a caller that
-        drops them frees them.
+        lays the four arrays out afresh from it (the nodes and cell weights
+        are those of the cached ``sphere_mesh``), so a caller that drops
+        them frees them.  A plane region has no grid and raises
+        GeometryError.
         """
-        wind, cells, values, axes = self._stored_grid()
-        if self.wetting == PLANE:
-            xs, ys, cell = axes
-            nodes = plane_nodes(xs, ys)
-            cellw = np.full(len(nodes), cell)
-        else:
-            _, _, nodes, cellw = sphere_mesh(self.sphere_level)
+        wind, cells, values = self._stored_grid()
+        _, _, nodes, cellw = sphere_mesh(self.sphere_level)
         wind = wind.astype(np.int64)
         wind_aa = wind.astype(float)
         wind_aa[cells] = values
         return nodes, cellw, wind, wind_aa
 
     def _stored_grid(self) -> tuple:
-        """The grid as cached: winding, band cells, band values, plane axes.
+        """The sphere grid as cached: winding, band cells, band values.
 
         The integer winding is kept as int8 when every value fits (as the
         grid companion stores it), and the band's cell indices and
-        antialiased values beside it; on the plane the fourth entry is
-        ``(xs, ys, cell_area)`` of ``plane_axes``, on the sphere None.  The
-        windings come from the store when it holds them, and are built
-        otherwise; a built grid is handed to the store only when its
-        winding is int8, so the store never sees another.  Built on the
-        first call, under the cache key ``"grid"``.
+        antialiased values beside it.  The windings come from the store
+        when it holds them, and are built otherwise; a built grid is handed
+        to the store only when its winding is int8, so the store never
+        sees another.  Built on the first call, under the cache key
+        ``"grid"``.
         """
+        if self.wetting != SPHERE:
+            raise GeometryError("the plane's wetted measure is read from its curves; it has no grid")
         if "grid" not in self._cache:
-            axes = mesh = None
-            if self.wetting == PLANE:
-                axes = plane_axes(self._plane_bbox(), self.grid_n)
-            else:
-                mesh = sphere_mesh(self.sphere_level)
             stored = None if self.store is None else self.store.load(self)
             if stored is None:
-                if self.wetting == PLANE:
-                    wind, cells, values = self._plane_winding(*axes[:2])
-                else:
-                    wind, cells, values = self._sphere_winding(*mesh)
+                wind, cells, values = self._sphere_winding(*sphere_mesh(self.sphere_level))
                 stored = (_compact_winding(wind), cells, values)
                 if self.store is not None and stored[0].dtype == np.int8:
                     self.store.save(self, *stored)
-            self._cache["grid"] = (*stored, axes)
+            self._cache["grid"] = stored
         return self._cache["grid"]
-
-    def plane_cell_area(self) -> float:
-        """Area of one plane grid cell, each node's cell weight."""
-        return self._stored_grid()[3][2]
-
-    def _plane_winding(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Integer winding of the plane grid, its band cells and their antialiased values."""
-        polys = [p[:, :2] for p in self._refined_points()]
-        # nodes are raveled in meshgrid(xs, ys, indexing="ij") order
-        rows = np.tile(np.arange(len(ys)), len(xs))
-        wind = _winding_scanline(polys, ys, rows, np.repeat(xs, len(ys)))
-        reach = 0.5 * np.hypot(xs[1] - xs[0], ys[1] - ys[0])
-        cells = _near_curve(polys, reach, axes=(xs, ys))
-        values = _aa_plane(polys, cells, xs, ys) if len(cells) else np.empty(0)
-        return wind, cells, values
 
     def _sphere_winding(
         self, verts: np.ndarray, faces: np.ndarray, nodes: np.ndarray, cellw: np.ndarray
@@ -477,7 +479,7 @@ class WettedRegion:
         """Integer winding of the sphere grid, its band faces and their antialiased values."""
         wind = self._sphere_wind(nodes)
         band = 1.1 * float(np.sqrt(np.max(cellw)))
-        cells = _near_curve([c.points for c in self.curves], band, level=self.sphere_level)
+        cells = _near_curve([c.points for c in self.curves], band, self.sphere_level)
         values = np.empty(0)
         if len(cells):
             # sphere nodes are face centroids, so cells index faces; only
@@ -491,15 +493,14 @@ class WettedRegion:
         return wind, cells, values
 
     def _refined_points(self) -> list[np.ndarray]:
-        """Curve sample loops refined by Hermite midpoint insertion.
+        """Sphere curve sample loops refined by Hermite midpoint insertion.
 
         The stored unit tangents give cubic-Hermite midpoints, so the grid
         polygons track the underlying smooth curve to fourth order in the
         sample spacing instead of carrying the inscribed-chord area bias.
-        Sphere loops are renormalized after every insertion.
+        The loops are renormalized after every insertion.
         """
         out = []
-        on_sphere = self.wetting == SPHERE
         for c in self.curves:
             p, t = c.points, c.tangents
             for _ in range(_CURVE_REFINE):
@@ -507,9 +508,8 @@ class WettedRegion:
                 chord = np.linalg.norm(p1 - p, axis=1, keepdims=True)
                 mid = 0.5 * (p + p1) + chord * (t - t1) / 8.0
                 tmid = 1.5 * (p1 - p) - 0.25 * chord * (t + t1)
-                if on_sphere:
-                    mid /= np.linalg.norm(mid, axis=1, keepdims=True)
-                    tmid = tmid - np.sum(tmid * mid, axis=1, keepdims=True) * mid
+                mid /= np.linalg.norm(mid, axis=1, keepdims=True)
+                tmid = tmid - np.sum(tmid * mid, axis=1, keepdims=True) * mid
                 tmid /= np.linalg.norm(tmid, axis=1, keepdims=True)
                 q = np.empty((2 * len(p), 3))
                 q[0::2], q[1::2] = p, mid
@@ -534,12 +534,12 @@ class WettedRegion:
     # -- integrals ---------------------------------------------------------------
 
     def eta_nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Grid nodes and their winding-weighted quadrature weights, laid out per call."""
+        """Sphere grid nodes and their winding-weighted quadrature weights, laid out per call."""
         nodes, cellw, _, wind_aa = self.grid()
         return nodes, wind_aa * cellw
 
     def wetted_nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The grid nodes of nonzero weight and their weights, in grid order.
+        """The sphere grid nodes of nonzero weight and their weights, in grid order.
 
         The weights are ``eta_nodes()``'s; a node of zero weight adds nothing
         to any ball restriction of η, so every restriction reads only these.
@@ -563,152 +563,72 @@ def _compact_winding(wind: np.ndarray) -> np.ndarray:
     return wind.astype(np.int8, copy=False)
 
 
-def _disk_cell_overlap(x: np.ndarray, y: np.ndarray, h: float, r: np.ndarray) -> np.ndarray:
-    """Exact overlap area of axis-aligned h-cells centered at (x, y) with disks about 0.
-
-    ``r`` holds each cell's disk radius.  The overlap is the alternating
-    sum A(x+, y+) - A(x-, y+) - A(x+, y-) + A(x-, y-) of the corner areas
-    A(a, b) of {x <= a, y <= b} in the disk, each a slab integral of the
-    half-chord antiderivative F(t) = (t sqrt(r^2 - t^2) + r^2 arcsin(t/r)) / 2
-    between clipped column edges and the chord ends +-c of a row edge.
-    The four corners share their edges, so F is evaluated seven times per
-    cell: at the two clipped column edges, at +-c of the two row edges and
-    at -r; each F(min(a, +-c)) is one of those values.
-    """
-    h2 = 0.5 * h
-    cols = (np.clip(x + h2, -r, r), np.clip(x - h2, -r, r))
-    rows = (y + h2, y - h2)
-    chords = []
-    for b in rows:
-        c = np.sqrt(np.maximum(r * r - b * b, 0.0))
-        chords.append(np.where(np.abs(b) >= r, 0.0, c))
-    # one contiguous array for every F argument, so every arcsin value comes
-    # from the same (vectorized) code path
-    t = np.stack([cols[0], cols[1], chords[0], -chords[0], chords[1], -chords[1], -r])
-    t = np.clip(t, -r, r)
-    rr = r * r
-    f = 0.5 * (t * np.sqrt(np.maximum(rr - t * t, 0.0)) + rr * np.arcsin(np.clip(t / r, -1.0, 1.0)))
-    f_cols, f_rows, f_low = f[:2], (f[2:4], f[4:6]), f[6]
-
-    def corner(k, j):
-        a, fa = cols[k], f_cols[k]
-        b, c = rows[j], chords[j]
-        fc, fmc = f_rows[j]
-        # slab integral of sqrt(r^2-x^2) + clip(b, -s, s) over x in [-r, a]
-        e2 = np.minimum(a, c)
-        region1 = 2.0 * (np.where(a < -c, fa, fmc) - f_low)
-        mid = np.maximum(e2 - (-c), 0.0)
-        region2 = np.where(e2 > -c, np.where(a < c, fa, fc) - fmc + b * mid, 0.0)
-        region3 = np.where(a > c, 2.0 * (fa - fc), 0.0)
-        out = np.where(b >= 0.0, region1 + region2 + region3, region2)
-        return np.where(b <= -r, 0.0, out)
-
-    return corner(0, 0) - corner(1, 0) - corner(0, 1) + corner(1, 1)
-
-
 class BallRestrictedEta(RadialPrefix):
     """Winding-measure integrals restricted to balls about a fixed center.
 
-    A ``RadialPrefix`` over the region's ``wetted_nodes()``, each weighted
-    by its ``wind_aa * cellw`` times each key's array; radius windows are
-    clipped to w <= 0.9 r on both wetting surfaces.  ``arrays`` and ``d2``,
+    On the sphere η is restricted as atoms, one per face centroid of the
+    region's ``wetted_nodes()``, each weighted by its ``wind_aa * cellw``
+    times each key's array, with ``RadialPrefix``'s sharp sums and exact box
+    windows, the rules the sample measure μ uses.  ``arrays`` and ``d2``,
     the squared distances of the nodes from the center when the caller
     already holds them (sparing the distance pass), are over
-    ``wetted_nodes()`` on both surfaces.  Leaving out the nodes of zero
-    weight keeps every sharp prefix sum bit for bit: zero terms leave a
-    running sum unchanged.
+    ``wetted_nodes()``.  Leaving out the nodes of zero weight keeps every
+    sharp prefix sum bit for bit: zero terms leave a running sum unchanged.
 
-    On the sphere η is restricted as atoms, one per face centroid, with
-    ``RadialPrefix``'s sharp sums and exact box windows, the rules the
-    sample measure μ uses.  ``band`` is None there.
+    On the plane η is restricted over the region's ``curve_atoms()``.  A
+    plane key is radial about the center c: ``arrays`` maps each key to
+    its antiderivative F(rho) = int_0^rho f(s) s ds, a function of rho^2
+    (``mass``, F = rho^2 / 2, is always present), and ``d2`` is not taken.
+    With rho_j the distance of atom j from c's foot and a_j =
+    ((x_j - c) x steps_j)_3 / rho_j^2 its angle increment about the foot,
+    the key's integral over B_r(c) is
 
-    On the plane, cells within ``band`` of the ball boundary (a contiguous
-    slice of the sorted order) get their exact disk-overlap coverage
-    fraction, and radius windows are evaluated by a short Gauss rule.  Per
-    radius the object keeps the band slice and the coverage correction
-    ``frac - sharp``, computed once and applied to every key.  Each
-    ``cumulative`` call fills the corrections of all its new radii
-    together, over their concatenated band slices in bounded groups; only
-    the final weighted sum runs per radius, so every radius is summed as on
-    its own.  A band slice holds no zero-weight cell, so its pairwise sum
-    groups its terms differently from a sum over every grid cell of the
-    band, and may differ from that in the last bits.
+        sum over rho_j < r_p of F(rho_j) a_j + F(r_p) * sum over rho_j >= r_p of a_j,
+
+    with r_p^2 = r^2 - c3^2: two prefix rows per key, the key's F(rho_j) a_j
+    and the shared ``angle`` row, over one distance sort.  Radius windows
+    are evaluated by a five-point Gauss rule.  Windows are clipped to
+    w <= 0.9 r on both wetting surfaces.
     """
 
     def __init__(self, region: WettedRegion, center, arrays: Optional[dict] = None, *, d2=None):
-        nodes, weight = region.wetted_nodes()
-        keyed = {"mass": weight}
-        keyed.update((key, np.asarray(v, dtype=float) * weight) for key, v in (arrays or {}).items())
-        super().__init__(nodes, center, keyed, d2=d2)
-        self.band = None
-        if region.wetting == PLANE:
-            self._nodes = nodes
-            self._corrections: dict = {}
-            self._h = np.sqrt(region.plane_cell_area())
-            self.band = 0.71 * self._h
-
-    def _fractions(self, rows: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """Disk-overlap fractions of the sorted plane cells ``rows``, each in a ball of radius ``r``.
-
-        A ball whose radius does not reach the plane covers no cell.
-        """
-        rp2 = r**2 - self.center[2] ** 2
-        out = np.zeros(len(rows))
-        cut = rp2 > 0.0
-        cells = self.order[rows[cut]]
-        x0 = self._nodes[cells, 0] - self.center[0]
-        y0 = self._nodes[cells, 1] - self.center[1]
-        out[cut] = _disk_cell_overlap(x0, y0, self._h, np.sqrt(rp2[cut])) / (self._h * self._h)
-        return out
-
-    def _fill_corrections(self, radii: np.ndarray) -> None:
-        """Sharp count, band slice and coverage correction of each new finite radius.
-
-        The correction ``frac - sharp`` depends on the radius alone, so every
-        key evaluated at that radius reuses it.  The band slices of the new
-        radii are concatenated and evaluated in groups of whole radii holding
-        about ``_CHUNK * 4`` cells, so the temporaries stay bounded however
-        many radii one call asks for.
-        """
-        finite = radii[np.isfinite(radii)].tolist()
-        new = [r for r in dict.fromkeys(finite) if r not in self._corrections]
-        if not new:
+        self._antiderivatives = None
+        if region.wetting == SPHERE:
+            nodes, weight = region.wetted_nodes()
+            keyed = {"mass": weight}
+            keyed.update((key, np.asarray(v, dtype=float) * weight) for key, v in (arrays or {}).items())
+            super().__init__(nodes, center, keyed, d2=d2)
             return
-        r = np.array(new)
-        idx = np.searchsorted(self.dists, r, side="left")
-        lo = np.searchsorted(self.dists, r - self.band, side="left")
-        hi = np.searchsorted(self.dists, r + self.band, side="left")
-        count = hi - lo
-        ends = np.cumsum(count)
-        first = ends - count
-        start = 0
-        while start < len(new):
-            stop = max(int(np.searchsorted(ends, first[start] + _CHUNK * 4, side="right")), start + 1)
-            rows = np.repeat(lo[start:stop], count[start:stop]) + _run_offsets(count[start:stop])
-            rad = np.repeat(r[start:stop], count[start:stop])
-            corr = self._fractions(rows, rad) - (self.dists[rows] < rad).astype(float)
-            for k in range(start, stop):
-                c = corr[first[k] - first[start] : ends[k] - first[start]] if count[k] else None
-                self._corrections[new[k]] = (int(idx[k]), int(lo[k]), int(hi[k]), c)
-            start = stop
+        points, steps = region.curve_atoms()
+        self._antiderivatives = {"mass": lambda rho2: 0.5 * rho2, **(arrays or {})}
+        rel = points - np.asarray(center, dtype=float)
+        rho2 = rel[:, 0] * rel[:, 0] + rel[:, 1] * rel[:, 1]
+        angle = (rel[:, 0] * steps[:, 1] - rel[:, 1] * steps[:, 0]) / np.maximum(rho2, 1e-300)
+        keyed = {key: f(rho2) * angle for key, f in self._antiderivatives.items()}
+        keyed["angle"] = angle
+        super().__init__(points, center, keyed)
+
+    def onset(self) -> float:
+        """Radius below which every ball's mass ratio mass(B_r) / r^2 reads its r -> 0 value.
+
+        The nearest atom's distance (on the plane a disk that misses the
+        curve reads pi r^2 times the winding), or for a center off the
+        plane its height |c3|, below which the ball misses the plane.
+        """
+        if self._antiderivatives is not None and self.center[2] != 0.0:
+            return abs(float(self.center[2]))
+        return super().onset()
 
     def cumulative(self, key: str, radii) -> np.ndarray:
-        radii = np.atleast_1d(np.asarray(radii, dtype=float))
-        if self.band is None:
-            return super().cumulative(key, radii)
-        self._fill_corrections(radii)
-        prefix, values = self._prefix[key], self.values[key]
-        out = np.empty(len(radii))
-        for k, (r, finite) in enumerate(zip(radii.tolist(), np.isfinite(radii).tolist())):
-            if not finite:
-                out[k] = prefix[-1]
-                continue
-            idx, lo, hi, corr = self._corrections[r]
-            total = float(prefix[idx])
-            if corr is not None:
-                total += float(np.sum(values[lo:hi] * corr))
-            out[k] = total
-        return out
+        r = np.atleast_1d(np.asarray(radii, dtype=float))
+        if self._antiderivatives is None:
+            return super().cumulative(key, r)
+        idx = np.searchsorted(self.dists, r, side="left")
+        angle = self._prefix["angle"]
+        # the disk's edge term; once every atom is inside it is F(0) times no angle
+        rp2 = np.where(idx < self.n, r * r - self.center[2] ** 2, 0.0)
+        edge = self._antiderivatives[key](np.maximum(rp2, 0.0))
+        return self._prefix[key][idx] + edge * (angle[-1] - angle[idx])
 
     def _window_average(self, key: str, r, halfwidth, over_r2: bool) -> np.ndarray:
         """Average over [r - w, r + w] of M(s) or M(s)/s^2, with w clipped to 0.9 r.
@@ -721,10 +641,10 @@ class BallRestrictedEta(RadialPrefix):
         """
         r = np.atleast_1d(np.asarray(r, dtype=float))
         w = np.minimum(np.atleast_1d(np.asarray(halfwidth, dtype=float)), 0.9 * r)
-        if self.band is None:
+        if self._antiderivatives is None:
             window = super().windowed_over_r2 if over_r2 else super().windowed
             return window(key, r, w)
-        nodes, weights = _gauss5()
+        nodes, weights = _GAUSS[5]
         s = np.maximum(r[None, :] + nodes[:, None] * w[None, :], 1e-12)
         vals = self.cumulative(key, s.ravel()).reshape(s.shape)
         if over_r2:
@@ -748,25 +668,51 @@ def _exact_floats(hexes) -> np.ndarray:
     return arr
 
 
-# the five-point Gauss-Legendre rule on [-1, 1]: the float64 nodes and
-# weights of numpy.polynomial.legendre.leggauss(5), written exactly
-_GAUSS5 = (
-    _exact_floats(("-0x1.cff6ce0533a69p-1", "-0x1.13b23fd99b705p-1", "0x0.0p+0", "0x1.13b23fd99b705p-1", "0x1.cff6ce0533a69p-1")),
-    _exact_floats(("0x1.e539ec36e0393p-3", "0x1.ea1da25ae4158p-2", "0x1.23456789abcddp-1", "0x1.ea1da25ae4158p-2", "0x1.e539ec36e0393p-3")),
-)
+# the 5- and 8-point Gauss-Legendre rules on [-1, 1]: the float64 nodes and
+# weights of numpy.polynomial.legendre.leggauss, written exactly and shared
+# read-only by every caller
+_GAUSS = {
+    5: (
+        _exact_floats(("-0x1.cff6ce0533a69p-1", "-0x1.13b23fd99b705p-1", "0x0.0p+0", "0x1.13b23fd99b705p-1", "0x1.cff6ce0533a69p-1")),
+        _exact_floats(("0x1.e539ec36e0393p-3", "0x1.ea1da25ae4158p-2", "0x1.23456789abcddp-1", "0x1.ea1da25ae4158p-2", "0x1.e539ec36e0393p-3")),
+    ),
+    8: (
+        _exact_floats(("-0x1.ebab1cb0acc66p-1", "-0x1.97e4ab249f41ep-1", "-0x1.0d129583284b4p-1", "-0x1.77ac94f3c7344p-3",
+                       "0x1.77ac94f3c7344p-3", "0x1.0d129583284b4p-1", "0x1.97e4ab249f41ep-1", "0x1.ebab1cb0acc66p-1")),
+        _exact_floats(("0x1.9ea1d04ca03aep-4", "0x1.c76fb531d2b94p-3", "0x1.413c50a25560ep-2", "0x1.736360b19933dp-2",
+                       "0x1.736360b19933dp-2", "0x1.413c50a25560ep-2", "0x1.c76fb531d2b94p-3", "0x1.9ea1d04ca03aep-4")),
+    ),
+}
 
 
-def _gauss5() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the five-point Gauss-Legendre rule on [-1, 1].
+# the points and weights of the curve atoms and the fan rays, on [0, 1]
+_ATOM_RULE = (0.5 * (_GAUSS[_ATOM_POINTS][0] + 1.0), 0.5 * _GAUSS[_ATOM_POINTS][1])
 
-    Every caller shares the two read-only arrays.
+
+def _fan(region: WettedRegion) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the plane's fan quadrature of η.
+
+    From a fixed center c (the mean of the curve atoms) each atom x_j
+    spans a ray; polar coordinates about c turn the integral of f against
+    η into the sum over atoms of ((x_j - c) x steps_j)_3 times
+    int_0^1 f(c + t (x_j - c)) t dt, which ``_ATOM_POINTS`` Gauss points
+    on each ray evaluate.
     """
-    return _GAUSS5
+    points, steps = region.curve_atoms()
+    center = points.mean(axis=0)
+    rel = points - center
+    t, w = _ATOM_RULE
+    nodes = center + t[None, :, None] * rel[:, None, :]
+    return nodes.reshape(-1, 3), np.outer(rel[:, 0] * steps[:, 1] - rel[:, 1] * steps[:, 0], t * w).ravel()
 
 
 def eta_integral(region: WettedRegion, f: Callable[[np.ndarray], np.ndarray] | float = 1.0) -> float:
-    """Quadrature of f against the winding measure on the wetting surface."""
-    nodes, w = region.eta_nodes()
+    """Quadrature of f against the winding measure on the wetting surface.
+
+    The plane's nodes are those of its fan quadrature, the sphere's its
+    grid nodes.
+    """
+    nodes, w = _fan(region) if region.wetting == PLANE else region.eta_nodes()
     if callable(f):
         vals = np.asarray(f(nodes), dtype=float)
     else:
@@ -774,59 +720,52 @@ def eta_integral(region: WettedRegion, f: Callable[[np.ndarray], np.ndarray] | f
     return float(np.sum(vals * w))
 
 
-def wetted_region(
-    surface: SampledSurface, grid_n: int = 512, sphere_level: int = 6, store=None
-) -> WettedRegion:
+def eta_divergence(region: WettedRegion, field: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Integral of div X against the plane's η, for a field X tangent to the plane.
+
+    By the divergence theorem on each level set of the winding it is the
+    flux of X out through the curves, the sum over the curve atoms of
+    X(x_j) . (steps_j x e3): exact for every field smooth along the curve,
+    where the fan of :func:`eta_integral` must resolve div X inside.
+    """
+    points, steps = region.curve_atoms()
+    x = field(points)
+    return float(np.sum(x[:, 0] * steps[:, 1] - x[:, 1] * steps[:, 0]))
+
+
+def wetted_region(surface: SampledSurface, sphere_level: int = 6, store=None) -> WettedRegion:
     """Region enclosed by the boundary image of a sampled surface.
 
-    ``store`` keeps its grid between processes (see ``WettedRegion``).
+    ``store`` keeps a sphere region's grid between processes (see
+    ``WettedRegion``).
     """
     curve = curve_from_boundary(surface)
     wetting = SPHERE if surface.ambient.kind == BALL else PLANE
-    return WettedRegion((curve,), wetting, grid_n=grid_n, sphere_level=sphere_level, store=store)
+    return WettedRegion((curve,), wetting, sphere_level=sphere_level, store=store)
 
 
 # -- antialiasing ----------------------------------------------------------------
 #
-# Cells straddling a curve are supersampled: the cell is split into
+# Sphere faces straddling a curve are supersampled: the face is split into
 # subcells, every subcell center is classified by the same exact crossing
 # count that produced the node windings, and the node value is replaced by
-# the area-weighted subcell average.  Cells away from every curve are left
+# the area-weighted subcell average.  Faces away from every curve are left
 # untouched: all their subcells agree with the node, so the average would
 # return the node's integer winding bit for bit.
 #
-# On the plane the band is every node within half a cell diagonal of a
-# refined polygon edge.  The 8x8 subcell centers lie within 7/16 of that
-# diagonal of their node, and node and subcell windings count crossings of
-# the same polygon, so they differ only where the polygon passes that
-# close; outside the band the antialiased value would equal the integer
-# one.  Each edge visits only the grid window around it, so finding the
-# band costs the curve length, not nodes times curve points.  On the
-# sphere the band is found by descending the icosphere hierarchy, so it
-# costs the band, not the faces.  The band faces are subdivided and every
-# subcell center is counted directly, in blocks of fixed size, so the
-# temporaries are set by the block size and not by the level; only
-# per-face arrays grow with the band.
+# The band is found by descending the icosphere hierarchy, so it costs the
+# band, not the faces.  The band faces are subdivided and every subcell
+# center is counted directly, in blocks of fixed size, so the temporaries
+# are set by the block size and not by the level; only per-face arrays
+# grow with the band.
 
 
-def _near_curve(
-    loops: Sequence[np.ndarray],
-    band: float,
-    axes: Optional[tuple[np.ndarray, np.ndarray]] = None,
-    level: Optional[int] = None,
-) -> np.ndarray:
-    """Indices of grid nodes within band of any curve loop.
+def _near_curve(loops: Sequence[np.ndarray], band: float, level: int) -> np.ndarray:
+    """Indices of the face centroids of ``sphere_mesh(level)`` within band of any curve loop.
 
-    With ``axes = (xs, ys)`` the nodes form the plane grid of those axes and
-    the loops are closed polygons: each edge is walked through the window of
-    grid indices around it and the nodes within band of the edge segment
-    are kept.  With ``level`` the nodes are the face centroids of
-    ``sphere_mesh(level)`` and the nodes within band of the loops' sample
-    points are kept: each loop descends the icosphere hierarchy to the band
-    (see ``_near_samples``).
+    The nodes within band of the loops' sample points are kept: each loop
+    descends the icosphere hierarchy to the band (see ``_near_samples``).
     """
-    if axes is not None:
-        return _near_segments(loops, band, *axes)
     return _sorted_unique(np.concatenate([_near_samples(p, band, level) for p in loops]))
 
 
@@ -896,74 +835,6 @@ def _near_samples(p: np.ndarray, band: float, level: int) -> np.ndarray:
         seglen = float(np.max(np.linalg.norm(np.roll(p, -1, axis=0) - p, axis=1)))
         cand = cand[_nearest_sample(nodes[cand], p) <= band + seglen]
     return cand
-
-
-def _axis_window(lo: np.ndarray, hi: np.ndarray, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First and last index of the uniform axis nodes that may fall in [lo, hi]."""
-    h = axis[1] - axis[0]
-    f0, f1 = (lo - axis[0]) / h, (hi - axis[0]) / h
-    first = np.clip(np.floor(np.minimum(f0, f1)), 0, len(axis) - 1).astype(np.int64)
-    last = np.clip(np.ceil(np.maximum(f0, f1)), -1, len(axis) - 1).astype(np.int64)
-    return first, last
-
-
-def _near_segments(polys: Sequence[np.ndarray], band: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Plane grid nodes within band of a polygon edge, edge by edge."""
-    a = np.concatenate(polys)
-    b = np.concatenate([np.roll(p, -1, axis=0) for p in polys])
-    seg = b - a
-    lo, hi = np.minimum(a, b) - band, np.maximum(a, b) + band
-    ix0, ix1 = _axis_window(lo[:, 0], hi[:, 0], xs)
-    iy0, iy1 = _axis_window(lo[:, 1], hi[:, 1], ys)
-    ny = np.maximum(iy1 - iy0 + 1, 0)
-    count = np.maximum(ix1 - ix0 + 1, 0) * ny
-    seg2 = np.maximum(np.sum(seg * seg, axis=1), 1e-300)
-    keep = np.zeros(len(xs) * len(ys), dtype=bool)
-    ends = np.cumsum(count)
-    start = 0
-    while start < len(a):
-        # a block of whole edges holding about _CHUNK (edge, node) pairs
-        base = ends[start] - count[start]
-        stop = max(int(np.searchsorted(ends, base + _CHUNK, side="right")), start + 1)
-        edge = np.repeat(np.arange(start, stop), count[start:stop])
-        k = _run_offsets(count[start:stop])
-        i = ix0[edge] + k // ny[edge]
-        j = iy0[edge] + k % ny[edge]
-        rx, ry = xs[i] - a[edge, 0], ys[j] - a[edge, 1]
-        t = np.clip((rx * seg[edge, 0] + ry * seg[edge, 1]) / seg2[edge], 0.0, 1.0)
-        dx, dy = rx - t * seg[edge, 0], ry - t * seg[edge, 1]
-        near = dx * dx + dy * dy <= band * band
-        keep[i[near] * len(ys) + j[near]] = True
-        start = stop
-    return np.flatnonzero(keep)
-
-
-def _aa_plane(
-    polys: Sequence[np.ndarray],
-    cells: np.ndarray,
-    xs: np.ndarray,
-    ys: np.ndarray,
-) -> np.ndarray:
-    """Antialiased winding replacement values for the given plane grid cells.
-
-    The subcell windings reuse the scanline crossing count, so they sit on
-    exactly the same boundary as the integer field.  Cells in one grid row
-    share that row's subrows.
-    """
-    sub = 8
-    n = len(ys)
-    ix, iy = cells // n, cells % n
-    hx = xs[1] - xs[0]
-    hy = ys[1] - ys[0]
-    offs = (np.arange(sub) + 0.5) / sub - 0.5
-    rows, inv = np.unique(iy, return_inverse=True)
-    sub_ys = (ys[rows][:, None] + offs[None, :] * hy).ravel()
-    sub_xs = xs[ix][:, None] + offs[None, :] * hx
-    # query (cell, subrow, subcolumn), raveled in that order
-    row = np.repeat(inv[:, None] * sub + np.arange(sub)[None, :], sub)
-    x = np.repeat(sub_xs[:, None, :], sub, axis=1).ravel()
-    w = _winding_scanline(polys, sub_ys, row, x)
-    return np.sum(w.reshape(len(cells), sub * sub), axis=1) / (sub * sub)
 
 
 def _aa_sphere(

@@ -1,6 +1,6 @@
 """Shared builders for sampled surfaces and wetted regions.
 
-Surfaces and their grids are the expensive parts of the suite, so tests
+Surfaces and their sphere grids are the expensive parts of the suite, so tests
 share memoized instances through the session-scoped ``stock`` fixture.
 """
 
@@ -26,20 +26,20 @@ class Stock:
             self._cache[key] = build()
         return self._cache[key]
 
-    def cap(self, theta, res=128, grid=512):
+    def cap(self, theta, res=128):
         def build():
             surface = sample_chart(spherical_cap_halfspace(theta), res, res)
-            return surface, wetted_region(surface, grid_n=grid)
+            return surface, wetted_region(surface)
 
-        return self._get(("cap", round(theta, 12), res, grid), build)
+        return self._get(("cap", round(theta, 12), res), build)
 
-    def perturbed_cap(self, theta, amplitude, mode, res=128, grid=512):
+    def perturbed_cap(self, theta, amplitude, mode, res=128):
         def build():
             chart = perturb_chart(spherical_cap_halfspace(theta), amplitude, mode)
             surface = sample_chart(chart, res, res)
-            return surface, wetted_region(surface, grid_n=grid)
+            return surface, wetted_region(surface)
 
-        return self._get(("pcap", round(theta, 12), amplitude, mode, res, grid), build)
+        return self._get(("pcap", round(theta, 12), amplitude, mode, res), build)
 
     def disk(self, theta, nu=96, nv=256, level=5):
         def build():

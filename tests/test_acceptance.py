@@ -47,8 +47,8 @@ def test_02_complementary_caps(stock):
     _report(2, "complementary caps sum to 4 pi", worst, 2e-3 * np.pi)
 
 
-def _halfspace_identity_rms(stock, res, grid):
-    surface, region = stock.cap(2 * np.pi / 3, res=res, grid=grid)
+def _halfspace_identity_rms(stock, res):
+    surface, region = stock.cap(2 * np.pi / 3, res=res)
     bases = (np.array([0.45, 0.2, 0.0]), np.array([0.31, -0.12, 0.47]))
     vals = []
     for a in bases:
@@ -61,7 +61,7 @@ def _halfspace_identity_rms(stock, res, grid):
 
 
 def test_03_halfspace_identity(stock):
-    _, worst = _halfspace_identity_rms(stock, 96, 384)
+    _, worst = _halfspace_identity_rms(stock, 96)
     _report(3, "half-space two-radius identity (normalized)", worst, 1e-3)
 
 
@@ -80,7 +80,7 @@ def test_04_monotone_profiles(stock, rng):
         prof = hs.monotonicity_profile(surface, region, a, grid)
         worst = min(worst, prof.min_forward_difference())
         found += 1
-    acute, acute_region = stock.cap(np.pi / 3, res=192, grid=768)
+    acute, acute_region = stock.cap(np.pi / 3, res=192)
     center3 = np.array([0, 0, -np.cos(np.pi / 3)])
     found = 0
     while found < 10:
@@ -227,7 +227,7 @@ def test_10_winding_oracle(rng):
     pts = np.column_stack([np.cos(t), np.sin(t), np.zeros(len(t))])
     tans = np.column_stack([-np.sin(t), np.cos(t), np.zeros(len(t))])
     circle = OrientedCurve(pts, tans, np.full(len(t), 2 * np.pi / len(t)))
-    region = WettedRegion((circle,), "plane", grid_n=512)
+    region = WettedRegion((circle,), "plane")
     gap = abs(oriented_area(circle) - eta_integral(region))
     _report(10, "oriented area vs eta mass", gap, 1e-3)
 
@@ -254,8 +254,8 @@ def test_11_gauss_bonnet(stock):
 
 
 def test_12_convergence_under_refinement(stock):
-    coarse_rms, _ = _halfspace_identity_rms(stock, 48, 192)
-    fine_rms, _ = _halfspace_identity_rms(stock, 96, 384)
+    coarse_rms, _ = _halfspace_identity_rms(stock, 48)
+    fine_rms, _ = _halfspace_identity_rms(stock, 96)
     ratio_hs = coarse_rms / fine_rms
     _report(12, "half-space residual shrink factor", -ratio_hs, -3.0, ok=ratio_hs >= 3.0)
     coarse = _ball_identity_values(stock, 48, 128, 5)

@@ -163,11 +163,12 @@ def test_ball_suite_balance_law_reads_eta(tmp_path, monkeypatch, capsys):
     assert len(failed) == 1 and failed[0].startswith("FAIL balance-law")
 
 
-@pytest.mark.parametrize("ambient", ["halfspace", "ball"])
+# only the sphere has a wetted grid; the plane reads η from its curve
+@pytest.mark.parametrize("ambient", ["ball"])
 def test_monotonicity_builds_the_grid_once(tmp_path, monkeypatch, ambient):
     out = tmp_path / "out"
     path = tmp_path / "run.cfg"
-    path.write_text(BASE.replace("OUT", str(out)) if ambient == "halfspace" else _ball_text(out))
+    path.write_text(_ball_text(out))
     assert main(["generate", "--config", str(path)]) == 0
     code = main(["monotonicity", "--config", str(path)])
     first = {p.name: p.read_bytes() for p in sorted(out.glob("profile_*.csv"))}
@@ -176,7 +177,7 @@ def test_monotonicity_builds_the_grid_once(tmp_path, monkeypatch, ambient):
     # builds the grid itself
     (out / tables.GRID_COMPANION).unlink()
 
-    # every grid build, plane or sphere, finds its curve band exactly once
+    # every grid build finds its curve band exactly once
     builds = []
     near_curve = wetted._near_curve
 
@@ -186,7 +187,7 @@ def test_monotonicity_builds_the_grid_once(tmp_path, monkeypatch, ambient):
 
     monkeypatch.setattr(wetted, "_near_curve", counting)
     # and the weighted sample arrays are computed once, for every probe
-    mono = halfspace if ambient == "halfspace" else ball
+    mono = ball
     h2 = []
 
     class Recording(mono.RadialPrefix):
@@ -282,8 +283,8 @@ def test_importing_the_cli_leaves_numpy_polynomial_unloaded():
 def test_verification_commands_load_neither_numpy_ma_nor_polynomial(tmp_path, ambient):
     # a plain np.unique(ar) imports numpy.ma, and leggauss numpy.polynomial;
     # the ball's energy builds the sphere grid (whose band is deduplicated),
-    # the half-space monotonicity windows the plane η by its Gauss rule, and
-    # neither needs either module
+    # the half-space monotonicity places its curve atoms and windows the
+    # plane η by its Gauss rules, and neither needs either module
     path, out = _tiny_run(tmp_path, ambient)
     src = str(Path(capmono.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -296,7 +297,7 @@ def test_verification_commands_load_neither_numpy_ma_nor_polynomial(tmp_path, am
     assert not (out / tables.GRID_COMPANION).exists()
     proc = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert (out / tables.GRID_COMPANION).is_file()
+    assert (out / tables.GRID_COMPANION).is_file() == (ambient == "ball")
     assert proc.stdout.splitlines()[-1].endswith("] False False")
 
 
@@ -312,7 +313,7 @@ def test_verification_commands_load_neither_numpy_ma_nor_polynomial(tmp_path, am
         ("r_min = 0.3", "r_min = 1e-310"),
         ("radius = 1", "radius = -1"),
         ("radius = 1", "radius = 0"),
-        ("plane_grid = 256", "plane_grid = 4096"),
+        ("plane_grid = 256", "plane_grid = 256.5"),
         ("sphere_level = 4", "sphere_level = 9"),
         ("seed = 0", "seed = 0\nthreads = 2"),
         ("generator = cap", "generator = cap-ball"),
@@ -322,7 +323,7 @@ def test_verification_commands_load_neither_numpy_ma_nor_polynomial(tmp_path, am
     ],
     ids=[
         "pair-order", "r-count", "nu", "nu-max", "nv-max", "r-min", "r-min-subnormal", "radius-negative", "radius-zero",
-        "plane-grid-max", "sphere-level-max", "threads-2", "generator-ambient", "out-dir-file", "out-dir-under-file",
+        "plane-grid-float", "sphere-level-max", "threads-2", "generator-ambient", "out-dir-file", "out-dir-under-file",
     ],
 )
 def test_bad_config_exits_2_without_traceback(tmp_path, edit):
@@ -559,8 +560,10 @@ def test_benchmark_tracer_instruments_the_library(tmp_path, ambient):
         traced = tracing.run_pipeline(str(path), tmp_path, tracer)
     assert [c["exit"] for c in traced] == [c["exit"] for c in plain]
     assert outputs() == plain_outputs
-    for name in ("wetted.BallRestrictedEta.objects", "radial.RadialPrefix.objects", "identity.calls", "wetted.grid.builds"):
+    for name in ("wetted.BallRestrictedEta.objects", "radial.RadialPrefix.objects", "identity.calls"):
         assert tracer.counts[name] > 0, name
+    # only the sphere builds a wetted grid
+    assert (tracer.counts["wetted.grid.builds"] > 0) == (ambient == "ball")
     for module, attrs in zip(modules, before):
         assert all(vars(module)[k] is v for k, v in attrs.items())
     assert halfspace.BallRestrictedEta is wetted.BallRestrictedEta
@@ -681,7 +684,6 @@ def _flip_body(target):
 _RESIDUAL_MISSES = {
     "probe": _edit_config("point = 0.31,-0.12,0.47", "point = 0.31,-0.12,0.48"),
     "pair": _edit_config("pair = 0.4,1.5", "pair = 0.4,1.6"),
-    "plane-grid": _edit_config("plane_grid = 32", "plane_grid = 40"),
     "sphere-level": _edit_config("sphere_level = 2", "sphere_level = 3"),
     "seed": lambda path, out, mp, tmp: ("--seed", "1"),
     "surface-tsv": _edited_surface,
@@ -709,6 +711,18 @@ def test_pair_residuals_misses_recompute(tmp_path, monkeypatch, capsys, case):
     assert built
     (out / tables.PAIR_RESIDUALS).unlink()
     assert _suite(capsys, path, *args) == got
+
+
+def test_pair_residuals_ignore_the_plane_grid(tmp_path, monkeypatch, capsys):
+    # plane_grid is accepted and ignored: a config that differs only in it
+    # reads the residuals monotonicity stored, and prints the same
+    path, out = _tiny_run(tmp_path)
+    assert main(["monotonicity", "--config", str(path)]) in (0, 1)
+    computed = _suite(capsys, path)
+    path.write_text(path.read_text().replace("plane_grid = 32", "plane_grid = 40"))
+    built = _counting_terms(monkeypatch)
+    assert _suite(capsys, path) == computed
+    assert built == []
 
 
 def test_stored_nan_residual_fails_the_suite(tmp_path, monkeypatch, capsys):

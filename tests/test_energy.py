@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from capmono import ball as bl
 from capmono import energy as en
+from capmono import halfspace as hs
 from capmono.errors import AmbientError, ResolutionError
 
 
@@ -73,22 +75,49 @@ def test_density_resolution_guard(stock):
         en.density(cap, point, r_grid=np.linspace(0.02, 0.06, 4))
 
 
+def _tilde_density(mono, surface, region, x0):
+    """The two-ball density of mu - cos(theta) eta, read from the probe's terms."""
+    return mono.probe_terms(surface, region, np.asarray(x0, dtype=float)).density()
+
+
 def test_tilde_density_values(stock):
     cap, region = stock.cap(2 * np.pi / 3)
     boundary = np.array([np.sin(2 * np.pi / 3), 0.0, 0.0])
-    assert en.tilde_density(cap, region, boundary) == pytest.approx(1.5, abs=0.03)
-    assert en.capillary_density(cap, region, boundary) == pytest.approx(1.0, abs=0.02)
+    theta_tilde = _tilde_density(hs, cap, region, boundary)
+    assert theta_tilde == pytest.approx(1.5, abs=0.03)
+    # normalized by 1 - cos(theta), the density is 1 at an embedded boundary point
+    assert theta_tilde / (1.0 - np.cos(cap.theta)) == pytest.approx(1.0, abs=0.02)
     apex = np.array([0.0, 0.0, 1.5])
-    assert en.tilde_density(cap, region, apex) == pytest.approx(1.0, abs=0.02)
+    assert _tilde_density(hs, cap, region, apex) == pytest.approx(1.0, abs=0.02)
 
 
 def test_tilde_density_ball(stock):
     disk, region = stock.disk(np.pi / 3)
     contact = np.array([np.sin(np.pi / 3), 0.0, np.cos(np.pi / 3)])
-    assert en.tilde_density(disk, region, contact) == pytest.approx(0.5, abs=0.02)
-    assert en.tilde_density(disk, region, [0.2, 0.0, 0.5]) == pytest.approx(1.0, abs=0.02)
+    assert _tilde_density(bl, disk, region, contact) == pytest.approx(0.5, abs=0.02)
+    assert _tilde_density(bl, disk, region, [0.2, 0.0, 0.5]) == pytest.approx(1.0, abs=0.02)
     capball, cb_region = stock.capball(2 * np.pi / 3, np.pi / 3)
-    assert en.tilde_density(capball, cb_region, [0.0, 0.0, 0.4]) == 0.0
+    assert _tilde_density(bl, capball, cb_region, [0.0, 0.0, 0.4]) == 0.0
+
+
+@pytest.mark.parametrize("theta", [2 * np.pi / 3, np.pi / 3])
+@pytest.mark.parametrize("point", [(0.3, -0.2, 0.0), (0.6, 0.0, 0.0)])
+def test_tilde_density_inside_the_wetted_region(stock, theta, point):
+    # off mu, on the wetted plane: every ball below the nearest sample and
+    # the curve reads pi r^2 of η, so the density is -2 cos(theta) and the
+    # boundary limit identity closes with it
+    cap, region = stock.cap(theta)
+    assert _tilde_density(hs, cap, region, point) == pytest.approx(-2 * np.cos(theta), abs=1e-3)
+    assert abs(hs.boundary_limit_identity_residual(cap, region, point)) < 2e-2
+
+
+def test_tilde_density_off_the_ball_supports(stock):
+    # the ball-cap benchmark probe of seed 1: off mu and off the sphere, in
+    # both balls below the nearest sample, so the density is exactly 0
+    capball, region = stock.capball(2 * np.pi / 3, np.pi / 3)
+    probe = np.array([-0.0044, 0.375, 0.283])
+    assert _tilde_density(bl, capball, region, probe) == 0.0
+    assert abs(bl.limit_identity_residuals(capball, region, probe)["general"]) < 2e-2
 
 
 def test_li_yau_margins(stock):

@@ -65,7 +65,7 @@ def test_profile_monotone_obtuse(stock, rng):
 
 def test_profile_monotone_acute_on_plane(stock, rng):
     theta = np.pi / 3
-    surface, region = stock.cap(theta, res=192, grid=768)
+    surface, region = stock.cap(theta, res=192)
     center = np.array([0, 0, -np.cos(theta)])
     grid = np.linspace(0.2, 3.0, 40)
     found = 0
@@ -79,7 +79,7 @@ def test_profile_monotone_acute_on_plane(stock, rng):
 
 
 def test_profile_remainder_decays(stock):
-    surface, region = stock.cap(np.pi / 3, res=192, grid=768)
+    surface, region = stock.cap(np.pi / 3, res=192)
     grid = np.concatenate([np.linspace(0.05, 0.4, 8), np.linspace(5, 40, 8)])
     prof = hs.monotonicity_profile(surface, region, [0.4, 0.1, 0.0], grid)
     assert np.max(np.abs(prof.remainder[:3])) < 1e-6
@@ -92,7 +92,7 @@ def test_profile_deficit_sign(stock):
     surface, region = stock.cap(THETA)
     prof = hs.monotonicity_profile(surface, region, [0.2, 0.0, 0.5], np.linspace(0.3, 3.0, 20))
     assert np.all(prof.deficit >= 0.0)  # theta >= pi/2
-    acute, acute_region = stock.cap(np.pi / 3, res=192, grid=768)
+    acute, acute_region = stock.cap(np.pi / 3, res=192)
     prof2 = hs.monotonicity_profile(acute, acute_region, [0.2, 0.0, 0.5], np.linspace(0.3, 3.0, 20))
     assert np.all(prof2.deficit <= 0.0)
 
@@ -128,6 +128,29 @@ def test_first_variation_position_field(stock):
     assert abs(hs.first_variation_residual(surface, region, position_field())) < 1e-3
 
 
+def test_first_variation_reads_eta_from_the_boundary_curve(stock, monkeypatch):
+    # X = x on the theta = 2 pi / 3 cap: the η term is the flux of X through
+    # the boundary curve, which the fan quadrature of div X = 2 reads too.
+    # Scaling η by 1.01 (every curve atom's arc step) moves the residual
+    # past 1e-2: the balance law is about 16 times as sensitive to η as the
+    # two-radius gate
+    from capmono.wetted import WettedRegion, eta_divergence, eta_integral
+
+    surface, region = stock.cap(THETA)
+    field = position_field()
+    assert abs(hs.first_variation_residual(surface, region, field)) <= 1e-4
+    fan = eta_integral(region, lambda p: np.full(len(p), 2.0))
+    assert abs(eta_divergence(region, field) - fan) <= 1e-12 * abs(fan)
+    atoms = WettedRegion.curve_atoms
+
+    def scaled(self):
+        points, steps = atoms(self)
+        return points, 1.01 * steps
+
+    monkeypatch.setattr(WettedRegion, "curve_atoms", scaled)
+    assert abs(hs.first_variation_residual(surface, region, field)) >= 1e-2
+
+
 def test_first_variation_zero_field(stock):
     surface, region = stock.cap(THETA)
     assert hs.first_variation_residual(surface, region, zero_field()) == 0.0
@@ -137,38 +160,3 @@ def test_first_variation_rejects_non_tangent(stock):
     surface, region = stock.cap(THETA)
     with pytest.raises(ValueError):
         hs.first_variation_residual(surface, region, constant_field([0.0, 0.0, 1.0]))
-
-
-def _same_bits(got, expect):
-    return got.dtype == expect.dtype and got.shape == expect.shape and got.tobytes() == expect.tobytes()
-
-
-@pytest.mark.parametrize("where", ["above-plane", "on-plane", "on-node", "above-node"])
-def test_plane_eta_distances_and_deficit_are_the_offset_path_bits(stock, where):
-    # the probe's squared distances and wetted deficit, summed from the two
-    # node columns, keep every bit of the (n, 3) center_offsets path; on a
-    # node (and above it) distances tie across the grid's symmetric nodes
-    from capmono.identity import center_offsets
-    from capmono.wetted import BallRestrictedEta
-
-    surface, region = stock.cap(THETA, res=64, grid=128)
-    nodes, _ = region.wetted_nodes()
-    node = nodes[len(nodes) // 3]
-    probe = {
-        "above-plane": [0.175, -0.31, 0.8],
-        "on-plane": [0.3, 0.2, 0.0],
-        "on-node": node,
-        "above-node": node + [0.0, 0.0, 0.5],
-    }[where]
-    terms = hs.probe_terms(surface, region, probe)
-    a = terms.x0
-    _, d2 = center_offsets(nodes, a)
-    deficit = (a[2] ** 2 / np.maximum(d2**2, 1e-300)) if a[2] != 0.0 else np.zeros(len(nodes))
-    assert _same_bits(hs._plane_distances2(nodes, a), d2)
-    assert _same_bits(hs._wetted_deficit(d2.copy(), a[2]), deficit)
-    if where.endswith("node"):
-        assert d2.min() == a[2] ** 2 and len(np.unique(d2)) < len(d2)
-    expect = BallRestrictedEta(region, a, {"deficit": deficit}, d2=d2)
-    assert np.array_equal(terms.eta.order, expect.order) and _same_bits(terms.eta.dists, expect.dists)
-    for key in ("mass", "deficit"):
-        assert _same_bits(terms.eta.values[key], expect.values[key])

@@ -6,9 +6,11 @@ restrictions directly, independently of the :class:`identity.Term`
 tables.  The tables must give the same members to rounding (a row
 multiplies by its coefficient where the sums divide), and the origin
 branch, which keeps explicit sums, the same bits.  The mutation catalog
-then drops or alters table rows and checks that the two-radius gate (raw
-residual at most the default tolerance 1e-3) fails on each, while the
-unaltered table passes.
+then drops or alters table rows, or scales every η row (η times 1.01, 0
+or -1), and checks that the two-radius gate (raw residual at most the
+default tolerance 1e-3) fails on each, while the unaltered table passes.
+On the half-space the η rows read the curve restriction of the plane's
+wetted measure.
 """
 
 import numpy as np
@@ -26,7 +28,7 @@ BALL_PROBES = ((0.2, 0.1, 0.4), (-0.1, 0.3, -0.2), (0.0, 0.6, 0.8))
 
 
 def _halfspace(stock):
-    return stock.cap(2 * np.pi / 3, res=64, grid=128)
+    return stock.cap(2 * np.pi / 3, res=64)
 
 
 def _ball(stock):
@@ -172,12 +174,22 @@ def _shifted_contact_angle(table, theta):
     return tuple(row._replace(coeff=row.coeff * factor) if row.source.startswith("eta") else row for row in table)
 
 
+def _scaled_eta(factor):
+    # every eta row times factor: the wetted measure scaled, dropped or negated
+    return lambda table, theta: tuple(
+        row._replace(coeff=row.coeff * factor) if row.source.startswith("eta") else row for row in table
+    )
+
+
 def _catalog(table):
     entries = {"unaltered": lambda t, theta: t}
     for k, row in enumerate(table):
         entries[f"drop-{k}-{row.member}-{row.source}-{row.key}{'-r2' if row.over_r2 else ''}"] = _drop(k)
     entries["drop-remainder"] = _without_remainder
     entries["shift-contact-angle"] = _shifted_contact_angle
+    entries["eta-times-1.01"] = _scaled_eta(1.01)
+    entries["eta-times-0"] = _scaled_eta(0.0)
+    entries["eta-negated"] = _scaled_eta(-1.0)
     return entries
 
 

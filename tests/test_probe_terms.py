@@ -104,7 +104,7 @@ def test_mu_arrays_computed_once_per_surface(monkeypatch, ambient):
         mono, chart = bl, spherical_cap_ball(2 * np.pi / 3, np.pi / 3)
         probes = [np.array([0.2, 0.1, 0.4]), np.zeros(3), np.array([-0.1, 0.3, -0.2])]
     surface = sample_chart(chart, 32, 64)
-    region = wetted_region(surface, grid_n=64, sphere_level=3)
+    region = wetted_region(surface, sphere_level=3)
     seen = []
 
     class Recording(RadialPrefix):
@@ -149,8 +149,9 @@ def test_mu_arrays_computed_once_per_surface(monkeypatch, ambient):
 
 @pytest.mark.parametrize("ambient", ["halfspace", "ball"])
 def test_another_probe_never_asks_for_the_full_grid_weights(monkeypatch, ambient):
-    # the first probe builds the region's wetted nodes; every later probe
-    # restricts η over those and never builds the full grid's weights
+    # the first probe builds the region's wetted nodes (on the plane, which
+    # has no grid, its curve atoms); every later probe restricts η over
+    # those and never builds the full grid's weights
     if ambient == "halfspace":
         mono, chart = hs, spherical_cap_halfspace(2 * np.pi / 3)
         probes = [np.array([0.3, -0.2, 0.5]), np.array([-0.4, 0.1, 0.8]), np.array([0.1, 0.6, 0.0])]
@@ -158,13 +159,16 @@ def test_another_probe_never_asks_for_the_full_grid_weights(monkeypatch, ambient
         mono, chart = bl, spherical_cap_ball(2 * np.pi / 3, np.pi / 3)
         probes = [np.array([0.2, 0.1, 0.4]), np.array([-0.1, 0.3, -0.2]), np.array([0.0, 0.6, 0.8])]
     surface = sample_chart(chart, 32, 64)
-    region = wetted_region(surface, grid_n=64, sphere_level=3)
+    region = wetted_region(surface, sphere_level=3)
     mono.probe_terms(surface, region, probes[0])
     calls = []
     eta_nodes = WettedRegion.eta_nodes
     monkeypatch.setattr(WettedRegion, "eta_nodes", lambda self: calls.append(self) or eta_nodes(self))
-    wetted = len(region.wetted_nodes()[0])
-    assert wetted < len(region.grid()[0])
+    if ambient == "halfspace":
+        wetted = len(region.curve_atoms()[0])
+    else:
+        wetted = len(region.wetted_nodes()[0])
+        assert wetted < len(region.grid()[0])
     for x0 in probes[1:]:
         terms = mono.probe_terms(surface, region, x0)
         etas = [terms.eta] if ambient == "halfspace" else [terms.eta, terms.eta_hat]
@@ -202,7 +206,7 @@ def test_pair_residuals_do_not_depend_on_a_profile_first(stock, name):
     else:
         assert quad["nu"] == quad["nv"]
         mono = hs
-        surface, region = stock.cap(w.run["theta"], res=quad["nu"], grid=quad["plane_grid"])
+        surface, region = stock.cap(w.run["theta"], res=quad["nu"])
     grid = np.linspace(w.r_min, w.r_max, w.r_count)
     for probe in [*workloads.probes(w, 1), *_EXTRA_PROBES[name]]:
         probe = np.array(probe)
@@ -226,7 +230,7 @@ def test_coupling_integrand_matches_the_contracted_form(ambient):
     else:
         mono, chart, x0 = bl, spherical_cap_ball(2 * np.pi / 3, np.pi / 3), np.array([0.2, 0.1, 0.4])
     surface = sample_chart(chart, 32, 64)
-    terms = mono.probe_terms(surface, wetted_region(surface, grid_n=64, sphere_level=3), x0)
+    terms = mono.probe_terms(surface, wetted_region(surface, sphere_level=3), x0)
     r = np.linspace(0.2, 2.5, 24)
     w = terms.halfwidth(r)
     d = terms.divisor

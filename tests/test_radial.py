@@ -149,12 +149,12 @@ def _assert_stable_orders(cases):
 )
 def test_halfspace_prefix_orders_are_stable(x0, tied):
     # probes on a symmetry axis or plane of the cap see thousands of equal
-    # sample and node distances; those prefixes take the stable sort
+    # sample and atom distances; those prefixes take the stable sort
     surface = sample_chart(spherical_cap_halfspace(np.pi / 3), 48, 48)
-    region = wetted_region(surface, grid_n=64)
+    region = wetted_region(surface)
     t = hs.probe_terms(surface, region, np.array(x0))
-    # η is restricted over the nodes of nonzero weight only
-    nodes, _ = region.wetted_nodes()
+    # η is restricted over the boundary curve's atoms
+    nodes, _ = region.curve_atoms()
     cases = [
         (t.mu, center_offsets(surface.points, t.x0)[1]),
         (t.mu_hat, center_offsets(surface.points, t.x0_hat)[1]),

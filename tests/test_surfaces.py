@@ -270,5 +270,5 @@ def test_fields_keep_contiguous_columns(tmp_path, chart):
             assert arr.flags.f_contiguous and not arr.flags.writeable, key
         assert not hasattr(surface, "inversion_arrays")
     if chart.ambient.kind == "halfspace":
-        nodes = wetted_region(loaded, grid_n=16).grid()[0]
-        assert nodes.shape[1:] == (3,) and nodes.flags.f_contiguous
+        atoms = wetted_region(loaded).curve_atoms()[0]
+        assert atoms.shape[1:] == (3,) and atoms.flags.f_contiguous

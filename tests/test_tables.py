@@ -115,6 +115,34 @@ def test_companion_hit_never_holds_the_text(tmp_path):
     assert peak <= 1.5 * kept
 
 
+def test_companion_miss_parses_straight_into_the_columns(tmp_path):
+    # with both companions deleted the texts are parsed block by block into
+    # preallocated columns, so load_surface peaks at most 1.4 times the
+    # columns it keeps.  On the probe-sweep tables (a 192 x 192 cap) with
+    # numpy 2.4 it reads 1.33 times (4.7 MB against 3.6 MB kept); parsing
+    # the whole text into rows and transposing them read 1.99 times (7.1 MB)
+    import tracemalloc
+
+    surface = sample_chart(spherical_cap_halfspace(np.pi / 3), 192, 192)
+    spath, bpath = tmp_path / "surface.tsv", tmp_path / "boundary.tsv"
+    tables.save_surface(surface, spath)
+    tables.save_boundary(surface, bpath)
+    hit = tables.load_surface(spath, bpath)
+    for path in (spath, bpath):
+        path.with_suffix(".bin").unlink()
+    tracemalloc.start()
+    try:
+        back = tables.load_surface(spath, bpath)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for name in ("points", "weights", "normals", "mean_curvature", "boundary_points", "boundary_kg_wetting"):
+        got, expect = getattr(back, name), getattr(hit, name)
+        assert got.tobytes() == expect.tobytes() and got.strides == expect.strides, name
+    kept = 12 * 8 * (len(back.points) + len(back.boundary_points))
+    assert peak <= 1.4 * kept
+
+
 _DOUBLES = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max]),
@@ -344,7 +372,6 @@ point = 0.0,0.0,0.0
 [quadrature]
 nu = 96
 nv = 256
-plane_grid = 512
 sphere_level = 6
 [profile]
 r_min = 0.25
@@ -372,8 +399,12 @@ def test_config_canonical_roundtrip():
     # the canonical form names every setting the config carries
     keys = {line.split(" = ")[0] for line in _CANONICAL.splitlines() if " = " in line}
     assert keys == {f.name for f in fields(tables.RunConfig)} - {"probes", "pairs"} | {"point", "pair"}
-    # the removed threads key parses to the same config when it is 1
+    # the removed threads key parses to the same config when it is 1, and
+    # the removed plane_grid key with any integer
     assert tables.parse_config(_CANONICAL + "threads = 1\n") == cfg
+    for size in (7, 512, 4096):
+        text = _CANONICAL.replace("[quadrature]\n", f"[quadrature]\nplane_grid = {size}\n")
+        assert tables.parse_config(text) == cfg
 
 
 def test_config_accepts_comments_and_spacing():
@@ -410,8 +441,8 @@ out_dir = somewhere
         "[output]\ntolerance = inf\n",
         "[output]\ntolerance = 0\n",
         "[output]\ntolerance = -1e-3\n",
-        "[quadrature]\nplane_grid = 7\n",
-        "[quadrature]\nplane_grid = 2049\n",
+        "[quadrature]\nplane_grid = 1.5\n",
+        "[run]\nplane_grid = 512\n",
         "[quadrature]\nsphere_level = -1\n",
         "[quadrature]\nsphere_level = 9\n",
         "[quadrature]\nnu = 1001\n",
@@ -428,10 +459,12 @@ def test_config_rejects_malformed(text):
 
 
 # -- wetted grid companion ---------------------------------------------------------
+#
+# Only the sphere has a wetted grid: a plane region reads η from its curve.
 
 
-def _grid_surface(stock, wetting):
-    return stock.cap(2 * np.pi / 3)[0] if wetting == "plane" else stock.capball(2 * np.pi / 3, np.pi / 3)[0]
+def _grid_surface(stock):
+    return stock.capball(2 * np.pi / 3, np.pi / 3)[0]
 
 
 def _counting_builds(monkeypatch):
@@ -457,10 +490,10 @@ def _assert_same_grid(got, expect):
 
 @pytest.mark.parametrize(
     "wetting, key, value",
-    [("sphere", "sphere_level", level) for level in (3, 4, 5, 6)] + [("plane", "grid_n", n) for n in (64, 512)],
+    [("sphere", "sphere_level", level) for level in (3, 4, 5, 6)],
 )
 def test_grid_companion_hit_equals_a_fresh_build(stock, tmp_path, monkeypatch, wetting, key, value):
-    surface = _grid_surface(stock, wetting)
+    surface = _grid_surface(stock)
     store = tables.GridCompanion(tmp_path / tables.GRID_COMPANION)
     fresh = wetted_region(surface, **{key: value}).grid()
     _assert_same_grid(wetted_region(surface, **{key: value}, store=store).grid(), fresh)
@@ -473,19 +506,19 @@ def test_grid_companion_hit_equals_a_fresh_build(stock, tmp_path, monkeypatch, w
 
 
 @pytest.mark.parametrize("stored", [False, True], ids=["no-store", "store"])
-@pytest.mark.parametrize("wetting", ["plane", "sphere"])
+@pytest.mark.parametrize("wetting", ["sphere"])
 def test_grid_is_the_same_before_and_after_wetted_nodes(stock, tmp_path, wetting, stored):
     # the region keeps only the compact winding and lays the grid out on
     # each call, so what it was asked first must not change the arrays: a
     # build, a companion read and the extraction of the wetted nodes all
     # leave the same four arrays
-    surface = _grid_surface(stock, wetting)
+    surface = _grid_surface(stock)
     store = tables.GridCompanion(tmp_path / tables.GRID_COMPANION) if stored else None
-    first = wetted_region(surface, grid_n=64, sphere_level=3, store=store)
+    first = wetted_region(surface, sphere_level=3, store=store)
     before = first.grid()
     first.wetted_nodes()
     _assert_same_grid(first.grid(), before)
-    later = wetted_region(surface, grid_n=64, sphere_level=3, store=store)
+    later = wetted_region(surface, sphere_level=3, store=store)
     later.wetted_nodes()
     after = later.grid()
     _assert_same_grid(after, before)
@@ -493,11 +526,15 @@ def test_grid_is_the_same_before_and_after_wetted_nodes(stock, tmp_path, wetting
     assert store is None or store.path.is_file()
 
 
-def _ulp_moved(region):
+def _ulp_moved(region, field):
+    """The region with its first curve's sample 7 moved by one ulp in ``field`` (points or weights)."""
     curve = region.curves[0]
-    points = curve.points.copy()
-    points[7, 0] = np.nextafter(points[7, 0], np.inf)
-    return replace(region, curves=(replace(curve, points=points),))
+    values = getattr(curve, field).copy()
+    if values.ndim == 2:
+        values[7, 0] = np.nextafter(values[7, 0], np.inf)
+    else:
+        values[7] = np.nextafter(values[7], np.inf)
+    return replace(region, curves=(replace(curve, **{field: values}),))
 
 
 def _edited_sources(monkeypatch, tmp_path, module="geometry"):
@@ -549,35 +586,32 @@ def _parent_grid_layout(path):
     path.write_bytes(struct.pack("<8sQQQI", b"CAPMGRD1", key_len, n, m, crc) + data[_GRID_HEAD.size :])
 
 
-# each case edits the base region (a plane or a sphere region of the
-# wetting surface it names) or the companion its grid left
+# each case edits the base sphere region or the companion its grid left;
+# "boundary-ulp" moves one arclength weight by an ulp, and
+# "boundary-ulp-on-the-sphere" one sample point
 _GRID_MISSES = {
-    "grid-n": ("plane", lambda r, mp, tmp: replace(r, grid_n=65), None),
-    "grid-n-on-the-sphere": ("sphere", lambda r, mp, tmp: replace(r, grid_n=65), None),
-    "sphere-level": ("sphere", lambda r, mp, tmp: replace(r, sphere_level=4), None),
-    "sphere-level-on-the-plane": ("plane", lambda r, mp, tmp: replace(r, sphere_level=4), None),
-    "wetting": ("sphere", lambda r, mp, tmp: replace(r, wetting="plane"), None),
-    "boundary-ulp": ("plane", lambda r, mp, tmp: _ulp_moved(r), None),
-    "boundary-ulp-on-the-sphere": ("sphere", lambda r, mp, tmp: _ulp_moved(r), None),
-    "edited-source": ("plane", _edited_source, None),
-    "numpy-version": ("plane", _other_numpy, None),
-    "wrong-magic": ("plane", None, lambda p: p.write_bytes(b"CAPMCMP0" + p.read_bytes()[8:])),
-    "flipped-key": ("sphere", None, _flip_grid_key),
-    "truncated": ("plane", None, lambda p: p.write_bytes(p.read_bytes()[:-8])),
-    "extended": ("plane", None, lambda p: p.write_bytes(p.read_bytes() + bytes(8))),
-    "flipped-body": ("sphere", None, _flip_grid_body),
-    "empty": ("plane", None, lambda p: p.write_bytes(b"")),
-    "directory": ("sphere", None, _into_directory),
+    "sphere-level": (lambda r, mp, tmp: replace(r, sphere_level=4), None),
+    "boundary-ulp": (lambda r, mp, tmp: _ulp_moved(r, "weights"), None),
+    "boundary-ulp-on-the-sphere": (lambda r, mp, tmp: _ulp_moved(r, "points"), None),
+    "edited-source": (_edited_source, None),
+    "numpy-version": (_other_numpy, None),
+    "wrong-magic": (None, lambda p: p.write_bytes(b"CAPMCMP0" + p.read_bytes()[8:])),
+    "flipped-key": (None, _flip_grid_key),
+    "truncated": (None, lambda p: p.write_bytes(p.read_bytes()[:-8])),
+    "extended": (None, lambda p: p.write_bytes(p.read_bytes() + bytes(8))),
+    "flipped-body": (None, _flip_grid_body),
+    "empty": (None, lambda p: p.write_bytes(b"")),
+    "directory": (None, _into_directory),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_GRID_MISSES))
 def test_grid_companion_misses_rebuild(stock, tmp_path, monkeypatch, case):
-    wetting, edit_region, edit_file = _GRID_MISSES[case]
-    surface = _grid_surface(stock, wetting)
+    edit_region, edit_file = _GRID_MISSES[case]
+    surface = _grid_surface(stock)
     store = tables.GridCompanion(tmp_path / "out" / tables.GRID_COMPANION)
     store.path.parent.mkdir()
-    base = wetted_region(surface, grid_n=64, sphere_level=3, store=store)
+    base = wetted_region(surface, sphere_level=3, store=store)
     base.grid()
     region = replace(base)
     if edit_region is not None:
@@ -601,24 +635,34 @@ def test_grid_companion_misses_rebuild(stock, tmp_path, monkeypatch, case):
 
 def test_grid_companion_stores_the_winding_as_int8(stock, tmp_path):
     store = tables.GridCompanion(tmp_path / tables.GRID_COMPANION)
-    wind = wetted_region(_grid_surface(stock, "plane"), grid_n=64, store=store).grid()[2]
+    wind = wetted_region(_grid_surface(stock), sphere_level=3, store=store).grid()[2]
     data = store.path.read_bytes()
     _, key_len, n, m, m_values, _ = _GRID_HEAD.unpack_from(data)
     assert n == len(wind) and m == m_values > 0
     assert len(data) == _GRID_HEAD.size + key_len + n + 16 * m
 
 
+def _sphere_circle(center, radius, ccw=True, n=16):
+    """A circle of geodesic radius ``radius`` about the unit vector ``center``,
+    counterclockwise seen from outside the sphere (or clockwise)."""
+    e1 = np.cross(center, [0.0, 1.0, 0.0] if abs(center[0]) > 0.9 else [1.0, 0.0, 0.0])
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(center, e1)
+    t = np.linspace(0.0, 2 * np.pi, n, endpoint=False) * (1.0 if ccw else -1.0)
+    c, s = np.cos(t)[:, None], np.sin(t)[:, None]
+    points = np.cos(radius) * center + np.sin(radius) * (c * e1 + s * e2)
+    tangents = (-s * e1 + c * e2) * (1.0 if ccw else -1.0)
+    return OrientedCurve(points, tangents, np.full(n, 2 * np.pi * np.sin(radius) / n))
+
+
 def _stacked_circles(copies, ccw=True):
-    """A region whose grid winds ``copies`` times (or ``-copies``) inside the unit circle."""
-    t = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
-    s = 1.0 if ccw else -1.0
-    zero = np.zeros(len(t))
-    curve = OrientedCurve(
-        np.column_stack([np.cos(s * t), np.sin(s * t), zero]),
-        np.column_stack([-s * np.sin(s * t), s * np.cos(s * t), zero]),
-        np.full(len(t), 2 * np.pi / len(t)),
-    )
-    return WettedRegion((curve,) * copies, grid_n=32)
+    """A sphere region whose grid winds ``copies`` times (or ``-copies``)
+    inside a circle about the north pole.  Its first curve is a small
+    counterclockwise circle on the equator, winding once, which fixes the
+    winding far from both at zero."""
+    carrier = _sphere_circle(np.array([1.0, 0.0, 0.0]), 0.2)
+    stacked = _sphere_circle(np.array([0.0, 0.0, 1.0]), np.pi / 4, ccw)
+    return WettedRegion((carrier, *(stacked,) * copies), "sphere", sphere_level=2)
 
 
 @pytest.mark.parametrize("copies, ccw", [(127, True), (128, False), (128, True), (129, False)])
@@ -711,7 +755,7 @@ def test_halfspace_energy_leaves_the_grid_companion_alone(tmp_path, monkeypatch,
 def test_deleted_grid_companion_is_rewritten_with_the_same_bytes(tmp_path, capsys):
     from capmono.cli import main
 
-    path, out = _tiny_config(tmp_path, "halfspace")
+    path, out = _tiny_config(tmp_path, "ball")
     assert main(["generate", "--config", path]) == 0
     assert main(["monotonicity", "--config", path]) in (0, 1)
     companion = out / tables.GRID_COMPANION
@@ -724,8 +768,9 @@ def test_deleted_grid_companion_is_rewritten_with_the_same_bytes(tmp_path, capsy
 @pytest.mark.parametrize("ambient", ["halfspace", "ball"])
 def test_parent_layout_companions_are_misses_with_the_same_outputs(tmp_path, monkeypatch, capsys, ambient):
     # companions in the previous layout (CAPMTBL1, CAPMGRD1) are read past:
-    # the tables come from their text, the grid is built again and its
-    # companion rewritten in the current layout
+    # the tables come from their text, and in the ball the grid is built
+    # again and its companion rewritten in the current layout; the
+    # half-space has no grid
     from capmono.cli import main
 
     path, out = _tiny_config(tmp_path, ambient)
@@ -743,14 +788,17 @@ def test_parent_layout_companions_are_misses_with_the_same_outputs(tmp_path, mon
         (out / name).unlink()
     capsys.readouterr()
     reference = run_all()
-    grid = (out / tables.GRID_COMPANION).read_bytes()
+    ball = ambient == "ball"
+    assert (out / tables.GRID_COMPANION).exists() == ball
+    grid = (out / tables.GRID_COMPANION).read_bytes() if ball else None
     for name in bins:
         (out / name).write_bytes(_parent_table_layout(current[name]))
-    _parent_grid_layout(out / tables.GRID_COMPANION)
+    if ball:
+        _parent_grid_layout(out / tables.GRID_COMPANION)
     for stem, width in widths.items():
         tsv = out / f"{stem}.tsv"
         assert tables._companion_columns(tsv, tables._text_sum(tsv), width) is None
     builds = _counting_builds(monkeypatch)
     assert run_all() == reference
-    assert builds == [1]
-    assert (out / tables.GRID_COMPANION).read_bytes() == grid
+    assert builds == ([1] if ball else [])
+    assert not ball or (out / tables.GRID_COMPANION).read_bytes() == grid

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capmono.errors import UndefinedWindingError
+from capmono.errors import GeometryError, UndefinedWindingError
 from capmono.wetted import (
     OrientedCurve,
     WettedRegion,
@@ -44,14 +44,6 @@ def square(side=2.0, n_per_side=64):
     pts = np.column_stack([np.concatenate(pts), np.zeros(4 * n_per_side)])
     tans = np.column_stack([np.concatenate(tans), np.zeros(4 * n_per_side)])
     return OrientedCurve(pts, tans, np.full(4 * n_per_side, 4 * side / (4 * n_per_side)))
-
-
-def ellipse(a=1.0, b=4.0, n=512):
-    t = np.linspace(0, 2 * np.pi, n, endpoint=False)
-    pts = np.column_stack([a * np.cos(t), b * np.sin(t), np.zeros(n)])
-    d = np.column_stack([-a * np.sin(t), b * np.cos(t), np.zeros(n)])
-    sp = np.linalg.norm(d, axis=1)
-    return OrientedCurve(pts, d / sp[:, None], sp * (2 * np.pi / n))
 
 
 def figure_eight(n=1024, squash=0.3):
@@ -113,9 +105,9 @@ def test_winding_matches_ray_casting(rng):
 
 @pytest.mark.parametrize("chunk", [None, 3])
 def test_scattered_winding_matches_ray_casting(rng, monkeypatch, chunk):
-    # the scanline kernel with one row per probe, on random and disjoint
-    # polygons; probes sit at vertex heights and share heights, one edge is
-    # horizontal, and with _CHUNK = 3 the probes split into many blocks
+    # the crossing-count kernel, on random and disjoint polygons; probes
+    # sit at vertex heights and share heights, one edge is horizontal, and
+    # with _CHUNK = 3 the probes split into many blocks
     from capmono import wetted
 
     if chunk is not None:
@@ -142,15 +134,15 @@ def test_oriented_area_examples():
 
 
 def test_region_cache_is_neither_copied_nor_compared():
-    # a replaced region builds its own grid, and regions with built grids
-    # compare by their fields (one curve object, since curves hold arrays)
-    curve = circle()
-    region = WettedRegion((curve,), grid_n=32)
-    assert len(region.grid()[0]) == 32 * 32
-    finer = replace(region, grid_n=64)
-    assert len(finer.grid()[0]) == 64 * 64
-    twin = WettedRegion((curve,), grid_n=32)
-    twin.grid()
+    # a replaced region builds its own curve atoms, and regions with built
+    # atoms compare by their fields (one curve object, since curves hold arrays)
+    curve = circle(n=32)
+    region = WettedRegion((curve,))
+    assert len(region.curve_atoms()[0]) == 32 * 8
+    finer = replace(region, sphere_level=region.sphere_level + 1)
+    assert finer.curve_atoms()[0] is not region.curve_atoms()[0]
+    twin = WettedRegion((curve,))
+    twin.curve_atoms()
     assert region == twin
     assert region != finer
     with pytest.raises(ValueError):
@@ -164,7 +156,7 @@ def test_rotation_index_examples():
 
 
 def test_eta_integral_unit_circle():
-    region = WettedRegion((circle(n=512),), "plane", grid_n=512)
+    region = WettedRegion((circle(n=512),), "plane")
     assert eta_integral(region) == pytest.approx(np.pi, abs=1e-3)
 
     def f(p):
@@ -175,22 +167,23 @@ def test_eta_integral_unit_circle():
 
 def test_eta_matches_oriented_area_on_figure_eight():
     curve = figure_eight()
-    region = WettedRegion((curve,), "plane", grid_n=512)
+    region = WettedRegion((curve,), "plane")
     assert eta_integral(region) == pytest.approx(oriented_area(curve), abs=2e-4)
-    assert np.min(region.grid()[2]) == -1
+    # the two lobes wind in opposite senses
+    assert sorted(winding_number(curve, [0.0, y, 0.0]) for y in (-0.6, 0.6)) == [-1, 1]
 
 
 def test_eta_additive_over_disjoint_curves():
     c1 = circle(r=0.5, center=(-1.2, 0.0))
     c2 = circle(r=0.7, center=(1.2, 0.0))
-    both = WettedRegion((c1, c2), "plane", grid_n=512)
+    both = WettedRegion((c1, c2), "plane")
     assert eta_integral(both) == pytest.approx(np.pi * (0.5**2 + 0.7**2), abs=2e-4)
 
 
 @given(st.floats(0.3, 1.4), st.floats(-0.5, 0.5))
 @settings(max_examples=10, deadline=None)
 def test_eta_area_matches_disk(r, cx):
-    region = WettedRegion((circle(n=256, r=r, center=(cx, 0.0)),), "plane", grid_n=256)
+    region = WettedRegion((circle(n=256, r=r, center=(cx, 0.0)),), "plane")
     assert eta_integral(region) == pytest.approx(np.pi * r * r, rel=2e-3)
 
 
@@ -229,9 +222,11 @@ def test_total_boundary_measure(stock):
 
 
 def test_wind_binary_for_embedded_generators(stock):
-    _, region = stock.cap(2 * np.pi / 3)
-    _, _, wind, _ = region.grid()
-    assert set(np.unique(wind)).issubset({0, 1})
+    surface, _ = stock.cap(2 * np.pi / 3)
+    curve = curve_from_boundary(surface)
+    lattice = [(x, y, 0.0) for x in np.linspace(-1.2, 1.2, 13) for y in np.linspace(-1.2, 1.2, 13)]
+    winds = {winding_number(curve, p) for p in lattice if abs(np.hypot(p[0], p[1]) - np.sin(2 * np.pi / 3)) > 0.05}
+    assert winds == {0, 1}
     _, ball_region = stock.disk(np.pi / 3)
     _, _, wind_b, _ = ball_region.grid()
     assert set(np.unique(wind_b)).issubset({0, 1})
@@ -240,71 +235,9 @@ def test_wind_binary_for_embedded_generators(stock):
 # -- restriction of eta to balls -------------------------------------------------
 
 
-def _disk_corner_area(a, b, r):
-    """Area of {x <= a, y <= b} intersected with the disk of radius r at 0,
-    with every antiderivative value computed on its own."""
-
-    def anti(x):
-        x = np.clip(x, -r, r)
-        return 0.5 * (x * np.sqrt(np.maximum(r * r - x * x, 0.0)) + r * r * np.arcsin(np.clip(x / r, -1.0, 1.0)))
-
-    a_eff = np.clip(a, -r, r)
-    c = np.sqrt(np.maximum(r * r - b * b, 0.0))
-    c = np.where(np.abs(b) >= r, 0.0, c)
-    # slab integral of sqrt(r^2-x^2) + clip(b, -s, s) over x in [-r, a_eff]
-    e1 = np.minimum(a_eff, -c)
-    e2 = np.minimum(a_eff, c)
-    region1 = 2.0 * (anti(e1) - anti(-r))
-    mid = np.maximum(e2 - (-c), 0.0)
-    region2 = np.where(e2 > -c, anti(e2) - anti(-c) + b * mid, 0.0)
-    region3 = np.where(a_eff > c, 2.0 * (anti(a_eff) - anti(c)), 0.0)
-    pos = region1 + region2 + region3
-    neg = region2
-    out = np.where(b >= 0.0, pos, neg)
-    return np.where(b <= -r, 0.0, out)
-
-
-def _reference_overlap(x, y, h, r):
-    """Disk overlap of h-cells from four independent corner areas."""
-    h2 = 0.5 * h
-    return (
-        _disk_corner_area(x + h2, y + h2, r)
-        - _disk_corner_area(x - h2, y + h2, r)
-        - _disk_corner_area(x + h2, y - h2, r)
-        + _disk_corner_area(x - h2, y - h2, r)
-    )
-
-
-def _bits(x):
-    return np.ascontiguousarray(x).view(np.int64)
-
-
-@pytest.mark.parametrize("n", [1, 5, 8, 9, 1000, 4099])
-def test_disk_overlap_matches_four_corner_reference(n):
-    # the shared corner antiderivatives give the bits of four independent
-    # corner areas: on random cells, on cells straddling x = +-r or y = +-r,
-    # on cells wholly below y = -r and on row edges with |b| >= r
-    from capmono.wetted import _disk_cell_overlap
-
-    rng = np.random.default_rng(n)
-    h = 0.01
-    r = rng.uniform(0.02, 2.0, n)
-    cases = {
-        "random": rng.uniform(-2.5, 2.5, (2, n)),
-        "straddle-x": np.stack([r * rng.choice([-1.0, 1.0], n) + rng.uniform(-h, h, n), rng.uniform(-0.5, 0.5, n) * r]),
-        "straddle-y": np.stack([rng.uniform(-0.5, 0.5, n) * r, r * rng.choice([-1.0, 1.0], n) + rng.uniform(-h, h, n)]),
-        "below": np.stack([rng.uniform(-2.5, 2.5, n), -r - rng.uniform(0.5 * h, 2 * h, n)]),
-        "past-rows": np.stack([rng.uniform(-2.5, 2.5, n), rng.choice([-1.0, 1.0], n) * (r + 0.5 * h)]),
-        "on-grid": np.round(rng.uniform(-2.0, 2.0, (2, n)) / h) * h,
-    }
-    for name, (x, y) in cases.items():
-        got = _disk_cell_overlap(x, y, h, r)
-        assert np.array_equal(_bits(got), _bits(_reference_overlap(x, y, h, r))), name
-
-
 def _restricted_nodes(region, every):
-    """The nodes and weights a reference restricts η over: the region's
-    wetted nodes, the set BallRestrictedEta reads, or every grid node."""
+    """The sphere nodes and weights a reference restricts η over: the
+    region's wetted nodes, the set BallRestrictedEta reads, or every grid node."""
     if every:
         nodes, cellw, _, wind_aa = region.grid()
         return nodes, wind_aa * cellw
@@ -312,40 +245,35 @@ def _restricted_nodes(region, every):
 
 
 def _reference_restriction(region, center, arrays, key, radii, every=False):
-    """Ball-restricted eta the direct way, over the wetted nodes (or every
-    grid node), with ``arrays`` over that node set.  On the sphere it is the
-    sharp atomic sum; on the plane each call and key adds one coverage
-    correction per band cell, mirroring BallRestrictedEta's plane rule
-    (sorted prefix sums, a band of partial cells, exact disk overlap from
-    four independent corner areas) without any of its caches."""
+    """Ball-restricted eta the direct way, radius by radius.
+
+    On the sphere the sharp atomic sum over the wetted nodes (or every grid
+    node), with ``arrays`` over that node set.  On the plane the Green's
+    theorem sum over the curve atoms, with ``arrays`` the keys'
+    antiderivatives F(rho^2): F(rho_j) times the angle increment of each
+    atom inside the disk of radius r_p = sqrt(r^2 - c3^2), and F(r_p)
+    times that of each atom outside."""
+    out = []
+    if region.wetting == "plane":
+        antiderivative = {"mass": lambda rho2: 0.5 * rho2, **arrays}[key]
+        points, steps = region.curve_atoms()
+        rel = points[:, :2] - center[:2]
+        rho2 = np.sum(rel * rel, axis=1)
+        angle = (rel[:, 0] * steps[:, 1] - rel[:, 1] * steps[:, 0]) / rho2
+        for r in np.atleast_1d(np.asarray(radii, dtype=float)):
+            rp2 = r * r - center[2] ** 2
+            inside = rho2 < rp2
+            edge = antiderivative(max(rp2, 0.0)) if np.isfinite(r) else 0.0
+            out.append(np.sum(antiderivative(rho2[inside]) * angle[inside]) + edge * np.sum(angle[~inside]))
+        return np.array(out)
     nodes, base = _restricted_nodes(region, every)
     dist = np.linalg.norm(nodes - center, axis=1)
     order = np.argsort(dist, kind="stable")
-    dist, nodes = dist[order], nodes[order]
-    base = base[order]
-    values = base if key == "mass" else np.asarray(arrays[key], dtype=float)[order] * base
+    dist = dist[order]
+    values = base[order] if key == "mass" else np.asarray(arrays[key], dtype=float)[order] * base[order]
     prefix = np.concatenate([[0.0], np.cumsum(values)])
-    # sphere atoms have no band of partial cells
-    h = np.sqrt(float(region.grid()[1][0]))
-    band = 0.71 * h if region.wetting == "plane" else 0.0
-    out = []
     for r in np.atleast_1d(np.asarray(radii, dtype=float)):
-        if not np.isfinite(r):
-            out.append(float(prefix[-1]))
-            continue
-        total = float(prefix[np.searchsorted(dist, r, side="left")])
-        lo = np.searchsorted(dist, r - band, side="left")
-        hi = np.searchsorted(dist, r + band, side="left")
-        if hi > lo:
-            rp2 = r**2 - center[2] ** 2
-            if rp2 <= 0.0:
-                frac = np.zeros(hi - lo)
-            else:
-                x0, y0 = nodes[lo:hi, 0] - center[0], nodes[lo:hi, 1] - center[1]
-                frac = _reference_overlap(x0, y0, h, np.sqrt(rp2)) / (h * h)
-            sharp = (dist[lo:hi] < r).astype(float)
-            total += float(np.sum(values[lo:hi] * (frac - sharp)))
-        out.append(total)
+        out.append(float(prefix[-1] if not np.isfinite(r) else prefix[np.searchsorted(dist, r, side="left")]))
     return np.array(out)
 
 
@@ -376,13 +304,12 @@ def _reference_window(region, center, arrays, key, r, halfwidth, over_r2, every=
 
 
 def _restriction_case(stock, ambient):
-    """A region, a probe and its two centers (the plane's second center is
-    another probe, the sphere's the inverted companion)."""
+    """A region, a probe and its centers (on the plane two more probes, one
+    on the plane; on the sphere the inverted companion)."""
     if ambient == "plane":
-        surface, _ = stock.cap(2 * np.pi / 3)
-        region = wetted_region(surface, grid_n=256)
+        surface, region = stock.cap(2 * np.pi / 3)
         x0 = np.array([0.3, -0.2, 0.5])
-        return region, x0, [x0, np.array([-0.4, 0.1, 0.8])]
+        return region, x0, [x0, np.array([-0.4, 0.1, 0.8]), np.array([0.3, -0.2, 0.0])]
     surface, _ = stock.capball(2 * np.pi / 3, np.pi / 3)
     region = wetted_region(surface, sphere_level=4)
     x0 = np.array([0.2, 0.1, 0.5])
@@ -398,8 +325,13 @@ def test_ball_restriction_matches_reference(stock, ambient, reverse):
     # neither the order of the centers nor an earlier center may matter
     if reverse:
         centers = centers[::-1]
-    nodes, _ = region.wetted_nodes()
-    arrays = {"one": np.ones(len(nodes)), "dist2": np.sum((nodes - x0) ** 2, axis=1)}
+    if ambient == "plane":
+        # f = 1 and f = s^2 about each center, given by their antiderivatives
+        nodes, _ = region.curve_atoms()
+        arrays = {"one": lambda rho2: 0.5 * rho2, "fourth": lambda rho2: 0.25 * rho2**2}
+    else:
+        nodes, _ = region.wetted_nodes()
+        arrays = {"one": np.ones(len(nodes)), "dist2": np.sum((nodes - x0) ** 2, axis=1)}
     for center in centers:
         eta = BallRestrictedEta(region, center, arrays)
         dist = np.linalg.norm(nodes - center, axis=1)
@@ -409,19 +341,57 @@ def test_ball_restriction_matches_reference(stock, ambient, reverse):
             # windows past the 0.9 r clip, and past every atom
             radii = np.concatenate([radii, [dist.max()]])
             hw = np.concatenate([hw, [1.5 * radii[2], 0.5 * dist.max()]])
+        else:
+            # a ball that misses the plane, or holds no atom
+            radii = np.concatenate([radii, [0.5 * max(abs(center[2]), dist.min())]])
         for key in ("mass", *arrays):
             expect = _reference_restriction(region, center, arrays, key, [*radii, np.inf])
-            assert np.array_equal(eta.cumulative(key, [*radii, np.inf]), expect)
+            got = eta.cumulative(key, [*radii, np.inf])
+            if ambient == "sphere":
+                assert np.array_equal(got, expect)
+            else:
+                np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-15)
             r = radii[: len(hw)]
             for over_r2, method in ((False, eta.windowed), (True, eta.windowed_over_r2)):
                 expect = _reference_window(region, center, arrays, key, r, hw, over_r2)
-                if ambient == "plane":
-                    assert np.array_equal(method(key, r, hw), expect)
-                else:
-                    np.testing.assert_allclose(method(key, r, hw), expect, rtol=1e-12, atol=0.0)
+                np.testing.assert_allclose(method(key, r, hw), expect, rtol=1e-12, atol=0.0)
+
+
+def _lens_area(d, rp, big):
+    """Area of the intersection of disks of radii rp and big whose centers are d apart."""
+    if rp <= 0.0 or d >= rp + big:
+        return 0.0
+    if d <= abs(big - rp):
+        return np.pi * min(big, rp) ** 2
+    a = rp * rp * np.arccos((d * d + rp * rp - big * big) / (2 * d * rp))
+    b = big * big * np.arccos((d * d + big * big - rp * rp) / (2 * d * big))
+    return a + b - 0.5 * np.sqrt((-d + rp + big) * (d + rp - big) * (d - rp + big) * (d + rp + big))
+
+
+def test_plane_eta_matches_the_lens_area(stock):
+    # η(B_r(c)) on the halfspace-cap boundary (a 128 x 128 cap, theta =
+    # 2 pi / 3, whose wetted region is the disk of radius sin(theta)) against
+    # the closed-form lens, at 60 radii and 6 centers: inside, near and on
+    # the curve, one above the plane and one outside the region.  Measured:
+    # 5.8e-6; the 512^2 plane grid this replaced read 8.1e-5
+    from capmono.wetted import BallRestrictedEta
+
+    theta = 2 * np.pi / 3
+    _, region = stock.cap(theta)
+    centers = [(0.0, 0.0, 0.0), (0.3, -0.2, 0.0), (0.6, 0.0, 0.0), (0.2, 0.1, 0.5), (1.5, 0.3, 0.0), (0.85, 0.1, 0.2)]
+    radii = np.linspace(0.06, 2.0, 60)
+    worst = 0.0
+    for center in map(np.array, centers):
+        got = BallRestrictedEta(region, center).cumulative("mass", radii)
+        d = float(np.hypot(center[0], center[1]))
+        rp = np.sqrt(np.maximum(radii**2 - center[2] ** 2, 0.0))
+        expect = np.array([_lens_area(d, r, np.sin(theta)) for r in rp])
+        worst = max(worst, float(np.max(np.abs(got - expect))))
+    assert worst <= 2e-5
 
 
 def test_sphere_restriction_drops_zero_weight_atoms(stock):
+
     # most faces carry zero weight; they leave every prefix sum unchanged, so
     # the restriction over the wetted nodes must equal the one over every
     # atom bit for bit
@@ -451,40 +421,40 @@ def test_sphere_restriction_drops_zero_weight_atoms(stock):
 
 
 def test_wetted_nodes_are_the_nonzero_weight_nodes_in_grid_order(stock):
-    for ambient in ("plane", "sphere"):
-        region, _, _ = _restriction_case(stock, ambient)
-        nodes, weight = region.eta_nodes()
-        keep = weight != 0.0
-        wet, wet_weight = region.wetted_nodes()
-        assert 0 < len(wet) < len(nodes)
-        assert np.array_equal(wet, nodes[keep]) and np.array_equal(wet_weight, weight[keep])
-        assert wet.flags.f_contiguous
-        # extracted once and cached
-        assert region.wetted_nodes()[0] is wet
+    region, _, _ = _restriction_case(stock, "sphere")
+    nodes, weight = region.eta_nodes()
+    keep = weight != 0.0
+    wet, wet_weight = region.wetted_nodes()
+    assert 0 < len(wet) < len(nodes)
+    assert np.array_equal(wet, nodes[keep]) and np.array_equal(wet_weight, weight[keep])
+    assert wet.flags.f_contiguous
+    # extracted once and cached
+    assert region.wetted_nodes()[0] is wet
+    # the plane region has no grid: its η is read from its curve atoms
+    plane, _, _ = _restriction_case(stock, "plane")
+    for read in (plane.grid, plane.eta_nodes, plane.wetted_nodes):
+        with pytest.raises(GeometryError):
+            read()
+    with pytest.raises(GeometryError):
+        region.curve_atoms()
 
 
-def _cached_arrays(value):
-    if isinstance(value, np.ndarray):
-        yield value
-    elif isinstance(value, (tuple, list)):
-        for item in value:
-            yield from _cached_arrays(item)
-
-
-def test_plane_region_caches_the_compact_winding_not_the_grid(stock):
-    # after the wetted nodes and one probe's terms, no array of the grid's
-    # length is a float or a node array: the region keeps the winding as
-    # int8, the band and the axes, and lays the grid out per call
+def test_plane_region_caches_only_its_curve_atoms(stock):
+    # probes' terms and profiles leave the plane region holding its curve
+    # atoms alone, eight per boundary sample, built once for every probe
     from capmono import halfspace
 
-    surface, _ = stock.cap(2 * np.pi / 3, res=64, grid=128)
-    region = wetted_region(surface, grid_n=128)
-    region.wetted_nodes()
-    halfspace.probe_terms(surface, region, [0.175, -0.31, 0.8])
-    grid_long = [a for a in _cached_arrays(list(region._cache.values())) if a.ndim and len(a) == 128 * 128]
-    assert [a.dtype for a in grid_long] == [np.dtype(np.int8)]
-    assert grid_long[0].ndim == 1
-    assert np.array_equal(grid_long[0], region.grid()[2])
+    surface, _ = stock.cap(2 * np.pi / 3, res=64)
+    region = wetted_region(surface)
+    points, steps = region.curve_atoms()
+    assert points.shape == steps.shape == (8 * len(surface.boundary_points), 3)
+    assert not np.any(points[:, 2]) and not np.any(steps[:, 2])
+    for x0 in ([0.175, -0.31, 0.8], [0.3, 0.2, 0.0]):
+        terms = halfspace.probe_terms(surface, region, x0)
+        halfspace.monotonicity_profile(surface, region, x0, np.linspace(0.25, 4.0, 8), terms=terms)
+        assert terms.eta.n == len(points)
+    assert list(region._cache) == ["atoms"]
+    assert region.curve_atoms()[0] is points
 
 
 def _traced_peak(build):
@@ -502,27 +472,6 @@ def _traced_peak(build):
     finally:
         if started:
             tracemalloc.stop()
-
-
-@pytest.mark.parametrize("grid_n", [256, 512])
-def test_wetted_nodes_and_probe_terms_memory_follows_the_wetted_nodes(stock, grid_n):
-    # the traced peak of a grid build, its wetted-node extraction and one
-    # half-space probe's terms, per grid node; tracemalloc counts numpy's
-    # buffers, so the figure does not depend on the machine.  Measured
-    # with numpy 2.4: 77.6 B (256^2) and 62.3 B (512^2) per node; the
-    # 256^2 figure carries more of the fixed sample-measure part.  Caching
-    # the laid-out grid (48 B per node) beside its wetted copy read 137.5
-    # and 122.4 B.  The bound is 90 B, 16 % above the larger figure.
-    from capmono import halfspace
-
-    surface, _ = stock.cap(2 * np.pi / 3, res=64, grid=128)
-    region = wetted_region(surface, grid_n=grid_n)
-
-    def build():
-        region.wetted_nodes()
-        halfspace.probe_terms(surface, region, [0.175, 0.0, 0.8])
-
-    assert _traced_peak(build) < 90 * grid_n**2
 
 
 def test_ball_probe_terms_and_profile_memory_per_sample(stock):
@@ -550,16 +499,16 @@ def test_ball_probe_terms_and_profile_memory_per_sample(stock):
 
 def test_halfspace_probe_terms_and_profile_memory_per_sample(stock):
     # the half-space twin of the ball figure: one probe's terms and
-    # profile per sample of the 128 x 128 cap on a 64^2 plane grid, with
-    # the shared arrays and the wetted nodes built beforehand.  Measured
-    # with numpy 2.4: 290 B per sample; with H.x w and the three columns
-    # of H w in both prefixes instead of one coupling row per center it
-    # read 386 B.  The bound is 350 B, 21 % above the measured figure.
+    # profile per sample of the 128 x 128 cap, with the shared arrays and
+    # the curve atoms built beforehand.  Measured with numpy 2.4: 230 B per
+    # sample (290 B over the wetted nodes of a 64^2 plane grid); with H.x w
+    # and the three columns of H w in both prefixes instead of one coupling
+    # row per center it read 386 B.  The bound is 350 B.
     from capmono import halfspace
 
-    surface, region = stock.cap(2 * np.pi / 3, res=128, grid=64)
+    surface, region = stock.cap(2 * np.pi / 3, res=128)
     surface.mu_arrays
-    region.wetted_nodes()
+    region.curve_atoms()
     x0 = [0.3, -0.2, 0.5]
 
     def build():
@@ -601,12 +550,12 @@ def test_sorted_unique_is_np_unique():
         assert got.dtype == expect.dtype and np.array_equal(got, expect)
 
 
-@pytest.mark.parametrize("ambient", ["plane", "sphere"])
+# only the sphere has a grid
+@pytest.mark.parametrize("ambient", ["sphere"])
 def test_compact_restriction_matches_the_full_grid(stock, ambient):
-    # zero-weight nodes leave sharp prefix sums unchanged, so the sharp
-    # cumulatives and the sphere's exact windows keep every bit of a
-    # restriction over every grid node; the plane's band sums lose their
-    # zero terms and regroup, which may move the last bits
+    # zero-weight sphere nodes leave sharp prefix sums unchanged, so the
+    # sharp cumulatives and the exact windows keep every bit of a
+    # restriction over every grid node
     from capmono.radial import RadialPrefix
     from capmono.wetted import BallRestrictedEta
 
@@ -615,7 +564,6 @@ def test_compact_restriction_matches_the_full_grid(stock, ambient):
     keep = weight != 0.0
     for center in centers:
         dist2 = np.sum((nodes - center) ** 2, axis=1)
-        full = {"dist2": dist2}
         eta = BallRestrictedEta(region, center, {"dist2": dist2[keep]})
         every = RadialPrefix(nodes, center, {"mass": weight, "dist2": dist2 * weight})
         dist = np.sqrt(dist2[keep])
@@ -624,65 +572,24 @@ def test_compact_restriction_matches_the_full_grid(stock, ambient):
         w = np.minimum(hw, 0.9 * r)
         for key in ("mass", "dist2"):
             radii = [*r, np.inf]
-            assert np.array_equal(RadialPrefix.cumulative(eta, key, radii), every.cumulative(key, radii))
-            if ambient == "sphere":
-                assert np.array_equal(eta.cumulative(key, radii), every.cumulative(key, radii))
-                assert np.array_equal(eta.windowed(key, r, hw), every.windowed(key, r, w))
-                assert np.array_equal(eta.windowed_over_r2(key, r, hw), every.windowed_over_r2(key, r, w))
-                continue
-            expect = _reference_restriction(region, center, full, key, radii, every=True)
-            np.testing.assert_allclose(eta.cumulative(key, radii), expect, rtol=1e-12, atol=0.0)
-            for over_r2, method in ((False, eta.windowed), (True, eta.windowed_over_r2)):
-                expect = _reference_window(region, center, full, key, r[::4], hw[::4], over_r2, every=True)
-                np.testing.assert_allclose(method(key, r[::4], hw[::4]), expect, rtol=1e-12, atol=0.0)
-
-
-# only the plane restriction keeps per-radius coverage corrections to batch
-@pytest.mark.parametrize("ambient", ["plane"])
-@pytest.mark.parametrize("chunk", [None, 5])
-def test_ball_restriction_batch_matches_single_radii(stock, monkeypatch, ambient, chunk):
-    # one cumulative call fills the corrections of all its radii in one pass
-    # (in blocks set by _CHUNK); each radius must read as if asked alone
-    from capmono import wetted
-    from capmono.wetted import BallRestrictedEta
-
-    surface, _ = stock.cap(2 * np.pi / 3)
-    region = wetted_region(surface, grid_n=256)
-    x0 = np.array([0.3, -0.2, 0.5])
-    nodes, _ = region.wetted_nodes()
-    if chunk is not None:
-        monkeypatch.setattr(wetted, "_CHUNK", chunk)
-    arrays = {"dist2": np.sum((nodes - x0) ** 2, axis=1)}
-    band = BallRestrictedEta(region, x0).band
-    dist = np.linalg.norm(nodes - x0, axis=1)
-    near = float(dist.min())
-    mid = np.quantile(dist, [0.3, 0.7])
-    empty = 0.5 * near
-    assert empty + band < near
-    # below the probe's height, yet with cells in the band: no disk cut
-    low = x0[2] - 0.2 * band
-    assert near < low + band
-    # duplicates, inf, an empty band below and above every node
-    radii = [mid[0], empty, mid[1], np.inf, mid[0], near + 0.1 * band, 50.0, mid[1], low]
-    batch = BallRestrictedEta(region, x0, arrays)
-    for key in ("mass", "dist2"):
-        got = batch.cumulative(key, radii)
-        single = BallRestrictedEta(region, x0, arrays)
-        alone = np.array([single.cumulative(key, [r])[0] for r in radii])
-        assert np.array_equal(got, alone)
-        assert np.array_equal(got, _reference_restriction(region, x0, arrays, key, radii))
+            assert np.array_equal(eta.cumulative(key, radii), every.cumulative(key, radii))
+            assert np.array_equal(eta.windowed(key, r, hw), every.windowed(key, r, w))
+            assert np.array_equal(eta.windowed_over_r2(key, r, hw), every.windowed_over_r2(key, r, w))
 
 
 def test_gauss_rule_is_leggauss_on_first_use():
-    from capmono.wetted import _gauss5
+    # the rules are written out, so no command imports numpy.polynomial
+    from capmono.wetted import _ATOM_RULE, _GAUSS
 
-    nodes, weights = _gauss5()
-    expect = np.polynomial.legendre.leggauss(5)
-    assert np.array_equal(nodes, expect[0]) and np.array_equal(weights, expect[1])
-    assert _gauss5()[0] is nodes
+    for k, (nodes, weights) in _GAUSS.items():
+        expect = np.polynomial.legendre.leggauss(k)
+        assert np.array_equal(nodes, expect[0]) and np.array_equal(weights, expect[1])
+        assert not nodes.flags.writeable and not weights.flags.writeable
+    t, w = _ATOM_RULE
+    assert len(t) == 8 and np.all((0 < t) & (t < 1)) and abs(np.sum(w) - 1.0) < 1e-15
 
 
-# -- the wetted grid against the direct kernels ------------------------------------
+# -- the sphere grid against the direct kernels ------------------------------------
 
 
 def _blocks(rows, size=512):
@@ -709,43 +616,6 @@ def _reference_near_curve(curves, nodes, band):
             cand = cand[mind2 <= band + seglen]
         keep[cand] = True
     return np.flatnonzero(keep)
-
-
-def _reference_scanline(polys, xs, ys):
-    """Integer winding on the grid xs x ys, one sorted crossing list per row."""
-    wind = np.zeros((len(xs), len(ys)), dtype=np.int64)
-    for poly in polys:
-        a, b = poly, np.roll(poly, -1, axis=0)
-        ay, by = a[:, 1], b[:, 1]
-        for j, y in enumerate(ys):
-            up = (ay <= y) & (by > y)
-            dn = (by <= y) & (ay > y)
-            hit = up | dn
-            if not np.any(hit):
-                continue
-            t = (y - ay[hit]) / (by[hit] - ay[hit])
-            xstar = a[hit, 0] + t * (b[hit, 0] - a[hit, 0])
-            sign = np.where(up[hit], 1, -1)
-            order = np.argsort(xstar)
-            suffix = np.concatenate([np.cumsum(sign[order][::-1])[::-1], [0]])
-            wind[:, j] += suffix[np.searchsorted(xstar[order], xs, side="right")]
-    return wind
-
-
-def _reference_aa_plane(polys, cells, xs, ys, sub=8):
-    """Subcell averages, one scanline per band row and subrow."""
-    n = len(ys)
-    ix, iy = cells // n, cells % n
-    hx, hy = xs[1] - xs[0], ys[1] - ys[0]
-    offs = (np.arange(sub) + 0.5) / sub - 0.5
-    acc = np.zeros(len(cells))
-    for row in np.unique(iy):
-        sel = np.flatnonzero(iy == row)
-        sub_xs = (xs[ix[sel]][:, None] + offs[None, :] * hx).ravel()
-        for oy in offs:
-            w = _reference_scanline(polys, sub_xs, np.array([ys[row] + oy * hy]))[:, 0]
-            acc[sel] += np.sum(w.reshape(len(sel), sub), axis=1)
-    return acc / (sub * sub)
 
 
 def _reference_crossings(polys, probes):
@@ -815,47 +685,29 @@ def _reference_aa_sphere(region, cells, nodes, verts, faces):
 
 def _reference_grid(region):
     """WettedRegion.grid() by the direct kernels: the curve band from distances
-    of all nodes to all curve samples (reach 0.75 sqrt(cell) on the plane),
-    one scanline per row, and on the sphere dense crossing counts with band
+    of all nodes to all curve samples, and dense crossing counts with band
     faces padded to the longest edge list."""
-    from capmono.quadrature import plane_grid, sphere_mesh
+    from capmono.quadrature import sphere_mesh
     from capmono.wetted import _stereographic
 
-    if region.wetting == "plane":
-        nodes, cell, xs, ys = plane_grid(region._plane_bbox(), region.grid_n)
-        cellw = np.full(len(nodes), cell)
-        polys = [p[:, :2] for p in region._refined_points()]
-        wind = _reference_scanline(polys, xs, ys).ravel()
-        wind_aa = wind.astype(float)
-        cells = _reference_near_curve(region.curves, nodes, 0.75 * np.sqrt(cell))
-        if len(cells):
-            wind_aa[cells] = _reference_aa_plane(polys, cells, xs, ys)
-    else:
-        verts, faces, nodes, cellw = sphere_mesh(region.sphere_level)
-        # node windings of the coarse sample polygon, every probe against every edge
-        ref = region.reference_point()
-        far = nodes @ ref <= 1.0 - 1e-9
-        polys = [_stereographic(c.points, None, ref)[0] for c in region.curves]
-        wind = np.full(len(nodes), region.reference_winding, dtype=np.int64)
-        wind[far] += _reference_crossings(polys, _stereographic(nodes[far], None, ref)[0])
-        wind_aa = wind.astype(float)
-        cells = _reference_near_curve(region.curves, nodes, 1.1 * float(np.sqrt(np.max(cellw))))
-        if len(cells):
-            wind_aa[cells] = _reference_aa_sphere(region, cells, nodes, verts, faces)
+    verts, faces, nodes, cellw = sphere_mesh(region.sphere_level)
+    # node windings of the coarse sample polygon, every probe against every edge
+    ref = region.reference_point()
+    far = nodes @ ref <= 1.0 - 1e-9
+    polys = [_stereographic(c.points, None, ref)[0] for c in region.curves]
+    wind = np.full(len(nodes), region.reference_winding, dtype=np.int64)
+    wind[far] += _reference_crossings(polys, _stereographic(nodes[far], None, ref)[0])
+    wind_aa = wind.astype(float)
+    cells = _reference_near_curve(region.curves, nodes, 1.1 * float(np.sqrt(np.max(cellw))))
+    if len(cells):
+        wind_aa[cells] = _reference_aa_sphere(region, cells, nodes, verts, faces)
     return nodes, cellw, wind, wind_aa
 
 
 def _grid_cases(stock):
-    cap, _ = stock.cap(2 * np.pi / 3)
     disk, _ = stock.disk(np.pi / 3)
     capball, _ = stock.capball(2 * np.pi / 3, np.pi / 3)
-    pair = (circle(r=0.5, center=(-1.2, 0.0)), circle(r=0.7, center=(1.2, 0.0)))
     return {
-        "cap": lambda: wetted_region(cap, grid_n=512),
-        "figure-eight": lambda: WettedRegion((figure_eight(),), "plane", grid_n=256),
-        "disjoint": lambda: WettedRegion(pair, "plane", grid_n=256),
-        # a 1 : 4 ellipse: its bounding box makes cells four times as tall as wide
-        "elongated": lambda: WettedRegion((ellipse(),), "plane", grid_n=200),
         "disk-3": lambda: wetted_region(disk, sphere_level=3),
         "disk-4": lambda: wetted_region(disk, sphere_level=4),
         "capball-3": lambda: wetted_region(capball, sphere_level=3),
@@ -863,10 +715,7 @@ def _grid_cases(stock):
     }
 
 
-@pytest.mark.parametrize(
-    "case",
-    ["cap", "figure-eight", "disjoint", "elongated", "disk-3", "disk-4", "capball-3", "capball-4"],
-)
+@pytest.mark.parametrize("case", ["disk-3", "disk-4", "capball-3", "capball-4"])
 def test_grid_matches_reference(stock, monkeypatch, case):
     from capmono import wetted
 
@@ -923,7 +772,6 @@ def test_grid_independent_of_block_size(stock, monkeypatch, chunk):
     disk, _ = stock.disk(np.pi / 3)
     cap, _ = stock.capball(2 * np.pi / 3, np.pi / 3)
     builds = {
-        "plane": lambda: WettedRegion((figure_eight(n=128),), "plane", grid_n=64),
         "sphere": lambda: wetted_region(disk, sphere_level=3),
         # a band wide enough that even the default block size splits it
         "sphere-blocks": lambda: wetted_region(cap, sphere_level=5),
