@@ -34,7 +34,7 @@ def main() -> int:
         cap = sample_chart(spherical_cap_halfspace(theta), args.res, args.res)
         w_cap = en.willmore_energy(cap)
         disk = sample_chart(geodesic_disk_ball(theta), args.res, 2 * args.res)
-        region = wetted_region(disk, sphere_level=5)
+        region = wetted_region(disk)
         w_disk = en.willmore_ball(disk, region)
         rows.append(
             ",".join(

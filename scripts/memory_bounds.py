@@ -1,23 +1,21 @@
 #!/usr/bin/env python3
 """Peak memory and wall time of the largest runs a configuration may ask for.
 
-``tables.MAX_SPHERE_LEVEL`` and ``MAX_NU_NV`` bound the sphere's wetted
-grid and the chart resolutions so that a single run's peak memory stays
-under about 1 GB.  For each bound this script takes the benchmark
-config of a workload (``perfbench/workloads.py``, imported, not edited),
-raises that one quadrature setting to the bound, runs ``generate`` and
-then ``energy`` and ``monotonicity`` through the ``capmono`` command line
-of this checkout, one process at a time, and prints each measured
-command's exit code, peak RSS (``os.wait4``) and wall time:
+``tables.MAX_NU_NV`` bounds the chart resolutions so that a single run's
+peak memory stays under about 1 GB.  For each workload this script takes
+its benchmark config (``perfbench/workloads.py``, imported, not edited),
+raises ``nu`` and ``nv`` to the bound, runs ``generate`` and then
+``energy`` and ``monotonicity`` through the ``capmono`` command line of
+this checkout, one process at a time, and prints each measured command's
+exit code, peak RSS (``os.wait4``) and wall time:
 
     python3 scripts/memory_bounds.py --seed 1
 
 The cases are ``probe-sweep``, ``ball-cap`` and ``halfspace-cap`` at the
-largest ``nu = nv``, and ``ball-cap`` at the largest sphere level.
-``--sphere-level`` and ``--nu-nv`` override the resolutions (a tiny
-override makes a smoke run).  The
-script exits 1 when a command crashes or rejects its config (an exit code
-other than 0 or 1: a verdict of 1 is still a finished run), else 0.
+largest ``nu = nv``.  ``--nu-nv`` overrides the resolution (a tiny
+override makes a smoke run).  The script exits 1 when a command crashes
+or rejects its config (an exit code other than 0 or 1: a verdict of 1 is
+still a finished run), else 0.
 """
 
 from __future__ import annotations
@@ -41,14 +39,9 @@ from workloads import WORKLOADS, config_text  # noqa: E402
 MEASURED = ("energy", "monotonicity")
 
 
-def cases(sphere_level: int, nu_nv: int) -> list[tuple[str, dict]]:
+def cases(nu_nv: int) -> list[tuple[str, dict]]:
     """(workload, quadrature override) of every bound."""
-    return [
-        ("probe-sweep", {"nu": nu_nv, "nv": nu_nv}),
-        ("ball-cap", {"sphere_level": sphere_level}),
-        ("ball-cap", {"nu": nu_nv, "nv": nu_nv}),
-        ("halfspace-cap", {"nu": nu_nv, "nv": nu_nv}),
-    ]
+    return [(name, {"nu": nu_nv, "nv": nu_nv}) for name in ("probe-sweep", "ball-cap", "halfspace-cap")]
 
 
 def run(command: str, config: Path) -> tuple[int, float, float]:
@@ -72,13 +65,12 @@ def run(command: str, config: Path) -> tuple[int, float, float]:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--sphere-level", type=int, default=tables.MAX_SPHERE_LEVEL)
     ap.add_argument("--nu-nv", type=int, default=tables.MAX_NU_NV)
     args = ap.parse_args(argv)
 
     failed = False
     with tempfile.TemporaryDirectory(prefix="capmono-memory-") as tmp:
-        for i, (name, override) in enumerate(cases(args.sphere_level, args.nu_nv)):
+        for i, (name, override) in enumerate(cases(args.nu_nv)):
             workload = WORKLOADS[name]
             workload = dataclasses.replace(workload, quadrature={**workload.quadrature, **override})
             config = Path(tmp) / f"case{i}.cfg"

@@ -13,31 +13,19 @@ identity has its own branch, and on ``halfspace-cap`` on the x1 axis,
 where distances tie exactly, so every radial prefix there takes the
 stable sort.  Every workload's commands leave a pair residuals companion
 (``pair_residuals.bin``, written by monotonicity and read by
-identity-suite), and the ball's a wetted grid companion
-(``wetted_grid.bin``; only the sphere has a wetted grid, the plane reads
-its wetted measure from the boundary curve); the bytes of neither are
-digested, because each key stamps the capmono sources.  Before the extra
-probe, the script deletes only the pair residuals and reruns
-identity-suite, which then computes its residuals itself, and digests its
-stdout under a ``termspath`` tag.  On the workloads in ``GRIDS`` it
-deletes the grid companion and reruns energy, monotonicity and
-identity-suite, which rebuild the grid, and digests their stdout and
-outputs under a ``gridpath`` tag.  It then deletes every binary
-companion and reruns the same commands, which read the tables from their
-text (and rebuild any grid once more), under a ``textpath`` tag.  Last,
-on the workloads in ``GRIDS``, it builds the sphere grid of the generated
-surface in this process, at the levels listed there, and digests each of
-the four ``WettedRegion.grid()`` arrays (nodes, cell weights, integer and
-antialiased winding) with its dtype and shape; it digests them again as
-read back from the grid companion that build wrote, under a ``readback``
-tag, and as laid out by a fresh region after its ``wetted_nodes()``,
-under an ``afterwetted`` tag.
+identity-suite), whose bytes are not digested, because its key stamps
+the capmono sources; no command leaves a wetted grid (``wetted_grid.bin``)
+behind.  Before the extra probe, the script deletes only the pair
+residuals and reruns identity-suite, which then computes its residuals
+itself, and digests its stdout under a ``termspath`` tag.  It then
+deletes every binary companion and reruns energy, monotonicity and
+identity-suite, which read the tables from their text, and digests their
+stdout and outputs under a ``textpath`` tag.
 
-Every ``termspath``, ``gridpath``, ``textpath``, ``readback`` and
-``afterwetted`` line must equal the line without the tag.  The script
-checks that after printing every line, and exits 1 naming the first
-tagged line that differs (or whose untagged line is missing); otherwise
-it exits 0.  The
+Every ``termspath`` and ``textpath`` line must equal the line without
+the tag.  The script checks that after printing every line, and exits 1
+naming the first tagged line that differs (or whose untagged line is
+missing); otherwise it exits 0.  The
 output directory is replaced by ``OUT`` in stdout before hashing, so two
 checkouts can be compared by diffing what this prints in each:
 
@@ -58,28 +46,22 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 sys.path.insert(0, str(ROOT / "src"))
 
-import numpy as np  # noqa: E402
 from capmono import tables  # noqa: E402
-from capmono.wetted import wetted_region  # noqa: E402
 from checks import digests  # noqa: E402
 from workloads import WORKLOADS, config_text  # noqa: E402
 
 COMMANDS = ("generate", "energy", "monotonicity", "identity-suite")
 # outputs the benchmark's own digests (surface, energy report, profiles) leave out
 EXTRA_OUTPUTS = ("boundary.tsv", "curve.tsv", "surface.bin", "boundary.bin")
-# the commands that load the sample tables and may build the wetted grid,
-# rerun without the grid companion and then without every companion
+# the commands that load the sample tables, rerun without every companion
 RERUN_COMMANDS = ("energy", "monotonicity", "identity-suite")
-# the workloads with a wetted grid (the sphere's) and the levels digested
-GRIDS = {"ball-cap": ("sphere_level", (5, 6, 7))}
-GRID_ARRAYS = ("nodes", "cellw", "wind", "wind_aa")
 # workloads rerun with one more probe, named by its tag: the ball's origin
 # branch, and the first half-space station turned onto the x1 axis, where
-# distances from the probe tie exactly (about 6,000 samples and 117,000
-# grid nodes repeat the distance of another)
+# distances from the probe tie exactly (about 6,000 samples repeat the
+# distance of another)
 EXTRA_PROBES = {"ball-cap": ("origin", "0.0,0.0,0.0"), "halfspace-cap": ("axis", "0.175,0.0,0.8")}
 # the tags whose every line must equal the line without the tag
-SAME_AS_UNTAGGED = ("termspath", "gridpath", "textpath", "readback", "afterwetted")
+SAME_AS_UNTAGGED = ("termspath", "textpath")
 
 
 def digest(data: bytes) -> str:
@@ -107,20 +89,16 @@ def workload_digests(name: str, seed: int, work: Path) -> list[str]:
         code, stdout = run(command, config, out)
         lines.append(f"exit {code}  {name}/{command}")
         lines.append(f"{digest(stdout)}  {name}/{command}.stdout")
-    # energy builds the ball's grid, and monotonicity leaves the residuals
-    # identity-suite just read
+    # monotonicity leaves the residuals identity-suite just read, and no
+    # command leaves a wetted grid
     assert (out / tables.PAIR_RESIDUALS).is_file(), f"{name} left no {tables.PAIR_RESIDUALS}"
-    assert (out / tables.GRID_COMPANION).is_file() == (name in GRIDS), f"{name}: {tables.GRID_COMPANION}"
+    assert not (out / "wetted_grid.bin").exists(), f"{name} left a wetted grid"
     for file in EXTRA_OUTPUTS:
         lines.append(f"{digest((out / file).read_bytes())}  {name}/{file}")
     lines += [f"{sha}  {name}/{file}" for file, sha in digests(out).items()]
     lines += termspath_digests(name, config, out)
     lines += extra_probe_digests(name, config, out)
-    if name in GRIDS:
-        lines += rerun_digests(name, config, out, "gridpath", [out / tables.GRID_COMPANION])
-    # the textpath rerun also rebuilds the grid: "*.bin" holds its companion
-    lines += rerun_digests(name, config, out, "textpath", list(out.glob("*.bin")))
-    return lines + grid_digests(name, out)
+    return lines + rerun_digests(name, config, out, "textpath", list(out.glob("*.bin")))
 
 
 def extra_probe_digests(name: str, config: Path, out: Path) -> list[str]:
@@ -157,30 +135,6 @@ def rerun_digests(name: str, config: Path, out: Path, tag: str, deleted: list[Pa
         lines.append(f"exit {code}  {name}/{tag}/{command}")
         lines.append(f"{digest(stdout)}  {name}/{tag}/{command}.stdout")
     return lines + [f"{sha}  {name}/{tag}/{file}" for file, sha in digests(out).items()]
-
-
-def grid_digests(name: str, out: Path) -> list[str]:
-    if name not in GRIDS:
-        return []
-    surface = tables.load_surface(out / "surface.tsv", out / "boundary.tsv")
-    key, values = GRIDS[name]
-    lines = []
-    for value in values:
-        store = tables.GridCompanion(out / f"grid-{key}-{value}.bin")
-        built = wetted_region(surface, **{key: value}, store=store).grid()
-        # the build above wrote the companion; a second region must find it
-        read = wetted_region(surface, **{key: value}, store=store)
-        assert store.load(read) is not None, f"{store.path} was not read back"
-        # the grid a region lays out must not depend on what it was asked first
-        after = wetted_region(surface, **{key: value})
-        after.wetted_nodes()
-        laid_out = ((name, built), (f"{name}/readback", read.grid()), (f"{name}/afterwetted", after.grid()))
-        for prefix, arrays in laid_out:
-            for label, arr in zip(GRID_ARRAYS, arrays):
-                arr = np.ascontiguousarray(arr)
-                tag = f"{prefix}/grid-{key}-{value}/{label}"
-                lines.append(f"{digest(arr.tobytes())}  {tag} {arr.dtype.str} {arr.shape}")
-    return lines
 
 
 def first_mismatch(name: str, lines: list[str]) -> str | None:

@@ -38,18 +38,34 @@ from .identity import (
 )
 from .radial import RadialPrefix
 from .surfaces import SampledSurface
-from .wetted import BallRestrictedEta, WettedRegion, eta_integral
+from .wetted import BallRestrictedEta, WettedRegion, eta_divergence, eta_integral
 
 ORIGIN = "origin"
 GENERAL = "general"
 
 
-def _projection(nodes: np.ndarray, rel: np.ndarray, d2: np.ndarray) -> np.ndarray:
-    """Per-node ((x - c).x / |x - c|^2)^2, the wetted projection integrand.
+def _projection_antiderivative(m: float):
+    """P(u) = int_0^u g for the wetted projection integrand g = ((x - c).x / |x - c|^2)^2.
 
-    ``rel`` and ``d2`` are the nodes' ``center_offsets`` from c.
+    c is a center at distance m from the origin, and u = 1 - x.c-hat on the
+    unit sphere (see ``wetted.BallRestrictedEta``).  With D = |x - c|^2 =
+    (1 - m)^2 + 2 m u and k = 1 - m^2, (x - c).x = (D + k) / 2, so
+    g = 1/4 + k / (2 D) + k^2 / (4 D^2), which integrates in closed form.
+    At m = 1, g is 1/4 and P = u/4; near it the last term carries a mass of
+    about 1/2 within |1 - m| of c-hat, inside every ball that reaches the
+    sphere.
     """
-    return (rowdot(rel, nodes) / np.maximum(d2, 1e-300)) ** 2
+    if m == 1.0:
+        return lambda u: 0.25 * u
+    k = (1.0 - m) * (1.0 + m)
+    d0 = (1.0 - m) ** 2
+    return lambda u: 0.25 * u + k / (4.0 * m) * np.log1p(2.0 * m * u / d0) + (1.0 + m) ** 2 * u / (4.0 * (d0 + 2.0 * m * u))
+
+
+def _dist2_antiderivative(m: float):
+    """P(u) = int_0^u |x - c|^2 for |x - c|^2 = (1 - m)^2 + 2 m u, with m and u as above."""
+    d0 = (1.0 - m) ** 2
+    return lambda u: d0 * u + m * u * u
 
 
 # The ball identity, one row per term (see identity.Term).  The hat
@@ -104,12 +120,11 @@ class _BallTerms(PairTerms):
         self.eta = None
         self.eta_hat = None
         if region is not None:
-            nodes, _ = region.wetted_nodes()
-            rel, d2 = center_offsets(nodes, self.x0)
-            self.eta = BallRestrictedEta(region, self.x0, {"proj": _projection(nodes, rel, d2)}, d2=d2)
-            rel, d2 = center_offsets(nodes, self.x0_hat)
-            hat = {"proj": _projection(nodes, rel, d2), "dist2": d2}
-            self.eta_hat = BallRestrictedEta(region, self.x0_hat, hat, d2=d2)
+            m = float(np.linalg.norm(self.x0))
+            self.eta = BallRestrictedEta(region, self.x0, {"proj": _projection_antiderivative(m)})
+            m = float(np.linalg.norm(self.x0_hat))
+            hat = {"proj": _projection_antiderivative(m), "dist2": _dist2_antiderivative(m)}
+            self.eta_hat = BallRestrictedEta(region, self.x0_hat, hat)
 
     def hat_arrays(self, rel: np.ndarray, r2: np.ndarray) -> Mapping:
         """The inverted member's keys of the companion prefix about xi = ``x0_hat``.
@@ -285,22 +300,17 @@ def first_variation_residual(
 
     int div_Sigma X dmu - cos(theta) int div_sphere X deta + int H.X dmu
     + 2 cos(theta) int X.x deta - sin(theta) int X.x dgamma, with gamma the
-    arclength measure on the boundary.
+    arclength measure on the boundary.  On the unit sphere div X =
+    div X^T + 2 X.x, so the two η terms are -cos(theta) times the flux of X
+    out through the boundary curve (:func:`wetted.eta_divergence`).
     """
     if surface.ambient.kind != BALL:
         raise AmbientError("this first variation lives in the unit ball")
     term1, term3 = surface_variation(surface, field)
-    nodes, eta_w = region.eta_nodes()
-    jac_s = field.jacobian(nodes)
-    div_sphere = np.trace(jac_s, axis1=1, axis2=2) - np.einsum(
-        "ni,nij,nj->n", nodes, jac_s, nodes
-    )
-    term2 = float(np.sum(div_sphere * eta_w))
-    term4 = float(np.sum(np.sum(field(nodes) * nodes, axis=1) * eta_w))
     bp = surface.boundary_points
     term5 = float(np.sum(np.sum(field(bp) * bp, axis=1) * surface.boundary_weights))
     theta = surface.theta
-    return term1 - np.cos(theta) * term2 + term3 + 2 * np.cos(theta) * term4 - np.sin(theta) * term5
+    return term1 - np.cos(theta) * eta_divergence(region, field) + term3 - np.sin(theta) * term5
 
 
 def sphere_point_identity_residual(x, x0) -> float:

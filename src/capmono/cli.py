@@ -6,10 +6,10 @@ in order.  ``monotonicity`` leaves the signed raw residual of every
 (probe, pair) in the output directory's ``pair_residuals.bin``
 (``tables.ResidualCompanion``).  ``identity-suite`` gates its two-radius
 check on them, building no probe terms, when the file was written for its
-own probes and pairs, the same ``sphere_level`` and sample tables, and the
-same capmono sources and numpy; otherwise it computes them.  Without ``pair`` lines the two commands check different
-pairs, (r_min, r_max) and (0.4, 1.5), so the suite computes its own
-unless the two are equal.
+own probes and pairs, the same sample tables, and the same capmono
+sources and numpy; otherwise it computes them.  Without ``pair`` lines
+the two commands check different pairs, (r_min, r_max) and (0.4, 1.5),
+so the suite computes its own unless the two are equal.
 
 Exit codes: 0 when every gate passes, 1 only when a gate fails, 2 on a
 usage or configuration error (a config that is missing, a directory or
@@ -37,7 +37,7 @@ from .surfaces import (
     spherical_cap_halfspace,
 )
 from .tables import RunConfig
-from .wetted import WettedRegion, curve_from_boundary, wetted_region
+from .wetted import curve_from_boundary, wetted_region
 
 _G = "%.12g"
 
@@ -53,12 +53,6 @@ def build_chart(cfg: RunConfig):
     if cfg.amplitude != 0.0:
         chart = perturb_chart(chart, cfg.amplitude, cfg.mode)
     return chart
-
-
-def region_for(cfg: RunConfig, surface: SampledSurface, out: Path) -> WettedRegion:
-    """The wetted region of the surface, a sphere region's grid kept in ``out``'s grid companion."""
-    store = tables.GridCompanion(out / tables.GRID_COMPANION)
-    return wetted_region(surface, sphere_level=cfg.sphere_level, store=store)
 
 
 def _surface_paths(out: Path):
@@ -95,7 +89,7 @@ def _load_surface(out: Path) -> SampledSurface:
 
 def cmd_energy(cfg: RunConfig, out: Path) -> int:
     surface = _load_surface(out)
-    region = region_for(cfg, surface, out)
+    region = wetted_region(surface)
     report = energy.energy_report(surface, region)
     path = out / "energy.json"
     tables.report_json(report, path)
@@ -147,7 +141,7 @@ def _probe_checks(mono, surface, region, probe, grid, pairs):
 
 def cmd_monotonicity(cfg: RunConfig, out: Path) -> int:
     surface = _load_surface(out)
-    region = region_for(cfg, surface, out)
+    region = wetted_region(surface)
     probes = _default_probes(cfg)
     grid = np.linspace(cfg.r_min, cfg.r_max, cfg.r_count)
     mono = halfspace if surface.ambient.kind == "halfspace" else ball
@@ -181,7 +175,7 @@ def cmd_monotonicity(cfg: RunConfig, out: Path) -> int:
 
 def cmd_identity_suite(cfg: RunConfig, out: Path) -> int:
     surface = _load_surface(out)
-    region = region_for(cfg, surface, out)
+    region = wetted_region(surface)
     tol = cfg.tolerance
     checks = []
     checks.append(("gauss-bonnet", abs(energy.gauss_bonnet_residual(surface)), tol))

@@ -83,6 +83,7 @@ def _subdivide(verts: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.nda
     return np.concatenate([verts, m]), new_faces
 
 
+# perfbench/tracing.py wraps this name, as it does barycentric_subtriangles
 def spherical_triangle_areas(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Areas of spherical triangles on the unit sphere (L'Huilier)."""
     sa = np.arccos(np.clip(np.sum(b * c, axis=-1), -1.0, 1.0))
@@ -128,6 +129,7 @@ def sphere_rule(level: int) -> tuple[np.ndarray, np.ndarray]:
     return centroids, weights
 
 
+# no capmono code calls this; perfbench/tracing.py wraps it under this name
 def barycentric_subtriangles(depth: int) -> np.ndarray:
     """Barycentric corner triples of the 4**depth regular subtriangles."""
     tris = [np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]])]
@@ -148,6 +150,7 @@ def barycentric_subtriangles(depth: int) -> np.ndarray:
     return np.array(tris)
 
 
+# no capmono code calls this; perfbench/tracing.py wraps it under this name
 def plane_grid(bbox: tuple[float, float, float, float], n: int):
     """Uniform midpoint grid on a rectangle of the plane {x3 = 0}.
 

@@ -14,9 +14,9 @@ with every identity checked downstream (the identities hold at each
 radius, hence for radius averages).
 
 The wetted measure η is restricted by the same engine:
-``wetted.BallRestrictedEta`` is a ``RadialPrefix`` over the sphere grid's
-faces of nonzero weight, and on the plane over the boundary curve's atoms,
-whose rows are the Green's theorem terms of each key.
+``wetted.BallRestrictedEta`` is a ``RadialPrefix`` over the boundary
+curve's atoms, whose rows are the Green's (plane) or Stokes' (sphere)
+theorem terms of each key.
 """
 
 from __future__ import annotations

@@ -8,37 +8,27 @@ line endings and 12 significant digits.  The curve table ``curve.tsv`` is
 written for other tools: no command reads it, and it has no companion.
 
 The surface and boundary tables ``name.tsv`` each get a binary companion
-``name.bin``, and an output directory gets a wetted grid companion
-``wetted_grid.bin`` (``GridCompanion``), written by the first command
-that builds the wetted grid and read by the later ones, and a pair
-residuals companion ``pair_residuals.bin`` (``ResidualCompanion``),
-written by ``monotonicity`` and read by ``identity-suite``.  All are
-checked caches in one format: a fixed header (magic and version, the
-key's length, each body array's element count, and the body's
-``zlib.crc32``), the key, and the body arrays, all little-endian.  A
-companion is read only when its magic, its key and its size are exact
-and its body matches its CRC; anything else is a miss, so deleting a
-companion is always safe, and a companion written by an older capmono
-is a miss too.
+``name.bin``, and an output directory gets a pair residuals companion
+``pair_residuals.bin`` (``ResidualCompanion``), written by
+``monotonicity`` and read by ``identity-suite``.  All are checked caches
+in one format: a fixed header (magic and version, the key's length, the
+body's float64 element count, and the body's ``zlib.crc32``), the key,
+and the body, all little-endian.  A companion is read only when its
+magic, its key and its size are exact and its body matches its CRC;
+anything else is a miss, so deleting a companion is always safe, and a
+companion written by an older capmono is a miss too.
 
 A table's key is its column count K and the byte length and
 ``zlib.crc32`` of its text, and its body is one array, the (K, n) float64
 columns, one contiguous row per column; a table that was edited or copied
-in without its companion is read from its text.  Only the sphere has a
-wetted grid (the plane's wetted measure is read from its boundary curve),
-so only a ball run writes a grid companion.  The grid's key is the sphere
-level, the ``source_stamp`` and the bytes of every curve's points,
-tangents and weights; its body is the integer winding (int8), the
-antialiased band's cell indices (int64) and their values (float64).  A
-grid companion that misses is replaced by a fresh build, and a grid whose
-winding leaves int8 is never stored, so every command builds it afresh.
-The pair residuals' key is the float64 bytes of the probes and the pairs,
-the sphere level, the byte length and ``zlib.crc32`` of the
-``surface.tsv`` and ``boundary.tsv`` texts the surface was read from, and
-the ``source_stamp``; its body is the signed raw two-radius residual of every
-(probe, pair), probe by probe, as float64.  The ``source_stamp`` is the
-``zlib.crc32`` of every capmono source and numpy's version, so an edit of
-any module or another numpy misses both the grid and the residuals.
+in without its companion is read from its text.  The pair residuals' key
+is the float64 bytes of the probes and the pairs, the byte length and
+``zlib.crc32`` of the ``surface.tsv`` and ``boundary.tsv`` texts the
+surface was read from, and the ``source_stamp``; its body is the signed
+raw two-radius residual of every (probe, pair), probe by probe, as
+float64.  The ``source_stamp`` is the ``zlib.crc32`` of every capmono
+source and numpy's version, so an edit of any module or another numpy
+misses the residuals.
 """
 
 from __future__ import annotations
@@ -59,7 +49,7 @@ import numpy as np
 from .errors import ConfigError
 from .geometry import BALL, HALFSPACE, Ambient
 from .surfaces import SampledSurface, contact_angle_residual
-from .wetted import OrientedCurve, WettedRegion
+from .wetted import OrientedCurve
 
 _FULL = "%.17g"
 _CSV = "%.12g"
@@ -69,13 +59,11 @@ _SAVE_BLOCK = 4096
 _READ_BLOCK = 1 << 16
 # rows of a table text parsed per block when its companion misses
 _PARSE_BLOCK = 1024
-# every companion starts with this magic; the count of body arrays sets
-# the rest of the header (see _header)
+# every companion starts with this magic
 _MAGIC = b"CAPMCMP2"
 _BODY = np.dtype("<f8")
-# the winding is stored as int8 (a region never hands over a winding past its range)
-_GRID_BODY = (np.dtype("i1"), np.dtype("<i8"), _BODY)
-GRID_COMPANION = "wetted_grid.bin"
+# a companion's header: magic, the key's length, the body's element count, the body's crc32
+_HEAD = struct.Struct("<8sQQI")
 PAIR_RESIDUALS = "pair_residuals.bin"
 # the directory whose *.py files the source stamp covers
 _SOURCES = Path(__file__).parent
@@ -84,45 +72,37 @@ SURFACE_COLUMNS = "x1 x2 x3 weight nu1 nu2 nu3 H1 H2 H3 K Aring2"
 BOUNDARY_COLUMNS = "x1 x2 x3 t1 t2 t3 c1 c2 c3 arcweight kg kg_wetting"
 CURVE_COLUMNS = "x1 x2 x3 t1 t2 t3 weight"
 
-# the largest sphere grid and chart resolutions whose single-threaded
-# monotonicity run on the benchmark configs peaks under 1 GB (os.wait4,
-# one run each, scripts/memory_bounds.py: 308 MB at sphere_level 8 and
-# 452 MB at nu = nv = 1000 on ball-cap, 382 MB and 381 MB at
-# nu = nv = 1000 on halfspace-cap and probe-sweep)
-MAX_SPHERE_LEVEL = 8
+# the largest chart resolution whose single-threaded monotonicity run on
+# the benchmark configs peaks under 1 GB (os.wait4, one run each,
+# scripts/memory_bounds.py: 452 MB on ball-cap, 382 MB and 381 MB on
+# halfspace-cap and probe-sweep, all at nu = nv = 1000)
 MAX_NU_NV = 1000
 
 # the ambient of the surface each generator builds
 GENERATOR_AMBIENT = {"cap": HALFSPACE, "flat-disk-ball": BALL, "cap-ball": BALL}
 
 
-def _header(arrays: int) -> struct.Struct:
-    """A companion's header: magic, the key's length, ``arrays`` element counts, the body's crc32."""
-    return struct.Struct(f"<8sQ{arrays}QI")
-
-
-def _write_companion(path: Path, key: bytes, counts: tuple[int, ...], chunks) -> None:
+def _write_companion(path: Path, key: bytes, count: int, chunks) -> None:
     """Write the companion at ``path``: the header, ``key``, then the body.
 
     The body is the concatenation of ``chunks``, contiguous little-endian
-    arrays holding ``counts[i]`` elements of body array i in turn; it is
-    written chunk by chunk and its CRC goes into the header last.  The file
+    float64 arrays holding ``count`` elements in all; it is written chunk
+    by chunk and its CRC goes into the header last.  The file
     is written beside ``path`` and renamed over it, so a reader sees the
     old file or the new one, never a part.  A companion is only a cache:
     any OSError leaves no temporary behind and is ignored.
     """
-    head = _header(len(counts))
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         crc = 0
         with tmp.open("wb") as fh:
-            fh.seek(head.size)
+            fh.seek(_HEAD.size)
             fh.write(key)
             for chunk in chunks:
                 fh.write(chunk)
                 crc = zlib.crc32(chunk, crc)
             fh.seek(0)
-            fh.write(head.pack(_MAGIC, len(key), *counts, crc))
+            fh.write(_HEAD.pack(_MAGIC, len(key), count, crc))
         os.replace(tmp, path)
     except OSError:
         try:
@@ -131,38 +111,33 @@ def _write_companion(path: Path, key: bytes, counts: tuple[int, ...], chunks) ->
             pass
 
 
-def _read_companion(path: Path, key: bytes, dtypes: tuple[np.dtype, ...]) -> list[np.ndarray] | None:
-    """The body arrays of the companion at ``path``, one per dtype, if it holds them for ``key``.
+def _read_companion(path: Path, key: bytes) -> np.ndarray | None:
+    """The float64 body of the companion at ``path``, if it holds one for ``key``.
 
     The companion is used only when its header parses, its magic is this
     format's, its stored key equals ``key`` byte for byte, its size is
-    exact for the counts it records, and the body's CRC is the recorded
+    exact for the count it records, and the body's CRC is the recorded
     one; anything else, an unreadable file included, returns None and never
     raises.
     """
-    head = _header(len(dtypes))
     try:
         with path.open("rb") as fh:
-            magic, key_len, *counts, crc = head.unpack(fh.read(head.size))
-            body = sum(count * dtype.itemsize for count, dtype in zip(counts, dtypes))
+            magic, key_len, count, crc = _HEAD.unpack(fh.read(_HEAD.size))
             if (
                 magic != _MAGIC
                 or key_len != len(key)
                 or fh.read(key_len) != key
-                or fh.seek(0, io.SEEK_END) != head.size + key_len + body
+                or fh.seek(0, io.SEEK_END) != _HEAD.size + key_len + count * _BODY.itemsize
             ):
                 return None
-            fh.seek(head.size + key_len)
-            arrays = [np.fromfile(fh, dtype=dtype, count=count) for count, dtype in zip(counts, dtypes)]
+            fh.seek(_HEAD.size + key_len)
+            body = np.fromfile(fh, dtype=_BODY, count=count)
     except (OSError, ValueError, struct.error):
         return None
-    body_crc = 0
-    for arr in arrays:
-        body_crc = zlib.crc32(arr, body_crc)
-    # a file cut short since the size check reads short arrays
-    if body_crc != crc or [len(arr) for arr in arrays] != counts:
+    # a file cut short since the size check reads a short body
+    if zlib.crc32(body) != crc or len(body) != count:
         return None
-    return arrays
+    return body
 
 
 def source_stamp() -> bytes:
@@ -234,7 +209,7 @@ def _save_table(path, header: list[str], rows: np.ndarray) -> None:
     companion = _companion_path(path)
     if companion is not None:
         columns = (np.ascontiguousarray(column, dtype=_BODY) for column in rows.T)
-        _write_companion(companion, _table_key(rows.shape[1], length, crc), (rows.size,), columns)
+        _write_companion(companion, _table_key(rows.shape[1], length, crc), rows.size, columns)
 
 
 def _companion_columns(path, text_sum: tuple[int, int], width: int) -> np.ndarray | None:
@@ -242,10 +217,10 @@ def _companion_columns(path, text_sum: tuple[int, int], width: int) -> np.ndarra
     companion = _companion_path(path)
     if companion is None:
         return None
-    got = _read_companion(companion, _table_key(width, *text_sum), (_BODY,))
-    if got is None or not got[0].size or got[0].size % width:
+    got = _read_companion(companion, _table_key(width, *text_sum))
+    if got is None or not got.size or got.size % width:
         return None
-    return got[0].reshape(width, -1).astype(float, copy=False)
+    return got.reshape(width, -1).astype(float, copy=False)
 
 
 def _is_row(line: str) -> bool:
@@ -320,66 +295,13 @@ def _load_table(path, columns: str) -> tuple[list[str], np.ndarray, tuple[int, i
     return header, cols, text_sum
 
 
-class GridCompanion:
-    """The wetted grid companion at ``path``: the store of a sphere ``WettedRegion``.
-
-    ``load`` returns the stored windings only when the companion holds them
-    for the region's key, and None otherwise, the winding as the int8 it is
-    stored as; ``save`` replaces the file whole, and a failed write is
-    ignored (see ``_write_companion``).  The winding is stored as int8:
-    the region hands over only a winding it could compact to int8, so a
-    grid with a winding outside [-128, 127] is not stored at all, and
-    every command builds it afresh.
-    """
-
-    def __init__(self, path):
-        self.path = Path(path)
-
-    @staticmethod
-    def _key(region: WettedRegion) -> bytes:
-        """The bytes a stored grid must have been built from."""
-        parts = [struct.pack("<q", region.sphere_level), source_stamp()]
-        for curve in region.curves:
-            for arr in (curve.points, curve.tangents, curve.weights):
-                parts.append(struct.pack(f"<Q{arr.ndim}Q", arr.ndim, *arr.shape))
-                parts.append(np.asarray(arr, dtype=_BODY).tobytes())
-        return b"".join(parts)
-
-    def load(self, region: WettedRegion) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """The integer winding, the band cells and their values, if stored for ``region``."""
-        try:
-            key = self._key(region)
-        except OSError:
-            return None
-        got = _read_companion(self.path, key, _GRID_BODY)
-        if got is None or len(got[1]) != len(got[2]):
-            return None
-        wind, cells, values = got
-        return wind, cells.astype(np.int64, copy=False), values.astype(float, copy=False)
-
-    def save(self, region: WettedRegion, wind: np.ndarray, cells: np.ndarray, values: np.ndarray) -> None:
-        """Write the windings of ``region``'s grid; the winding must be int8.
-
-        The region compacts its winding to int8 when every value fits and
-        hands over only such grids, so no range is checked here.
-        """
-        if wind.dtype != _GRID_BODY[0]:
-            raise TypeError(f"the grid companion stores an int8 winding, not {wind.dtype}")
-        try:
-            key = self._key(region)
-        except OSError:
-            return
-        body = [np.ascontiguousarray(a, dtype=d) for a, d in zip((wind, cells, values), _GRID_BODY)]
-        _write_companion(self.path, key, tuple(len(a) for a in body), body)
-
-
 class ResidualCompanion:
     """The pair residuals companion at ``path`` for one set of probes and pairs.
 
     ``monotonicity`` saves the signed raw residual of every (probe, pair),
     probe by probe, and ``identity-suite`` loads them instead of rebuilding
     the probes' terms.  Both key the file on the probes and the pairs, the
-    config's ``sphere_level``, the texts ``surface`` was read from
+    texts ``surface`` was read from
     (``load_surface`` records their ``_text_sum`` in
     ``surface.metadata["tables"]``) and the ``source_stamp``; a surface
     read from no tables, or sources that cannot be read, give no key, and
@@ -406,21 +328,21 @@ class ResidualCompanion:
             return None
         probes = np.asarray(probes, dtype=_BODY).reshape(-1, 3)
         pairs = np.asarray(pairs, dtype=_BODY).reshape(-1, 2)
-        head = struct.pack("<qQQ4Q", cfg.sphere_level, len(probes), len(pairs), *sums[0], *sums[1])
+        head = struct.pack("<QQ4Q", len(probes), len(pairs), *sums[0], *sums[1])
         return b"".join((head, probes.tobytes(), pairs.tobytes(), stamp))
 
     def load(self) -> np.ndarray | None:
         """The stored residuals, if the file holds all of them for this key."""
-        got = None if self.key is None else _read_companion(self.path, self.key, (_BODY,))
-        if got is None or len(got[0]) != self.count:
+        got = None if self.key is None else _read_companion(self.path, self.key)
+        if got is None or len(got) != self.count:
             return None
-        return got[0].astype(float, copy=False)
+        return got.astype(float, copy=False)
 
     def save(self, residuals) -> None:
         """Write the residuals, one per (probe, pair), probe by probe."""
         if self.key is not None:
             body = np.ascontiguousarray(residuals, dtype=_BODY)
-            _write_companion(self.path, self.key, (len(body),), [body])
+            _write_companion(self.path, self.key, len(body), [body])
 
 
 def save_surface(surface: SampledSurface, path) -> None:
@@ -553,7 +475,6 @@ class RunConfig:
     mode: int = 0
     nu: int = 128
     nv: int = 128
-    sphere_level: int = 6
     probes: tuple = ()
     r_min: float = 0.25
     r_max: float = 4.0
@@ -579,7 +500,6 @@ _SCHEMA = {
     "quadrature": [
         ("nu", int),
         ("nv", int),
-        ("sphere_level", int),
     ],
     "profile": [
         ("r_min", float),
@@ -599,7 +519,8 @@ def parse_config(text: str) -> RunConfig:
 
     The removed ``threads`` key is accepted in ``[output]`` with the value 1
     only, and ignored; the removed ``plane_grid`` key is accepted in
-    ``[quadrature]`` with any integer value, and ignored.
+    ``[quadrature]`` with any integer value, and the removed
+    ``sphere_level`` key with an integer in [0, 8], and both are ignored.
     """
     values: dict = {}
     probes = []
@@ -639,10 +560,14 @@ def parse_config(text: str) -> RunConfig:
                 # among them, still name the one thread
                 if int(value) != 1:
                     raise ConfigError(f"line {lineno}: threads were removed; only 'threads = 1' is accepted")
-            elif section == "quadrature" and key == "plane_grid":
-                # the plane's wetted measure is read from its boundary curve;
-                # older configs, the benchmark's among them, still size a grid
-                int(value)
+            elif section == "quadrature" and key in ("plane_grid", "sphere_level"):
+                # the wetted measure is read from the boundary curve; older
+                # configs, the benchmark's among them, still size a grid.
+                # A sphere level keeps the range it always had, so a config
+                # an older capmono refused is refused still
+                size = int(value)
+                if key == "sphere_level" and not 0 <= size <= 8:
+                    raise ConfigError(f"line {lineno}: sphere_level must lie in [0, 8]")
             elif key not in known[section]:
                 raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
             else:
@@ -670,7 +595,6 @@ def _validated(cfg: RunConfig) -> RunConfig:
             not 8 <= min(cfg.nu, cfg.nv) <= max(cfg.nu, cfg.nv) <= MAX_NU_NV,
             f"nu and nv must lie in [8, {MAX_NU_NV}]",
         ),
-        (not 0 <= cfg.sphere_level <= MAX_SPHERE_LEVEL, f"sphere_level must lie in [0, {MAX_SPHERE_LEVEL}]"),
         # a subnormal r_min overflows 1/r in the radius windows
         (
             not sys.float_info.min <= cfg.r_min < cfg.r_max,

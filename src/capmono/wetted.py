@@ -5,18 +5,15 @@ wetting surface; this module carries the winding measure η of that
 region, oriented areas, rotation indices, and quadrature of integrands
 against η.
 
-On the plane η is read from the boundary curve alone.  η is the
-winding-weighted area the curve encloses, so by Green's theorem every
-integral of it is a line integral over the curve: the curve atoms of
-:meth:`WettedRegion.curve_atoms` carry each ball restriction
-(:class:`BallRestrictedEta`), every quadrature (:func:`eta_integral`) and
-the divergence integrals of first variations (:func:`eta_divergence`).
-
-On the sphere η lives on a grid, the winding-number weight field over the
-faces of a subdivided icosahedron.  Face values near a curve are
-antialiased by a subcell correction so that region masses converge at
-second order instead of first; the integer winding API is untouched by
-this.
+η is read from the boundary curve alone, on the plane and on the sphere.
+η is the winding-weighted area the curve encloses, so every integral of
+it the verifier takes is a line integral over the curve: by Green's
+theorem on the plane, and on the sphere by Stokes' theorem, for
+integrands that depend on x only through x.c-hat about an axis c-hat.
+The curve atoms of :meth:`WettedRegion.curve_atoms` carry each ball
+restriction (:class:`BallRestrictedEta`), every quadrature
+(:func:`eta_integral`) and the divergence integrals of first variations
+(:func:`eta_divergence`).
 """
 
 from __future__ import annotations
@@ -27,22 +24,22 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import GeometryError, UndefinedWindingError
-# plane_grid is not called here; perfbench/tracing.py wraps it under this name
+# plane_grid and sphere_mesh are not called here; perfbench/tracing.py wraps
+# them under these names
 from .quadrature import plane_grid, sphere_mesh, sphere_rule  # noqa: F401
 from .radial import RadialPrefix
 from .surfaces import SampledSurface
-from .geometry import BALL
+from .geometry import BALL, rowdot, rownorm
 
 PLANE = "plane"
 SPHERE = "sphere"
 
 _CHUNK = 4096
-# subdivision depth of the sphere band faces that the antialiasing supersamples
-_SUB_DEPTH = 3
-# Hermite midpoint insertions applied to the curve samples before gridding
+# Hermite midpoint insertions applied to the curve samples of the sphere's
+# winding polygons
 _CURVE_REFINE = 3
-# Gauss points per boundary segment of the plane's curve atoms, and per ray
-# of the plane's fan quadrature
+# Gauss points per boundary segment of the curve atoms, and per ray of the
+# plane's fan quadrature
 _ATOM_POINTS = 8
 
 
@@ -87,8 +84,7 @@ def curve_from_boundary(surface: SampledSurface) -> OrientedCurve:
 #
 # Every integer winding in this module, on the plane and on the sphere, is
 # the one signed half-open horizontal-ray crossing count of ``_winding_at``
-# (sphere nodes and subcells after the stereographic projection, and single
-# queries).
+# (on the sphere after the stereographic projection).
 
 
 def _run_offsets(count: np.ndarray) -> np.ndarray:
@@ -302,30 +298,17 @@ def spherical_winding_number(region: "WettedRegion", x) -> int:
 class WettedRegion:
     """Winding-weighted region of the wetting surface.
 
-    ``wetting`` is ``"plane"`` or ``"sphere"``.  The plane region is read
-    from its curves alone (:meth:`curve_atoms`) and has no grid.  The
-    sphere region's grid is a subdivided icosahedron of ``sphere_level``;
-    its winding offset is anchored by the orientation convention (the
+    ``wetting`` is ``"plane"`` or ``"sphere"``.  The region is read from
+    its curves alone (:meth:`curve_atoms`) and has no grid.  On the sphere
+    the winding offset is anchored by the orientation convention (the
     wetted side lies to the left of the curve).
 
-    ``store``, when given, keeps the expensive part of the sphere grid
-    between processes: ``store.load(region)`` returns the integer winding
-    (int8), the antialiased band's cell indices and their values, or None;
-    ``store.save(region, wind, cells, values)`` keeps them, and is handed
-    only a grid whose winding fits int8.  The first ``grid()`` call asks
-    it, so a region whose grid is never needed never touches it.
-
-    The region caches the grid in that compact form (the winding as int8
-    when it fits), the wetted nodes with their weights, and the plane's
-    curve atoms.  The full grid (nodes, cell weights and both windings, 48
-    bytes per node) is laid out anew by each ``grid()`` call and never
-    kept, so a region's memory follows its wetted nodes.
+    The region caches its curve atoms and, on the sphere, the winding at
+    its reference point and its total area |T| (:func:`eta_integral`).
     """
 
     curves: tuple
     wetting: str = PLANE
-    sphere_level: int = 6
-    store: object = field(default=None, repr=False, compare=False)
     # built arrays, never copied by dataclasses.replace nor compared by ==
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -386,27 +369,30 @@ class WettedRegion:
             self._cache["ref_wind"] = 1 - raws[0]
         return self._cache["ref_wind"]
 
-    # -- the plane's curve atoms ------------------------------------------------
+    # -- the curve atoms ---------------------------------------------------------
 
     def curve_atoms(self) -> tuple[np.ndarray, np.ndarray]:
-        """The plane's curve atoms: points and arc steps, built once and cached.
+        """The curve atoms: points and arc steps, built once and cached.
 
         Each curve segment, between consecutive samples and the wrap-around
         pair, carries ``_ATOM_POINTS`` Gauss points on the cubic Hermite
         curve through its two samples and their unit tangents (scaled by
-        the chord, as in :meth:`_refined_points`).  ``points`` (m, 3) are
-        those Gauss points at x3 = 0, ``steps`` (m, 3) the curve's
-        derivative there times the Gauss weight, both Fortran-ordered, so
-        that the sum of g(x_j) ((x_j - c) x steps_j)_3 over the atoms is
-        the line integral of g times (x - c) x dx.  By Green's theorem,
-        with F(rho) = int_0^rho f(s) s ds about the foot of c, the integral
-        of f(|x - c|) against η is the sum of
-        F(rho_j) ((x_j - c) x steps_j)_3 / rho_j^2: :class:`BallRestrictedEta`
-        restricts it to balls, and :func:`eta_integral` integrates any f
-        along the rays of a fan.
+        the chord, as in :meth:`_refined_points`).  On the plane ``points``
+        (m, 3) are those Gauss points at x3 = 0 and ``steps`` (m, 3) the
+        curve's derivative there times the Gauss weight; on the sphere the
+        points are normalised onto S^2 and ``steps`` is the derivative of
+        the normalised curve times the weight.  Both are Fortran-ordered.
+
+        On the plane, by Green's theorem with F(rho) = int_0^rho f(s) s ds
+        about the foot of c, the integral of f(|x - c|) against η is the
+        sum of F(rho_j) ((x_j - c) x steps_j)_3 / rho_j^2.  On the sphere,
+        by Stokes' theorem with P(t) = int_t^1 g(s) ds, the integral of
+        g(x.c-hat) against η is the sum of P(t_j) c-hat.(x_j x steps_j) /
+        (1 - t_j^2), t_j = x_j.c-hat, plus 2 pi P(-1) times the winding at
+        -c-hat.  :class:`BallRestrictedEta` restricts these sums to balls,
+        :func:`eta_integral` reads them whole, and :func:`eta_divergence`
+        reads the flux of a field through the curve.
         """
-        if self.wetting != PLANE:
-            raise GeometryError("curve atoms carry the plane's wetted measure only")
         if "atoms" not in self._cache:
             s, w = _ATOM_RULE
             # cubic Hermite basis on [0, 1] and its derivative times the weight
@@ -419,84 +405,26 @@ class WettedRegion:
                 ends = np.stack([p, chord * t, np.roll(p, -1, axis=0), chord * np.roll(t, -1, axis=0)])
                 points.append(np.einsum("bk,bmx->mkx", basis, ends).reshape(-1, 3))
                 steps.append(np.einsum("bk,bmx->mkx", slope, ends).reshape(-1, 3))
-            atoms = tuple(np.asfortranarray(np.concatenate(parts)) for parts in (points, steps))
-            for arr in atoms:
-                arr[:, 2] = 0.0
-            self._cache["atoms"] = atoms
+            points, steps = (np.asfortranarray(np.concatenate(parts)) for parts in (points, steps))
+            if self.wetting == PLANE:
+                points[:, 2] = 0.0
+                steps[:, 2] = 0.0
+            else:
+                norm = rownorm(points)[:, None]
+                points = np.asfortranarray(points / norm)
+                steps = np.asfortranarray((steps - rowdot(points, steps)[:, None] * points) / norm)
+            self._cache["atoms"] = (points, steps)
         return self._cache["atoms"]
 
-    # -- the sphere grid ---------------------------------------------------------
-
-    def grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Sphere grid nodes, cell weights, integer winding and antialiased winding.
-
-        Nodes within 1e-6 of a curve keep their antialiased value but the
-        integer field is computed at the node position regardless; the
-        measure-zero ambiguity never enters integrals through the
-        antialiased field.  Only the faces of the curve band are
-        antialiased (see the antialiasing notes below), so the cost beyond
-        the integer field follows the curve, not the grid.
-
-        Only the compact state of :meth:`_stored_grid` is kept; each call
-        lays the four arrays out afresh from it (the nodes and cell weights
-        are those of the cached ``sphere_mesh``), so a caller that drops
-        them frees them.  A plane region has no grid and raises
-        GeometryError.
-        """
-        wind, cells, values = self._stored_grid()
-        _, _, nodes, cellw = sphere_mesh(self.sphere_level)
-        wind = wind.astype(np.int64)
-        wind_aa = wind.astype(float)
-        wind_aa[cells] = values
-        return nodes, cellw, wind, wind_aa
-
-    def _stored_grid(self) -> tuple:
-        """The sphere grid as cached: winding, band cells, band values.
-
-        The integer winding is kept as int8 when every value fits (as the
-        grid companion stores it), and the band's cell indices and
-        antialiased values beside it.  The windings come from the store
-        when it holds them, and are built otherwise; a built grid is handed
-        to the store only when its winding is int8, so the store never
-        sees another.  Built on the first call, under the cache key
-        ``"grid"``.
-        """
-        if self.wetting != SPHERE:
-            raise GeometryError("the plane's wetted measure is read from its curves; it has no grid")
-        if "grid" not in self._cache:
-            stored = None if self.store is None else self.store.load(self)
-            if stored is None:
-                wind, cells, values = self._sphere_winding(*sphere_mesh(self.sphere_level))
-                stored = (_compact_winding(wind), cells, values)
-                if self.store is not None and stored[0].dtype == np.int8:
-                    self.store.save(self, *stored)
-            self._cache["grid"] = stored
-        return self._cache["grid"]
-
-    def _sphere_winding(
-        self, verts: np.ndarray, faces: np.ndarray, nodes: np.ndarray, cellw: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Integer winding of the sphere grid, its band faces and their antialiased values."""
-        wind = self._sphere_wind(nodes)
-        band = 1.1 * float(np.sqrt(np.max(cellw)))
-        cells = _near_curve([c.points for c in self.curves], band, self.sphere_level)
-        values = np.empty(0)
-        if len(cells):
-            # sphere nodes are face centroids, so cells index faces; only
-            # these band faces are subdivided
-            values = _aa_sphere(
-                self._refined_points(),
-                self.reference_point(),
-                self.reference_winding,
-                verts[faces[cells]],
-            )
-        return wind, cells, values
+    # perfbench/tracing.py wraps this name; the region has no grid to build
+    def grid(self):
+        raise GeometryError("the wetted measure is read from its curves; it has no grid")
 
     def _refined_points(self) -> list[np.ndarray]:
         """Sphere curve sample loops refined by Hermite midpoint insertion.
 
-        The stored unit tangents give cubic-Hermite midpoints, so the grid
-        polygons track the underlying smooth curve to fourth order in the
+        The stored unit tangents give cubic-Hermite midpoints, so the
+        winding polygons track the underlying smooth curve to fourth order in the
         sample spacing instead of carrying the inscribed-chord area bias.
         The loops are renormalized after every insertion.
         """
@@ -519,131 +447,108 @@ class WettedRegion:
             out.append(p)
         return out
 
-    def _sphere_wind(self, nodes: np.ndarray) -> np.ndarray:
-        # Coarse sample polygon suffices: nodes in the sliver between the
-        # coarse and refined boundaries sit inside the antialiasing band and
-        # their values get replaced there.
-        ref = self.reference_point()
-        far = nodes @ ref <= 1.0 - 1e-9
-        polys = [_stereographic(c.points, None, ref)[0] for c in self.curves]
-        total = np.zeros(len(nodes), dtype=np.int64)
-        qn, _ = _stereographic(nodes[far], None, ref)
-        total[far] = _winding_at(polys, qn)
-        return total + self.reference_winding
-
-    # -- integrals ---------------------------------------------------------------
-
-    def eta_nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sphere grid nodes and their winding-weighted quadrature weights, laid out per call."""
-        nodes, cellw, _, wind_aa = self.grid()
-        return nodes, wind_aa * cellw
-
-    def wetted_nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The sphere grid nodes of nonzero weight and their weights, in grid order.
-
-        The weights are ``eta_nodes()``'s; a node of zero weight adds nothing
-        to any ball restriction of η, so every restriction reads only these.
-        They are extracted once from one transient ``eta_nodes()`` layout
-        and cached; the full grid is not kept.  The nodes are
-        Fortran-ordered, each coordinate one contiguous column, so the
-        per-column distance sums of every center read them in one stride.
-        """
-        if "wetted" not in self._cache:
-            nodes, weight = self.eta_nodes()
-            keep = weight != 0.0
-            self._cache["wetted"] = (nodes.T.compress(keep, axis=1).T, weight[keep])
-        return self._cache["wetted"]
-
-
-def _compact_winding(wind: np.ndarray) -> np.ndarray:
-    """The integer winding as int8 when every value fits, else as given."""
-    small = np.iinfo(np.int8)
-    if len(wind) and (wind.min() < small.min or wind.max() > small.max):
-        return wind
-    return wind.astype(np.int8, copy=False)
-
 
 class BallRestrictedEta(RadialPrefix):
     """Winding-measure integrals restricted to balls about a fixed center.
 
-    On the sphere η is restricted as atoms, one per face centroid of the
-    region's ``wetted_nodes()``, each weighted by its ``wind_aa * cellw``
-    times each key's array, with ``RadialPrefix``'s sharp sums and exact box
-    windows, the rules the sample measure μ uses.  ``arrays`` and ``d2``,
-    the squared distances of the nodes from the center when the caller
-    already holds them (sparing the distance pass), are over
-    ``wetted_nodes()``.  Leaving out the nodes of zero weight keeps every
-    sharp prefix sum bit for bit: zero terms leave a running sum unchanged.
+    η is restricted over the region's ``curve_atoms()``, sorted once by
+    their distance from the center c.  A key is radial about c, and
+    ``arrays`` maps it to its antiderivative (``mass`` is always present).
 
-    On the plane η is restricted over the region's ``curve_atoms()``.  A
-    plane key is radial about the center c: ``arrays`` maps each key to
-    its antiderivative F(rho) = int_0^rho f(s) s ds, a function of rho^2
-    (``mass``, F = rho^2 / 2, is always present), and ``d2`` is not taken.
-    With rho_j the distance of atom j from c's foot and a_j =
-    ((x_j - c) x steps_j)_3 / rho_j^2 its angle increment about the foot,
-    the key's integral over B_r(c) is
+    On the plane the antiderivative is F(rho) = int_0^rho f(s) s ds about
+    c's foot, a function of rho^2 (``mass``: rho^2 / 2).  With rho_j the
+    distance of atom j from the foot and a_j = ((x_j - c) x steps_j)_3 /
+    rho_j^2 its angle increment about the foot, the key's integral over
+    B_r(c) is
 
         sum over rho_j < r_p of F(rho_j) a_j + F(r_p) * sum over rho_j >= r_p of a_j,
 
-    with r_p^2 = r^2 - c3^2: two prefix rows per key, the key's F(rho_j) a_j
-    and the shared ``angle`` row, over one distance sort.  Radius windows
-    are evaluated by a five-point Gauss rule.  Windows are clipped to
-    w <= 0.9 r on both wetting surfaces.
+    with r_p^2 = r^2 - c3^2: the key's row F(rho_j) a_j and the shared
+    ``angle`` row.
+
+    On the sphere a key is a function g of t = x.c-hat, and the
+    antiderivative is P = int_t^1 g(s) ds, given as a function of
+    u = 1 - t (``mass``: u).  The ball cuts the cap u < u_r out of the
+    sphere, u_r = (r^2 - (1 - |c|)^2) / (2 |c|) clipped to [0, 2].  With
+    a_j = c-hat.(x_j x steps_j) / (1 - t_j^2) the azimuth increment of atom
+    j about c-hat, the key's integral over B_r(c) is
+
+        sum over inside atoms of P(u_j) a_j + P(u_r) E(r),
+        E(r) = sum over outside atoms of (1 + t_j) a_j / 2
+               - sum over inside atoms of (1 - t_j) a_j / 2 + |T| / 2.
+
+    E(r) is the azimuth the curve sweeps outside the cap plus 2 pi times
+    the winding at -c-hat, written with the total area |T| (from
+    :func:`eta_integral`) in place of that winding; each of its terms is
+    bounded at both poles.  Rows: the key's P(u_j) a_j and the shared
+    ``up`` and ``down`` rows, (1 + t_j) a_j / 2 and (1 - t_j) a_j / 2.
+
+    Radius windows are evaluated by a five-point Gauss rule, with w
+    clipped to 0.9 r.
     """
 
-    def __init__(self, region: WettedRegion, center, arrays: Optional[dict] = None, *, d2=None):
-        self._antiderivatives = None
-        if region.wetting == SPHERE:
-            nodes, weight = region.wetted_nodes()
-            keyed = {"mass": weight}
-            keyed.update((key, np.asarray(v, dtype=float) * weight) for key, v in (arrays or {}).items())
-            super().__init__(nodes, center, keyed, d2=d2)
-            return
+    def __init__(self, region: WettedRegion, center, arrays: Optional[dict] = None):
         points, steps = region.curve_atoms()
-        self._antiderivatives = {"mass": lambda rho2: 0.5 * rho2, **(arrays or {})}
-        rel = points - np.asarray(center, dtype=float)
-        rho2 = rel[:, 0] * rel[:, 0] + rel[:, 1] * rel[:, 1]
-        angle = (rel[:, 0] * steps[:, 1] - rel[:, 1] * steps[:, 0]) / np.maximum(rho2, 1e-300)
-        keyed = {key: f(rho2) * angle for key, f in self._antiderivatives.items()}
-        keyed["angle"] = angle
+        center = np.asarray(center, dtype=float)
+        if region.wetting == PLANE:
+            self._antiderivatives = {"mass": lambda rho2: 0.5 * rho2, **(arrays or {})}
+            rel = points - center
+            rho2 = rel[:, 0] * rel[:, 0] + rel[:, 1] * rel[:, 1]
+            angle = (rel[:, 0] * steps[:, 1] - rel[:, 1] * steps[:, 0]) / np.maximum(rho2, 1e-300)
+            keyed = {key: f(rho2) * angle for key, f in self._antiderivatives.items()}
+            keyed["angle"] = angle
+            # the ball misses the plane below |c3|
+            self._gap = abs(float(center[2]))
+            self._area = None
+        else:
+            self._radius = float(np.linalg.norm(center))
+            if self._radius == 0.0:
+                raise GeometryError("the sphere's η is restricted about a center off the origin")
+            self._antiderivatives = {"mass": lambda u: u, **(arrays or {})}
+            u, v, angle = _about_axis(points, steps, center / self._radius)
+            keyed = {key: f(u) * angle for key, f in self._antiderivatives.items()}
+            keyed["up"] = 0.5 * v * angle
+            keyed["down"] = 0.5 * u * angle
+            # the ball misses the sphere below |1 - |c||
+            self._gap = abs(1.0 - self._radius)
+            self._area = eta_integral(region)
         super().__init__(points, center, keyed)
 
     def onset(self) -> float:
         """Radius below which every ball's mass ratio mass(B_r) / r^2 reads its r -> 0 value.
 
-        The nearest atom's distance (on the plane a disk that misses the
-        curve reads pi r^2 times the winding), or for a center off the
-        plane its height |c3|, below which the ball misses the plane.
+        The gap between the center and the wetting surface (|c3| on the
+        plane, |1 - |c|| on the sphere), below which the ball misses it; at
+        a center on the surface the nearest atom's distance, below which
+        the ball cuts a disk or a cap of area pi r^2 at one winding.
         """
-        if self._antiderivatives is not None and self.center[2] != 0.0:
-            return abs(float(self.center[2]))
-        return super().onset()
+        return self._gap if self._gap > 0.0 else super().onset()
 
     def cumulative(self, key: str, radii) -> np.ndarray:
         r = np.atleast_1d(np.asarray(radii, dtype=float))
-        if self._antiderivatives is None:
-            return super().cumulative(key, r)
         idx = np.searchsorted(self.dists, r, side="left")
-        angle = self._prefix["angle"]
-        # the disk's edge term; once every atom is inside it is F(0) times no angle
-        rp2 = np.where(idx < self.n, r * r - self.center[2] ** 2, 0.0)
-        edge = self._antiderivatives[key](np.maximum(rp2, 0.0))
-        return self._prefix[key][idx] + edge * (angle[-1] - angle[idx])
+        if self._area is None:
+            angle = self._prefix["angle"]
+            # the disk's edge term; once every atom is inside it is F(0) times no angle
+            rp2 = np.where(idx < self.n, r * r - self.center[2] ** 2, 0.0)
+            edge = self._antiderivatives[key](np.maximum(rp2, 0.0))
+            return self._prefix[key][idx] + edge * (angle[-1] - angle[idx])
+        up, down = self._prefix["up"], self._prefix["down"]
+        m = self._radius
+        ur = np.clip((r * r - (1.0 - m) ** 2) / (2.0 * m), 0.0, 2.0)
+        edge = (up[-1] - up[idx]) - down[idx] + 0.5 * self._area
+        return self._prefix[key][idx] + self._antiderivatives[key](ur) * edge
 
     def _window_average(self, key: str, r, halfwidth, over_r2: bool) -> np.ndarray:
         """Average over [r - w, r + w] of M(s) or M(s)/s^2, with w clipped to 0.9 r.
 
-        On the sphere the average is exact (see the class notes).  On the
-        plane a five-point Gauss rule evaluates it: the restricted masses
-        are smooth in the radius, so the short rule reproduces the uniform
+        A five-point Gauss rule evaluates it: the restricted masses are
+        smooth in the radius, so the short rule reproduces the uniform
         radius average to working precision.  All nodes of all windows go
         to ``cumulative`` in one call.
         """
         r = np.atleast_1d(np.asarray(r, dtype=float))
         w = np.minimum(np.atleast_1d(np.asarray(halfwidth, dtype=float)), 0.9 * r)
-        if self._antiderivatives is None:
-            window = super().windowed_over_r2 if over_r2 else super().windowed
-            return window(key, r, w)
         nodes, weights = _GAUSS[5]
         s = np.maximum(r[None, :] + nodes[:, None] * w[None, :], 1e-12)
         vals = self.cumulative(key, s.ravel()).reshape(s.shape)
@@ -706,13 +611,36 @@ def _fan(region: WettedRegion) -> tuple[np.ndarray, np.ndarray]:
     return nodes.reshape(-1, 3), np.outer(rel[:, 0] * steps[:, 1] - rel[:, 1] * steps[:, 0], t * w).ravel()
 
 
+def _about_axis(points: np.ndarray, steps: np.ndarray, axis: np.ndarray):
+    """u = 1 - t and v = 1 + t, t = x.axis, and the azimuth increment a about the axis, per sphere atom.
+
+    u and v are half the squared chords to the axis point and to its
+    antipode, which keeps both accurate near their pole; a is
+    axis.(x x step) / (u v), 0 at an atom on the axis.
+    """
+    near, far = points - axis, points + axis
+    u, v = 0.5 * rowdot(near, near), 0.5 * rowdot(far, far)
+    return u, v, (np.cross(points, steps) @ axis) / np.maximum(u * v, 1e-300)
+
+
 def eta_integral(region: WettedRegion, f: Callable[[np.ndarray], np.ndarray] | float = 1.0) -> float:
     """Quadrature of f against the winding measure on the wetting surface.
 
-    The plane's nodes are those of its fan quadrature, the sphere's its
-    grid nodes.
+    The plane's nodes are those of its fan quadrature.  On the sphere f
+    must be a constant, and the integral is f times the total area |T|:
+    Stokes' theorem about the axis b = ``barycenter_direction()`` makes it
+    the sum of (1 - t_j) a_j over the curve atoms plus 4 pi times the
+    winding at -b, ``reference_winding`` (see :func:`_about_axis`).  |T| is
+    built once per region and cached.
     """
-    nodes, w = _fan(region) if region.wetting == PLANE else region.eta_nodes()
+    if region.wetting == SPHERE:
+        if callable(f):
+            raise GeometryError("the sphere's η integrates constants; restrict radial keys with BallRestrictedEta")
+        if "area" not in region._cache:
+            u, _, angle = _about_axis(*region.curve_atoms(), region.barycenter_direction())
+            region._cache["area"] = float(np.sum(u * angle)) + 4.0 * np.pi * region.reference_winding
+        return float(f) * region._cache["area"]
+    nodes, w = _fan(region)
     if callable(f):
         vals = np.asarray(f(nodes), dtype=float)
     else:
@@ -721,150 +649,24 @@ def eta_integral(region: WettedRegion, f: Callable[[np.ndarray], np.ndarray] | f
 
 
 def eta_divergence(region: WettedRegion, field: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Integral of div X against the plane's η, for a field X tangent to the plane.
+    """The flux of a field X out through the region's curves, the sum of X(x_j).(steps_j x n_j) over the atoms.
 
-    By the divergence theorem on each level set of the winding it is the
-    flux of X out through the curves, the sum over the curve atoms of
-    X(x_j) . (steps_j x e3): exact for every field smooth along the curve,
-    where the fan of :func:`eta_integral` must resolve div X inside.
+    n is e3 on the plane and x on the sphere.  By the divergence theorem
+    on each level set of the winding this is, for X tangent to the plane,
+    the integral of div X against η, and on the unit sphere, where
+    div X = div X^T + 2 X.x, the integral of div X - 2 X.x against η.
+    It is exact for every field smooth along the curve, where the fan of
+    :func:`eta_integral` must resolve div X inside.
     """
     points, steps = region.curve_atoms()
     x = field(points)
+    if region.wetting == SPHERE:
+        return float(np.sum(rowdot(x, np.cross(steps, points))))
     return float(np.sum(x[:, 0] * steps[:, 1] - x[:, 1] * steps[:, 0]))
 
 
-def wetted_region(surface: SampledSurface, sphere_level: int = 6, store=None) -> WettedRegion:
-    """Region enclosed by the boundary image of a sampled surface.
-
-    ``store`` keeps a sphere region's grid between processes (see
-    ``WettedRegion``).
-    """
+def wetted_region(surface: SampledSurface) -> WettedRegion:
+    """Region enclosed by the boundary image of a sampled surface."""
     curve = curve_from_boundary(surface)
     wetting = SPHERE if surface.ambient.kind == BALL else PLANE
-    return WettedRegion((curve,), wetting, sphere_level=sphere_level, store=store)
-
-
-# -- antialiasing ----------------------------------------------------------------
-#
-# Sphere faces straddling a curve are supersampled: the face is split into
-# subcells, every subcell center is classified by the same exact crossing
-# count that produced the node windings, and the node value is replaced by
-# the area-weighted subcell average.  Faces away from every curve are left
-# untouched: all their subcells agree with the node, so the average would
-# return the node's integer winding bit for bit.
-#
-# The band is found by descending the icosphere hierarchy, so it costs the
-# band, not the faces.  The band faces are subdivided and every subcell
-# center is counted directly, in blocks of fixed size, so the temporaries
-# are set by the block size and not by the level; only per-face arrays
-# grow with the band.
-
-
-def _near_curve(loops: Sequence[np.ndarray], band: float, level: int) -> np.ndarray:
-    """Indices of the face centroids of ``sphere_mesh(level)`` within band of any curve loop.
-
-    The nodes within band of the loops' sample points are kept: each loop
-    descends the icosphere hierarchy to the band (see ``_near_samples``).
-    """
-    return _sorted_unique(np.concatenate([_near_samples(p, band, level) for p in loops]))
-
-
-def _sorted_unique(a: np.ndarray) -> np.ndarray:
-    """The distinct values of a 1-d integer array, ascending: ``np.unique(a)``.
-
-    Sorted and deduplicated by hand, because ``np.unique(a)`` asks
-    ``numpy.ma`` whether ``a`` is masked, and so imports it (about 19 ms)
-    in a process that has not.
-    """
-    a = np.sort(a)
-    first = np.empty(len(a), dtype=bool)
-    first[:1] = True
-    np.not_equal(a[1:], a[:-1], out=first[1:])
-    return a[first]
-
-
-def _nearest_sample(q: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """Distance of each point of q to the nearest of the samples.
-
-    The squared distances are summed per coordinate in the order
-    ``np.linalg.norm`` sums them, and one square root is taken of each
-    minimum: the square root is monotone and correctly rounded, so this is
-    the minimum of the norms, bit for bit.  Points go in blocks of about
-    ``_CHUNK * 16`` (point, sample) pairs, so the temporaries stay bounded
-    however many samples the curve has.
-    """
-    out = np.empty(len(q))
-    step = max(_CHUNK * 16 // max(len(samples), 1), 1)
-    for lo in range(0, len(q), step):
-        block = q[lo : lo + step]
-        d2 = (block[:, 0, None] - samples[:, 0]) ** 2
-        for k in (1, 2):
-            d2 += (block[:, k, None] - samples[:, k]) ** 2
-        out[lo : lo + step] = d2.min(axis=1)
-    return np.sqrt(out)
-
-
-def _near_samples(p: np.ndarray, band: float, level: int) -> np.ndarray:
-    """Faces of ``sphere_mesh(level)`` whose centroid lies within band of the samples p.
-
-    The test at the level itself is coarse to fine: centroids within
-    ``band + gap`` of every ``step``-th sample (gap the longest chord
-    between those), then within ``band + seglen`` of all samples.  Only
-    the descendants of coarser faces that may hold such a centroid reach
-    it: the children of face k are faces 4k..4k+3 of the next level, every
-    descendant centroid lies in its ancestor's spherical triangle, and on
-    that small geodesically convex triangle the distance from the
-    ancestor's centroid is largest at a corner.  So a face is dropped only
-    when its centroid lies farther than ``band + gap + reach`` from every
-    coarse sample, with ``reach`` its centroid's largest distance to its
-    own corners.
-    """
-    step = max(len(p) // 128, 1)
-    coarse = p[::step]
-    gap = float(np.max(np.linalg.norm(np.roll(p, -step, axis=0) - p, axis=1)))
-    cand = np.arange(20)
-    for lvl in range(level):
-        verts, faces, centroids, _ = sphere_mesh(lvl)
-        reach = np.max(np.linalg.norm(verts[faces[cand]] - centroids[cand, None, :], axis=2), axis=1)
-        # the slack covers the rounding of the two distances compared
-        near = _nearest_sample(centroids[cand], coarse) <= band + gap + reach + 1e-12
-        cand = (4 * cand[near, None] + np.arange(4)).ravel()
-    nodes = sphere_mesh(level)[2]
-    cand = cand[_nearest_sample(nodes[cand], coarse) <= band + gap]
-    if len(cand) and step > 1:
-        seglen = float(np.max(np.linalg.norm(np.roll(p, -1, axis=0) - p, axis=1)))
-        cand = cand[_nearest_sample(nodes[cand], p) <= band + seglen]
-    return cand
-
-
-def _aa_sphere(
-    points_loops: Sequence[np.ndarray],
-    ref: np.ndarray,
-    ref_wind: int,
-    corners: np.ndarray,
-) -> np.ndarray:
-    """Antialiased winding replacement values for sphere faces near a curve.
-
-    ``corners`` (c, 3, 3) are the face vertices; each face is split into
-    ``4**_SUB_DEPTH`` subcells.  The winding at every subcell center is the
-    crossing count of the projected refined polygons, and the face value is
-    its average weighted by the exact spherical subcell areas.  Faces go in
-    blocks of about ``_CHUNK * 4`` subcells, so the subcell temporaries
-    stay bounded however wide the band is.
-    """
-    from .quadrature import barycentric_subtriangles, spherical_triangle_areas
-
-    bary = barycentric_subtriangles(_SUB_DEPTH)
-    polys = [_stereographic(p, None, ref)[0] for p in points_loops]
-    out = np.empty(len(corners))
-    step = max(_CHUNK * 4 // len(bary), 1)
-    for lo in range(0, len(corners), step):
-        sc = np.einsum("mkb,cbx->cmkx", bary, corners[lo : lo + step])
-        sc /= np.linalg.norm(sc, axis=-1, keepdims=True)
-        areas = spherical_triangle_areas(sc[:, :, 0, :], sc[:, :, 1, :], sc[:, :, 2, :])
-        centers = sc.sum(axis=2)
-        centers /= np.linalg.norm(centers, axis=-1, keepdims=True)
-        qsub, _ = _stereographic(centers.reshape(-1, 3), None, ref)
-        w_sub = _winding_at(polys, qsub).reshape(areas.shape) + ref_wind
-        out[lo : lo + step] = np.sum(areas * w_sub, axis=1) / np.sum(areas, axis=1)
-    return out
+    return WettedRegion((curve,), wetting)

@@ -1,7 +1,7 @@
 """Shared builders for sampled surfaces and wetted regions.
 
-Surfaces and their sphere grids are the expensive parts of the suite, so tests
-share memoized instances through the session-scoped ``stock`` fixture.
+Surfaces and their wetted regions are the expensive parts of the suite, so
+tests share memoized instances through the session-scoped ``stock`` fixture.
 """
 
 import numpy as np
@@ -41,21 +41,19 @@ class Stock:
 
         return self._get(("pcap", round(theta, 12), amplitude, mode, res), build)
 
-    def disk(self, theta, nu=96, nv=256, level=5):
+    def disk(self, theta, nu=96, nv=256):
         def build():
             surface = sample_chart(geodesic_disk_ball(theta), nu, nv)
-            return surface, wetted_region(surface, sphere_level=level)
+            return surface, wetted_region(surface)
 
-        return self._get(("disk", round(theta, 12), nu, nv, level), build)
+        return self._get(("disk", round(theta, 12), nu, nv), build)
 
-    def capball(self, theta, colatitude, nu=96, nv=256, level=5):
+    def capball(self, theta, colatitude, nu=96, nv=256):
         def build():
             surface = sample_chart(spherical_cap_ball(theta, colatitude), nu, nv)
-            return surface, wetted_region(surface, sphere_level=level)
+            return surface, wetted_region(surface)
 
-        return self._get(
-            ("capball", round(theta, 12), round(colatitude, 12), nu, nv, level), build
-        )
+        return self._get(("capball", round(theta, 12), round(colatitude, 12), nu, nv), build)
 
 
 @pytest.fixture(scope="session")

@@ -137,9 +137,9 @@ def test_07_balance_law(stock):
     _report(7, "minimal-disk divergence identity", worst_div, 1e-4)
 
 
-def _ball_identity_values(stock, nu, nv, level):
-    disk, disk_region = stock.disk(np.pi / 3, nu=nu, nv=nv, level=level)
-    capball, cb_region = stock.capball(2 * np.pi / 3, np.pi / 3, nu=nu, nv=nv, level=level)
+def _ball_identity_values(stock, nu, nv):
+    disk, disk_region = stock.disk(np.pi / 3, nu=nu, nv=nv)
+    capball, cb_region = stock.capball(2 * np.pi / 3, np.pi / 3, nu=nu, nv=nv)
     contact = np.array([np.sin(np.pi / 3), 0.0, np.cos(np.pi / 3)])
     vals = []
     for surface, region, interior in (
@@ -154,7 +154,7 @@ def _ball_identity_values(stock, nu, nv, level):
 
 
 def test_08_ball_identity(stock):
-    vals = _ball_identity_values(stock, 96, 256, 5)
+    vals = _ball_identity_values(stock, 96, 256)
     _report(8, "ball two-radius identity (both branches)", float(np.max(np.abs(vals))), 1e-3)
 
 
@@ -258,7 +258,7 @@ def test_12_convergence_under_refinement(stock):
     fine_rms, _ = _halfspace_identity_rms(stock, 96)
     ratio_hs = coarse_rms / fine_rms
     _report(12, "half-space residual shrink factor", -ratio_hs, -3.0, ok=ratio_hs >= 3.0)
-    coarse = _ball_identity_values(stock, 48, 128, 5)
-    fine = _ball_identity_values(stock, 96, 256, 6)
+    coarse = _ball_identity_values(stock, 48, 128)
+    fine = _ball_identity_values(stock, 96, 256)
     ratio_ball = float(np.sqrt(np.mean(np.square(coarse))) / np.sqrt(np.mean(np.square(fine))))
     _report(12, "ball residual shrink factor", -ratio_ball, -3.0, ok=ratio_ball >= 3.0)

@@ -4,6 +4,7 @@ import importlib.util
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -151,43 +152,41 @@ def test_ball_suite_balance_law_reads_eta(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert main(["identity-suite", "--config", str(path)]) == 0
     assert "PASS balance-law" in capsys.readouterr().out
-    eta_nodes = wetted.WettedRegion.eta_nodes
+    atoms = wetted.WettedRegion.curve_atoms
 
     def scaled(region):
-        nodes, weights = eta_nodes(region)
-        return nodes, 1.01 * weights
+        points, steps = atoms(region)
+        return points, 1.01 * steps
 
-    monkeypatch.setattr(wetted.WettedRegion, "eta_nodes", scaled)
+    monkeypatch.setattr(wetted.WettedRegion, "curve_atoms", scaled)
     assert main(["identity-suite", "--config", str(path)]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
     assert len(failed) == 1 and failed[0].startswith("FAIL balance-law")
 
 
-# only the sphere has a wetted grid; the plane reads η from its curve
-@pytest.mark.parametrize("ambient", ["ball"])
+# the wetted measure is discretised once per run: by its curve atoms, which
+# took the place of the sphere's grid
+@pytest.mark.parametrize("ambient", ["halfspace", "ball"])
 def test_monotonicity_builds_the_grid_once(tmp_path, monkeypatch, ambient):
     out = tmp_path / "out"
     path = tmp_path / "run.cfg"
-    path.write_text(_ball_text(out))
+    path.write_text(_TINY.replace("OUT", str(out)) if ambient == "halfspace" else _ball_text(out))
     assert main(["generate", "--config", str(path)]) == 0
     code = main(["monotonicity", "--config", str(path)])
     first = {p.name: p.read_bytes() for p in sorted(out.glob("profile_*.csv"))}
     assert len(first) == 2
-    # the first run left a grid companion; without it the second run
-    # builds the grid itself
-    (out / tables.GRID_COMPANION).unlink()
 
-    # every grid build finds its curve band exactly once
+    # a rerun places the region's curve atoms once for every probe
     builds = []
-    near_curve = wetted._near_curve
+    atoms = wetted.WettedRegion.curve_atoms
 
-    def counting(*args, **kwargs):
-        builds.append(1)
-        return near_curve(*args, **kwargs)
+    def counting(region):
+        builds.append("atoms" not in region._cache)
+        return atoms(region)
 
-    monkeypatch.setattr(wetted, "_near_curve", counting)
+    monkeypatch.setattr(wetted.WettedRegion, "curve_atoms", counting)
     # and the weighted sample arrays are computed once, for every probe
-    mono = ball
+    mono = halfspace if ambient == "halfspace" else ball
     h2 = []
 
     class Recording(mono.RadialPrefix):
@@ -198,7 +197,7 @@ def test_monotonicity_builds_the_grid_once(tmp_path, monkeypatch, ambient):
 
     monkeypatch.setattr(mono, "RadialPrefix", Recording)
     assert main(["monotonicity", "--config", str(path)]) == code
-    assert len(builds) == 1
+    assert sum(builds) == 1 and len(builds) >= 2
     assert len(h2) >= 2 and all(a is h2[0] for a in h2)
     assert {p.name: p.read_bytes() for p in sorted(out.glob("profile_*.csv"))} == first
 
@@ -282,9 +281,9 @@ def test_importing_the_cli_leaves_numpy_polynomial_unloaded():
 @pytest.mark.parametrize("ambient", ["halfspace", "ball"])
 def test_verification_commands_load_neither_numpy_ma_nor_polynomial(tmp_path, ambient):
     # a plain np.unique(ar) imports numpy.ma, and leggauss numpy.polynomial;
-    # the ball's energy builds the sphere grid (whose band is deduplicated),
-    # the half-space monotonicity places its curve atoms and windows the
-    # plane η by its Gauss rules, and neither needs either module
+    # both ambients place their curve atoms and window η by the Gauss rules
+    # written out in wetted.py, and neither needs either module.  No command
+    # leaves a wetted grid behind
     path, out = _tiny_run(tmp_path, ambient)
     src = str(Path(capmono.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -294,10 +293,9 @@ def test_verification_commands_load_neither_numpy_ma_nor_polynomial(tmp_path, am
         "codes = [main([c, '--config', sys.argv[1]]) for c in ('energy', 'monotonicity', 'identity-suite')]\n"
         "print(codes, 'numpy.ma' in sys.modules, 'numpy.polynomial' in sys.modules)\n"
     )
-    assert not (out / tables.GRID_COMPANION).exists()
     proc = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert (out / tables.GRID_COMPANION).is_file() == (ambient == "ball")
+    assert not (out / "wetted_grid.bin").exists()
     assert proc.stdout.splitlines()[-1].endswith("] False False")
 
 
@@ -315,6 +313,7 @@ def test_verification_commands_load_neither_numpy_ma_nor_polynomial(tmp_path, am
         ("radius = 1", "radius = 0"),
         ("plane_grid = 256", "plane_grid = 256.5"),
         ("sphere_level = 4", "sphere_level = 9"),
+        ("sphere_level = 4", "sphere_level = 4.5"),
         ("seed = 0", "seed = 0\nthreads = 2"),
         ("generator = cap", "generator = cap-ball"),
         # the output directory is the config file itself, or lies under it
@@ -323,7 +322,8 @@ def test_verification_commands_load_neither_numpy_ma_nor_polynomial(tmp_path, am
     ],
     ids=[
         "pair-order", "r-count", "nu", "nu-max", "nv-max", "r-min", "r-min-subnormal", "radius-negative", "radius-zero",
-        "plane-grid-float", "sphere-level-max", "threads-2", "generator-ambient", "out-dir-file", "out-dir-under-file",
+        "plane-grid-float", "sphere-level-max", "sphere-level-float", "threads-2", "generator-ambient", "out-dir-file",
+        "out-dir-under-file",
     ],
 )
 def test_bad_config_exits_2_without_traceback(tmp_path, edit):
@@ -391,7 +391,7 @@ def test_corrupt_companions_exit_0_with_the_same_outputs(tmp_path):
     # a middle sample's area weight moves by a few percent behind an intact
     # header; the other loses half its body
     data = bytearray(companions["surface.bin"])
-    head = tables._header(1)
+    head = tables._HEAD
     _, key_len, count, _ = head.unpack_from(data)
     n = count // 12
     data[head.size + key_len + 8 * (3 * n + n // 2) + 5] ^= 0x10
@@ -562,8 +562,8 @@ def test_benchmark_tracer_instruments_the_library(tmp_path, ambient):
     assert outputs() == plain_outputs
     for name in ("wetted.BallRestrictedEta.objects", "radial.RadialPrefix.objects", "identity.calls"):
         assert tracer.counts[name] > 0, name
-    # only the sphere builds a wetted grid
-    assert (tracer.counts["wetted.grid.builds"] > 0) == (ambient == "ball")
+    # neither ambient builds a wetted grid: η is read from the curve
+    assert tracer.counts["wetted.grid.builds"] == 0
     for module, attrs in zip(modules, before):
         assert all(vars(module)[k] is v for k, v in attrs.items())
     assert halfspace.BallRestrictedEta is wetted.BallRestrictedEta
@@ -601,7 +601,7 @@ def _tiny_run(tmp_path, ambient="halfspace", text=None):
 def test_suite_reads_the_pair_residuals_of_monotonicity(tmp_path, monkeypatch, capsys, ambient):
     # without a monotonicity run the suite computes its residuals and leaves
     # no companion; after one it builds no probe terms (and, in the
-    # half-space, touches no wetted grid) and prints the same
+    # half-space, touches no curve atoms) and prints the same
     path, out = _tiny_run(tmp_path, ambient)
     built = _counting_terms(monkeypatch)
     computed = _suite(capsys, path)
@@ -612,23 +612,24 @@ def test_suite_reads_the_pair_residuals_of_monotonicity(tmp_path, monkeypatch, c
     if ambient == "halfspace":
 
         def refuse(self):
-            raise AssertionError("the wetted grid was touched")
+            raise AssertionError("the curve atoms were placed")
 
-        monkeypatch.setattr(wetted.WettedRegion, "grid", refuse)
+        monkeypatch.setattr(wetted.WettedRegion, "curve_atoms", refuse)
     assert _suite(capsys, path) == computed
     assert built == []
 
 
-def _rewrite_residuals(path, values=None, extra=0):
-    """Rewrite the companion behind its own key with a valid CRC: ``values``
-    in place of the stored residuals, or ``extra`` more entries."""
+def _rewrite_residuals(path, values=None, extra=0, prefix=b""):
+    """Rewrite the companion behind its own key, after ``prefix``, with a
+    valid CRC: ``values`` in place of the stored residuals, or ``extra``
+    more entries."""
     data = path.read_bytes()
-    head = tables._header(1)
+    head = tables._HEAD
     _, key_len, count, _ = head.unpack_from(data)
     key = data[head.size : head.size + key_len]
     stored = np.frombuffer(data[head.size + key_len :], dtype="<f8")
     body = np.asarray(values if values is not None else np.concatenate([stored, np.zeros(extra)]), dtype="<f8")
-    tables._write_companion(path, key, (len(body),), [body])
+    tables._write_companion(path, prefix + key, len(body), [body])
 
 
 def _edit_config(old, new):
@@ -684,12 +685,13 @@ def _flip_body(target):
 _RESIDUAL_MISSES = {
     "probe": _edit_config("point = 0.31,-0.12,0.47", "point = 0.31,-0.12,0.48"),
     "pair": _edit_config("pair = 0.4,1.5", "pair = 0.4,1.6"),
-    "sphere-level": _edit_config("sphere_level = 2", "sphere_level = 3"),
     "seed": lambda path, out, mp, tmp: ("--seed", "1"),
     "surface-tsv": _edited_surface,
     "flipped-body": _edit_file(_flip_body),
     "truncated": _edit_file(lambda p: p.write_bytes(p.read_bytes()[:-8])),
     "count": _edit_file(lambda p: _rewrite_residuals(p, extra=1)),
+    # the key layout that held the config's sphere level (2) ahead of the rest
+    "sphere-level": _edit_file(lambda p: _rewrite_residuals(p, prefix=struct.pack("<q", 2))),
     "edited-source": _edited_source,
     "numpy-version": _other_numpy,
 }
@@ -723,6 +725,32 @@ def test_pair_residuals_ignore_the_plane_grid(tmp_path, monkeypatch, capsys):
     built = _counting_terms(monkeypatch)
     assert _suite(capsys, path) == computed
     assert built == []
+
+
+def test_pair_residuals_ignore_the_sphere_level(tmp_path, monkeypatch, capsys):
+    # sphere_level is accepted and ignored: a config that differs only in it
+    # reads the residuals monotonicity stored, and prints the same
+    path, out = _tiny_run(tmp_path)
+    assert main(["monotonicity", "--config", str(path)]) in (0, 1)
+    computed = _suite(capsys, path)
+    path.write_text(path.read_text().replace("sphere_level = 2", "sphere_level = 3"))
+    built = _counting_terms(monkeypatch)
+    assert _suite(capsys, path) == computed
+    assert built == []
+
+
+@pytest.mark.parametrize("level", ["0", "8"])
+def test_sphere_level_is_accepted_and_ignored(tmp_path, capsys, level):
+    # the wetted measure has no grid, so a sphere level in its range sizes
+    # nothing; the outputs equal those of the same config at level 2
+    outputs = []
+    text = _ball_text(tmp_path / "out", _TINY)
+    for text in (text, text.replace("sphere_level = 2", f"sphere_level = {level}")):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        codes = [main([c, "--config", str(path)]) for c in ("generate", "energy", "monotonicity")]
+        outputs.append((codes, capsys.readouterr().out, (tmp_path / "out" / "energy.json").read_bytes()))
+    assert outputs[0][0][:2] == [0, 0] and outputs[1] == outputs[0]
 
 
 def test_stored_nan_residual_fails_the_suite(tmp_path, monkeypatch, capsys):

@@ -32,7 +32,7 @@ def _halfspace(stock):
 
 
 def _ball(stock):
-    return stock.capball(2 * np.pi / 3, np.pi / 3, nu=48, nv=128, level=4)
+    return stock.capball(2 * np.pi / 3, np.pi / 3, nu=48, nv=128)
 
 
 def _reads(t, r):

@@ -104,7 +104,7 @@ def test_mu_arrays_computed_once_per_surface(monkeypatch, ambient):
         mono, chart = bl, spherical_cap_ball(2 * np.pi / 3, np.pi / 3)
         probes = [np.array([0.2, 0.1, 0.4]), np.zeros(3), np.array([-0.1, 0.3, -0.2])]
     surface = sample_chart(chart, 32, 64)
-    region = wetted_region(surface, sphere_level=3)
+    region = wetted_region(surface)
     seen = []
 
     class Recording(RadialPrefix):
@@ -149,9 +149,9 @@ def test_mu_arrays_computed_once_per_surface(monkeypatch, ambient):
 
 @pytest.mark.parametrize("ambient", ["halfspace", "ball"])
 def test_another_probe_never_asks_for_the_full_grid_weights(monkeypatch, ambient):
-    # the first probe builds the region's wetted nodes (on the plane, which
-    # has no grid, its curve atoms); every later probe restricts η over
-    # those and never builds the full grid's weights
+    # the first probe places the region's curve atoms (and on the sphere
+    # reads |T|); every later probe restricts η over those, placing
+    # nothing, and no probe asks the region for a grid
     if ambient == "halfspace":
         mono, chart = hs, spherical_cap_halfspace(2 * np.pi / 3)
         probes = [np.array([0.3, -0.2, 0.5]), np.array([-0.4, 0.1, 0.8]), np.array([0.1, 0.6, 0.0])]
@@ -159,20 +159,20 @@ def test_another_probe_never_asks_for_the_full_grid_weights(monkeypatch, ambient
         mono, chart = bl, spherical_cap_ball(2 * np.pi / 3, np.pi / 3)
         probes = [np.array([0.2, 0.1, 0.4]), np.array([-0.1, 0.3, -0.2]), np.array([0.0, 0.6, 0.8])]
     surface = sample_chart(chart, 32, 64)
-    region = wetted_region(surface, sphere_level=3)
-    mono.probe_terms(surface, region, probes[0])
+    region = wetted_region(surface)
     calls = []
-    eta_nodes = WettedRegion.eta_nodes
-    monkeypatch.setattr(WettedRegion, "eta_nodes", lambda self: calls.append(self) or eta_nodes(self))
-    if ambient == "halfspace":
-        wetted = len(region.curve_atoms()[0])
-    else:
-        wetted = len(region.wetted_nodes()[0])
-        assert wetted < len(region.grid()[0])
+    grid = WettedRegion.grid
+    monkeypatch.setattr(WettedRegion, "grid", lambda self: calls.append(self) or grid(self))
+    mono.probe_terms(surface, region, probes[0])
+    cached = dict(region._cache)
+    atoms = len(region.curve_atoms()[0])
+    assert atoms == 8 * len(surface.boundary_points)
     for x0 in probes[1:]:
         terms = mono.probe_terms(surface, region, x0)
         etas = [terms.eta] if ambient == "halfspace" else [terms.eta, terms.eta_hat]
-        assert [eta.n for eta in etas] == [wetted] * len(etas)
+        assert [eta.n for eta in etas] == [atoms] * len(etas)
+    assert region._cache.keys() == cached.keys()
+    assert all(region._cache[key] is value for key, value in cached.items())
     assert calls == []
 
 
@@ -202,7 +202,7 @@ def test_pair_residuals_do_not_depend_on_a_profile_first(stock, name):
     quad = w.quadrature
     if w.run["ambient"] == "ball":
         mono = bl
-        surface, region = stock.capball(w.run["theta"], w.run["colatitude"], quad["nu"], quad["nv"], quad["sphere_level"])
+        surface, region = stock.capball(w.run["theta"], w.run["colatitude"], quad["nu"], quad["nv"])
     else:
         assert quad["nu"] == quad["nv"]
         mono = hs
@@ -230,7 +230,7 @@ def test_coupling_integrand_matches_the_contracted_form(ambient):
     else:
         mono, chart, x0 = bl, spherical_cap_ball(2 * np.pi / 3, np.pi / 3), np.array([0.2, 0.1, 0.4])
     surface = sample_chart(chart, 32, 64)
-    terms = mono.probe_terms(surface, wetted_region(surface, sphere_level=3), x0)
+    terms = mono.probe_terms(surface, wetted_region(surface), x0)
     r = np.linspace(0.2, 2.5, 24)
     w = terms.halfwidth(r)
     d = terms.divisor

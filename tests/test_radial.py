@@ -169,15 +169,14 @@ def test_halfspace_prefix_orders_are_stable(x0, tied):
     ids=["generic", "x3-axis", "origin"],
 )
 def test_ball_prefix_orders_are_stable(x0, tied):
-    # the sphere's η prefixes sort only the faces of nonzero weight
+    # the sphere's η prefixes sort the boundary curve's atoms
     surface = sample_chart(spherical_cap_ball(2 * np.pi / 3, np.pi / 3), 32, 64)
-    region = wetted_region(surface, sphere_level=3)
+    region = wetted_region(surface)
     t = bl.probe_terms(surface, region, np.array(x0))
     if t.BRANCH == bl.ORIGIN:
         cases = [(t.mu, center_offsets(surface.points, np.zeros(3))[1])]
     else:
-        nodes, _ = region.wetted_nodes()
-        assert len(nodes) < len(region.grid()[0])
+        nodes, _ = region.curve_atoms()
         cases = [
             (t.mu, center_offsets(surface.points, t.x0)[1]),
             (t.mu_hat, center_offsets(surface.points, t.x0_hat)[1]),

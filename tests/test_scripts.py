@@ -54,11 +54,11 @@ def test_monotonicity_sweep_writes_one_profile_per_point(tmp_path):
 
 
 def test_memory_bounds_reports_every_measured_command(tmp_path):
-    args = ("--sphere-level", "1", "--nu-nv", "8")
+    args = ("--nu-nv", "8")
     proc = _run_script("memory_bounds.py", *args, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    settings = ["probe-sweep nu=8 nv=8", "ball-cap sphere_level=1", "ball-cap nu=8 nv=8", "halfspace-cap nu=8 nv=8"]
+    settings = ["probe-sweep nu=8 nv=8", "ball-cap nu=8 nv=8", "halfspace-cap nu=8 nv=8"]
     expect = [f"{setting} {command}:" for setting in settings for command in ("energy", "monotonicity")]
     assert [line.split(": ")[0] + ":" for line in lines] == expect
     for line in lines:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capmono.errors import GeometryError, UndefinedWindingError
+from capmono.quadrature import sphere_rule
 from capmono.wetted import (
     OrientedCurve,
     WettedRegion,
@@ -139,12 +140,13 @@ def test_region_cache_is_neither_copied_nor_compared():
     curve = circle(n=32)
     region = WettedRegion((curve,))
     assert len(region.curve_atoms()[0]) == 32 * 8
-    finer = replace(region, sphere_level=region.sphere_level + 1)
-    assert finer.curve_atoms()[0] is not region.curve_atoms()[0]
+    # the unit circle is the sphere's equator too
+    other = replace(region, wetting="sphere")
+    assert other.curve_atoms()[0] is not region.curve_atoms()[0]
     twin = WettedRegion((curve,))
     twin.curve_atoms()
     assert region == twin
-    assert region != finer
+    assert region != other
     with pytest.raises(ValueError):
         replace(region, _cache={})
 
@@ -191,10 +193,9 @@ def test_spherical_winding_cap(stock):
     surface, region = stock.disk(np.pi / 3)
     assert spherical_winding_number(region, [0, 0, 1]) == 1
     assert spherical_winding_number(region, [0, 0, -1]) == 0
-    coarse = wetted_region(surface, sphere_level=3)
     for sample in (surface.boundary_points[0], surface.boundary_points[17]):
         with pytest.raises(UndefinedWindingError):
-            spherical_winding_number(coarse, sample)
+            spherical_winding_number(region, sample)
     curve = curve_from_boundary(surface)
     assert rotation_index(curve, "sphere") == 1
 
@@ -205,7 +206,7 @@ def test_spherical_gauss_bonnet_area_agreement():
     from capmono.surfaces import geodesic_disk_ball, sample_chart
 
     surface = sample_chart(geodesic_disk_ball(np.pi / 3), 48, 512)
-    region = wetted_region(surface, sphere_level=6)
+    region = wetted_region(surface)
     eta_area = eta_integral(region)
     kgt = float(np.sum(surface.boundary_kg_wetting * surface.boundary_weights))
     ind = rotation_index(curve_from_boundary(surface), "sphere")
@@ -227,36 +228,30 @@ def test_wind_binary_for_embedded_generators(stock):
     lattice = [(x, y, 0.0) for x in np.linspace(-1.2, 1.2, 13) for y in np.linspace(-1.2, 1.2, 13)]
     winds = {winding_number(curve, p) for p in lattice if abs(np.hypot(p[0], p[1]) - np.sin(2 * np.pi / 3)) > 0.05}
     assert winds == {0, 1}
-    _, ball_region = stock.disk(np.pi / 3)
-    _, _, wind_b, _ = ball_region.grid()
-    assert set(np.unique(wind_b)).issubset({0, 1})
+    disk, ball_region = stock.disk(np.pi / 3)
+    nodes, _ = sphere_rule(2)
+    away = np.min(np.linalg.norm(nodes[:, None, :] - disk.boundary_points[None, :, :], axis=2), axis=1) > 0.05
+    assert {spherical_winding_number(ball_region, x) for x in nodes[away]} == {0, 1}
 
 
 # -- restriction of eta to balls -------------------------------------------------
 
 
-def _restricted_nodes(region, every):
-    """The sphere nodes and weights a reference restricts η over: the
-    region's wetted nodes, the set BallRestrictedEta reads, or every grid node."""
-    if every:
-        nodes, cellw, _, wind_aa = region.grid()
-        return nodes, wind_aa * cellw
-    return region.wetted_nodes()
+def _reference_restriction(region, center, arrays, key, radii):
+    """Ball-restricted eta the direct way, radius by radius, over the curve atoms.
 
-
-def _reference_restriction(region, center, arrays, key, radii, every=False):
-    """Ball-restricted eta the direct way, radius by radius.
-
-    On the sphere the sharp atomic sum over the wetted nodes (or every grid
-    node), with ``arrays`` over that node set.  On the plane the Green's
-    theorem sum over the curve atoms, with ``arrays`` the keys'
+    On the plane the Green's theorem sum, with ``arrays`` the keys'
     antiderivatives F(rho^2): F(rho_j) times the angle increment of each
     atom inside the disk of radius r_p = sqrt(r^2 - c3^2), and F(r_p)
-    times that of each atom outside."""
+    times that of each atom outside.  On the sphere the Stokes sum, with
+    ``arrays`` the keys' antiderivatives P(u), u = 1 - x.c-hat: P(u_j)
+    times the azimuth increment of each atom inside the ball, and P(u_r)
+    times that of each atom outside plus 2 pi times the winding at -c-hat,
+    read by ``spherical_winding_number``."""
     out = []
+    points, steps = region.curve_atoms()
     if region.wetting == "plane":
         antiderivative = {"mass": lambda rho2: 0.5 * rho2, **arrays}[key]
-        points, steps = region.curve_atoms()
         rel = points[:, :2] - center[:2]
         rho2 = np.sum(rel * rel, axis=1)
         angle = (rel[:, 0] * steps[:, 1] - rel[:, 1] * steps[:, 0]) / rho2
@@ -266,37 +261,27 @@ def _reference_restriction(region, center, arrays, key, radii, every=False):
             edge = antiderivative(max(rp2, 0.0)) if np.isfinite(r) else 0.0
             out.append(np.sum(antiderivative(rho2[inside]) * angle[inside]) + edge * np.sum(angle[~inside]))
         return np.array(out)
-    nodes, base = _restricted_nodes(region, every)
-    dist = np.linalg.norm(nodes - center, axis=1)
-    order = np.argsort(dist, kind="stable")
-    dist = dist[order]
-    values = base[order] if key == "mass" else np.asarray(arrays[key], dtype=float)[order] * base[order]
-    prefix = np.concatenate([[0.0], np.cumsum(values)])
+    antiderivative = {"mass": lambda u: u, **arrays}[key]
+    m = np.linalg.norm(center)
+    axis = center / m
+    t = points @ axis
+    angle = np.cross(points, steps) @ axis / (1.0 - t * t)
+    pole = 2 * np.pi * spherical_winding_number(region, -axis)
+    dist = np.linalg.norm(points - center, axis=1)
     for r in np.atleast_1d(np.asarray(radii, dtype=float)):
-        out.append(float(prefix[-1] if not np.isfinite(r) else prefix[np.searchsorted(dist, r, side="left")]))
+        inside = dist < r
+        ur = min(max((r * r - (1.0 - m) ** 2) / (2.0 * m), 0.0), 2.0)
+        out.append(np.sum(antiderivative(1.0 - t[inside]) * angle[inside]) + antiderivative(ur) * (np.sum(angle[~inside]) + pole))
     return np.array(out)
 
 
-def _reference_window(region, center, arrays, key, r, halfwidth, over_r2, every=False):
+def _reference_window(region, center, arrays, key, r, halfwidth, over_r2):
     w = np.minimum(halfwidth, 0.9 * r)
-    if region.wetting == "sphere":
-        # the exact box average, atom by atom: an atom at distance d counts
-        # for the share of windowed radii s > d
-        nodes, f = _restricted_nodes(region, every)
-        if key != "mass":
-            f = f * np.asarray(arrays[key], dtype=float)
-        d = np.linalg.norm(nodes - center, axis=1)[:, None]
-        lo, hi = r - w, r + w
-        if over_r2:
-            share = np.maximum(1.0 / np.maximum(d, lo) - 1.0 / hi, 0.0) / (2.0 * w)
-        else:
-            share = np.clip((hi - d) / (2.0 * w), 0.0, 1.0)
-        return np.sum(f[:, None] * share, axis=0)
     xs, ws = np.polynomial.legendre.leggauss(5)
     out = np.zeros(len(r))
     for xk, wk in zip(xs, ws):
         s = np.maximum(r + xk * w, 1e-12)
-        val = _reference_restriction(region, center, arrays, key, s, every)
+        val = _reference_restriction(region, center, arrays, key, s)
         if over_r2:
             val = val / s**2
         out = out + 0.5 * wk * val
@@ -310,8 +295,7 @@ def _restriction_case(stock, ambient):
         surface, region = stock.cap(2 * np.pi / 3)
         x0 = np.array([0.3, -0.2, 0.5])
         return region, x0, [x0, np.array([-0.4, 0.1, 0.8]), np.array([0.3, -0.2, 0.0])]
-    surface, _ = stock.capball(2 * np.pi / 3, np.pi / 3)
-    region = wetted_region(surface, sphere_level=4)
+    _, region = stock.capball(2 * np.pi / 3, np.pi / 3)
     x0 = np.array([0.2, 0.1, 0.5])
     return region, x0, [x0, x0 / np.dot(x0, x0)]
 
@@ -322,16 +306,20 @@ def test_ball_restriction_matches_reference(stock, ambient, reverse):
     from capmono.wetted import BallRestrictedEta
 
     region, x0, centers = _restriction_case(stock, ambient)
+    # the sphere reference reads the winding at -c-hat, which the
+    # restriction replaces by |T|: the two differ by the atoms' quadrature
+    # error of |T| about two axes
+    rtol = 1e-12 if ambient == "plane" else RTOL_SPHERE
     # neither the order of the centers nor an earlier center may matter
     if reverse:
         centers = centers[::-1]
+    nodes, _ = region.curve_atoms()
     if ambient == "plane":
         # f = 1 and f = s^2 about each center, given by their antiderivatives
-        nodes, _ = region.curve_atoms()
         arrays = {"one": lambda rho2: 0.5 * rho2, "fourth": lambda rho2: 0.25 * rho2**2}
     else:
-        nodes, _ = region.wetted_nodes()
-        arrays = {"one": np.ones(len(nodes)), "dist2": np.sum((nodes - x0) ** 2, axis=1)}
+        # g = 1 and g = 2 u about each center's axis
+        arrays = {"one": lambda u: u, "square": lambda u: u * u}
     for center in centers:
         eta = BallRestrictedEta(region, center, arrays)
         dist = np.linalg.norm(nodes - center, axis=1)
@@ -347,14 +335,11 @@ def test_ball_restriction_matches_reference(stock, ambient, reverse):
         for key in ("mass", *arrays):
             expect = _reference_restriction(region, center, arrays, key, [*radii, np.inf])
             got = eta.cumulative(key, [*radii, np.inf])
-            if ambient == "sphere":
-                assert np.array_equal(got, expect)
-            else:
-                np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(got, expect, rtol=rtol, atol=1e-15)
             r = radii[: len(hw)]
             for over_r2, method in ((False, eta.windowed), (True, eta.windowed_over_r2)):
                 expect = _reference_window(region, center, arrays, key, r, hw, over_r2)
-                np.testing.assert_allclose(method(key, r, hw), expect, rtol=1e-12, atol=0.0)
+                np.testing.assert_allclose(method(key, r, hw), expect, rtol=rtol, atol=0.0)
 
 
 def _lens_area(d, rp, big):
@@ -390,53 +375,170 @@ def test_plane_eta_matches_the_lens_area(stock):
     assert worst <= 2e-5
 
 
-def test_sphere_restriction_drops_zero_weight_atoms(stock):
+# the relative gap between the sphere restriction, whose edge term reads
+# |T|, and the reference, which reads the winding at -c-hat instead
+RTOL_SPHERE = 1e-9
 
-    # most faces carry zero weight; they leave every prefix sum unchanged, so
-    # the restriction over the wetted nodes must equal the one over every
-    # atom bit for bit
-    from capmono.radial import RadialPrefix
+
+def _cap_lens(a, alpha, beta):
+    """Area of the intersection of spherical caps of angular radii a and alpha whose centers are beta apart."""
+    if beta >= a + alpha:
+        return 0.0
+    if beta <= abs(a - alpha):
+        return 2 * np.pi * (1 - np.cos(min(a, alpha)))
+    ca, cb, cab = np.cos(a), np.cos(alpha), np.cos(beta)
+    sa, sb, sab = np.sin(a), np.sin(alpha), np.sin(beta)
+
+    def angle(x):
+        return np.arccos(np.clip(x, -1.0, 1.0))
+
+    return 2 * (
+        np.pi - angle((cab - ca * cb) / (sa * sb)) - ca * angle((cb - cab * ca) / (sab * sa)) - cb * angle((ca - cab * cb) / (sab * sb))
+    )
+
+
+def _sphere_center(m, colatitude, longitude=0.7):
+    return m * np.array([np.sin(colatitude) * np.cos(longitude), np.sin(colatitude) * np.sin(longitude), np.cos(colatitude)])
+
+
+def test_sphere_eta_matches_the_lens_area(stock):
+    # η(B_r(c)) on the ball-cap boundary (96 x 256, theta = 2 pi / 3, whose
+    # wetted region is the cap of angular radius pi / 3 about e3) against
+    # the closed-form lens of two spherical caps, at 25 radii from where
+    # the ball first meets the sphere to where it holds all of it, for
+    # three distances |c| and five colatitudes of c: at pi / 3 c-hat lies
+    # on the curve, at 2 pi / 3 its antipode does.  Measured: 1.3e-6; the
+    # level-5 sphere grid this replaced read 5.1e-3
     from capmono.wetted import BallRestrictedEta
 
-    surface, _ = stock.capball(2 * np.pi / 3, np.pi / 3)
-    region = wetted_region(surface, sphere_level=4)
-    nodes, cellw, _, wind_aa = region.grid()
-    weight = wind_aa * cellw
-    keep = weight != 0.0
-    assert np.count_nonzero(~keep) > len(weight) // 2
-    x0 = np.array([0.2, 0.1, 0.5])
-    for center in (x0, x0 / np.dot(x0, x0)):
-        dist2 = np.sum((nodes - center) ** 2, axis=1)
-        eta = BallRestrictedEta(region, center, {"dist2": dist2[keep]})
-        assert eta.n == np.count_nonzero(keep)
-        every = RadialPrefix(nodes, center, {"mass": weight, "dist2": dist2 * weight})
-        dist = np.sqrt(dist2)
-        r = np.linspace(0.05, 1.1, 23) * dist.max()
-        hw = np.linspace(0.01, 1.2, 23) * r
-        for key in ("mass", "dist2"):
-            assert np.array_equal(eta.cumulative(key, [*r, np.inf]), every.cumulative(key, [*r, np.inf]))
-            w = np.minimum(hw, 0.9 * r)
-            assert np.array_equal(eta.windowed(key, r, hw), every.windowed(key, r, w))
-            assert np.array_equal(eta.windowed_over_r2(key, r, hw), every.windowed_over_r2(key, r, w))
+    _, region = stock.capball(2 * np.pi / 3, np.pi / 3)
+    worst = 0.0
+    for m in (0.4, 1.0, 2.5):
+        radii = np.linspace(abs(1.0 - m), 1.0 + m, 25)
+        # the cap about c-hat that the ball cuts out of the sphere
+        cut = np.arccos(1.0 - np.clip((radii**2 - (1.0 - m) ** 2) / (2.0 * m), 0.0, 2.0))
+        for colatitude in (0.3, np.pi / 3, 2.0, 2 * np.pi / 3, np.pi - 1e-9):
+            got = BallRestrictedEta(region, _sphere_center(m, colatitude)).cumulative("mass", radii)
+            expect = np.array([_cap_lens(a, np.pi / 3, colatitude) for a in cut])
+            worst = max(worst, float(np.max(np.abs(got - expect))))
+    assert worst <= 1e-5
 
 
-def test_wetted_nodes_are_the_nonzero_weight_nodes_in_grid_order(stock):
-    region, _, _ = _restriction_case(stock, "sphere")
-    nodes, weight = region.eta_nodes()
-    keep = weight != 0.0
-    wet, wet_weight = region.wetted_nodes()
-    assert 0 < len(wet) < len(nodes)
-    assert np.array_equal(wet, nodes[keep]) and np.array_equal(wet_weight, weight[keep])
-    assert wet.flags.f_contiguous
-    # extracted once and cached
-    assert region.wetted_nodes()[0] is wet
-    # the plane region has no grid: its η is read from its curve atoms
-    plane, _, _ = _restriction_case(stock, "plane")
-    for read in (plane.grid, plane.eta_nodes, plane.wetted_nodes):
-        with pytest.raises(GeometryError):
-            read()
+def _graded_panels(u0, u1, breaks, points=24, levels=12):
+    """Gauss nodes and weights on [u0, u1], graded geometrically toward u0 and each break."""
+    knots = {u0, u1}
+    for b in (u0, *breaks):
+        if u0 <= b <= u1:
+            knots.add(b)
+            for k in range(1, levels):
+                for side in (-1, 1):
+                    knots.add(min(max(b + side * 0.5**k * (u1 - u0), u0), u1))
+    knots = np.array(sorted(knots))
+    x, w = np.polynomial.legendre.leggauss(points)
+    lo, hi = knots[:-1, None], knots[1:, None]
+    return (0.5 * (lo + hi) + 0.5 * (hi - lo) * x).ravel(), (0.5 * (hi - lo) * w).ravel()
+
+
+def _projection_reference(center, radius, alpha=np.pi / 3):
+    """int of the projection integrand over the cap {x3 >= cos alpha} cut by B_r(c), in u = 1 - x.c-hat.
+
+    The circle u = const about c-hat meets the cap in an arc of closed-form
+    length; the integrand and the arc length are integrated on panels
+    graded toward u = 0 and toward the arc's tangencies.
+    """
+    m = np.linalg.norm(center)
+    beta = np.arccos(center[2] / m)
+    ur = min(max((radius**2 - (1.0 - m) ** 2) / (2.0 * m), 0.0), 2.0)
+    tangencies = [1.0 - np.cos(beta - alpha), 1.0 - np.cos(beta + alpha)]
+    u, w = _graded_panels(0.0, ur, tangencies)
+    t = 1.0 - u
+    cos_arc = (np.cos(alpha) - t * np.cos(beta)) / (np.sqrt(np.maximum(1.0 - t * t, 1e-300)) * np.sin(beta))
+    arc = 2.0 * np.arccos(np.clip(cos_arc, -1.0, 1.0))
+    g = ((1.0 - m * t) / ((1.0 - m) ** 2 + 2.0 * m * u)) ** 2
+    return float(np.sum(g * arc * w))
+
+
+def test_sphere_projection_restriction_matches_a_fine_reference(stock):
+    # the ball's wetted projection key, restricted by its closed-form
+    # antiderivative, against a graded quadrature of the integrand over the
+    # lens.  At c = (0.1, 0.2, -0.9) the integrand peaks at 1 / (1 - |c|)^2
+    # = 1.9e2 next to c-hat; an antiderivative taken by 40-point Gauss
+    # quadrature was off there by 6.6e-2.  At |c| = 1 the integrand is 1/4
+    # and the general closed form reads 0/0.
+    from capmono.ball import _projection_antiderivative
+    from capmono.wetted import BallRestrictedEta
+
+    _, region = stock.capball(2 * np.pi / 3, np.pi / 3)
+    for center in (np.array([0.1, 0.2, -0.9]), np.array([0.6, 0.0, -0.8]), _sphere_center(1.0, np.pi / 3)):
+        m = float(np.linalg.norm(center))
+        eta = BallRestrictedEta(region, center, {"proj": _projection_antiderivative(m)})
+        radii = np.linspace(abs(1.0 - m), 1.0 + m, 13)[1:]
+        got = eta.cumulative("proj", radii)
+        expect = np.array([_projection_reference(center, r) for r in radii])
+        np.testing.assert_allclose(got, expect, rtol=0.0, atol=1e-5)
+        if m == 1.0:
+            np.testing.assert_allclose(got, 0.25 * eta.cumulative("mass", radii), rtol=1e-12)
+
+
+def test_sphere_area_reads_the_reference_winding(stock):
+    # |T| about the barycenter axis: the ball-cap's cap (winding 0 at the
+    # reference point), the same curve reversed, which wets the complement
+    # (winding 1 there), and the flat theta = pi / 2 disk, whose equator has
+    # no barycenter and falls back to the area vector
+    _, region = stock.capball(2 * np.pi / 3, np.pi / 3)
+    (curve,) = region.curves
+    reverse = WettedRegion((OrientedCurve(curve.points[::-1], -curve.tangents[::-1], curve.weights[::-1]),), "sphere")
+    _, flat = stock.disk(np.pi / 2)
+    for wetted, winding, area in ((region, 0, np.pi), (reverse, 1, 3 * np.pi), (flat, 0, 2 * np.pi)):
+        assert wetted.reference_winding == winding
+        assert abs(eta_integral(wetted) - area) <= 1e-7
+    assert eta_integral(region, 2.0) == 2.0 * eta_integral(region)
     with pytest.raises(GeometryError):
-        region.curve_atoms()
+        eta_integral(region, lambda p: np.ones(len(p)))
+
+
+def test_sphere_eta_divergence_matches_a_fine_reference(stock):
+    # the flux through the curve against int (div_S X - 2 X.x) deta over the
+    # cap {x3 >= cos(pi/3)}, by an 800 x 1600 Gauss rule in the polar angle
+    # and the azimuth, taken 100 polar rows at a time, for X = e3, x, a
+    # rotation and a radial cutoff.  The cutoff's divergence has kinks, which
+    # a 400 x 800 rule misreads by 2.1e-5; at 800 x 1600 the two sides
+    # differ by 1.3e-7
+    from capmono.fields import constant_field, position_field, radial_cutoff_field, rotation_field
+    from capmono.quadrature import gauss_legendre
+    from capmono.wetted import eta_divergence
+
+    _, region = stock.capball(2 * np.pi / 3, np.pi / 3)
+    phis, wphis = gauss_legendre(800, 0.0, np.pi / 3)
+    psi, wpsi = gauss_legendre(1600, 0.0, 2 * np.pi)
+    fields = (
+        constant_field((0.0, 0.0, 1.0)),
+        position_field(),
+        rotation_field([1.0, 2.0, -0.5]),
+        radial_cutoff_field([0.1, -0.4, 0.6], 0.4, 1.5),
+    )
+    for field in fields:
+        expect = 0.0
+        for lo in range(0, len(phis), 100):
+            phi, azimuth = (a.ravel() for a in np.meshgrid(phis[lo : lo + 100], psi, indexing="ij"))
+            weights = np.outer(wphis[lo : lo + 100], wpsi).ravel() * np.sin(phi)
+            x = np.column_stack([np.sin(phi) * np.cos(azimuth), np.sin(phi) * np.sin(azimuth), np.cos(phi)])
+            jac = field.jacobian(x)
+            div = np.trace(jac, axis1=1, axis2=2) - np.einsum("ni,nij,nj->n", x, jac, x)
+            expect += float(np.sum((div - 2.0 * np.sum(field(x) * x, axis=1)) * weights))
+        assert abs(eta_divergence(region, field) - expect) <= 1e-6, field.name
+
+
+def test_neither_region_has_a_grid(stock):
+    # η is read from the curve atoms on both wetting surfaces; the sphere's
+    # atoms lie on the unit sphere with steps tangent to it
+    for region, _, _ in (_restriction_case(stock, "sphere"), _restriction_case(stock, "plane")):
+        with pytest.raises(GeometryError):
+            region.grid()
+    points, steps = _restriction_case(stock, "sphere")[0].curve_atoms()
+    assert points.flags.f_contiguous and steps.flags.f_contiguous
+    assert np.max(np.abs(np.linalg.norm(points, axis=1) - 1.0)) <= 1e-15
+    assert np.max(np.abs(np.sum(points * steps, axis=1))) <= 1e-15
 
 
 def test_plane_region_caches_only_its_curve_atoms(stock):
@@ -487,7 +589,7 @@ def test_ball_probe_terms_and_profile_memory_per_sample(stock):
 
     surface, region = stock.capball(2 * np.pi / 3, np.pi / 3)
     surface.mu_arrays
-    region.wetted_nodes()
+    eta_integral(region)
     x0 = [0.2, 0.1, 0.4]
 
     def build():
@@ -518,65 +620,6 @@ def test_halfspace_probe_terms_and_profile_memory_per_sample(stock):
     assert _traced_peak(build) < 350 * len(surface.points)
 
 
-def test_sphere_grid_build_memory_is_bounded(stock):
-    # the traced peak of the level-5 sphere grid build on the cap-ball
-    # surface, with the icosphere mesh cached beforehand.  Measured with
-    # numpy 2.4: 5.6 MB, most of it one antialiasing block's subcell
-    # winding.  With band faces in blocks of _CHUNK (4,096 faces of 64
-    # subcells) and the band search's nearest-sample distances in blocks
-    # of _CHUNK points it read 20.7 MB, and 7.1 MB with only the first
-    # bounded.  The bound is 6 MB.
-    from capmono import quadrature
-
-    surface, _ = stock.capball(2 * np.pi / 3, np.pi / 3)
-    quadrature.sphere_mesh(5)
-    region = wetted_region(surface, sphere_level=5)
-    assert _traced_peak(region.grid) < 6e6
-
-
-def test_sorted_unique_is_np_unique():
-    from capmono.wetted import _sorted_unique
-
-    rng = np.random.default_rng(5)
-    cases = [
-        rng.integers(0, 40, 300),
-        np.array([7, 7, 7]),
-        np.array([3, -1, 2, -1, 3, 0]),
-        np.arange(12)[::-1].copy(),
-        np.empty(0, dtype=np.int64),
-    ]
-    for a in cases:
-        got, expect = _sorted_unique(a), np.unique(a)
-        assert got.dtype == expect.dtype and np.array_equal(got, expect)
-
-
-# only the sphere has a grid
-@pytest.mark.parametrize("ambient", ["sphere"])
-def test_compact_restriction_matches_the_full_grid(stock, ambient):
-    # zero-weight sphere nodes leave sharp prefix sums unchanged, so the
-    # sharp cumulatives and the exact windows keep every bit of a
-    # restriction over every grid node
-    from capmono.radial import RadialPrefix
-    from capmono.wetted import BallRestrictedEta
-
-    region, x0, centers = _restriction_case(stock, ambient)
-    nodes, weight = _restricted_nodes(region, every=True)
-    keep = weight != 0.0
-    for center in centers:
-        dist2 = np.sum((nodes - center) ** 2, axis=1)
-        eta = BallRestrictedEta(region, center, {"dist2": dist2[keep]})
-        every = RadialPrefix(nodes, center, {"mass": weight, "dist2": dist2 * weight})
-        dist = np.sqrt(dist2[keep])
-        r = np.linspace(0.05, 1.1, 23) * dist.max()
-        hw = np.linspace(0.01, 1.2, 23) * r
-        w = np.minimum(hw, 0.9 * r)
-        for key in ("mass", "dist2"):
-            radii = [*r, np.inf]
-            assert np.array_equal(eta.cumulative(key, radii), every.cumulative(key, radii))
-            assert np.array_equal(eta.windowed(key, r, hw), every.windowed(key, r, w))
-            assert np.array_equal(eta.windowed_over_r2(key, r, hw), every.windowed_over_r2(key, r, w))
-
-
 def test_gauss_rule_is_leggauss_on_first_use():
     # the rules are written out, so no command imports numpy.polynomial
     from capmono.wetted import _ATOM_RULE, _GAUSS
@@ -587,213 +630,3 @@ def test_gauss_rule_is_leggauss_on_first_use():
         assert not nodes.flags.writeable and not weights.flags.writeable
     t, w = _ATOM_RULE
     assert len(t) == 8 and np.all((0 < t) & (t < 1)) and abs(np.sum(w) - 1.0) < 1e-15
-
-
-# -- the sphere grid against the direct kernels ------------------------------------
-
-
-def _blocks(rows, size=512):
-    return [rows[k : k + size] for k in range(0, len(rows), size)]
-
-
-def _reference_near_curve(curves, nodes, band):
-    """Nodes within band of any curve's sample points: coarse-to-fine over all nodes."""
-    keep = np.zeros(len(nodes), dtype=bool)
-    for curve in curves:
-        p = curve.points
-        step = max(len(p) // 128, 1)
-        coarse = p[::step]
-        gap = float(np.max(np.linalg.norm(np.roll(p, -step, axis=0) - p, axis=1)))
-        mind = np.concatenate(
-            [np.linalg.norm(q[:, None, :] - coarse[None, :, :], axis=2).min(axis=1) for q in _blocks(nodes)]
-        )
-        cand = np.flatnonzero(mind <= band + gap)
-        if len(cand) and step > 1:
-            mind2 = np.concatenate(
-                [np.linalg.norm(q[:, None, :] - p[None, :, :], axis=2).min(axis=1) for q in _blocks(nodes[cand])]
-            )
-            seglen = float(np.max(np.linalg.norm(np.roll(p, -1, axis=0) - p, axis=1)))
-            cand = cand[mind2 <= band + seglen]
-        keep[cand] = True
-    return np.flatnonzero(keep)
-
-
-def _reference_crossings(polys, probes):
-    """Integer winding at scattered probes: every probe against every edge,
-    signed by which side of the edge the probe lies on."""
-    out = np.zeros(len(probes), dtype=np.int64)
-    for poly in polys:
-        a, b = poly[None], np.roll(poly, -1, axis=0)[None]
-        for lo in range(0, len(probes), 256):
-            px, py = probes[lo : lo + 256, 0, None], probes[lo : lo + 256, 1, None]
-            is_left = (b[..., 0] - a[..., 0]) * (py - a[..., 1]) - (px - a[..., 0]) * (b[..., 1] - a[..., 1])
-            up = (a[..., 1] <= py) & (b[..., 1] > py) & (is_left > 0)
-            dn = (b[..., 1] <= py) & (a[..., 1] > py) & (is_left < 0)
-            out[lo : lo + 256] += np.sum(up, axis=1) - np.sum(dn, axis=1)
-    return out
-
-
-def _reference_aa_sphere(region, cells, nodes, verts, faces):
-    """Subcell averages: the winding at each face centroid, carried to the
-    subcell centers by the path crossings of the refined edges near the
-    face, with every band face padded to the longest edge list."""
-    from capmono.quadrature import barycentric_subtriangles, spherical_triangle_areas
-    from capmono.wetted import _stereographic
-
-    def orient(p, q, r):
-        return (q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1]) - (q[..., 1] - p[..., 1]) * (
-            r[..., 0] - p[..., 0]
-        )
-
-    ref = region.reference_point()
-    loops = region._refined_points()
-    polys = [_stereographic(p, None, ref)[0] for p in loops]
-    qnode, _ = _stereographic(nodes[cells], None, ref)
-    w_node = _reference_crossings(polys, qnode) + region.reference_winding
-    corners = verts[faces[cells]]
-    sc = np.einsum("mkb,cbx->cmkx", barycentric_subtriangles(3), corners)
-    sc /= np.linalg.norm(sc, axis=-1, keepdims=True)
-    areas = spherical_triangle_areas(sc[:, :, 0, :], sc[:, :, 1, :], sc[:, :, 2, :])
-    centers = sc.sum(axis=2)
-    centers /= np.linalg.norm(centers, axis=-1, keepdims=True)
-    m = centers.shape[1]
-    qsub = _stereographic(centers.reshape(-1, 3), None, ref)[0].reshape(len(cells), m, 2)
-    all_a = np.concatenate(loops)
-    all_b = np.concatenate([np.roll(p, -1, axis=0) for p in loops])
-    pa = np.concatenate(polys)
-    pb = np.concatenate([np.roll(q, -1, axis=0) for q in polys])
-    reach = np.linalg.norm(nodes[cells][:, None, :] - all_a[None, :, :], axis=2)
-    seglen = float(np.max(np.linalg.norm(all_b - all_a, axis=1)))
-    face_diam = float(np.max(np.linalg.norm(corners - nodes[cells][:, None, :], axis=2)))
-    mask = reach <= 2.0 * face_diam + 2.0 * seglen
-    kmax = max(int(np.max(np.sum(mask, axis=1))), 1)
-    idx = np.argsort(~mask, axis=1, kind="stable")[:, :kmax]
-    valid = np.take_along_axis(mask, idx, axis=1)
-    far = np.array([1e9, 1e9])
-    ea = np.where(valid[..., None], pa[idx], far)[:, None, :, :]
-    eb = np.where(valid[..., None], pb[idx], far)[:, None, :, :]
-    delta = []
-    for c in _blocks(np.arange(len(cells)), 32):
-        p0, p1 = qnode[c, None, None, :], qsub[c, :, None, :]
-        s1, s2 = orient(p0, p1, ea[c]), orient(p0, p1, eb[c])
-        s3, s4 = orient(ea[c], eb[c], p0), orient(ea[c], eb[c], p1)
-        proper = (s1 * s2 < 0) & (s3 * s4 < 0)
-        delta.append(np.sum(np.where(proper, np.where(s4 > 0, 1, -1), 0), axis=-1))
-    w_sub = w_node[:, None] + np.concatenate(delta)
-    return np.sum(areas * w_sub, axis=1) / np.sum(areas, axis=1)
-
-
-def _reference_grid(region):
-    """WettedRegion.grid() by the direct kernels: the curve band from distances
-    of all nodes to all curve samples, and dense crossing counts with band
-    faces padded to the longest edge list."""
-    from capmono.quadrature import sphere_mesh
-    from capmono.wetted import _stereographic
-
-    verts, faces, nodes, cellw = sphere_mesh(region.sphere_level)
-    # node windings of the coarse sample polygon, every probe against every edge
-    ref = region.reference_point()
-    far = nodes @ ref <= 1.0 - 1e-9
-    polys = [_stereographic(c.points, None, ref)[0] for c in region.curves]
-    wind = np.full(len(nodes), region.reference_winding, dtype=np.int64)
-    wind[far] += _reference_crossings(polys, _stereographic(nodes[far], None, ref)[0])
-    wind_aa = wind.astype(float)
-    cells = _reference_near_curve(region.curves, nodes, 1.1 * float(np.sqrt(np.max(cellw))))
-    if len(cells):
-        wind_aa[cells] = _reference_aa_sphere(region, cells, nodes, verts, faces)
-    return nodes, cellw, wind, wind_aa
-
-
-def _grid_cases(stock):
-    disk, _ = stock.disk(np.pi / 3)
-    capball, _ = stock.capball(2 * np.pi / 3, np.pi / 3)
-    return {
-        "disk-3": lambda: wetted_region(disk, sphere_level=3),
-        "disk-4": lambda: wetted_region(disk, sphere_level=4),
-        "capball-3": lambda: wetted_region(capball, sphere_level=3),
-        "capball-4": lambda: wetted_region(capball, sphere_level=4),
-    }
-
-
-@pytest.mark.parametrize("case", ["disk-3", "disk-4", "capball-3", "capball-4"])
-def test_grid_matches_reference(stock, monkeypatch, case):
-    from capmono import wetted
-
-    region = _grid_cases(stock)[case]()
-    bands = []
-    near_curve = wetted._near_curve
-
-    def recording(*args, **kwargs):
-        bands.append(near_curve(*args, **kwargs))
-        return bands[-1]
-
-    monkeypatch.setattr(wetted, "_near_curve", recording)
-    got = region.grid()
-    expect = _reference_grid(region)
-    for a, b in zip(got, expect):
-        assert a.dtype == b.dtype
-        assert np.array_equal(a, b)
-    # every antialiased node lies in the band the grid searched
-    _, _, wind, wind_aa = got
-    assert len(bands) == 1
-    assert np.isin(np.flatnonzero(wind_aa != wind), bands[0]).all()
-
-
-@pytest.mark.parametrize("level", range(3, 8))
-@pytest.mark.parametrize("case", ["capball", "disk"])
-def test_sphere_band_matches_flat_filter(stock, monkeypatch, case, level):
-    # the band found by descending the icosphere equals the filter over every
-    # face centroid, and the descent measures fewer rows than there are faces
-    from capmono import wetted
-    from capmono.quadrature import sphere_mesh
-
-    surface, _ = stock.capball(2 * np.pi / 3, np.pi / 3) if case == "capball" else stock.disk(np.pi / 3)
-    region = wetted_region(surface, sphere_level=level)
-    _, _, nodes, cellw = sphere_mesh(level)
-    band = 1.1 * float(np.sqrt(np.max(cellw)))
-    rows = []
-    nearest = wetted._nearest_sample
-
-    def counting(q, samples):
-        rows.append(len(q))
-        return nearest(q, samples)
-
-    monkeypatch.setattr(wetted, "_nearest_sample", counting)
-    got = wetted._near_curve([c.points for c in region.curves], band, level=level)
-    expect = _reference_near_curve(region.curves, nodes, band)
-    assert got.dtype == expect.dtype and np.array_equal(got, expect)
-    assert sum(rows) < len(nodes)
-
-
-@pytest.mark.parametrize("chunk", [3, 37, 100])
-def test_grid_independent_of_block_size(stock, monkeypatch, chunk):
-    from capmono import quadrature, wetted
-
-    disk, _ = stock.disk(np.pi / 3)
-    cap, _ = stock.capball(2 * np.pi / 3, np.pi / 3)
-    builds = {
-        "sphere": lambda: wetted_region(disk, sphere_level=3),
-        # a band wide enough that even the default block size splits it
-        "sphere-blocks": lambda: wetted_region(cap, sphere_level=5),
-    }
-    blocks = []
-    areas = quadrature.spherical_triangle_areas
-
-    def counting(a, b, c):
-        # _aa_sphere measures the (faces, subcells) corners of one block
-        if a.ndim == 3:
-            blocks.append(len(a))
-        return areas(a, b, c)
-
-    monkeypatch.setattr(quadrature, "spherical_triangle_areas", counting)
-    default = {name: build().grid() for name, build in builds.items() if name != "sphere-blocks"}
-    blocks.clear()
-    default["sphere-blocks"] = builds["sphere-blocks"]().grid()
-    step = wetted._CHUNK * 4 // 64
-    assert len(blocks) >= 3 and blocks[:-1] == [step] * (len(blocks) - 1) and 0 < blocks[-1] <= step
-    monkeypatch.setattr(wetted, "_CHUNK", chunk)
-    for name, build in builds.items():
-        got = build().grid()
-        assert len(got) == len(default[name]) == 4
-        for a, b in zip(got, default[name]):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
