@@ -27,7 +27,7 @@ from .errors import AmbientError, ResolutionError
 from .geometry import BALL, HALFSPACE
 from .radial import RadialPrefix
 from .surfaces import SampledSurface
-from .wetted import WettedRegion, curve_from_boundary, eta_integral, oriented_area
+from .wetted import WettedRegion, eta_integral, oriented_area
 
 MIN_BALL_SAMPLES = 50
 # radii on a density extrapolation grid, and its lower cut as a fraction of
@@ -238,7 +238,7 @@ def energy_report(surface: SampledSurface, region: WettedRegion) -> dict:
     area estimate and disk area margins.
     """
     if surface.ambient.kind == HALFSPACE:
-        wetted = oriented_area(curve_from_boundary(surface))
+        wetted = oriented_area(region.curves)
     else:
         wetted = eta_integral(region)
     ly = li_yau_margin(surface, region, surface.boundary_points[0])

@@ -2,18 +2,19 @@
 
 The boundary image of a capillary immersion encloses a region of the
 wetting surface; this module carries the winding measure η of that
-region, oriented areas, rotation indices, and quadrature of integrands
-against η.
+region, winding numbers, oriented areas and rotation indices.
 
 η is read from the boundary curve alone, on the plane and on the sphere.
 η is the winding-weighted area the curve encloses, so every integral of
 it the verifier takes is a line integral over the curve: by Green's
 theorem on the plane, and on the sphere by Stokes' theorem, for
 integrands that depend on x only through x.c-hat about an axis c-hat.
-The curve atoms of :meth:`WettedRegion.curve_atoms` carry each ball
-restriction (:class:`BallRestrictedEta`), every quadrature
+The curve atoms of :meth:`WettedRegion.curve_atoms`, Gauss points on the
+cubic Hermite curve through the boundary samples, carry each ball
+restriction (:class:`BallRestrictedEta`), the total |T|
 (:func:`eta_integral`) and the divergence integrals of first variations
-(:func:`eta_divergence`).
+(:func:`eta_divergence`).  A winding number is one signed crossing count
+at one point, on the sphere against loops through the same Hermite curve.
 """
 
 from __future__ import annotations
@@ -34,12 +35,10 @@ from .geometry import BALL, rowdot, rownorm
 PLANE = "plane"
 SPHERE = "sphere"
 
-_CHUNK = 4096
-# Hermite midpoint insertions applied to the curve samples of the sphere's
-# winding polygons
+# the sphere's winding polygons carry 2**_CURVE_REFINE vertices per
+# boundary segment, on its Hermite curve
 _CURVE_REFINE = 3
-# Gauss points per boundary segment of the curve atoms, and per ray of the
-# plane's fan quadrature
+# Gauss points per boundary segment of the curve atoms
 _ATOM_POINTS = 8
 
 
@@ -87,66 +86,28 @@ def curve_from_boundary(surface: SampledSurface) -> OrientedCurve:
 # (on the sphere after the stereographic projection).
 
 
-def _run_offsets(count: np.ndarray) -> np.ndarray:
-    """Position of each element of ``np.repeat(x, count)`` within its run."""
-    return np.arange(int(np.sum(count))) - np.repeat(np.cumsum(count) - count, count)
-
-
-def _winding_at(polys: Sequence[np.ndarray], q: np.ndarray) -> np.ndarray:
-    """Exact integer winding of closed 2d polygons at the points q.
+def _winding_at(polys: Sequence[np.ndarray], q: np.ndarray) -> int:
+    """Exact integer winding of closed 2d polygons at the point q.
 
     Signed horizontal-ray crossing count with half-open vertex handling: an
-    edge crosses the line y = q_y when min(ay, by) <= q_y < max(ay, by), so
-    the points it crosses form one run of the sorted heights.  Each point
-    keeps its padded crossing list, and its winding is the signed count of
-    crossings strictly to its right.  Points go in blocks of
-    ``_CHUNK * 16``, and their crossing lists are compared in blocks of
-    ``_CHUNK``, so the temporaries stay bounded however many points are
-    asked for.
+    edge crosses the line y = q_y when min(ay, by) <= q_y < max(ay, by),
+    and counts when it crosses strictly to the right of q.
     """
     a = np.concatenate(polys)
     b = np.concatenate([np.roll(p, -1, axis=0) for p in polys])
-    ay, by = a[:, 1], b[:, 1]
-    out = np.empty(len(q), dtype=np.int64)
-    for start in range(0, len(q), _CHUNK * 16):
-        x, ys = q[start : start + _CHUNK * 16, 0], q[start : start + _CHUNK * 16, 1]
-        order = np.argsort(ys, kind="stable")
-        lo = np.searchsorted(ys[order], np.minimum(ay, by), side="left")
-        hi = np.searchsorted(ys[order], np.maximum(ay, by), side="left")
-        count = hi - lo
-        edge = np.repeat(np.arange(len(a)), count)
-        r = order[lo[edge] + _run_offsets(count)]
-        t = (ys[r] - ay[edge]) / (by[edge] - ay[edge])
-        xstar = a[edge, 0] + t * (b[edge, 0] - a[edge, 0])
-        # padded (point, slot) crossing table; empty slots carry sign 0
-        per_row = np.bincount(r, minlength=len(ys))
-        srt = np.argsort(r, kind="stable")
-        slot = _run_offsets(per_row)
-        width = int(per_row.max(initial=0))
-        cross_x = np.zeros((len(ys), width))
-        cross_s = np.zeros((len(ys), width), dtype=np.int64)
-        cross_x[r[srt], slot] = xstar[srt]
-        cross_s[r[srt], slot] = np.where(by[edge] > ay[edge], 1, -1)[srt]
-        for k in range(0, len(ys), _CHUNK):
-            right = cross_x[k : k + _CHUNK] > x[k : k + _CHUNK, None]
-            out[start + k : start + k + _CHUNK] = np.sum(cross_s[k : k + _CHUNK] * right, axis=1)
-    return out
+    x, y = q
+    cross = (np.minimum(a[:, 1], b[:, 1]) <= y) & (y < np.maximum(a[:, 1], b[:, 1]))
+    a, b = a[cross], b[cross]
+    t = (y - a[:, 1]) / (b[:, 1] - a[:, 1])
+    xstar = a[:, 0] + t * (b[:, 0] - a[:, 0])
+    return int(np.sum(np.where(b[:, 1] > a[:, 1], 1, -1)[xstar > x]))
 
 
-def _min_distance(poly: np.ndarray, probes: np.ndarray) -> np.ndarray:
-    """Distance of each probe to the closed polygon ``poly``, in its dimension."""
-    a = poly
-    seg = np.roll(poly, -1, axis=0) - a
-    seg2 = np.maximum(np.sum(seg * seg, axis=1), 1e-300)
-    out = np.empty(len(probes))
-    for lo in range(0, len(probes), _CHUNK):
-        q = probes[lo : lo + _CHUNK]
-        rel = q[:, None, :] - a[None, :, :]
-        t = np.clip(np.sum(rel * seg[None, :, :], axis=2) / seg2[None, :], 0.0, 1.0)
-        near = a[None, :, :] + t[:, :, None] * seg[None, :, :]
-        d = np.linalg.norm(q[:, None, :] - near, axis=2)
-        out[lo : lo + _CHUNK] = np.min(d, axis=1)
-    return out
+def _min_distance(poly: np.ndarray, q: np.ndarray) -> float:
+    """Distance of the point q to the closed polygon ``poly``, in its dimension."""
+    seg = np.roll(poly, -1, axis=0) - poly
+    t = np.clip(np.sum((q - poly) * seg, axis=1) / np.maximum(np.sum(seg * seg, axis=1), 1e-300), 0.0, 1.0)
+    return float(np.min(np.linalg.norm(q - (poly + t[:, None] * seg), axis=1)))
 
 
 def winding_number(curve: OrientedCurve, x) -> int:
@@ -155,11 +116,11 @@ def winding_number(curve: OrientedCurve, x) -> int:
     The signed crossing count of the sample polygon along a horizontal ray;
     raises if the point sits on the curve (distance below 1e-9).
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))[:1, :2]
+    x = np.atleast_2d(np.asarray(x, dtype=float))[0, :2]
     poly = curve.points[:, :2]
-    if float(_min_distance(poly, x)[0]) <= 1e-9:
+    if _min_distance(poly, x) <= 1e-9:
         raise UndefinedWindingError("winding number undefined on the curve")
-    return int(_winding_at([poly], x)[0])
+    return _winding_at([poly], x)
 
 
 def oriented_area(curves: OrientedCurve | Sequence[OrientedCurve]) -> float:
@@ -262,6 +223,13 @@ def _projection_poles(curve: OrientedCurve) -> np.ndarray:
     return cand[admissible]
 
 
+def _projected_winding(loops: Sequence[np.ndarray], x: np.ndarray, ref: np.ndarray) -> int:
+    """Raw winding of sphere loops at the point x, counted after projecting both from ref."""
+    polys = [_stereographic(p, None, ref)[0] for p in loops]
+    q, _ = _stereographic(x[None, :], None, ref)
+    return _winding_at(polys, q[0])
+
+
 def spherical_winding_number(region: "WettedRegion", x) -> int:
     """Winding of the region's curves about a point of the unit sphere.
 
@@ -269,7 +237,7 @@ def spherical_winding_number(region: "WettedRegion", x) -> int:
     winding (the antipode of the curve barycenter, fixed to winding zero by
     the generator's declared wetted side); realized by a stereographic
     projection from the reference, which turns the count into a planar
-    winding number.  Raises if the point sits on the refined curve polygon
+    winding number.  Raises if the point sits on the curve loops
     (distance below 1e-9).  A reference too close to the curve is jittered;
     eight failures raise.
     """
@@ -278,17 +246,32 @@ def spherical_winding_number(region: "WettedRegion", x) -> int:
     x = np.asarray(x, dtype=float)
     x = x / np.linalg.norm(x)
     loops = region._refined_points()
-    if min(float(_min_distance(p, x[None, :])[0]) for p in loops) <= 1e-9:
+    if min(_min_distance(p, x) for p in loops) <= 1e-9:
         raise UndefinedWindingError("winding number undefined on the curve")
     for attempt in range(8):
         ref = region.reference_point(attempt)
         try:
-            polys = [_stereographic(p, None, ref)[0] for p in loops]
-            qx, _ = _stereographic(x[None, :], None, ref)
-            return int(_winding_at(polys, qx)[0]) + region.reference_winding
+            return _projected_winding(loops, x, ref) + region.reference_winding
         except GeometryError:
             if attempt == 7:
                 raise
+
+
+# -- the Hermite curve ---------------------------------------------------------
+
+
+def _hermite_basis(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cubic Hermite basis on [0, 1] at the parameters s, and its derivative."""
+    basis = np.array([2 * s**3 - 3 * s**2 + 1, s**3 - 2 * s**2 + s, 3 * s**2 - 2 * s**3, s**3 - s**2])
+    slope = np.array([6 * s**2 - 6 * s, 3 * s**2 - 4 * s + 1, 6 * s - 6 * s**2, 3 * s**2 - 2 * s])
+    return basis, slope
+
+
+def _hermite_ends(curve: OrientedCurve) -> np.ndarray:
+    """End values (4, m, 3) of each segment's Hermite curve: its two samples and their unit tangents times the chord."""
+    p, t = curve.points, curve.tangents
+    chord = np.linalg.norm(np.roll(p, -1, axis=0) - p, axis=1)[:, None]
+    return np.stack([p, chord * t, np.roll(p, -1, axis=0), chord * np.roll(t, -1, axis=0)])
 
 
 # -- wetted region --------------------------------------------------------------
@@ -356,14 +339,11 @@ class WettedRegion:
             left = np.cross(p, tau)
             left /= np.linalg.norm(left)
             scale = c.length() / (2 * np.pi)
-            ref = self.reference_point()
-            polys = [_stereographic(q, None, ref)[0] for q in self._refined_points()]
+            loops, ref = self._refined_points(), self.reference_point()
             raws = []
             for delta in (0.03 * scale, 0.08 * scale):
                 test = p + delta * left
-                test /= np.linalg.norm(test)
-                qt, _ = _stereographic(test[None, :], None, ref)
-                raws.append(int(_winding_at(polys, qt)[0]))
+                raws.append(_projected_winding(loops, test / np.linalg.norm(test), ref))
             if raws[0] != raws[1]:
                 raise GeometryError("cannot fix the wetted side of the curve")
             self._cache["ref_wind"] = 1 - raws[0]
@@ -377,7 +357,7 @@ class WettedRegion:
         Each curve segment, between consecutive samples and the wrap-around
         pair, carries ``_ATOM_POINTS`` Gauss points on the cubic Hermite
         curve through its two samples and their unit tangents (scaled by
-        the chord, as in :meth:`_refined_points`).  On the plane ``points``
+        the chord, :func:`_hermite_ends`).  On the plane ``points``
         (m, 3) are those Gauss points at x3 = 0 and ``steps`` (m, 3) the
         curve's derivative there times the Gauss weight; on the sphere the
         points are normalised onto S^2 and ``steps`` is the derivative of
@@ -394,15 +374,11 @@ class WettedRegion:
         reads the flux of a field through the curve.
         """
         if "atoms" not in self._cache:
-            s, w = _ATOM_RULE
-            # cubic Hermite basis on [0, 1] and its derivative times the weight
-            basis = np.array([2 * s**3 - 3 * s**2 + 1, s**3 - 2 * s**2 + s, 3 * s**2 - 2 * s**3, s**3 - s**2])
-            slope = np.array([6 * s**2 - 6 * s, 3 * s**2 - 4 * s + 1, 6 * s - 6 * s**2, 3 * s**2 - 2 * s]) * w
+            basis, slope = _hermite_basis(_ATOM_RULE[0])
+            slope = slope * _ATOM_RULE[1]
             points, steps = [], []
             for c in self.curves:
-                p, t = c.points, c.tangents
-                chord = np.linalg.norm(np.roll(p, -1, axis=0) - p, axis=1)[:, None]
-                ends = np.stack([p, chord * t, np.roll(p, -1, axis=0), chord * np.roll(t, -1, axis=0)])
+                ends = _hermite_ends(c)
                 points.append(np.einsum("bk,bmx->mkx", basis, ends).reshape(-1, 3))
                 steps.append(np.einsum("bk,bmx->mkx", slope, ends).reshape(-1, 3))
             points, steps = (np.asfortranarray(np.concatenate(parts)) for parts in (points, steps))
@@ -421,30 +397,19 @@ class WettedRegion:
         raise GeometryError("the wetted measure is read from its curves; it has no grid")
 
     def _refined_points(self) -> list[np.ndarray]:
-        """Sphere curve sample loops refined by Hermite midpoint insertion.
+        """Sphere winding loops: each sample, then its segment's Hermite curve at k / 2**_CURVE_REFINE, 0 < k < 2**_CURVE_REFINE.
 
-        The stored unit tangents give cubic-Hermite midpoints, so the
-        winding polygons track the underlying smooth curve to fourth order in the
-        sample spacing instead of carrying the inscribed-chord area bias.
-        The loops are renormalized after every insertion.
+        The curve is that of :meth:`curve_atoms`, normalised onto S^2, so
+        the loops track the smooth curve to fourth order in the sample
+        spacing instead of carrying the inscribed-chord area bias.
         """
+        n = 2**_CURVE_REFINE
+        basis, _ = _hermite_basis(np.arange(1, n) / n)
         out = []
         for c in self.curves:
-            p, t = c.points, c.tangents
-            for _ in range(_CURVE_REFINE):
-                p1, t1 = np.roll(p, -1, axis=0), np.roll(t, -1, axis=0)
-                chord = np.linalg.norm(p1 - p, axis=1, keepdims=True)
-                mid = 0.5 * (p + p1) + chord * (t - t1) / 8.0
-                tmid = 1.5 * (p1 - p) - 0.25 * chord * (t + t1)
-                mid /= np.linalg.norm(mid, axis=1, keepdims=True)
-                tmid = tmid - np.sum(tmid * mid, axis=1, keepdims=True) * mid
-                tmid /= np.linalg.norm(tmid, axis=1, keepdims=True)
-                q = np.empty((2 * len(p), 3))
-                q[0::2], q[1::2] = p, mid
-                s = np.empty_like(q)
-                s[0::2], s[1::2] = t, tmid
-                p, t = q, s
-            out.append(p)
+            inner = np.einsum("bk,bmx->mkx", basis, _hermite_ends(c))
+            inner /= np.linalg.norm(inner, axis=2, keepdims=True)
+            out.append(np.concatenate([c.points[:, None, :], inner], axis=1).reshape(-1, 3))
         return out
 
 
@@ -590,25 +555,8 @@ _GAUSS = {
 }
 
 
-# the points and weights of the curve atoms and the fan rays, on [0, 1]
+# the points and weights of the curve atoms, on [0, 1]
 _ATOM_RULE = (0.5 * (_GAUSS[_ATOM_POINTS][0] + 1.0), 0.5 * _GAUSS[_ATOM_POINTS][1])
-
-
-def _fan(region: WettedRegion) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the plane's fan quadrature of η.
-
-    From a fixed center c (the mean of the curve atoms) each atom x_j
-    spans a ray; polar coordinates about c turn the integral of f against
-    η into the sum over atoms of ((x_j - c) x steps_j)_3 times
-    int_0^1 f(c + t (x_j - c)) t dt, which ``_ATOM_POINTS`` Gauss points
-    on each ray evaluate.
-    """
-    points, steps = region.curve_atoms()
-    center = points.mean(axis=0)
-    rel = points - center
-    t, w = _ATOM_RULE
-    nodes = center + t[None, :, None] * rel[:, None, :]
-    return nodes.reshape(-1, 3), np.outer(rel[:, 0] * steps[:, 1] - rel[:, 1] * steps[:, 0], t * w).ravel()
 
 
 def _about_axis(points: np.ndarray, steps: np.ndarray, axis: np.ndarray):
@@ -623,29 +571,22 @@ def _about_axis(points: np.ndarray, steps: np.ndarray, axis: np.ndarray):
     return u, v, (np.cross(points, steps) @ axis) / np.maximum(u * v, 1e-300)
 
 
-def eta_integral(region: WettedRegion, f: Callable[[np.ndarray], np.ndarray] | float = 1.0) -> float:
-    """Quadrature of f against the winding measure on the wetting surface.
+def eta_integral(region: WettedRegion) -> float:
+    """The total |T| of the winding measure η, read from the curve atoms.
 
-    The plane's nodes are those of its fan quadrature.  On the sphere f
-    must be a constant, and the integral is f times the total area |T|:
-    Stokes' theorem about the axis b = ``barycenter_direction()`` makes it
-    the sum of (1 - t_j) a_j over the curve atoms plus 4 pi times the
-    winding at -b, ``reference_winding`` (see :func:`_about_axis`).  |T| is
-    built once per region and cached.
+    On the plane it is the Green total, half the sum of (x_j x steps_j)_3
+    over the atoms.  On the sphere Stokes' theorem about the axis
+    b = ``barycenter_direction()`` makes it the sum of (1 - t_j) a_j over
+    the atoms plus 4 pi times the winding at -b, ``reference_winding``
+    (see :func:`_about_axis`); it is built once per region and cached.
     """
-    if region.wetting == SPHERE:
-        if callable(f):
-            raise GeometryError("the sphere's η integrates constants; restrict radial keys with BallRestrictedEta")
-        if "area" not in region._cache:
-            u, _, angle = _about_axis(*region.curve_atoms(), region.barycenter_direction())
-            region._cache["area"] = float(np.sum(u * angle)) + 4.0 * np.pi * region.reference_winding
-        return float(f) * region._cache["area"]
-    nodes, w = _fan(region)
-    if callable(f):
-        vals = np.asarray(f(nodes), dtype=float)
-    else:
-        vals = np.full(len(nodes), float(f))
-    return float(np.sum(vals * w))
+    points, steps = region.curve_atoms()
+    if region.wetting == PLANE:
+        return 0.5 * float(np.sum(points[:, 0] * steps[:, 1] - points[:, 1] * steps[:, 0]))
+    if "area" not in region._cache:
+        u, _, angle = _about_axis(points, steps, region.barycenter_direction())
+        region._cache["area"] = float(np.sum(u * angle)) + 4.0 * np.pi * region.reference_winding
+    return region._cache["area"]
 
 
 def eta_divergence(region: WettedRegion, field: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -655,8 +596,7 @@ def eta_divergence(region: WettedRegion, field: Callable[[np.ndarray], np.ndarra
     on each level set of the winding this is, for X tangent to the plane,
     the integral of div X against η, and on the unit sphere, where
     div X = div X^T + 2 X.x, the integral of div X - 2 X.x against η.
-    It is exact for every field smooth along the curve, where the fan of
-    :func:`eta_integral` must resolve div X inside.
+    It is exact for every field smooth along the curve.
     """
     points, steps = region.curve_atoms()
     x = field(points)

@@ -130,7 +130,7 @@ def test_first_variation_position_field(stock):
 
 def test_first_variation_reads_eta_from_the_boundary_curve(stock, monkeypatch):
     # X = x on the theta = 2 pi / 3 cap: the η term is the flux of X through
-    # the boundary curve, which the fan quadrature of div X = 2 reads too.
+    # the boundary curve, twice the Green total of η since div X = 2.
     # Scaling η by 1.01 (every curve atom's arc step) moves the residual
     # past 1e-2: the balance law is about 16 times as sensitive to η as the
     # two-radius gate
@@ -139,8 +139,8 @@ def test_first_variation_reads_eta_from_the_boundary_curve(stock, monkeypatch):
     surface, region = stock.cap(THETA)
     field = position_field()
     assert abs(hs.first_variation_residual(surface, region, field)) <= 1e-4
-    fan = eta_integral(region, lambda p: np.full(len(p), 2.0))
-    assert abs(eta_divergence(region, field) - fan) <= 1e-12 * abs(fan)
+    total = 2 * eta_integral(region)
+    assert abs(eta_divergence(region, field) - total) <= 1e-12 * abs(total)
     atoms = WettedRegion.curve_atoms
 
     def scaled(self):

@@ -104,15 +104,11 @@ def test_winding_matches_ray_casting(rng):
             assert w == ray_cast_winding(poly, probe)
 
 
-@pytest.mark.parametrize("chunk", [None, 3])
-def test_scattered_winding_matches_ray_casting(rng, monkeypatch, chunk):
-    # the crossing-count kernel, on random and disjoint polygons; probes
-    # sit at vertex heights and share heights, one edge is horizontal, and
-    # with _CHUNK = 3 the probes split into many blocks
+def test_scattered_winding_matches_ray_casting(rng):
+    # the crossing count, on random and disjoint polygons; probes sit at
+    # vertex heights and share heights, and one edge is horizontal
     from capmono import wetted
 
-    if chunk is not None:
-        monkeypatch.setattr(wetted, "_CHUNK", chunk)
     polygons = [[rng.uniform(-1, 1, (int(rng.integers(3, 12)), 2))] for _ in range(20)]
     flat = np.array([[-0.6, 0.2], [0.5, 0.2], [0.1, 0.9], [-0.3, -0.4]])
     polygons.append([flat])
@@ -122,10 +118,10 @@ def test_scattered_winding_matches_ray_casting(rng, monkeypatch, chunk):
         probes = rng.uniform(-2.0, 2.0, (200, 2))
         probes[:40, 1] = rng.choice(verts[:, 1], 40)
         probes[40:80, 1] = probes[40, 1]
-        got = wetted._winding_at(polys, probes)
-        assert got.dtype == np.int64
-        for w, probe in zip(got, probes):
-            assert w == sum(ray_cast_winding(p, probe) for p in polys)
+        for probe in probes:
+            got = wetted._winding_at(polys, probe)
+            assert type(got) is int
+            assert got == sum(ray_cast_winding(p, probe) for p in polys)
 
 
 def test_oriented_area_examples():
@@ -158,13 +154,28 @@ def test_rotation_index_examples():
 
 
 def test_eta_integral_unit_circle():
+    from capmono.wetted import BallRestrictedEta
+
     region = WettedRegion((circle(n=512),), "plane")
     assert eta_integral(region) == pytest.approx(np.pi, abs=1e-3)
+    # f = 1 / (1 + rho^2)^2 about the origin, given by its antiderivative
+    eta = BallRestrictedEta(region, np.zeros(3), {"f": lambda rho2: 0.5 * (1.0 - 1.0 / (1.0 + rho2))})
+    assert float(eta.cumulative("f", np.inf)[0]) == pytest.approx(np.pi / 2, abs=1e-3)
 
-    def f(p):
-        return 1.0 / (p[:, 0] ** 2 + p[:, 1] ** 2 + 1.0) ** 2
 
-    assert eta_integral(region, f) == pytest.approx(np.pi / 2, abs=1e-3)
+def test_plane_eta_integral_is_the_green_total():
+    # the Green total of the atoms is the whole-plane restriction about any
+    # center, on or off the plane, and the curve's oriented area
+    from capmono.wetted import BallRestrictedEta
+
+    both = (circle(r=0.5, center=(-1.2, 0.0)), circle(r=0.7, center=(1.2, 0.0)))
+    for curves in ((figure_eight(),), both):
+        region = WettedRegion(curves, "plane")
+        total = eta_integral(region)
+        for center in ([0.0, 0.0, 0.0], [0.3, -0.2, 0.0], [0.1, 0.4, 0.7], [-1.2, 0.0, -0.3]):
+            whole = float(BallRestrictedEta(region, np.array(center)).cumulative("mass", np.inf)[0])
+            assert whole == pytest.approx(total, rel=1e-12)
+        assert total == pytest.approx(oriented_area(curves), abs=2e-4)
 
 
 def test_eta_matches_oriented_area_on_figure_eight():
@@ -492,9 +503,16 @@ def test_sphere_area_reads_the_reference_winding(stock):
     for wetted, winding, area in ((region, 0, np.pi), (reverse, 1, 3 * np.pi), (flat, 0, 2 * np.pi)):
         assert wetted.reference_winding == winding
         assert abs(eta_integral(wetted) - area) <= 1e-7
-    assert eta_integral(region, 2.0) == 2.0 * eta_integral(region)
-    with pytest.raises(GeometryError):
-        eta_integral(region, lambda p: np.ones(len(p)))
+
+
+def test_sphere_winding_loops_hold_every_sample(stock):
+    # the loops carry 8 vertices per boundary segment on its Hermite curve,
+    # the first of them the segment's sample itself
+    for _, region in (stock.capball(2 * np.pi / 3, np.pi / 3), stock.disk(np.pi / 3)):
+        for curve, loop in zip(region.curves, region._refined_points()):
+            assert loop.shape == (8 * len(curve.points), 3)
+            assert loop[::8].tobytes() == curve.points.tobytes()
+            assert np.max(np.abs(np.linalg.norm(loop, axis=1) - 1.0)) <= 1e-15
 
 
 def test_sphere_eta_divergence_matches_a_fine_reference(stock):
