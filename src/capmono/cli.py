@@ -154,7 +154,7 @@ def cmd_monotonicity(cfg: RunConfig, out: Path) -> int:
     worst_residual = _worst(np.abs(residuals))
 
     out.mkdir(parents=True, exist_ok=True)
-    tables.ResidualCompanion(out / tables.PAIR_RESIDUALS, cfg, surface, probes, pairs).save(residuals)
+    tables.ResidualCompanion(out / tables.PAIR_RESIDUALS, surface, probes, pairs).save(residuals)
     finite = True
     for i, prof in enumerate(profiles):
         finite &= bool(np.all(np.isfinite(tables.profile_csv(prof, out / f"profile_{i:03d}.csv"))))
@@ -182,7 +182,7 @@ def cmd_identity_suite(cfg: RunConfig, out: Path) -> int:
     checks.append(("gauss-equation", abs(energy.gauss_equation_residual(surface)), tol))
     pairs = cfg.pairs or ((0.4, 1.5),)
     probes = _default_probes(cfg)
-    residuals = tables.ResidualCompanion(out / tables.PAIR_RESIDUALS, cfg, surface, probes, pairs).load()
+    residuals = tables.ResidualCompanion(out / tables.PAIR_RESIDUALS, surface, probes, pairs).load()
     if residuals is None:
         mono = halfspace if surface.ambient.kind == "halfspace" else ball
         residuals = [res for probe in probes for res in _probe_checks(mono, surface, region, probe, None, pairs)[1]]

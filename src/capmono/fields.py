@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import Ambient, HALFSPACE
+from .geometry import Ambient, HALFSPACE, hermite_basis
 from .quadrature import sphere_rule
 
 TANGENT = "tangent_to_wetting"
@@ -111,20 +111,10 @@ def _smoothed_cutoff(sigma: float, rho: float):
     cap = 1.0 / sigma**2 - 1.0 / rho**2
 
     def hermite(s, s0, s1, f0, f1, df0, df1):
-        t = (s - s0) / (s1 - s0)
-        h00 = 2 * t**3 - 3 * t**2 + 1
-        h10 = t**3 - 2 * t**2 + t
-        h01 = -2 * t**3 + 3 * t**2
-        h11 = t**3 - t**2
-        dt = 1.0 / (s1 - s0)
-        val = h00 * f0 + h10 * (s1 - s0) * df0 + h01 * f1 + h11 * (s1 - s0) * df1
-        dval = (
-            (6 * t**2 - 6 * t) * f0 * dt
-            + (3 * t**2 - 4 * t + 1) * df0
-            + (-6 * t**2 + 6 * t) * f1 * dt
-            + (3 * t**2 - 2 * t) * df1
-        )
-        return val, dval
+        h = s1 - s0
+        basis, slope = hermite_basis((s - s0) / h)
+        ends = np.array([f0, h * df0, f1, h * df1])
+        return ends @ basis, ends @ slope / h
 
     def raw(s):
         return 1.0 / s**2 - 1.0 / rho**2

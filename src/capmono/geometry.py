@@ -2,9 +2,10 @@
 
 Reflection across the boundary plane of the upper half-space, spherical
 inversion across the unit sphere, the companion (reflected/inverted) ball
-of a ball about a point, and tangential/normal splitting of vectors.  Everything here is a pure
-function on double-precision vectors; identities are exact to about 1e-12
-for O(1) inputs.
+of a ball about a point, tangential/normal splitting of vectors, and the
+cubic Hermite basis that the wetted curve and the cutoff field share.
+Everything here is a pure function on double-precision vectors;
+identities are exact to about 1e-12 for O(1) inputs.
 """
 
 from __future__ import annotations
@@ -106,6 +107,16 @@ def rownorm(a: np.ndarray) -> np.ndarray:
     :func:`rowdot` of the rows with themselves.
     """
     return np.sqrt(rowdot(a, a))
+
+
+def hermite_basis(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cubic Hermite basis on [0, 1] at the parameters s, and its derivative.
+
+    Rows: value at 0, slope at 0, value at 1, slope at 1.
+    """
+    basis = np.array([2 * s**3 - 3 * s**2 + 1, s**3 - 2 * s**2 + s, 3 * s**2 - 2 * s**3, s**3 - s**2])
+    slope = np.array([6 * s**2 - 6 * s, 3 * s**2 - 4 * s + 1, 6 * s - 6 * s**2, 3 * s**2 - 2 * s])
+    return basis, slope
 
 
 def normal_split(v, unit_normal) -> tuple[np.ndarray, np.ndarray]:

@@ -311,13 +311,13 @@ class ResidualCompanion:
     ignored (see ``_write_companion``).
     """
 
-    def __init__(self, path, cfg: RunConfig, surface: SampledSurface, probes, pairs):
+    def __init__(self, path, surface: SampledSurface, probes, pairs):
         self.path = Path(path)
         self.count = len(probes) * len(pairs)
-        self.key = self._key(cfg, surface, probes, pairs)
+        self.key = self._key(surface, probes, pairs)
 
     @staticmethod
-    def _key(cfg: RunConfig, surface: SampledSurface, probes, pairs) -> bytes | None:
+    def _key(surface: SampledSurface, probes, pairs) -> bytes | None:
         """The bytes stored residuals must have been computed from."""
         sums = surface.metadata.get("tables")
         if sums is None:
@@ -485,32 +485,12 @@ class RunConfig:
     seed: int = 0
 
 
-_SCHEMA = {
-    "run": [
-        ("ambient", str),
-        ("theta", float),
-        ("generator", str),
-        ("radius", float),
-        ("center_x", float),
-        ("center_y", float),
-        ("colatitude", float),
-        ("amplitude", float),
-        ("mode", int),
-    ],
-    "quadrature": [
-        ("nu", int),
-        ("nv", int),
-    ],
-    "profile": [
-        ("r_min", float),
-        ("r_max", float),
-        ("r_count", int),
-    ],
-    "output": [
-        ("out_dir", str),
-        ("tolerance", float),
-        ("seed", int),
-    ],
+# the keys of each config section; a key parses by the type of its RunConfig default
+_SECTIONS = {
+    "run": ("ambient", "theta", "generator", "radius", "center_x", "center_y", "colatitude", "amplitude", "mode"),
+    "quadrature": ("nu", "nv"),
+    "profile": ("r_min", "r_max", "r_count"),
+    "output": ("out_dir", "tolerance", "seed"),
 }
 
 
@@ -526,7 +506,7 @@ def parse_config(text: str) -> RunConfig:
     probes = []
     pairs = []
     section = None
-    known = {sec: dict(keys) for sec, keys in _SCHEMA.items()}
+    known = {sec: {key: type(getattr(RunConfig, key)) for key in keys} for sec, keys in _SECTIONS.items()}
     known["probes"] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()

@@ -14,7 +14,8 @@ cubic Hermite curve through the boundary samples, carry each ball
 restriction (:class:`BallRestrictedEta`), the total |T|
 (:func:`eta_integral`) and the divergence integrals of first variations
 (:func:`eta_divergence`).  A winding number is one signed crossing count
-at one point, on the sphere against loops through the same Hermite curve.
+at one point, on the sphere against loops through the same Hermite curve,
+projected from the region's one reference point.
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import GeometryError, UndefinedWindingError
-# plane_grid and sphere_mesh are not called here; perfbench/tracing.py wraps
-# them under these names
+# none of these is called here; perfbench/tracing.py wraps all three under
+# these names
 from .quadrature import plane_grid, sphere_mesh, sphere_rule  # noqa: F401
 from .radial import RadialPrefix
 from .surfaces import SampledSurface
-from .geometry import BALL, rowdot, rownorm
+from .geometry import BALL, hermite_basis, rowdot, rownorm
 
 PLANE = "plane"
 SPHERE = "sphere"
@@ -142,22 +143,16 @@ def oriented_area(curves: OrientedCurve | Sequence[OrientedCurve]) -> float:
 def rotation_index(curve: OrientedCurve, wetting: str = PLANE) -> int:
     """Total turning of an immersed closed curve divided by 2*pi.
 
-    Sphere curves are first carried to the plane by a stereographic
-    projection from the admissible candidate point farthest from the curve;
-    tangents are pushed forward through the projection differential.
+    Sphere curves are first carried to the plane by the stereographic
+    projection from the one-curve region's ``reference_point()``, the
+    point every sphere winding is projected from; tangents are pushed
+    forward through the projection differential.  A curve through that
+    point raises GeometryError.
     """
     if wetting == PLANE:
         t2 = curve.tangents[:, :2]
     elif wetting == SPHERE:
-        t2 = None
-        for pole in _projection_poles(curve):
-            try:
-                _, t2 = _stereographic(curve.points, curve.tangents, pole)
-                break
-            except GeometryError:
-                continue
-        if t2 is None:
-            raise GeometryError("every candidate projection pole failed")
+        _, t2 = _stereographic(curve.points, curve.tangents, WettedRegion((curve,), SPHERE).reference_point())
     else:
         raise GeometryError(f"unknown wetting surface {wetting!r}")
     nxt = np.roll(t2, -1, axis=0)
@@ -212,17 +207,6 @@ def _stereographic(points: np.ndarray, tangents: Optional[np.ndarray], pole: np.
     return q, t2 / norms
 
 
-def _projection_poles(curve: OrientedCurve) -> np.ndarray:
-    """Candidate projection poles at least 0.1 from the curve, farthest first."""
-    cand, _ = sphere_rule(2)
-    d = np.linalg.norm(cand[:, None, :] - curve.points[None, :, :], axis=2).min(axis=1)
-    order = np.argsort(-d)
-    admissible = order[d[order] >= 0.1]
-    if len(admissible) == 0:
-        raise GeometryError("no admissible stereographic pole away from the curve")
-    return cand[admissible]
-
-
 def _projected_winding(loops: Sequence[np.ndarray], x: np.ndarray, ref: np.ndarray) -> int:
     """Raw winding of sphere loops at the point x, counted after projecting both from ref."""
     polys = [_stereographic(p, None, ref)[0] for p in loops]
@@ -233,13 +217,15 @@ def _projected_winding(loops: Sequence[np.ndarray], x: np.ndarray, ref: np.ndarr
 def spherical_winding_number(region: "WettedRegion", x) -> int:
     """Winding of the region's curves about a point of the unit sphere.
 
-    Counts signed crossings along the path from a reference point of known
-    winding (the antipode of the curve barycenter, fixed to winding zero by
-    the generator's declared wetted side); realized by a stereographic
-    projection from the reference, which turns the count into a planar
-    winding number.  Raises if the point sits on the curve loops
-    (distance below 1e-9).  A reference too close to the curve is jittered;
-    eight failures raise.
+    Counts signed crossings along the path from the region's
+    ``reference_point()``, whose winding ``reference_winding`` is fixed by
+    the wetted side, to x: the stereographic projection from the reference
+    point turns that count into a planar winding number, which is added
+    to ``reference_winding``.  A point within the projection's pole test
+    (1 - x.ref below 1e-12) is the reference point and reads
+    ``reference_winding``.  Raises UndefinedWindingError if the point
+    sits on the curve loops (distance below 1e-9), and GeometryError if
+    the curve passes through the reference point.
     """
     if region.wetting != SPHERE:
         raise GeometryError("spherical winding needs a sphere region")
@@ -248,23 +234,13 @@ def spherical_winding_number(region: "WettedRegion", x) -> int:
     loops = region._refined_points()
     if min(_min_distance(p, x) for p in loops) <= 1e-9:
         raise UndefinedWindingError("winding number undefined on the curve")
-    for attempt in range(8):
-        ref = region.reference_point(attempt)
-        try:
-            return _projected_winding(loops, x, ref) + region.reference_winding
-        except GeometryError:
-            if attempt == 7:
-                raise
+    ref = region.reference_point()
+    if (1.0 - x[None, :] @ ref)[0] < 1e-12:
+        return region.reference_winding
+    return _projected_winding(loops, x, ref) + region.reference_winding
 
 
 # -- the Hermite curve ---------------------------------------------------------
-
-
-def _hermite_basis(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The cubic Hermite basis on [0, 1] at the parameters s, and its derivative."""
-    basis = np.array([2 * s**3 - 3 * s**2 + 1, s**3 - 2 * s**2 + s, 3 * s**2 - 2 * s**3, s**3 - s**2])
-    slope = np.array([6 * s**2 - 6 * s, 3 * s**2 - 4 * s + 1, 6 * s - 6 * s**2, 3 * s**2 - 2 * s])
-    return basis, slope
 
 
 def _hermite_ends(curve: OrientedCurve) -> np.ndarray:
@@ -316,13 +292,9 @@ class WettedRegion:
                 raise GeometryError("cannot orient the wetted side of a degenerate curve")
         return b / n
 
-    def reference_point(self, attempt: int = 0) -> np.ndarray:
-        ref = -self.barycenter_direction()
-        if attempt:
-            rng = np.random.default_rng(1234 + attempt)
-            ref = ref + 0.05 * attempt * rng.standard_normal(3)
-            ref /= np.linalg.norm(ref)
-        return ref
+    def reference_point(self) -> np.ndarray:
+        """The antipode of ``barycenter_direction()``: the one point every sphere winding is projected from."""
+        return -self.barycenter_direction()
 
     @property
     def reference_winding(self) -> int:
@@ -374,7 +346,7 @@ class WettedRegion:
         reads the flux of a field through the curve.
         """
         if "atoms" not in self._cache:
-            basis, slope = _hermite_basis(_ATOM_RULE[0])
+            basis, slope = hermite_basis(_ATOM_RULE[0])
             slope = slope * _ATOM_RULE[1]
             points, steps = [], []
             for c in self.curves:
@@ -404,7 +376,7 @@ class WettedRegion:
         spacing instead of carrying the inscribed-chord area bias.
         """
         n = 2**_CURVE_REFINE
-        basis, _ = _hermite_basis(np.arange(1, n) / n)
+        basis, _ = hermite_basis(np.arange(1, n) / n)
         out = []
         for c in self.curves:
             inner = np.einsum("bk,bmx->mkx", basis, _hermite_ends(c))

@@ -8,7 +8,9 @@ multiplies by its coefficient where the sums divide), and the origin
 branch, which keeps explicit sums, the same bits.  The mutation catalog
 then drops or alters table rows, or scales every η row (η times 1.01, 0
 or -1), and checks that the two-radius gate (raw residual at most the
-default tolerance 1e-3) fails on each, while the unaltered table passes.
+default tolerance 1e-3) fails on each, while the unaltered table passes;
+it also disables the nudge of a base point off the samples, which turns
+the residual at a probe on an interior sample into NaN.
 On the half-space the η rows read the curve restriction of the plane's
 wetted measure.
 """
@@ -18,6 +20,8 @@ import pytest
 
 from capmono import ball as bl
 from capmono import halfspace as hs
+from capmono import identity
+from capmono.cli import _passes
 from capmono.identity import MEMBERS
 
 GATE = 1e-3
@@ -213,3 +217,20 @@ def test_two_radius_gate_catches_each_table_mutation(stock, ambient, mutant):
         assert residual <= GATE
     else:
         assert residual > GATE
+
+
+@pytest.mark.parametrize("ambient", ["halfspace", "ball"])
+def test_two_radius_gate_catches_a_disabled_probe_nudge(stock, ambient, monkeypatch):
+    # the interior sample nearest the catalog's probe: the base point sits
+    # on a sample, where the μ integrands read 0/0 unless it is nudged off
+    if ambient == "halfspace":
+        mono, (surface, region), near = hs, _halfspace(stock), (0.3, -0.2, 0.5)
+    else:
+        mono, (surface, region), near = bl, _ball(stock), (0.2, 0.1, 0.4)
+    probe = surface.points[np.argmin(np.linalg.norm(surface.points - near, axis=1))]
+    nudged = mono.monotonicity_identity_detail(surface, region, probe, *PAIR)["residual"]
+    assert _passes(abs(nudged), GATE)
+    monkeypatch.setattr(identity, "nudge_off_samples", lambda surface, a: a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        raw = mono.monotonicity_identity_detail(surface, region, probe, *PAIR)["residual"]
+    assert np.isnan(raw) and not _passes(abs(raw), GATE)

@@ -213,15 +213,42 @@ def test_spherical_winding_cap(stock):
 
 def test_spherical_gauss_bonnet_area_agreement():
     # eta-area of the wetted cap against the turning identity, both sides
-    # computed independently
-    from capmono.surfaces import geodesic_disk_ball, sample_chart
+    # computed independently; the flat disk's equator has no barycenter
+    # and is projected from its area vector's antipode
+    from capmono.surfaces import geodesic_disk_ball, sample_chart, spherical_cap_ball
 
-    surface = sample_chart(geodesic_disk_ball(np.pi / 3), 48, 512)
-    region = wetted_region(surface)
-    eta_area = eta_integral(region)
-    kgt = float(np.sum(surface.boundary_kg_wetting * surface.boundary_weights))
-    ind = rotation_index(curve_from_boundary(surface), "sphere")
-    assert abs(eta_area - (2 * np.pi * ind - kgt)) < 1e-4
+    for chart in (geodesic_disk_ball(np.pi / 3), geodesic_disk_ball(np.pi / 2), spherical_cap_ball(2 * np.pi / 3, np.pi / 3)):
+        surface = sample_chart(chart, 48, 512)
+        region = wetted_region(surface)
+        eta_area = eta_integral(region)
+        kgt = float(np.sum(surface.boundary_kg_wetting * surface.boundary_weights))
+        ind = rotation_index(curve_from_boundary(surface), "sphere")
+        assert ind == 1
+        assert abs(eta_area - (2 * np.pi * ind - kgt)) < 1e-4
+
+
+def _sphere_loop(axis, alpha, n, sign):
+    """Circle of angular radius alpha about a unit axis orthogonal to e1, counterclockwise about the axis for sign 1."""
+    axis = np.asarray(axis, dtype=float)
+    e1 = np.array([1.0, 0.0, 0.0])
+    e2 = np.cross(axis, e1)
+    t = sign * np.linspace(0, 2 * np.pi, n, endpoint=False)
+    c, s = np.cos(t)[:, None], np.sin(t)[:, None]
+    pts = np.cos(alpha) * axis + np.sin(alpha) * (c * e1 + s * e2)
+    return OrientedCurve(pts, sign * (c * e2 - s * e1), np.full(n, 2 * np.pi * np.sin(alpha) / n))
+
+
+def test_sphere_winding_at_the_reference_point_matches_its_neighbourhood():
+    # a cap loop at colatitude pi/3 and a loop of angular radius 0.02,
+    # clockwise about -e3, the reference point: no curve passes between -e3
+    # and a point 1e-4 from it, so both read the reference winding
+    region = WettedRegion((_sphere_loop([0, 0, 1], np.pi / 3, 256, 1), _sphere_loop([0, 0, -1], 0.02, 64, -1)), "sphere")
+    assert np.allclose(region.reference_point(), [0.0, 0.0, -1.0], rtol=0.0, atol=1e-15)
+    assert region.reference_winding == -1
+    assert spherical_winding_number(region, [0, 0, -1]) == spherical_winding_number(region, [0, 1e-4, -1]) == -1
+    # the band between the loops reads 0 and the cap 1
+    assert spherical_winding_number(region, [1, 0, 0]) == 0
+    assert spherical_winding_number(region, [0, 0, 1]) == 1
 
 
 def test_total_boundary_measure(stock):
