@@ -44,7 +44,7 @@ def main() -> int:
     worst_resid = 0.0
     for i in range(args.points):
         a = rng.uniform(-1.6, 1.6, 3)
-        prof = hs.monotonicity_profile(surface, region, a, grid)
+        prof = hs.monotonicity_profile(hs.probe_terms(surface, region, a), grid)
         tables.profile_csv(prof, out / f"profile_{i:03d}.csv")
         worst_diff = min(worst_diff, prof.min_forward_difference())
         worst_resid = max(worst_resid, prof.worst_residual())

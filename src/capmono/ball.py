@@ -24,21 +24,21 @@ from .energy import density, density_radii, extrapolate, willmore_energy
 from .errors import AmbientError, GeometryError
 from .fields import TestVectorField
 from .geometry import BALL, rowdot
-from .identity import (
+# the identity front end is imported under the names the CLI calls
+from .identity import (  # noqa: F401
     TERM_KEYS,
     PairTerms,
     ProbeTerms,
-    Profile,
     Term,
     center_arrays,
     center_offsets,
-    identity_detail,
-    identity_profile,
-    surface_variation,
+    first_variation,
+    monotonicity_identity_detail,
+    monotonicity_profile,
 )
 from .radial import RadialPrefix
 from .surfaces import SampledSurface
-from .wetted import BallRestrictedEta, WettedRegion, eta_divergence, eta_integral
+from .wetted import BallRestrictedEta, WettedRegion, eta_integral
 
 ORIGIN = "origin"
 GENERAL = "general"
@@ -160,18 +160,6 @@ def free_boundary_radial_pair(surface: SampledSurface, x0, r: float):
     return float(members["g"][0]), float(members["g_hat"][0])
 
 
-def capillary_radial_pair(surface: SampledSurface, region: WettedRegion, x0, r: float):
-    """The radial pair with the wetted-measure corrections.
-
-    Every base point is accepted: the pair is read from
-    :func:`probe_terms`, so at the origin (|x0| < 1e-12) it is the origin
-    branch's pair, unlike :func:`free_boundary_radial_pair`, which raises
-    there.
-    """
-    g, g_hat = probe_terms(surface, region, x0).pair(float(r))
-    return float(g[0]), float(g_hat[0])
-
-
 class _OriginTerms(ProbeTerms):
     """Origin-branch integrals: plain prefix sums of the ``center_arrays``
     about zero, where the coupling ``hxc`` is H.x w.
@@ -265,32 +253,15 @@ def probe_terms(surface: SampledSurface, region: WettedRegion, x0):
     At the origin (|x0| < 1e-12) this is the origin branch's prefix; anywhere
     else the base point is nudged off the samples and both η restrictions
     are built.  One object serves the profile and every two-radius pair of
-    the probe (the ``terms=`` keyword of :func:`monotonicity_profile` and
-    :func:`monotonicity_identity_detail`); ``probe`` keeps the raw base
-    point, which those two functions check against theirs.
+    the probe: :func:`monotonicity_profile` and
+    :func:`monotonicity_identity_detail` take it, and its ``pair(r)`` is
+    the capillary radial pair (g, g_hat) with the wetted corrections, the
+    origin branch's at the origin.
     """
     probe = np.array(x0, dtype=float)
     if np.linalg.norm(probe) < 1e-12:
         return _OriginTerms(surface, probe)
     return _BallTerms(surface, region, probe)
-
-
-def monotonicity_identity_detail(
-    surface: SampledSurface, region: WettedRegion, x0, sigma: float, rho: float, *, terms=None
-) -> dict:
-    """Identity terms, raw and normalized residuals, and the branch taken.
-
-    The general branch equates two annulus square integrals minus two
-    wetted projection integrals with the increment of the capillary pair;
-    the origin branch has a single square integral against g_0 plus the
-    constant boundary-measure hat term (:func:`identity.identity_detail`).
-    """
-    return identity_detail(probe_terms, surface, region, x0, sigma, rho, terms)
-
-
-def monotonicity_profile(surface: SampledSurface, region: WettedRegion, x0, r_grid, *, terms=None) -> Profile:
-    """Profile of the capillary pair over a radius grid, both branches (:func:`identity.identity_profile`)."""
-    return identity_profile(probe_terms, surface, region, x0, r_grid, terms)
 
 
 def first_variation_residual(
@@ -302,15 +273,13 @@ def first_variation_residual(
     + 2 cos(theta) int X.x deta - sin(theta) int X.x dgamma, with gamma the
     arclength measure on the boundary.  On the unit sphere div X =
     div X^T + 2 X.x, so the two η terms are -cos(theta) times the flux of X
-    out through the boundary curve (:func:`wetted.eta_divergence`).
+    out through the boundary curve (:func:`identity.first_variation`).
     """
     if surface.ambient.kind != BALL:
         raise AmbientError("this first variation lives in the unit ball")
-    term1, term3 = surface_variation(surface, field)
     bp = surface.boundary_points
     term5 = float(np.sum(np.sum(field(bp) * bp, axis=1) * surface.boundary_weights))
-    theta = surface.theta
-    return term1 - np.cos(theta) * eta_divergence(region, field) + term3 - np.sin(theta) * term5
+    return first_variation(surface, region, field) - np.sin(surface.theta) * term5
 
 
 def sphere_point_identity_residual(x, x0) -> float:

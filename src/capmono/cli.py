@@ -1,15 +1,15 @@
 """Command-line front end: generate sampled surfaces, run energy reports,
 sweep monotonicity profiles, and run the identity suite.
 
-Each command runs in one process and takes its probes one after another,
-in order.  ``monotonicity`` leaves the signed raw residual of every
-(probe, pair) in the output directory's ``pair_residuals.bin``
+Each command runs in one process and writes from one run state
+(:class:`Run`), which builds the surface, region, probes and their terms
+only when a command first needs them, and takes the probes one after
+another, in order.  ``monotonicity`` leaves the signed raw residual of
+every (probe, pair) in the output directory's ``pair_residuals.bin``
 (``tables.ResidualCompanion``).  ``identity-suite`` gates its two-radius
 check on them, building no probe terms, when the file was written for its
 own probes and pairs, the same sample tables, and the same capmono
-sources and numpy; otherwise it computes them.  Without ``pair`` lines
-the two commands check different pairs, (r_min, r_max) and (0.4, 1.5),
-so the suite computes its own unless the two are equal.
+sources and numpy; otherwise it computes them.
 
 Exit codes: 0 when every gate passes, 1 only when a gate fails, 2 on a
 usage or configuration error (a config that is missing, a directory or
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +60,58 @@ def _surface_paths(out: Path):
     return out / "surface.tsv", out / "boundary.tsv", out / "curve.tsv"
 
 
-def cmd_generate(cfg: RunConfig, out: Path) -> int:
+class Run:
+    """One invocation's config and output directory, and what is built from them on first use.
+
+    The probes are the config's or four seeded random points, the pairs the config's or (r_min, r_max).
+    """
+
+    def __init__(self, cfg: RunConfig, out: Path):
+        self.cfg, self.out = cfg, out
+        self.pairs = cfg.pairs or ((cfg.r_min, cfg.r_max),)
+
+    @cached_property
+    def surface(self) -> SampledSurface:
+        spath, bpath, _ = _surface_paths(self.out)
+        if not spath.exists() or not bpath.exists():
+            raise ConfigError(f"no surface tables under {self.out}; run 'generate' first")
+        return tables.load_surface(spath, bpath)
+
+    @cached_property
+    def region(self):
+        return wetted_region(self.surface)
+
+    @cached_property
+    def mono(self):
+        return halfspace if self.surface.ambient.kind == "halfspace" else ball
+
+    @cached_property
+    def probes(self) -> list:
+        if self.cfg.probes:
+            return [np.asarray(p, dtype=float) for p in self.cfg.probes]
+        rng, box = np.random.default_rng(self.cfg.seed), (1.6 if self.cfg.ambient == "halfspace" else 0.8)
+        return [rng.uniform(-box, box, 3) for _ in range(4)]
+
+    @cached_property
+    def companion(self) -> tables.ResidualCompanion:
+        return tables.ResidualCompanion(self.out / tables.PAIR_RESIDUALS, self.surface, self.probes, self.pairs)
+
+    def check(self, probe, grid=None):
+        """One probe's profile (none without a grid) and signed raw pair residuals; its terms live only in this call."""
+        terms = self.mono.probe_terms(self.surface, self.region, probe)
+        profile = None if grid is None else self.mono.monotonicity_profile(terms, grid)
+        return profile, [self.mono.monotonicity_identity_detail(terms, s, r)["residual"] for s, r in self.pairs]
+
+    def residuals(self):
+        """The signed raw residual of every (probe, pair): the companion's if it holds them, else computed."""
+        stored = self.companion.load()
+        if stored is not None:
+            return stored
+        return [res for probe in self.probes for res in self.check(probe)[1]]
+
+
+def cmd_generate(run: Run) -> int:
+    cfg, out = run.cfg, run.out
     chart = build_chart(cfg)
     surface = sample_chart(chart, cfg.nu, cfg.nv)
     coarse = sample_chart(chart, max(cfg.nu // 2, 8), max(cfg.nv // 2, 8))
@@ -80,18 +132,9 @@ def cmd_generate(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _load_surface(out: Path) -> SampledSurface:
-    spath, bpath, _ = _surface_paths(out)
-    if not spath.exists() or not bpath.exists():
-        raise ConfigError(f"no surface tables under {out}; run 'generate' first")
-    return tables.load_surface(spath, bpath)
-
-
-def cmd_energy(cfg: RunConfig, out: Path) -> int:
-    surface = _load_surface(out)
-    region = wetted_region(surface)
-    report = energy.energy_report(surface, region)
-    path = out / "energy.json"
+def cmd_energy(run: Run) -> int:
+    report = energy.energy_report(run.surface, run.region)
+    path = run.out / "energy.json"
     tables.report_json(report, path)
     for key, value in sorted(report.items()):
         if isinstance(value, float):
@@ -101,14 +144,6 @@ def cmd_energy(cfg: RunConfig, out: Path) -> int:
                 print(f"margins.{k2}: {_G % v2}")
     print(f"wrote {path}")
     return 0
-
-
-def _default_probes(cfg: RunConfig):
-    if cfg.probes:
-        return [np.asarray(p, dtype=float) for p in cfg.probes]
-    rng = np.random.default_rng(cfg.seed)
-    box = 1.6 if cfg.ambient == "halfspace" else 0.8
-    return [rng.uniform(-box, box, 3) for _ in range(4)]
 
 
 def _passes(value: float, limit: float) -> bool:
@@ -121,43 +156,19 @@ def _worst(values) -> float:
     return float(np.max([0.0, *values]))
 
 
-def _probe_checks(mono, surface, region, probe, grid, pairs):
-    """One probe's profile (none without a grid) and signed raw pair residuals.
-
-    The probe's restriction state is built once and serves the profile and
-    every pair; it is dropped when the probe is done, so one probe's state
-    is held at a time.
-    """
-    terms = mono.probe_terms(surface, region, probe)
-    profile = None
-    if grid is not None:
-        profile = mono.monotonicity_profile(surface, region, probe, grid, terms=terms)
-    residuals = [
-        mono.monotonicity_identity_detail(surface, region, probe, sigma, rho, terms=terms)["residual"]
-        for sigma, rho in pairs
-    ]
-    return profile, residuals
-
-
-def cmd_monotonicity(cfg: RunConfig, out: Path) -> int:
-    surface = _load_surface(out)
-    region = wetted_region(surface)
-    probes = _default_probes(cfg)
+def cmd_monotonicity(run: Run) -> int:
+    cfg = run.cfg
     grid = np.linspace(cfg.r_min, cfg.r_max, cfg.r_count)
-    mono = halfspace if surface.ambient.kind == "halfspace" else ball
     # gate on raw two-radius residuals: at equality-case probes every
     # identity term vanishes and term-normalized ratios turn into 0/0 noise
-    pairs = cfg.pairs or ((cfg.r_min, cfg.r_max),)
-    results = [_probe_checks(mono, surface, region, probe, grid, pairs) for probe in probes]
+    results = [run.check(probe, grid) for probe in run.probes]
     profiles = [prof for prof, _ in results]
     residuals = [res for _, probe_residuals in results for res in probe_residuals]
     worst_residual = _worst(np.abs(residuals))
-
-    out.mkdir(parents=True, exist_ok=True)
-    tables.ResidualCompanion(out / tables.PAIR_RESIDUALS, surface, probes, pairs).save(residuals)
+    run.companion.save(residuals)
     finite = True
     for i, prof in enumerate(profiles):
-        finite &= bool(np.all(np.isfinite(tables.profile_csv(prof, out / f"profile_{i:03d}.csv"))))
+        finite &= bool(np.all(np.isfinite(tables.profile_csv(prof, run.out / f"profile_{i:03d}.csv"))))
     worst_violation = float(np.min([0.0, *(prof.min_forward_difference() for prof in profiles)]))
     print(
         f"{len(profiles)} profiles: worst monotonicity violation {_G % worst_violation}, "
@@ -173,36 +184,24 @@ def cmd_monotonicity(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def cmd_identity_suite(cfg: RunConfig, out: Path) -> int:
-    surface = _load_surface(out)
-    region = wetted_region(surface)
-    tol = cfg.tolerance
+def cmd_identity_suite(run: Run) -> int:
+    surface, tol = run.surface, run.cfg.tolerance
     checks = []
     checks.append(("gauss-bonnet", abs(energy.gauss_bonnet_residual(surface)), tol))
     checks.append(("gauss-equation", abs(energy.gauss_equation_residual(surface)), tol))
-    pairs = cfg.pairs or ((0.4, 1.5),)
-    probes = _default_probes(cfg)
-    residuals = tables.ResidualCompanion(out / tables.PAIR_RESIDUALS, surface, probes, pairs).load()
-    if residuals is None:
-        mono = halfspace if surface.ambient.kind == "halfspace" else ball
-        residuals = [res for probe in probes for res in _probe_checks(mono, surface, region, probe, None, pairs)[1]]
-    checks.append(("two-radius-identity", _worst(np.abs(residuals)), tol))
+    checks.append(("two-radius-identity", _worst(np.abs(run.residuals())), tol))
     if surface.ambient.kind == "ball":
         # X = e3, whose eta terms do not cancel: with X = x they do on the unit
         # sphere (div x = 2 = 2 x.x), and the row would never read eta
         e3 = constant_field((0.0, 0.0, 1.0))
-        checks.append(("balance-law", abs(ball.first_variation_residual(surface, region, e3)), tol))
+        checks.append(("balance-law", abs(ball.first_variation_residual(surface, run.region, e3)), tol))
         checks.append(("divergence-identity", energy.divergence_identity_residual(surface), tol))
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(run.cfg.seed)
         residuals = []
         for _ in range(200):
-            u = rng.standard_normal(3)
-            u /= np.linalg.norm(u)
-            v = rng.standard_normal(3)
-            v /= np.linalg.norm(v)
-            if np.linalg.norm(u - v) < 1e-8:
-                continue
-            residuals.append(abs(ball.sphere_point_identity_residual(u, v)))
+            u, v = (w / np.linalg.norm(w) for w in (rng.standard_normal(3), rng.standard_normal(3)))
+            if np.linalg.norm(u - v) >= 1e-8:
+                residuals.append(abs(ball.sphere_point_identity_residual(u, v)))
         checks.append(("sphere-point-identity", _worst(residuals), 1e-12))
     failed = 0
     for name, value, limit in checks:
@@ -232,14 +231,13 @@ def main(argv=None) -> int:
             tolerance=args.tolerance,
             seed=args.seed,
         )
-        out = Path(cfg.out_dir)
         handler = {
             "generate": cmd_generate,
             "energy": cmd_energy,
             "monotonicity": cmd_monotonicity,
             "identity-suite": cmd_identity_suite,
         }[args.command]
-        return handler(cfg, out)
+        return handler(Run(cfg, Path(cfg.out_dir)))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

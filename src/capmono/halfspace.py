@@ -16,17 +16,11 @@ import numpy as np
 from .errors import AmbientError
 from .fields import TANGENT, TestVectorField
 from .geometry import HALFSPACE
-from .identity import (
-    PairTerms,
-    Profile,
-    Term,
-    identity_detail,
-    identity_profile,
-    surface_variation,
-)
+# the identity front end is imported under the names the CLI calls
+from .identity import PairTerms, Term, first_variation, monotonicity_identity_detail, monotonicity_profile  # noqa: F401
 from .radial import RadialPrefix
 from .surfaces import SampledSurface
-from .wetted import BallRestrictedEta, WettedRegion, eta_divergence
+from .wetted import BallRestrictedEta, WettedRegion
 
 
 def _deficit_antiderivative(a3: float):
@@ -92,24 +86,11 @@ class _Terms(PairTerms):
 def probe_terms(surface: SampledSurface, region: WettedRegion, a) -> _Terms:
     """The restriction state at one base point, nudged off the samples.
 
-    One object serves the profile and every two-radius pair of the probe
-    (the ``terms=`` keyword of :func:`monotonicity_profile` and
-    :func:`monotonicity_identity_detail`).  ``probe`` keeps the raw base
-    point, which those two functions check against theirs.
+    One object serves the profile and every two-radius pair of the probe:
+    :func:`monotonicity_profile` and :func:`monotonicity_identity_detail`
+    take it.
     """
     return _Terms(surface, region, a)
-
-
-def monotonicity_identity_detail(
-    surface: SampledSurface, region: WettedRegion, a, sigma: float, rho: float, *, terms=None
-) -> dict:
-    """All six identity terms, raw and normalized residuals (:func:`identity.identity_detail`)."""
-    return identity_detail(probe_terms, surface, region, a, sigma, rho, terms)
-
-
-def monotonicity_profile(surface: SampledSurface, region: WettedRegion, a, r_grid, *, terms=None) -> Profile:
-    """Profile of g, g_hat, their sum and the identity pieces over a grid (:func:`identity.identity_profile`)."""
-    return identity_profile(probe_terms, surface, region, a, r_grid, terms)
 
 
 def boundary_limit_identity_residual(surface: SampledSurface, region: WettedRegion, a) -> float:
@@ -135,13 +116,12 @@ def first_variation_residual(
     """Residual of the contact-angle first variation for a tangent field.
 
     int div_Sigma X dmu - cos(theta) int div_plane X deta + int H.X dmu,
-    which vanishes for capillary pairs.  The η term is the flux of X out
-    through the boundary curve (:func:`wetted.eta_divergence`).
+    which vanishes for capillary pairs (:func:`identity.first_variation`);
+    the field must be tangent to the plane.
     """
     if surface.ambient.kind != HALFSPACE:
         raise AmbientError("this first variation lives over the half-space")
     if field.tangency != TANGENT:
         raise ValueError("the half-space first variation needs a plane-tangent field")
     field.verify_tangency(surface.ambient)
-    term1, term3 = surface_variation(surface, field)
-    return term1 - np.cos(surface.theta) * eta_divergence(region, field) + term3
+    return first_variation(surface, region, field)

@@ -10,10 +10,13 @@ radius r / divisor about the reflected or inverted center.
 This module holds what the ambients share: the base-point nudge, the
 integrands restricted about each center, one radius window for every
 term, the :class:`Term` rows and their one evaluator, the probe terms
-protocol, the profile record, the front end of the identity detail and
-the profile, the two-ball density, and the surface terms of the first
-variation.  Each ambient module states its identity once, as a table of
-:class:`Term` rows.
+protocol, the profile record, the two-ball density, and the first
+variation up to the ball's boundary term.  Each ambient module states its
+identity once, as a table of :class:`Term` rows, and builds a probe's
+terms (its ``probe_terms``); the one front end here,
+:func:`monotonicity_profile` and :func:`monotonicity_identity_detail`,
+takes those terms and serves both ambients, which import it under the
+same names.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .energy import density_radii, extrapolate
 from .fields import TestVectorField
 from .geometry import companion, rowdot, rownorm
 from .surfaces import SampledSurface
+from .wetted import WettedRegion, eta_divergence
 
 _OFFSET = 1e-6
 
@@ -70,20 +74,6 @@ def nudge_off_samples(surface: SampledSurface, a: np.ndarray) -> np.ndarray:
     return a + _OFFSET * surface.boundary_tangents[k]
 
 
-def _probe_state(build, surface: SampledSurface, region, a, terms):
-    """The probe's terms: ``terms`` when given, else ``build(surface, region, a)``.
-
-    Given terms must come from ``build`` (an ambient's ``probe_terms``) on
-    this surface and this raw base point, which they record as ``probe``;
-    terms of another probe would report its numbers under this one's name.
-    """
-    if terms is None:
-        return build(surface, region, a)
-    if terms.surface is not surface or not np.array_equal(terms.probe, np.asarray(a, dtype=float)):
-        raise ValueError("terms were built for another surface or base point")
-    return terms
-
-
 def center_offsets(points: np.ndarray, center) -> tuple[np.ndarray, np.ndarray]:
     """Offsets x - c of the points from a center and their squared lengths.
 
@@ -108,14 +98,20 @@ def center_arrays(surface: SampledSurface, rel: np.ndarray, r2: np.ndarray) -> d
     return {"mass": surface.mu_arrays["mass"], "h2": surface.mu_arrays["h2"], "sq": rowdot(v, v) * w, "hxc": hxc}
 
 
-def surface_variation(surface: SampledSurface, field: TestVectorField) -> tuple[float, float]:
-    """The surface terms int div_Sigma X dmu and int H.X dmu of a first variation."""
+def first_variation(surface: SampledSurface, region: WettedRegion, field: TestVectorField) -> float:
+    """The first variation both ambients share, for the field X.
+
+    int div_Sigma X dmu - cos(theta) int div X deta + int H.X dmu, with the
+    η term read as the flux of X out through the boundary curve
+    (:func:`wetted.eta_divergence`).
+    """
     pts = surface.points
     jac = field.jacobian(pts)
     nu = surface.normals
     div_sigma = np.trace(jac, axis1=1, axis2=2) - np.einsum("ni,nij,nj->n", nu, jac, nu)
     hx = np.sum(surface.mean_curvature * field(pts), axis=1)
-    return float(np.sum(div_sigma * surface.weights)), float(np.sum(hx * surface.weights))
+    term1, term3 = float(np.sum(div_sigma * surface.weights)), float(np.sum(hx * surface.weights))
+    return term1 - np.cos(surface.theta) * eta_divergence(region, field) + term3
 
 
 def profile_residual(big_g: np.ndarray, sq: np.ndarray, dfc: np.ndarray) -> np.ndarray:
@@ -189,8 +185,9 @@ class ProbeTerms:
     ``members``, which maps each of :data:`MEMBERS` and ``"remainder"`` to
     its values over the radii, ``base_point`` and ``density``, the
     two-ball density of mu - cos(theta) eta that the limit identities
-    read.  ``surface`` and
-    ``probe`` (the raw base point) name the probe the state was built for.
+    read.  The state is the one handle of the probe:
+    :func:`monotonicity_profile` and :func:`monotonicity_identity_detail`
+    take it, and nothing else about the probe.
     """
 
     SIGN: int
@@ -206,34 +203,27 @@ class ProbeTerms:
         members = self.members(np.array([sigma, rho]))
         return {key: float(np.diff(members[m])[0]) for key, m in zip(TERM_KEYS, MEMBERS)}
 
-    def profile(self, r_grid) -> Profile:
-        """The pair, remainder, deficits and identity residual over a sorted grid."""
-        m = self.members(r_grid)
-        big_g = m["g"] + m["g_hat"]
-        dfc = m["deficit"] + m["deficit_hat"]
-        residual = profile_residual(big_g, m["square"] + m["square_hat"], dfc)
-        return Profile(self.base_point, r_grid, m["g"], m["g_hat"], big_g, m["remainder"], dfc, residual, self.BRANCH)
 
+def monotonicity_identity_detail(terms: ProbeTerms, sigma: float, rho: float) -> dict:
+    """The identity terms of the probe over [sigma, rho], the residuals and the branch.
 
-def identity_detail(build, surface: SampledSurface, region, a, sigma: float, rho: float, terms=None) -> dict:
-    """The identity terms over [sigma, rho], the residuals and the branch.
-
-    ``build`` is the ambient's ``probe_terms``; ``terms`` the probe's state
-    from it, built for this call when None.  Terms built for another
-    surface or base point raise ValueError.
+    ``terms`` is the probe's state, from its ambient's ``probe_terms``.
     """
     if not 0.0 < sigma <= rho:
         raise ValueError("need 0 < sigma <= rho")
-    t = _probe_state(build, surface, region, a, terms)
     if sigma == rho:
-        return {"residual": 0.0, "normalized": 0.0, "scale": 1.0, "branch": t.BRANCH}
-    return {**assemble(t.identity_terms(sigma, rho), t.SIGN), "branch": t.BRANCH}
+        return {"residual": 0.0, "normalized": 0.0, "scale": 1.0, "branch": terms.BRANCH}
+    return {**assemble(terms.identity_terms(sigma, rho), terms.SIGN), "branch": terms.BRANCH}
 
 
-def identity_profile(build, surface: SampledSurface, region, a, r_grid, terms=None) -> Profile:
-    """The probe's :class:`Profile` over the sorted grid; ``build`` and ``terms`` as above."""
+def monotonicity_profile(terms: ProbeTerms, r_grid) -> Profile:
+    """The pair, remainder, deficits and identity residual of the probe over the sorted grid."""
     r_grid = np.sort(np.asarray(r_grid, dtype=float))
-    return _probe_state(build, surface, region, a, terms).profile(r_grid)
+    m = terms.members(r_grid)
+    big_g = m["g"] + m["g_hat"]
+    dfc = m["deficit"] + m["deficit_hat"]
+    residual = profile_residual(big_g, m["square"] + m["square_hat"], dfc)
+    return Profile(terms.base_point, r_grid, m["g"], m["g_hat"], big_g, m["remainder"], dfc, residual, terms.BRANCH)
 
 
 class PairTerms(ProbeTerms):
@@ -255,8 +245,7 @@ class PairTerms(ProbeTerms):
     def __init__(self, surface: SampledSurface, probe, prefix):
         self.surface = surface
         self.theta = surface.theta
-        self.probe = np.array(probe, dtype=float)
-        self.x0 = nudge_off_samples(surface, self.probe)
+        self.x0 = nudge_off_samples(surface, np.array(probe, dtype=float))
         self.x0_hat, self.divisor = companion(self.x0, surface.ambient)
         pts = surface.points
         rel, r2 = center_offsets(pts, self.x0)

@@ -14,8 +14,9 @@ cubic Hermite curve through the boundary samples, carry each ball
 restriction (:class:`BallRestrictedEta`), the total |T|
 (:func:`eta_integral`) and the divergence integrals of first variations
 (:func:`eta_divergence`).  A winding number is one signed crossing count
-at one point, on the sphere against loops through the same Hermite curve,
-projected from the region's one reference point.
+at one point against loops through the same Hermite curve, on the plane
+and on the sphere, where both are projected from the region's one
+reference point.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from .geometry import BALL, hermite_basis, rowdot, rownorm
 PLANE = "plane"
 SPHERE = "sphere"
 
-# the sphere's winding polygons carry 2**_CURVE_REFINE vertices per
-# boundary segment, on its Hermite curve
+# every winding loop carries 2**_CURVE_REFINE vertices per boundary
+# segment, on its Hermite curve
 _CURVE_REFINE = 3
 # Gauss points per boundary segment of the curve atoms
 _ATOM_POINTS = 8
@@ -114,11 +115,12 @@ def _min_distance(poly: np.ndarray, q: np.ndarray) -> float:
 def winding_number(curve: OrientedCurve, x) -> int:
     """Winding number of a closed planar curve about a point.
 
-    The signed crossing count of the sample polygon along a horizontal ray;
-    raises if the point sits on the curve (distance below 1e-9).
+    The signed crossing count, along a horizontal ray, of the curve's
+    winding loop (:func:`_refined_loop`), the Hermite curve η follows;
+    raises if the point sits on the loop (distance below 1e-9).
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))[0, :2]
-    poly = curve.points[:, :2]
+    poly = _refined_loop(curve, PLANE)[:, :2]
     if _min_distance(poly, x) <= 1e-9:
         raise UndefinedWindingError("winding number undefined on the curve")
     return _winding_at([poly], x)
@@ -250,6 +252,21 @@ def _hermite_ends(curve: OrientedCurve) -> np.ndarray:
     return np.stack([p, chord * t, np.roll(p, -1, axis=0), chord * np.roll(t, -1, axis=0)])
 
 
+def _refined_loop(curve: OrientedCurve, wetting: str) -> np.ndarray:
+    """The curve's winding loop: each sample, then its segment's Hermite curve at k / 2**_CURVE_REFINE, 0 < k < 2**_CURVE_REFINE.
+
+    The curve is that of :meth:`WettedRegion.curve_atoms`, normalised onto
+    S^2 on the sphere, so every winding counts the curve η follows, to
+    fourth order in the sample spacing, not the inscribed sample polygon.
+    """
+    n = 2**_CURVE_REFINE
+    basis, _ = hermite_basis(np.arange(1, n) / n)
+    inner = np.einsum("bk,bmx->mkx", basis, _hermite_ends(curve))
+    if wetting == SPHERE:
+        inner /= np.linalg.norm(inner, axis=2, keepdims=True)
+    return np.concatenate([curve.points[:, None, :], inner], axis=1).reshape(-1, 3)
+
+
 # -- wetted region --------------------------------------------------------------
 
 
@@ -369,20 +386,8 @@ class WettedRegion:
         raise GeometryError("the wetted measure is read from its curves; it has no grid")
 
     def _refined_points(self) -> list[np.ndarray]:
-        """Sphere winding loops: each sample, then its segment's Hermite curve at k / 2**_CURVE_REFINE, 0 < k < 2**_CURVE_REFINE.
-
-        The curve is that of :meth:`curve_atoms`, normalised onto S^2, so
-        the loops track the smooth curve to fourth order in the sample
-        spacing instead of carrying the inscribed-chord area bias.
-        """
-        n = 2**_CURVE_REFINE
-        basis, _ = hermite_basis(np.arange(1, n) / n)
-        out = []
-        for c in self.curves:
-            inner = np.einsum("bk,bmx->mkx", basis, _hermite_ends(c))
-            inner /= np.linalg.norm(inner, axis=2, keepdims=True)
-            out.append(np.concatenate([c.points[:, None, :], inner], axis=1).reshape(-1, 3))
-        return out
+        """The winding loop of each curve (:func:`_refined_loop`)."""
+        return [_refined_loop(c, self.wetting) for c in self.curves]
 
 
 class BallRestrictedEta(RadialPrefix):

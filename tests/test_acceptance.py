@@ -12,7 +12,7 @@ from capmono import energy as en
 from capmono import halfspace as hs
 from capmono.errors import UndefinedWindingError
 from capmono.fields import position_field
-from capmono.wetted import OrientedCurve, WettedRegion, eta_integral, oriented_area, winding_number
+from capmono.wetted import OrientedCurve, WettedRegion, _refined_loop, eta_integral, oriented_area, winding_number
 
 FIVE_THETAS = (np.pi / 6, np.pi / 3, np.pi / 2, 2 * np.pi / 3, 5 * np.pi / 6)
 
@@ -55,7 +55,7 @@ def _halfspace_identity_rms(stock, res):
         for sigma in (0.4, 0.7, 1.0):
             for rho in (1.5, 2.2, 3.0):
                 vals.append(
-                    hs.monotonicity_identity_detail(surface, region, a, sigma, rho)["normalized"]
+                    hs.monotonicity_identity_detail(hs.probe_terms(surface, region, a), sigma, rho)["normalized"]
                 )
     return float(np.sqrt(np.mean(np.square(vals)))), float(np.max(np.abs(vals)))
 
@@ -77,7 +77,7 @@ def test_04_monotone_profiles(stock, rng):
             continue
         if abs(np.linalg.norm(a * [1, 1, -1] - center) - 1) < 0.2:
             continue
-        prof = hs.monotonicity_profile(surface, region, a, grid)
+        prof = hs.monotonicity_profile(hs.probe_terms(surface, region, a), grid)
         worst = min(worst, prof.min_forward_difference())
         found += 1
     acute, acute_region = stock.cap(np.pi / 3, res=192)
@@ -87,7 +87,7 @@ def test_04_monotone_profiles(stock, rng):
         a = np.array([rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5), 0.0])
         if abs(np.linalg.norm(a - center3) - 1) < 0.25:
             continue
-        prof = hs.monotonicity_profile(acute, acute_region, a, np.linspace(0.2, 3.0, 40))
+        prof = hs.monotonicity_profile(hs.probe_terms(acute, acute_region, a), np.linspace(0.2, 3.0, 40))
         worst = min(worst, prof.min_forward_difference())
         found += 1
     _report(4, "profile forward differences", -worst, 1e-6)
@@ -148,7 +148,7 @@ def _ball_identity_values(stock, nu, nv):
     ):
         for x0 in (contact, interior, np.zeros(3)):
             vals.append(
-                bl.monotonicity_identity_detail(surface, region, x0, 0.35, 1.4)["residual"]
+                bl.monotonicity_identity_detail(bl.probe_terms(surface, region, x0), 0.35, 1.4)["residual"]
             )
     return vals
 
@@ -210,6 +210,8 @@ def test_10_winding_oracle(rng):
         polygons += 1
         pts = np.column_stack([poly, np.zeros(n)])
         curve = OrientedCurve(pts, np.column_stack([np.roll(poly, -1, axis=0) - poly, np.zeros(n)]) / lens[:, None], lens)
+        # the winding counts the curve's Hermite loop, the curve η follows
+        loop = _refined_loop(curve, "plane")[:, :2]
         probes = 0
         while probes < 100:
             probe = rng.uniform(-1.3, 1.3, 2)
@@ -221,7 +223,7 @@ def test_10_winding_oracle(rng):
                 w = winding_number(curve, [probe[0], probe[1], 0.0])
             except UndefinedWindingError:
                 continue
-            mismatches += int(w != _ray_cast(poly, probe))
+            mismatches += int(w != _ray_cast(loop, probe))
     _report(10, f"winding vs ray casting ({checked} probes)", float(mismatches), 0.0)
     t = np.linspace(0, 2 * np.pi, 512, endpoint=False)
     pts = np.column_stack([np.cos(t), np.sin(t), np.zeros(len(t))])

@@ -16,9 +16,9 @@ def test_free_boundary_collapse(stock):
     x0 = np.array([1.0, 0.0, 0.0])
     for r in (0.4, 0.9, 1.7):
         g, g_hat = bl.free_boundary_radial_pair(surface, x0, r)
-        gt, gt_hat = bl.capillary_radial_pair(surface, region, x0, r)
-        assert g == pytest.approx(gt, abs=1e-14)
-        assert g_hat == pytest.approx(gt_hat, abs=1e-14)
+        gt, gt_hat = bl.probe_terms(surface, region, x0).pair(r)
+        assert g == pytest.approx(gt[0], abs=1e-14)
+        assert g_hat == pytest.approx(gt_hat[0], abs=1e-14)
 
 
 def test_pair_minimal_surface_drops_curvature_terms(stock):
@@ -32,13 +32,13 @@ def test_pair_minimal_surface_drops_curvature_terms(stock):
 def test_pair_on_sphere_centers_match(stock):
     surface, region = stock.disk(np.pi / 3)
     x0 = CONTACT3
-    g, g_hat = bl.capillary_radial_pair(surface, region, x0, 0.8)
-    assert np.isfinite(g) and np.isfinite(g_hat)
+    g, g_hat = bl.probe_terms(surface, region, x0).pair(0.8)
+    assert np.all(np.isfinite(g)) and np.all(np.isfinite(g_hat))
 
 
 def test_pair_functions_base_points(stock):
     # the free pair needs the inverted companion of x0, which the origin
-    # lacks; the capillary pair answers there with the origin branch's pair
+    # lacks; the probe's terms answer there with the origin branch's pair
     surface, region = stock.capball(2 * np.pi / 3, np.pi / 3)
     origin = np.zeros(3)
     with pytest.raises(NoHatBallError):
@@ -46,24 +46,24 @@ def test_pair_functions_base_points(stock):
     terms = bl.probe_terms(surface, region, origin)
     assert terms.BRANCH == bl.ORIGIN
     g, g_hat = terms.pair(0.8)
-    assert bl.capillary_radial_pair(surface, region, origin, 0.8) == (float(g[0]), float(g_hat[0]))
+    assert np.all(np.isfinite(g)) and np.all(np.isfinite(g_hat))
     # anywhere else both take the general branch
     free = bl.free_boundary_radial_pair(surface, CONTACT3, 0.8)
-    capillary = bl.capillary_radial_pair(surface, region, CONTACT3, 0.8)
+    capillary = bl.probe_terms(surface, region, CONTACT3).pair(0.8)
     assert np.all(np.isfinite(free)) and np.all(np.isfinite(capillary))
 
 
 def test_identity_flat_disk(stock):
     surface, region = stock.disk(np.pi / 3)
     for sigma, rho in ((0.3, 1.2), (0.5, 1.5)):
-        detail = bl.monotonicity_identity_detail(surface, region, CONTACT3, sigma, rho)
+        detail = bl.monotonicity_identity_detail(bl.probe_terms(surface, region, CONTACT3), sigma, rho)
         assert abs(detail["residual"]) < 1e-3
         assert detail["branch"] == bl.GENERAL
 
 
 def test_identity_origin_branch(stock):
     surface, region = stock.capball(2 * np.pi / 3, np.pi / 3)
-    detail = bl.monotonicity_identity_detail(surface, region, np.zeros(3), 0.2, 1.5)
+    detail = bl.monotonicity_identity_detail(bl.probe_terms(surface, region, np.zeros(3)), 0.2, 1.5)
     assert detail["branch"] == bl.ORIGIN
     assert abs(detail["residual"]) < 1e-3
     # the base point sits on the generating sphere, so the square integrand
@@ -81,7 +81,7 @@ def test_origin_detail_scale_is_the_larger_increment(stock):
     members = terms.members(r)
     d_pair = float(np.diff(members["g"] + members["g_hat"])[0])
     d_square = float(np.diff(members["square"])[0])
-    detail = bl.monotonicity_identity_detail(surface, region, np.zeros(3), *r, terms=terms)
+    detail = bl.monotonicity_identity_detail(terms, *r)
     assert detail["branch"] == bl.ORIGIN
     assert detail["residual"] == d_square - d_pair
     assert detail["normalized"] == detail["residual"] / max(abs(d_square), abs(d_pair), 1e-12)
@@ -89,26 +89,26 @@ def test_origin_detail_scale_is_the_larger_increment(stock):
 
 def test_identity_interior_point(stock):
     surface, region = stock.capball(2 * np.pi / 3, np.pi / 3)
-    detail = bl.monotonicity_identity_detail(surface, region, [0.2, 0.1, 0.4], 0.3, 1.4)
+    detail = bl.monotonicity_identity_detail(bl.probe_terms(surface, region, [0.2, 0.1, 0.4]), 0.3, 1.4)
     assert abs(detail["residual"]) < 1e-3
 
 
 def test_identity_degenerate_pair(stock):
     surface, region = stock.disk(np.pi / 3)
-    assert bl.monotonicity_identity_detail(surface, region, [0.2, 0.0, 0.1], 0.7, 0.7)["residual"] == 0.0
+    assert bl.monotonicity_identity_detail(bl.probe_terms(surface, region, [0.2, 0.0, 0.1]), 0.7, 0.7)["residual"] == 0.0
 
 
 def test_profiles_monotone_obtuse_regime(stock):
     # theta in [pi/2, pi): the combined profile must not decrease
     for surface, region in (stock.disk(np.pi / 2), stock.capball(2 * np.pi / 3, np.pi / 3, nu=160, nv=384)):
         for x0 in (np.array([0.5, 0.1, 0.3]), np.array([0.2, -0.6, -0.2]), np.zeros(3)):
-            prof = bl.monotonicity_profile(surface, region, x0, np.linspace(0.2, 2.5, 40))
+            prof = bl.monotonicity_profile(bl.probe_terms(surface, region, x0), np.linspace(0.2, 2.5, 40))
             assert prof.min_forward_difference() >= -1e-6, (x0, prof.branch)
 
 
 def test_profile_remainder_decays(stock):
     surface, region = stock.capball(2 * np.pi / 3, np.pi / 3)
-    prof = bl.monotonicity_profile(surface, region, [0.4, 0.0, 0.2], np.linspace(0.02, 0.3, 10))
+    prof = bl.monotonicity_profile(bl.probe_terms(surface, region, [0.4, 0.0, 0.2]), np.linspace(0.02, 0.3, 10))
     assert abs(prof.remainder[0]) < 5e-2
     assert abs(prof.remainder[0]) < abs(prof.remainder[-1]) + 5e-2
 

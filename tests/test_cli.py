@@ -619,6 +619,21 @@ def test_suite_reads_the_pair_residuals_of_monotonicity(tmp_path, monkeypatch, c
     assert built == []
 
 
+@pytest.mark.parametrize("ambient", ["halfspace", "ball"])
+def test_pairless_suite_reads_the_default_pair_of_monotonicity(tmp_path, monkeypatch, capsys, ambient):
+    # without pair lines both commands check the one default pair
+    # (r_min, r_max): after monotonicity the suite builds no probe terms,
+    # and it prints what it prints when it computes the pair itself
+    path, out = _tiny_run(tmp_path, ambient, _TINY.replace("pair = 0.4,1.5\n", ""))
+    assert main(["monotonicity", "--config", str(path)]) in (0, 1)
+    built = _counting_terms(monkeypatch)
+    read = _suite(capsys, path)
+    assert built == []
+    (out / tables.PAIR_RESIDUALS).unlink()
+    assert _suite(capsys, path) == read
+    assert built
+
+
 def _rewrite_residuals(path, values=None, extra=0, prefix=b""):
     """Rewrite the companion behind its own key, after ``prefix``, with a
     valid CRC: ``values`` in place of the stored residuals, or ``extra``

@@ -26,12 +26,12 @@ def test_pair_large_radius_limit(stock):
 
 def test_identity_degenerate_pair_is_zero(stock):
     surface, region = stock.cap(THETA)
-    assert hs.monotonicity_identity_detail(surface, region, [0.3, 0.1, 0.2], 0.8, 0.8)["residual"] == 0.0
+    assert hs.monotonicity_identity_detail(hs.probe_terms(surface, region, [0.3, 0.1, 0.2]), 0.8, 0.8)["residual"] == 0.0
 
 
 def test_identity_on_contact_circle(stock):
     surface, region = stock.cap(THETA, res=256)
-    detail = hs.monotonicity_identity_detail(surface, region, CONTACT, 0.1, 3.0)
+    detail = hs.monotonicity_identity_detail(hs.probe_terms(surface, region, CONTACT), 0.1, 3.0)
     assert abs(detail["residual"]) < 1e-3
     # the square and deficit terms vanish at the equality configuration
     assert abs(detail["square"]) < 1e-6
@@ -40,10 +40,10 @@ def test_identity_on_contact_circle(stock):
 
 def test_identity_interior_base_point(stock):
     surface, region = stock.cap(THETA)
-    detail = hs.monotonicity_identity_detail(surface, region, [0.0, 0.0, 0.5], 0.2, 2.0)
+    detail = hs.monotonicity_identity_detail(hs.probe_terms(surface, region, [0.0, 0.0, 0.5]), 0.2, 2.0)
     assert abs(detail["residual"]) < 1e-3
     assert detail["deficit"] != 0.0
-    detail2 = hs.monotonicity_identity_detail(surface, region, [0.31, -0.12, 0.47], 0.2, 2.0)
+    detail2 = hs.monotonicity_identity_detail(hs.probe_terms(surface, region, [0.31, -0.12, 0.47]), 0.2, 2.0)
     assert abs(detail2["normalized"]) < 1e-3
 
 
@@ -58,7 +58,7 @@ def test_profile_monotone_obtuse(stock, rng):
             continue
         if abs(np.linalg.norm(a * [1, 1, -1] - center) - 1) < 0.2:
             continue
-        prof = hs.monotonicity_profile(surface, region, a, grid)
+        prof = hs.monotonicity_profile(hs.probe_terms(surface, region, a), grid)
         assert prof.min_forward_difference() >= -1e-6
         found += 1
 
@@ -73,7 +73,7 @@ def test_profile_monotone_acute_on_plane(stock, rng):
         a = np.array([rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5), 0.0])
         if abs(np.linalg.norm(a - center) - 1) < 0.25:
             continue
-        prof = hs.monotonicity_profile(surface, region, a, grid)
+        prof = hs.monotonicity_profile(hs.probe_terms(surface, region, a), grid)
         assert prof.min_forward_difference() >= -1e-6
         found += 1
 
@@ -81,7 +81,7 @@ def test_profile_monotone_acute_on_plane(stock, rng):
 def test_profile_remainder_decays(stock):
     surface, region = stock.cap(np.pi / 3, res=192)
     grid = np.concatenate([np.linspace(0.05, 0.4, 8), np.linspace(5, 40, 8)])
-    prof = hs.monotonicity_profile(surface, region, [0.4, 0.1, 0.0], grid)
+    prof = hs.monotonicity_profile(hs.probe_terms(surface, region, [0.4, 0.1, 0.0]), grid)
     assert np.max(np.abs(prof.remainder[:3])) < 1e-6
     assert np.max(np.abs(prof.remainder[-3:])) < 1e-2
     # remainder tail decays like 1/r^2
@@ -90,10 +90,10 @@ def test_profile_remainder_decays(stock):
 
 def test_profile_deficit_sign(stock):
     surface, region = stock.cap(THETA)
-    prof = hs.monotonicity_profile(surface, region, [0.2, 0.0, 0.5], np.linspace(0.3, 3.0, 20))
+    prof = hs.monotonicity_profile(hs.probe_terms(surface, region, [0.2, 0.0, 0.5]), np.linspace(0.3, 3.0, 20))
     assert np.all(prof.deficit >= 0.0)  # theta >= pi/2
     acute, acute_region = stock.cap(np.pi / 3, res=192)
-    prof2 = hs.monotonicity_profile(acute, acute_region, [0.2, 0.0, 0.5], np.linspace(0.3, 3.0, 20))
+    prof2 = hs.monotonicity_profile(hs.probe_terms(acute, acute_region, [0.2, 0.0, 0.5]), np.linspace(0.3, 3.0, 20))
     assert np.all(prof2.deficit <= 0.0)
 
 

@@ -212,7 +212,7 @@ def test_two_radius_gate_catches_each_table_mutation(stock, ambient, mutant):
         mono, (surface, region), probe = bl, _ball(stock), np.array([0.2, 0.1, 0.4])
     terms = mono.probe_terms(surface, region, probe)
     terms.TABLE = _MUTANTS[ambient][mutant](terms.TABLE, surface.theta)
-    residual = abs(mono.monotonicity_identity_detail(surface, region, probe, *PAIR, terms=terms)["residual"])
+    residual = abs(mono.monotonicity_identity_detail(terms, *PAIR)["residual"])
     if mutant == "unaltered":
         assert residual <= GATE
     else:
@@ -228,9 +228,9 @@ def test_two_radius_gate_catches_a_disabled_probe_nudge(stock, ambient, monkeypa
     else:
         mono, (surface, region), near = bl, _ball(stock), (0.2, 0.1, 0.4)
     probe = surface.points[np.argmin(np.linalg.norm(surface.points - near, axis=1))]
-    nudged = mono.monotonicity_identity_detail(surface, region, probe, *PAIR)["residual"]
+    nudged = mono.monotonicity_identity_detail(mono.probe_terms(surface, region, probe), *PAIR)["residual"]
     assert _passes(abs(nudged), GATE)
     monkeypatch.setattr(identity, "nudge_off_samples", lambda surface, a: a)
     with np.errstate(divide="ignore", invalid="ignore"):
-        raw = mono.monotonicity_identity_detail(surface, region, probe, *PAIR)["residual"]
+        raw = mono.monotonicity_identity_detail(mono.probe_terms(surface, region, probe), *PAIR)["residual"]
     assert np.isnan(raw) and not _passes(abs(raw), GATE)

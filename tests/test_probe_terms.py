@@ -1,6 +1,5 @@
 """One restriction state per probe: shared terms give the bytes of fresh calls."""
 
-import copy
 import dataclasses
 import importlib.util
 import sys
@@ -30,14 +29,14 @@ def _assert_same_profile(got, expect):
 
 
 def _check_shared(mono, surface, region, x0):
-    fresh_profile = mono.monotonicity_profile(surface, region, x0, GRID)
-    fresh = [mono.monotonicity_identity_detail(surface, region, x0, s, r) for s, r in PAIRS]
+    fresh_profile = mono.monotonicity_profile(mono.probe_terms(surface, region, x0), GRID)
+    fresh = [mono.monotonicity_identity_detail(mono.probe_terms(surface, region, x0), s, r) for s, r in PAIRS]
     # one detail before the profile and one after, on the same terms: the
     # per-radius corrections cached in between must not depend on call order
     terms = mono.probe_terms(surface, region, x0)
-    first = mono.monotonicity_identity_detail(surface, region, x0, *PAIRS[0], terms=terms)
-    profile = mono.monotonicity_profile(surface, region, x0, GRID, terms=terms)
-    second = mono.monotonicity_identity_detail(surface, region, x0, *PAIRS[1], terms=terms)
+    first = mono.monotonicity_identity_detail(terms, *PAIRS[0])
+    profile = mono.monotonicity_profile(terms, GRID)
+    second = mono.monotonicity_identity_detail(terms, *PAIRS[1])
     _assert_same_profile(profile, fresh_profile)
     assert [first, second] == fresh
     return terms
@@ -67,28 +66,6 @@ def test_ball_shared_terms_match_fresh_calls(stock, where):
     assert isinstance(terms, bl._OriginTerms if where == "origin" else bl._BallTerms)
 
 
-@pytest.mark.parametrize("ambient", ["halfspace", "ball-interior", "ball-origin"])
-def test_terms_of_another_probe_are_refused(stock, ambient):
-    if ambient == "halfspace":
-        mono, (surface, region) = hs, stock.cap(2 * np.pi / 3)
-        x0 = np.array([0.3, -0.2, 0.5])
-    else:
-        mono, (surface, region) = bl, stock.capball(2 * np.pi / 3, np.pi / 3)
-        x0 = np.zeros(3) if ambient == "ball-origin" else np.array([0.2, 0.1, 0.4])
-    terms = mono.probe_terms(surface, region, x0)
-    other = x0 + np.array([0.0, 0.0, 0.1])
-    with pytest.raises(ValueError, match="another surface or base point"):
-        mono.monotonicity_profile(surface, region, other, GRID, terms=terms)
-    with pytest.raises(ValueError, match="another surface or base point"):
-        mono.monotonicity_identity_detail(surface, region, other, *PAIRS[0], terms=terms)
-    twin = copy.copy(surface)
-    with pytest.raises(ValueError, match="another surface or base point"):
-        mono.monotonicity_identity_detail(twin, region, x0, *PAIRS[0], terms=terms)
-    # the profile reports the probe the terms were built for, origin included
-    profile = mono.monotonicity_profile(surface, region, list(x0), GRID, terms=terms)
-    assert np.array_equal(profile.base_point, mono.monotonicity_profile(surface, region, x0, GRID).base_point)
-
-
 @pytest.mark.parametrize("ambient", ["halfspace", "ball"])
 def test_mu_arrays_computed_once_per_surface(monkeypatch, ambient):
     # every prefix of every probe reads the keys it shares with the
@@ -113,7 +90,7 @@ def test_mu_arrays_computed_once_per_surface(monkeypatch, ambient):
             super().__init__(points, center, arrays, **kwargs)
 
     monkeypatch.setattr(mono, "RadialPrefix", Recording)
-    profiles = [mono.monotonicity_profile(surface, region, x0, GRID) for x0 in probes]
+    profiles = [mono.monotonicity_profile(mono.probe_terms(surface, region, x0), GRID) for x0 in probes]
     shared = surface.mu_arrays
     assert set(shared) == {"mass", "h2", "hx"}
     assert all(arr.shape == (len(surface.points),) for arr in shared.values())
@@ -140,7 +117,8 @@ def test_mu_arrays_computed_once_per_surface(monkeypatch, ambient):
     # the ball's two companion prefixes
     assert sum("pos" in arrays for _, arrays in seen) == (0 if ambient == "halfspace" else 2)
     for x0, profile in zip(probes, profiles):
-        _assert_same_profile(profile, mono.monotonicity_profile(sample_chart(chart, 32, 64), region, x0, GRID))
+        twin = sample_chart(chart, 32, 64)
+        _assert_same_profile(profile, mono.monotonicity_profile(mono.probe_terms(twin, region, x0), GRID))
     with pytest.raises(ValueError):
         surface.mu_arrays["h2"][0] = 0.0
     with pytest.raises(TypeError):
@@ -211,11 +189,11 @@ def test_pair_residuals_do_not_depend_on_a_profile_first(stock, name):
     for probe in [*workloads.probes(w, 1), *_EXTRA_PROBES[name]]:
         probe = np.array(probe)
         after = mono.probe_terms(surface, region, probe)
-        mono.monotonicity_profile(surface, region, probe, grid, terms=after)
+        mono.monotonicity_profile(after, grid)
         alone = mono.probe_terms(surface, region, probe)
         for sigma, rho in w.pairs:
-            got = mono.monotonicity_identity_detail(surface, region, probe, sigma, rho, terms=after)["residual"]
-            expect = mono.monotonicity_identity_detail(surface, region, probe, sigma, rho, terms=alone)["residual"]
+            got = mono.monotonicity_identity_detail(after, sigma, rho)["residual"]
+            expect = mono.monotonicity_identity_detail(alone, sigma, rho)["residual"]
             assert np.float64(got).tobytes() == np.float64(expect).tobytes(), (probe, sigma, rho)
 
 

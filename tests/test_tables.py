@@ -310,7 +310,7 @@ def test_imported_surface_supports_energies(stock, tmp_path):
 
 def test_profile_csv_format(stock, tmp_path):
     surface, region = stock.cap(2 * np.pi / 3)
-    prof = hs.monotonicity_profile(surface, region, [0.3, 0.1, 0.4], np.linspace(0.3, 2.0, 8))
+    prof = hs.monotonicity_profile(hs.probe_terms(surface, region, [0.3, 0.1, 0.4]), np.linspace(0.3, 2.0, 8))
     path = tmp_path / "profile.csv"
     tables.profile_csv(prof, path)
     raw = path.read_bytes().decode()
@@ -327,7 +327,7 @@ def test_ball_profile_csv(stock, tmp_path):
     from capmono import ball as bl
 
     surface, region = stock.disk(np.pi / 3)
-    prof = bl.monotonicity_profile(surface, region, np.zeros(3), np.linspace(0.3, 1.5, 6))
+    prof = bl.monotonicity_profile(bl.probe_terms(surface, region, np.zeros(3)), np.linspace(0.3, 1.5, 6))
     path = tmp_path / "bp.csv"
     tables.profile_csv(prof, path)
     lines = path.read_text().strip().split("\n")
@@ -335,7 +335,7 @@ def test_ball_profile_csv(stock, tmp_path):
     assert lines[1].endswith(",origin")
     # the general branch: the same layout, six numbers and the branch name
     contact = np.array([np.sin(np.pi / 3), 0.0, np.cos(np.pi / 3)])
-    prof = bl.monotonicity_profile(surface, region, contact, np.linspace(0.3, 1.5, 6))
+    prof = bl.monotonicity_profile(bl.probe_terms(surface, region, contact), np.linspace(0.3, 1.5, 6))
     tables.profile_csv(prof, path)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "r,gTheta,gHatTheta,G,R,residual,branch"

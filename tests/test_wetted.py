@@ -77,12 +77,23 @@ def test_winding_examples():
     assert winding_number(circle(ccw=False), [0.2, 0.1, 0]) == -1
 
 
+def test_plane_winding_follows_the_hermite_curve():
+    # on a 128-sample unit circle the chord midpoints sit at radius
+    # cos(pi/128) = 0.9997, so the sample polygon leaves a point at radius
+    # 0.9999 on a chord's mid-angle outside; the Hermite curve η follows
+    # keeps it inside
+    angle = np.pi / 128
+    assert winding_number(circle(n=128), [0.9999 * np.cos(angle), 0.9999 * np.sin(angle), 0.0]) == 1
+
+
 def test_winding_on_curve_rejected():
     with pytest.raises(UndefinedWindingError):
         winding_number(circle(), [1.0, 0.0, 0.0])
 
 
 def test_winding_matches_ray_casting(rng):
+    from capmono import wetted
+
     for _ in range(40):
         n = rng.integers(3, 12)
         poly = rng.uniform(-1, 1, (n, 2))
@@ -92,6 +103,8 @@ def test_winding_matches_ray_casting(rng):
         if np.any(lens < 1e-6):
             continue
         curve = OrientedCurve(pts, tans / lens[:, None], lens)
+        # the count follows the curve's Hermite loop, so the oracle casts against it
+        loop = wetted._refined_loop(curve, "plane")[:, :2]
         for _ in range(25):
             probe = rng.uniform(-1.3, 1.3, 2)
             d = np.min(np.linalg.norm(poly - probe, axis=1))
@@ -101,7 +114,7 @@ def test_winding_matches_ray_casting(rng):
                 w = winding_number(curve, [probe[0], probe[1], 0.0])
             except UndefinedWindingError:
                 continue
-            assert w == ray_cast_winding(poly, probe)
+            assert w == ray_cast_winding(loop, probe)
 
 
 def test_scattered_winding_matches_ray_casting(rng):
@@ -598,7 +611,7 @@ def test_plane_region_caches_only_its_curve_atoms(stock):
     assert not np.any(points[:, 2]) and not np.any(steps[:, 2])
     for x0 in ([0.175, -0.31, 0.8], [0.3, 0.2, 0.0]):
         terms = halfspace.probe_terms(surface, region, x0)
-        halfspace.monotonicity_profile(surface, region, x0, np.linspace(0.25, 4.0, 8), terms=terms)
+        halfspace.monotonicity_profile(terms, np.linspace(0.25, 4.0, 8))
         assert terms.eta.n == len(points)
     assert list(region._cache) == ["atoms"]
     assert region.curve_atoms()[0] is points
@@ -639,7 +652,7 @@ def test_ball_probe_terms_and_profile_memory_per_sample(stock):
 
     def build():
         terms = ball.probe_terms(surface, region, x0)
-        ball.monotonicity_profile(surface, region, x0, np.linspace(0.25, 4.0, 40), terms=terms)
+        ball.monotonicity_profile(terms, np.linspace(0.25, 4.0, 40))
 
     assert _traced_peak(build) < 410 * len(surface.points)
 
@@ -660,7 +673,7 @@ def test_halfspace_probe_terms_and_profile_memory_per_sample(stock):
 
     def build():
         terms = halfspace.probe_terms(surface, region, x0)
-        halfspace.monotonicity_profile(surface, region, x0, np.linspace(0.25, 4.0, 40), terms=terms)
+        halfspace.monotonicity_profile(terms, np.linspace(0.25, 4.0, 40))
 
     assert _traced_peak(build) < 350 * len(surface.points)
 
