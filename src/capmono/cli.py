@@ -13,8 +13,9 @@ sources and numpy; otherwise it computes them.
 
 Exit codes: 0 when every gate passes, 1 only when a gate fails, 2 on a
 usage or configuration error (a config that is missing, a directory or
-not UTF-8, an output directory that is a file or lies under one) and on
-any other capmono error (geometry, resolution, immersion).
+not UTF-8, an output directory that is a file or lies under one), on an
+input or output file that cannot be read or written, and on any other
+capmono error (geometry, resolution, immersion).
 """
 
 from __future__ import annotations
@@ -243,6 +244,10 @@ def main(argv=None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"missing input: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # a directory, say, where a command reads or writes a file
+        print(f"cannot read or write a file: {exc}", file=sys.stderr)
         return 2
     except CapmonoError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,8 +27,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import GeometryError, UndefinedWindingError
-# none of these is called here; perfbench/tracing.py wraps all three under
-# these names
+# these names exist only for perfbench/tracing.py, which wraps all three
+# here; none of them is called
 from .quadrature import plane_grid, sphere_mesh, sphere_rule  # noqa: F401
 from .radial import RadialPrefix
 from .surfaces import SampledSurface

@@ -354,6 +354,23 @@ def test_unreadable_config_exits_2_with_one_line(tmp_path, kind):
     assert str(path) in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "command, name", [("generate", "surface.tsv"), ("energy", "energy.json"), ("monotonicity", "profile_000.csv")]
+)
+def test_directory_in_place_of_a_file_exits_2_with_one_line(tmp_path, command, name):
+    # a directory where a command writes a file is an I/O error, not a failed gate
+    out = tmp_path / "out"
+    path = tmp_path / "run.cfg"
+    path.write_text(_TINY.replace("OUT", str(out)))
+    if command != "generate":
+        assert main(["generate", "--config", str(path)]) == 0
+    (out / name).mkdir(parents=True)
+    proc = _run_cli([command, "--config", str(path)])
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and str(out / name) in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_config_with_threads_1_still_runs(cfg_path, capsys):
     # configs written for the threaded runs, the benchmark's among them,
     # name threads = 1: it is ignored, and any other value is refused

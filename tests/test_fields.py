@@ -1,5 +1,7 @@
 """Closed-form probe fields: tangency declarations and gradients."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,11 @@ def test_tangency_declarations():
     rotation_field([1, 0, 0]).verify_tangency(ball)
     zero_field().verify_tangency(half)
     assert constant_field([0, 0, 1.0]).tangency != TANGENT
+    # a field declared tangent that is not is refused in both ambients
+    e3 = replace(constant_field([0, 0, 1.0]), tangency=TANGENT)
+    for ambient in (half, ball):
+        with pytest.raises(ValueError):
+            e3.verify_tangency(ambient)
     assert radial_cutoff_field([0, 0, 0.5], 0.5, 2.0).tangency != TANGENT
     assert radial_cutoff_field([0.2, 0.3, 0.0], 0.5, 2.0).tangency == TANGENT
 
