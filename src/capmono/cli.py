@@ -30,14 +30,7 @@ import numpy as np
 from . import ball, energy, halfspace, tables
 from .errors import CapmonoError, ConfigError
 from .fields import constant_field
-from .surfaces import (
-    SampledSurface,
-    geodesic_disk_ball,
-    perturb_chart,
-    sample_chart,
-    spherical_cap_ball,
-    spherical_cap_halfspace,
-)
+from .surfaces import SampledSurface, perturb_chart, sample_chart
 from .tables import RunConfig
 from .wetted import curve_from_boundary, wetted_region
 
@@ -45,16 +38,9 @@ _G = "%.12g"
 
 
 def build_chart(cfg: RunConfig):
-    # validation admits only the generators of tables.GENERATOR_AMBIENT
-    if cfg.generator == "cap":
-        chart = spherical_cap_halfspace(cfg.theta, cfg.radius, (cfg.center_x, cfg.center_y))
-    elif cfg.generator == "flat-disk-ball":
-        chart = geodesic_disk_ball(cfg.theta)
-    else:
-        chart = spherical_cap_ball(cfg.theta, cfg.colatitude)
-    if cfg.amplitude != 0.0:
-        chart = perturb_chart(chart, cfg.amplitude, cfg.mode)
-    return chart
+    # validation admits only the generators of tables.GENERATORS
+    _, chart = tables.GENERATORS[cfg.generator]
+    return perturb_chart(chart(cfg), cfg.amplitude, cfg.mode)
 
 
 def _surface_paths(out: Path):

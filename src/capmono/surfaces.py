@@ -10,7 +10,11 @@ frame and the two geodesic curvatures.
 
 Analytic generators cover the equality cases of the energy bounds
 (spherical caps over the plane, geodesic disks and spherical caps in the
-ball); :func:`perturb_chart` produces controlled non-equality test cases.
+ball).  Each carries its normals, mean curvature vectors and Gauss
+curvature in one ``frames`` callback and its boundary conormals in a
+``conormal`` callback; both spherical caps are one chart, ``_sphere_cap``.
+:func:`perturb_chart` produces controlled non-equality test cases, sampled
+by central differences.
 """
 
 from __future__ import annotations
@@ -36,16 +40,17 @@ class ParametricChart:
     disk (finite-difference margin).  The disk has u in (0, 1] and
     v = angle in [0, 2*pi), with the boundary at u = 1.
 
-    Optional callbacks supply exact normals, mean curvature vectors, Gauss
-    curvature and boundary conormals; anything missing is filled in by
-    central differences with step ``fd_step``.
+    ``frames(u, v)``, when given, returns the exact unit normals (..., 3),
+    mean curvature vectors (..., 3) and Gauss curvatures (...) at the
+    nodes; without it all three come from central differences with step
+    ``fd_step``.  ``conormal(t)``, when given, returns the exact outward
+    boundary conormals at the angles t; without it they are differenced
+    too, and the boundary curvatures take a coarser step.
     """
 
     ambient: Ambient
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    normal: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    mean_curvature_vec: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    gauss_curvature: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    frames: Optional[Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]] = None
     conormal: Optional[Callable[[np.ndarray], np.ndarray]] = None
     fd_step: float = 1e-4
     name: str = "chart"
@@ -185,14 +190,7 @@ class SampledSurface:
                     raise GeometryError("boundary samples must lie on the unit sphere")
 
 
-# -- finite-difference chart frames -----------------------------------------
-
-
-def _partials(chart: ParametricChart, u: np.ndarray, v: np.ndarray):
-    h = chart.fd_step
-    fu = (chart.f(u + h, v) - chart.f(u - h, v)) / (2 * h)
-    fv = (chart.f(u, v + h) - chart.f(u, v - h)) / (2 * h)
-    return fu, fv
+# -- chart frames and curvatures --------------------------------------------
 
 
 def _second_partials(chart: ParametricChart, u: np.ndarray, v: np.ndarray):
@@ -210,8 +208,10 @@ def _second_partials(chart: ParametricChart, u: np.ndarray, v: np.ndarray):
 
 
 def _frames(chart: ParametricChart, u: np.ndarray, v: np.ndarray):
-    """First fundamental form, area element and oriented unit normal."""
-    fu, fv = _partials(chart, u, v)
+    """First partials by central differences, first fundamental form and its determinant."""
+    h = chart.fd_step
+    fu = (chart.f(u + h, v) - chart.f(u - h, v)) / (2 * h)
+    fv = (chart.f(u, v + h) - chart.f(u, v - h)) / (2 * h)
     E = np.sum(fu * fu, axis=-1)
     F = np.sum(fu * fv, axis=-1)
     G = np.sum(fv * fv, axis=-1)
@@ -219,32 +219,25 @@ def _frames(chart: ParametricChart, u: np.ndarray, v: np.ndarray):
     if np.any(det <= 0):
         k = int(np.argmin(det))
         raise ImmersionError(float(np.ravel(u)[k]), float(np.ravel(v)[k]), float(np.ravel(det)[k]))
-    if chart.normal is not None:
-        nu_vec = chart.normal(u, v)
-    else:
-        nu_vec = np.cross(fu, fv)
-        nu_vec = nu_vec / np.linalg.norm(nu_vec, axis=-1, keepdims=True)
-    return fu, fv, E, F, G, det, nu_vec
+    return fu, fv, E, F, G, det
 
 
 def _curvatures(chart: ParametricChart, u: np.ndarray, v: np.ndarray):
-    """Mean curvature vector, Gauss curvature and |traceless II|^2 at nodes."""
-    fu, fv, E, F, G, det, nu_vec = _frames(chart, u, v)
-    need_shape = chart.mean_curvature_vec is None or chart.gauss_curvature is None
-    if need_shape:
+    """Unit normal, mean curvature vector, Gauss curvature, |traceless II|^2 and det g at nodes."""
+    fu, fv, E, F, G, det = _frames(chart, u, v)
+    if chart.frames is not None:
+        nu_vec, h_vec, k_gauss = chart.frames(u, v)
+        h_scalar = np.sum(h_vec * nu_vec, axis=-1)
+    else:
+        nu_vec = np.cross(fu, fv)
+        nu_vec = nu_vec / np.linalg.norm(nu_vec, axis=-1, keepdims=True)
         fuu, fuv, fvv = _second_partials(chart, u, v)
         e = np.sum(fuu * nu_vec, axis=-1)
         f2 = np.sum(fuv * nu_vec, axis=-1)
         g2 = np.sum(fvv * nu_vec, axis=-1)
         h_scalar = (e * G - 2.0 * f2 * F + g2 * E) / det
         k_gauss = (e * g2 - f2 * f2) / det
-    if chart.mean_curvature_vec is not None:
-        h_vec = chart.mean_curvature_vec(u, v)
-        h_scalar = np.sum(h_vec * nu_vec, axis=-1)
-    else:
         h_vec = h_scalar[..., None] * nu_vec
-    if chart.gauss_curvature is not None:
-        k_gauss = chart.gauss_curvature(u, v)
     traceless = np.maximum(h_scalar**2 - 4.0 * k_gauss, 0.0) / 2.0
     return nu_vec, h_vec, k_gauss, traceless, det
 
@@ -256,7 +249,7 @@ def _boundary_frame_polar(chart: ParametricChart, t: np.ndarray):
     """Point, unit tangent, outward conormal, speed |dF/dt| at u = 1."""
     u, v = np.ones_like(t), t
     pts = chart.f(u, v)
-    fu, fv, *_rest = _frames(chart, u, v)
+    fu, fv, *_ = _frames(chart, u, v)
     speed = np.linalg.norm(fv, axis=-1)
     tau = fv / speed[..., None]
     if chart.conormal is not None:
@@ -299,9 +292,9 @@ def sample_chart(chart: ParametricChart, nu: int, nv: int) -> SampledSurface:
     """Sample a chart into a :class:`SampledSurface` on an nu x nv tensor rule.
 
     Area weights are sqrt(det g) times tensor Gauss-Legendre weights; normals
-    and curvatures come from the chart callbacks when present, otherwise from
-    central differences.  Boundary samples are taken along the disk boundary
-    with arclength weights.
+    and curvatures come from the chart's ``frames`` and ``conormal``
+    callbacks when present, otherwise from central differences.  Boundary
+    samples are taken along the disk boundary with arclength weights.
     """
     if nu < 8 or nv < 8:
         raise ValueError("need nu, nv >= 8")
@@ -359,9 +352,35 @@ def contact_angle_residual(surface: SampledSurface) -> float:
 # -- analytic generators ------------------------------------------------------
 
 
-def spherical_cap_halfspace(
-    theta: float, radius: float = 1.0, planar_center=(0.0, 0.0)
-) -> ParametricChart:
+def _sphere_cap(ambient, center, radius, opening, pole, name, params) -> ParametricChart:
+    """The piece of the sphere |x - center| = radius within polar angle ``opening`` of a pole.
+
+    The pole is ``center + pole * radius * e3``, ``pole`` being +1 or -1;
+    u in [0, 1] scales the polar angle and v is the azimuth.  The normal is
+    ``pole`` times the outward sphere normal, so it is e3 at the pole; the
+    mean curvature vector is -2/radius times the outward normal either way,
+    and the boundary conormal is the unit derivative of the chart in the
+    polar angle.
+    """
+    c, z = np.cos(opening), -pole * np.sin(opening)
+
+    def f(u, v):
+        phi = np.asarray(u) * opening
+        sp = np.sin(phi)
+        return center + radius * np.stack([sp * np.cos(v), sp * np.sin(v), pole * np.cos(phi)], axis=-1)
+
+    def frames(u, v):
+        outward = (f(u, v) - center) / radius
+        return pole * outward, -(2.0 / radius) * outward, np.full(np.shape(u), 1.0 / radius**2)
+
+    def conormal(t):
+        t = np.asarray(t, dtype=float)
+        return np.stack([c * np.cos(t), c * np.sin(t), z * np.ones_like(t)], axis=-1)
+
+    return ParametricChart(ambient=ambient, f=f, frames=frames, conormal=conormal, name=name, params=params)
+
+
+def spherical_cap_halfspace(theta: float, radius: float = 1.0, planar_center=(0.0, 0.0)) -> ParametricChart:
     """Spherical cap meeting the plane {x3 = 0} at constant angle theta.
 
     The sphere of the given radius is centered at (planar_center,
@@ -369,44 +388,13 @@ def spherical_cap_halfspace(
     polar parametrization around the apex.  The boundary circle has radius
     radius*sin(theta).
     """
-    if not 0.0 < theta < np.pi:
-        raise GeometryError(f"contact angle must lie in (0, pi), got {theta}")
-    if radius <= 0:
+    ambient = Ambient(HALFSPACE, theta)
+    if not radius > 0:
         raise GeometryError("radius must be positive")
     cx, cy = planar_center
     center = np.array([cx, cy, -radius * np.cos(theta)])
-
-    def f(u, v):
-        phi = np.asarray(u) * theta
-        sp = np.sin(phi)
-        return center + radius * np.stack(
-            [sp * np.cos(v), sp * np.sin(v), np.cos(phi)], axis=-1
-        )
-
-    def normal(u, v):
-        return (f(u, v) - center) / radius
-
-    def mean_curvature_vec(u, v):
-        return -(2.0 / radius) * normal(u, v)
-
-    def gauss_curvature(u, v):
-        return np.full(np.shape(u), 1.0 / radius**2)
-
-    def conormal(t):
-        t = np.asarray(t, dtype=float)
-        ct, st = np.cos(theta), np.sin(theta)
-        return np.stack([ct * np.cos(t), ct * np.sin(t), -st * np.ones_like(t)], axis=-1)
-
-    return ParametricChart(
-        ambient=Ambient(HALFSPACE, theta),
-        f=f,
-        normal=normal,
-        mean_curvature_vec=mean_curvature_vec,
-        gauss_curvature=gauss_curvature,
-        conormal=conormal,
-        name="cap",
-        params={"theta": theta, "radius": radius, "planar_center": tuple(planar_center)},
-    )
+    params = {"theta": theta, "radius": radius, "planar_center": tuple(planar_center)}
+    return _sphere_cap(ambient, center, radius, opening=theta, pole=1.0, name="cap", params=params)
 
 
 def geodesic_disk_ball(theta: float) -> ParametricChart:
@@ -415,36 +403,23 @@ def geodesic_disk_ball(theta: float) -> ParametricChart:
     Flat, so the mean curvature vector vanishes; the wetted region is the
     spherical cap of the unit sphere above height cos(theta).
     """
-    if not 0.0 < theta < np.pi:
-        raise GeometryError(f"contact angle must lie in (0, pi), got {theta}")
+    ambient = Ambient(BALL, theta)
     st, ct = np.sin(theta), np.cos(theta)
 
     def f(u, v):
         s = np.asarray(u) * st
         return np.stack([s * np.cos(v), s * np.sin(v), np.full(np.shape(s), ct)], axis=-1)
 
-    def normal(u, v):
-        return np.broadcast_to(E3, np.shape(u) + (3,)).copy()
-
-    def zero_vec(u, v):
-        return np.zeros(np.shape(u) + (3,))
-
-    def zero(u, v):
-        return np.zeros(np.shape(u))
+    def frames(u, v):
+        shape = np.shape(u)
+        return np.broadcast_to(E3, shape + (3,)).copy(), np.zeros(shape + (3,)), np.zeros(shape)
 
     def conormal(t):
         t = np.asarray(t, dtype=float)
         return np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=-1)
 
     return ParametricChart(
-        ambient=Ambient(BALL, theta),
-        f=f,
-        normal=normal,
-        mean_curvature_vec=zero_vec,
-        gauss_curvature=zero,
-        conormal=conormal,
-        name="flat-disk-ball",
-        params={"theta": theta},
+        ambient=ambient, f=f, frames=frames, conormal=conormal, name="flat-disk-ball", params={"theta": theta}
     )
 
 
@@ -456,11 +431,11 @@ def spherical_cap_ball(theta: float, colatitude: float) -> ParametricChart:
     the two-sphere intersection-angle relation d = sin(theta)/sin(theta -
     colatitude), rho = sin(colatitude)/|sin(theta - colatitude)|; the piece
     inside the ball is the cap around the lower or upper pole depending on
-    the sign of theta - colatitude.  colatitude = theta degenerates to the
-    totally geodesic disk, which is returned instead.
+    the sign of theta - colatitude, with the normal pointing into or out of
+    its sphere to match.  colatitude = theta degenerates to the totally
+    geodesic disk, which is returned instead.
     """
-    if not 0.0 < theta < np.pi:
-        raise GeometryError(f"contact angle must lie in (0, pi), got {theta}")
+    ambient = Ambient(BALL, theta)
     alpha = colatitude
     if not 0.0 < alpha < np.pi or np.sin(alpha) < 1e-9:
         raise GeometryError("contact circle colatitude must select a genuine circle")
@@ -469,81 +444,38 @@ def spherical_cap_ball(theta: float, colatitude: float) -> ParametricChart:
         return geodesic_disk_ball(theta)
     d = np.sin(theta) / s
     rho = np.sin(alpha) / abs(s)
-    beta = abs(theta - alpha)
-    pole_sign = -1.0 if s > 0 else 1.0
-    center = np.array([0.0, 0.0, d])
-
-    def f(u, v):
-        phi = np.asarray(u) * beta
-        sp = np.sin(phi)
-        return center + rho * np.stack(
-            [sp * np.cos(v), sp * np.sin(v), pole_sign * np.cos(phi)], axis=-1
-        )
-
-    def outward(u, v):
-        return (f(u, v) - center) / rho
-
-    def normal(u, v):
-        return -np.sign(s) * outward(u, v)
-
-    def mean_curvature_vec(u, v):
-        return -(2.0 / rho) * outward(u, v)
-
-    def gauss_curvature(u, v):
-        return np.full(np.shape(u), 1.0 / rho**2)
-
-    def conormal(t):
-        t = np.asarray(t, dtype=float)
-        ca, sa = np.cos(theta - alpha), np.sin(theta - alpha)
-        return np.stack([ca * np.cos(t), ca * np.sin(t), sa * np.ones_like(t)], axis=-1)
-
-    return ParametricChart(
-        ambient=Ambient(BALL, theta),
-        f=f,
-        normal=normal,
-        mean_curvature_vec=mean_curvature_vec,
-        gauss_curvature=gauss_curvature,
-        conormal=conormal,
-        name="cap-ball",
-        params={"theta": theta, "colatitude": alpha, "center_height": d, "cap_radius": rho},
-    )
+    # the cap lies around the lower pole when theta > colatitude
+    pole = -np.sign(s)
+    params = {"theta": theta, "colatitude": alpha, "center_height": d, "cap_radius": rho}
+    return _sphere_cap(ambient, np.array([0.0, 0.0, d]), rho, abs(theta - alpha), pole, "cap-ball", params)
 
 
 # -- perturbations -------------------------------------------------------------
 
 
-def _bump(mode: int):
-    """Polynomial bump vanishing on the disk boundary, indexed by mode."""
-    m = int(mode)
-    if m < 0:
-        raise GeometryError("perturbation mode must be a nonnegative integer")
-
-    def bump(u, v):
-        u = np.asarray(u, dtype=float)
-        return (1.0 - u**2) * u**m * np.cos(m * np.asarray(v))
-
-    return bump
-
-
 def perturb_chart(chart: ParametricChart, amplitude: float, mode: int) -> ParametricChart:
     """Displace a chart along the wetting-surface normal by a boundary-vanishing bump.
 
-    The displacement is amplitude * bump(u, v) times e3 (half-space) or the
-    radial direction (ball); the bump vanishes on the disk boundary so the
-    boundary curve stays on the wetting surface, while the contact angle is
-    no longer exact.  Analytic curvature callbacks are dropped: the perturbed
-    chart is sampled through the finite-difference path.  Immersivity is
-    checked when the chart is sampled.
+    The displacement is amplitude * (1 - u^2) u^mode cos(mode v) times e3
+    (half-space) or the radial direction (ball); the bump vanishes on the
+    disk boundary so the boundary curve stays on the wetting surface, while
+    the contact angle is no longer exact.  The analytic ``frames`` and
+    ``conormal`` are dropped: the perturbed chart is sampled through the
+    finite-difference path.  Immersivity is checked when the chart is
+    sampled.
     """
     if amplitude == 0.0:
         return chart
-    bump = _bump(mode)
+    m = int(mode)
+    if m < 0:
+        raise GeometryError("perturbation mode must be a nonnegative integer")
     base_f = chart.f
     is_ball = chart.ambient.kind == BALL
 
     def f(u, v):
         p = base_f(u, v)
-        b = amplitude * bump(u, v)
+        u = np.asarray(u, dtype=float)
+        b = amplitude * ((1.0 - u**2) * u**m * np.cos(m * np.asarray(v)))
         if is_ball:
             direction = p / np.linalg.norm(p, axis=-1, keepdims=True)
         else:
@@ -555,5 +487,5 @@ def perturb_chart(chart: ParametricChart, amplitude: float, mode: int) -> Parame
         f=f,
         fd_step=chart.fd_step,
         name=f"{chart.name}-perturbed",
-        params={**chart.params, "amplitude": amplitude, "mode": int(mode)},
+        params={**chart.params, "amplitude": amplitude, "mode": m},
     )

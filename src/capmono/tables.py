@@ -48,7 +48,13 @@ import numpy as np
 
 from .errors import ConfigError
 from .geometry import BALL, HALFSPACE, Ambient
-from .surfaces import SampledSurface, contact_angle_residual
+from .surfaces import (
+    SampledSurface,
+    contact_angle_residual,
+    geodesic_disk_ball,
+    spherical_cap_ball,
+    spherical_cap_halfspace,
+)
 from .wetted import OrientedCurve
 
 _FULL = "%.17g"
@@ -77,9 +83,19 @@ CURVE_COLUMNS = "x1 x2 x3 t1 t2 t3 weight"
 # scripts/memory_bounds.py: 452 MB on ball-cap, 382 MB and 381 MB on
 # halfspace-cap and probe-sweep, all at nu = nv = 1000)
 MAX_NU_NV = 1000
+# the most radii a monotonicity profile may take.  Every probe keeps its
+# profile, about 80 bytes a radius; at both bounds a monotonicity run on the
+# benchmark configs peaks at 511 MB on ball-cap, 492 MB on probe-sweep (16
+# probes) and 427 MB on halfspace-cap (os.wait4, one run each, nu = nv =
+# 1000 and r_count = 100000)
+MAX_R_COUNT = 100_000
 
-# the ambient of the surface each generator builds
-GENERATOR_AMBIENT = {"cap": HALFSPACE, "flat-disk-ball": BALL, "cap-ball": BALL}
+# each generator: the ambient of the surface it builds, and its chart from a config
+GENERATORS = {
+    "cap": (HALFSPACE, lambda cfg: spherical_cap_halfspace(cfg.theta, cfg.radius, (cfg.center_x, cfg.center_y))),
+    "flat-disk-ball": (BALL, lambda cfg: geodesic_disk_ball(cfg.theta)),
+    "cap-ball": (BALL, lambda cfg: spherical_cap_ball(cfg.theta, cfg.colatitude)),
+}
 
 
 def _write_companion(path: Path, key: bytes, count: int, chunks) -> None:
@@ -563,10 +579,10 @@ def _validated(cfg: RunConfig) -> RunConfig:
     numbers += [("pairs", v) for pair in cfg.pairs for v in pair]
     # a NaN tolerance would let every gate comparison through
     infinite = [name for name, v in numbers if not math.isfinite(v)]
-    builds = GENERATOR_AMBIENT.get(cfg.generator)
+    builds, _ = GENERATORS.get(cfg.generator, (None, None))
     problems = (
         (cfg.ambient not in (HALFSPACE, BALL), f"unknown ambient {cfg.ambient!r}"),
-        (builds is None, f"unknown generator {cfg.generator!r}; expected one of {', '.join(GENERATOR_AMBIENT)}"),
+        (builds is None, f"unknown generator {cfg.generator!r}; expected one of {', '.join(GENERATORS)}"),
         (builds not in (None, cfg.ambient), f"generator {cfg.generator!r} needs ambient = {builds}"),
         (bool(infinite), f"{', '.join(infinite)} must be finite"),
         (not 0.0 < cfg.theta < math.pi, "theta must lie strictly inside (0, pi)"),
@@ -580,7 +596,7 @@ def _validated(cfg: RunConfig) -> RunConfig:
             not sys.float_info.min <= cfg.r_min < cfg.r_max,
             f"need r_min < r_max, with r_min at least {sys.float_info.min!r}",
         ),
-        (cfg.r_count < 2, "r_count must be at least 2"),
+        (not 2 <= cfg.r_count <= MAX_R_COUNT, f"r_count must lie in [2, {MAX_R_COUNT}]"),
         (not all(0.0 < sigma < rho for sigma, rho in cfg.pairs), "every pair needs 0 < sigma < rho"),
         (not cfg.tolerance > 0.0, f"tolerance must be positive, got {cfg.tolerance!r}"),
         (cfg.seed < 0, "seed must be non-negative"),

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
-import importlib.util
+import dataclasses
+import json
 import math
 import os
 import re
@@ -304,6 +305,8 @@ def test_verification_commands_load_neither_numpy_ma_nor_polynomial(tmp_path, am
     [
         ("pair = 0.4,1.5", "pair = 1.5,0.4"),
         ("r_count = 16", "r_count = 1"),
+        # would end in a MemoryError and exit 1 at monotonicity
+        ("r_count = 16", "r_count = 1000000000000"),
         ("nu = 64", "nu = 4"),
         ("nu = 64", "nu = 200000"),
         ("nv = 64", "nv = 1001"),
@@ -321,9 +324,9 @@ def test_verification_commands_load_neither_numpy_ma_nor_polynomial(tmp_path, am
         ("/out\ntolerance", "/bad.cfg/out\ntolerance"),
     ],
     ids=[
-        "pair-order", "r-count", "nu", "nu-max", "nv-max", "r-min", "r-min-subnormal", "radius-negative", "radius-zero",
-        "plane-grid-float", "sphere-level-max", "sphere-level-float", "threads-2", "generator-ambient", "out-dir-file",
-        "out-dir-under-file",
+        "pair-order", "r-count", "r-count-max", "nu", "nu-max", "nv-max", "r-min", "r-min-subnormal", "radius-negative",
+        "radius-zero", "plane-grid-float", "sphere-level-max", "sphere-level-float", "threads-2", "generator-ambient",
+        "out-dir-file", "out-dir-under-file",
     ],
 )
 def test_bad_config_exits_2_without_traceback(tmp_path, edit):
@@ -544,43 +547,41 @@ def test_one_terms_object_per_probe(tmp_path, monkeypatch, command, ambient, per
     assert len(built) == 2 * per_probe
 
 
-def _load_tracing():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("ambient", ["halfspace", "ball"])
-def test_benchmark_tracer_instruments_the_library(tmp_path, ambient):
+def test_benchmark_tracer_instruments_the_library(tmp_path, monkeypatch, ambient):
     # the benchmark's tracer patches library names (classes it subclasses,
-    # functions it wraps); a rename or a new base class must not leave a
-    # traced run blind or different, nor a patch behind
-    from capmono import cli, energy, quadrature, radial, surfaces, tables
+    # functions it wraps, the removed quadrature rules' placeholders); a
+    # rename or a new base class must not fail or blind a traced run, make
+    # it differ from an untraced one, nor leave a patch behind
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import tracing
+    from workloads import WORKLOADS, config_text
 
-    tracing = _load_tracing()
-    out = tmp_path / "out"
-    path = tmp_path / "run.cfg"
-    path.write_text(_TINY.replace("OUT", str(out)) if ambient == "halfspace" else _ball_text(out, _TINY))
+    from capmono import cli, energy, quadrature, radial, surfaces
+
+    workload = WORKLOADS[f"{ambient}-cap"]
+    # the benchmark's config at 16 x 16, its removed grid keys included
+    workload = dataclasses.replace(workload, quadrature={**workload.quadrature, "nu": 16, "nv": 16}, r_count=8)
+    out, path = tmp_path / "out", tmp_path / "run.cfg"
+    path.write_text(config_text(workload, 1, str(out)))
     modules = (cli, ball, energy, halfspace, quadrature, radial, surfaces, tables, wetted, wetted.WettedRegion)
     before = [dict(vars(m)) for m in modules]
+    argv = ["--config", str(path), "--work", str(tmp_path), "--pipeline", workload.name]
 
-    def outputs():
+    def run(*trace):
+        assert tracing.main(argv + list(trace)) == 0
         files = [*sorted(out.iterdir()), *sorted(tmp_path.glob("*.stdout"))]
-        return {p.name: p.read_bytes() for p in files}
+        report = json.loads((tmp_path / "inproc.json").read_text())
+        return report, {p.name: p.read_bytes() for p in files}
 
-    plain = tracing.run_pipeline(str(path), tmp_path, None)
-    plain_outputs = outputs()
-    tracer = tracing.Tracer("test")
-    with tracing.instrumented(tracer):
-        traced = tracing.run_pipeline(str(path), tmp_path, tracer)
-    assert [c["exit"] for c in traced] == [c["exit"] for c in plain]
-    assert outputs() == plain_outputs
+    plain, plain_outputs = run()
+    traced, traced_outputs = run("--trace")
+    assert [c["exit"] for c in traced["commands"]] == [c["exit"] for c in plain["commands"]]
+    assert traced_outputs == plain_outputs
     for name in ("wetted.BallRestrictedEta.objects", "radial.RadialPrefix.objects", "identity.calls"):
-        assert tracer.counts[name] > 0, name
+        assert traced["counts"][name] > 0, name
     # neither ambient builds a wetted grid: η is read from the curve
-    assert tracer.counts["wetted.grid.builds"] == 0
+    assert traced["counts"].get("wetted.grid.builds", 0) == 0
     for module, attrs in zip(modules, before):
         assert all(vars(module)[k] is v for k, v in attrs.items())
     assert halfspace.BallRestrictedEta is wetted.BallRestrictedEta

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from capmono import tables
+from capmono.cli import build_chart
 from capmono.errors import GeometryError, ImmersionError
 from capmono.geometry import Ambient
 from capmono.surfaces import (
@@ -83,6 +84,22 @@ def test_cap_ball_geometry(theta, alpha):
     assert np.max(np.linalg.norm(surface.points, axis=1)) <= 1.0 + 1e-8
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0, np.nan])
+def test_cap_radius_must_be_positive(radius):
+    # a NaN radius used to build a chart whose samples failed as non-finite
+    with pytest.raises(GeometryError, match="radius must be positive"):
+        spherical_cap_halfspace(np.pi / 2, radius)
+
+
+@pytest.mark.parametrize("name", sorted(tables.GENERATORS))
+def test_generator_table_builds_its_ambient(name):
+    ambient, _ = tables.GENERATORS[name]
+    cfg = tables.RunConfig(ambient=ambient, generator=name, theta=2 * np.pi / 3, colatitude=np.pi / 3)
+    chart = build_chart(tables.with_overrides(cfg))
+    assert chart.ambient.kind == ambient
+    assert chart.name == name
+
+
 def test_cap_ball_degenerates_to_disk():
     chart = spherical_cap_ball(np.pi / 2, np.pi / 2)
     assert chart.name == "flat-disk-ball"
@@ -154,15 +171,24 @@ def test_boundary_curvature_relation_ball(builder):
     assert np.max(np.abs(surface.boundary_kg - expected)) < 1e-6
 
 
-def test_finite_difference_matches_analytic():
-    chart = spherical_cap_halfspace(2 * np.pi / 3)
+@pytest.mark.parametrize(
+    "chart",
+    [
+        spherical_cap_halfspace(2 * np.pi / 3),
+        geodesic_disk_ball(np.pi / 3),
+        spherical_cap_ball(2 * np.pi / 3, np.pi / 3),
+        spherical_cap_ball(np.pi / 4, np.pi / 3),
+    ],
+    ids=["cap", "flat-disk-ball", "cap-ball-lower-pole", "cap-ball-upper-pole"],
+)
+def test_finite_difference_matches_analytic(chart):
     analytic = sample_chart(chart, 32, 32)
-    # without analytic frames, sampling takes the finite-difference path
-    fd_chart = replace(chart, normal=None, mean_curvature_vec=None, gauss_curvature=None, conormal=None)
-    fd = sample_chart(fd_chart, 32, 32)
+    # without analytic frames and conormal, sampling takes the finite-difference path
+    fd = sample_chart(replace(chart, frames=None, conormal=None), 32, 32)
     assert np.max(np.abs(fd.mean_curvature - analytic.mean_curvature)) < 1e-6
     assert np.max(np.abs(fd.normals - analytic.normals)) < 1e-9
     assert np.max(np.abs(fd.gauss_curvature - analytic.gauss_curvature)) < 1e-6
+    assert np.max(np.abs(fd.boundary_conormals - analytic.boundary_conormals)) < 1e-9
 
 
 def test_fd_willmore_second_order_convergence():
@@ -172,14 +198,7 @@ def test_fd_willmore_second_order_convergence():
     exact = cap_area(theta)
     errs = []
     for nu in (16, 32, 64):
-        chart = replace(
-            spherical_cap_halfspace(theta),
-            normal=None,
-            mean_curvature_vec=None,
-            gauss_curvature=None,
-            conormal=None,
-            fd_step=0.5 / nu,
-        )
+        chart = replace(spherical_cap_halfspace(theta), frames=None, conormal=None, fd_step=0.5 / nu)
         surface = sample_chart(chart, max(nu, 8), max(nu, 8))
         w = 0.25 * np.sum(np.sum(surface.mean_curvature**2, axis=1) * surface.weights)
         errs.append(abs(w - exact))
