@@ -1,7 +1,6 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
-import dataclasses
-import json
+import importlib.util
 import math
 import os
 import re
@@ -547,41 +546,43 @@ def test_one_terms_object_per_probe(tmp_path, monkeypatch, command, ambient, per
     assert len(built) == 2 * per_probe
 
 
+def _load_tracing():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.mark.parametrize("ambient", ["halfspace", "ball"])
-def test_benchmark_tracer_instruments_the_library(tmp_path, monkeypatch, ambient):
+def test_benchmark_tracer_instruments_the_library(tmp_path, ambient):
     # the benchmark's tracer patches library names (classes it subclasses,
-    # functions it wraps, the removed quadrature rules' placeholders); a
-    # rename or a new base class must not fail or blind a traced run, make
-    # it differ from an untraced one, nor leave a patch behind
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-    import tracing
-    from workloads import WORKLOADS, config_text
+    # functions it wraps); a rename or a new base class must not leave a
+    # traced run blind or different, nor a patch behind
+    from capmono import cli, energy, quadrature, radial, surfaces, tables
 
-    from capmono import cli, energy, quadrature, radial, surfaces
-
-    workload = WORKLOADS[f"{ambient}-cap"]
-    # the benchmark's config at 16 x 16, its removed grid keys included
-    workload = dataclasses.replace(workload, quadrature={**workload.quadrature, "nu": 16, "nv": 16}, r_count=8)
-    out, path = tmp_path / "out", tmp_path / "run.cfg"
-    path.write_text(config_text(workload, 1, str(out)))
+    tracing = _load_tracing()
+    out = tmp_path / "out"
+    path = tmp_path / "run.cfg"
+    path.write_text(_TINY.replace("OUT", str(out)) if ambient == "halfspace" else _ball_text(out, _TINY))
     modules = (cli, ball, energy, halfspace, quadrature, radial, surfaces, tables, wetted, wetted.WettedRegion)
     before = [dict(vars(m)) for m in modules]
-    argv = ["--config", str(path), "--work", str(tmp_path), "--pipeline", workload.name]
 
-    def run(*trace):
-        assert tracing.main(argv + list(trace)) == 0
+    def outputs():
         files = [*sorted(out.iterdir()), *sorted(tmp_path.glob("*.stdout"))]
-        report = json.loads((tmp_path / "inproc.json").read_text())
-        return report, {p.name: p.read_bytes() for p in files}
+        return {p.name: p.read_bytes() for p in files}
 
-    plain, plain_outputs = run()
-    traced, traced_outputs = run("--trace")
-    assert [c["exit"] for c in traced["commands"]] == [c["exit"] for c in plain["commands"]]
-    assert traced_outputs == plain_outputs
+    plain = tracing.run_pipeline(str(path), tmp_path, None)
+    plain_outputs = outputs()
+    tracer = tracing.Tracer("test")
+    with tracing.instrumented(tracer):
+        traced = tracing.run_pipeline(str(path), tmp_path, tracer)
+    assert [c["exit"] for c in traced] == [c["exit"] for c in plain]
+    assert outputs() == plain_outputs
     for name in ("wetted.BallRestrictedEta.objects", "radial.RadialPrefix.objects", "identity.calls"):
-        assert traced["counts"][name] > 0, name
+        assert tracer.counts[name] > 0, name
     # neither ambient builds a wetted grid: η is read from the curve
-    assert traced["counts"].get("wetted.grid.builds", 0) == 0
+    assert tracer.counts["wetted.grid.builds"] == 0
     for module, attrs in zip(modules, before):
         assert all(vars(module)[k] is v for k, v in attrs.items())
     assert halfspace.BallRestrictedEta is wetted.BallRestrictedEta

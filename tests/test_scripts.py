@@ -1,6 +1,8 @@
 """Smoke runs of the scripts at tiny resolution."""
 
 import csv
+import dataclasses
+import json
 import os
 import re
 import subprocess
@@ -109,3 +111,33 @@ def test_profile_diff_reports_each_column_and_refuses_other_layouts(tmp_path):
     assert _run_script("profile_diff.py", "a", "missing", cwd=tmp_path).returncode == 2
 
 
+@pytest.mark.parametrize("name", ["halfspace-cap", "ball-cap"])
+def test_benchmark_tracer_runs_traced_and_restores_every_name(tmp_path, monkeypatch, name):
+    # the tracer looks up every name it wraps, the removed quadrature rules'
+    # placeholders among them: deleting one fails every traced benchmark run
+    monkeypatch.syspath_prepend(str(SCRIPTS.parent / "perfbench"))
+    import tracing
+    from workloads import WORKLOADS, config_text
+
+    from capmono import cli, quadrature, surfaces, wetted
+
+    removed = ("sphere_mesh", "sphere_rule", "barycentric_subtriangles", "spherical_triangle_areas", "plane_grid")
+    placeholders = {attr: getattr(quadrature, attr) for attr in removed}
+    workload = WORKLOADS[name]
+    workload = dataclasses.replace(workload, quadrature={**workload.quadrature, "nu": 16, "nv": 16}, r_count=8)
+    reports = []
+    for traced in (False, True):
+        work = tmp_path / f"trace{int(traced)}"
+        work.mkdir()
+        config = work / "run.cfg"
+        config.write_text(config_text(workload, 1, str(work / "out")))
+        argv = ["--config", str(config), "--work", str(work), "--pipeline", name]
+        assert tracing.main(argv + ["--trace"] * traced) == 0
+        reports.append(json.loads((work / "inproc.json").read_text()))
+    plain, traced = reports
+    assert [c["exit"] for c in traced["commands"]] == [c["exit"] for c in plain["commands"]]
+    assert traced["counts"]["identity.calls"] > 0
+    assert cli.sample_chart is surfaces.sample_chart
+    assert surfaces.gauss_legendre is quadrature.gauss_legendre and surfaces.tensor_rule is quadrature.tensor_rule
+    assert {attr: getattr(quadrature, attr) for attr in removed} == placeholders
+    assert wetted.plane_grid is wetted.sphere_mesh is wetted.sphere_rule is placeholders["sphere_rule"]
