@@ -4,18 +4,19 @@
 ``tables.MAX_NU_NV`` bounds the chart resolutions so that a single run's
 peak memory stays under about 1 GB.  For each workload this script takes
 its benchmark config (``perfbench/workloads.py``, imported, not edited),
-raises ``nu`` and ``nv`` to the bound, runs ``generate`` and then
-``energy`` and ``monotonicity`` through the ``capmono`` command line of
-this checkout, one process at a time, and prints each measured command's
-exit code, peak RSS (``os.wait4``) and wall time:
+raises ``nu`` and ``nv`` to the bound, runs ``generate``, ``energy`` and
+``monotonicity`` through the ``capmono`` command line of this checkout,
+one process at a time, and prints each command's exit code, peak RSS
+(``os.wait4``) and wall time:
 
     python3 scripts/memory_bounds.py --seed 1
 
 The cases are ``probe-sweep``, ``ball-cap`` and ``halfspace-cap`` at the
 largest ``nu = nv``.  ``--nu-nv`` overrides the resolution (a tiny
-override makes a smoke run).  The script exits 1 when a command crashes
-or rejects its config (an exit code other than 0 or 1: a verdict of 1 is
-still a finished run), else 0.
+override makes a smoke run).  A case whose ``generate`` fails skips its
+other commands.  The script exits 1 when a command crashes or rejects its
+config (an exit code other than 0 or 1: a verdict of 1 is still a
+finished run; ``generate`` has no verdict, so it must exit 0), else 0.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from capmono import tables  # noqa: E402
 from workloads import WORKLOADS, config_text  # noqa: E402
 
-MEASURED = ("energy", "monotonicity")
+MEASURED = ("generate", "energy", "monotonicity")
 
 
 def cases(nu_nv: int) -> list[tuple[str, dict]]:
@@ -76,15 +77,13 @@ def main(argv=None) -> int:
             config = Path(tmp) / f"case{i}.cfg"
             config.write_text(config_text(workload, args.seed, str(Path(tmp) / f"out{i}")))
             setting = " ".join(f"{key}={value}" for key, value in override.items())
-            code, _, _ = run("generate", config)
-            if code != 0:
-                print(f"{name} {setting} generate: exit {code}")
-                failed = True
-                continue
             for command in MEASURED:
                 code, seconds, peak = run(command, config)
-                failed |= code not in (0, 1)
                 print(f"{name} {setting} {command}: exit {code}, peak RSS {peak:.1f} MB, {seconds:.2f} s")
+                if command == "generate" and code != 0:
+                    failed = True
+                    break
+                failed |= code not in (0, 1)
     return 1 if failed else 0
 
 

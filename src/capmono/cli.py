@@ -147,18 +147,20 @@ def cmd_monotonicity(run: Run) -> int:
     cfg = run.cfg
     grid = np.linspace(cfg.r_min, cfg.r_max, cfg.r_count)
     # gate on raw two-radius residuals: at equality-case probes every
-    # identity term vanishes and term-normalized ratios turn into 0/0 noise
-    results = [run.check(probe, grid) for probe in run.probes]
-    profiles = [prof for prof, _ in results]
-    residuals = [res for _, probe_residuals in results for res in probe_residuals]
+    # identity term vanishes and term-normalized ratios turn into 0/0 noise.
+    # Each profile is written as soon as its probe finishes and then
+    # dropped, so the memory held does not grow with the probes
+    violations, residuals, finite = [], [], True
+    for i, probe in enumerate(run.probes):
+        prof, probe_residuals = run.check(probe, grid)
+        finite &= bool(np.all(np.isfinite(tables.profile_csv(prof, run.out / f"profile_{i:03d}.csv"))))
+        violations.append(prof.min_forward_difference())
+        residuals += probe_residuals
     worst_residual = _worst(np.abs(residuals))
     run.companion.save(residuals)
-    finite = True
-    for i, prof in enumerate(profiles):
-        finite &= bool(np.all(np.isfinite(tables.profile_csv(prof, run.out / f"profile_{i:03d}.csv"))))
-    worst_violation = float(np.min([0.0, *(prof.min_forward_difference() for prof in profiles)]))
+    worst_violation = float(np.min([0.0, *violations]))
     print(
-        f"{len(profiles)} profiles: worst monotonicity violation {_G % worst_violation}, "
+        f"{len(violations)} profiles: worst monotonicity violation {_G % worst_violation}, "
         f"worst identity residual {_G % worst_residual}"
     )
     if not _passes(worst_residual, cfg.tolerance):

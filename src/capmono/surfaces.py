@@ -193,25 +193,38 @@ class SampledSurface:
 # -- chart frames and curvatures --------------------------------------------
 
 
-def _second_partials(chart: ParametricChart, u: np.ndarray, v: np.ndarray):
+def _axis_points(chart: ParametricChart, u: np.ndarray, v: np.ndarray):
+    """The chart at the nodes' four axis neighbours, evaluated one at a time:
+    at (u + h, v), (u - h, v), (u, v + h) and (u, v - h)."""
     h = chart.fd_step
-    f0 = chart.f(u, v)
-    fuu = (chart.f(u + h, v) - 2 * f0 + chart.f(u - h, v)) / h**2
-    fvv = (chart.f(u, v + h) - 2 * f0 + chart.f(u, v - h)) / h**2
-    fuv = (
+    yield chart.f(u + h, v)
+    yield chart.f(u - h, v)
+    yield chart.f(u, v + h)
+    yield chart.f(u, v - h)
+
+
+def _mixed_partial(chart: ParametricChart, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The mixed second partial by central differences of the four diagonal neighbours."""
+    h = chart.fd_step
+    return (
         chart.f(u + h, v + h)
         - chart.f(u + h, v - h)
         - chart.f(u - h, v + h)
         + chart.f(u - h, v - h)
     ) / (4 * h**2)
-    return fuu, fuv, fvv
 
 
-def _frames(chart: ParametricChart, u: np.ndarray, v: np.ndarray):
-    """First partials by central differences, first fundamental form and its determinant."""
+def _frames(chart: ParametricChart, u: np.ndarray, v: np.ndarray, axis):
+    """First partials by central differences, first fundamental form and its determinant.
+
+    ``axis`` yields the chart at the four axis neighbours in the order of
+    ``_axis_points``; fed by that generator, the differences hold only two
+    of them at a time.
+    """
     h = chart.fd_step
-    fu = (chart.f(u + h, v) - chart.f(u - h, v)) / (2 * h)
-    fv = (chart.f(u, v + h) - chart.f(u, v - h)) / (2 * h)
+    points = iter(axis)
+    fu = (next(points) - next(points)) / (2 * h)
+    fv = (next(points) - next(points)) / (2 * h)
     E = np.sum(fu * fu, axis=-1)
     F = np.sum(fu * fv, axis=-1)
     G = np.sum(fv * fv, axis=-1)
@@ -223,15 +236,33 @@ def _frames(chart: ParametricChart, u: np.ndarray, v: np.ndarray):
 
 
 def _curvatures(chart: ParametricChart, u: np.ndarray, v: np.ndarray):
-    """Unit normal, mean curvature vector, Gauss curvature, |traceless II|^2 and det g at nodes."""
-    fu, fv, E, F, G, det = _frames(chart, u, v)
+    """Points, unit normal, mean curvature vector, Gauss curvature, |traceless II|^2 and det g at nodes.
+
+    The chart is evaluated once at each point: on the difference path the
+    four axis neighbours serve both the first and the pure second partials,
+    and the points at the nodes the second partials too, so a node set
+    takes nine evaluations: four diagonal, four axis and one at the nodes.
+    """
     if chart.frames is not None:
+        *_, det = _frames(chart, u, v, _axis_points(chart, u, v))
         nu_vec, h_vec, k_gauss = chart.frames(u, v)
         h_scalar = np.sum(h_vec * nu_vec, axis=-1)
+        pts = chart.f(u, v)
     else:
+        # each point is evaluated once, in the order that holds the fewest
+        # arrays at a time: the diagonal neighbours, the axis neighbours
+        # (for the first and then the pure second partials), the nodes
+        fuv = _mixed_partial(chart, u, v)
+        fup, fum, fvp, fvm = _axis_points(chart, u, v)
+        fu, fv, E, F, G, det = _frames(chart, u, v, (fup, fum, fvp, fvm))
         nu_vec = np.cross(fu, fv)
         nu_vec = nu_vec / np.linalg.norm(nu_vec, axis=-1, keepdims=True)
-        fuu, fuv, fvv = _second_partials(chart, u, v)
+        del fu, fv
+        pts = chart.f(u, v)
+        h = chart.fd_step
+        fuu = (fup - 2 * pts + fum) / h**2
+        fvv = (fvp - 2 * pts + fvm) / h**2
+        del fup, fum, fvp, fvm
         e = np.sum(fuu * nu_vec, axis=-1)
         f2 = np.sum(fuv * nu_vec, axis=-1)
         g2 = np.sum(fvv * nu_vec, axis=-1)
@@ -239,7 +270,7 @@ def _curvatures(chart: ParametricChart, u: np.ndarray, v: np.ndarray):
         k_gauss = (e * g2 - f2 * f2) / det
         h_vec = h_scalar[..., None] * nu_vec
     traceless = np.maximum(h_scalar**2 - 4.0 * k_gauss, 0.0) / 2.0
-    return nu_vec, h_vec, k_gauss, traceless, det
+    return pts, nu_vec, h_vec, k_gauss, traceless, det
 
 
 # -- boundary machinery ------------------------------------------------------
@@ -249,7 +280,7 @@ def _boundary_frame_polar(chart: ParametricChart, t: np.ndarray):
     """Point, unit tangent, outward conormal, speed |dF/dt| at u = 1."""
     u, v = np.ones_like(t), t
     pts = chart.f(u, v)
-    fu, fv, *_ = _frames(chart, u, v)
+    fu, fv, *_ = _frames(chart, u, v, _axis_points(chart, u, v))
     speed = np.linalg.norm(fv, axis=-1)
     tau = fv / speed[..., None]
     if chart.conormal is not None:
@@ -300,8 +331,7 @@ def sample_chart(chart: ParametricChart, nu: int, nv: int) -> SampledSurface:
         raise ValueError("need nu, nv >= 8")
     u, v, w = tensor_rule(nu, nv, (0.0, 1.0), (0.0, 2.0 * np.pi))
 
-    nu_vec, h_vec, k_gauss, traceless, det = _curvatures(chart, u, v)
-    pts = chart.f(u, v)
+    pts, nu_vec, h_vec, k_gauss, traceless, det = _curvatures(chart, u, v)
     weights = np.sqrt(det) * w
 
     t, wt = gauss_legendre(nv, 0.0, 2.0 * np.pi)

@@ -3,9 +3,12 @@ profile CSV exports, energy-report JSON, and the run-configuration reader.
 
 Tables are whitespace-separated with one sample per row and a commented
 header carrying metadata; floats are printed with 17 significant digits so
-round trips are lossless.  CSV files use '.' decimals, ',' separators, LF
-line endings and 12 significant digits.  The curve table ``curve.tsv`` is
-written for other tools: no command reads it, and it has no companion.
+round trips are lossless.  A table is written straight from its 1-D
+column arrays, ``_SAVE_BLOCK`` rows at a time through one reused buffer,
+so no stacked copy of the samples is ever made.  CSV files use '.'
+decimals, ',' separators, LF line endings and 12 significant digits.  The
+curve table ``curve.tsv`` is written for other tools: no command reads
+it, and it has no companion.
 
 The surface and boundary tables ``name.tsv`` each get a binary companion
 ``name.bin``, and an output directory gets a pair residuals companion
@@ -59,8 +62,11 @@ from .wetted import OrientedCurve
 
 _FULL = "%.17g"
 _CSV = "%.12g"
-# rows formatted per write of a sample table
-_SAVE_BLOCK = 4096
+# rows formatted per write of a sample table.  On the probe-sweep surface
+# (a 192 x 192 cap) the writer's tracemalloc transient is 0.34 MB at 256
+# rows, 0.66 MB at 512 and 5.0 MB at 4096, at the same write time within
+# the noise (0.21 to 0.25 s on a shared 2-core x86-64 machine)
+_SAVE_BLOCK = 256
 # bytes of a table text read per block while its checksum is taken
 _READ_BLOCK = 1 << 16
 # rows of a table text parsed per block when its companion misses
@@ -83,11 +89,12 @@ CURVE_COLUMNS = "x1 x2 x3 t1 t2 t3 weight"
 # scripts/memory_bounds.py: 452 MB on ball-cap, 382 MB and 381 MB on
 # halfspace-cap and probe-sweep, all at nu = nv = 1000)
 MAX_NU_NV = 1000
-# the most radii a monotonicity profile may take.  Every probe keeps its
-# profile, about 80 bytes a radius; at both bounds a monotonicity run on the
-# benchmark configs peaks at 511 MB on ball-cap, 492 MB on probe-sweep (16
-# probes) and 427 MB on halfspace-cap (os.wait4, one run each, nu = nv =
-# 1000 and r_count = 100000)
+# the most radii a monotonicity profile may take.  A profile takes about 80
+# bytes a radius, and the profiles held do not grow with the probes; at both
+# bounds a monotonicity
+# run on the benchmark configs peaks at 500 MB on ball-cap, 421 MB on
+# probe-sweep (16 probes) and 416 MB on halfspace-cap (os.wait4, one run
+# each, nu = nv = 1000 and r_count = 100000)
 MAX_R_COUNT = 100_000
 
 # each generator: the ambient of the surface it builds, and its chart from a config
@@ -191,21 +198,27 @@ def _table_key(width: int, length: int, crc: int) -> bytes:
     return struct.pack("<QQI", width, length, crc)
 
 
-def _write_rows(path, header: list[str], rows: np.ndarray) -> tuple[int, int]:
-    """Write the header lines and the rows, as ``np.savetxt(fmt="%.17g")`` does;
-    return the text's ``_text_sum``.
+def _write_rows(path, header: list[str], columns) -> tuple[int, int]:
+    """Write the header lines and one row per sample of the 1-D ``columns``,
+    as ``np.savetxt(fmt="%.17g")`` prints their stacked rows; return the
+    text's ``_text_sum``.
 
-    Rows go out in blocks of ``_SAVE_BLOCK``, each formatted by one ``%``
-    on its flattened values, instead of one ``%`` per row; the blocks keep
-    the temporaries bounded.  The text's length and CRC are taken from the
-    blocks as they are written.
+    The rows are never stacked whole: ``_SAVE_BLOCK`` of them at a time are
+    copied from the columns into one (``_SAVE_BLOCK``, K) buffer that every
+    block reuses, and each block is formatted by one ``%`` on its flattened
+    values.  The text's length and CRC are taken from the blocks as they are
+    written.
     """
-    row = " ".join([_FULL] * rows.shape[1]) + "\n"
+    n = len(columns[0]) if len(columns) else 0
+    row = " ".join([_FULL] * len(columns)) + "\n"
+    buf = np.empty((min(n, _SAVE_BLOCK), len(columns)))
 
     def texts():
         yield "".join(f"# {line}\n" for line in header)
-        for start in range(0, len(rows), _SAVE_BLOCK):
-            block = rows[start : start + _SAVE_BLOCK]
+        for start in range(0, n, _SAVE_BLOCK):
+            block = buf[: min(n - start, _SAVE_BLOCK)]
+            for j, column in enumerate(columns):
+                block[:, j] = column[start : start + len(block)]
             yield row * len(block) % tuple(block.ravel().tolist())
 
     length, crc = 0, 0
@@ -218,14 +231,15 @@ def _write_rows(path, header: list[str], rows: np.ndarray) -> tuple[int, int]:
     return length, crc
 
 
-def _save_table(path, header: list[str], rows: np.ndarray) -> None:
-    """Write the table (see ``_write_rows``) and its binary companion, the
-    companion's body one column at a time."""
-    length, crc = _write_rows(path, header, rows)
+def _save_table(path, header: list[str], columns) -> None:
+    """Write the table of the 1-D ``columns`` (see ``_write_rows``) and its
+    binary companion, whose body is the same columns, one at a time."""
+    length, crc = _write_rows(path, header, columns)
     companion = _companion_path(path)
     if companion is not None:
-        columns = (np.ascontiguousarray(column, dtype=_BODY) for column in rows.T)
-        _write_companion(companion, _table_key(rows.shape[1], length, crc), rows.size, columns)
+        body = (np.ascontiguousarray(column, dtype=_BODY) for column in columns)
+        count = sum(len(column) for column in columns)
+        _write_companion(companion, _table_key(len(columns), length, crc), count, body)
 
 
 def _companion_columns(path, text_sum: tuple[int, int], width: int) -> np.ndarray | None:
@@ -363,38 +377,34 @@ class ResidualCompanion:
 
 def save_surface(surface: SampledSurface, path) -> None:
     """Write the interior sample table (one sample per row)."""
-    rows = np.column_stack(
-        [
-            surface.points,
-            surface.weights,
-            surface.normals,
-            surface.mean_curvature,
-            surface.gauss_curvature,
-            surface.traceless_sq,
-        ]
-    )
+    columns = [
+        *surface.points.T,
+        surface.weights,
+        *surface.normals.T,
+        *surface.mean_curvature.T,
+        surface.gauss_curvature,
+        surface.traceless_sq,
+    ]
     header = [
         "capmono surface table v1",
         f"ambient={surface.ambient.kind} theta={_FULL % surface.theta} "
         f"chi={surface.euler_characteristic} generator={surface.metadata.get('generator', '?')}",
         f"columns: {SURFACE_COLUMNS}",
     ]
-    _save_table(path, header, rows)
+    _save_table(path, header, columns)
 
 
 def save_boundary(surface: SampledSurface, path) -> None:
     """Write the boundary sample table (frame, weights and curvatures)."""
-    rows = np.column_stack(
-        [
-            surface.boundary_points,
-            surface.boundary_tangents,
-            surface.boundary_conormals,
-            surface.boundary_weights,
-            surface.boundary_kg,
-            surface.boundary_kg_wetting,
-        ]
-    )
-    _save_table(path, ["capmono boundary table v1", f"columns: {BOUNDARY_COLUMNS}"], rows)
+    columns = [
+        *surface.boundary_points.T,
+        *surface.boundary_tangents.T,
+        *surface.boundary_conormals.T,
+        surface.boundary_weights,
+        surface.boundary_kg,
+        surface.boundary_kg_wetting,
+    ]
+    _save_table(path, ["capmono boundary table v1", f"columns: {BOUNDARY_COLUMNS}"], columns)
 
 
 def load_surface(surface_path, boundary_path) -> SampledSurface:
@@ -438,10 +448,10 @@ def load_surface(surface_path, boundary_path) -> SampledSurface:
 
 def save_curve(curve: OrientedCurve, path) -> None:
     """Write the boundary curve table; it has no reader, so it gets no companion."""
-    rows = np.column_stack([curve.points, curve.tangents, curve.weights])
+    columns = [*curve.points.T, *curve.tangents.T, curve.weights]
     # every curve the program builds is closed, as the header states
     header = ["capmono curve table v1", "closed=1", f"columns: {CURVE_COLUMNS}"]
-    _write_rows(path, header, rows)
+    _write_rows(path, header, columns)
 
 
 # -- profile CSV ----------------------------------------------------------------

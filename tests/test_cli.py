@@ -69,6 +69,40 @@ def test_generate_writes_tables(cfg_path, capsys):
     assert not (out / "curve.bin").exists()
 
 
+def test_monotonicity_memory_does_not_grow_with_the_probes(tmp_path):
+    # each profile is written as soon as its probe finishes and then
+    # dropped, so the peak barely moves from 2 probes to 8 (by 0.02 MB).
+    # Keeping every profile to the end grew it by 0.14 MB a probe here,
+    # seven float arrays of 2,500 radii; few radii keep the traced CSV
+    # writing short
+    import tracemalloc
+
+    from capmono.cli import Run, cmd_monotonicity
+
+    stations = [(0.1 * i, 0.05, 0.4 + 0.05 * i) for i in range(8)]
+    peaks = {}
+    for count in (2, 8):
+        out = tmp_path / f"out{count}"
+        points = "".join(f"point = {x},{y},{z}\n" for x, y, z in stations[:count])
+        text = BASE.replace("OUT", str(out)).replace("nu = 64\nnv = 64", "nu = 16\nnv = 16")
+        text = text.replace("r_count = 16", "r_count = 2500")
+        text = re.sub(r"(?m)^point = .*\n", "", text).replace("[probes]\n", "[probes]\n" + points)
+        path = tmp_path / f"run{count}.cfg"
+        path.write_text(text)
+        assert main(["generate", "--config", str(path)]) == 0
+        run = Run(tables.load_config(path), out)
+        # the surface and its region are built before the trace starts
+        run.surface, run.region
+        tracemalloc.start()
+        try:
+            assert cmd_monotonicity(run) in (0, 1)
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(p.name for p in out.glob("profile_*.csv"))[-1] == f"profile_{count - 1:03d}.csv"
+    assert peaks[8] - peaks[2] < 0.2e6
+
+
 def test_energy_requires_generated_surface(cfg_path, capsys):
     path, _ = cfg_path
     assert main(["energy", "--config", str(path)]) == 2

@@ -61,7 +61,8 @@ def test_memory_bounds_reports_every_measured_command(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     settings = ["probe-sweep nu=8 nv=8", "ball-cap nu=8 nv=8", "halfspace-cap nu=8 nv=8"]
-    expect = [f"{setting} {command}:" for setting in settings for command in ("energy", "monotonicity")]
+    commands = ("generate", "energy", "monotonicity")
+    expect = [f"{setting} {command}:" for setting in settings for command in commands]
     assert [line.split(": ")[0] + ":" for line in lines] == expect
     for line in lines:
         peak, seconds = re.fullmatch(r".*: exit [01], peak RSS ([0-9.]+) MB, ([0-9.]+) s", line).groups()

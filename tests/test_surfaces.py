@@ -206,6 +206,22 @@ def test_fd_willmore_second_order_convergence():
     assert errs[1] / errs[2] >= 3.0
 
 
+def test_fd_sampling_evaluates_each_node_point_once():
+    # the difference path evaluates the chart at the nodes, their four axis
+    # neighbours and their four diagonal neighbours, each once; the
+    # boundary is sampled on arrays of another size
+    chart = perturb_chart(spherical_cap_halfspace(2 * np.pi / 3, 1), 0.05, 3)
+    sizes = []
+
+    def f(u, v):
+        sizes.append(np.size(u))
+        return chart.f(u, v)
+
+    counted = sample_chart(replace(chart, f=f), 16, 16)
+    assert sizes.count(16 * 16) == 9
+    assert counted.mean_curvature.tobytes() == sample_chart(chart, 16, 16).mean_curvature.tobytes()
+
+
 def test_perturbation_zero_amplitude_is_same_object():
     chart = spherical_cap_halfspace(np.pi / 2)
     assert perturb_chart(chart, 0.0, 3) is chart

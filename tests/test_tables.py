@@ -56,20 +56,95 @@ def test_curve_roundtrip(stock, tmp_path):
 _EXTREMES = np.array([0.0, -0.0, 5e-324, -5e-324, 1.8e308, -1.8e308, np.inf, -np.inf])
 
 
-@pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097, 9000])
+_COUNTS = [
+    pytest.param(0, id="0"),
+    pytest.param(1, id="1"),
+    pytest.param(tables._SAVE_BLOCK - 1, id="block-1"),
+    pytest.param(tables._SAVE_BLOCK, id="block"),
+    pytest.param(tables._SAVE_BLOCK + 1, id="block+1"),
+    pytest.param(9000, id="9000"),
+]
+
+
+def _savetxt_bytes(path, header, rows):
+    """The bytes np.savetxt(fmt="%.17g") writes for the rows below the header lines."""
+    with path.open("w", newline="\n") as fh:
+        fh.write("".join(f"# {line}\n" for line in header))
+        np.savetxt(fh, rows, fmt="%.17g")
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("count", _COUNTS)
 def test_table_rows_match_savetxt(tmp_path, count):
-    # the blocked writer prints the bytes np.savetxt(fmt="%.17g") prints,
-    # on both sides of every block boundary
+    # the blocked writer prints the bytes np.savetxt(fmt="%.17g") prints
+    # for the stacked columns, on both sides of every block boundary, and
+    # the companion holds the columns, contiguous.  The columns are strided
+    # views, the columns of C-ordered rows
     rng = np.random.default_rng(count)
     rows = rng.standard_normal((count, 12)) * 10.0 ** rng.integers(-300, 300, (count, 12))
     extreme = rng.random((count, 12)) < 0.5
     rows[extreme] = rng.choice(_EXTREMES, int(extreme.sum()))
     path = tmp_path / "t.tsv"
-    tables._save_table(path, ["head", "columns: a b"], rows)
-    with (tmp_path / "ref.tsv").open("w", newline="\n") as fh:
-        fh.write("# head\n# columns: a b\n")
-        np.savetxt(fh, rows, fmt="%.17g")
-    assert path.read_bytes() == (tmp_path / "ref.tsv").read_bytes()
+    tables._save_table(path, ["head", "columns: a b"], list(rows.T))
+    assert path.read_bytes() == _savetxt_bytes(tmp_path / "ref.tsv", ["head", "columns: a b"], rows)
+    if count:
+        got = tables._companion_columns(path, tables._text_sum(path), 12)
+        assert got.tobytes() == np.ascontiguousarray(rows.T).tobytes()
+
+
+def test_sample_tables_match_savetxt_of_the_stacked_columns(stock, tmp_path):
+    # each table is the surface's or the curve's columns, side by side, as
+    # np.savetxt prints them stacked
+    surface, _ = stock.cap(2 * np.pi / 3)
+    curve = curve_from_boundary(surface)
+    stacks = {
+        "surface": np.column_stack(
+            [
+                surface.points,
+                surface.weights,
+                surface.normals,
+                surface.mean_curvature,
+                surface.gauss_curvature,
+                surface.traceless_sq,
+            ]
+        ),
+        "boundary": np.column_stack(
+            [
+                surface.boundary_points,
+                surface.boundary_tangents,
+                surface.boundary_conormals,
+                surface.boundary_weights,
+                surface.boundary_kg,
+                surface.boundary_kg_wetting,
+            ]
+        ),
+        "curve": np.column_stack([curve.points, curve.tangents, curve.weights]),
+    }
+    tables.save_surface(surface, tmp_path / "surface.tsv")
+    tables.save_boundary(surface, tmp_path / "boundary.tsv")
+    tables.save_curve(curve, tmp_path / "curve.tsv")
+    for name, rows in stacks.items():
+        path = tmp_path / f"{name}.tsv"
+        header = [line[2:] for line in path.read_text().splitlines() if line.startswith("#")]
+        assert path.read_bytes() == _savetxt_bytes(tmp_path / f"{name}.ref", header, rows), name
+
+
+def test_save_surface_never_stacks_the_samples(tmp_path):
+    # the table is written from the surface's own columns through one
+    # reused block, so save_surface allocates under a tenth of the
+    # table's float bytes; stacking the columns first took more than all
+    # of them.  On a 256 x 256 cap (6.3 MB of floats) with numpy 2.4 it
+    # allocates 0.34 MB
+    import tracemalloc
+
+    surface = sample_chart(spherical_cap_halfspace(2 * np.pi / 3), 256, 256)
+    tracemalloc.start()
+    try:
+        tables.save_surface(surface, tmp_path / "surface.tsv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * 12 * 8 * len(surface.points)
 
 
 @pytest.mark.parametrize("tail", ["", "\n", "\n\n   \n", "\n# a comment\n\t\n"])
@@ -163,7 +238,7 @@ def test_companion_columns_equal_parsed_text(table):
     columns = " ".join(f"c{j}" for j in range(rows.shape[1]))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.tsv"
-        tables._save_table(path, ["head", f"columns: {columns}"], rows)
+        tables._save_table(path, ["head", f"columns: {columns}"], rows.T)
         assert tables._companion_columns(path, tables._text_sum(path), rows.shape[1]) is not None
         _, fast, _ = tables._load_table(path, columns)
         path.with_suffix(".bin").unlink()
@@ -178,7 +253,7 @@ def test_edited_table_is_read_from_its_text(tmp_path):
     # one digit changed at the same length: the companion no longer
     # matches the text, which is what gets read
     path = tmp_path / "t.tsv"
-    tables._save_table(path, ["columns: a b"], np.array([[0.125, 1.5], [2.25, -3.0]]))
+    tables._save_table(path, ["columns: a b"], np.array([[0.125, 2.25], [1.5, -3.0]]))
     text = path.read_text()
     path.write_text(text.replace("0.125", "0.625", 1))
     assert path.stat().st_size == len(text)
@@ -251,7 +326,7 @@ def test_bad_companion_falls_back_to_the_text(stock, tmp_path, corruption):
 def test_companion_of_a_table_without_the_tsv_suffix(tmp_path):
     # a table named *.bin has no companion: it would overwrite the table
     path = tmp_path / "t.bin"
-    tables._save_table(path, ["columns: a"], np.array([[1.5], [2.5]]))
+    tables._save_table(path, ["columns: a"], np.array([[1.5, 2.5]]))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t.bin"]
     assert tables._load_table(path, "a")[1].tolist() == [[1.5, 2.5]]
 
@@ -260,7 +335,7 @@ def test_companion_of_a_table_without_the_tsv_suffix(tmp_path):
 def test_non_finite_table_with_its_companion_is_refused(tmp_path, value):
     # the finiteness check runs on the companion's columns as on the text's
     path = tmp_path / "t.tsv"
-    tables._save_table(path, ["columns: a b"], np.array([[0.5, 1.0], [float(value), 2.0]]))
+    tables._save_table(path, ["columns: a b"], np.array([[0.5, float(value)], [1.0, 2.0]]))
     assert tables._companion_columns(path, tables._text_sum(path), 2) is not None
     with pytest.raises(ConfigError, match="t.tsv: a table entry is not finite"):
         tables._load_table(path, "a b")
@@ -272,7 +347,7 @@ def test_non_finite_table_with_its_companion_is_refused(tmp_path, value):
 def test_companion_errors_match_the_text(tmp_path):
     # a table read against the wrong column names fails as its text would
     path = tmp_path / "t.tsv"
-    tables._save_table(path, ["columns: a b c d e f g"], np.arange(128.0 * 7).reshape(128, 7))
+    tables._save_table(path, ["columns: a b c d e f g"], np.arange(128.0 * 7).reshape(128, 7).T)
     with pytest.raises(ConfigError) as fast:
         tables._load_table(path, tables.SURFACE_COLUMNS)
     path.with_suffix(".bin").unlink()
