@@ -153,7 +153,7 @@ def cmd_monotonicity(run: Run) -> int:
     violations, residuals, finite = [], [], True
     for i, probe in enumerate(run.probes):
         prof, probe_residuals = run.check(probe, grid)
-        finite &= bool(np.all(np.isfinite(tables.profile_csv(prof, run.out / f"profile_{i:03d}.csv"))))
+        finite &= all(np.isfinite(c).all() for c in tables.profile_csv(prof, run.out / f"profile_{i:03d}.csv"))
         violations.append(prof.min_forward_difference())
         residuals += probe_residuals
     worst_residual = _worst(np.abs(residuals))

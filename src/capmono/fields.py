@@ -46,7 +46,7 @@ class TestVectorField:
         """Max |X . n_wetting| over a deterministic sample of the wetting surface."""
         rng = np.random.default_rng(20240901)
         if ambient.kind == HALFSPACE:
-            pts = np.column_stack([rng.uniform(-3, 3, 2000), rng.uniform(-3, 3, 2000), np.zeros(2000)])
+            pts = np.stack([rng.uniform(-3, 3, 2000), rng.uniform(-3, 3, 2000), np.zeros(2000)], axis=1)
             return float(np.max(np.abs(self(pts)[:, 2])))
         pts = rng.standard_normal((2000, 3))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)

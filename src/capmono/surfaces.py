@@ -57,6 +57,18 @@ class ParametricChart:
     params: dict = field(default_factory=dict)
 
 
+# the sample tables' layouts: each SampledSurface field in table order and the
+# names of its columns, by which the tables are written and read back
+SURFACE_LAYOUT = (
+    ("points", "x1 x2 x3"), ("weights", "weight"), ("normals", "nu1 nu2 nu3"),
+    ("mean_curvature", "H1 H2 H3"), ("gauss_curvature", "K"), ("traceless_sq", "Aring2"),
+)
+BOUNDARY_LAYOUT = (
+    ("boundary_points", "x1 x2 x3"), ("boundary_tangents", "t1 t2 t3"), ("boundary_conormals", "c1 c2 c3"),
+    ("boundary_weights", "arcweight"), ("boundary_kg", "kg"), ("boundary_kg_wetting", "kg_wetting"),
+)
+
+
 class SampledSurface:
     """Immutable quadrature representation of an immersed capillary surface.
 
@@ -148,20 +160,7 @@ class SampledSurface:
     # -- consistency --------------------------------------------------------
 
     def _validate(self):
-        arrays = (
-            self.points,
-            self.weights,
-            self.normals,
-            self.mean_curvature,
-            self.gauss_curvature,
-            self.traceless_sq,
-            self.boundary_points,
-            self.boundary_tangents,
-            self.boundary_conormals,
-            self.boundary_weights,
-            self.boundary_kg,
-            self.boundary_kg_wetting,
-        )
+        arrays = [getattr(self, name) for name, _ in SURFACE_LAYOUT + BOUNDARY_LAYOUT]
         # every check below is a comparison, which a NaN passes; min and max
         # carry any NaN or infinity, without a full-size temporary
         if any(arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())) for arr in arrays):

@@ -3,12 +3,14 @@ profile CSV exports, energy-report JSON, and the run-configuration reader.
 
 Tables are whitespace-separated with one sample per row and a commented
 header carrying metadata; floats are printed with 17 significant digits so
-round trips are lossless.  A table is written straight from its 1-D
-column arrays, ``_SAVE_BLOCK`` rows at a time through one reused buffer,
-so no stacked copy of the samples is ever made.  CSV files use '.'
-decimals, ',' separators, LF line endings and 12 significant digits.  The
-curve table ``curve.tsv`` is written for other tools: no command reads
-it, and it has no companion.
+round trips are lossless.  CSV files use '.' decimals, ',' separators, LF
+line endings and 12 significant digits.  Each table's columns are stated
+once, as a layout of (field, column names) that gives the columns written,
+the header and the fields read back (``surfaces.SURFACE_LAYOUT`` and the
+layouts below).  ``_write_rows`` writes every table and CSV from its 1-D
+columns in reused blocks, and every file goes to a temporary that then
+replaces it whole (``_replacing``).  The curve table ``curve.tsv`` is
+written for other tools: no command reads it, and it has no companion.
 
 The surface and boundary tables ``name.tsv`` each get a binary companion
 ``name.bin``, and an output directory gets a pair residuals companion
@@ -36,6 +38,7 @@ misses the residuals.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import itertools
 import json
@@ -52,6 +55,8 @@ import numpy as np
 from .errors import ConfigError
 from .geometry import BALL, HALFSPACE, Ambient
 from .surfaces import (
+    BOUNDARY_LAYOUT,
+    SURFACE_LAYOUT,
     SampledSurface,
     contact_angle_residual,
     geodesic_disk_ball,
@@ -80,21 +85,28 @@ PAIR_RESIDUALS = "pair_residuals.bin"
 # the directory whose *.py files the source stamp covers
 _SOURCES = Path(__file__).parent
 
-SURFACE_COLUMNS = "x1 x2 x3 weight nu1 nu2 nu3 H1 H2 H3 K Aring2"
-BOUNDARY_COLUMNS = "x1 x2 x3 t1 t2 t3 c1 c2 c3 arcweight kg kg_wetting"
-CURVE_COLUMNS = "x1 x2 x3 t1 t2 t3 weight"
+# the curve table's and the profile CSVs' layouts; a ball profile's rows
+# also end with its branch name
+_CURVE_LAYOUT = (("points", "x1 x2 x3"), ("tangents", "t1 t2 t3"), ("weights", "weight"))
+_HALFSPACE_PROFILE = (
+    ("r_grid", "r"), ("g", "g"), ("g_hat", "gHat"), ("big_g", "G"),
+    ("remainder", "R"), ("deficit", "deficit"), ("residual", "residual"),
+)
+_BALL_PROFILE = (
+    ("r_grid", "r"), ("g", "gTheta"), ("g_hat", "gHatTheta"), ("big_g", "G"),
+    ("remainder", "R"), ("residual", "residual"),
+)
 
 # the largest chart resolution whose single-threaded monotonicity run on
 # the benchmark configs peaks under 1 GB (os.wait4, one run each,
 # scripts/memory_bounds.py: 452 MB on ball-cap, 382 MB and 381 MB on
 # halfspace-cap and probe-sweep, all at nu = nv = 1000)
 MAX_NU_NV = 1000
-# the most radii a monotonicity profile may take.  A profile takes about 80
-# bytes a radius, and the profiles held do not grow with the probes; at both
-# bounds a monotonicity
-# run on the benchmark configs peaks at 500 MB on ball-cap, 421 MB on
-# probe-sweep (16 probes) and 416 MB on halfspace-cap (os.wait4, one run
-# each, nu = nv = 1000 and r_count = 100000)
+# the most radii a monotonicity profile may take.  A profile holds about 67
+# bytes a radius and is written with no copy (tracemalloc), and the profiles
+# held do not grow with the probes; at both bounds monotonicity peaks at 501 MB
+# on ball-cap, 419 MB on probe-sweep (16 probes) and 415 MB on halfspace-cap
+# (os.wait4, one run each, nu = nv = 1000 and r_count = 100000)
 MAX_R_COUNT = 100_000
 
 # each generator: the ambient of the surface it builds, and its chart from a config
@@ -105,33 +117,41 @@ GENERATORS = {
 }
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """A binary file opened beside ``path`` that replaces it when the block
+    ends, so a reader sees the old file or the new one, never a part; when
+    the block or the rename raises, the file is removed."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
+
+
 def _write_companion(path: Path, key: bytes, count: int, chunks) -> None:
     """Write the companion at ``path``: the header, ``key``, then the body.
 
     The body is the concatenation of ``chunks``, contiguous little-endian
     float64 arrays holding ``count`` elements in all; it is written chunk
-    by chunk and its CRC goes into the header last.  The file
-    is written beside ``path`` and renamed over it, so a reader sees the
-    old file or the new one, never a part.  A companion is only a cache:
-    any OSError leaves no temporary behind and is ignored.
+    by chunk and its CRC goes into the header last.  The file replaces
+    ``path`` whole (``_replacing``).  A companion is only a cache: any
+    OSError is ignored.
     """
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        crc = 0
-        with tmp.open("wb") as fh:
-            fh.seek(_HEAD.size)
-            fh.write(key)
-            for chunk in chunks:
-                fh.write(chunk)
-                crc = zlib.crc32(chunk, crc)
-            fh.seek(0)
-            fh.write(_HEAD.pack(_MAGIC, len(key), count, crc))
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
+    crc = 0
+    with contextlib.suppress(OSError), _replacing(path) as fh:
+        fh.seek(_HEAD.size)
+        fh.write(key)
+        for chunk in chunks:
+            fh.write(chunk)
+            crc = zlib.crc32(chunk, crc)
+        fh.seek(0)
+        fh.write(_HEAD.pack(_MAGIC, len(key), count, crc))
 
 
 def _read_companion(path: Path, key: bytes) -> np.ndarray | None:
@@ -198,23 +218,48 @@ def _table_key(width: int, length: int, crc: int) -> bytes:
     return struct.pack("<QQI", width, length, crc)
 
 
-def _write_rows(path, header: list[str], columns) -> tuple[int, int]:
-    """Write the header lines and one row per sample of the 1-D ``columns``,
-    as ``np.savetxt(fmt="%.17g")`` prints their stacked rows; return the
-    text's ``_text_sum``.
+def _names(layout) -> list[str]:
+    """The column names of a layout, in order."""
+    return [name for _, names in layout for name in names.split()]
+
+
+def _columns(obj, layout) -> list:
+    """The 1-D columns of ``obj`` in ``layout`` order, views of its fields;
+    a field of several columns is an (n, k) array."""
+    values = [getattr(obj, field) for field, _ in layout]
+    return [column for value in values for column in (value.T if value.ndim > 1 else [value])]
+
+
+def _fields(cols: np.ndarray, layout) -> dict:
+    """The inverse of ``_columns``: each field of ``layout`` as a view of the (K, n) ``cols``."""
+    parts = np.split(cols, np.cumsum([len(names.split()) for _, names in layout])[:-1])
+    return {field: part.T if len(part) > 1 else part[0] for (field, _), part in zip(layout, parts)}
+
+
+def _table(obj, layout, *lines: str) -> tuple[str, list]:
+    """A table's header, ``lines`` and then the layout's ``columns:`` line,
+    each commented, and the columns of ``obj``."""
+    head = "".join(f"# {line}\n" for line in (*lines, f"columns: {' '.join(_names(layout))}"))
+    return head, _columns(obj, layout)
+
+
+def _write_rows(path, head: str, columns, fmt: str = _FULL, sep: str = " ", end: str = "\n") -> tuple[int, int]:
+    """Write ``head``, then one row per entry of the 1-D ``columns``: its
+    values printed by ``fmt``, joined by ``sep``, ended by ``end``; return
+    the text's ``_text_sum``.
 
     The rows are never stacked whole: ``_SAVE_BLOCK`` of them at a time are
     copied from the columns into one (``_SAVE_BLOCK``, K) buffer that every
     block reuses, and each block is formatted by one ``%`` on its flattened
     values.  The text's length and CRC are taken from the blocks as they are
-    written.
+    written, and the text replaces ``path`` whole (``_replacing``).
     """
     n = len(columns[0]) if len(columns) else 0
-    row = " ".join([_FULL] * len(columns)) + "\n"
+    row = sep.join([fmt] * len(columns)) + end
     buf = np.empty((min(n, _SAVE_BLOCK), len(columns)))
 
     def texts():
-        yield "".join(f"# {line}\n" for line in header)
+        yield head
         for start in range(0, n, _SAVE_BLOCK):
             block = buf[: min(n - start, _SAVE_BLOCK)]
             for j, column in enumerate(columns):
@@ -222,7 +267,7 @@ def _write_rows(path, header: list[str], columns) -> tuple[int, int]:
             yield row * len(block) % tuple(block.ravel().tolist())
 
     length, crc = 0, 0
-    with Path(path).open("wb") as fh:
+    with _replacing(path) as fh:
         for text in texts():
             data = text.encode()
             fh.write(data)
@@ -231,10 +276,10 @@ def _write_rows(path, header: list[str], columns) -> tuple[int, int]:
     return length, crc
 
 
-def _save_table(path, header: list[str], columns) -> None:
+def _save_table(path, head: str, columns) -> None:
     """Write the table of the 1-D ``columns`` (see ``_write_rows``) and its
     binary companion, whose body is the same columns, one at a time."""
-    length, crc = _write_rows(path, header, columns)
+    length, crc = _write_rows(path, head, columns)
     companion = _companion_path(path)
     if companion is not None:
         body = (np.ascontiguousarray(column, dtype=_BODY) for column in columns)
@@ -282,7 +327,7 @@ def _parse_columns(path, width: int) -> np.ndarray:
     return cols
 
 
-def _load_table(path, columns: str) -> tuple[list[str], np.ndarray, tuple[int, int]]:
+def _load_table(path, width: int) -> tuple[list[str], np.ndarray, tuple[int, int]]:
     """The leading comment lines (without '# '), the columns and the
     ``_text_sum`` of a table.
 
@@ -293,9 +338,9 @@ def _load_table(path, columns: str) -> tuple[list[str], np.ndarray, tuple[int, i
     is never held whole: its checksum is taken block by block, the header
     is read up to the first row, and only a companion miss parses the
     rest, straight into the columns (``_parse_columns``).  A table whose
-    bytes do not decode, without rows, with an entry
-    that is not a finite number, or with another number of columns than
-    ``columns`` names raises ConfigError.
+    bytes do not decode, without rows, with an entry that is not a finite
+    number, or with another number of columns than ``width`` raises
+    ConfigError.
     """
     text_sum = _text_sum(path)
     header = []
@@ -313,12 +358,9 @@ def _load_table(path, columns: str) -> tuple[list[str], np.ndarray, tuple[int, i
         raise ConfigError(f"{path}: the table is not text: {exc}") from None
     if not line:
         raise ConfigError(f"{path}: the table has no rows")
-    width = len(columns.split())
     cols = _companion_columns(path, text_sum, width)
     if cols is None:
         cols = _parse_columns(path, width)
-    if len(cols) != width:
-        raise ConfigError(f"{path}: expected rows of {width} columns, got an array of shape {cols.T.shape}")
     # min and max carry any NaN or infinity, without a full-size temporary
     if not np.isfinite(cols.min()) or not np.isfinite(cols.max()):
         raise ConfigError(f"{path}: a table entry is not finite")
@@ -377,34 +419,16 @@ class ResidualCompanion:
 
 def save_surface(surface: SampledSurface, path) -> None:
     """Write the interior sample table (one sample per row)."""
-    columns = [
-        *surface.points.T,
-        surface.weights,
-        *surface.normals.T,
-        *surface.mean_curvature.T,
-        surface.gauss_curvature,
-        surface.traceless_sq,
-    ]
-    header = [
-        "capmono surface table v1",
+    meta = (
         f"ambient={surface.ambient.kind} theta={_FULL % surface.theta} "
-        f"chi={surface.euler_characteristic} generator={surface.metadata.get('generator', '?')}",
-        f"columns: {SURFACE_COLUMNS}",
-    ]
-    _save_table(path, header, columns)
+        f"chi={surface.euler_characteristic} generator={surface.metadata.get('generator', '?')}"
+    )
+    _save_table(path, *_table(surface, SURFACE_LAYOUT, "capmono surface table v1", meta))
 
 
 def save_boundary(surface: SampledSurface, path) -> None:
     """Write the boundary sample table (frame, weights and curvatures)."""
-    columns = [
-        *surface.boundary_points.T,
-        *surface.boundary_tangents.T,
-        *surface.boundary_conormals.T,
-        surface.boundary_weights,
-        surface.boundary_kg,
-        surface.boundary_kg_wetting,
-    ]
-    _save_table(path, ["capmono boundary table v1", f"columns: {BOUNDARY_COLUMNS}"], columns)
+    _save_table(path, *_table(surface, BOUNDARY_LAYOUT, "capmono boundary table v1"))
 
 
 def load_surface(surface_path, boundary_path) -> SampledSurface:
@@ -413,12 +437,12 @@ def load_surface(surface_path, boundary_path) -> SampledSurface:
     A header without the ambient or a numeric theta, or a malformed table,
     raises ConfigError.
     """
-    header, cols, surface_sum = _load_table(surface_path, SURFACE_COLUMNS)
+    header, cols, surface_sum = _load_table(surface_path, len(_names(SURFACE_LAYOUT)))
     meta = {}
     for body in header:
         if body.startswith("ambient="):
             meta.update(tok.partition("=")[::2] for tok in body.split())
-    _, bcols, boundary_sum = _load_table(boundary_path, BOUNDARY_COLUMNS)
+    _, bcols, boundary_sum = _load_table(boundary_path, len(_names(BOUNDARY_LAYOUT)))
     try:
         ambient = Ambient(meta["ambient"], float(meta["theta"]))
         chi = int(meta.get("chi", 1))
@@ -426,18 +450,8 @@ def load_surface(surface_path, boundary_path) -> SampledSurface:
         raise ConfigError(f"{surface_path}: bad or missing ambient=, theta= or chi=: {exc}") from None
     surface = SampledSurface(
         ambient=ambient,
-        points=cols[0:3].T,
-        weights=cols[3],
-        normals=cols[4:7].T,
-        mean_curvature=cols[7:10].T,
-        gauss_curvature=cols[10],
-        traceless_sq=cols[11],
-        boundary_points=bcols[0:3].T,
-        boundary_tangents=bcols[3:6].T,
-        boundary_conormals=bcols[6:9].T,
-        boundary_weights=bcols[9],
-        boundary_kg=bcols[10],
-        boundary_kg_wetting=bcols[11],
+        **_fields(cols, SURFACE_LAYOUT),
+        **_fields(bcols, BOUNDARY_LAYOUT),
         euler_characteristic=chi,
         # the texts read, which key the pair residuals companion
         metadata={"generator": meta.get("generator", "imported"), "tables": (surface_sum, boundary_sum)},
@@ -448,39 +462,30 @@ def load_surface(surface_path, boundary_path) -> SampledSurface:
 
 def save_curve(curve: OrientedCurve, path) -> None:
     """Write the boundary curve table; it has no reader, so it gets no companion."""
-    columns = [*curve.points.T, *curve.tangents.T, curve.weights]
     # every curve the program builds is closed, as the header states
-    header = ["capmono curve table v1", "closed=1", f"columns: {CURVE_COLUMNS}"]
-    _write_rows(path, header, columns)
+    _write_rows(path, *_table(curve, _CURVE_LAYOUT, "capmono curve table v1", "closed=1"))
 
 
 # -- profile CSV ----------------------------------------------------------------
 
 
-def profile_csv(profile, path) -> np.ndarray:
-    """Write a monotonicity profile as CSV (half-space or ball layout).
+def profile_csv(profile, path) -> list:
+    """Write a monotonicity profile as CSV, one row per radius, in the
+    half-space layout or in the ball's, whose rows end with the branch name.
 
-    Returns the numeric table written, one row per radius.
+    Returns the columns written, in order.
     """
     if profile.branch is None:
-        header = "r,g,gHat,G,R,deficit,residual"
-        columns = (profile.deficit, profile.residual)
-        end = "\n"
+        layout, suffix, end = _HALFSPACE_PROFILE, "", "\n"
     else:
-        header = "r,gTheta,gHatTheta,G,R,residual,branch"
-        columns = (profile.residual,)
-        # the ball layout has no deficit column and ends every row with the branch name
-        end = f",{profile.branch}\n"
-    common = (profile.r_grid, profile.g, profile.g_hat, profile.big_g, profile.remainder)
-    table = np.column_stack([*common, *columns])
-    with Path(path).open("w", newline="\n") as fh:
-        fh.write(header + "\n")
-        np.savetxt(fh, table, fmt=_CSV, delimiter=",", newline=end)
-    return table
+        layout, suffix, end = _BALL_PROFILE, ",branch", f",{profile.branch}\n"
+    columns = _columns(profile, layout)
+    _write_rows(path, ",".join(_names(layout)) + suffix + "\n", columns, _CSV, ",", end)
+    return columns
 
 
 def report_json(report: dict, path) -> None:
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_rows(path, json.dumps(report, indent=2, sort_keys=True) + "\n", [])
 
 
 # -- run configuration -------------------------------------------------------------

@@ -195,16 +195,11 @@ def _stereographic(points: np.ndarray, tangents: Optional[np.ndarray], pole: np.
     den = 1.0 - points @ pole
     if np.any(den < 1e-12):
         raise GeometryError("stereographic projection pole lies on the data")
-    q = np.column_stack([(points @ e1) / den, (points @ e2) / den])
+    q = np.stack([(points @ e) / den for e in (e1, e2)], axis=1)
     if tangents is None:
         return q, None
     tp = tangents @ pole
-    t2 = np.column_stack(
-        [
-            (tangents @ e1) / den + (points @ e1) * tp / den**2,
-            (tangents @ e2) / den + (points @ e2) * tp / den**2,
-        ]
-    )
+    t2 = np.stack([(tangents @ e) / den + (points @ e) * tp / den**2 for e in (e1, e2)], axis=1)
     norms = np.linalg.norm(t2, axis=1, keepdims=True)
     return q, t2 / norms
 

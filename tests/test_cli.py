@@ -252,24 +252,42 @@ def test_nan_residual_fails_the_gate(cfg_path, monkeypatch, capsys, command):
     assert "nan" in capsys.readouterr().out
 
 
-def test_nan_profile_fails_the_gate(tmp_path, monkeypatch, capsys):
-    # a NaN in the first profile row, while the two-radius residual stays small
+# every column each ambient's profile CSV writes
+_WRITTEN = {
+    "halfspace": ("r_grid", "g", "g_hat", "big_g", "remainder", "deficit", "residual"),
+    "ball": ("r_grid", "g", "g_hat", "big_g", "remainder", "residual"),
+}
+
+
+@pytest.mark.parametrize(
+    "ambient, column", [(ambient, column) for ambient, columns in _WRITTEN.items() for column in columns]
+)
+def test_nan_profile_fails_the_gate(tmp_path, monkeypatch, capsys, ambient, column):
+    # a NaN in the last row of one written column of the first profile,
+    # while the two-radius residual stays small
+    out = tmp_path / "out"
     path = tmp_path / "run.cfg"
-    path.write_text(_TINY.replace("OUT", str(tmp_path / "out")))
+    path.write_text(_TINY.replace("OUT", str(out)) if ambient == "halfspace" else _ball_text(out, _TINY))
     assert main(["generate", "--config", str(path)]) == 0
-    real = halfspace.monotonicity_profile
+    mono = halfspace if ambient == "halfspace" else ball
+    real, calls = mono.monotonicity_profile, []
 
     def nan_profile(*args, **kwargs):
         profile = real(*args, **kwargs)
-        profile.g[0] = float("nan")
+        if not calls:
+            values = np.array(getattr(profile, column))
+            values[-1] = float("nan")
+            setattr(profile, column, values)
+        calls.append(profile)
         return profile
 
-    monkeypatch.setattr(halfspace, "monotonicity_profile", nan_profile)
+    monkeypatch.setattr(mono, "monotonicity_profile", nan_profile)
     code = main(["monotonicity", "--config", str(path), "--tolerance", "0.01"])
-    assert "nan" in (tmp_path / "out" / "profile_000.csv").read_text()
+    assert (out / "profile_000.csv").read_text().splitlines()[-1].count("nan") == 1
+    assert len(calls) == 2
     assert code == 1
-    out = capsys.readouterr().out
-    assert "FAIL" in out and "PASS" not in out
+    text = capsys.readouterr().out
+    assert "FAIL: a profile holds a non-finite value" in text and "PASS" not in text
 
 
 def test_nan_tolerance_is_config_error(cfg_path, tmp_path):

@@ -1,5 +1,6 @@
 """Interchange formats: sample tables, profile CSV, report JSON, config."""
 
+import contextlib
 import json
 import struct
 import sys
@@ -17,25 +18,53 @@ from capmono import halfspace as hs
 from capmono import tables
 from capmono.errors import ConfigError
 from capmono.surfaces import sample_chart, spherical_cap_halfspace
-from capmono.wetted import curve_from_boundary
+from capmono.wetted import curve_from_boundary, wetted_region
+
+
+# every array of a surface, one per column group of its two tables
+_SURFACE_FIELDS = (
+    "points",
+    "weights",
+    "normals",
+    "mean_curvature",
+    "gauss_curvature",
+    "traceless_sq",
+    "boundary_points",
+    "boundary_tangents",
+    "boundary_conormals",
+    "boundary_weights",
+    "boundary_kg",
+    "boundary_kg_wetting",
+)
 
 
 def test_surface_roundtrip(stock, tmp_path):
+    # every field of both tables comes back bit for bit, in the surface's
+    # layout, from the companions and from the texts alone
     surface, _ = stock.cap(2 * np.pi / 3)
     spath, bpath = tmp_path / "s.tsv", tmp_path / "b.tsv"
     tables.save_surface(surface, spath)
     tables.save_boundary(surface, bpath)
-    back = tables.load_surface(spath, bpath)
-    assert np.array_equal(back.points, surface.points)
-    assert np.array_equal(back.weights, surface.weights)
-    assert np.array_equal(back.normals, surface.normals)
-    assert np.array_equal(back.mean_curvature, surface.mean_curvature)
-    assert np.array_equal(back.gauss_curvature, surface.gauss_curvature)
-    assert np.array_equal(back.boundary_conormals, surface.boundary_conormals)
-    assert np.array_equal(back.boundary_kg, surface.boundary_kg)
-    assert back.ambient.kind == surface.ambient.kind
-    assert back.theta == surface.theta
-    assert back.euler_characteristic == surface.euler_characteristic
+    columns = {
+        spath: "# columns: x1 x2 x3 weight nu1 nu2 nu3 H1 H2 H3 K Aring2",
+        bpath: "# columns: x1 x2 x3 t1 t2 t3 c1 c2 c3 arcweight kg kg_wetting",
+    }
+    for path, line in columns.items():
+        assert [row for row in path.read_text().splitlines() if row.startswith("#")][-1] == line
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.bin", "b.tsv", "s.bin", "s.tsv"]
+    assert all(tables._companion_columns(path, tables._text_sum(path), 12) is not None for path in columns)
+    for companions in (True, False):
+        if not companions:
+            for path in columns:
+                path.with_suffix(".bin").unlink()
+        back = tables.load_surface(spath, bpath)
+        for name in _SURFACE_FIELDS:
+            got, expect = getattr(back, name), getattr(surface, name)
+            assert got.tobytes() == expect.tobytes() and got.shape == expect.shape, (name, companions)
+            assert got.strides == expect.strides, (name, companions)
+        assert back.ambient.kind == surface.ambient.kind
+        assert back.theta == surface.theta
+        assert back.euler_characteristic == surface.euler_characteristic
 
 
 def test_curve_roundtrip(stock, tmp_path):
@@ -47,7 +76,7 @@ def test_curve_roundtrip(stock, tmp_path):
     tables.save_curve(curve, path)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.tsv"]
     head = path.read_text().splitlines()[:3]
-    assert head == ["# capmono curve table v1", "# closed=1", f"# columns: {tables.CURVE_COLUMNS}"]
+    assert head == ["# capmono curve table v1", "# closed=1", "# columns: x1 x2 x3 t1 t2 t3 weight"]
     rows = np.loadtxt(path, comments="#", ndmin=2)
     assert rows.tobytes() == np.column_stack([curve.points, curve.tangents, curve.weights]).tobytes()
 
@@ -85,11 +114,106 @@ def test_table_rows_match_savetxt(tmp_path, count):
     extreme = rng.random((count, 12)) < 0.5
     rows[extreme] = rng.choice(_EXTREMES, int(extreme.sum()))
     path = tmp_path / "t.tsv"
-    tables._save_table(path, ["head", "columns: a b"], list(rows.T))
+    tables._save_table(path, "# head\n# columns: a b\n", list(rows.T))
     assert path.read_bytes() == _savetxt_bytes(tmp_path / "ref.tsv", ["head", "columns: a b"], rows)
     if count:
         got = tables._companion_columns(path, tables._text_sum(path), 12)
         assert got.tobytes() == np.ascontiguousarray(rows.T).tobytes()
+
+
+# NaN, signed zeros and infinities, subnormals and magnitudes near 1e+-300
+_CSV_EXTREMES = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -2.2e-310, 1e300, -1e300, 1e-300, -1e-300])
+
+
+@pytest.mark.parametrize("count", [c for c in _COUNTS if c.values != (0,)])
+@pytest.mark.parametrize("branch", [None, "origin"], ids=["halfspace", "ball"])
+def test_profile_rows_match_savetxt(tmp_path, branch, count):
+    # the block writer prints each profile as np.savetxt(fmt="%.12g",
+    # delimiter=",") prints its stacked columns, the ball's rows ending with
+    # the branch name, on both sides of every block boundary
+    from capmono.identity import Profile
+
+    rng = np.random.default_rng(count)
+    values = rng.standard_normal((7, count)) * 10.0 ** rng.integers(-300, 300, (7, count))
+    extreme = rng.random((7, count)) < 0.5
+    values[extreme] = rng.choice(_CSV_EXTREMES, int(extreme.sum()))
+    prof = Profile(np.zeros(3), *values, branch=branch)
+    path = tmp_path / "p.csv"
+    written = tables.profile_csv(prof, path)
+    if branch is None:
+        header, rows, end = "r,g,gHat,G,R,deficit,residual\n", values, "\n"
+    else:
+        # the ball layout has no deficit column
+        header, rows, end = "r,gTheta,gHatTheta,G,R,residual,branch\n", values[[0, 1, 2, 3, 4, 6]], f",{branch}\n"
+    ref = tmp_path / "ref.csv"
+    with ref.open("w", newline="\n") as fh:
+        fh.write(header)
+        np.savetxt(fh, rows.T, fmt="%.12g", delimiter=",", newline=end)
+    assert path.read_bytes() == ref.read_bytes()
+    assert np.array_equal(np.array(written), rows, equal_nan=True)
+
+
+_WRITES = {
+    "surface": lambda surface, path: tables.save_surface(surface, path),
+    "curve": lambda surface, path: tables.save_curve(curve_from_boundary(surface), path),
+    "profile": lambda surface, path: tables.profile_csv(
+        hs.monotonicity_profile(hs.probe_terms(surface, wetted_region(surface), [0.3, 0.1, 0.4]), np.linspace(0.3, 2.0, 40)),
+        path,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_WRITES))
+def test_interrupted_write_keeps_the_previous_file(stock, tmp_path, monkeypatch, kind):
+    # a write that raises after its header and first block of rows leaves
+    # the file it was to replace byte for byte, and no temporary beside it
+    monkeypatch.setattr(tables, "_SAVE_BLOCK", 8)
+    surface, _ = stock.cap(2 * np.pi / 3)
+    path = tmp_path / "out.tsv"
+    path.write_bytes(b"# the previous file\n1 2 3\n")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    real, blocks = tables._replacing, []
+
+    @contextlib.contextmanager
+    def cut(target):
+        with real(target) as fh:
+
+            class Cut:
+                def write(self, data):
+                    blocks.append(len(data))
+                    if len(blocks) > 2:
+                        raise OSError("cut")
+                    return fh.write(data)
+
+                def __getattr__(self, name):
+                    return getattr(fh, name)
+
+            yield Cut()
+
+    monkeypatch.setattr(tables, "_replacing", cut)
+    with pytest.raises(OSError, match="cut"):
+        _WRITES[kind](surface, path)
+    assert len(blocks) == 3
+    assert path.read_bytes() == b"# the previous file\n1 2 3\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_report_json_replaces_the_file_whole(tmp_path, monkeypatch):
+    # a report that cannot be renamed into place leaves the previous one
+    # and no temporary
+    path = tmp_path / "energy.json"
+    path.write_text("{}\n")
+    tables.report_json({"b": 1.5, "a": [1, 2]}, path)
+    assert path.read_text() == '{\n  "a": [\n    1,\n    2\n  ],\n  "b": 1.5\n}\n'
+
+    def refuse(src, dst):
+        raise OSError("no rename")
+
+    monkeypatch.setattr(tables.os, "replace", refuse)
+    with pytest.raises(OSError, match="no rename"):
+        tables.report_json({"c": 2}, path)
+    assert path.read_text() == '{\n  "a": [\n    1,\n    2\n  ],\n  "b": 1.5\n}\n'
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["energy.json"]
 
 
 def test_sample_tables_match_savetxt_of_the_stacked_columns(stock, tmp_path):
@@ -157,14 +281,14 @@ def test_table_without_rows_is_refused(stock, tmp_path, tail):
     header = "".join(line for line in path.read_text().splitlines(keepends=True) if line.startswith("#"))
     path.write_text(header + tail)
     with pytest.raises(ConfigError, match="the table has no rows"):
-        tables._load_table(path, tables.SURFACE_COLUMNS)
+        tables._load_table(path, 12)
 
 
 def test_table_that_is_not_text_is_refused(tmp_path):
     path = tmp_path / "t.tsv"
     path.write_bytes(b"# columns: a\n\xff\xfe 1.5\n")
     with pytest.raises(ConfigError, match="the table is not text"):
-        tables._load_table(path, "a")
+        tables._load_table(path, 1)
 
 
 def test_companion_hit_never_holds_the_text(tmp_path):
@@ -238,11 +362,11 @@ def test_companion_columns_equal_parsed_text(table):
     columns = " ".join(f"c{j}" for j in range(rows.shape[1]))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.tsv"
-        tables._save_table(path, ["head", f"columns: {columns}"], rows.T)
+        tables._save_table(path, f"# head\n# columns: {columns}\n", rows.T)
         assert tables._companion_columns(path, tables._text_sum(path), rows.shape[1]) is not None
-        _, fast, _ = tables._load_table(path, columns)
+        _, fast, _ = tables._load_table(path, rows.shape[1])
         path.with_suffix(".bin").unlink()
-        _, parsed, _ = tables._load_table(path, columns)
+        _, parsed, _ = tables._load_table(path, rows.shape[1])
     for cols in (fast, parsed):
         assert cols.shape == rows.T.shape and cols.dtype == np.float64
         assert cols.flags.c_contiguous and cols.flags.writeable
@@ -253,11 +377,11 @@ def test_edited_table_is_read_from_its_text(tmp_path):
     # one digit changed at the same length: the companion no longer
     # matches the text, which is what gets read
     path = tmp_path / "t.tsv"
-    tables._save_table(path, ["columns: a b"], np.array([[0.125, 2.25], [1.5, -3.0]]))
+    tables._save_table(path, "# columns: a b\n", np.array([[0.125, 2.25], [1.5, -3.0]]))
     text = path.read_text()
     path.write_text(text.replace("0.125", "0.625", 1))
     assert path.stat().st_size == len(text)
-    _, cols, _ = tables._load_table(path, "a b")
+    _, cols, _ = tables._load_table(path, 2)
     assert cols.tolist() == [[0.625, 2.25], [1.5, -3.0]]
 
 
@@ -326,33 +450,33 @@ def test_bad_companion_falls_back_to_the_text(stock, tmp_path, corruption):
 def test_companion_of_a_table_without_the_tsv_suffix(tmp_path):
     # a table named *.bin has no companion: it would overwrite the table
     path = tmp_path / "t.bin"
-    tables._save_table(path, ["columns: a"], np.array([[1.5, 2.5]]))
+    tables._save_table(path, "# columns: a\n", np.array([[1.5, 2.5]]))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t.bin"]
-    assert tables._load_table(path, "a")[1].tolist() == [[1.5, 2.5]]
+    assert tables._load_table(path, 1)[1].tolist() == [[1.5, 2.5]]
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
 def test_non_finite_table_with_its_companion_is_refused(tmp_path, value):
     # the finiteness check runs on the companion's columns as on the text's
     path = tmp_path / "t.tsv"
-    tables._save_table(path, ["columns: a b"], np.array([[0.5, float(value)], [1.0, 2.0]]))
+    tables._save_table(path, "# columns: a b\n", np.array([[0.5, float(value)], [1.0, 2.0]]))
     assert tables._companion_columns(path, tables._text_sum(path), 2) is not None
     with pytest.raises(ConfigError, match="t.tsv: a table entry is not finite"):
-        tables._load_table(path, "a b")
+        tables._load_table(path, 2)
     path.with_suffix(".bin").unlink()
     with pytest.raises(ConfigError, match="t.tsv: a table entry is not finite"):
-        tables._load_table(path, "a b")
+        tables._load_table(path, 2)
 
 
 def test_companion_errors_match_the_text(tmp_path):
     # a table read against the wrong column names fails as its text would
     path = tmp_path / "t.tsv"
-    tables._save_table(path, ["columns: a b c d e f g"], np.arange(128.0 * 7).reshape(128, 7).T)
+    tables._save_table(path, "# columns: a b c d e f g\n", np.arange(128.0 * 7).reshape(128, 7).T)
     with pytest.raises(ConfigError) as fast:
-        tables._load_table(path, tables.SURFACE_COLUMNS)
+        tables._load_table(path, 12)
     path.with_suffix(".bin").unlink()
     with pytest.raises(ConfigError) as parsed:
-        tables._load_table(path, tables.SURFACE_COLUMNS)
+        tables._load_table(path, 12)
     assert str(fast.value) == str(parsed.value)
     assert "expected rows of 12 columns, got an array of shape (128, 7)" in str(parsed.value)
 
