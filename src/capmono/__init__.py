@@ -1,101 +1,5 @@
 """Numerical verification of energies, densities and monotonicity
-identities for capillary surfaces over the plane and in the unit ball."""
+identities for capillary surfaces over the plane and in the unit ball.
 
-from .geometry import (
-    Ambient,
-    companion,
-    mean_curvature_expansion_residual,
-    normal_split,
-    reflect_halfspace,
-    sphere_inversion,
-)
-from .surfaces import (
-    ParametricChart,
-    SampledSurface,
-    contact_angle_residual,
-    geodesic_disk_ball,
-    perturb_chart,
-    sample_chart,
-    spherical_cap_ball,
-    spherical_cap_halfspace,
-)
-from .wetted import (
-    OrientedCurve,
-    WettedRegion,
-    eta_integral,
-    oriented_area,
-    rotation_index,
-    spherical_winding_number,
-    wetted_region,
-    winding_number,
-)
-from .energy import (
-    area_estimate_margin,
-    density,
-    disk_area_margin,
-    divergence_identity_residual,
-    energy_report,
-    gauss_bonnet_residual,
-    gauss_equation_residual,
-    li_yau_margin,
-    willmore_ball,
-    willmore_classical,
-    willmore_energy,
-)
-from .fields import (
-    TestVectorField,
-    constant_field,
-    position_field,
-    radial_cutoff_field,
-    rotation_field,
-    zero_field,
-)
-from . import ball, halfspace
-from .tables import RunConfig, load_config, parse_config
-
-__all__ = [
-    "Ambient",
-    "OrientedCurve",
-    "ParametricChart",
-    "RunConfig",
-    "SampledSurface",
-    "TestVectorField",
-    "WettedRegion",
-    "area_estimate_margin",
-    "ball",
-    "companion",
-    "constant_field",
-    "contact_angle_residual",
-    "density",
-    "disk_area_margin",
-    "divergence_identity_residual",
-    "energy_report",
-    "eta_integral",
-    "gauss_bonnet_residual",
-    "gauss_equation_residual",
-    "geodesic_disk_ball",
-    "halfspace",
-    "li_yau_margin",
-    "load_config",
-    "mean_curvature_expansion_residual",
-    "normal_split",
-    "oriented_area",
-    "parse_config",
-    "perturb_chart",
-    "position_field",
-    "radial_cutoff_field",
-    "reflect_halfspace",
-    "rotation_field",
-    "rotation_index",
-    "sample_chart",
-    "sphere_inversion",
-    "spherical_cap_ball",
-    "spherical_cap_halfspace",
-    "spherical_winding_number",
-    "wetted_region",
-    "willmore_ball",
-    "willmore_classical",
-    "willmore_energy",
-    "winding_number",
-    "zero_field",
-]
+The package re-exports nothing: callers import the submodule that
+defines a name (``from capmono import halfspace``, ``capmono.cli``)."""

@@ -114,7 +114,7 @@ def cmd_generate(run: Run) -> int:
     print(f"generator {cfg.generator}: {len(surface.points)} interior samples")
     print(f"area {_G % area} (halved resolution: {_G % carea}, delta {_G % abs(area - carea)})")
     print(f"boundary length {_G % surface.boundary_length()}")
-    print(f"contact residual {_G % surface.metadata['contact_residual']}")
+    print(f"contact residual {_G % surface.contact_residual}")
     print(f"wrote {spath}, {bpath}, {cpath}")
     return 0
 

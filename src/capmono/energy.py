@@ -147,21 +147,20 @@ def extrapolate(r: np.ndarray, ratio: np.ndarray) -> float:
     return float(coeff[1])
 
 
-def density(surface: SampledSurface, x0, r_grid=None) -> float:
+def density(surface: SampledSurface, x0) -> float:
     """Area density of the surface at a point: lim mu(B_r)/(pi r^2).
 
-    The ratio is evaluated on the radius grid and extrapolated linearly to
-    zero; the smallest radius must contain at least 50 samples.
+    The ratio is evaluated on the :func:`default_radius_grid` and
+    extrapolated linearly to zero; the smallest radius must contain at
+    least 50 samples.
     """
-    if r_grid is None:
-        r_grid = default_radius_grid(surface, x0)
-    r_grid = np.sort(np.asarray(r_grid, dtype=float))
+    r_grid = default_radius_grid(surface, x0)
     prefix = RadialPrefix(surface.points, x0, {"mass": surface.weights})
     n_min = prefix.count(r_grid[0])
     if n_min < MIN_BALL_SAMPLES and float(prefix.cumulative("mass", r_grid[-1])) > 0:
         raise ResolutionError(
             f"only {n_min} samples inside r = {r_grid[0]:.4g}; "
-            f"need at least {MIN_BALL_SAMPLES} (refine the surface or enlarge the grid)"
+            f"need at least {MIN_BALL_SAMPLES} (refine the surface)"
         )
     hw = np.minimum(prefix.auto_halfwidth(r_grid), 0.9 * r_grid)
     ratio = prefix.windowed_over_r2("mass", r_grid, hw) / np.pi
@@ -258,7 +257,7 @@ def energy_report(surface: SampledSurface, region: WettedRegion) -> dict:
         "orientedWettedArea": wetted,
         "gaussBonnetResidual": gauss_bonnet_residual(surface),
         "gaussEquationResidual": gauss_equation_residual(surface),
-        "contactResidual": float(surface.metadata.get("contact_residual", np.nan)),
+        "contactResidual": surface.contact_residual,
         "maxMeanCurvature": surface.max_mean_curvature(),
         "margins": margins,
     }

@@ -9,7 +9,7 @@ sampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -34,7 +34,6 @@ class TestVectorField:
     func: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
     tangency: str = FREE
-    params: dict = field(default_factory=dict)
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.func(np.atleast_2d(np.asarray(points, dtype=float)))
@@ -67,7 +66,7 @@ def constant_field(v) -> TestVectorField:
     def grad(p):
         return np.zeros((len(p), 3, 3))
 
-    return TestVectorField("constant", func, grad, tang, {"v": tuple(v)})
+    return TestVectorField("constant", func, grad, tang)
 
 
 def position_field() -> TestVectorField:
@@ -97,7 +96,7 @@ def rotation_field(axis) -> TestVectorField:
         return np.broadcast_to(skew, (len(p), 3, 3)).copy()
 
     tang = TANGENT if abs(e[0]) < 1e-15 and abs(e[1]) < 1e-15 else FREE
-    return TestVectorField("rotation", func, grad, tang, {"axis": tuple(e)})
+    return TestVectorField("rotation", func, grad, tang)
 
 
 def _smoothed_cutoff(sigma: float, rho: float):
@@ -173,9 +172,7 @@ def radial_cutoff_field(a, sigma: float, rho: float) -> TestVectorField:
         return val[:, None, None] * eye + (dval / s)[:, None, None] * outer
 
     tang = TANGENT if abs(a[2]) < 1e-15 else FREE
-    return TestVectorField(
-        "radial_cutoff", func, grad, tang, {"a": tuple(a), "sigma": sigma, "rho": rho}
-    )
+    return TestVectorField("radial_cutoff", func, grad, tang)
 
 
 def zero_field() -> TestVectorField:

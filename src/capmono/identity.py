@@ -193,11 +193,6 @@ class ProbeTerms:
     SIGN: int
     BRANCH: Optional[str]
 
-    def pair(self, r):
-        """The radial pair (g, g_hat) over the radii."""
-        members = self.members(r)
-        return members["g"], members["g_hat"]
-
     def identity_terms(self, sigma: float, rho: float) -> dict:
         """Increments over [sigma, rho] of the pair, squares and deficits."""
         members = self.members(np.array([sigma, rho]))

@@ -19,7 +19,7 @@ by central differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
@@ -54,7 +54,6 @@ class ParametricChart:
     conormal: Optional[Callable[[np.ndarray], np.ndarray]] = None
     fd_step: float = 1e-4
     name: str = "chart"
-    params: dict = field(default_factory=dict)
 
 
 # the sample tables' layouts: each SampledSurface field in table order and the
@@ -135,6 +134,27 @@ class SampledSurface:
     @property
     def theta(self) -> float:
         return self.ambient.theta
+
+    @cached_property
+    def contact_residual(self) -> float:
+        """Worst deviation of the boundary conormal from the contact-angle frame.
+
+        Half-space: |mu - (sin(theta) (-e3) + cos(theta) nbar)| with nbar the
+        in-plane outward normal of the boundary curve; ball: the analogue with
+        mu - (cos(theta) nbar + sin(theta) N), N the outer sphere normal.
+        Computed on first use.
+        """
+        if len(self.boundary_points) == 0:
+            raise GeometryError("contact check requires a nonempty boundary")
+        theta = self.theta
+        bpts = self.boundary_points
+        nbar = _wetting_normal_along(self.ambient, bpts, self.boundary_tangents)
+        if self.ambient.kind == HALFSPACE:
+            target = np.sin(theta) * (-E3) + np.cos(theta) * nbar
+        else:
+            n_out = bpts / np.linalg.norm(bpts, axis=1, keepdims=True)
+            target = np.cos(theta) * nbar + np.sin(theta) * n_out
+        return float(np.max(np.linalg.norm(self.boundary_conormals - target, axis=1)))
 
     @cached_property
     def mu_arrays(self) -> Mapping[str, np.ndarray]:
@@ -241,12 +261,19 @@ def _curvatures(chart: ParametricChart, u: np.ndarray, v: np.ndarray):
     four axis neighbours serve both the first and the pure second partials,
     and the points at the nodes the second partials too, so a node set
     takes nine evaluations: four diagonal, four axis and one at the nodes.
+
+    The points, normals and mean curvature vectors come back in the
+    column-major layout of :class:`SampledSurface`, each converted as soon
+    as the row reductions that read it are done, so the surface copies none.
     """
     if chart.frames is not None:
-        *_, det = _frames(chart, u, v, _axis_points(chart, u, v))
+        # only det is kept: the partials and the first fundamental form go
+        det = _frames(chart, u, v, _axis_points(chart, u, v))[-1]
         nu_vec, h_vec, k_gauss = chart.frames(u, v)
         h_scalar = np.sum(h_vec * nu_vec, axis=-1)
-        pts = chart.f(u, v)
+        nu_vec = np.asfortranarray(nu_vec)
+        h_vec = np.asfortranarray(h_vec)
+        pts = np.asfortranarray(chart.f(u, v))
     else:
         # each point is evaluated once, in the order that holds the fewest
         # arrays at a time: the diagonal neighbours, the axis neighbours
@@ -262,12 +289,14 @@ def _curvatures(chart: ParametricChart, u: np.ndarray, v: np.ndarray):
         fuu = (fup - 2 * pts + fum) / h**2
         fvv = (fvp - 2 * pts + fvm) / h**2
         del fup, fum, fvp, fvm
+        pts = np.asfortranarray(pts)
         e = np.sum(fuu * nu_vec, axis=-1)
         f2 = np.sum(fuv * nu_vec, axis=-1)
         g2 = np.sum(fvv * nu_vec, axis=-1)
         h_scalar = (e * G - 2.0 * f2 * F + g2 * E) / det
         k_gauss = (e * g2 - f2 * f2) / det
-        h_vec = h_scalar[..., None] * nu_vec
+        h_vec = np.asfortranarray(h_scalar[..., None] * nu_vec)
+        nu_vec = np.asfortranarray(nu_vec)
     traceless = np.maximum(h_scalar**2 - 4.0 * k_gauss, 0.0) / 2.0
     return pts, nu_vec, h_vec, k_gauss, traceless, det
 
@@ -337,7 +366,7 @@ def sample_chart(chart: ParametricChart, nu: int, nv: int) -> SampledSurface:
     bpts, btau, bmu, speed, kg, kg_wet = _boundary_curvatures_polar(chart, t)
     bweights = speed * wt
 
-    surface = SampledSurface(
+    return SampledSurface(
         ambient=chart.ambient,
         points=pts,
         weights=weights,
@@ -352,36 +381,14 @@ def sample_chart(chart: ParametricChart, nu: int, nv: int) -> SampledSurface:
         boundary_kg=kg,
         boundary_kg_wetting=kg_wet,
         euler_characteristic=1,
-        metadata={"generator": chart.name, "nu": nu, "nv": nv, **chart.params},
+        metadata={"generator": chart.name},
     )
-    surface.metadata["contact_residual"] = contact_angle_residual(surface)
-    return surface
-
-
-def contact_angle_residual(surface: SampledSurface) -> float:
-    """Worst deviation of the boundary conormal from the contact-angle frame.
-
-    Half-space: |mu - (sin(theta) (-e3) + cos(theta) nbar)| with nbar the
-    in-plane outward normal of the boundary curve; ball: the analogue with
-    mu - (cos(theta) nbar + sin(theta) N), N the outer sphere normal.
-    """
-    if len(surface.boundary_points) == 0:
-        raise GeometryError("contact check requires a nonempty boundary")
-    theta = surface.theta
-    bpts = surface.boundary_points
-    nbar = _wetting_normal_along(surface.ambient, bpts, surface.boundary_tangents)
-    if surface.ambient.kind == HALFSPACE:
-        target = np.sin(theta) * (-E3) + np.cos(theta) * nbar
-    else:
-        n_out = bpts / np.linalg.norm(bpts, axis=1, keepdims=True)
-        target = np.cos(theta) * nbar + np.sin(theta) * n_out
-    return float(np.max(np.linalg.norm(surface.boundary_conormals - target, axis=1)))
 
 
 # -- analytic generators ------------------------------------------------------
 
 
-def _sphere_cap(ambient, center, radius, opening, pole, name, params) -> ParametricChart:
+def _sphere_cap(ambient, center, radius, opening, pole, name) -> ParametricChart:
     """The piece of the sphere |x - center| = radius within polar angle ``opening`` of a pole.
 
     The pole is ``center + pole * radius * e3``, ``pole`` being +1 or -1;
@@ -406,7 +413,7 @@ def _sphere_cap(ambient, center, radius, opening, pole, name, params) -> Paramet
         t = np.asarray(t, dtype=float)
         return np.stack([c * np.cos(t), c * np.sin(t), z * np.ones_like(t)], axis=-1)
 
-    return ParametricChart(ambient=ambient, f=f, frames=frames, conormal=conormal, name=name, params=params)
+    return ParametricChart(ambient=ambient, f=f, frames=frames, conormal=conormal, name=name)
 
 
 def spherical_cap_halfspace(theta: float, radius: float = 1.0, planar_center=(0.0, 0.0)) -> ParametricChart:
@@ -422,8 +429,7 @@ def spherical_cap_halfspace(theta: float, radius: float = 1.0, planar_center=(0.
         raise GeometryError("radius must be positive")
     cx, cy = planar_center
     center = np.array([cx, cy, -radius * np.cos(theta)])
-    params = {"theta": theta, "radius": radius, "planar_center": tuple(planar_center)}
-    return _sphere_cap(ambient, center, radius, opening=theta, pole=1.0, name="cap", params=params)
+    return _sphere_cap(ambient, center, radius, opening=theta, pole=1.0, name="cap")
 
 
 def geodesic_disk_ball(theta: float) -> ParametricChart:
@@ -447,9 +453,7 @@ def geodesic_disk_ball(theta: float) -> ParametricChart:
         t = np.asarray(t, dtype=float)
         return np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=-1)
 
-    return ParametricChart(
-        ambient=ambient, f=f, frames=frames, conormal=conormal, name="flat-disk-ball", params={"theta": theta}
-    )
+    return ParametricChart(ambient=ambient, f=f, frames=frames, conormal=conormal, name="flat-disk-ball")
 
 
 def spherical_cap_ball(theta: float, colatitude: float) -> ParametricChart:
@@ -475,8 +479,7 @@ def spherical_cap_ball(theta: float, colatitude: float) -> ParametricChart:
     rho = np.sin(alpha) / abs(s)
     # the cap lies around the lower pole when theta > colatitude
     pole = -np.sign(s)
-    params = {"theta": theta, "colatitude": alpha, "center_height": d, "cap_radius": rho}
-    return _sphere_cap(ambient, np.array([0.0, 0.0, d]), rho, abs(theta - alpha), pole, "cap-ball", params)
+    return _sphere_cap(ambient, np.array([0.0, 0.0, d]), rho, abs(theta - alpha), pole, "cap-ball")
 
 
 # -- perturbations -------------------------------------------------------------
@@ -511,10 +514,4 @@ def perturb_chart(chart: ParametricChart, amplitude: float, mode: int) -> Parame
             direction = np.broadcast_to(E3, p.shape)
         return p + b[..., None] * direction
 
-    return ParametricChart(
-        ambient=chart.ambient,
-        f=f,
-        fd_step=chart.fd_step,
-        name=f"{chart.name}-perturbed",
-        params={**chart.params, "amplitude": amplitude, "mode": m},
-    )
+    return ParametricChart(ambient=chart.ambient, f=f, fd_step=chart.fd_step, name=f"{chart.name}-perturbed")

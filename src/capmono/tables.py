@@ -58,7 +58,6 @@ from .surfaces import (
     BOUNDARY_LAYOUT,
     SURFACE_LAYOUT,
     SampledSurface,
-    contact_angle_residual,
     geodesic_disk_ball,
     spherical_cap_ball,
     spherical_cap_halfspace,
@@ -448,7 +447,7 @@ def load_surface(surface_path, boundary_path) -> SampledSurface:
         chi = int(meta.get("chi", 1))
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{surface_path}: bad or missing ambient=, theta= or chi=: {exc}") from None
-    surface = SampledSurface(
+    return SampledSurface(
         ambient=ambient,
         **_fields(cols, SURFACE_LAYOUT),
         **_fields(bcols, BOUNDARY_LAYOUT),
@@ -456,8 +455,6 @@ def load_surface(surface_path, boundary_path) -> SampledSurface:
         # the texts read, which key the pair residuals companion
         metadata={"generator": meta.get("generator", "imported"), "tables": (surface_sum, boundary_sum)},
     )
-    surface.metadata["contact_residual"] = contact_angle_residual(surface)
-    return surface
 
 
 def save_curve(curve: OrientedCurve, path) -> None:

@@ -16,7 +16,8 @@ def test_free_boundary_collapse(stock):
     x0 = np.array([1.0, 0.0, 0.0])
     for r in (0.4, 0.9, 1.7):
         g, g_hat = bl.free_boundary_radial_pair(surface, x0, r)
-        gt, gt_hat = bl.probe_terms(surface, region, x0).pair(r)
+        m = bl.probe_terms(surface, region, x0).members(r)
+        gt, gt_hat = m["g"], m["g_hat"]
         assert g == pytest.approx(gt[0], abs=1e-14)
         assert g_hat == pytest.approx(gt_hat[0], abs=1e-14)
 
@@ -32,7 +33,8 @@ def test_pair_minimal_surface_drops_curvature_terms(stock):
 def test_pair_on_sphere_centers_match(stock):
     surface, region = stock.disk(np.pi / 3)
     x0 = CONTACT3
-    g, g_hat = bl.probe_terms(surface, region, x0).pair(0.8)
+    m = bl.probe_terms(surface, region, x0).members(0.8)
+    g, g_hat = m["g"], m["g_hat"]
     assert np.all(np.isfinite(g)) and np.all(np.isfinite(g_hat))
 
 
@@ -45,11 +47,13 @@ def test_pair_functions_base_points(stock):
         bl.free_boundary_radial_pair(surface, origin, 0.8)
     terms = bl.probe_terms(surface, region, origin)
     assert terms.BRANCH == bl.ORIGIN
-    g, g_hat = terms.pair(0.8)
+    m = terms.members(0.8)
+    g, g_hat = m["g"], m["g_hat"]
     assert np.all(np.isfinite(g)) and np.all(np.isfinite(g_hat))
     # anywhere else both take the general branch
     free = bl.free_boundary_radial_pair(surface, CONTACT3, 0.8)
-    capillary = bl.probe_terms(surface, region, CONTACT3).pair(0.8)
+    m = bl.probe_terms(surface, region, CONTACT3).members(0.8)
+    capillary = m["g"], m["g_hat"]
     assert np.all(np.isfinite(free)) and np.all(np.isfinite(capillary))
 
 

@@ -330,6 +330,20 @@ def test_importing_the_cli_leaves_numpy_polynomial_unloaded():
     assert proc.stdout.split() == ["False"]
 
 
+# every capmono module but the package and the ``python -m`` entry point
+_MODULES = sorted(p.stem for p in Path(capmono.__file__).parent.glob("*.py") if not p.stem.startswith("_"))
+
+
+@pytest.mark.parametrize("module", _MODULES)
+def test_each_module_imports_alone(module):
+    # the package imports none of its modules, so each one must import what
+    # it uses itself; a fresh interpreter shows an import-order dependency
+    src = str(Path(capmono.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", f"import capmono.{module}"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("ambient", ["halfspace", "ball"])
 def test_verification_commands_load_neither_numpy_ma_nor_polynomial(tmp_path, ambient):
     # a plain np.unique(ar) imports numpy.ma, and leggauss numpy.polynomial;

@@ -8,7 +8,7 @@ import pytest
 from capmono import ball as bl
 from capmono import energy as en
 from capmono import halfspace as hs
-from capmono.errors import AmbientError, ResolutionError
+from capmono.errors import AmbientError
 
 
 def lower_bound(theta):
@@ -65,14 +65,29 @@ def test_density_values(stock):
     assert en.density(cap, [5.0, 5.0, 5.0]) == 0.0
 
 
-def test_density_resolution_guard(stock):
-    cap, _ = stock.cap(2 * np.pi / 3)
-    # a generic on-surface point: a 0.02 ball holds a handful of samples
-    point = np.array([0.0, 0.0, 0.5]) + np.array(
-        [np.sin(np.pi / 4) * np.cos(0.3), np.sin(np.pi / 4) * np.sin(0.3), np.cos(np.pi / 4)]
-    )
-    with pytest.raises(ResolutionError):
-        en.density(cap, point, r_grid=np.linspace(0.02, 0.06, 4))
+def test_density_resolution_guard(tmp_path, capsys):
+    # an imported surface table can hold too few samples for the density
+    # at the Li-Yau point, boundary sample 0: here only the outer ring of a
+    # 16 x 16 cap (the table's last 16 rows, u being the outer index), read
+    # from its text with the binary companion gone.  energy exits 2 with
+    # the one-line error, not a traceback
+    from capmono.cli import main
+
+    out = tmp_path / "out"
+    path = tmp_path / "run.cfg"
+    path.write_text(f"[run]\ntheta = 2.0943951023932\n[quadrature]\nnu = 16\nnv = 16\n[output]\nout_dir = {out}\n")
+    assert main(["generate", "--config", str(path)]) == 0
+    table = out / "surface.tsv"
+    lines = table.read_text().splitlines(keepends=True)
+    head = [line for line in lines if line.startswith("#")]
+    table.write_text("".join(head + lines[-16:]))
+    (out / "surface.bin").unlink()
+    capsys.readouterr()
+    assert main(["energy", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: only 16 samples inside r = ") and err.count("\n") == 1
+    assert err.endswith("; need at least 50 (refine the surface)\n")
+    assert not (out / "energy.json").exists()
 
 
 def _tilde_density(mono, surface, region, x0):

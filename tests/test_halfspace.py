@@ -12,15 +12,18 @@ CONTACT = np.array([np.sin(THETA), 0.0, 0.0])
 
 def test_pair_symmetric_on_plane(stock):
     surface, region = stock.cap(THETA)
-    g, g_hat = hs.probe_terms(surface, region, CONTACT).pair(1.3)
+    m = hs.probe_terms(surface, region, CONTACT).members(1.3)
+    g, g_hat = m["g"], m["g_hat"]
     assert g[0] == pytest.approx(g_hat[0], abs=1e-14)
-    g2, g_hat2 = hs.probe_terms(surface, region, [0.4, -0.2, 0.0]).pair(0.9)
+    m = hs.probe_terms(surface, region, [0.4, -0.2, 0.0]).members(0.9)
+    g2, g_hat2 = m["g"], m["g_hat"]
     assert g2[0] == pytest.approx(g_hat2[0], abs=1e-14)
 
 
 def test_pair_large_radius_limit(stock):
     surface, region = stock.cap(np.pi / 2, res=96)
-    g, g_hat = hs.probe_terms(surface, region, [1.0, 0.0, 0.0]).pair(50.0)
+    m = hs.probe_terms(surface, region, [1.0, 0.0, 0.0]).members(50.0)
+    g, g_hat = m["g"], m["g_hat"]
     assert g[0] + g_hat[0] == pytest.approx(1.0, abs=1e-2)
 
 

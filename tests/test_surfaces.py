@@ -12,7 +12,6 @@ from capmono.geometry import Ambient
 from capmono.surfaces import (
     ParametricChart,
     SampledSurface,
-    contact_angle_residual,
     geodesic_disk_ball,
     perturb_chart,
     sample_chart,
@@ -33,7 +32,7 @@ def test_cap_measures(stock, theta):
     surface, _ = stock.cap(theta)
     assert surface.area() == pytest.approx(cap_area(theta), rel=1e-6)
     assert surface.boundary_length() == pytest.approx(2 * np.pi * np.sin(theta), rel=1e-6)
-    assert surface.metadata["contact_residual"] < 1e-10
+    assert surface.contact_residual < 1e-10
 
 
 def test_hemisphere_area_and_length():
@@ -64,7 +63,7 @@ def test_flat_disk_measures():
     assert surface.area() == pytest.approx(0.75 * np.pi, rel=1e-6)
     assert surface.boundary_length() == pytest.approx(np.sqrt(3) * np.pi, rel=1e-6)
     assert np.max(np.abs(surface.mean_curvature)) < 1e-8
-    assert surface.metadata["contact_residual"] < 1e-10
+    assert surface.contact_residual < 1e-10
 
 
 def test_free_boundary_disk():
@@ -80,7 +79,7 @@ def test_cap_ball_geometry(theta, alpha):
     rho = np.sin(alpha) / abs(s)
     assert surface.area() == pytest.approx(2 * np.pi * rho**2 * (1 - np.cos(theta - alpha)), rel=1e-6)
     assert surface.boundary_length() == pytest.approx(2 * np.pi * np.sin(alpha), rel=1e-6)
-    assert surface.metadata["contact_residual"] < 1e-8
+    assert surface.contact_residual < 1e-8
     assert np.max(np.linalg.norm(surface.points, axis=1)) <= 1.0 + 1e-8
 
 
@@ -230,7 +229,7 @@ def test_perturbation_zero_amplitude_is_same_object():
 def test_perturbation_boundary_stays_on_plane(stock):
     surface, _ = stock.perturbed_cap(2 * np.pi / 3, 0.05, 2)
     assert np.max(np.abs(surface.boundary_points[:, 2])) < 1e-8
-    assert surface.metadata["contact_residual"] > 1e-3
+    assert surface.contact_residual > 1e-3
 
 
 def test_perturbation_boundary_stays_on_sphere():
@@ -266,7 +265,7 @@ def test_small_resolution_rejected():
 
 def test_contact_check_requires_boundary(stock):
     surface, _ = stock.cap(np.pi / 2)
-    assert contact_angle_residual(surface) < 1e-10
+    assert surface.contact_residual < 1e-10
 
 
 _VECTOR_FIELDS = (
