@@ -6,8 +6,8 @@ peak memory stays under about 1 GB.  For each workload this script takes
 its benchmark config (``perfbench/workloads.py``, imported, not edited),
 raises ``nu`` and ``nv`` to the bound, runs ``generate``, ``energy`` and
 ``monotonicity`` through the ``capmono`` command line of this checkout,
-one process at a time, and prints each command's exit code, peak RSS
-(``os.wait4``) and wall time:
+one process at a time, and prints each command's exit code, peak RSS and
+minor page faults (``os.wait4``) and wall time:
 
     python3 scripts/memory_bounds.py --seed 1
 
@@ -45,8 +45,8 @@ def cases(nu_nv: int) -> list[tuple[str, dict]]:
     return [(name, {"nu": nu_nv, "nv": nu_nv}) for name in ("probe-sweep", "ball-cap", "halfspace-cap")]
 
 
-def run(command: str, config: Path) -> tuple[int, float, float]:
-    """One command in a fresh process: exit code, wall seconds, peak RSS in MB."""
+def run(command: str, config: Path) -> tuple[int, float, float, int]:
+    """One command in a fresh process: exit code, wall seconds, peak RSS in MB, minor page faults."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     t0 = time.perf_counter()
@@ -60,7 +60,7 @@ def run(command: str, config: Path) -> tuple[int, float, float]:
     _, status, usage = os.wait4(proc.pid, 0)
     seconds = time.perf_counter() - t0
     proc.returncode = os.waitstatus_to_exitcode(status)
-    return proc.returncode, seconds, usage.ru_maxrss / 1024.0
+    return proc.returncode, seconds, usage.ru_maxrss / 1024.0, usage.ru_minflt
 
 
 def main(argv=None) -> int:
@@ -78,8 +78,11 @@ def main(argv=None) -> int:
             config.write_text(config_text(workload, args.seed, str(Path(tmp) / f"out{i}")))
             setting = " ".join(f"{key}={value}" for key, value in override.items())
             for command in MEASURED:
-                code, seconds, peak = run(command, config)
-                print(f"{name} {setting} {command}: exit {code}, peak RSS {peak:.1f} MB, {seconds:.2f} s")
+                code, seconds, peak, faults = run(command, config)
+                print(
+                    f"{name} {setting} {command}: exit {code}, peak RSS {peak:.1f} MB, "
+                    f"{faults} minor faults, {seconds:.2f} s"
+                )
                 if command == "generate" and code != 0:
                     failed = True
                     break

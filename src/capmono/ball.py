@@ -31,7 +31,7 @@ from .identity import (  # noqa: F401
     ProbeTerms,
     Term,
     center_arrays,
-    center_offsets,
+    offset_dots,
     first_variation,
     monotonicity_identity_detail,
     monotonicity_profile,
@@ -106,6 +106,7 @@ class _BallTerms(PairTerms):
     SIGN = -1
     BRANCH = GENERAL
     TABLE = _TABLE
+    HAT_FIELDS = ("points",)
 
     def __init__(self, surface: SampledSurface, region: Optional[WettedRegion], probe):
         if surface.ambient.kind != BALL:
@@ -126,7 +127,7 @@ class _BallTerms(PairTerms):
             hat = {"proj": _projection_antiderivative(m), "dist2": _dist2_antiderivative(m)}
             self.eta_hat = BallRestrictedEta(region, self.x0_hat, hat)
 
-    def hat_arrays(self, rel: np.ndarray, r2: np.ndarray) -> Mapping:
+    def hat_arrays(self, r2: np.ndarray, nu_rel: np.ndarray, x_rel: np.ndarray) -> Mapping:
         """The inverted member's keys of the companion prefix about xi = ``x0_hat``.
 
         ``pos`` is (|x - xi|^2 + x.(x - xi) - (x.nu)(nu.(x - xi))) w and
@@ -137,12 +138,12 @@ class _BallTerms(PairTerms):
         and |x|^2 and x times H.x) contracted with xi after every
         restriction.  The shared ``hx`` = (H.x) w is the one key the
         direct prefix does not hold: only the inverted member reads it,
-        windowed.  ``rel`` and ``r2`` are the samples' offsets x - xi and
-        |x - xi|^2.
+        windowed.  ``r2``, ``nu_rel`` and ``x_rel`` are the samples'
+        |x - xi|^2, nu.(x - xi) and x.(x - xi).
         """
         surface = self.surface
-        pts, nu, hx = surface.points, surface.normals, surface.mu_arrays["hx"]
-        tangential = rowdot(pts, rel) - rowdot(pts, nu) * rowdot(nu, rel)
+        hx = surface.mu_arrays["hx"]
+        tangential = x_rel - rowdot(surface.points, surface.normals) * nu_rel
         return {"hx": hx, "pos": (r2 + tangential) * surface.weights, "hpos": r2 * hx}
 
 
@@ -177,8 +178,8 @@ class _OriginTerms(ProbeTerms):
         self.surface = surface
         self.probe = probe
         origin = np.zeros(3)
-        rel, r2 = center_offsets(surface.points, origin)
-        self.mu = RadialPrefix(surface.points, origin, center_arrays(surface, rel, r2), d2=r2)
+        dots = offset_dots(surface.points, origin, surface.mean_curvature, surface.normals)
+        self.mu = RadialPrefix(surface.points, origin, center_arrays(surface, *dots), d2=dots[0])
 
     @property
     def base_point(self) -> np.ndarray:

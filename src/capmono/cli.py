@@ -84,8 +84,13 @@ class Run:
         return tables.ResidualCompanion(self.out / tables.PAIR_RESIDUALS, self.surface, self.probes, self.pairs)
 
     def check(self, probe, grid=None):
-        """One probe's profile (none without a grid) and signed raw pair residuals; its terms live only in this call."""
+        """One probe's profile (none without a grid) and signed raw pair residuals; its terms live only in this call.
+
+        The terms are first read at the grid and every pair radius at once,
+        so each of their restrictions is read once per probe.
+        """
         terms = self.mono.probe_terms(self.surface, self.region, probe)
+        terms.read_ahead(np.concatenate([[] if grid is None else grid, np.ravel(self.pairs)]))
         profile = None if grid is None else self.mono.monotonicity_profile(terms, grid)
         return profile, [self.mono.monotonicity_identity_detail(terms, s, r)["residual"] for s, r in self.pairs]
 

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import GeometryError
 from .energy import density_radii, extrapolate
 from .fields import TestVectorField
-from .geometry import companion, rowdot, rownorm
+from .geometry import companion, rownorm
 from .surfaces import SampledSurface
 from .wetted import WettedRegion, eta_divergence
 
@@ -59,43 +59,59 @@ class Term(NamedTuple):
     remainder: bool = False
 
 
-def nudge_off_samples(surface: SampledSurface, a: np.ndarray) -> np.ndarray:
+def nudge_off_samples(surface: SampledSurface, a: np.ndarray, d2: np.ndarray) -> np.ndarray:
     """Shift a base point off an exactly coincident sample.
 
     Offsets by 1e-6 along the boundary tangent at the nearest boundary
     sample; the integrands are bounded on smooth surfaces, the shift only
-    dodges 0/0 at exact coincidence.
+    dodges 0/0 at exact coincidence.  ``d2`` holds the squared distances
+    of the samples from a (the first of its :func:`offset_dots`); a is
+    returned itself when it is not shifted.
     """
-    d = rownorm(surface.points - a)
     db = rownorm(surface.boundary_points - a)
-    if min(d.min(initial=np.inf), db.min(initial=np.inf)) > 1e-9:
+    if min(np.sqrt(d2.min(initial=np.inf)), db.min(initial=np.inf)) > 1e-9:
         return a
     k = int(np.argmin(db))
     return a + _OFFSET * surface.boundary_tangents[k]
 
 
-def center_offsets(points: np.ndarray, center) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets x - c of the points from a center and their squared lengths.
+def offset_dots(points: np.ndarray, center, *fields: np.ndarray) -> list:
+    """|x - c|^2 and each field's F.(x - c), per point x, in one pass over the offsets.
 
-    One pass per center serves the integrands of :func:`center_arrays` and
-    the distance sort (the ``d2=`` of ``RadialPrefix``).
+    The offsets x - c are made one coordinate at a time and dropped, so no
+    (n, 3) temporary is made; each sum adds its three products onto +0.0
+    in coordinate order, as :func:`geometry.rowdot` does, so it has the
+    bits of ``rowdot(F, points - c)``.  The squared distances serve the
+    distance sort (the ``d2=`` of ``RadialPrefix``) and the probe's nudge
+    check, the dots the integrands of :func:`center_arrays` and the
+    ambient's ``hat_arrays``.
     """
-    rel = points - center
-    return rel, rowdot(rel, rel)
+    sums = [np.zeros(len(points)) for _ in range(len(fields) + 1)]
+    for k in range(3):
+        offset = points[:, k] - center[k]
+        for total, column in zip(sums, (offset, *(f[:, k] for f in fields))):
+            total += column * offset
+    return sums
 
 
-def center_arrays(surface: SampledSurface, rel: np.ndarray, r2: np.ndarray) -> dict:
+def center_arrays(surface: SampledSurface, r2: np.ndarray, h_rel: np.ndarray, nu_rel: np.ndarray) -> dict:
     """The keys every μ prefix restricts about its center c.
 
     The surface's shared ``mass`` and ``h2``, and two integrands built from
-    the samples' :func:`center_offsets` ``rel`` and ``r2`` from c: the
-    coupling ``hxc`` = H.(x - c) w and the square ``sq`` =
-    |H/4 + ((x - c).nu / |x - c|^2) nu|^2 w, w the area weight.
+    the samples' :func:`offset_dots` from c, r2 = |x - c|^2, h_rel =
+    H.(x - c) and nu_rel = nu.(x - c): the coupling ``hxc`` = H.(x - c) w
+    and the square ``sq`` = |H/4 + ((x - c).nu / |x - c|^2) nu|^2 w, w the
+    area weight, summed one coordinate at a time in the order of
+    :func:`geometry.rowdot`.
     """
     h, nu, w = surface.mean_curvature, surface.normals, surface.weights
-    hxc = rowdot(h, rel) * w
-    v = 0.25 * h + (rowdot(rel, nu) / r2)[:, None] * nu
-    return {"mass": surface.mu_arrays["mass"], "h2": surface.mu_arrays["h2"], "sq": rowdot(v, v) * w, "hxc": hxc}
+    scale = nu_rel / r2
+    sq = np.zeros(len(w))
+    for k in range(3):
+        v = 0.25 * h[:, k] + scale * nu[:, k]
+        sq += v * v
+    sq *= w
+    return {"mass": surface.mu_arrays["mass"], "h2": surface.mu_arrays["h2"], "sq": sq, "hxc": h_rel * w}
 
 
 def first_variation(surface: SampledSurface, region: WettedRegion, field: TestVectorField) -> float:
@@ -193,6 +209,10 @@ class ProbeTerms:
     SIGN: int
     BRANCH: Optional[str]
 
+    def read_ahead(self, r) -> None:
+        """Evaluate the members at all these radii at once, for later calls
+        to read; a branch that keeps no members does nothing."""
+
     def identity_terms(self, sigma: float, rho: float) -> dict:
         """Increments over [sigma, rho] of the pair, squares and deficits."""
         members = self.members(np.array([sigma, rho]))
@@ -222,42 +242,61 @@ def monotonicity_profile(terms: ProbeTerms, r_grid) -> Profile:
 
 
 class PairTerms(ProbeTerms):
-    """Prefix sums about a base point and its companion, read in one window.
+    """Distance sorts about a base point and its companion, read in one window.
 
     ``prefix`` builds the two prefixes; the ambient modules pass their own
     ``RadialPrefix`` name, so instrumentation that replaces that name (as
     ``perfbench/tracing.py`` does) sees every construction.  Each prefix
-    restricts the :func:`center_arrays` about its own center, one row per
-    key, and the companion prefix adds the ambient's ``hat_arrays``, built
-    from the same offsets.  Subclasses declare the identity as ``TABLE``,
-    a tuple of :class:`Term` rows, and build the η restrictions the rows
-    read (``eta``, and ``eta_hat`` where the companion needs its own); the
-    base point is ``x0``, the probe nudged off the samples.
+    restricts the :func:`center_arrays` about its own center, one key per
+    integrand, and the companion prefix adds the ambient's ``hat_arrays``,
+    built from the same :func:`offset_dots` pass; one center's offsets are
+    dropped before the next center's are made.  Subclasses declare the
+    identity as ``TABLE``, a tuple of :class:`Term` rows, and build the η
+    restrictions the rows read (``eta``, and ``eta_hat`` where the
+    companion needs its own); the base point is ``x0``, the probe nudged
+    off the samples.
     """
 
     TABLE: tuple
+    # the surface fields F whose dots F.(x - c) about the companion c
+    # ``hat_arrays`` reads, in this order, after r2 and nu.(x - c)
+    HAT_FIELDS: tuple = ()
 
     def __init__(self, surface: SampledSurface, probe, prefix):
         self.surface = surface
         self.theta = surface.theta
-        self.x0 = nudge_off_samples(surface, np.array(probe, dtype=float))
+        pts, fields = surface.points, (surface.mean_curvature, surface.normals)
+        probe = np.array(probe, dtype=float)
+        dots = offset_dots(pts, probe, *fields)
+        self.x0 = nudge_off_samples(surface, probe, dots[0])
+        if self.x0 is not probe:
+            dots = offset_dots(pts, self.x0, *fields)
+        # each dot is dropped once its keys are built, before the sort, and
+        # the squared distances once the sort is made
+        r2, keys = dots[0], center_arrays(surface, *dots)
+        del dots
+        self.mu = prefix(pts, self.x0, keys, d2=r2)
+        del r2
         self.x0_hat, self.divisor = companion(self.x0, surface.ambient)
-        pts = surface.points
-        rel, r2 = center_offsets(pts, self.x0)
-        self.mu = prefix(pts, self.x0, center_arrays(surface, rel, r2), d2=r2)
-        rel, r2 = center_offsets(pts, self.x0_hat)
-        hat = {**center_arrays(surface, rel, r2), **self.hat_arrays(rel, r2)}
-        self.mu_hat = prefix(pts, self.x0_hat, hat, d2=r2)
+        hat_fields = (getattr(surface, name) for name in self.HAT_FIELDS)
+        r2, h_rel, nu_rel, *more = offset_dots(pts, self.x0_hat, *fields, *hat_fields)
+        keys = {**center_arrays(surface, r2, h_rel, nu_rel), **self.hat_arrays(r2, nu_rel, *more)}
+        del h_rel, nu_rel, more
+        self.mu_hat = prefix(pts, self.x0_hat, keys, d2=r2)
+        # the members of the default reads, kept at every radius seen, ascending
+        self._radii = np.empty(0)
+        self._kept = {name: np.empty(0) for name in (*MEMBERS, "remainder")}
 
     @property
     def base_point(self) -> np.ndarray:
         return self.x0
 
-    def hat_arrays(self, rel: np.ndarray, r2: np.ndarray) -> Mapping:
+    def hat_arrays(self, r2: np.ndarray, nu_rel: np.ndarray, *dots: np.ndarray) -> Mapping:
         """Ambient-specific keys of the companion prefix (none by default).
 
-        ``rel`` and ``r2`` are the samples' :func:`center_offsets` from the
-        companion center.
+        ``r2``, ``nu_rel`` and ``dots`` are the samples' :func:`offset_dots`
+        from the companion center c: |x - c|^2, nu.(x - c) and F.(x - c)
+        for each of ``HAT_FIELDS``.
         """
         return {}
 
@@ -273,23 +312,62 @@ class PairTerms(ProbeTerms):
         w = np.maximum(self.mu.auto_halfwidth(r), s * self.mu_hat.auto_halfwidth(r / s))
         return np.minimum(w, 0.9 * r)
 
+    def read_ahead(self, r) -> None:
+        """Evaluate the default members at the radii not yet kept, in one
+        call, and keep them with the others, ascending by radius."""
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        _, seen = self._kept_at(r)
+        if seen.all():
+            return
+        fresh = np.sort(r[~seen])
+        values = self._evaluate(fresh, self.TABLE, self.halfwidth(fresh))
+        if not len(self._radii):
+            self._radii, self._kept = fresh, values
+            return
+        at = np.searchsorted(self._radii, fresh)
+        self._radii = np.insert(self._radii, at, fresh)
+        self._kept = {name: np.insert(kept, at, values[name]) for name, kept in self._kept.items()}
+
+    def _kept_at(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Where each radius sits among the kept radii, and whether it is kept."""
+        at = np.searchsorted(self._radii, r)
+        seen = at < len(self._radii)
+        seen[seen] = self._radii[at[seen]] == r[seen]
+        return at, seen
+
     def members(self, r, rows=None, halfwidth=None) -> dict:
         """Each member of the identity and the remainder over the radii.
 
         Sums ``rows`` (the whole ``TABLE`` by default) into the members of
         :data:`MEMBERS` and the rows marked ``remainder`` into
         ``"remainder"``; a member no row feeds is zero.  The window is
-        ``halfwidth`` when given, else :meth:`halfwidth`, computed once, and
-        each (source, key, over_r2) is read once: a hat source at the
-        companion radius r / divisor and window w / divisor.
+        ``halfwidth`` when given, else :meth:`halfwidth`.  With the default
+        rows and window every radius is evaluated once (:meth:`read_ahead`)
+        and its values are kept for later calls.  Every value depends on
+        its own radius alone, so it has the same bits whichever radii share
+        its call.
         """
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        w = self.halfwidth(r) if halfwidth is None else np.broadcast_to(halfwidth, r.shape)
+        if rows is not None or halfwidth is not None:
+            w = self.halfwidth(r) if halfwidth is None else np.broadcast_to(halfwidth, r.shape)
+            return self._evaluate(r, self.TABLE if rows is None else rows, w)
+        at, seen = self._kept_at(r)
+        if not seen.all():
+            self.read_ahead(r)
+            at = np.searchsorted(self._radii, r)
+        return {name: kept[at] for name, kept in self._kept.items()}
+
+    def _evaluate(self, r: np.ndarray, rows, w: np.ndarray) -> dict:
+        """The rows summed into the members over the radii r in the window w.
+
+        Each (source, key, over_r2) is read once: a hat source at the
+        companion radius r / divisor and window w / divisor.
+        """
         hat = (r / self.divisor, w / self.divisor)
         ct = np.cos(self.theta)
         out = {name: np.zeros(len(r)) for name in (*MEMBERS, "remainder")}
         reads: dict = {}
-        for row in self.TABLE if rows is None else rows:
+        for row in rows:
             at = (row.source, row.key, row.over_r2)
             if at not in reads:
                 prefix = getattr(self, row.source)

@@ -3,12 +3,27 @@ product on a rectangle."""
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
+
+
+@cache
+def _unit_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point rule on [-1, 1], computed once per n and shared read-only.
+
+    ``numpy.polynomial`` is first read here, so importing this module does
+    not load it.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def gauss_legendre(n: int, a: float = 0.0, b: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point Gauss-Legendre rule on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _unit_rule(n)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     return mid + half * x, half * w

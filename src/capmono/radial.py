@@ -1,17 +1,25 @@
 """Single-pass radial binning for ball-restricted integrals.
 
 Samples are sorted by distance from a base point once; every radius on a
-grid then reads off a prefix sum.  Integrands linear in the base point are
-decomposed so that one sort serves the whole family.
+grid then reads off a running sum in that order.  Integrands linear in the
+base point are decomposed so that one sort serves the whole family.
+
+Only the sort is kept.  A read gathers its key into distance order and
+sums it up in a scratch row the prefix reuses, takes the values at the
+window ends and goes on, so a prefix holds its order, its sorted
+distances and its keys, and no running sum outlives the read that needed
+it.  A caller reads each (key, window kind) once for all of its radii
+(``identity.PairTerms.members`` keeps the values per radius), so every
+sum is still built once.
 
 Sharp restriction of an atomic sample measure to a ball is a staircase in
 the radius; where sample rings align with the cut sphere the steps are a
 visible fraction of the local mass.  ``windowed`` therefore returns the
 exact average of the sharp cumulative over [r - w, r + w], which two
-prefix lookups provide in closed form; averaging over a window of a few
-local sample spacings removes the staircase at second order and commutes
-with every identity checked downstream (the identities hold at each
-radius, hence for radius averages).
+running-sum lookups provide in closed form; averaging over a window of a
+few local sample spacings removes the staircase at second order and
+commutes with every identity checked downstream (the identities hold at
+each radius, hence for radius averages).
 
 The wetted measure η is restricted by the same engine:
 ``wetted.BallRestrictedEta`` is a ``RadialPrefix`` over the boundary
@@ -27,21 +35,20 @@ from .geometry import rowdot
 
 
 class RadialPrefix:
-    """Prefix sums of weighted sample quantities by distance from a center.
+    """Running sums of weighted sample quantities by distance from a center.
 
-    ``order`` sorts the samples by distance; ``dists`` and ``values`` are in
-    that order.  A caller that already holds the squared distances
+    ``order`` sorts the samples by distance and ``dists`` holds the sorted
+    distances.  A caller that already holds the squared distances
     |x - c|^2 of the points passes them as ``d2``, so each center costs one
     distance pass; ``points`` is read only without ``d2``.
 
-    All keys are the rows of one (K, n) array, one row per key: a key is
-    one value per point, and any other shape raises ValueError.  Each key
-    is gathered straight into its row, and every plain prefix is built by
-    one ``cumsum`` along the rows; ``values[key]`` and the key's plain
-    prefix are views of its row.  A row adds its entries in the order of a
-    per-key running sum, so every prefix has the bits of a per-key
-    ``np.cumsum``.  The f.d and f/d prefixes of a key (read by the two
-    windows) are built on their first read.
+    Every key is one value per point, and any other shape raises
+    ValueError.  The keys are kept as given, in point order; a read
+    gathers one key into distance order and builds its zero-led running
+    sum in a scratch row, and the d or 1/d moment that a window needs in a
+    second one.  Both rows are allocated on the first read and reused by
+    every later one.  The gather and the sums are those of a per-key
+    ``np.take`` and ``np.cumsum``, so every read has their bits.
     """
 
     def __init__(self, points: np.ndarray | None, center, arrays: dict[str, np.ndarray], *, d2=None):
@@ -51,29 +58,43 @@ class RadialPrefix:
             d2 = rowdot(rel, rel)
         self.order, self.dists = _distance_order(np.sqrt(d2))
         self.n = len(self.dists)
-        block = np.empty((len(arrays), self.n))
-        for row, (key, arr) in zip(block, arrays.items()):
-            arr = np.asarray(arr, dtype=float)
+        self.keys = {key: np.asarray(arr, dtype=float) for key, arr in arrays.items()}
+        for key, arr in self.keys.items():
             if arr.shape != (self.n,):
                 raise ValueError(f"key {key!r} has shape {arr.shape}, not one value per point ({self.n},)")
-            # order is a permutation of the entries, so "clip" never clips;
-            # it writes straight into out, which "raise" would buffer
-            np.take(arr, self.order, out=row, mode="clip")
-        self.values = dict(zip(arrays, block))
-        self._prefix = dict(zip(arrays, _prefix(block)))
-        self._moments: dict = {}
+        self._scratch = None
 
-    def _moment(self, key: str, power: int) -> np.ndarray:
-        """Prefix of the key's values times d (power 1) or 1/d (power -1)."""
-        if (key, power) not in self._moments:
-            scale = self.dists if power > 0 else 1.0 / np.maximum(self.dists, 1e-12)
-            self._moments[key, power] = _prefix(self.values[key], scale)
-        return self._moments[key, power]
+    def _running(self, key: str, power: int = 0) -> tuple[np.ndarray, np.ndarray | None]:
+        """The key's zero-led running sum in distance order and, for power 1
+        or -1, that of its values times d or 1/d (else None).
+
+        Both are scratch rows that the next read overwrites: a caller takes
+        the entries it needs before it reads again.
+        """
+        if self._scratch is None:
+            self._scratch = np.empty((2, self.n + 1))
+            self._scratch[:, 0] = 0.0
+        plain, moment = self._scratch
+        values = plain[1:]
+        # order is a permutation of the entries, so "clip" never clips;
+        # it writes straight into out, which "raise" would buffer
+        np.take(self.keys[key], self.order, out=values, mode="clip")
+        if power:
+            scaled = moment[1:]
+            if power > 0:
+                np.multiply(values, self.dists, out=scaled)
+            else:
+                np.maximum(self.dists, 1e-12, out=scaled)
+                np.divide(1.0, scaled, out=scaled)
+                np.multiply(values, scaled, out=scaled)
+            np.cumsum(scaled, out=scaled)
+        np.cumsum(values, out=values)
+        return plain, (moment if power else None)
 
     def cumulative(self, key: str, r) -> np.ndarray:
         """Sharp sum of the keyed quantity over samples with distance < r."""
         idx = np.searchsorted(self.dists, np.asarray(r, dtype=float), side="left")
-        return self._prefix[key][idx]
+        return self._running(key)[0][idx]
 
     def windowed(self, key: str, r, halfwidth) -> np.ndarray:
         """Average of the sharp cumulative over radii [r - w, r + w].
@@ -87,9 +108,9 @@ class RadialPrefix:
             return self.cumulative(key, r)
         lo = np.searchsorted(self.dists, r - w, side="left")
         hi = np.searchsorted(self.dists, r + w, side="left")
-        full = self._prefix[key][lo]
-        band_f = self._prefix[key][hi] - self._prefix[key][lo]
-        prefix_d = self._moment(key, 1)
+        prefix, prefix_d = self._running(key, 1)
+        full = prefix[lo]
+        band_f = prefix[hi] - prefix[lo]
         band_fd = prefix_d[hi] - prefix_d[lo]
         return full + ((r + w) * band_f - band_fd) / np.maximum(2.0 * w, 1e-300)
 
@@ -109,9 +130,9 @@ class RadialPrefix:
         hi_r = r + w
         lo = np.searchsorted(self.dists, lo_r, side="left")
         hi = np.searchsorted(self.dists, hi_r, side="left")
-        p_lo = self._prefix[key][lo]
-        p_hi = self._prefix[key][hi]
-        prefix_invd = self._moment(key, -1)
+        prefix, prefix_invd = self._running(key, -1)
+        p_lo = prefix[lo]
+        p_hi = prefix[hi]
         pi_lo = prefix_invd[lo]
         pi_hi = prefix_invd[hi]
         inv_hi = 1.0 / hi_r
@@ -119,7 +140,7 @@ class RadialPrefix:
             2.0 * w, 1e-300
         )
         if np.any(sharp):
-            out[sharp] = self.cumulative(key, r[sharp]) / r[sharp] ** 2
+            out[sharp] = prefix[np.searchsorted(self.dists, r[sharp], side="left")] / r[sharp] ** 2
         return out
 
     def auto_halfwidth(self, r) -> np.ndarray:
@@ -209,19 +230,3 @@ def _distance_order(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         dists = np.take(d, order)
     return order, dists
 
-
-def _prefix(block: np.ndarray, scale=None) -> np.ndarray:
-    """Running sums along the rows of the block or along one row (times
-    ``scale``), each led by a zero.
-
-    The product is formed in the output and summed there in place, so a
-    scaled prefix needs no temporary of the block's size.
-    """
-    out = np.empty(block.shape[:-1] + (block.shape[-1] + 1,))
-    out[..., 0] = 0.0
-    if scale is None:
-        np.cumsum(block, axis=-1, out=out[..., 1:])
-    else:
-        np.multiply(block, scale, out=out[..., 1:])
-        np.cumsum(out[..., 1:], axis=-1, out=out[..., 1:])
-    return out

@@ -98,14 +98,16 @@ _BALL_PROFILE = (
 
 # the largest chart resolution whose single-threaded monotonicity run on
 # the benchmark configs peaks under 1 GB (os.wait4, one run each,
-# scripts/memory_bounds.py: 452 MB on ball-cap, 382 MB and 381 MB on
+# scripts/memory_bounds.py: 268 MB on ball-cap, 253 MB and 260 MB on
 # halfspace-cap and probe-sweep, all at nu = nv = 1000)
 MAX_NU_NV = 1000
 # the most radii a monotonicity profile may take.  A profile holds about 67
-# bytes a radius and is written with no copy (tracemalloc), and the profiles
-# held do not grow with the probes; at both bounds monotonicity peaks at 501 MB
-# on ball-cap, 419 MB on probe-sweep (16 probes) and 415 MB on halfspace-cap
-# (os.wait4, one run each, nu = nv = 1000 and r_count = 100000)
+# bytes a radius and is written with no copy (tracemalloc), its probe's
+# terms keep 64 bytes a radius (the members at each radius) until the probe
+# is done, and neither grows with the probes; at both bounds monotonicity
+# peaks at 320 MB on ball-cap, 297 MB on probe-sweep (16 probes) and 295 MB
+# on halfspace-cap (os.wait4, one run each, nu = nv = 1000 and
+# r_count = 100000)
 MAX_R_COUNT = 100_000
 
 # each generator: the ambient of the surface it builds, and its chart from a config

@@ -464,17 +464,20 @@ class BallRestrictedEta(RadialPrefix):
     def cumulative(self, key: str, radii) -> np.ndarray:
         r = np.atleast_1d(np.asarray(radii, dtype=float))
         idx = np.searchsorted(self.dists, r, side="left")
+        # each running sum is read at idx before the next one is built
         if self._area is None:
-            angle = self._prefix["angle"]
+            angle = self._running("angle")[0]
+            outside = angle[-1] - angle[idx]
             # the disk's edge term; once every atom is inside it is F(0) times no angle
             rp2 = np.where(idx < self.n, r * r - self.center[2] ** 2, 0.0)
             edge = self._antiderivatives[key](np.maximum(rp2, 0.0))
-            return self._prefix[key][idx] + edge * (angle[-1] - angle[idx])
-        up, down = self._prefix["up"], self._prefix["down"]
+            return self._running(key)[0][idx] + edge * outside
+        up = self._running("up")[0]
+        outside = up[-1] - up[idx]
         m = self._radius
         ur = np.clip((r * r - (1.0 - m) ** 2) / (2.0 * m), 0.0, 2.0)
-        edge = (up[-1] - up[idx]) - down[idx] + 0.5 * self._area
-        return self._prefix[key][idx] + self._antiderivatives[key](ur) * edge
+        edge = outside - self._running("down")[0][idx] + 0.5 * self._area
+        return self._running(key)[0][idx] + self._antiderivatives[key](ur) * edge
 
     def _window_average(self, key: str, r, halfwidth, over_r2: bool) -> np.ndarray:
         """Average over [r - w, r + w] of M(s) or M(s)/s^2, with w clipped to 0.9 r.

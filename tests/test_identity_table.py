@@ -230,7 +230,7 @@ def test_two_radius_gate_catches_a_disabled_probe_nudge(stock, ambient, monkeypa
     probe = surface.points[np.argmin(np.linalg.norm(surface.points - near, axis=1))]
     nudged = mono.monotonicity_identity_detail(mono.probe_terms(surface, region, probe), *PAIR)["residual"]
     assert _passes(abs(nudged), GATE)
-    monkeypatch.setattr(identity, "nudge_off_samples", lambda surface, a: a)
+    monkeypatch.setattr(identity, "nudge_off_samples", lambda surface, a, d2: a)
     with np.errstate(divide="ignore", invalid="ignore"):
         raw = mono.monotonicity_identity_detail(mono.probe_terms(surface, region, probe), *PAIR)["residual"]
     assert np.isnan(raw) and not _passes(abs(raw), GATE)

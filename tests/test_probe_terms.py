@@ -3,17 +3,19 @@
 import dataclasses
 import importlib.util
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from capmono import ball as bl
+from capmono import cli, tables
 from capmono import halfspace as hs
-from capmono.identity import nudge_off_samples
+from capmono.identity import nudge_off_samples, offset_dots
 from capmono.radial import RadialPrefix
 from capmono.surfaces import sample_chart, spherical_cap_ball, spherical_cap_halfspace
-from capmono.wetted import WettedRegion, wetted_region
+from capmono.wetted import BallRestrictedEta, WettedRegion, wetted_region
 
 PAIRS = ((0.4, 1.5), (0.5, 2.0))
 GRID = np.linspace(0.3, 2.5, 12)
@@ -46,7 +48,7 @@ def _check_shared(mono, surface, region, x0):
 def test_halfspace_shared_terms_match_fresh_calls(stock, where):
     surface, region = stock.cap(2 * np.pi / 3)
     x0 = np.array([0.3, -0.2, 0.5]) if where == "interior" else surface.boundary_points[5].copy()
-    nudged = not np.array_equal(nudge_off_samples(surface, x0), x0)
+    nudged = not np.array_equal(nudge_off_samples(surface, x0, offset_dots(surface.points, x0)[0]), x0)
     assert nudged == (where == "on-sample")
     terms = _check_shared(hs, surface, region, x0)
     assert isinstance(terms, hs._Terms)
@@ -60,7 +62,7 @@ def test_ball_shared_terms_match_fresh_calls(stock, where):
         "on-sample": surface.points[1000].copy(),
         "origin": np.zeros(3),
     }[where]
-    nudged = not np.array_equal(nudge_off_samples(surface, x0), x0)
+    nudged = not np.array_equal(nudge_off_samples(surface, x0, offset_dots(surface.points, x0)[0]), x0)
     assert nudged == (where == "on-sample")
     terms = _check_shared(bl, surface, region, x0)
     assert isinstance(terms, bl._OriginTerms if where == "origin" else bl._BallTerms)
@@ -230,3 +232,67 @@ def test_coupling_integrand_matches_the_contracted_form(ambient):
     got = terms.members(r, rows)
     for member, expect in zip(("g", "g_hat"), couplings):
         assert np.max(np.abs(got[member] - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
+def _bench_run(tmp_path, name):
+    """A generated run of the bench generator of ``name`` at 64 x 64 samples,
+    with 48 radii and the three probe-sweep pairs, and its radius grid."""
+    workloads = _bench_workloads()
+    w = dataclasses.replace(
+        workloads.WORKLOADS[name],
+        quadrature={**workloads.WORKLOADS[name].quadrature, "nu": 64, "nv": 64},
+        r_count=48,
+        pairs=workloads.WORKLOADS["probe-sweep"].pairs,
+    )
+    path = tmp_path / "run.cfg"
+    path.write_text(workloads.config_text(w, 1, str(tmp_path / "out")))
+    assert cli.main(["generate", "--config", str(path)]) == 0
+    cfg = tables.load_config(path)
+    return cli.Run(cfg, Path(cfg.out_dir)), np.linspace(cfg.r_min, cfg.r_max, cfg.r_count)
+
+
+@pytest.mark.parametrize("name", ["probe-sweep", "ball-cap"])
+def test_one_check_holds_at_most_160_bytes_a_sample(tmp_path, name):
+    # a probe keeps each center's distance order, sorted distances and own
+    # keys, and builds every running sum in reused scratch rows while it
+    # reads; holding the sorted values, the prefixes and the moments of
+    # every key instead took 240 (half-space) and 337 (ball) bytes a sample
+    run, grid = _bench_run(tmp_path, name)
+    # the first check loads the surface and places the curve atoms
+    run.check(run.probes[0], grid)
+    n = len(run.surface.points)
+    assert n == 4096
+    peaks = []
+    tracemalloc.start()
+    try:
+        for probe in run.probes:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            run.check(probe, grid)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) <= 160 * n, [peak / n for peak in peaks]
+
+
+@pytest.mark.parametrize("name", ["probe-sweep", "ball-cap"])
+def test_a_check_builds_each_sample_sum_once(tmp_path, monkeypatch, name):
+    # a check reads the grid and every pair radius in one call, so each
+    # running sum of the samples (prefix, key and window kind) is built
+    # once per probe, not once for the profile and again for every pair
+    run, grid = _bench_run(tmp_path, name)
+    builds = []
+    running = RadialPrefix._running
+
+    def counting(self, key, power=0):
+        if not isinstance(self, BallRestrictedEta):
+            builds.append((id(self), key, power))
+        return running(self, key, power)
+
+    monkeypatch.setattr(RadialPrefix, "_running", counting)
+    table = run.mono.probe_terms(run.surface, run.region, run.probes[0]).TABLE
+    expect = {(row.source, row.key, row.over_r2) for row in table if row.source in ("mu", "mu_hat")}
+    for probe in run.probes:
+        builds.clear()
+        run.check(probe, grid)
+        assert len(builds) == len(set(builds)) == len(expect), probe

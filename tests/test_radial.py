@@ -1,5 +1,5 @@
 """Radial prefix sums: box-window averages of the sharp cumulative, and
-the stable order and per-key bits of the block prefixes."""
+the stable order and per-key bits of the running sums each read builds."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ import pytest
 from capmono import ball as bl
 from capmono import halfspace as hs
 from capmono.geometry import rowdot
-from capmono.identity import center_offsets
+from capmono.identity import offset_dots
 from capmono.radial import RadialPrefix
 from capmono.surfaces import sample_chart, spherical_cap_ball, spherical_cap_halfspace
 from capmono.wetted import wetted_region
@@ -100,8 +100,10 @@ def _zero_led_cumsum(arr):
 @pytest.mark.parametrize("tied", [False, True])
 def test_block_prefixes_match_per_key_sums(rng, tied):
     # contiguous keys and keys strided through a C- or Fortran-ordered
-    # (n, 3) array: the order is the stable one, and every value, prefix
-    # and moment has the bits of a per-key gather and running sum
+    # (n, 3) array: the order is the stable one, each key is kept as given,
+    # and every running sum and moment a read builds has the bits of a
+    # per-key gather and zero-led running sum, in whatever order the keys
+    # are read, in the two scratch rows that every read reuses
     n = 3000
     if tied:
         points = rng.integers(-5, 6, (n, 3)).astype(float)
@@ -123,13 +125,19 @@ def test_block_prefixes_match_per_key_sums(rng, tied):
     assert np.array_equal(prefix.order, order)
     assert _same_bits(prefix.dists, d[order])
     assert _has_ties(prefix.dists) == tied
-    for key, arr in arrays.items():
+    scratch = None
+    for key, arr in [*arrays.items(), *reversed(arrays.items())]:
+        assert prefix.keys[key] is arr, key
         expect = arr[order]
-        assert _same_bits(prefix.values[key], expect), key
-        assert _same_bits(prefix._prefix[key], _zero_led_cumsum(expect)), key
-        for power, scale in ((1, d[order]), (-1, 1.0 / np.maximum(d[order], 1e-12))):
-            scaled = expect * scale
-            assert _same_bits(prefix._moment(key, power), _zero_led_cumsum(scaled)), (key, power)
+        for power, scale in ((0, None), (1, d[order]), (-1, 1.0 / np.maximum(d[order], 1e-12))):
+            plain, moment = prefix._running(key, power)
+            assert _same_bits(plain, _zero_led_cumsum(expect)), (key, power)
+            if scale is None:
+                assert moment is None
+            else:
+                assert _same_bits(moment, _zero_led_cumsum(expect * scale)), (key, power)
+            scratch = plain if scratch is None else scratch
+            assert np.shares_memory(plain, scratch), (key, power)
 
 
 def _assert_stable_orders(cases):
@@ -156,9 +164,9 @@ def test_halfspace_prefix_orders_are_stable(x0, tied):
     # η is restricted over the boundary curve's atoms
     nodes, _ = region.curve_atoms()
     cases = [
-        (t.mu, center_offsets(surface.points, t.x0)[1]),
-        (t.mu_hat, center_offsets(surface.points, t.x0_hat)[1]),
-        (t.eta, center_offsets(nodes, t.x0)[1]),
+        (t.mu, offset_dots(surface.points, t.x0)[0]),
+        (t.mu_hat, offset_dots(surface.points, t.x0_hat)[0]),
+        (t.eta, offset_dots(nodes, t.x0)[0]),
     ]
     assert _assert_stable_orders(cases) == tied
 
@@ -174,13 +182,13 @@ def test_ball_prefix_orders_are_stable(x0, tied):
     region = wetted_region(surface)
     t = bl.probe_terms(surface, region, np.array(x0))
     if t.BRANCH == bl.ORIGIN:
-        cases = [(t.mu, center_offsets(surface.points, np.zeros(3))[1])]
+        cases = [(t.mu, offset_dots(surface.points, np.zeros(3))[0])]
     else:
         nodes, _ = region.curve_atoms()
         cases = [
-            (t.mu, center_offsets(surface.points, t.x0)[1]),
-            (t.mu_hat, center_offsets(surface.points, t.x0_hat)[1]),
-            (t.eta, center_offsets(nodes, t.x0)[1]),
-            (t.eta_hat, center_offsets(nodes, t.x0_hat)[1]),
+            (t.mu, offset_dots(surface.points, t.x0)[0]),
+            (t.mu_hat, offset_dots(surface.points, t.x0_hat)[0]),
+            (t.eta, offset_dots(nodes, t.x0)[0]),
+            (t.eta_hat, offset_dots(nodes, t.x0_hat)[0]),
         ]
     assert _assert_stable_orders(cases) == tied

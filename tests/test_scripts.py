@@ -65,8 +65,9 @@ def test_memory_bounds_reports_every_measured_command(tmp_path):
     expect = [f"{setting} {command}:" for setting in settings for command in commands]
     assert [line.split(": ")[0] + ":" for line in lines] == expect
     for line in lines:
-        peak, seconds = re.fullmatch(r".*: exit [01], peak RSS ([0-9.]+) MB, ([0-9.]+) s", line).groups()
-        assert float(peak) > 0 and float(seconds) > 0
+        match = re.fullmatch(r".*: exit [01], peak RSS ([0-9.]+) MB, ([0-9]+) minor faults, ([0-9.]+) s", line)
+        peak, faults, seconds = match.groups()
+        assert float(peak) > 0 and int(faults) > 0 and float(seconds) > 0
     # the script leaves nothing in the directory it runs from
     assert not any(tmp_path.iterdir())
 

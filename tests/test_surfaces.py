@@ -266,6 +266,26 @@ def test_small_resolution_rejected():
 def test_contact_check_requires_boundary(stock):
     surface, _ = stock.cap(np.pi / 2)
     assert surface.contact_residual < 1e-10
+    # the same interior samples with no boundary rows: no command builds
+    # such a surface, but the property must refuse it, not read a residual
+    rows, vectors = np.empty(0), np.empty((0, 3))
+    bare = SampledSurface(
+        surface.ambient,
+        surface.points,
+        surface.weights,
+        surface.normals,
+        surface.mean_curvature,
+        surface.gauss_curvature,
+        surface.traceless_sq,
+        vectors,
+        vectors,
+        vectors,
+        rows,
+        rows,
+        rows,
+    )
+    with pytest.raises(GeometryError, match="contact check requires a nonempty boundary"):
+        bare.contact_residual
 
 
 _VECTOR_FIELDS = (
